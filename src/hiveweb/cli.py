@@ -9,6 +9,7 @@ keys, no insignificant whitespace, integers only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -28,6 +29,7 @@ class MalformedInput(ValueError):
     pass
 
 
+@functools.cache  # cleared by run(), so the cap is read once per run at first use
 def _max_magnitude() -> int:
     raw = os.environ.get("HIVEWEB_MAX_THIRDS")
     if raw is None:
@@ -90,17 +92,28 @@ def _resolve_triangulation(doc: dict, doc_path: str, args) -> surface.Triangulat
     )
 
 
-def _values_from_doc(doc: dict) -> hive_mod.HiveValues:
+def _values_from_doc(doc: dict, tri: surface.Triangulation):
+    """The document's values as ``HiveThirds`` of ``tri``, and those of keys
+    that name no vertex of ``tri`` by their canonical key."""
     if "values" not in doc:
         raise MalformedInput("hive document has no 'values' field")
-    values = {}
+    index = tri.compiled.index
+    thirds: hive_mod.HiveThirds = [None] * len(index)
+    others = {}
     for key, obj in doc["values"].items():
-        try:
-            vertex = surface.ThetaVertex.parse(key)
-        except ValueError as exc:
-            raise MalformedInput(str(exc))
-        values[vertex] = Third(_checked_int(obj.get("thirds"), f"values[{key}]"))
-    return values
+        i = index.get(key)
+        if i is None:
+            try:
+                canonical = surface.ThetaVertex.parse(key).key()
+            except ValueError as exc:
+                raise MalformedInput(str(exc))
+            i = index.get(canonical)
+        value = _checked_int(obj.get("thirds"), f"values[{key}]")
+        if i is None:
+            others[canonical] = value
+        else:
+            thirds[i] = value
+    return thirds, others
 
 
 def _parse_coords(text: str) -> web.TriangleWebCoords:
@@ -139,7 +152,7 @@ def cmd_validate(args) -> int:
     if args.hive:
         doc = _load_doc(args.hive)
         tri = _resolve_triangulation(doc, args.hive, args)
-        values = _values_from_doc(doc)
+        values, _ = _values_from_doc(doc, tri)
         violations = hive_mod.validate_hive(tri, values)
         _emit({"valid": not violations, "violations": violations}, args.out)
         return 0 if not violations else 1
@@ -180,7 +193,7 @@ def cmd_hive2web(args) -> int:
         _emit(coords.to_json(), args.out)
         return 0
     tri = _resolve_triangulation(doc, args.hive, args)
-    values = _values_from_doc(doc)
+    values, _ = _values_from_doc(doc, tri)
     coords = web.hive_to_surface_web(tri, values)
     _emit(web.surface_web_to_json(tri, coords), args.out)
     return 0
@@ -196,12 +209,16 @@ def cmd_flip(args) -> int:
     }
     if args.hive:
         doc = _load_doc(args.hive)
-        values = _values_from_doc(doc)
+        values, others = _values_from_doc(doc, tri)
         bad = hive_mod.validate_hive(tri, values)
         if bad:
             raise HivewebError(f"hive is invalid before transport: {bad[:3]}")
-        moved = hive_mod.octahedron_transport(values, frame_old, frame_new)
-        out["hive"] = hive_mod.hive_to_json(flipped, moved, inline=False)
+        # only the quadrilateral's twelve values take part in the transport
+        moved = {**others, **dict(zip(tri.compiled.keys, values))}
+        quad = {v: Third(moved.pop(v.key())) for v in frame_old.vertices()}
+        for v, x in hive_mod.octahedron_transport(quad, frame_old, frame_new).items():
+            moved[v.key()] = x.thirds
+        out["hive"] = {"values": {key: {"thirds": x} for key, x in moved.items()}}
     _emit(out, args.out)
     return 0
 
@@ -209,7 +226,7 @@ def cmd_flip(args) -> int:
 def cmd_potential(args) -> int:
     doc = _load_doc(args.hive)
     tri = _resolve_triangulation(doc, args.hive, args)
-    values = _values_from_doc(doc)
+    values, _ = _values_from_doc(doc, tri)
     _emit(hive_mod.tropical_potential(tri, values).to_json(), args.out)
     return 0
 
@@ -217,7 +234,7 @@ def cmd_potential(args) -> int:
 def cmd_cone(args) -> int:
     doc = _load_doc(args.hive)
     tri = _resolve_triangulation(doc, args.hive, args)
-    values = _values_from_doc(doc)
+    values, _ = _values_from_doc(doc, tri)
     _emit({"in_positive_cone": hive_mod.is_in_positive_cone(tri, values)}, args.out)
     return 0
 
@@ -413,6 +430,7 @@ def run(argv) -> int:
         args = parser.parse_args(_absorb_negative_values(list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    _max_magnitude.cache_clear()
     try:
         return args.func(args)
     except MalformedInput as exc:

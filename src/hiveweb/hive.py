@@ -8,11 +8,11 @@ triangle the nine rhombus quantities
     a3+a6-a4   a4+a7-a5-a6   a1+a4-a2-a3
 
 are non-negative integers.  The per-triangle labels are read off a fixed
-frame: a4 at the center, a2/a5 on side 0 near corners 0/1, a7/a6 on side 1
-near corners 1/2, and a3/a1 on side 2 near corners 2/0.  The three-term
-quantities then pair the two edge vertices flanking each corner
-((a1,a2) at corner 0, (a5,a7) at corner 1, (a3,a6) at corner 2), and the
-whole list is invariant under rotating which corner is called 0.
+frame, the table ``LAYOUT``: a4 at the center, a2/a5 on side 0 near corners
+0/1, a7/a6 on side 1 near corners 1/2, and a3/a1 on side 2 near corners 2/0.
+The three-term quantities then pair the two edge vertices flanking each
+corner ((a1,a2) at corner 0, (a5,a7) at corner 1, (a3,a6) at corner 2), and
+the whole list is invariant under rotating which corner is called 0.
 
 Across a diagonal flip, hives are transported by the max-plus octahedron
 relations; the four new values land on the four inner positions of the
@@ -22,13 +22,21 @@ quadrilateral frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Iterator, List, Optional, Union
 
 from .errors import IncompleteHive, InvalidHive
 from .surface import QuadFrame, ThetaVertex, Triangulation
 from .thirds import Third
 
 HiveValues = Dict[ThetaVertex, Third]
+HiveThirds = List[Optional[int]]  # thirds in theta_index() order, None where missing
+
+# a1..a7: (s, True) is the vertex of side s nearer corner s, (s, False) the one
+# nearer corner s+1, None the center; CENTER and each side's (near, far) pair
+# are label positions, 0 for a1
+LAYOUT = ((2, False), (0, True), (2, True), None, (0, False), (1, False), (1, True))
+CENTER = LAYOUT.index(None)
+SIDE_LABELS = tuple((LAYOUT.index((s, True)), LAYOUT.index((s, False))) for s in range(3))
 
 
 @dataclass(frozen=True)
@@ -69,44 +77,28 @@ class TriangleFrame:
 
 
 def triangle_frame(tri: Triangulation, t: str) -> TriangleFrame:
-    return TriangleFrame(
-        a1=tri.corner_vertex(t, 2, at_start=False),
-        a2=tri.corner_vertex(t, 0, at_start=True),
-        a3=tri.corner_vertex(t, 2, at_start=True),
-        a4=ThetaVertex.center(t),
-        a5=tri.corner_vertex(t, 0, at_start=False),
-        a6=tri.corner_vertex(t, 1, at_start=False),
-        a7=tri.corner_vertex(t, 1, at_start=True),
-    )
+    return TriangleFrame(*(
+        ThetaVertex.center(t) if site is None else tri.corner_vertex(t, *site)
+        for site in LAYOUT
+    ))
+
+
+def rhombi(a1: int, a2: int, a3: int, a4: int, a5: int, a6: int, a7: int) -> tuple[int, ...]:
+    """The nine rhombus quantities, in thirds, in the canonical listing order."""
+    return (a1 + a2 - a4, a3 + a4 - a1 - a6, a4 + a5 - a2 - a7,
+            a5 + a7 - a4, a2 + a4 - a1 - a5, a4 + a6 - a3 - a7,
+            a3 + a6 - a4, a4 + a7 - a5 - a6, a1 + a4 - a2 - a3)
+
+
+def failed_rhombi(quantities) -> list[tuple[int, int]]:
+    """(rhombus index from 1, thirds) of each quantity that is not a
+    non-negative integer: the one predicate behind every hive test."""
+    return [(i, d) for i, d in enumerate(quantities, start=1) if d < 0 or d % 3]
 
 
 def rhombus_differences(h: TriangleHive) -> tuple[Third, ...]:
     """The nine rhombus quantities in the canonical listing order."""
-    a1, a2, a3, a4, a5, a6, a7 = h.values()
-    return (
-        a1 + a2 - a4,
-        a3 + a4 - a1 - a6,
-        a4 + a5 - a2 - a7,
-        a5 + a7 - a4,
-        a2 + a4 - a1 - a5,
-        a4 + a6 - a3 - a7,
-        a3 + a6 - a4,
-        a4 + a7 - a5 - a6,
-        a1 + a4 - a2 - a3,
-    )
-
-
-def triangle_violations(h: TriangleHive):
-    """(rhombus index, offending value) for every failed condition."""
-    out = []
-    for i, d in enumerate(rhombus_differences(h), start=1):
-        if d.thirds < 0 or not d.is_integer():
-            out.append((i, d))
-    return out
-
-
-def is_triangle_hive(h: TriangleHive) -> bool:
-    return not triangle_violations(h)
+    return tuple(Third(d) for d in rhombi(*h.thirds()))
 
 
 def triangle_hive_of(tri: Triangulation, t: str, values: HiveValues) -> TriangleHive:
@@ -119,43 +111,58 @@ def triangle_hive_of(tri: Triangulation, t: str, values: HiveValues) -> Triangle
     return TriangleHive(*picked)
 
 
-def validate_hive(tri: Triangulation, values: HiveValues) -> list[dict]:
+def hive_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> HiveThirds:
+    """``values`` as :data:`HiveThirds`; a list is taken to be that already."""
+    if isinstance(values, list):
+        return values
+    return [None if x is None else x.thirds for x in map(values.get, tri.theta_index())]
+
+
+def complete_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> list[int]:
+    """Like :func:`hive_thirds`, naming the first vertex without a value."""
+    thirds = hive_thirds(tri, values)
+    if None in thirds:
+        raise IncompleteHive(f"no value for vertex {tri.compiled.keys[thirds.index(None)]}")
+    return thirds
+
+
+def rhombus_scan(tri: Triangulation, thirds: HiveThirds) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(triangle, its nine rhombus quantities) for each triangle in order.
+
+    A triangle is read when the scan reaches it, so a structural error or a
+    missing value (the first in label order) is raised there and not before.
+    """
+    view = tri.compiled
+    for t, frame in view.frames.items():
+        if frame is None:
+            triangle_frame(tri, t)  # raises the structural error
+        picked = [thirds[p] for p in frame]
+        if None in picked:
+            raise IncompleteHive(f"no value for vertex {view.keys[frame[picked.index(None)]]}")
+        yield t, rhombi(*picked)
+
+
+def validate_hive(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> list[dict]:
     """All rhombus violations, each naming (triangle, rhombus index, value)."""
-    for v in tri.theta_index():
-        if v not in values:
-            raise IncompleteHive(f"no value for vertex {v.key()}")
-    violations = []
-    for t in tri.triangles:
-        h = triangle_hive_of(tri, t, values)
-        for index, value in triangle_violations(h):
-            violations.append(
-                {"triangle": t, "rhombus": index, "thirds": value.thirds}
-            )
-    return violations
+    return [
+        {"triangle": t, "rhombus": index, "thirds": value}
+        for t, quantities in rhombus_scan(tri, complete_thirds(tri, values))
+        for index, value in failed_rhombi(quantities)
+    ]
 
 
-def tropical_potential(tri: Triangulation, values: HiveValues) -> Third:
+def tropical_potential(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> Third:
     """Max over all triangles and rhombi of minus the rhombus quantity."""
-    best = None
-    for t in tri.triangles:
-        h = triangle_hive_of(tri, t, values)
-        for d in rhombus_differences(h):
-            if best is None or -d.thirds > best:
-                best = -d.thirds
+    best = max((-min(q) for _, q in rhombus_scan(tri, hive_thirds(tri, values))), default=None)
     if best is None:
         raise InvalidHive("triangulation has no triangles")
     return Third(best)
 
 
-def is_in_positive_cone(tri: Triangulation, values: HiveValues) -> bool:
+def is_in_positive_cone(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> bool:
     """True iff every rhombus quantity is a non-negative integer; agrees with
     validate_hive returning no violations."""
-    for t in tri.triangles:
-        h = triangle_hive_of(tri, t, values)
-        for d in rhombus_differences(h):
-            if d.thirds < 0 or not d.is_integer():
-                return False
-    return True
+    return all(not failed_rhombi(q) for _, q in rhombus_scan(tri, hive_thirds(tri, values)))
 
 
 def _read(values: HiveValues, frame: QuadFrame) -> list[Third]:

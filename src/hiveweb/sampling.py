@@ -4,8 +4,9 @@ Triangles are visited in spanning-tree order.  For each one, every
 coordinate tuple in the box x in [-K, K], corner counts in [0, K] is a
 candidate; tuples whose side values disagree with already-fixed shared-edge
 values are filtered out and the seeded generator picks one of the survivors.
-All candidate hive tuples for a given K are precomputed once and indexed by
-their per-side value pairs, so each constrained lookup is a dict hit.
+All candidate hive tuples (ints, in thirds) for a given K are precomputed once
+and indexed by their per-side value pairs, so each constrained lookup is a
+dict hit.
 """
 
 from __future__ import annotations
@@ -15,26 +16,24 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import InvalidTriangulation, SamplingFailed
-from .hive import HiveValues, TriangleHive, triangle_frame
-from .surface import ThetaVertex, Triangulation
-from .web import TriangleWebCoords, web_to_hive_triangle
+from .hive import SIDE_LABELS, HiveThirds, HiveValues, triangle_frame
+from .surface import Triangulation
+from .thirds import Third
+from .web import web_to_hive_thirds
 
 
 @lru_cache(maxsize=8)
 def _box(k: int):
-    """All box coordinate tuples with their hives and per-side value indexes."""
-    entries: list[tuple[TriangleWebCoords, TriangleHive]] = []
-    by_side: tuple[dict, dict, dict] = ({}, {}, {})
-    for x in range(-k, k + 1):
-        for y, z, t, u, v, w in product(range(k + 1), repeat=6):
-            coords = TriangleWebCoords(x, y, z, t, u, v, w)
-            h = web_to_hive_triangle(coords)
-            idx = len(entries)
-            entries.append((coords, h))
-            for s, pair in enumerate(
-                ((h.a2, h.a5), (h.a7, h.a6), (h.a3, h.a1))
-            ):
-                by_side[s].setdefault((pair[0].thirds, pair[1].thirds), []).append(idx)
+    """All box hives a1..a7, in thirds, with their per-side value indexes."""
+    entries = [
+        web_to_hive_thirds(x, *rest)
+        for x in range(-k, k + 1)
+        for rest in product(range(k + 1), repeat=6)
+    ]
+    by_side: tuple[dict, ...] = tuple({} for _ in SIDE_LABELS)
+    for idx, h in enumerate(entries):
+        for index, (near, far) in zip(by_side, SIDE_LABELS):
+            index.setdefault((h[near], h[far]), []).append(idx)
     return entries, by_side
 
 
@@ -74,35 +73,36 @@ def sample_hive(tri: Triangulation, bound: int, seed: int) -> HiveValues:
         raise ValueError("bound must be non-negative")
     entries, by_side = _box(bound)
     rng = random.Random(seed)
+    view = tri.compiled
+    thirds: HiveThirds = [None] * len(view.keys)
+    vertices = tri.theta_index()
     values: HiveValues = {}
     for t in _tree_order(tri):
-        frame = triangle_frame(tri, t)
-        wanted = []  # (side, (near, far)) constraints from already-fixed edges
-        for s, (near_v, far_v) in enumerate(
-            ((frame.a2, frame.a5), (frame.a7, frame.a6), (frame.a3, frame.a1))
-        ):
-            if near_v in values and far_v in values:
-                wanted.append((s, (values[near_v].thirds, values[far_v].thirds)))
-        if not wanted:
+        frame = view.frames[t]
+        if frame is None:
+            triangle_frame(tri, t)  # raises the structural error
+        pools = []  # candidates allowed by each side whose values are fixed
+        for index, (near, far) in zip(by_side, SIDE_LABELS):
+            pair = (thirds[frame[near]], thirds[frame[far]])
+            if None not in pair:
+                pools.append(index.get(pair, []))
+        if not pools:
             candidates = range(len(entries))
+        elif len(pools) == 1:
+            candidates = pools[0]  # indexes are listed in increasing order
         else:
-            pools = [by_side[s].get(pair, []) for s, pair in wanted]
-            if any(not p for p in pools):
-                candidates = []
-            else:
-                candidates = set(pools[0])
-                for p in pools[1:]:
-                    candidates &= set(p)
-                candidates = sorted(candidates)
+            candidates = sorted(set(pools[0]).intersection(*pools[1:]))
         if not candidates:
             raise SamplingFailed(
                 f"no box coordinates fit the fixed edges of triangle {t!r}"
             )
-        _, h = entries[candidates[rng.randrange(len(candidates))]]
-        for vertex, val in zip(frame.vertices(), (h.a1, h.a2, h.a3, h.a4, h.a5, h.a6, h.a7)):
-            if vertex in values and values[vertex] != val:
+        h = entries[candidates[rng.randrange(len(candidates))]]
+        for p, value in zip(frame, h):
+            if thirds[p] is None:
+                values[vertices[p]] = Third(value)
+            elif thirds[p] != value:
                 raise SamplingFailed(
-                    f"internal inconsistency writing {vertex.key()}"
+                    f"internal inconsistency writing {view.keys[p]}"
                 )
-            values[vertex] = val
+            thirds[p] = value
     return values

@@ -18,6 +18,7 @@ produced along different flip paths directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -107,7 +108,6 @@ class Triangulation:
             raise InvalidTriangulation("duplicate edge ids")
         if len(set(self.triangles)) != len(self.triangles):
             raise InvalidTriangulation("duplicate triangle ids")
-        self._slot_table: Optional[dict] = None
 
     # -- raw lookups ---------------------------------------------------
 
@@ -117,20 +117,19 @@ class Triangulation:
         except KeyError:
             raise KeyError(f"unknown edge {edge_id!r}") from None
 
+    @cached_property
     def _slots(self) -> dict[Attach, list[tuple[str, bool]]]:
         """(triangle, side) -> [(edge id, walks tail->head)], possibly 0 or 2+ entries."""
-        if self._slot_table is None:
-            table: dict[Attach, list[tuple[str, bool]]] = {}
-            for rec in self.edges:
-                table.setdefault(tuple(rec.attach0), []).append((rec.id, True))
-                if rec.attach1 is not None:
-                    table.setdefault(tuple(rec.attach1), []).append((rec.id, False))
-            self._slot_table = table
-        return self._slot_table
+        table: dict[Attach, list[tuple[str, bool]]] = {}
+        for rec in self.edges:
+            table.setdefault(tuple(rec.attach0), []).append((rec.id, True))
+            if rec.attach1 is not None:
+                table.setdefault(tuple(rec.attach1), []).append((rec.id, False))
+        return table
 
     def side(self, tri: str, s: int) -> tuple[str, bool]:
         """Edge at side ``s`` of ``tri`` and whether the side walks tail->head."""
-        entries = self._slots().get((tri, s % 3), [])
+        entries = self._slots.get((tri, s % 3), [])
         if len(entries) != 1:
             raise InvalidTriangulation(
                 f"side {s % 3} of triangle {tri!r} attached {len(entries)} times"
@@ -160,6 +159,11 @@ class Triangulation:
             out.append(ThetaVertex.edge(eid, 0))
             out.append(ThetaVertex.edge(eid, 1))
         return out
+
+    @cached_property
+    def compiled(self) -> "CompiledTriangulation":
+        """The index-based view of this triangulation, built on first use."""
+        return CompiledTriangulation(self)
 
     def interior_edges(self) -> list[str]:
         return [e.id for e in self.edges if e.interior]
@@ -219,24 +223,52 @@ class Triangulation:
         return cls([str(t) for t in doc["triangles"]], edges, sig)
 
 
+class CompiledTriangulation:
+    """Quiver vertices as positions in ``theta_index()``, so that hive values
+    travel as a list of ints: ``keys[i]`` is the key of vertex i, ``index``
+    maps it back, and ``frames[t]`` lists triangle t's positions in hive-label
+    order a1..a7 (``hive.LAYOUT``), or is None where a side of t is not
+    attached exactly once and ``hive.triangle_frame`` raises."""
+
+    def __init__(self, tri: Triangulation):
+        from .hive import CENTER, SIDE_LABELS  # hive imports this module
+
+        centers, edge_ids = sorted(tri.triangles), sorted(tri._edge_by_id)
+        self.keys = (*(f"c:{t}" for t in centers),
+                     *(f"e:{e}:{slot}" for e in edge_ids for slot in (0, 1)))
+        self.index = {key: i for i, key in enumerate(self.keys)}
+        center = {t: i for i, t in enumerate(centers)}
+        slot0 = {e: len(center) + 2 * i for i, e in enumerate(edge_ids)}
+        slots = tri._slots
+        self.frames: dict[str, Optional[tuple[int, ...]]] = {}
+        for t in tri.triangles:
+            sides = [slots.get((t, s), ()) for s in range(3)]
+            if any(len(entries) != 1 for entries in sides):
+                self.frames[t] = None
+                continue
+            frame = [0] * 7
+            frame[CENTER] = center[t]
+            for (near, far), ((edge_id, fwd),) in zip(SIDE_LABELS, sides):
+                p = slot0[edge_id]
+                frame[near], frame[far] = (p, p + 1) if fwd else (p + 1, p)
+            self.frames[t] = tuple(frame)
+
+
 def validate_complex(tri: Triangulation) -> ValidationReport:
     """Structural checks; an empty report means the gluing data is coherent."""
     report = ValidationReport()
     tri_set = set(tri.triangles)
-    slots: dict[Attach, list[str]] = {}
     for rec in tri.edges:
         attachments = [rec.attach0] + ([rec.attach1] if rec.attach1 is not None else [])
         for t, s in attachments:
             if t not in tri_set:
                 report.add("unknown-triangle", edge=rec.id, triangle=t)
-                continue
-            if s not in (0, 1, 2):
+            elif s not in (0, 1, 2):
                 report.add("bad-side-index", edge=rec.id, triangle=t, side=s)
-                continue
-            slots.setdefault((t, s), []).append(rec.id)
+    slots = tri._slots
     for t in tri.triangles:
         for s in range(3):
-            hits = slots.get((t, s), [])
+            hits = [edge_id for edge_id, _ in slots.get((t, s), ())]
             if not hits:
                 report.add("dangling-side", triangle=t, side=s)
             elif len(hits) > 1:

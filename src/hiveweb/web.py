@@ -15,16 +15,21 @@ match after swapping.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, Union
 
 from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
 from .hive import (
+    CENTER,
+    SIDE_LABELS,
+    HiveThirds,
     HiveValues,
     TriangleHive,
+    complete_thirds,
+    failed_rhombi,
+    rhombi,
+    rhombus_scan,
     triangle_frame,
-    triangle_hive_of,
-    triangle_violations,
     validate_hive,
 )
 from .surface import ThetaVertex, Triangulation
@@ -50,8 +55,11 @@ class TriangleWebCoords:
             if getattr(self, name) < 0:
                 raise InvalidWebCoords(f"corner count {name} is negative")
 
+    def values(self) -> tuple[int, ...]:
+        return (self.x, self.y, self.z, self.t, self.u, self.v, self.w)
+
     def to_json(self) -> dict:
-        return {k: v for k, v in zip("xyztuvw", astuple(self))}
+        return dict(zip("xyztuvw", self.values()))
 
     @classmethod
     def from_json(cls, obj: dict) -> "TriangleWebCoords":
@@ -61,18 +69,17 @@ class TriangleWebCoords:
 SurfaceWeb = Dict[str, TriangleWebCoords]
 
 
-def web_to_hive_triangle(c: TriangleWebCoords) -> TriangleHive:
-    """Hive coordinates of a triangle web, in thirds:
+def web_to_hive_thirds(x: int, y: int, z: int, t: int, u: int, v: int, w: int) -> tuple[int, ...]:
+    """Hive coordinates a1..a7 of a triangle web, in thirds:
 
         3a1 = 2t+u+2w+v+max(2x,-x)      3a2 = 2w+v+2z+y+max(x,-2x)
         3a3 = 2v+w+2u+t+max(x,-2x)      3a4 = 2v+w+2t+u+2z+y+3|x|
         3a5 = 2v+w+2y+z+max(2x,-x)      3a6 = 2z+y+2u+t+max(2x,-x)
         3a7 = 2t+u+2y+z+max(x,-2x)
     """
-    x, y, z, t, u, v, w = astuple(c)
     lo = max(x, -2 * x)
     hi = max(2 * x, -x)
-    return TriangleHive.from_thirds((
+    return (
         2 * t + u + 2 * w + v + hi,
         2 * w + v + 2 * z + y + lo,
         2 * v + w + 2 * u + t + lo,
@@ -80,25 +87,29 @@ def web_to_hive_triangle(c: TriangleWebCoords) -> TriangleHive:
         2 * v + w + 2 * y + z + hi,
         2 * z + y + 2 * u + t + hi,
         2 * t + u + 2 * y + z + lo,
-    ))
+    )
+
+
+def web_to_hive_triangle(c: TriangleWebCoords) -> TriangleHive:
+    """Hive coordinates of a triangle web; see :func:`web_to_hive_thirds`."""
+    return TriangleHive.from_thirds(web_to_hive_thirds(*c.values()))
+
+
+def web_from_rhombi(quantities) -> TriangleWebCoords:
+    """Web coordinates of a valid triangle hive from its nine rhombus
+    quantities, all multiples of three."""
+    r1, r2, r3, r4, r5, r6, r7, r8, r9 = (d // 3 for d in quantities)
+    return TriangleWebCoords(x=r3 - r2, y=r4, z=min(r5, r6), t=min(r9, r8),
+                             u=r7, v=min(r2, r3), w=r1)
 
 
 def hive_to_web_triangle(h: TriangleHive) -> TriangleWebCoords:
     """Inverse of :func:`web_to_hive_triangle` on valid triangle hives."""
-    bad = triangle_violations(h)
+    quantities = rhombi(*h.thirds())
+    bad = failed_rhombi(quantities)
     if bad:
-        raise InvalidHive(f"rhombus conditions fail: {bad}")
-    a1, a2, a3, a4, a5, a6, a7 = (v.thirds for v in h.values())
-    div = lambda n: n // 3  # all the combinations below are multiples of 3
-    return TriangleWebCoords(
-        x=div(a1 + a5 + a6 - a2 - a3 - a7),
-        y=div(a5 + a7 - a4),
-        z=div(min(a2 + a4 - a1 - a5, a4 + a6 - a3 - a7)),
-        t=div(min(a1 + a4 - a3 - a2, a4 + a7 - a6 - a5)),
-        u=div(a3 + a6 - a4),
-        v=div(min(a3 + a4 - a6 - a1, a4 + a5 - a2 - a7)),
-        w=div(a1 + a2 - a4),
-    )
+        raise InvalidHive(f"rhombus conditions fail: {[(i, Third(d)) for i, d in bad]}")
+    return web_from_rhombi(quantities)
 
 
 def side_arc_counts(a_near: Third, a_far: Third) -> tuple[int, int]:
@@ -118,16 +129,13 @@ def side_arc_counts(a_near: Third, a_far: Third) -> tuple[int, int]:
     return first, second
 
 
-def _near_far(t_hive: TriangleHive, s: int) -> tuple[Third, Third]:
-    """Hive values on side ``s``, ordered (near corner s, near corner s+1)."""
-    return {
-        0: (t_hive.a2, t_hive.a5),
-        1: (t_hive.a7, t_hive.a6),
-        2: (t_hive.a3, t_hive.a1),
-    }[s % 3]
+def _near_far(h: tuple[int, ...], s: int) -> tuple[int, int]:
+    """Hive values a1..a7 on side ``s``, ordered (near corner s, near corner s+1)."""
+    near, far = SIDE_LABELS[s % 3]
+    return h[near], h[far]
 
 
-def _slot_values(tri: Triangulation, t: str, s: int, h: TriangleHive) -> tuple[Third, Third]:
+def _slot_values(tri: Triangulation, t: str, s: int, h: tuple[int, ...]) -> tuple[int, int]:
     """Same values reordered (slot 0, slot 1) of the underlying edge."""
     near, far = _near_far(h, s)
     _, fwd = tri.side(t, s)
@@ -136,12 +144,11 @@ def _slot_values(tri: Triangulation, t: str, s: int, h: TriangleHive) -> tuple[T
 
 def surface_web_to_hive(tri: Triangulation, web: SurfaceWeb) -> HiveValues:
     """Assemble the surface hive of an edge-consistent surface web."""
-    values: HiveValues = {}
-    hives = {}
     for t in tri.triangles:
         if t not in web:
             raise InvalidWebCoords(f"no coordinates for triangle {t!r}")
-        hives[t] = web_to_hive_triangle(web[t])
+    values: HiveValues = {}
+    hives = {t: web_to_hive_thirds(*web[t].values()) for t in tri.triangles}
     for rec in tri.edges:
         t0, s0 = rec.attach0
         v0 = _slot_values(tri, t0, s0, hives[t0])
@@ -149,26 +156,28 @@ def surface_web_to_hive(tri: Triangulation, web: SurfaceWeb) -> HiveValues:
             t1, s1 = rec.attach1
             v1 = _slot_values(tri, t1, s1, hives[t1])
             if v0 != v1:
-                pair0 = side_arc_counts(*_near_far(hives[t0], s0))
-                pair1 = side_arc_counts(*_near_far(hives[t1], s1))
+                pair0 = side_arc_counts(*map(Third, _near_far(hives[t0], s0)))
+                pair1 = side_arc_counts(*map(Third, _near_far(hives[t1], s1)))
                 raise GluingMismatch(rec.id, pair0, pair1)
-        values[ThetaVertex.edge(rec.id, 0)] = v0[0]
-        values[ThetaVertex.edge(rec.id, 1)] = v0[1]
-    for t in tri.triangles:
-        frame = triangle_frame(tri, t)
-        values[frame.a4] = hives[t].a4
+        values[ThetaVertex.edge(rec.id, 0)] = Third(v0[0])
+        values[ThetaVertex.edge(rec.id, 1)] = Third(v0[1])
+    for t, frame in tri.compiled.frames.items():
+        if frame is None:
+            triangle_frame(tri, t)  # raises the structural error
+        values[ThetaVertex.center(t)] = Third(hives[t][CENTER])
     return values
 
 
-def hive_to_surface_web(tri: Triangulation, values: HiveValues) -> SurfaceWeb:
-    """Per-triangle web coordinates of a valid surface hive."""
-    bad = validate_hive(tri, values)
-    if bad:
-        raise InvalidHive(f"hive has {len(bad)} rhombus violations: {bad[:3]}")
-    return {
-        t: hive_to_web_triangle(triangle_hive_of(tri, t, values))
-        for t in tri.triangles
-    }
+def hive_to_surface_web(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> SurfaceWeb:
+    """Per-triangle web coordinates of a valid surface hive, read in the same
+    pass that checks the rhombi."""
+    coords = {}
+    for t, quantities in rhombus_scan(tri, complete_thirds(tri, values)):
+        if failed_rhombi(quantities):
+            bad = validate_hive(tri, values)
+            raise InvalidHive(f"hive has {len(bad)} rhombus violations: {bad[:3]}")
+        coords[t] = web_from_rhombi(quantities)
+    return coords
 
 
 def surface_web_to_json(tri: Triangulation, web: SurfaceWeb, inline: bool = True) -> dict:
