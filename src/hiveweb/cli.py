@@ -11,138 +11,106 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 from pathlib import Path
 
 from . import hive as hive_mod
 from . import metric as metric_mod
-from . import sampling, surface, surfacoid, web
-from .errors import HivewebError
-from .thirds import LatticePoint, Third
+from . import sampling, surface, surfacoid, thirds, web
+from .errors import HivewebError, MalformedInput
+from .thirds import LatticePoint, Third, parse_ints, read_thirds
 
-DEFAULT_MAX_THIRDS = 10**12
-
-
-class MalformedInput(ValueError):
-    pass
-
-
-@functools.cache  # cleared by run(), so the cap is read once per run at first use
-def _max_magnitude() -> int:
-    raw = os.environ.get("HIVEWEB_MAX_THIRDS")
-    if raw is None:
-        return DEFAULT_MAX_THIRDS
-    try:
-        return int(raw)
-    except ValueError:
-        raise MalformedInput(f"HIVEWEB_MAX_THIRDS={raw!r} is not an integer")
-
-
-def _checked_int(value, what: str) -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise MalformedInput(f"{what}: expected an integer, got {value!r}")
-    cap = _max_magnitude()
-    if abs(n) > cap:
-        raise MalformedInput(f"{what}: |{n}| exceeds HIVEWEB_MAX_THIRDS={cap}")
-    return n
-
-
-def _canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+_LABELS = tuple(f"a{i}" for i in range(1, 8))
 
 
 def _emit(doc, out_path) -> None:
-    text = _canonical(doc) + "\n"
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _load_doc(path: str) -> dict:
+def _load_doc(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}")
 
 
+def _convert(path: str, convert, *args):
+    """``convert(*args)`` on the document from ``path``: the one boundary where a
+    lookup, type or value error means a malformed document (exit 2)."""
+    try:
+        return convert(*args)
+    except MalformedInput:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise MalformedInput(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
+
+
 def _load_triangulation(path: str) -> surface.Triangulation:
-    return surface.Triangulation.from_json(_load_doc(path))
+    return _convert(path, surface.Triangulation.from_json, _load_doc(path))
 
 
-def _resolve_triangulation(doc: dict, doc_path: str, args) -> surface.Triangulation:
-    """Triangulation from --triangulation, else inline, else ref path."""
-    if getattr(args, "triangulation", None):
-        return _load_triangulation(args.triangulation)
-    ref = doc.get("triangulation")
-    if isinstance(ref, dict):
-        return surface.Triangulation.from_json(ref)
-    if isinstance(ref, str):
-        base = Path(doc_path).parent
-        return _load_triangulation(str(base / ref))
-    raise MalformedInput(
-        "no triangulation: pass --triangulation or embed one in the document"
-    )
+def _load(path: str, args, read, doc=None):
+    """``(tri, read(doc, tri))`` for the document at ``path`` (``doc`` if read
+    already), ``tri`` from --triangulation, else embedded, else the file it
+    names relative to ``path``."""
+    if doc is None:
+        doc = _load_doc(path)
+
+    def convert():
+        if args.triangulation:
+            tri = _load_triangulation(args.triangulation)
+        elif isinstance(ref := doc.get("triangulation"), str):
+            tri = _load_triangulation(str(Path(path).parent / ref))
+        elif isinstance(ref, dict):
+            tri = surface.Triangulation.from_json(ref)
+        else:
+            raise MalformedInput("no triangulation: pass --triangulation or embed one in the document")
+        return tri, read(doc, tri)
+
+    return _convert(path, convert)
 
 
-def _values_from_doc(doc: dict, tri: surface.Triangulation):
+def _hive_values(doc: dict, tri: surface.Triangulation):
     """The document's values as ``HiveThirds`` of ``tri``, and those of keys
     that name no vertex of ``tri`` by their canonical key."""
-    if "values" not in doc:
-        raise MalformedInput("hive document has no 'values' field")
     index = tri.compiled.index
-    thirds: hive_mod.HiveThirds = [None] * len(index)
+    values: hive_mod.HiveThirds = [None] * len(index)
     others = {}
     for key, obj in doc["values"].items():
         i = index.get(key)
         if i is None:
-            try:
-                canonical = surface.ThetaVertex.parse(key).key()
-            except ValueError as exc:
-                raise MalformedInput(str(exc))
+            canonical = surface.ThetaVertex.parse(key).key()
             i = index.get(canonical)
-        value = _checked_int(obj.get("thirds"), f"values[{key}]")
+        value = read_thirds(obj, key)
         if i is None:
             others[canonical] = value
         else:
-            thirds[i] = value
-    return thirds, others
+            values[i] = value
+    return values, others
 
 
-def _parse_coords(text: str) -> web.TriangleWebCoords:
-    parts = text.split(",")
-    if len(parts) != 7:
-        raise MalformedInput(f"--coords needs 7 comma-separated integers, got {text!r}")
-    x, y, z, t, u, v, w = (_checked_int(p, "--coords") for p in parts)
-    return web.TriangleWebCoords(x, y, z, t, u, v, w)
+def _web_coords(doc: dict, tri: surface.Triangulation) -> web.SurfaceWeb:
+    return web.surface_web_from_json(doc)
 
 
-def _parse_point(text: str, what: str) -> LatticePoint:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise MalformedInput(f"{what} needs 'x,y', got {text!r}")
-    return LatticePoint(_checked_int(parts[0], what), _checked_int(parts[1], what))
+def _triangle_hive(doc: dict) -> hive_mod.TriangleHive:
+    return hive_mod.TriangleHive(*(Third(read_thirds(doc[a], a)) for a in _LABELS))
 
 
 def _triangle_hive_doc(h) -> dict:
-    return {f"a{i}": v.to_json() for i, v in enumerate(h.values(), start=1)}
+    return {a: v.to_json() for a, v in zip(_LABELS, h.values())}
 
 
-def _triangle_hive_from_doc(doc: dict) -> hive_mod.TriangleHive:
-    missing = [f"a{i}" for i in range(1, 8) if f"a{i}" not in doc]
-    if missing:
-        raise MalformedInput(f"triangle hive document is missing {missing}")
-    vals = [
-        Third(_checked_int(doc[f"a{i}"].get("thirds"), f"a{i}")) for i in range(1, 8)
-    ]
-    return hive_mod.TriangleHive(*vals)
+def _coords(text: str) -> web.TriangleWebCoords:
+    return web.TriangleWebCoords(*parse_ints(text, 7, "--coords"))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -150,37 +118,30 @@ def _triangle_hive_from_doc(doc: dict) -> hive_mod.TriangleHive:
 
 def cmd_validate(args) -> int:
     if args.hive:
-        doc = _load_doc(args.hive)
-        tri = _resolve_triangulation(doc, args.hive, args)
-        values, _ = _values_from_doc(doc, tri)
+        tri, (values, _) = _load(args.hive, args, _hive_values)
         violations = hive_mod.validate_hive(tri, values)
         _emit({"valid": not violations, "violations": violations}, args.out)
         return 0 if not violations else 1
     if args.web:
-        doc = _load_doc(args.web)
-        tri = _resolve_triangulation(doc, args.web, args)
-        coords = web.surface_web_from_json(doc)
+        tri, coords = _load(args.web, args, _web_coords)
         web.surface_web_to_hive(tri, coords)  # raises GluingMismatch when bad
         _emit({"valid": True, "violations": []}, args.out)
         return 0
     if not args.triangulation:
         raise MalformedInput("validate needs --triangulation, --hive or --web")
-    tri = _load_triangulation(args.triangulation)
-    report = surface.validate_complex(tri)
+    report = surface.validate_complex(_load_triangulation(args.triangulation))
     _emit(report.to_json(), args.out)
     return 0 if report.ok else 1
 
 
 def cmd_web2hive(args) -> int:
     if args.coords:
-        h = web.web_to_hive_triangle(_parse_coords(args.coords))
+        h = web.web_to_hive_triangle(_coords(args.coords))
         _emit(_triangle_hive_doc(h), args.out)
         return 0
     if not args.web:
         raise MalformedInput("web2hive needs --coords or --web")
-    doc = _load_doc(args.web)
-    tri = _resolve_triangulation(doc, args.web, args)
-    coords = web.surface_web_from_json(doc)
+    tri, coords = _load(args.web, args, _web_coords)
     values = web.surface_web_to_hive(tri, coords)
     _emit(hive_mod.hive_to_json(tri, values), args.out)
     return 0
@@ -188,19 +149,21 @@ def cmd_web2hive(args) -> int:
 
 def cmd_hive2web(args) -> int:
     doc = _load_doc(args.hive)
-    if "values" not in doc:
-        coords = web.hive_to_web_triangle(_triangle_hive_from_doc(doc))
+    if isinstance(doc, dict) and "values" not in doc:
+        coords = web.hive_to_web_triangle(_convert(args.hive, _triangle_hive, doc))
         _emit(coords.to_json(), args.out)
         return 0
-    tri = _resolve_triangulation(doc, args.hive, args)
-    values, _ = _values_from_doc(doc, tri)
+    tri, (values, _) = _load(args.hive, args, _hive_values, doc)
     coords = web.hive_to_surface_web(tri, values)
     _emit(web.surface_web_to_json(tri, coords), args.out)
     return 0
 
 
 def cmd_flip(args) -> int:
-    tri = _load_triangulation(args.triangulation)
+    if args.hive:
+        tri, (values, others) = _load(args.hive, args, _hive_values)
+    else:
+        tri = _load_triangulation(args.triangulation)
     flipped, frame_old, frame_new = surface.flip_triangulation(tri, args.edge)
     out = {
         "old_edge": args.edge,
@@ -208,8 +171,6 @@ def cmd_flip(args) -> int:
         "triangulation": flipped.to_json(),
     }
     if args.hive:
-        doc = _load_doc(args.hive)
-        values, others = _values_from_doc(doc, tri)
         bad = hive_mod.validate_hive(tri, values)
         if bad:
             raise HivewebError(f"hive is invalid before transport: {bad[:3]}")
@@ -224,17 +185,13 @@ def cmd_flip(args) -> int:
 
 
 def cmd_potential(args) -> int:
-    doc = _load_doc(args.hive)
-    tri = _resolve_triangulation(doc, args.hive, args)
-    values, _ = _values_from_doc(doc, tri)
+    tri, (values, _) = _load(args.hive, args, _hive_values)
     _emit(hive_mod.tropical_potential(tri, values).to_json(), args.out)
     return 0
 
 
 def cmd_cone(args) -> int:
-    doc = _load_doc(args.hive)
-    tri = _resolve_triangulation(doc, args.hive, args)
-    values, _ = _values_from_doc(doc, tri)
+    tri, (values, _) = _load(args.hive, args, _hive_values)
     _emit({"in_positive_cone": hive_mod.is_in_positive_cone(tri, values)}, args.out)
     return 0
 
@@ -271,23 +228,23 @@ def cmd_oracle(args) -> int:
         return 0 if not mismatches else 1
     if not args.coords:
         raise MalformedInput("oracle needs --coords or --sweep")
-    result = _oracle_once(_parse_coords(args.coords))
+    result = _oracle_once(_coords(args.coords))
     _emit(result, args.out)
     return 0 if result["match"] else 1
 
 
 def cmd_gamma_dist(args) -> int:
-    to = _parse_point(args.to, "--to")
-    src = _parse_point(args.src, "--from") if args.src else LatticePoint(0, 0)
+    to = LatticePoint.parse(args.to, "--to")
+    src = LatticePoint.parse(args.src, "--from") if args.src else LatticePoint(0, 0)
     _emit(metric_mod.gamma_distance(to - src).to_json(), args.out)
     return 0
 
 
 def cmd_fermat(args) -> int:
     spec = metric_mod.FermatSpec(
-        _parse_point(args.a, "--a"),
-        _parse_point(args.b, "--b"),
-        _parse_point(args.c, "--c"),
+        LatticePoint.parse(args.a, "--a"),
+        LatticePoint.parse(args.b, "--b"),
+        LatticePoint.parse(args.c, "--c"),
     )
     value = metric_mod.fermat_closed_form(spec)
     out = value.to_json()
@@ -313,11 +270,19 @@ def cmd_sample(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    graph = metric_mod.OrientedGraph.from_json(_load_doc(args.graph))
+    graph = _convert(args.graph, metric_mod.OrientedGraph.from_json, _load_doc(args.graph))
     _emit(metric_mod.shortest_distance(graph, args.src, args.to).to_json(), args.out)
     return 0
 
 
+def _size(text: str) -> int:
+    """A size flag's value: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hiveweb",
@@ -325,83 +290,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func):
         p.add_argument("--out", help="write the JSON document here instead of stdout")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("validate", help="check a triangulation, hive or web")
     p.add_argument("--triangulation")
     p.add_argument("--hive")
     p.add_argument("--web")
-    common(p)
-    p.set_defaults(func=cmd_validate)
+    common(p, cmd_validate)
 
     p = sub.add_parser("web2hive", help="web coordinates to hive values")
     p.add_argument("--coords", help="x,y,z,t,u,v,w for a single triangle")
     p.add_argument("--web", help="surface web JSON file")
     p.add_argument("--triangulation")
-    common(p)
-    p.set_defaults(func=cmd_web2hive)
+    common(p, cmd_web2hive)
 
     p = sub.add_parser("hive2web", help="hive values to web coordinates")
     p.add_argument("--hive", required=True)
     p.add_argument("--triangulation")
-    common(p)
-    p.set_defaults(func=cmd_hive2web)
+    common(p, cmd_hive2web)
 
     p = sub.add_parser("flip", help="flip a diagonal, optionally transporting a hive")
     p.add_argument("--triangulation", required=True)
     p.add_argument("--edge", required=True)
     p.add_argument("--hive")
-    common(p)
-    p.set_defaults(func=cmd_flip)
+    common(p, cmd_flip)
 
     p = sub.add_parser("potential", help="tropical potential of an assignment")
     p.add_argument("--hive", required=True)
     p.add_argument("--triangulation")
-    common(p)
-    p.set_defaults(func=cmd_potential)
+    common(p, cmd_potential)
 
     p = sub.add_parser("cone", help="positive-cone membership")
     p.add_argument("--hive", required=True)
     p.add_argument("--triangulation")
-    common(p)
-    p.set_defaults(func=cmd_cone)
+    common(p, cmd_cone)
 
     p = sub.add_parser("oracle", help="compare formula hive against the net oracle")
     p.add_argument("--coords")
-    p.add_argument("--sweep", type=int, help="number of seeded random instances")
+    p.add_argument("--sweep", type=_size, help="number of seeded random instances")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int)
-    common(p)
-    p.set_defaults(func=cmd_oracle)
+    p.add_argument("--bound", type=_size)
+    common(p, cmd_oracle)
 
     p = sub.add_parser("gamma-dist", help="closed-form lattice distance")
     p.add_argument("--to", required=True, help="x,y")
     p.add_argument("--from", dest="src", help="x,y (default origin)")
-    common(p)
-    p.set_defaults(func=cmd_gamma_dist)
+    common(p, cmd_gamma_dist)
 
     p = sub.add_parser("fermat", help="closed-form tripod minimum")
     p.add_argument("--a", required=True, help="x,y of the lower-left point")
     p.add_argument("--b", required=True, help="x,y of the lower-right point")
     p.add_argument("--c", required=True, help="x,y of the upper point")
-    p.add_argument("--window", type=int, help="also brute-force on this window radius")
-    common(p)
-    p.set_defaults(func=cmd_fermat)
+    p.add_argument("--window", type=_size, help="also brute-force on this window radius")
+    common(p, cmd_fermat)
 
     p = sub.add_parser("sample", help="deterministic valid hive")
     p.add_argument("--triangulation", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_size, required=True)
     p.add_argument("--seed", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_sample)
+    common(p, cmd_sample)
 
     p = sub.add_parser("dist", help="shortest distance in an oriented graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", required=True)
-    common(p)
-    p.set_defaults(func=cmd_dist)
+    common(p, cmd_dist)
 
     return parser
 
@@ -425,12 +380,11 @@ def _absorb_negative_values(argv):
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_absorb_negative_values(list(argv)))
+        args = build_parser().parse_args(_absorb_negative_values(list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    _max_magnitude.cache_clear()
+    thirds.max_thirds.cache_clear()
     try:
         return args.func(args)
     except MalformedInput as exc:
@@ -444,3 +398,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

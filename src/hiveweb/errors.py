@@ -5,6 +5,10 @@ class HivewebError(Exception):
     """Base class for all domain errors raised by hiveweb."""
 
 
+class MalformedInput(ValueError):
+    """Input of the wrong shape or type; the command line exits 2 for it."""
+
+
 class InvalidPolygonTriangulation(HivewebError):
     """Diagonal set does not triangulate the polygon (crossing, duplicate, wrong count)."""
 

@@ -28,8 +28,9 @@ from .errors import (
     NotFlippable,
     SelfFoldedUnsupported,
 )
+from .thirds import checked_int
 
-Label = object  # marked-point labels: ints for polygons, anything JSON-able in general
+Label = object  # marked-point labels: ints for polygons, ints or strings in JSON
 Attach = tuple[str, int]
 
 
@@ -92,6 +93,14 @@ class ValidationReport:
 
     def to_json(self) -> dict:
         return {"valid": self.ok, "violations": self.violations}
+
+
+def _attach(raw) -> Attach:
+    return str(raw[0]), checked_int(raw[1], "side")
+
+
+def _label(raw) -> Label:
+    return raw if type(raw) is str else checked_int(raw, "label")
 
 
 class Triangulation:
@@ -208,18 +217,17 @@ class Triangulation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Triangulation":
+        """Integers obey :func:`~hiveweb.thirds.checked_int`; labels are ints or strings."""
         edges = []
         for e in doc["edges"]:
             raw = e["attach"]
-            attach0 = (str(raw[0][0]), int(raw[0][1]))
-            attach1 = None
-            if len(raw) > 1 and raw[1] != "boundary":
-                attach1 = (str(raw[1][0]), int(raw[1][1]))
-            edges.append(EdgeRec(str(e["id"]), e["tail"], e["head"], attach0, attach1))
+            attach1 = _attach(raw[1]) if len(raw) > 1 and raw[1] != "boundary" else None
+            edges.append(EdgeRec(str(e["id"]), _label(e["tail"]), _label(e["head"]),
+                                 _attach(raw[0]), attach1))
         sig = None
         if "signature" in doc:
             s = doc["signature"]
-            sig = (int(s["g"]), int(s["c"]), int(s["m"]))
+            sig = tuple(checked_int(s[k], "signature") for k in "gcm")
         return cls([str(t) for t in doc["triangles"]], edges, sig)
 
 

@@ -4,11 +4,56 @@ Every quantity in the calculus lives in the lattice of integer thirds, so a
 value is stored as a single machine integer ``thirds`` meaning ``thirds / 3``.
 Python integers are unbounded, which keeps addition, subtraction, max and min
 closed and exact with no overflow mode to worry about.  No float ever appears.
+
+Every integer read from a JSON document or a command-line value passes one
+rule, :func:`checked_int`: an exact ``int`` of magnitude at most ``HIVEWEB_MAX_THIRDS``.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
+
+from .errors import MalformedInput
+
+DEFAULT_MAX_THIRDS = 10**12
+
+
+@functools.cache  # cleared by cli.run(), so the cap is read once per run at first use
+def max_thirds() -> int:
+    raw = os.environ.get("HIVEWEB_MAX_THIRDS", str(DEFAULT_MAX_THIRDS))
+    try:
+        return int(raw)
+    except ValueError:
+        raise MalformedInput(f"HIVEWEB_MAX_THIRDS={raw!r} is not an integer") from None
+
+
+def checked_int(value, what: str = "value") -> int:
+    """``value`` if it is an int (not a bool, float or string) within the cap."""
+    if type(value) is not int:
+        raise MalformedInput(f"{what}: expected an integer, got {value!r}")
+    if abs(value) > max_thirds():
+        raise MalformedInput(f"{what}: |{value}| exceeds HIVEWEB_MAX_THIRDS={max_thirds()}")
+    return value
+
+
+def read_thirds(obj, what: str = "value") -> int:
+    """n of a ``{"thirds": n}`` object, under :func:`checked_int`."""
+    if type(obj) is not dict or len(obj) != 1 or "thirds" not in obj:
+        raise MalformedInput(f"{what}: expected {{'thirds': n}}, got {obj!r}")
+    return checked_int(obj["thirds"], what)
+
+
+def parse_ints(text: str, n: int, what: str) -> list[int]:
+    """The ``n`` comma-separated integers of command-line ``text``, under the rule."""
+    try:
+        values = [int(part) for part in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != n:
+        raise MalformedInput(f"{what} needs {n} comma-separated integers, got {text!r}")
+    return [checked_int(v, what) for v in values]
 
 
 @dataclass(frozen=True, order=True)
@@ -44,9 +89,7 @@ class Third:
 
     @classmethod
     def from_json(cls, obj) -> "Third":
-        if not isinstance(obj, dict) or set(obj) != {"thirds"} or not isinstance(obj["thirds"], int):
-            raise ValueError(f"expected {{'thirds': n}}, got {obj!r}")
-        return cls(obj["thirds"])
+        return cls(read_thirds(obj))
 
 
 ZERO = Third(0)
@@ -68,11 +111,8 @@ class LatticePoint:
         return LatticePoint(self.x - other.x, self.y - other.y)
 
     @classmethod
-    def parse(cls, text: str) -> "LatticePoint":
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected 'x,y', got {text!r}")
-        return cls(int(parts[0]), int(parts[1]))
+    def parse(cls, text: str, what: str = "point") -> "LatticePoint":
+        return cls(*parse_ints(text, 2, what))
 
     def key(self) -> str:
         return f"{self.x},{self.y}"

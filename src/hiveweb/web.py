@@ -33,7 +33,7 @@ from .hive import (
     validate_hive,
 )
 from .surface import ThetaVertex, Triangulation
-from .thirds import Third
+from .thirds import Third, checked_int
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class TriangleWebCoords:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TriangleWebCoords":
-        return cls(**{k: int(obj[k]) for k in "xyztuvw"})
+        return cls(*(checked_int(obj[k], k) for k in "xyztuvw"))
 
 
 SurfaceWeb = Dict[str, TriangleWebCoords]

@@ -1,0 +1,235 @@
+"""The exit-code contract on malformed input.
+
+A document or flag of the wrong shape exits 2 with nothing on stdout and one
+``hiveweb: ...`` line on stderr, whichever reader trips on it; every integer
+in a document obeys one rule (an exact int within ``HIVEWEB_MAX_THIRDS``);
+unknown names stay semantic (exit 1).  A Hypothesis test mutates valid
+documents of every kind and checks that ``run()`` never raises.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hiveweb
+from hiveweb.cli import run
+from hiveweb.hive import hive_to_json
+from hiveweb.sampling import sample_hive
+from hiveweb.surface import build_polygon
+from hiveweb.web import hive_to_surface_web, surface_web_to_json
+
+TRI = build_polygon(5, [(0, 2), (0, 3)])
+VALUES = sample_hive(TRI, 2, seed=1)
+DOCS = {
+    "triangulation": TRI.to_json(),
+    "hive": hive_to_json(TRI, VALUES),
+    "web": surface_web_to_json(TRI, hive_to_surface_web(TRI, VALUES)),
+    "triangle-hive": {f"a{i}": {"thirds": n}
+                      for i, n in enumerate((12, 10, 9, 19, 14, 13, 11), start=1)},
+    "graph": {"vertices": ["u", "v", "w"], "arcs": [["u", "v"], ["v", "w"], ["w", "u"]]},
+}
+# the commands that read each kind of document; {doc} is its path, {tri} a valid triangulation
+COMMANDS = {
+    "triangulation": (["validate", "--triangulation", "{doc}"],
+                      ["sample", "--triangulation", "{doc}", "--bound", "1", "--seed", "0"],
+                      ["flip", "--triangulation", "{doc}", "--edge", "0-2"]),
+    "hive": (["validate", "--hive", "{doc}"], ["hive2web", "--hive", "{doc}"],
+             ["potential", "--hive", "{doc}"], ["cone", "--hive", "{doc}"],
+             ["flip", "--triangulation", "{tri}", "--edge", "0-3", "--hive", "{doc}"]),
+    "web": (["validate", "--web", "{doc}"], ["web2hive", "--web", "{doc}"]),
+    "triangle-hive": (["hive2web", "--hive", "{doc}"],),
+    "graph": (["dist", "--graph", "{doc}", "--from", "u", "--to", "w"],),
+}
+
+
+def invoke(argv, doc, workdir: Path):
+    """Exit code, stdout and stderr of ``run(argv)`` with ``doc`` at {doc}."""
+    paths = {"doc": workdir / "doc.json", "tri": workdir / "tri.json"}
+    paths["doc"].write_text(json.dumps(doc))
+    paths["tri"].write_text(json.dumps(DOCS["triangulation"]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([arg.format(**paths) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def changed(kind, path, value):
+    """A copy of the valid ``kind`` document with the node at ``path`` set to
+    ``value``, or deleted when ``value`` is ``DROP``."""
+    doc = copy.deepcopy(DOCS[kind])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+DROP = object()
+FIRST_TRIANGLE = sorted(TRI.triangles)[0]
+FIRST_VALUE = sorted(DOCS["hive"]["values"])[0]
+
+MALFORMED = {
+    "hive value float": ("hive", ("values", FIRST_VALUE, "thirds"), 14.5),
+    "hive value string": ("hive", ("values", FIRST_VALUE, "thirds"), "14"),
+    "hive value bool": ("hive", ("values", FIRST_VALUE, "thirds"), True),
+    "hive value bare int": ("hive", ("values", FIRST_VALUE), 5),
+    "hive value extra key": ("hive", ("values", FIRST_VALUE, "note"), 1),
+    "hive values a list": ("hive", ("values",), [{"thirds": 0}]),
+    "triangulation no edges": ("triangulation", ("edges",), DROP),
+    "triangulation attach an int": ("triangulation", ("edges", 0, "attach"), 3),
+    "web coordinate float": (
+        "web", ("coords", FIRST_TRIANGLE, "y"),
+        DOCS["web"]["coords"][FIRST_TRIANGLE]["y"] + 0.7),
+    "web triangle without y": ("web", ("coords", FIRST_TRIANGLE, "y"), DROP),
+    "triangle hive bare ints": ("triangle-hive", ("a1",), 3),
+    "graph no arcs": ("graph", ("arcs",), DROP),
+}
+# a whole document that is a list (hive2web and flip --hive refused a listed hive already)
+WHOLE = {
+    "hive document a list": ("hive", [DOCS["hive"]], ("validate", "potential", "cone")),
+    "triangulation a list": ("triangulation", [DOCS["triangulation"]], None),
+    "graph a list": ("graph", [DOCS["graph"]], None),
+}
+SIZE_FLAGS = (
+    ["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "-1"],
+    ["sample", "--triangulation", "{tri}", "--seed", "0", "--bound", "-1"],
+    ["oracle", "--sweep", "-1"],
+)
+
+
+def _cases():
+    for name, (kind, path, value) in MALFORMED.items():
+        for argv in COMMANDS[kind]:
+            yield pytest.param(argv, changed(kind, path, value), id=f"{name}: {argv[0]}")
+    for name, (kind, doc, only) in WHOLE.items():
+        for argv in COMMANDS[kind]:
+            if only is None or argv[0] in only:
+                yield pytest.param(argv, doc, id=f"{name}: {argv[0]}")
+
+
+@pytest.mark.parametrize("argv,doc", _cases())
+def test_malformed_document_exits_two(argv, doc, tmp_path):
+    code, out, err = invoke(argv, doc, tmp_path)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("hiveweb: "), err
+
+
+@pytest.mark.parametrize("raw", [b"[" * 100_000 + b"]" * 100_000, b'{"values": "\xff"}'],
+                         ids=["nested too deep", "not utf-8"])
+def test_unreadable_document_exits_two(raw, tmp_path):
+    (tmp_path / "raw.json").write_bytes(raw)
+    code, out, err = invoke(["validate", "--hive", str(tmp_path / "raw.json")], {}, tmp_path)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("hiveweb: "), err
+
+
+@pytest.mark.parametrize("argv", SIZE_FLAGS, ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_negative_size_is_a_usage_error(argv, tmp_path):
+    code, out, err = invoke(argv, DOCS["triangulation"], tmp_path)
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if line.startswith("hiveweb")] == [
+        f"hiveweb {argv[0]}: error: argument {argv[-2]}: "
+        "expected a non-negative integer, got '-1'"
+    ]
+
+
+def test_web_coordinates_are_capped(tmp_path, monkeypatch):
+    monkeypatch.setenv("HIVEWEB_MAX_THIRDS", "1")
+    web = changed("web", ("coords", FIRST_TRIANGLE, "x"), 2)
+    code, out, err = invoke(["web2hive", "--web", "{doc}"], web, tmp_path)
+    assert (code, out) == (2, "")
+    assert "HIVEWEB_MAX_THIRDS=1" in err
+
+
+@pytest.mark.parametrize("argv,doc,error", [
+    (["flip", "--triangulation", "{doc}", "--edge", "9-9"], DOCS["triangulation"], "KeyError"),
+    (["dist", "--graph", "{doc}", "--from", "x", "--to", "u"], DOCS["graph"], "KeyError"),
+    (["validate", "--web", "{doc}"], changed("web", ("coords", FIRST_TRIANGLE, "y"), -1),
+     "InvalidWebCoords"),
+])
+def test_unknown_names_stay_semantic(argv, doc, error, tmp_path):
+    code, out, _ = invoke(argv, doc, tmp_path)
+    assert code == 1
+    assert json.loads(out)["error"] == error
+
+
+def test_parser_is_reused_without_changing_help_or_usage_errors(tmp_path):
+    first = invoke(["sample", "--help"], {}, tmp_path)
+    assert first[0] == 0 and first[1].startswith("usage: hiveweb sample")
+    assert invoke(["sample", "--bound", "1"], {}, tmp_path)[0] == 2
+    assert invoke(["sample", "--help"], {}, tmp_path) == first
+
+
+def test_python_dash_m_runs_the_command():
+    env = dict(os.environ, PYTHONPATH=str(Path(hiveweb.__file__).parents[1]))
+    for module in ("hiveweb", "hiveweb.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "gamma-dist", "--to", "1,1"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (0, '{"thirds":2}\n'), done.stderr
+    done = subprocess.run([sys.executable, "-m", "hiveweb", "frobnicate"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and "invalid choice" in done.stderr
+
+
+# -- mutation fuzzing ---------------------------------------------------------
+
+
+def _paths(node, prefix=()):
+    """The path to every node below the root."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+PATHS = {kind: sorted(_paths(doc), key=repr) for kind, doc in DOCS.items()}
+
+
+def _mutations(value):
+    """Drop the node; retype it to a float, bool, string, list or null; nest
+    it; or make it an oversized int."""
+    return (DROP, 0.5, float(value) if type(value) is int else 1.0, True, str(value),
+            [value], None, {"nested": value}, 10**13, -(10**13))
+
+
+def _no_float(text):
+    raise AssertionError(f"non-integer number {text!r} in output")
+
+
+@st.composite
+def mutated_runs(draw):
+    kind = draw(st.sampled_from(sorted(DOCS)))
+    path = draw(st.sampled_from(PATHS[kind]))
+    node = DOCS[kind]
+    for key in path:
+        node = node[key]
+    argv = draw(st.sampled_from(COMMANDS[kind]))
+    return argv, changed(kind, path, draw(st.sampled_from(_mutations(node))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_runs())
+def test_mutated_documents_exit_zero_one_or_two(case):
+    argv, doc = case
+    with tempfile.TemporaryDirectory() as workdir:
+        code, out, err = invoke(argv, doc, Path(workdir))
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("hiveweb: ")
+    else:
+        parsed = json.loads(out, parse_float=_no_float, parse_constant=_no_float)
+        assert out == json.dumps(parsed, sort_keys=True, separators=(",", ":")) + "\n"
