@@ -2,12 +2,12 @@
 
 Traversing an arc with its direction costs 1/3, against it 2/3.  Distances are
 computed by Dijkstra on the doubled arc set with integer weights 1 and 2 in
-third units, so every result is an exact :class:`~hiveweb.thirds.Third`.
+third units, on plain ints indexed by vertex position; only the results the
+API returns are wrapped as exact :class:`~hiveweb.thirds.Third` values.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
@@ -22,20 +22,25 @@ class OrientedGraph:
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[tuple[Vertex, Vertex]]):
         self.vertices = list(vertices)
-        self._vertex_set = set(self.vertices)
-        if len(self._vertex_set) != len(self.vertices):
+        self._index = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._index) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
         self.arcs = list(arcs)
-        # weight-1 forward / weight-2 backward adjacency, in thirds
-        self._adj: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in self.vertices}
+        # by position: _fwd[i] are the heads of arcs out of i (1 third each),
+        # _back[j] the tails of arcs into j (2 thirds each)
+        index = self._index
+        fwd: list[list[int]] = [[] for _ in self.vertices]
+        back: list[list[int]] = [[] for _ in self.vertices]
         for tail, head in self.arcs:
-            if tail not in self._vertex_set or head not in self._vertex_set:
+            i, j = index.get(tail), index.get(head)
+            if i is None or j is None:
                 raise ValueError(f"arc ({tail!r}, {head!r}) has an unknown endpoint")
-            self._adj[tail].append((head, 1))
-            self._adj[head].append((tail, 2))
+            fwd[i].append(j)
+            back[j].append(i)
+        self._fwd, self._back = fwd, back
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self._vertex_set
+        return v in self._index
 
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices), "arcs": [[t, h] for t, h in self.arcs]}
@@ -45,36 +50,77 @@ class OrientedGraph:
         return cls(obj["vertices"], [tuple(arc) for arc in obj["arcs"]])
 
 
+def _thirds_from(graph: OrientedGraph, source: Vertex) -> list[int | None]:
+    """Distances in thirds from ``source``, by vertex position (None where
+    unreachable).
+
+    The weights are only 1 and 2, so Dijkstra runs on Dial's bucket queue:
+    ``buckets[d]`` lists the vertices reached at distance ``d``, and an entry
+    whose vertex was since reached closer is skipped.  Each vertex is settled
+    once, so the search is O(V + E).
+    """
+    s = graph._index.get(source)
+    if s is None:
+        raise KeyError(f"unknown vertex {source!r}")
+    fwd, back = graph._fwd, graph._back
+    dist: list[int | None] = [None] * len(graph.vertices)
+    dist[s] = 0
+    buckets: list[list[int]] = [[s], [], []]
+    d = 0
+    while any(buckets[d:]):
+        one, two = d + 1, d + 2
+        near, far = buckets[one], buckets[two]
+        for u in buckets[d]:
+            if dist[u] != d:
+                continue
+            for v in fwd[u]:
+                dv = dist[v]
+                if dv is None or one < dv:
+                    dist[v] = one
+                    near.append(v)
+            for v in back[u]:
+                dv = dist[v]
+                if dv is None or two < dv:
+                    dist[v] = two
+                    far.append(v)
+        buckets.append([])
+        d += 1
+    return dist
+
+
+def _tripod(
+    da: list[int | None], db: list[int | None], dc: list[int | None]
+) -> tuple[int | None, list[int]]:
+    """Minimum of da + db + dc over the positions reachable in all three,
+    with the positions attaining it (None and [] if there are none)."""
+    best: int | None = None
+    argmin: list[int] = []
+    for i, (x, y, z) in enumerate(zip(da, db, dc)):
+        if x is None or y is None or z is None:
+            continue
+        total = x + y + z
+        if best is None or total < best:
+            best = total
+            argmin = [i]
+        elif total == best:
+            argmin.append(i)
+    return best, argmin
+
+
 def distances_from(graph: OrientedGraph, source: Vertex) -> dict[Vertex, Third]:
     """Exact distances from ``source`` to every reachable vertex."""
-    if source not in graph:
-        raise KeyError(f"unknown vertex {source!r}")
-    dist: dict[Vertex, int] = {source: 0}
-    done: set[Vertex] = set()
-    heap: list[tuple[int, int, Vertex]] = [(0, 0, source)]
-    order = 0
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in graph._adj[u]:
-            nd = d + w
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                order += 1
-                heapq.heappush(heap, (nd, order, v))
-    return {v: Third(d) for v, d in dist.items()}
+    dist = _thirds_from(graph, source)
+    return {v: Third(d) for v, d in zip(graph.vertices, dist) if d is not None}
 
 
 def shortest_distance(graph: OrientedGraph, s: Vertex, t: Vertex) -> Third:
     """Minimum 1/3-2/3 path length from ``s`` to ``t``."""
     if t not in graph:
         raise KeyError(f"unknown vertex {t!r}")
-    dist = distances_from(graph, s)
-    if t not in dist:
+    d = _thirds_from(graph, s)[graph._index[t]]
+    if d is None:
         raise Unreachable(f"no path from {s!r} to {t!r}")
-    return dist[t]
+    return Third(d)
 
 
 def gamma_distance(p: LatticePoint) -> Third:
@@ -91,16 +137,14 @@ def gamma_window(radius: int) -> OrientedGraph:
     if radius < 0:
         raise ValueError("radius must be non-negative")
     span = range(-radius, radius + 1)
-    vertices = [f"{x},{y}" for x in span for y in span]
+    keys = {(x, y): f"{x},{y}" for x in span for y in span}
     arcs = []
-    for x in span:
-        for y in span:
-            src = f"{x},{y}"
-            for dx, dy in ((1, 0), (0, 1), (-1, -1)):
-                nx, ny = x + dx, y + dy
-                if -radius <= nx <= radius and -radius <= ny <= radius:
-                    arcs.append((src, f"{nx},{ny}"))
-    return OrientedGraph(vertices, arcs)
+    for (x, y), src in keys.items():
+        for dx, dy in ((1, 0), (0, 1), (-1, -1)):
+            dst = keys.get((x + dx, y + dy))
+            if dst is not None:
+                arcs.append((src, dst))
+    return OrientedGraph(list(keys.values()), arcs)
 
 
 @dataclass(frozen=True)
@@ -156,20 +200,7 @@ def fermat_brute(
 ) -> tuple[Third, set[Vertex]]:
     """Exact minimum of the three-distance sum over all vertices, with the
     full argmin set."""
-    da = distances_from(graph, a)
-    db = distances_from(graph, b)
-    dc = distances_from(graph, c)
-    best: int | None = None
-    argmin: set[Vertex] = set()
-    for v in graph.vertices:
-        if v not in da or v not in db or v not in dc:
-            continue
-        total = da[v].thirds + db[v].thirds + dc[v].thirds
-        if best is None or total < best:
-            best = total
-            argmin = {v}
-        elif total == best:
-            argmin.add(v)
+    best, argmin = _tripod(*(_thirds_from(graph, v) for v in (a, b, c)))
     if best is None:
         raise Unreachable(f"no vertex reachable from all of {a!r}, {b!r}, {c!r}")
-    return Third(best), argmin
+    return Third(best), {graph.vertices[i] for i in argmin}

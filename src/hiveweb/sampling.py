@@ -50,6 +50,11 @@ def _tree_order(tri: Triangulation) -> list[str]:
                     f"edge {rec.id!r} glues a triangle to itself; sampling needs "
                     "flippable-or-boundary edges"
                 )
+            for t in (t0, t1):
+                if t not in neighbors:
+                    raise InvalidTriangulation(
+                        f"edge {rec.id!r} is attached to unknown triangle {t!r}"
+                    )
             neighbors[t0].append(t1)
             neighbors[t1].append(t0)
     order, seen = [], set()

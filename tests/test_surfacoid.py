@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from hiveweb.metric import distances_from, fermat_brute, shortest_distance
 from hiveweb.surfacoid import build_net, oracle_triangle_hive
 from hiveweb.thirds import Third
@@ -75,3 +77,10 @@ def test_tripod_minimum_attained_on_mesh():
             da[v].thirds + db[v].thirds + dc[v].thirds for v in mesh
         )
         assert best_on_mesh == value.thirds
+
+
+@pytest.mark.parametrize("corners", [(0,) * 6, (6,) * 6, (5, 1, 0, 2, 6, 3)])
+@pytest.mark.parametrize("x", [-40, -17, -1, 0, 1, 17, 40])
+def test_oracle_matches_formulas_at_benchmark_sizes(x, corners):
+    coords = TriangleWebCoords(x, *corners)
+    assert oracle_triangle_hive(coords) == web_to_hive_triangle(coords)
