@@ -27,7 +27,10 @@ _LABELS = tuple(f"a{i}" for i in range(1, 8))
 def _emit(doc, out_path) -> None:
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise MalformedInput(f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -269,9 +272,18 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _vertex(graph: metric_mod.OrientedGraph, name: str):
+    """The vertex ``name`` names: the string vertex with that text, else the
+    integer vertex whose decimal text it is; an unknown name stays as it is."""
+    if name in graph:
+        return name
+    return next((v for v in graph.vertices if type(v) is int and str(v) == name), name)
+
+
 def cmd_dist(args) -> int:
     graph = _convert(args.graph, metric_mod.OrientedGraph.from_json, _load_doc(args.graph))
-    _emit(metric_mod.shortest_distance(graph, args.src, args.to).to_json(), args.out)
+    src, to = _vertex(graph, args.src), _vertex(graph, args.to)
+    _emit(metric_mod.shortest_distance(graph, src, to).to_json(), args.out)
     return 0
 
 
@@ -386,14 +398,15 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     thirds.max_thirds.cache_clear()
     try:
-        return args.func(args)
-    except MalformedInput as exc:
+        try:
+            return args.func(args)
+        except (HivewebError, KeyError) as exc:
+            detail = str(exc.args[0]) if exc.args else str(exc)
+            _emit({"error": type(exc).__name__, "detail": detail}, getattr(args, "out", None))
+            return 1
+    except MalformedInput as exc:  # also when the error report cannot be written
         print(f"hiveweb: {exc}", file=sys.stderr)
         return 2
-    except (HivewebError, KeyError) as exc:
-        detail = str(exc.args[0]) if exc.args else str(exc)
-        _emit({"error": type(exc).__name__, "detail": detail}, getattr(args, "out", None))
-        return 1
 
 
 def main() -> None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Optional
 
 from .errors import (
@@ -311,13 +310,6 @@ def validate_complex(tri: Triangulation) -> ValidationReport:
 # -- polygon construction ---------------------------------------------------
 
 
-def _chords_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    if set(a) & set(b):
-        return False
-    inside = lambda v: a[0] < v < a[1]
-    return inside(b[0]) != inside(b[1])
-
-
 def build_polygon(m: int, diagonals) -> Triangulation:
     """Triangulated convex m-gon with vertices 0..m-1 counterclockwise.
 
@@ -327,7 +319,7 @@ def build_polygon(m: int, diagonals) -> Triangulation:
     """
     if not isinstance(m, int) or m < 3:
         raise InvalidPolygonTriangulation(f"need an integer m >= 3, got {m!r}")
-    diags: list[tuple[int, int]] = []
+    diags: set[tuple[int, int]] = set()
     for pair in diagonals:
         a, b = int(pair[0]), int(pair[1])
         if not (0 <= a < m and 0 <= b < m):
@@ -337,60 +329,47 @@ def build_polygon(m: int, diagonals) -> Triangulation:
             raise InvalidPolygonTriangulation(f"{pair!r} is not a diagonal of the {m}-gon")
         if (lo, hi) in diags:
             raise InvalidPolygonTriangulation(f"duplicate diagonal {pair!r}")
-        diags.append((lo, hi))
+        diags.add((lo, hi))
     if len(diags) != m - 3:
         raise InvalidPolygonTriangulation(
             f"a triangulated {m}-gon needs {m - 3} diagonals, got {len(diags)}"
         )
-    for d1, d2 in combinations(diags, 2):
-        if _chords_cross(d1, d2):
-            raise InvalidPolygonTriangulation(f"diagonals {d1} and {d2} cross")
-    diags.sort()
 
-    recs: list[EdgeRec] = []
-    pair_to_id: dict[frozenset, str] = {}
-    order: list[tuple[str, Label, Label]] = []
-    for i in range(m):
-        j = (i + 1) % m
-        eid = f"{min(i, j)}-{max(i, j)}"
-        order.append((eid, i, j))
-        pair_to_id[frozenset((i, j))] = eid
+    # ends[hi]: the lower ends of the chords (lo, hi), the closing side (0, m-1) too
+    ends: list[list[int]] = [[] for _ in range(m)]
     for lo, hi in diags:
-        eid = f"{lo}-{hi}"
-        order.append((eid, lo, hi))
-        pair_to_id[frozenset((lo, hi))] = eid
-
-    chords = set(pair_to_id)
-    faces = sorted(
-        (a, b, c)
-        for a, b, c in combinations(range(m), 3)
-        if frozenset((a, b)) in chords
-        and frozenset((b, c)) in chords
-        and frozenset((a, c)) in chords
-    )
-    if len(faces) != m - 2:
-        raise InvalidPolygonTriangulation(
-            f"diagonal set yields {len(faces)} triangles, expected {m - 2}"
-        )
-
-    attach_fwd: dict[str, Attach] = {}
-    attach_bwd: dict[str, Attach] = {}
-    tail_of = {eid: tail for eid, tail, _ in order}
-    tri_ids = []
-    for corners in faces:
-        tid = "-".join(str(v) for v in corners)
-        tri_ids.append(tid)
-        for s in range(3):
-            u, v = corners[s], corners[(s + 1) % 3]
-            eid = pair_to_id[frozenset((u, v))]
-            if u == tail_of[eid]:
-                attach_fwd[eid] = (tid, s)
+        ends[hi].append(lo)
+    ends[m - 1].append(0)
+    # Walk v = 1..m-1 over the chain of vertices still open below v: each chord
+    # (lo, v), innermost first, closes the face (lo, k, v) on the top vertex k,
+    # which must sit right above lo.  Sides lo-k and k-v walk their edges
+    # tail -> head, side v-lo walks back unless it is the boundary edge m-1 -> 0.
+    fwd: dict[str, Attach] = {}
+    bwd: dict[str, Attach] = {}
+    stack, faces = [0], []
+    for v in range(1, m):
+        for lo in sorted(ends[v], reverse=True):
+            k = stack.pop()
+            if stack[-1] != lo:
+                raise InvalidPolygonTriangulation(f"diagonals cross at chord {(lo, v)}")
+            faces.append((lo, k, v))
+            tid = f"{lo}-{k}-{v}"
+            fwd[f"{lo}-{k}"], fwd[f"{k}-{v}"] = (tid, 0), (tid, 1)
+            if (lo, v) == (0, m - 1):
+                fwd[f"{lo}-{v}"] = (tid, 2)
             else:
-                attach_bwd[eid] = (tid, s)
-    for eid, tail, head in order:
-        if eid not in attach_fwd:
-            raise InvalidPolygonTriangulation(f"edge {eid} has no forward attachment")
-        recs.append(EdgeRec(eid, tail, head, attach_fwd[eid], attach_bwd.get(eid)))
+                bwd[f"{lo}-{v}"] = (tid, 2)
+        stack.append(v)
+
+    recs = []
+    for tail in range(m):
+        head = (tail + 1) % m
+        eid = f"{min(tail, head)}-{max(tail, head)}"
+        recs.append(EdgeRec(eid, tail, head, fwd[eid], None))
+    for lo, hi in sorted(diags):
+        eid = f"{lo}-{hi}"
+        recs.append(EdgeRec(eid, lo, hi, fwd[eid], bwd[eid]))
+    tri_ids = [f"{a}-{b}-{c}" for a, b, c in sorted(faces)]
     return Triangulation(tri_ids, recs, signature=(0, 1, m))
 
 

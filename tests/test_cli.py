@@ -205,6 +205,26 @@ def test_dist_unreachable(tmp_path, capsys):
     assert json.loads(out)["error"] == "Unreachable"
 
 
+NUMBERED = {"vertices": [1, 2, -3, "a"], "arcs": [[1, 2], [-3, 1], [2, "a"]]}
+# "1" names the string vertex "1"; the int vertex 1 has no path to "a"
+MIXED = {"vertices": ["1", 1, "a"], "arcs": [["1", "a"]]}
+
+
+@pytest.mark.parametrize("graph,src,to,expected", [
+    (NUMBERED, "1", "2", {"thirds": 1}),
+    (NUMBERED, "2", "1", {"thirds": 2}),
+    (NUMBERED, "-3", "a", {"thirds": 3}),
+    (NUMBERED, "01", "2", {"detail": "unknown vertex '01'", "error": "KeyError"}),
+    (NUMBERED, "1", "True", {"detail": "unknown vertex 'True'", "error": "KeyError"}),
+    (MIXED, "1", "a", {"thirds": 1}),
+])
+def test_dist_names_integer_vertices_by_their_decimal_text(tmp_path, capsys, graph, src, to,
+                                                            expected):
+    graph_path = write(tmp_path / "g.json", graph)
+    code, out, _ = invoke(capsys, "dist", "--graph", graph_path, "--from", src, "--to", to)
+    assert (code, json.loads(out)) == (0 if "thirds" in expected else 1, expected)
+
+
 def test_unknown_subcommand_exits_two(capsys):
     code, _, err = invoke(capsys, "frobnicate")
     assert code == 2

@@ -54,7 +54,7 @@ COMMANDS = {
 
 def invoke(argv, doc, workdir: Path):
     """Exit code, stdout and stderr of ``run(argv)`` with ``doc`` at {doc}."""
-    paths = {"doc": workdir / "doc.json", "tri": workdir / "tri.json"}
+    paths = {"doc": workdir / "doc.json", "tri": workdir / "tri.json", "dir": workdir}
     paths["doc"].write_text(json.dumps(doc))
     paths["tri"].write_text(json.dumps(DOCS["triangulation"]))
     out, err = io.StringIO(), io.StringIO()
@@ -108,6 +108,14 @@ SIZE_FLAGS = (
     ["sample", "--triangulation", "{tri}", "--seed", "0", "--bound", "-1"],
     ["oracle", "--sweep", "-1"],
 )
+# --out paths that cannot be written, on a result and on the exit-1 error report
+UNWRITABLE_OUT = (
+    ("triangulation", ["gamma-dist", "--to", "1,1", "--out", "{dir}/missing/x.json"]),
+    ("triangulation", ["gamma-dist", "--to", "1,1", "--out", "{dir}"]),
+    ("graph", ["dist", "--graph", "{doc}", "--from", "x", "--to", "u",
+               "--out", "{dir}/missing/x.json"]),
+    ("triangulation", ["flip", "--triangulation", "{doc}", "--edge", "9-9", "--out", "{dir}"]),
+)
 
 
 def _cases():
@@ -144,6 +152,14 @@ def test_negative_size_is_a_usage_error(argv, tmp_path):
         f"hiveweb {argv[0]}: error: argument {argv[-2]}: "
         "expected a non-negative integer, got '-1'"
     ]
+
+
+@pytest.mark.parametrize("kind,argv", UNWRITABLE_OUT,
+                         ids=lambda case: " ".join(case) if isinstance(case, list) else case)
+def test_unwritable_out_exits_two(kind, argv, tmp_path):
+    code, out, err = invoke(argv, DOCS[kind], tmp_path)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("hiveweb: cannot write "), err
 
 
 def test_web_coordinates_are_capped(tmp_path, monkeypatch):
