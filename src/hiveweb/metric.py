@@ -8,8 +8,9 @@ API returns are wrapped as exact :class:`~hiveweb.thirds.Third` values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from .errors import OmegaEmpty, Unreachable
 from .thirds import LatticePoint, Third
@@ -18,7 +19,13 @@ Vertex = Hashable
 
 
 class OrientedGraph:
-    """Finite directed multigraph; immutable once built."""
+    """Finite directed multigraph; immutable once built.
+
+    Searches run on positions 0..V-1: ``_fwd[i]`` lists the heads of arcs out
+    of ``i`` (1 third each), ``_back[j]`` the tails of arcs into ``j`` (2 thirds
+    each).  ``vertices``, the name-to-position index ``_index`` and ``arcs``
+    are made from them the first time they are read.
+    """
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[tuple[Vertex, Vertex]]):
         self.vertices = list(vertices)
@@ -26,8 +33,6 @@ class OrientedGraph:
         if len(self._index) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
         self.arcs = list(arcs)
-        # by position: _fwd[i] are the heads of arcs out of i (1 third each),
-        # _back[j] the tails of arcs into j (2 thirds each)
         index = self._index
         fwd: list[list[int]] = [[] for _ in self.vertices]
         back: list[list[int]] = [[] for _ in self.vertices]
@@ -38,32 +43,82 @@ class OrientedGraph:
             fwd[i].append(j)
             back[j].append(i)
         self._fwd, self._back = fwd, back
+        self._name = self.vertices.__getitem__
+
+    @classmethod
+    def indexed(
+        cls,
+        fwd: list[list[int]],
+        back: list[list[int]],
+        name: Callable[[int], Vertex],
+        position: Callable[[Vertex], int | None] | None = None,
+    ) -> "OrientedGraph":
+        """Graph given by its adjacency on positions: ``back`` must hold the
+        same arcs as ``fwd``, seen from their heads.  ``name(i)`` is the
+        (distinct) vertex at position ``i``; ``position(v)``, if given, finds
+        the position of ``v`` in place of a lookup in ``_index``."""
+        graph = cls.__new__(cls)
+        graph._fwd, graph._back, graph._name = fwd, back, name
+        if position is not None:
+            graph._position = position
+        return graph
+
+    @functools.cached_property
+    def vertices(self) -> list[Vertex]:
+        return list(map(self._name, range(len(self._fwd))))
+
+    @functools.cached_property
+    def _index(self) -> dict[Vertex, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @functools.cached_property
+    def arcs(self) -> list[tuple[Vertex, Vertex]]:
+        names = self.vertices
+        return [(names[i], names[j]) for i, heads in enumerate(self._fwd) for j in heads]
+
+    def _position(self, v: Vertex) -> int | None:
+        """Position of ``v``, or None if it is no vertex."""
+        return self._index.get(v)
+
+    def _locate(self, v: Vertex) -> int:
+        i = self._position(v)
+        if i is None:
+            raise KeyError(f"unknown vertex {v!r}")
+        return i
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self._index
+        return self._position(v) is not None
 
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices), "arcs": [[t, h] for t, h in self.arcs]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "OrientedGraph":
-        return cls(obj["vertices"], [tuple(arc) for arc in obj["arcs"]])
+        """Graph of a document whose ``vertices`` is an array of string or
+        integer ids and whose ``arcs`` is an array of [tail, head] pairs."""
+        vertices, arcs = obj["vertices"], obj["arcs"]
+        if type(vertices) is not list or type(arcs) is not list:
+            raise TypeError("vertices and arcs must be arrays")
+        for v in vertices:
+            if type(v) is not str and type(v) is not int:
+                raise TypeError(f"vertex id {v!r} is neither a string nor an integer")
+        for arc in arcs:
+            if type(arc) is not list or len(arc) != 2:
+                raise ValueError(f"arc {arc!r} is not a [tail, head] pair")
+        return cls(vertices, [tuple(arc) for arc in arcs])
 
 
-def _thirds_from(graph: OrientedGraph, source: Vertex) -> list[int | None]:
-    """Distances in thirds from ``source``, by vertex position (None where
-    unreachable).
+def _thirds_from(graph: OrientedGraph, s: int) -> list[int | None]:
+    """Distances in thirds from the vertex at position ``s``, by vertex
+    position (None where unreachable).
 
     The weights are only 1 and 2, so Dijkstra runs on Dial's bucket queue:
     ``buckets[d]`` lists the vertices reached at distance ``d``, and an entry
     whose vertex was since reached closer is skipped.  Each vertex is settled
     once, so the search is O(V + E).
     """
-    s = graph._index.get(source)
-    if s is None:
-        raise KeyError(f"unknown vertex {source!r}")
     fwd, back = graph._fwd, graph._back
-    dist: list[int | None] = [None] * len(graph.vertices)
+    dist: list[int | None] = [None] * len(fwd)
     dist[s] = 0
     buckets: list[list[int]] = [[s], [], []]
     d = 0
@@ -109,15 +164,14 @@ def _tripod(
 
 def distances_from(graph: OrientedGraph, source: Vertex) -> dict[Vertex, Third]:
     """Exact distances from ``source`` to every reachable vertex."""
-    dist = _thirds_from(graph, source)
+    dist = _thirds_from(graph, graph._locate(source))
     return {v: Third(d) for v, d in zip(graph.vertices, dist) if d is not None}
 
 
 def shortest_distance(graph: OrientedGraph, s: Vertex, t: Vertex) -> Third:
     """Minimum 1/3-2/3 path length from ``s`` to ``t``."""
-    if t not in graph:
-        raise KeyError(f"unknown vertex {t!r}")
-    d = _thirds_from(graph, s)[graph._index[t]]
+    j = graph._locate(t)
+    d = _thirds_from(graph, graph._locate(s))[j]
     if d is None:
         raise Unreachable(f"no path from {s!r} to {t!r}")
     return Third(d)
@@ -128,23 +182,88 @@ def gamma_distance(p: LatticePoint) -> Third:
     return Third(max(p.x + p.y, p.y - 2 * p.x, p.x - 2 * p.y))
 
 
+def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """``_fwd`` and ``_back`` of the lattice graph induced on the points
+    (k, c) with ``lo <= c <= hi`` for ``rows[k] == (lo, hi)``, numbered row by
+    row: (k, c) is at position ``sum of earlier row lengths + c - lo``.  Every
+    point sends arcs to (k+1, c), (k, c+1) and (k-1, c-1) where those exist,
+    and each list keeps that order (tails in increasing position)."""
+    starts = []  # position of (k, c) is starts[k] + c
+    size = 0
+    for lo, hi in rows:
+        starts.append(size - lo)
+        size += hi - lo + 1
+    fwd: list[list[int]] = []
+    back: list[list[int]] = []
+    none = (1, 0, 0)  # an empty row
+    for k, (lo, hi) in enumerate(rows):
+        here = starts[k]
+        up_lo, up_hi, up = rows[k + 1] + (starts[k + 1],) if k + 1 < len(rows) else none
+        dn_lo, dn_hi, dn = rows[k - 1] + (starts[k - 1],) if k else none
+
+        def edge(cells):
+            for c in cells:
+                i = here + c
+                heads = []
+                tails = []
+                if up_lo <= c <= up_hi:
+                    heads.append(up + c)
+                if dn_lo <= c <= dn_hi:
+                    tails.append(dn + c)
+                if c < hi:
+                    heads.append(i + 1)
+                if c > lo:
+                    tails.append(i - 1)
+                if dn_lo < c <= dn_hi + 1:
+                    heads.append(dn + c - 1)
+                if up_lo <= c + 1 <= up_hi:
+                    tails.append(up + c + 1)
+                fwd.append(heads)
+                back.append(tails)
+
+        # the columns first..last have all six neighbours: one comprehension each
+        first = min(max(lo + 1, up_lo, dn_lo + 1), hi + 1)
+        last = max(min(hi - 1, up_hi - 1, dn_hi), first - 1)
+        edge(range(lo, first))
+        to_up, to_dn = up - here, dn - here
+        inner = range(here + first, here + last + 1)
+        fwd += [[i + to_up, i + 1, i + to_dn - 1] for i in inner]
+        back += [[i + to_dn, i - 1, i + to_up + 1] for i in inner]
+        edge(range(last + 1, hi + 1))
+    return fwd, back
+
+
 def gamma_window(radius: int) -> OrientedGraph:
     """Induced subgraph of the lattice graph on the square [-radius, radius]^2.
 
-    Vertices are keyed by :meth:`LatticePoint.key` strings; every vertex sends
-    arcs to (x+1,y), (x,y+1) and (x-1,y-1) when those stay inside the window.
+    Every point sends arcs to (x+1,y), (x,y+1) and (x-1,y-1) when those stay
+    inside the window.  With ``side = 2*radius + 1`` the point (x, y) sits at
+    position ``(x+radius)*side + (y+radius)``, so the arcs go to +side, +1 and
+    -side-1, and the adjacency is built by that arithmetic alone.  A vertex is
+    named by its :meth:`LatticePoint.key` string ``"x,y"``; the names are made
+    only when a caller reads them, and a name is resolved by parsing it, so
+    only the exact key text of a point in the window is a vertex.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    span = range(-radius, radius + 1)
-    keys = {(x, y): f"{x},{y}" for x in span for y in span}
-    arcs = []
-    for (x, y), src in keys.items():
-        for dx, dy in ((1, 0), (0, 1), (-1, -1)):
-            dst = keys.get((x + dx, y + dy))
-            if dst is not None:
-                arcs.append((src, dst))
-    return OrientedGraph(list(keys.values()), arcs)
+    side = 2 * radius + 1
+    fwd, back = _lattice_piece([(-radius, radius)] * side)
+
+    def name(i: int) -> str:
+        return f"{i // side - radius},{i % side - radius}"
+
+    def position(v: Vertex) -> int | None:
+        if not isinstance(v, str):
+            return None
+        x, _, y = v.partition(",")
+        try:
+            i = (int(x) + radius) * side + int(y) + radius
+        except ValueError:
+            return None
+        # outside the square, (x, y) can alias a position whose name is v
+        return i if 0 <= i < side * side and name(i) == v else None
+
+    return OrientedGraph.indexed(fwd, back, name, position)
 
 
 @dataclass(frozen=True)
@@ -200,7 +319,7 @@ def fermat_brute(
 ) -> tuple[Third, set[Vertex]]:
     """Exact minimum of the three-distance sum over all vertices, with the
     full argmin set."""
-    best, argmin = _tripod(*(_thirds_from(graph, v) for v in (a, b, c)))
+    best, argmin = _tripod(*(_thirds_from(graph, graph._locate(v)) for v in (a, b, c)))
     if best is None:
         raise Unreachable(f"no vertex reachable from all of {a!r}, {b!r}, {c!r}")
-    return Third(best), {graph.vertices[i] for i in argmin}
+    return Third(best), set(map(graph._name, argmin))

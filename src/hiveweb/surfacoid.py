@@ -13,17 +13,26 @@ negation).  The top string runs from terminal A to A' with w arcs pointing
 toward the mesh and v away; the bottom-left string (B to B') has u inward
 and t outward arcs; the bottom-right (C to C') has y inward and z outward.
 
+The graph is built on positions by arithmetic: mesh row r = p + n holds
+(p, q) for q = 0..r at position r(r+1)/2 + q, with arcs to +r+1 (r < n),
++1 (q < r) and -r-1 (r >= 1 and q >= 1), and each string's chain follows the
+mesh in the order A, B, C, its terminal first.  The vertex names (p, q) and
+(label, i) are made only when a caller reads them; the oracle searches from
+the terminal positions and never does.
+
 Recomputing the seven hive coordinates from this graph alone, via the
 asymmetric metric, is an independent check of the closed-form conversion:
-a1..a7 are the six string-terminal distances plus one tripod minimum.
+a1..a7 are the six string-terminal distances plus one tripod minimum, read
+from graph distances only.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from math import isqrt
 
 from .hive import TriangleHive
-from .metric import OrientedGraph, _thirds_from, _tripod
+from .metric import OrientedGraph, _lattice_piece, _thirds_from, _tripod
 # unused here, but the benchmark's tracer hooks both by name on this module
 from .metric import distances_from, fermat_brute  # noqa: F401
 from .web import TriangleWebCoords
@@ -38,55 +47,54 @@ class TriangleNet:
     a_mesh: object  # mesh corner each string attaches to
     b_mesh: object
     c_mesh: object
+    terminals: tuple[int, int, int]  # positions of a, b, c in the graph
 
 
-def _mesh(n: int, reverse: bool):
-    vertices = []
-    arcs = []
-    for p in range(-n, 1):
-        for q in range(0, n + p + 1):
-            vertices.append((p, q))
-    inside = set(vertices)
-    for p, q in vertices:
-        for dp, dq in ((1, 0), (0, 1), (-1, -1)):
-            nxt = (p + dp, q + dq)
-            if nxt in inside:
-                arcs.append(((nxt, (p, q)) if reverse else ((p, q), nxt)))
-    return vertices, arcs
-
-
-def _string(name: str, corner, inward: int, outward: int, vertices, arcs):
-    """Chain from a new terminal to ``corner``: ``inward`` arcs point toward
-    the mesh, ``outward`` away; inward arcs are placed nearest the terminal.
-    Returns the terminal vertex."""
+def _string(corner: int, inward: int, outward: int, fwd, back) -> int:
+    """Append a chain from a new terminal to the vertex at position
+    ``corner``: ``inward`` arcs point toward the mesh, ``outward`` away;
+    inward arcs are placed nearest the terminal.  Returns the terminal's
+    position."""
     total = inward + outward
     if total == 0:
         return corner
-    chain = [(name, i) for i in range(total)]  # chain[0] = terminal
-    vertices.extend(chain)
-    path = chain + [corner]  # terminal ... corner
+    start = len(fwd)
+    fwd.extend([] for _ in range(total))
+    back.extend([] for _ in range(total))
+    path = [*range(start, start + total), corner]  # terminal ... corner
     for i in range(total):
-        here, nxt = path[i], path[i + 1]
-        if i < inward:
-            arcs.append((here, nxt))
-        else:
-            arcs.append((nxt, here))
-    return chain[0]
+        tail, head = path[i], path[i + 1]
+        if i >= inward:
+            tail, head = head, tail
+        fwd[tail].append(head)
+        back[head].append(tail)
+    return start
 
 
 def build_net(c: TriangleWebCoords) -> TriangleNet:
     """Net of the triangle web with coordinates ``c``."""
     x, y, z, t, u, v, w = astuple(c)
     n = abs(x)
-    vertices, arcs = _mesh(n, reverse=x < 0)
-    a_mesh, b_mesh, c_mesh = (-n, 0), (0, 0), (0, n)
-    term_a = _string("A", a_mesh, w, v, vertices, arcs)
-    term_b = _string("B", b_mesh, u, t, vertices, arcs)
-    term_c = _string("C", c_mesh, y, z, vertices, arcs)
-    return TriangleNet(
-        OrientedGraph(vertices, arcs),
-        term_a, term_b, term_c, a_mesh, b_mesh, c_mesh,
-    )
+    # mesh row r = p + n holds (p, q) for q = 0..r at position r(r+1)/2 + q
+    fwd, back = _lattice_piece([(0, r) for r in range(n + 1)])
+    if x < 0:
+        fwd, back = back, fwd
+    mesh = len(fwd)
+    corners = (0, n * (n + 1) // 2, mesh - 1)  # A' = (-n, 0), B' = (0, 0), C' = (0, n)
+    terminals = tuple(_string(corner, inward, outward, fwd, back)
+                      for corner, inward, outward in zip(corners, (w, u, y), (v, t, z)))
+    # (label, first position) of each nonempty string, last first
+    chains = [(label, p) for label, p in zip("CBA", terminals[::-1]) if p >= mesh]
+
+    def name(i: int):
+        if i < mesh:
+            r = (isqrt(8 * i + 1) - 1) // 2
+            return (r - n, i - r * (r + 1) // 2)
+        label, start = next(chain for chain in chains if chain[1] <= i)
+        return (label, i - start)
+
+    graph = OrientedGraph.indexed(fwd, back, name)
+    return TriangleNet(graph, *map(name, terminals), *map(name, corners), terminals)
 
 
 def oracle_triangle_hive(c: TriangleWebCoords) -> TriangleHive:
@@ -94,10 +102,9 @@ def oracle_triangle_hive(c: TriangleWebCoords) -> TriangleHive:
     terminal-to-terminal distances and the tripod minimum all come from the
     three searches out of the terminals."""
     net = build_net(c)
-    terminals = (net.a, net.b, net.c)
-    from_a, from_b, from_c = (_thirds_from(net.graph, v) for v in terminals)
+    pa, pb, pc = net.terminals
+    from_a, from_b, from_c = (_thirds_from(net.graph, p) for p in net.terminals)
     a4, _ = _tripod(from_a, from_b, from_c)
-    pa, pb, pc = (net.graph._index[v] for v in terminals)
     return TriangleHive.from_thirds(  # a1..a7
         (from_b[pa], from_c[pa], from_a[pb], a4, from_a[pc], from_c[pb], from_b[pc])
     )

@@ -96,6 +96,13 @@ MALFORMED = {
     "web triangle without y": ("web", ("coords", FIRST_TRIANGLE, "y"), DROP),
     "triangle hive bare ints": ("triangle-hive", ("a1",), 3),
     "graph no arcs": ("graph", ("arcs",), DROP),
+    "graph vertices a string": ("graph", ("vertices",), "uvw"),
+    "graph arcs an object": ("graph", ("arcs",), {"uv": 0, "vw": 1}),
+    "graph arc a string": ("graph", ("arcs", 0), "uv"),
+    "graph arc of three": ("graph", ("arcs", 0), ["u", "v", "w"]),
+    "graph vertex bool": ("graph", ("vertices",), ["u", "v", "w", True]),
+    "graph vertex float": ("graph", ("vertices",), ["u", "v", "w", 1.5]),
+    "graph vertex null": ("graph", ("vertices",), ["u", "v", "w", None]),
 }
 # a whole document that is a list (hive2web and flip --hive refused a listed hive already)
 WHOLE = {

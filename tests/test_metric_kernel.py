@@ -4,12 +4,15 @@ The reference below is the ``heapq`` Dijkstra over a dict adjacency that the
 metric used before it ran on indexed adjacency with a bucket queue.  Random
 multigraphs (self-loops, parallel and antiparallel arcs, isolated vertices,
 string, tuple and int ids) must give the same distances, the same tripod
-minimum and argmin, and the same errors.
+minimum and argmin, and the same errors.  The lattice window, built by
+position arithmetic with names made on demand, is compared with the
+string-keyed window it replaced.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 from collections import Counter
 
 import pytest
@@ -19,6 +22,8 @@ from hypothesis import strategies as st
 from hiveweb.errors import Unreachable
 from hiveweb.metric import (
     OrientedGraph,
+    _lattice_piece,
+    _thirds_from,
     distances_from,
     fermat_brute,
     gamma_window,
@@ -155,3 +160,63 @@ def reference_gamma_window(radius: int) -> dict:
 @pytest.mark.parametrize("radius", range(17))
 def test_gamma_window_keeps_vertex_and_arc_order(radius):
     assert gamma_window(radius).to_json() == reference_gamma_window(radius)
+
+
+def reference_lattice_piece(rows):
+    points = [(k, c) for k, (lo, hi) in enumerate(rows) for c in range(lo, hi + 1)]
+    index = {p: i for i, p in enumerate(points)}
+    fwd = [[] for _ in points]
+    back = [[] for _ in points]
+    for (k, c), i in index.items():
+        for dk, dc in ((1, 0), (0, 1), (-1, -1)):
+            j = index.get((k + dk, c + dc))
+            if j is not None:
+                fwd[i].append(j)
+                back[j].append(i)
+    return fwd, back
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 6)), min_size=1, max_size=8))
+def test_lattice_piece_matches_point_lookup(spans):
+    rows = [(lo, lo + length) for lo, length in spans]
+    assert _lattice_piece(rows) == reference_lattice_piece(rows)
+
+
+@pytest.mark.parametrize("radius", range(17))
+def test_gamma_window_matches_string_keyed_window(radius):
+    doc = reference_gamma_window(radius)
+    reference = OrientedGraph(doc["vertices"], [tuple(arc) for arc in doc["arcs"]])
+    window = gamma_window(radius)
+    assert window.vertices == reference.vertices
+    assert Counter(window.arcs) == Counter(reference.arcs)
+    for x in (-radius, radius):
+        for y in (-radius, radius):
+            corner = f"{x},{y}"
+            assert (_thirds_from(window, window._locate(corner))
+                    == _thirds_from(reference, reference._index[corner]))
+
+
+@pytest.mark.parametrize("name", ["+1,0", "01,0", " 1,0", "1, 0", "1,0,0", "1_0,0",
+                                  "4,0", "0,-4", "-4,3", ",", "", 5, (1, 0), None])
+def test_window_resolves_only_exact_point_keys(name):
+    window = gamma_window(3)
+    assert "1,0" in window and "-3,3" in window
+    assert name not in window
+    unknown = re.escape(f"unknown vertex {name!r}")
+    with pytest.raises(KeyError, match=unknown):
+        fermat_brute(window, "0,0", name, "1,1")
+    with pytest.raises(KeyError, match=unknown):
+        shortest_distance(window, name, "0,0")
+    with pytest.raises(KeyError, match=unknown):
+        distances_from(window, name)
+
+
+def test_names_read_after_a_search_match_names_read_before():
+    before = gamma_window(4)
+    expected = before.vertices, before.arcs, before.to_json()
+    after = gamma_window(4)
+    assert fermat_brute(after, "0,0", "2,0", "0,2") == fermat_brute(before, "0,0", "2,0", "0,2")
+    assert shortest_distance(after, "-4,-4", "4,4") == Third(16)
+    assert (after.vertices, after.arcs, after.to_json()) == expected
+    assert distances_from(after, "1,1") == distances_from(before, "1,1")

@@ -1,8 +1,23 @@
+"""The dual net and the distance oracle.
+
+The net is built by position arithmetic with names made on demand; it is
+compared with the tuple-keyed builder it replaced, kept below as the
+reference.
+"""
+
 import random
+from collections import Counter
+from dataclasses import astuple
 
 import pytest
 
-from hiveweb.metric import distances_from, fermat_brute, shortest_distance
+from hiveweb.metric import (
+    OrientedGraph,
+    _thirds_from,
+    distances_from,
+    fermat_brute,
+    shortest_distance,
+)
 from hiveweb.surfacoid import build_net, oracle_triangle_hive
 from hiveweb.thirds import Third
 from hiveweb.web import TriangleWebCoords, web_to_hive_triangle
@@ -84,3 +99,75 @@ def test_tripod_minimum_attained_on_mesh():
 def test_oracle_matches_formulas_at_benchmark_sizes(x, corners):
     coords = TriangleWebCoords(x, *corners)
     assert oracle_triangle_hive(coords) == web_to_hive_triangle(coords)
+
+
+def reference_mesh(n: int, reverse: bool):
+    vertices = []
+    arcs = []
+    for p in range(-n, 1):
+        for q in range(0, n + p + 1):
+            vertices.append((p, q))
+    inside = set(vertices)
+    for p, q in vertices:
+        for dp, dq in ((1, 0), (0, 1), (-1, -1)):
+            nxt = (p + dp, q + dq)
+            if nxt in inside:
+                arcs.append(((nxt, (p, q)) if reverse else ((p, q), nxt)))
+    return vertices, arcs
+
+
+def reference_string(name: str, corner, inward: int, outward: int, vertices, arcs):
+    total = inward + outward
+    if total == 0:
+        return corner
+    chain = [(name, i) for i in range(total)]
+    vertices.extend(chain)
+    path = chain + [corner]
+    for i in range(total):
+        here, nxt = path[i], path[i + 1]
+        arcs.append((here, nxt) if i < inward else (nxt, here))
+    return chain[0]
+
+
+def reference_net(coords: TriangleWebCoords):
+    """Graph, terminals and mesh corners as the tuple-keyed builder made them."""
+    x, y, z, t, u, v, w = astuple(coords)
+    n = abs(x)
+    vertices, arcs = reference_mesh(n, reverse=x < 0)
+    corners = (-n, 0), (0, 0), (0, n)
+    terminals = tuple(
+        reference_string(name, corner, inward, outward, vertices, arcs)
+        for name, corner, inward, outward in zip("ABC", corners, (w, u, y), (v, t, z))
+    )
+    return OrientedGraph(vertices, arcs), terminals, corners
+
+
+def _sampled_coords():
+    rng = random.Random(6)
+    extremes = [TriangleWebCoords(x, *corners)
+                for x in (-40, -1, 0, 1, 40) for corners in ((0,) * 6, (6,) * 6)]
+    return extremes + [TriangleWebCoords(rng.randint(-40, 40), *(rng.randint(0, 6) for _ in range(6)))
+                       for _ in range(30)]
+
+
+@pytest.mark.parametrize("coords", _sampled_coords(), ids=lambda c: ",".join(map(str, astuple(c))))
+def test_net_matches_tuple_keyed_builder(coords):
+    reference, terminals, corners = reference_net(coords)
+    net = build_net(coords)
+    assert net.graph.vertices == reference.vertices
+    assert Counter(net.graph.arcs) == Counter(reference.arcs)
+    assert (net.a, net.b, net.c) == terminals
+    assert (net.a_mesh, net.b_mesh, net.c_mesh) == corners
+    assert net.terminals == tuple(reference._index[v] for v in terminals)
+    for position in net.terminals:
+        assert _thirds_from(net.graph, position) == _thirds_from(reference, position)
+
+
+def test_net_names_read_after_a_search_match_names_read_before():
+    coords = TriangleWebCoords(-5, 2, 0, 1, 3, 0, 2)
+    before = build_net(coords).graph
+    expected = before.vertices, before.arcs, before.to_json()
+    net = build_net(coords)
+    for position in net.terminals:  # searches by position, as the oracle does
+        _thirds_from(net.graph, position)
+    assert (net.graph.vertices, net.graph.arcs, net.graph.to_json()) == expected
