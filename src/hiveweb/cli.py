@@ -83,15 +83,24 @@ def _load(path: str, args, read, doc=None):
 
 def _hive_values(doc: dict, tri: surface.Triangulation):
     """The document's values as ``HiveThirds`` of ``tri``, and those of keys
-    that name no vertex of ``tri`` by their canonical key."""
+    that name no vertex of ``tri`` by their canonical key.  Two keys that
+    name one vertex (``"e:0-1:0"`` and ``"e:0-1:00"``) are malformed."""
     index = tri.compiled.index
     values: hive_mod.HiveThirds = [None] * len(index)
     others = {}
+    named = {}  # canonical key -> the non-canonical key that named it
     for key, obj in doc["values"].items():
         i = index.get(key)
+        canonical = key
         if i is None:
             canonical = surface.ThetaVertex.parse(key).key()
             i = index.get(canonical)
+        seen = canonical in others if i is None else values[i] is not None
+        if seen:
+            first = named.get(canonical, canonical)
+            raise MalformedInput(f"keys {first!r} and {key!r} name one vertex")
+        if canonical != key:
+            named[canonical] = key
         value = read_thirds(obj, key)
         if i is None:
             others[canonical] = value
@@ -100,8 +109,21 @@ def _hive_values(doc: dict, tri: surface.Triangulation):
     return values, others
 
 
-def _web_coords(doc: dict, tri: surface.Triangulation) -> web.SurfaceWeb:
-    return web.surface_web_from_json(doc)
+def _values_doc(pairs) -> dict:
+    """The hive document of (key, thirds) pairs, skipping missing values."""
+    return {"values": {key: {"thirds": x} for key, x in pairs if x is not None}}
+
+
+def _hive_doc(tri: surface.Triangulation, thirds: hive_mod.HiveThirds) -> dict:
+    """The hive document of ``thirds`` with ``tri`` inline, as ``hive_to_json``
+    writes it."""
+    doc = _values_doc(zip(tri.compiled.keys, thirds))
+    doc["triangulation"] = tri.to_json()
+    return doc
+
+
+def _web_coords(doc: dict, tri: surface.Triangulation) -> dict:
+    return web.web_coords_from_json(doc)
 
 
 def _triangle_hive(doc: dict) -> hive_mod.TriangleHive:
@@ -127,7 +149,7 @@ def cmd_validate(args) -> int:
         return 0 if not violations else 1
     if args.web:
         tri, coords = _load(args.web, args, _web_coords)
-        web.surface_web_to_hive(tri, coords)  # raises GluingMismatch when bad
+        web.surface_web_thirds(tri, coords)  # raises GluingMismatch when bad
         _emit({"valid": True, "violations": []}, args.out)
         return 0
     if not args.triangulation:
@@ -145,8 +167,7 @@ def cmd_web2hive(args) -> int:
     if not args.web:
         raise MalformedInput("web2hive needs --coords or --web")
     tri, coords = _load(args.web, args, _web_coords)
-    values = web.surface_web_to_hive(tri, coords)
-    _emit(hive_mod.hive_to_json(tri, values), args.out)
+    _emit(_hive_doc(tri, web.surface_web_thirds(tri, coords)), args.out)
     return 0
 
 
@@ -157,8 +178,8 @@ def cmd_hive2web(args) -> int:
         _emit(coords.to_json(), args.out)
         return 0
     tri, (values, _) = _load(args.hive, args, _hive_values, doc)
-    coords = web.hive_to_surface_web(tri, values)
-    _emit(web.surface_web_to_json(tri, coords), args.out)
+    coords = {t: dict(zip("xyztuvw", c)) for t, c in web.surface_web_tuples(tri, values)}
+    _emit({"coords": coords, "triangulation": tri.to_json()}, args.out)
     return 0
 
 
@@ -182,7 +203,7 @@ def cmd_flip(args) -> int:
         quad = {v: Third(moved.pop(v.key())) for v in frame_old.vertices()}
         for v, x in hive_mod.octahedron_transport(quad, frame_old, frame_new).items():
             moved[v.key()] = x.thirds
-        out["hive"] = {"values": {key: {"thirds": x} for key, x in moved.items()}}
+        out["hive"] = _values_doc(moved.items())
     _emit(out, args.out)
     return 0
 
@@ -267,8 +288,7 @@ def cmd_fermat(args) -> int:
 
 def cmd_sample(args) -> int:
     tri = _load_triangulation(args.triangulation)
-    values = sampling.sample_hive(tri, args.bound, args.seed)
-    _emit(hive_mod.hive_to_json(tri, values), args.out)
+    _emit(_hive_doc(tri, sampling.sample_thirds(tri, args.bound, args.seed)), args.out)
     return 0
 
 

@@ -60,27 +60,12 @@ class TriangleHive:
         return tuple(v.thirds for v in self.values())
 
 
-@dataclass(frozen=True)
-class TriangleFrame:
-    """Quiver vertices of one triangle in hive-label order a1..a7."""
-
-    a1: ThetaVertex
-    a2: ThetaVertex
-    a3: ThetaVertex
-    a4: ThetaVertex
-    a5: ThetaVertex
-    a6: ThetaVertex
-    a7: ThetaVertex
-
-    def vertices(self) -> tuple[ThetaVertex, ...]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a5, self.a6, self.a7)
-
-
-def triangle_frame(tri: Triangulation, t: str) -> TriangleFrame:
-    return TriangleFrame(*(
+def triangle_frame(tri: Triangulation, t: str) -> tuple[ThetaVertex, ...]:
+    """Quiver vertices of triangle ``t`` in hive-label order a1..a7."""
+    return tuple(
         ThetaVertex.center(t) if site is None else tri.corner_vertex(t, *site)
         for site in LAYOUT
-    ))
+    )
 
 
 def rhombi(a1: int, a2: int, a3: int, a4: int, a5: int, a6: int, a7: int) -> tuple[int, ...]:
@@ -99,16 +84,6 @@ def failed_rhombi(quantities) -> list[tuple[int, int]]:
 def rhombus_differences(h: TriangleHive) -> tuple[Third, ...]:
     """The nine rhombus quantities in the canonical listing order."""
     return tuple(Third(d) for d in rhombi(*h.thirds()))
-
-
-def triangle_hive_of(tri: Triangulation, t: str, values: HiveValues) -> TriangleHive:
-    frame = triangle_frame(tri, t)
-    picked = []
-    for v in frame.vertices():
-        if v not in values:
-            raise IncompleteHive(f"no value for vertex {v.key()}")
-        picked.append(values[v])
-    return TriangleHive(*picked)
 
 
 def hive_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> HiveThirds:

@@ -12,6 +12,7 @@ dict hit.
 from __future__ import annotations
 
 import random
+from collections import deque
 from functools import lru_cache
 from itertools import product
 
@@ -58,9 +59,9 @@ def _tree_order(tri: Triangulation) -> list[str]:
             neighbors[t0].append(t1)
             neighbors[t1].append(t0)
     order, seen = [], set()
-    queue = [tri.triangles[0]]
+    queue = deque([tri.triangles[0]])
     while queue:
-        t = queue.pop(0)
+        t = queue.popleft()
         if t in seen:
             continue
         seen.add(t)
@@ -74,14 +75,19 @@ def _tree_order(tri: Triangulation) -> list[str]:
 
 def sample_hive(tri: Triangulation, bound: int, seed: int) -> HiveValues:
     """A valid hive, deterministic in (triangulation, bound, seed)."""
+    thirds = sample_thirds(tri, bound, seed)
+    return {v: Third(x) for v, x in zip(tri.theta_index(), thirds) if x is not None}
+
+
+def sample_thirds(tri: Triangulation, bound: int, seed: int) -> HiveThirds:
+    """The hive of :func:`sample_hive` as :data:`HiveThirds`: None only at
+    vertices of edges that no triangle of the tree holds."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
     entries, by_side = _box(bound)
     rng = random.Random(seed)
     view = tri.compiled
     thirds: HiveThirds = [None] * len(view.keys)
-    vertices = tri.theta_index()
-    values: HiveValues = {}
     for t in _tree_order(tri):
         frame = view.frames[t]
         if frame is None:
@@ -103,11 +109,9 @@ def sample_hive(tri: Triangulation, bound: int, seed: int) -> HiveValues:
             )
         h = entries[candidates[rng.randrange(len(candidates))]]
         for p, value in zip(frame, h):
-            if thirds[p] is None:
-                values[vertices[p]] = Third(value)
-            elif thirds[p] != value:
+            if thirds[p] is not None and thirds[p] != value:
                 raise SamplingFailed(
                     f"internal inconsistency writing {view.keys[p]}"
                 )
             thirds[p] = value
-    return values
+    return thirds

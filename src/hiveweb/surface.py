@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     InvalidPolygonTriangulation,
     InvalidTriangulation,
+    MalformedInput,
     NotFlippable,
     SelfFoldedUnsupported,
 )
@@ -66,8 +67,7 @@ class ThetaVertex:
         raise ValueError(f"bad vertex key {key!r}")
 
 
-@dataclass(frozen=True)
-class EdgeRec:
+class EdgeRec(NamedTuple):
     id: str
     tail: Label
     head: Label
@@ -94,8 +94,18 @@ class ValidationReport:
         return {"valid": self.ok, "violations": self.violations}
 
 
+def _id(raw, what: str) -> str:
+    """A triangle or edge id: a string, or an int read as its decimal text."""
+    if type(raw) is str:
+        return raw
+    if type(raw) is not int:
+        raise MalformedInput(f"{what}: expected a string or an integer, got {raw!r}")
+    return str(checked_int(raw, what))
+
+
 def _attach(raw) -> Attach:
-    return str(raw[0]), checked_int(raw[1], "side")
+    t, side = raw[0], checked_int(raw[1], "side")
+    return _id(t, "triangle id"), side
 
 
 def _label(raw) -> Label:
@@ -216,18 +226,29 @@ class Triangulation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Triangulation":
-        """Integers obey :func:`~hiveweb.thirds.checked_int`; labels are ints or strings."""
+        """Integers obey :func:`~hiveweb.thirds.checked_int`; ids are strings or
+        ints, labels ints or strings, ``triangles`` and ``edges`` are arrays and
+        ``attach`` lists one or two attachments (the second may be
+        ``"boundary"``).  Each shape check follows the reads it guards, so a
+        value those reads already fail on keeps their message."""
         edges = []
         for e in doc["edges"]:
             raw = e["attach"]
             attach1 = _attach(raw[1]) if len(raw) > 1 and raw[1] != "boundary" else None
-            edges.append(EdgeRec(str(e["id"]), _label(e["tail"]), _label(e["head"]),
-                                 _attach(raw[0]), attach1))
+            edges.append(EdgeRec(_id(e["id"], "edge id"), _label(e["tail"]),
+                                 _label(e["head"]), _attach(raw[0]), attach1))
+            if len(raw) > 2:
+                raise MalformedInput(f"edge {edges[-1].id!r}: attach has {len(raw)} entries, "
+                                     "expected 1 or 2")
         sig = None
         if "signature" in doc:
             s = doc["signature"]
             sig = tuple(checked_int(s[k], "signature") for k in "gcm")
-        return cls([str(t) for t in doc["triangles"]], edges, sig)
+        triangles = [_id(t, "triangle id") for t in doc["triangles"]]
+        for key in ("edges", "triangles"):
+            if type(doc[key]) is not list:
+                raise MalformedInput(f"{key}: expected an array, got {type(doc[key]).__name__}")
+        return cls(triangles, edges, sig)
 
 
 class CompiledTriangulation:

@@ -16,7 +16,7 @@ match after swapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict, Iterator, Mapping, Sequence, Union
 
 from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
 from .hive import (
@@ -32,8 +32,18 @@ from .hive import (
     triangle_frame,
     validate_hive,
 )
-from .surface import ThetaVertex, Triangulation
+from .surface import Triangulation
 from .thirds import Third, checked_int
+
+WebTuple = tuple[int, ...]  # (x, y, z, t, u, v, w) of one triangle
+
+
+def _corners_checked(c: WebTuple) -> WebTuple:
+    """``c``, once its six corner counts y..w are known to be non-negative."""
+    for name, value in zip("yztuvw", c[1:]):
+        if value < 0:
+            raise InvalidWebCoords(f"corner count {name} is negative")
+    return c
 
 
 @dataclass(frozen=True)
@@ -51,19 +61,13 @@ class TriangleWebCoords:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidWebCoords(f"{name} must be an int, got {value!r}")
-        for name in ("y", "z", "t", "u", "v", "w"):
-            if getattr(self, name) < 0:
-                raise InvalidWebCoords(f"corner count {name} is negative")
+        _corners_checked(self.values())
 
     def values(self) -> tuple[int, ...]:
         return (self.x, self.y, self.z, self.t, self.u, self.v, self.w)
 
     def to_json(self) -> dict:
         return dict(zip("xyztuvw", self.values()))
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TriangleWebCoords":
-        return cls(*(checked_int(obj[k], k) for k in "xyztuvw"))
 
 
 SurfaceWeb = Dict[str, TriangleWebCoords]
@@ -95,12 +99,11 @@ def web_to_hive_triangle(c: TriangleWebCoords) -> TriangleHive:
     return TriangleHive.from_thirds(web_to_hive_thirds(*c.values()))
 
 
-def web_from_rhombi(quantities) -> TriangleWebCoords:
+def web_from_rhombi(quantities) -> WebTuple:
     """Web coordinates of a valid triangle hive from its nine rhombus
     quantities, all multiples of three."""
     r1, r2, r3, r4, r5, r6, r7, r8, r9 = (d // 3 for d in quantities)
-    return TriangleWebCoords(x=r3 - r2, y=r4, z=min(r5, r6), t=min(r9, r8),
-                             u=r7, v=min(r2, r3), w=r1)
+    return (r3 - r2, r4, min(r5, r6), min(r9, r8), r7, min(r2, r3), r1)
 
 
 def hive_to_web_triangle(h: TriangleHive) -> TriangleWebCoords:
@@ -109,7 +112,7 @@ def hive_to_web_triangle(h: TriangleHive) -> TriangleWebCoords:
     bad = failed_rhombi(quantities)
     if bad:
         raise InvalidHive(f"rhombus conditions fail: {[(i, Third(d)) for i, d in bad]}")
-    return web_from_rhombi(quantities)
+    return TriangleWebCoords(*web_from_rhombi(quantities))
 
 
 def side_arc_counts(a_near: Third, a_far: Third) -> tuple[int, int]:
@@ -142,13 +145,16 @@ def _slot_values(tri: Triangulation, t: str, s: int, h: tuple[int, ...]) -> tupl
     return (near, far) if fwd else (far, near)
 
 
-def surface_web_to_hive(tri: Triangulation, web: SurfaceWeb) -> HiveValues:
-    """Assemble the surface hive of an edge-consistent surface web."""
+def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) -> HiveThirds:
+    """The surface hive of the web with ``coords[t] = (x, y, z, t, u, v, w)``
+    per triangle, as complete :data:`HiveThirds`, glued edge by edge in
+    ``tri.edges`` order; it raises what :func:`surface_web_to_hive` raises."""
     for t in tri.triangles:
-        if t not in web:
+        if t not in coords:
             raise InvalidWebCoords(f"no coordinates for triangle {t!r}")
-    values: HiveValues = {}
-    hives = {t: web_to_hive_thirds(*web[t].values()) for t in tri.triangles}
+    view = tri.compiled
+    thirds: HiveThirds = [None] * len(view.keys)
+    hives = {t: web_to_hive_thirds(*coords[t]) for t in tri.triangles}
     for rec in tri.edges:
         t0, s0 = rec.attach0
         v0 = _slot_values(tri, t0, s0, hives[t0])
@@ -159,25 +165,36 @@ def surface_web_to_hive(tri: Triangulation, web: SurfaceWeb) -> HiveValues:
                 pair0 = side_arc_counts(*map(Third, _near_far(hives[t0], s0)))
                 pair1 = side_arc_counts(*map(Third, _near_far(hives[t1], s1)))
                 raise GluingMismatch(rec.id, pair0, pair1)
-        values[ThetaVertex.edge(rec.id, 0)] = Third(v0[0])
-        values[ThetaVertex.edge(rec.id, 1)] = Third(v0[1])
-    for t, frame in tri.compiled.frames.items():
+        p = view.index[f"e:{rec.id}:0"]
+        thirds[p], thirds[p + 1] = v0
+    for t, frame in view.frames.items():
         if frame is None:
             triangle_frame(tri, t)  # raises the structural error
-        values[ThetaVertex.center(t)] = Third(hives[t][CENTER])
-    return values
+        thirds[view.index[f"c:{t}"]] = hives[t][CENTER]
+    return thirds
 
 
-def hive_to_surface_web(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> SurfaceWeb:
-    """Per-triangle web coordinates of a valid surface hive, read in the same
-    pass that checks the rhombi."""
-    coords = {}
+def surface_web_to_hive(tri: Triangulation, web: SurfaceWeb) -> HiveValues:
+    """Assemble the surface hive of an edge-consistent surface web."""
+    thirds = surface_web_thirds(tri, {t: c.values() for t, c in web.items()})
+    return dict(zip(tri.theta_index(), map(Third, thirds)))
+
+
+def surface_web_tuples(
+    tri: Triangulation, values: Union[HiveValues, HiveThirds]
+) -> Iterator[tuple[str, WebTuple]]:
+    """(triangle, its web coordinates) of a valid surface hive, for each
+    triangle in order, read in the same pass that checks the rhombi."""
     for t, quantities in rhombus_scan(tri, complete_thirds(tri, values)):
         if failed_rhombi(quantities):
             bad = validate_hive(tri, values)
             raise InvalidHive(f"hive has {len(bad)} rhombus violations: {bad[:3]}")
-        coords[t] = web_from_rhombi(quantities)
-    return coords
+        yield t, web_from_rhombi(quantities)
+
+
+def hive_to_surface_web(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> SurfaceWeb:
+    """Per-triangle web coordinates of a valid surface hive."""
+    return {t: TriangleWebCoords(*c) for t, c in surface_web_tuples(tri, values)}
 
 
 def surface_web_to_json(tri: Triangulation, web: SurfaceWeb, inline: bool = True) -> dict:
@@ -187,5 +204,13 @@ def surface_web_to_json(tri: Triangulation, web: SurfaceWeb, inline: bool = True
     return doc
 
 
+def web_coords_from_json(doc: dict) -> dict[str, WebTuple]:
+    """Every entry of the document's ``coords`` as a 7-tuple: each key in
+    ``xyztuvw`` order obeys :func:`~hiveweb.thirds.checked_int`, then the
+    corner counts must be non-negative."""
+    return {t: _corners_checked(tuple(checked_int(c[k], k) for k in "xyztuvw"))
+            for t, c in doc["coords"].items()}
+
+
 def surface_web_from_json(doc: dict) -> SurfaceWeb:
-    return {t: TriangleWebCoords.from_json(c) for t, c in doc["coords"].items()}
+    return {t: TriangleWebCoords(*c) for t, c in web_coords_from_json(doc).items()}

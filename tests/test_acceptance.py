@@ -15,8 +15,8 @@ from hiveweb.errors import GluingMismatch
 from hiveweb.hive import (
     octahedron_transport,
     rhombus_differences,
+    TriangleHive,
     triangle_frame,
-    triangle_hive_of,
     is_in_positive_cone,
     tropical_potential,
     validate_hive,
@@ -194,7 +194,8 @@ def test_criterion_7_cone_equivalence():
             integral = all(
                 d.is_integer()
                 for t in quad.triangles
-                for d in rhombus_differences(triangle_hive_of(quad, t, values))
+                for d in rhombus_differences(
+                    TriangleHive(*(values[v] for v in triangle_frame(quad, t))))
             )
             nonpositive = tropical_potential(quad, values).thirds <= 0
             assert valid == cone == (nonpositive and integral), case

@@ -2,6 +2,7 @@ import pytest
 
 from hiveweb.errors import IncompleteHive
 from hiveweb.hive import (
+    CENTER,
     TriangleHive,
     is_in_positive_cone,
     octahedron_transport,
@@ -52,7 +53,7 @@ def test_validate_flags_bumped_center():
     values = zero_hive(tri)
     target = tri.triangles[0]
     frame = triangle_frame(tri, target)
-    values[frame.a4] = Third(1)
+    values[frame[CENTER]] = Third(1)
     violations = validate_hive(tri, values)
     assert {v["triangle"] for v in violations} == {target}
     # the three corner rhombi go negative by 1/3 ...
@@ -66,7 +67,7 @@ def test_validate_flags_non_integral_four_term():
     tri = build_polygon(3, [])
     values = zero_hive(tri)
     frame = triangle_frame(tri, tri.triangles[0])
-    values[frame.a3] = Third(1)
+    values[frame[2]] = Third(1)  # a3
     violations = validate_hive(tri, values)
     assert any(v["rhombus"] == 2 and v["thirds"] == 1 for v in violations)
 
@@ -85,11 +86,11 @@ def test_potential_examples():
 
     frame = triangle_frame(tri, tri.triangles[0])
     instance = TriangleHive.from_thirds((12, 10, 9, 19, 14, 13, 11))
-    values = dict(zip(frame.vertices(), instance.values()))
+    values = dict(zip(frame, instance.values()))
     assert tropical_potential(tri, values) == Third(-3)
 
     bumped = zero_hive(tri)
-    bumped[frame.a4] = Third(1)
+    bumped[frame[CENTER]] = Third(1)
     assert tropical_potential(tri, bumped) == Third(1)
 
 
@@ -100,7 +101,7 @@ def test_positive_cone_examples():
     assert is_in_positive_cone(tri, sampled)
     bad = zero_hive(tri)
     frame = triangle_frame(tri, tri.triangles[0])
-    bad[frame.a4] = Third(3)  # drives a1+a2-a4 negative
+    bad[frame[CENTER]] = Third(3)  # drives a1+a2-a4 negative
     assert not is_in_positive_cone(tri, bad)
     assert validate_hive(tri, bad) != []
 
@@ -146,7 +147,7 @@ def test_triangle_frame_vertices_are_distinct():
     tri = build_polygon(5, [(0, 2), (0, 3)])
     for t in tri.triangles:
         frame = triangle_frame(tri, t)
-        assert len(set(frame.vertices())) == 7
+        assert len(set(frame)) == 7
 
 
 def test_quad_frame_matches_transport_carriers():

@@ -90,6 +90,19 @@ MALFORMED = {
     "hive values a list": ("hive", ("values",), [{"thirds": 0}]),
     "triangulation no edges": ("triangulation", ("edges",), DROP),
     "triangulation attach an int": ("triangulation", ("edges", 0, "attach"), 3),
+    "triangulation attach of three": (
+        "triangulation", ("edges", 0, "attach"),
+        [*DOCS["triangulation"]["edges"][0]["attach"], "boundary"]),
+    "triangulation triangles a string": ("triangulation", ("triangles",), "abc"),
+    "triangulation triangles an object": (
+        "triangulation", ("triangles",), dict.fromkeys(TRI.triangles, 0)),
+    "triangulation edges an empty string": ("triangulation", ("edges",), ""),
+    "triangulation triangle id float": ("triangulation", ("triangles", 0), 1.5),
+    "triangulation triangle id bool": ("triangulation", ("triangles", 0), True),
+    "triangulation edge id a list": ("triangulation", ("edges", 0, "id"), ["x"]),
+    "triangulation edge id null": ("triangulation", ("edges", 0, "id"), None),
+    "triangulation attached triangle float": (
+        "triangulation", ("edges", 0, "attach", 0, 0), 1.5),
     "web coordinate float": (
         "web", ("coords", FIRST_TRIANGLE, "y"),
         DOCS["web"]["coords"][FIRST_TRIANGLE]["y"] + 0.7),
@@ -187,6 +200,30 @@ def test_unknown_names_stay_semantic(argv, doc, error, tmp_path):
     code, out, _ = invoke(argv, doc, tmp_path)
     assert code == 1
     assert json.loads(out)["error"] == error
+
+
+FIRST_EDGE_KEY = next(key for key in sorted(DOCS["hive"]["values"]) if key.startswith("e:"))
+
+
+@pytest.mark.parametrize("alias_first", [False, True], ids=["canonical first", "alias first"])
+@pytest.mark.parametrize("alias", [FIRST_EDGE_KEY + "0", FIRST_EDGE_KEY[:-1] + "+0"])
+@pytest.mark.parametrize("argv", COMMANDS["hive"], ids=lambda argv: argv[0])
+def test_aliased_vertex_keys_exit_two(argv, alias, alias_first, tmp_path):
+    values = dict(DOCS["hive"]["values"])
+    value = values.pop(FIRST_EDGE_KEY)
+    pair = [(FIRST_EDGE_KEY, value), (alias, {"thirds": value["thirds"] + 3})]
+    first, second = pair[::-1] if alias_first else pair
+    doc = dict(DOCS["hive"], values={first[0]: first[1], **values, second[0]: second[1]})
+    code, out, err = invoke(argv, doc, tmp_path)
+    assert (code, out) == (2, "")
+    assert err == f"hiveweb: keys {first[0]!r} and {second[0]!r} name one vertex\n"
+
+
+def test_aliases_of_a_key_outside_the_triangulation_exit_two(tmp_path):
+    doc = copy.deepcopy(DOCS["hive"])
+    doc["values"].update({"e:9-9:1": {"thirds": 0}, "e:9-9:01": {"thirds": 3}})
+    argv = COMMANDS["hive"][-1]  # flip --hive carries such keys through
+    assert invoke(argv, doc, tmp_path)[:2] == (2, "")
 
 
 def test_parser_is_reused_without_changing_help_or_usage_errors(tmp_path):

@@ -45,7 +45,7 @@ def reference(tri, values):
     violations, worst = [], None
     for t in tri.triangles:
         frame = triangle_frame(tri, t)
-        h = TriangleHive(*(values[v] for v in frame.vertices()))
+        h = TriangleHive(*(values[v] for v in frame))
         for index, d in enumerate(rhombus_differences(h), start=1):
             if d.thirds < 0 or not d.is_integer():
                 violations.append({"triangle": t, "rhombus": index, "thirds": d.thirds})

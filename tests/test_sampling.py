@@ -1,11 +1,12 @@
 import json
+import random
 
 import pytest
 
 from hiveweb.cli import run
 from hiveweb.errors import InvalidTriangulation, SamplingFailed
 from hiveweb.hive import validate_hive
-from hiveweb.sampling import sample_hive
+from hiveweb.sampling import _tree_order, sample_hive
 from hiveweb.surface import EdgeRec, Triangulation, build_polygon, validate_complex
 from hiveweb.thirds import Third
 
@@ -90,3 +91,36 @@ def test_interior_edge_on_unknown_triangle_rejected(tmp_path, capsys):
         "error": "InvalidTriangulation",
         "detail": "edge '0-2' is attached to unknown triangle '9-9-9'",
     }
+
+
+def _tree_order_by_list(tri):
+    """The visit order as first written, with a list for the queue."""
+    neighbors = {t: [] for t in tri.triangles}
+    for rec in tri.edges:
+        if rec.attach1 is not None:
+            neighbors[rec.attach0[0]].append(rec.attach1[0])
+            neighbors[rec.attach1[0]].append(rec.attach0[0])
+    order, seen, queue = [], set(), [tri.triangles[0]]
+    while queue:
+        t = queue.pop(0)
+        if t not in seen:
+            seen.add(t)
+            order.append(t)
+            queue.extend(n for n in neighbors[t] if n not in seen)
+    return order
+
+
+def test_tree_order_is_unchanged_breadth_first():
+    rng = random.Random(7)
+    for m in (3, 4, 12, 60):
+        for _ in range(5):
+            diagonals, stack = [], [(0, m - 1)]
+            while stack:
+                lo, hi = stack.pop()
+                if hi - lo >= 2:
+                    k = rng.randint(lo + 1, hi - 1)
+                    parts = [(a, b) for a, b in ((lo, k), (k, hi)) if b - a >= 2]
+                    diagonals += parts
+                    stack += parts
+            tri = build_polygon(m, diagonals)
+            assert _tree_order(tri) == _tree_order_by_list(tri)

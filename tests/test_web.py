@@ -1,4 +1,10 @@
+import contextlib
+import copy
+import io
+import json
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +16,28 @@ from hiveweb.errors import (
     InvalidHive,
     InvalidWebCoords,
 )
-from hiveweb.hive import TriangleHive, triangle_frame, validate_hive
-from hiveweb.sampling import sample_hive
-from hiveweb.surface import build_polygon
+from hiveweb.cli import run
+from hiveweb.hive import (
+    CENTER,
+    TriangleHive,
+    hive_thirds,
+    hive_to_json,
+    triangle_frame,
+    validate_hive,
+)
+from hiveweb.sampling import sample_hive, sample_thirds
+from hiveweb.surface import Triangulation, build_polygon
 from hiveweb.thirds import Third
 from hiveweb.web import (
     TriangleWebCoords,
     hive_to_surface_web,
     hive_to_web_triangle,
     side_arc_counts,
+    surface_web_from_json,
+    surface_web_thirds,
     surface_web_to_hive,
+    surface_web_to_json,
+    surface_web_tuples,
     web_to_hive_triangle,
 )
 
@@ -101,7 +119,7 @@ def test_single_triangle_surface_reduces_to_triangle_ops():
     values = surface_web_to_hive(tri, {t: coords})
     frame = triangle_frame(tri, t)
     expected = web_to_hive_triangle(coords)
-    assert tuple(values[v] for v in frame.vertices()) == expected.values()
+    assert tuple(values[v] for v in frame) == expected.values()
     assert validate_hive(tri, values) == []
 
 
@@ -130,6 +148,152 @@ def test_hive_to_surface_web_requires_validity():
     tri = build_polygon(4, [(0, 2)])
     values = {v: Third(0) for v in tri.theta_index()}
     frame = triangle_frame(tri, tri.triangles[0])
-    values[frame.a4] = Third(1)
+    values[frame[CENTER]] = Third(1)
     with pytest.raises(InvalidHive):
         hive_to_surface_web(tri, values)
+
+
+# -- the int cores against the public functions and today's CLI bytes --------
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@st.composite
+def polygons(draw):
+    """A triangulated m-gon, m <= 40, split recursively at drawn apexes."""
+    m = draw(st.integers(3, 40))
+    diagonals, stack = [], [(0, m - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo >= 2:
+            k = draw(st.integers(lo + 1, hi - 1))
+            for a, b in ((lo, k), (k, hi)):
+                if b - a >= 2:
+                    diagonals.append((a, b))
+                    stack.append((a, b))
+    return build_polygon(m, diagonals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polygons(), st.integers(0, 3), st.integers(-(2**64), 2**64))
+def test_int_cores_match_the_public_functions(tri, bound, seed):
+    tri = Triangulation.from_json(tri.to_json())  # as the CLI reads it, triangles sorted
+    values = sample_hive(tri, bound, seed)
+    assert sample_thirds(tri, bound, seed) == hive_thirds(tri, values)
+    web = hive_to_surface_web(tri, values)
+    assert {t: TriangleWebCoords(*c) for t, c in surface_web_tuples(tri, values)} == web
+    coords = {t: c.values() for t, c in web.items()}
+    assert surface_web_thirds(tri, coords) == hive_thirds(tri, values)
+
+    with tempfile.TemporaryDirectory() as workdir:
+        t, h, w = (Path(workdir) / name for name in ("t.json", "h.json", "w.json"))
+        t.write_text(json.dumps(tri.to_json()))
+        code, sampled, _ = _cli(["sample", "--triangulation", str(t),
+                                 "--bound", str(bound), "--seed", str(seed)])
+        assert (code, sampled) == (0, _canonical(hive_to_json(tri, values)))
+        h.write_text(sampled)
+        code, webbed, _ = _cli(["hive2web", "--hive", str(h)])
+        assert (code, webbed) == (0, _canonical(surface_web_to_json(tri, web)))
+        w.write_text(webbed)
+        code, back, _ = _cli(["web2hive", "--web", str(w)])
+        glued = surface_web_to_hive(tri, surface_web_from_json(json.loads(webbed)))
+        assert (code, back) == (0, _canonical(hive_to_json(tri, glued)))
+
+
+HEXAGON = build_polygon(6, [(0, 2), (2, 4), (0, 4)])
+HEXAGON_WEB = surface_web_to_json(HEXAGON, hive_to_surface_web(HEXAGON, sample_hive(HEXAGON, 2, 1)))
+
+
+def _broken_web(*changes):
+    """A copy of ``HEXAGON_WEB`` with each change applied to its coordinates
+    and its triangulation."""
+    doc = copy.deepcopy(HEXAGON_WEB)
+    for change in changes:
+        change(doc["coords"], doc["triangulation"])
+    return doc
+
+
+def _drop_coords(coords, tri):
+    tri["triangles"].reverse()  # the first missing one in document order is named
+    del coords["0-1-2"], coords["2-3-4"]
+
+
+def _extra_negative(coords, tri):
+    coords["9-9-9"] = dict(x=0, y=-1, z=0, t=0, u=0, v=0, w=0)
+
+
+def _center_disagrees(coords, tri):
+    # the middle triangle now disagrees with all three neighbours; edge 2-4,
+    # listed first, is the one named, though 0-2 is met first by triangle
+    coords["0-2-4"]["x"] += 1
+    tri["edges"].sort(key=lambda e: e["id"] != "2-4")
+
+
+def _slot_1_disagrees(coords, tri):
+    c = coords["0-1-2"]  # an ear: its only interior edge is 0-2
+    c["x"], c["v"], c["w"] = c["x"] - 1, c["v"] + 1, c["w"] - 1  # keeps slot 0 of 0-2
+
+
+def _side_unattached(coords, tri):
+    edge = next(e for e in tri["edges"] if e["id"] == "0-1")
+    edge["attach"][0][1] = 3  # side 0 of 0-1-2 is left without an edge
+
+
+def _later_side_unattached(coords, tri):
+    edge = next(e for e in tri["edges"] if e["id"] == "4-5")
+    edge["attach"][0][1] += 3
+    tri["edges"].sort(key=lambda e: e["id"] != "4-5")
+
+
+def _set(key, value):
+    def change(coords, tri):
+        coords["0-2-4"][key] = value
+    return change
+
+
+def _drop_w(coords, tri):
+    del coords["0-2-4"]["w"]
+
+
+def _semantic(error, detail):
+    return 1, _canonical({"error": error, "detail": detail}), ""
+
+
+WEB_ERROR_ROWS = {
+    "missing triangle": ((_drop_coords,), _semantic(
+        "InvalidWebCoords", "no coordinates for triangle '2-3-4'")),
+    "negative corner count in an extra triangle": ((_extra_negative,), _semantic(
+        "InvalidWebCoords", "corner count y is negative")),
+    "gluing mismatch on the first edge in order": ((_center_disagrees,), _semantic(
+        "GluingMismatch", "edge '2-4': side counts (1, 4) and (3, 1) do not glue")),
+    "gluing mismatch in slot 1 alone": ((_slot_1_disagrees,), _semantic(
+        "GluingMismatch", "edge '0-2': side counts (3, 3) and (5, 2) do not glue")),
+    "unattached side": ((_side_unattached,), _semantic(
+        "InvalidTriangulation", "side 0 of triangle '0-1-2' attached 0 times")),
+    "unattached side before a mismatch": ((_center_disagrees, _later_side_unattached), _semantic(
+        "InvalidTriangulation", "side 1 of triangle '0-4-5' attached 0 times")),
+    "mismatch before an unattached side": ((_side_unattached, _center_disagrees), _semantic(
+        "GluingMismatch", "edge '2-4': side counts (1, 4) and (3, 1) do not glue")),
+    "non-integer strand counts": ((_set("x", 0.5),), (
+        2, "", "hiveweb: x: expected an integer, got 0.5\n")),
+    "non-int coordinate": ((_set("x", "1"),), (
+        2, "", "hiveweb: x: expected an integer, got '1'\n")),
+    "missing key": ((_drop_w,), (2, "", "hiveweb: {doc} is malformed: KeyError: 'w'\n")),
+}
+
+
+@pytest.mark.parametrize("command", ["web2hive", "validate"])
+@pytest.mark.parametrize("changes,expected", WEB_ERROR_ROWS.values(), ids=WEB_ERROR_ROWS)
+def test_surface_web_errors_keep_their_output(command, changes, expected, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(_broken_web(*changes)))
+    code, out, err = _cli([command, "--web", str(path)])
+    assert (code, out, err.replace(str(path), "{doc}")) == expected
