@@ -200,9 +200,9 @@ def cmd_flip(args) -> int:
             raise HivewebError(f"hive is invalid before transport: {bad[:3]}")
         # only the quadrilateral's twelve values take part in the transport
         moved = {**others, **dict(zip(tri.compiled.keys, values))}
-        quad = {v: Third(moved.pop(v.key())) for v in frame_old.vertices()}
-        for v, x in hive_mod.octahedron_transport(quad, frame_old, frame_new).items():
-            moved[v.key()] = x.thirds
+        quad = [moved.pop(v.key()) for v in frame_old.vertices()]
+        new_keys = (v.key() for v in frame_new.vertices())
+        moved.update(zip(new_keys, hive_mod.octahedron_thirds(*quad)))
         out["hive"] = _values_doc(moved.items())
     _emit(out, args.out)
     return 0

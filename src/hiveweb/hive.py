@@ -140,39 +140,34 @@ def is_in_positive_cone(tri: Triangulation, values: Union[HiveValues, HiveThirds
     return all(not failed_rhombi(q) for _, q in rhombus_scan(tri, hive_thirds(tri, values)))
 
 
-def _read(values: HiveValues, frame: QuadFrame) -> list[Third]:
-    out = []
-    for v in frame.vertices():
-        if v not in values:
-            raise InvalidHive(f"hive has no value at frame vertex {v.key()}")
-        out.append(values[v])
-    return out
+def octahedron_thirds(a1: int, a2: int, a3: int, a4: int, a5: int, a6: int, a7: int, a8: int,
+                      a9: int, a10: int, a11: int, a12: int) -> tuple[int, ...]:
+    """The max-plus octahedron move on a quadrilateral frame, in thirds: the
+    twelve post-flip values, b2 and b6 computed first, then b5 and b7 which
+    reference them; the other eight carry over."""
+    b2 = max(a1 + a7, a5 + a3) - a2
+    b6 = max(a5 + a11, a7 + a10) - a6
+    b5 = max(a4 + b6, a9 + b2) - a5
+    b7 = max(b2 + a12, a8 + b6) - a7
+    return a1, b2, a3, a4, b5, b6, b7, a8, a9, a10, a11, a12
 
 
 def octahedron_transport(
     values: HiveValues, frame_old: QuadFrame, frame_new: QuadFrame
 ) -> HiveValues:
-    """Transport a hive across a diagonal flip.
-
-    b2 and b6 are computed first, then b5 and b7 which reference them; the
-    results are written to the post-flip frame's inner positions and all
-    other values carry over unchanged.
-    """
-    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = (
-        v.thirds for v in _read(values, frame_old)
-    )
-    b2 = max(a1 + a7, a5 + a3) - a2
-    b6 = max(a5 + a11, a7 + a10) - a6
-    b5 = max(a4 + b6, a9 + b2) - a5
-    b7 = max(b2 + a12, a8 + b6) - a7
+    """Transport a hive across a diagonal flip by :func:`octahedron_thirds`;
+    the results are written to the post-flip frame's inner positions and all
+    other values carry over unchanged."""
+    old, new = frame_old.vertices(), frame_new.vertices()
+    for v in old:
+        if v not in values:
+            raise InvalidHive(f"hive has no value at frame vertex {v.key()}")
+    moved = octahedron_thirds(*(values[v].thirds for v in old))
     out = dict(values)
-    # the diagonal vertices and the two centers are the only moving carriers
-    for vertex in (frame_old.a2, frame_old.a5, frame_old.a6, frame_old.a7):
-        del out[vertex]
-    out[frame_new.a2] = Third(b2)
-    out[frame_new.a5] = Third(b5)
-    out[frame_new.a6] = Third(b6)
-    out[frame_new.a7] = Third(b7)
+    inner = (1, 4, 5, 6)  # a2, a5, a6, a7: the diagonal's vertices and the centers move
+    for i in inner:
+        del out[old[i]]
+    out.update((new[i], Third(moved[i])) for i in inner)
     return out
 
 

@@ -200,36 +200,24 @@ def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list[list[int]], list[l
         here = starts[k]
         up_lo, up_hi, up = rows[k + 1] + (starts[k + 1],) if k + 1 < len(rows) else none
         dn_lo, dn_hi, dn = rows[k - 1] + (starts[k - 1],) if k else none
-
-        def edge(cells):
-            for c in cells:
-                i = here + c
-                heads = []
-                tails = []
-                if up_lo <= c <= up_hi:
-                    heads.append(up + c)
-                if dn_lo <= c <= dn_hi:
-                    tails.append(dn + c)
-                if c < hi:
-                    heads.append(i + 1)
-                if c > lo:
-                    tails.append(i - 1)
-                if dn_lo < c <= dn_hi + 1:
-                    heads.append(dn + c - 1)
-                if up_lo <= c + 1 <= up_hi:
-                    tails.append(up + c + 1)
-                fwd.append(heads)
-                back.append(tails)
-
-        # the columns first..last have all six neighbours: one comprehension each
-        first = min(max(lo + 1, up_lo, dn_lo + 1), hi + 1)
-        last = max(min(hi - 1, up_hi - 1, dn_hi), first - 1)
-        edge(range(lo, first))
-        to_up, to_dn = up - here, dn - here
-        inner = range(here + first, here + last + 1)
-        fwd += [[i + to_up, i + 1, i + to_dn - 1] for i in inner]
-        back += [[i + to_dn, i - 1, i + to_up + 1] for i in inner]
-        edge(range(last + 1, hi + 1))
+        for c in range(lo, hi + 1):
+            i = here + c
+            heads = []
+            tails = []
+            if up_lo <= c <= up_hi:
+                heads.append(up + c)
+            if dn_lo <= c <= dn_hi:
+                tails.append(dn + c)
+            if c < hi:
+                heads.append(i + 1)
+            if c > lo:
+                tails.append(i - 1)
+            if dn_lo < c <= dn_hi + 1:
+                heads.append(dn + c - 1)
+            if up_lo <= c + 1 <= up_hi:
+                tails.append(up + c + 1)
+            fwd.append(heads)
+            back.append(tails)
     return fwd, back
 
 

@@ -17,7 +17,7 @@ produced along different flip paths directly comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -104,8 +104,14 @@ def _id(raw, what: str) -> str:
 
 
 def _attach(raw) -> Attach:
+    """A ``[triangle, side]`` pair; its length is checked after the reads, so
+    a pair those reads fail on keeps their message."""
     t, side = raw[0], checked_int(raw[1], "side")
-    return _id(t, "triangle id"), side
+    attach = _id(t, "triangle id"), side
+    if len(raw) != 2:
+        raise MalformedInput(
+            f"attachment to triangle {attach[0]!r}: {len(raw)} entries, expected 2")
+    return attach
 
 
 def _label(raw) -> Label:
@@ -426,54 +432,48 @@ class QuadFrame:
     a11: ThetaVertex
     a12: ThetaVertex
     diagonal: str
-    tri_left: str
-    tri_right: str
-    labels: dict = field(compare=False, default_factory=dict)
 
     def vertices(self) -> tuple[ThetaVertex, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a5, self.a6,
                 self.a7, self.a8, self.a9, self.a10, self.a11, self.a12)
 
 
-def quad_frame(tri: Triangulation, edge_id: str) -> QuadFrame:
-    """Canonical frame of the quadrilateral around interior edge ``edge_id``."""
-    rec = tri.edge(edge_id)
+# positions of the quadrilateral's outer sides P->R, S->P, R->Q, Q->S in what
+# _quad returns, each side walked counterclockwise by its old cell
+PR, SP, RQ, QS = range(4)
+
+
+def _quad(tri: Triangulation, rec: EdgeRec) -> tuple[QuadFrame, tuple[tuple[str, bool], ...]]:
+    """The frame around the diagonal ``rec`` and the (edge id, walks
+    tail->head) of its outer sides.  A side (edge, fwd) has the vertex
+    ``e:edge:(1-fwd)`` near its first corner and ``e:edge:fwd`` near its
+    second."""
     if rec.attach1 is None:
-        raise NotFlippable(f"edge {edge_id!r} is on the boundary")
-    t_left, s_left = rec.attach0
-    t_right, s_right = rec.attach1
+        raise NotFlippable(f"edge {rec.id!r} is on the boundary")
+    (t_left, s_left), (t_right, s_right) = rec.attach0, rec.attach1
     if t_left == t_right:
         raise SelfFoldedUnsupported(
-            f"edge {edge_id!r} glues triangle {t_left!r} to itself"
+            f"edge {rec.id!r} glues triangle {t_left!r} to itself"
         )
-    frame = QuadFrame(
-        a1=tri.corner_vertex(t_left, s_left + 1, at_start=True),
-        a2=ThetaVertex.edge(edge_id, 1),
-        a3=tri.corner_vertex(t_right, s_right + 2, at_start=False),
-        a4=tri.corner_vertex(t_left, s_left + 1, at_start=False),
-        a5=ThetaVertex.center(t_left),
-        a6=ThetaVertex.edge(edge_id, 0),
-        a7=ThetaVertex.center(t_right),
-        a8=tri.corner_vertex(t_right, s_right + 2, at_start=True),
-        a9=tri.corner_vertex(t_left, s_left + 2, at_start=True),
-        a10=tri.corner_vertex(t_left, s_left + 2, at_start=False),
-        a11=tri.corner_vertex(t_right, s_right + 1, at_start=True),
-        a12=tri.corner_vertex(t_right, s_right + 1, at_start=False),
-        diagonal=edge_id,
-        tri_left=t_left,
-        tri_right=t_right,
-        labels={
-            "Q": rec.tail,
-            "P": rec.head,
-            "R": tri.corner_label(t_left, s_left + 2),
-            "S": tri.corner_label(t_right, s_right + 2),
-        },
+    sides = (tri.side(t_left, s_left + 1), tri.side(t_right, s_right + 2),
+             tri.side(t_left, s_left + 2), tri.side(t_right, s_right + 1))
+    (a1, a4), (a8, a3), (a9, a10), (a11, a12) = (
+        (ThetaVertex.edge(eid, 1 - fwd), ThetaVertex.edge(eid, int(fwd))) for eid, fwd in sides
     )
+    frame = QuadFrame(a1, ThetaVertex.edge(rec.id, 1), a3, a4, ThetaVertex.center(t_left),
+                      ThetaVertex.edge(rec.id, 0), ThetaVertex.center(t_right),
+                      a8, a9, a10, a11, a12, rec.id)
+    # also catches two outer sides on one edge, or one on the diagonal
     if len(set(frame.vertices())) != 12:
         raise SelfFoldedUnsupported(
-            f"quadrilateral around {edge_id!r} wraps onto itself"
+            f"quadrilateral around {rec.id!r} wraps onto itself"
         )
-    return frame
+    return frame, sides
+
+
+def quad_frame(tri: Triangulation, edge_id: str) -> QuadFrame:
+    """Canonical frame of the quadrilateral around interior edge ``edge_id``."""
+    return _quad(tri, tri.edge(edge_id))[0]
 
 
 def _ordered_pair(a: Label, b: Label) -> tuple[Label, Label]:
@@ -485,12 +485,14 @@ def _ordered_pair(a: Label, b: Label) -> tuple[Label, Label]:
     return a, b
 
 
-def _rotate_to_min(cycle: tuple) -> tuple:
+def _rotate_to_min(cycle: tuple) -> tuple[tuple, int]:
+    """The least rotation of a 3-cycle and the shift that gives it."""
     rotations = [cycle[i:] + cycle[:i] for i in range(3)]
     try:
-        return min(rotations)
+        shift = min(range(3), key=rotations.__getitem__)
     except TypeError:
-        return min(rotations, key=lambda r: tuple(map(repr, r)))
+        shift = min(range(3), key=lambda i: tuple(map(repr, rotations[i])))
+    return rotations[shift], shift
 
 
 def flip_triangulation(
@@ -503,25 +505,14 @@ def flip_triangulation(
     are derived from corner labels, so any flip path between the same two
     triangulations of a polygon yields identical data.
     """
-    frame_old = quad_frame(tri, edge_id)
     rec = tri.edge(edge_id)
-    t_left, s_left = rec.attach0
-    t_right, s_right = rec.attach1
-    lbl = frame_old.labels
-    q, p, r, s = lbl["Q"], lbl["P"], lbl["R"], lbl["S"]
+    frame_old, sides = _quad(tri, rec)
 
-    outer = {
-        "PL": tri.side(t_left, s_left + 1),    # P -> R as walked by the old left cell
-        "RQ": tri.side(t_left, s_left + 2),
-        "QS": tri.side(t_right, s_right + 1),
-        "SP": tri.side(t_right, s_right + 2),
-    }
-    ids = [edge_id] + [eid for eid, _ in outer.values()]
-    if len(set(ids)) != 5:
-        raise SelfFoldedUnsupported(
-            f"quadrilateral around {edge_id!r} repeats an edge"
-        )
+    def first_corner(side):
+        eid, fwd = side
+        return tri.edge(eid).tail if fwd else tri.edge(eid).head
 
+    q, p, r, s = rec.tail, rec.head, first_corner(sides[RQ]), first_corner(sides[SP])
     tail, head = _ordered_pair(r, s)
     new_eid = f"{tail}-{head}"
     if new_eid in tri._edge_by_id and new_eid != edge_id:
@@ -530,72 +521,41 @@ def flip_triangulation(
             "distinct arcs with equal endpoints are not supported"
         )
 
-    # cell_p covers {R, P, S} (the old a2 side of the quad), cell_q covers
-    # {R, Q, S}; both corner cycles are counterclockwise
-    cycle_p, sides_p = (r, s, p), ["diag", "SP", "PL"]
-    cycle_q, sides_q = (r, q, s), ["RQ", "QS", "diag"]
-
-    def build_cell(cycle, side_names):
-        rot = _rotate_to_min(cycle)
-        shift = next(i for i in range(3) if cycle[i:] + cycle[:i] == rot)
+    # each new cell as a counterclockwise cycle of (corner, the outer side
+    # leaving it), None for the new diagonal; cell P covers the old a2 side
+    cells = (((r, None), (s, SP), (p, PR)), ((r, RQ), (q, QS), (s, None)))
+    new_slot: dict[int, Attach] = {}  # outer side -> its (cell, side) after the flip
+    diag: list[Attach] = []  # the new diagonal's (cell, side) in cell P, then Q
+    for cell in cells:
+        rot, shift = _rotate_to_min(tuple(label for label, _ in cell))
         tid = "-".join(str(v) for v in rot)
-        sides = {side_names[(k + shift) % 3]: k for k in range(3)}
-        return tid, sides
-
-    pid, sides_of_p = build_cell(cycle_p, sides_p)
-    qid, sides_of_q = build_cell(cycle_q, sides_q)
+        for k in range(3):
+            outer = cell[(k + shift) % 3][1]
+            if outer is None:
+                diag.append((tid, k))
+            else:
+                new_slot[outer] = (tid, k)
+    (pid, _), (qid, _) = diag
     if pid == qid:
         raise SelfFoldedUnsupported(
             f"flip of {edge_id!r} would produce two cells with id {pid!r}"
         )
 
-    replacements: dict[str, tuple[Attach, Attach]] = {}
-    for name, cell_id, sides in (("p", pid, sides_of_p), ("q", qid, sides_of_q)):
-        for side_name, k in sides.items():
-            if side_name == "diag":
-                continue
-            eid, fwd = outer[side_name]
-            old_owner = (t_left, (s_left + (1 if side_name == "PL" else 2)) % 3) \
-                if side_name in ("PL", "RQ") \
-                else (t_right, (s_right + (1 if side_name == "QS" else 2)) % 3)
-            replacements[eid] = (old_owner, (cell_id, k))
-
-    diag_fwd_cell = (pid, sides_of_p["diag"]) if tail == r else (qid, sides_of_q["diag"])
-    diag_bwd_cell = (qid, sides_of_q["diag"]) if tail == r else (pid, sides_of_p["diag"])
-
-    new_edges: list[EdgeRec] = []
-    for old in tri.edges:
-        if old.id == edge_id:
-            new_edges.append(EdgeRec(new_eid, tail, head, diag_fwd_cell, diag_bwd_cell))
-        elif old.id in replacements:
-            old_owner, new_owner = replacements[old.id]
-            a0 = new_owner if tuple(old.attach0) == tuple(old_owner) else old.attach0
-            a1 = old.attach1
-            if a1 is not None and tuple(a1) == tuple(old_owner):
-                a1 = new_owner
-            new_edges.append(EdgeRec(old.id, old.tail, old.head, a0, a1))
-        else:
-            new_edges.append(old)
+    from_r = tail == r  # the new diagonal runs R -> S, so cell P walks it first
+    moved = {edge_id: EdgeRec(new_eid, tail, head, *(diag if from_r else diag[::-1]))}
+    for outer, (eid, fwd) in enumerate(sides):
+        old, at = tri.edge(eid), new_slot[outer]
+        moved[eid] = old._replace(attach0=at) if fwd else old._replace(attach1=at)
+    t_left, t_right = rec.attach0[0], rec.attach1[0]
     new_tris = [pid if t == t_left else qid if t == t_right else t for t in tri.triangles]
-    flipped = Triangulation(new_tris, new_edges, tri.signature)
+    flipped = Triangulation(new_tris, [moved.get(e.id, e) for e in tri.edges], tri.signature)
 
-    slot_near_r = 0 if tail == r else 1
-    frame_new = QuadFrame(
-        a1=frame_old.a1,
+    frame_new = replace(
+        frame_old,
         a2=ThetaVertex.center(pid),
-        a3=frame_old.a3,
-        a4=frame_old.a4,
-        a5=ThetaVertex.edge(new_eid, slot_near_r),
+        a5=ThetaVertex.edge(new_eid, 0 if from_r else 1),
         a6=ThetaVertex.center(qid),
-        a7=ThetaVertex.edge(new_eid, 1 - slot_near_r),
-        a8=frame_old.a8,
-        a9=frame_old.a9,
-        a10=frame_old.a10,
-        a11=frame_old.a11,
-        a12=frame_old.a12,
+        a7=ThetaVertex.edge(new_eid, 1 if from_r else 0),
         diagonal=new_eid,
-        tri_left=diag_fwd_cell[0],
-        tri_right=diag_bwd_cell[0],
-        labels={"Q": q, "P": p, "R": r, "S": s},
     )
     return flipped, frame_old, frame_new

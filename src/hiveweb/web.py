@@ -18,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Sequence, Union
 
-from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
+from .errors import (
+    GluingMismatch,
+    InconsistentSide,
+    InvalidHive,
+    InvalidTriangulation,
+    InvalidWebCoords,
+)
 from .hive import (
     CENTER,
     SIDE_LABELS,
@@ -155,12 +161,18 @@ def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) 
     view = tri.compiled
     thirds: HiveThirds = [None] * len(view.keys)
     hives = {t: web_to_hive_thirds(*coords[t]) for t in tri.triangles}
+
+    def hive_of(rec, t):
+        if t not in hives:
+            raise InvalidTriangulation(f"edge {rec.id!r} is attached to unknown triangle {t!r}")
+        return hives[t]
+
     for rec in tri.edges:
         t0, s0 = rec.attach0
-        v0 = _slot_values(tri, t0, s0, hives[t0])
+        v0 = _slot_values(tri, t0, s0, hive_of(rec, t0))
         if rec.attach1 is not None:
             t1, s1 = rec.attach1
-            v1 = _slot_values(tri, t1, s1, hives[t1])
+            v1 = _slot_values(tri, t1, s1, hive_of(rec, t1))
             if v0 != v1:
                 pair0 = side_arc_counts(*map(Third, _near_far(hives[t0], s0)))
                 pair1 = side_arc_counts(*map(Third, _near_far(hives[t1], s1)))

@@ -1,0 +1,100 @@
+"""Every error a flip can report, with its exact text.
+
+Small hand-built triangulation documents go through ``hiveweb flip``, which
+exits 1 and prints the error's type and detail; the transport's missing-value
+error is reached through the library.  The square below is the quadrilateral
+0-1-2-3 with diagonal 0-2: Q = 0, P = 2, R = 3 and S = 1, and its outer sides
+P->R, S->P, R->Q, Q->S lie on the edges 2-3, 1-2, 0-3 and 0-1.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+
+import pytest
+
+from hiveweb.cli import run
+from hiveweb.errors import InvalidHive
+from hiveweb.hive import octahedron_transport
+from hiveweb.sampling import sample_hive
+from hiveweb.surface import build_polygon, flip_triangulation
+
+SQUARE = build_polygon(4, [(0, 2)])
+
+
+def _square(*changes):
+    """The square's document with each change applied to its edge list."""
+    doc = SQUARE.to_json()
+    for change in changes:
+        change({e["id"]: e for e in doc["edges"]})
+    return doc
+
+
+def _unattach(edge_id):
+    def change(edges):
+        edges[edge_id]["attach"][0][1] += 3  # its side is left without an edge
+    return change
+
+
+def _rename(edges):
+    edges["0-3"]["id"] = "1-3"
+
+
+def _alternate_labels(edges):
+    for e in edges.values():
+        e["tail"], e["head"] = "xyxy"[e["tail"]], "xyxy"[e["head"]]
+
+
+SELF_GLUED = {"triangles": ["A"], "edges": [
+    {"id": "loop", "tail": "v", "head": "v", "attach": [["A", 0], ["A", 1]]},
+    {"id": "b", "tail": "v", "head": "v", "attach": [["A", 2], "boundary"]},
+]}
+# a once-punctured torus: two triangles glued along all three of their sides
+TORUS = {"triangles": ["A", "B"], "edges": [
+    {"id": "a", "tail": "v", "head": "v", "attach": [["A", 0], ["B", 1]]},
+    {"id": "b", "tail": "v", "head": "v", "attach": [["A", 1], ["B", 2]]},
+    {"id": "c", "tail": "v", "head": "v", "attach": [["B", 0], ["A", 2]]},
+]}
+
+FLIP_ERRORS = {
+    "boundary edge": (_square(), "0-1", "NotFlippable", "edge '0-1' is on the boundary"),
+    "unknown edge": (_square(), "9-9", "KeyError", "unknown edge '9-9'"),
+    "self-glued edge": (SELF_GLUED, "loop", "SelfFoldedUnsupported",
+                        "edge 'loop' glues triangle 'A' to itself"),
+    "quadrilateral wraps onto itself": (TORUS, "c", "SelfFoldedUnsupported",
+                                        "quadrilateral around 'c' wraps onto itself"),
+    "side S->P unattached before R->Q": (
+        _square(_unattach("0-3"), _unattach("1-2")), "0-2", "InvalidTriangulation",
+        "side 1 of triangle '0-1-2' attached 0 times"),
+    "side R->Q unattached before Q->S": (
+        _square(_unattach("0-1"), _unattach("0-3")), "0-2", "InvalidTriangulation",
+        "side 2 of triangle '0-2-3' attached 0 times"),
+    "reused edge id": (_square(_rename), "0-2", "InvalidTriangulation",
+                       "flip of '0-2' would reuse edge id '1-3'; "
+                       "distinct arcs with equal endpoints are not supported"),
+    "two cells with one id": (_square(_alternate_labels), "0-2", "SelfFoldedUnsupported",
+                              "flip of '0-2' would produce two cells with id 'x-y-y'"),
+}
+
+
+@pytest.mark.parametrize("doc,edge,error,detail", FLIP_ERRORS.values(), ids=FLIP_ERRORS)
+def test_flip_error_is_reported_with_its_text(doc, edge, error, detail, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["flip", "--triangulation", str(path), "--edge", edge])
+    assert (code, json.loads(out.getvalue()), err.getvalue()) == (
+        1, {"error": error, "detail": detail}, "")
+
+
+def test_transport_names_the_first_missing_frame_vertex():
+    _, frame_old, frame_new = flip_triangulation(SQUARE, "0-2")
+    values = sample_hive(SQUARE, 1, 0)
+    del values[frame_old.a9], values[frame_old.a3]
+    with pytest.raises(InvalidHive) as caught:
+        octahedron_transport(values, frame_old, frame_new)
+    assert str(caught.value) == "hive has no value at frame vertex e:1-2:1"
+    assert frame_old.a3.key() == "e:1-2:1"

@@ -1,0 +1,390 @@
+"""Differential test of the diagonal flip against its two-reading form.
+
+The reference below is ``quad_frame``, ``flip_triangulation`` and
+``octahedron_transport`` as they were before the flip read its quadrilateral
+once: the frame from ten corner-vertex and two corner-label lookups, the four
+outer sides read a second time by name, each new cell found by a second
+search over its rotations and the post-flip frame rebuilt field by field.
+Every input must give the same flipped ``edges`` and ``triangles`` in order,
+the same frames, the same transported hive, or the same exception with the
+same text.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hiveweb.errors import (
+    HivewebError,
+    InvalidHive,
+    InvalidTriangulation,
+    NotFlippable,
+    SelfFoldedUnsupported,
+)
+from hiveweb.hive import octahedron_transport
+from hiveweb.surface import (
+    EdgeRec,
+    ThetaVertex,
+    Triangulation,
+    build_polygon,
+    flip_triangulation,
+    quad_frame,
+)
+from hiveweb.thirds import Third
+
+# -- the reference ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RefFrame:
+    a1: ThetaVertex
+    a2: ThetaVertex
+    a3: ThetaVertex
+    a4: ThetaVertex
+    a5: ThetaVertex
+    a6: ThetaVertex
+    a7: ThetaVertex
+    a8: ThetaVertex
+    a9: ThetaVertex
+    a10: ThetaVertex
+    a11: ThetaVertex
+    a12: ThetaVertex
+    diagonal: str
+    tri_left: str
+    tri_right: str
+    labels: dict = field(compare=False, default_factory=dict)
+
+    def vertices(self):
+        return (self.a1, self.a2, self.a3, self.a4, self.a5, self.a6,
+                self.a7, self.a8, self.a9, self.a10, self.a11, self.a12)
+
+
+def _corner_label(tri, t, k):
+    edge_id, fwd = tri.side(t, k)
+    rec = tri.edge(edge_id)
+    return rec.tail if fwd else rec.head
+
+
+def _corner_vertex(tri, t, s, at_start):
+    edge_id, fwd = tri.side(t, s)
+    slot = (0 if fwd else 1) if at_start else (1 if fwd else 0)
+    return ThetaVertex.edge(edge_id, slot)
+
+
+def reference_quad_frame(tri, edge_id):
+    rec = tri.edge(edge_id)
+    if rec.attach1 is None:
+        raise NotFlippable(f"edge {edge_id!r} is on the boundary")
+    t_left, s_left = rec.attach0
+    t_right, s_right = rec.attach1
+    if t_left == t_right:
+        raise SelfFoldedUnsupported(f"edge {edge_id!r} glues triangle {t_left!r} to itself")
+    frame = RefFrame(
+        a1=_corner_vertex(tri, t_left, s_left + 1, at_start=True),
+        a2=ThetaVertex.edge(edge_id, 1),
+        a3=_corner_vertex(tri, t_right, s_right + 2, at_start=False),
+        a4=_corner_vertex(tri, t_left, s_left + 1, at_start=False),
+        a5=ThetaVertex.center(t_left),
+        a6=ThetaVertex.edge(edge_id, 0),
+        a7=ThetaVertex.center(t_right),
+        a8=_corner_vertex(tri, t_right, s_right + 2, at_start=True),
+        a9=_corner_vertex(tri, t_left, s_left + 2, at_start=True),
+        a10=_corner_vertex(tri, t_left, s_left + 2, at_start=False),
+        a11=_corner_vertex(tri, t_right, s_right + 1, at_start=True),
+        a12=_corner_vertex(tri, t_right, s_right + 1, at_start=False),
+        diagonal=edge_id,
+        tri_left=t_left,
+        tri_right=t_right,
+        labels={
+            "Q": rec.tail,
+            "P": rec.head,
+            "R": _corner_label(tri, t_left, s_left + 2),
+            "S": _corner_label(tri, t_right, s_right + 2),
+        },
+    )
+    if len(set(frame.vertices())) != 12:
+        raise SelfFoldedUnsupported(f"quadrilateral around {edge_id!r} wraps onto itself")
+    return frame
+
+
+def _ordered_pair(a, b):
+    try:
+        if b < a:
+            return b, a
+    except TypeError:
+        pass
+    return a, b
+
+
+def _rotate_to_min(cycle):
+    rotations = [cycle[i:] + cycle[:i] for i in range(3)]
+    try:
+        return min(rotations)
+    except TypeError:
+        return min(rotations, key=lambda r: tuple(map(repr, r)))
+
+
+def reference_flip(tri, edge_id):
+    frame_old = reference_quad_frame(tri, edge_id)
+    rec = tri.edge(edge_id)
+    t_left, s_left = rec.attach0
+    t_right, s_right = rec.attach1
+    lbl = frame_old.labels
+    q, p, r, s = lbl["Q"], lbl["P"], lbl["R"], lbl["S"]
+
+    outer = {
+        "PL": tri.side(t_left, s_left + 1),
+        "RQ": tri.side(t_left, s_left + 2),
+        "QS": tri.side(t_right, s_right + 1),
+        "SP": tri.side(t_right, s_right + 2),
+    }
+    ids = [edge_id] + [eid for eid, _ in outer.values()]
+    if len(set(ids)) != 5:
+        raise SelfFoldedUnsupported(f"quadrilateral around {edge_id!r} repeats an edge")
+
+    tail, head = _ordered_pair(r, s)
+    new_eid = f"{tail}-{head}"
+    if new_eid in tri._edge_by_id and new_eid != edge_id:
+        raise InvalidTriangulation(
+            f"flip of {edge_id!r} would reuse edge id {new_eid!r}; "
+            "distinct arcs with equal endpoints are not supported"
+        )
+
+    cycle_p, sides_p = (r, s, p), ["diag", "SP", "PL"]
+    cycle_q, sides_q = (r, q, s), ["RQ", "QS", "diag"]
+
+    def build_cell(cycle, side_names):
+        rot = _rotate_to_min(cycle)
+        shift = next(i for i in range(3) if cycle[i:] + cycle[:i] == rot)
+        tid = "-".join(str(v) for v in rot)
+        sides = {side_names[(k + shift) % 3]: k for k in range(3)}
+        return tid, sides
+
+    pid, sides_of_p = build_cell(cycle_p, sides_p)
+    qid, sides_of_q = build_cell(cycle_q, sides_q)
+    if pid == qid:
+        raise SelfFoldedUnsupported(f"flip of {edge_id!r} would produce two cells with id {pid!r}")
+
+    replacements = {}
+    for cell_id, sides in ((pid, sides_of_p), (qid, sides_of_q)):
+        for side_name, k in sides.items():
+            if side_name == "diag":
+                continue
+            eid, fwd = outer[side_name]
+            old_owner = (t_left, (s_left + (1 if side_name == "PL" else 2)) % 3) \
+                if side_name in ("PL", "RQ") \
+                else (t_right, (s_right + (1 if side_name == "QS" else 2)) % 3)
+            replacements[eid] = (old_owner, (cell_id, k))
+
+    diag_fwd_cell = (pid, sides_of_p["diag"]) if tail == r else (qid, sides_of_q["diag"])
+    diag_bwd_cell = (qid, sides_of_q["diag"]) if tail == r else (pid, sides_of_p["diag"])
+
+    new_edges = []
+    for old in tri.edges:
+        if old.id == edge_id:
+            new_edges.append(EdgeRec(new_eid, tail, head, diag_fwd_cell, diag_bwd_cell))
+        elif old.id in replacements:
+            old_owner, new_owner = replacements[old.id]
+            a0 = new_owner if tuple(old.attach0) == tuple(old_owner) else old.attach0
+            a1 = old.attach1
+            if a1 is not None and tuple(a1) == tuple(old_owner):
+                a1 = new_owner
+            new_edges.append(EdgeRec(old.id, old.tail, old.head, a0, a1))
+        else:
+            new_edges.append(old)
+    new_tris = [pid if t == t_left else qid if t == t_right else t for t in tri.triangles]
+    flipped = Triangulation(new_tris, new_edges, tri.signature)
+
+    slot_near_r = 0 if tail == r else 1
+    frame_new = RefFrame(
+        a1=frame_old.a1, a2=ThetaVertex.center(pid), a3=frame_old.a3, a4=frame_old.a4,
+        a5=ThetaVertex.edge(new_eid, slot_near_r), a6=ThetaVertex.center(qid),
+        a7=ThetaVertex.edge(new_eid, 1 - slot_near_r), a8=frame_old.a8, a9=frame_old.a9,
+        a10=frame_old.a10, a11=frame_old.a11, a12=frame_old.a12, diagonal=new_eid,
+        tri_left=diag_fwd_cell[0], tri_right=diag_bwd_cell[0],
+        labels={"Q": q, "P": p, "R": r, "S": s},
+    )
+    return flipped, frame_old, frame_new
+
+
+def reference_transport(values, frame_old, frame_new):
+    read = []
+    for v in frame_old.vertices():
+        if v not in values:
+            raise InvalidHive(f"hive has no value at frame vertex {v.key()}")
+        read.append(values[v])
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = (v.thirds for v in read)
+    b2 = max(a1 + a7, a5 + a3) - a2
+    b6 = max(a5 + a11, a7 + a10) - a6
+    b5 = max(a4 + b6, a9 + b2) - a5
+    b7 = max(b2 + a12, a8 + b6) - a7
+    out = dict(values)
+    for vertex in (frame_old.a2, frame_old.a5, frame_old.a6, frame_old.a7):
+        del out[vertex]
+    out[frame_new.a2] = Third(b2)
+    out[frame_new.a5] = Third(b5)
+    out[frame_new.a6] = Third(b6)
+    out[frame_new.a7] = Third(b7)
+    return out
+
+
+# -- the comparison -----------------------------------------------------------
+
+
+def _outcome(call, *args):
+    """``("ok", result)`` or ``("raised", type name, text)``."""
+    try:
+        return "ok", call(*args)
+    except (HivewebError, LookupError, ValueError, TypeError) as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+def _frame(frame):
+    return repr(frame.vertices()), frame.diagonal
+
+
+def _same_flip(tri, edge_id):
+    """Compare both flips of ``edge_id`` and both frames; the flip's result
+    (or None when both raised)."""
+    got, want = _outcome(flip_triangulation, tri, edge_id), _outcome(reference_flip, tri, edge_id)
+    frame_got, frame_want = _outcome(quad_frame, tri, edge_id), _outcome(reference_quad_frame,
+                                                                          tri, edge_id)
+    if want[0] == "raised":
+        assert got == want
+    if frame_want[0] == "raised":
+        assert frame_got == frame_want
+    else:
+        assert _frame(frame_got[1]) == _frame(frame_want[1])
+    if want[0] == "raised":
+        return None
+    (flipped, old, new), (ref_flipped, ref_old, ref_new) = got[1], want[1]
+    assert repr(flipped.edges) == repr(ref_flipped.edges)
+    assert flipped.triangles == ref_flipped.triangles
+    assert flipped.signature == ref_flipped.signature
+    assert flipped.to_json() == ref_flipped.to_json()
+    assert (_frame(old), _frame(new)) == (_frame(ref_old), _frame(ref_new))
+    return flipped, (old, new), (ref_old, ref_new)
+
+
+def _same_transport(values, frames, ref_frames):
+    got = _outcome(octahedron_transport, values, *frames)
+    want = _outcome(reference_transport, values, *ref_frames)
+    if want[0] == "raised":
+        assert got == want
+        return None
+    assert repr(list(got[1].items())) == repr(list(want[1].items()))
+    return got[1]
+
+
+# -- inputs -------------------------------------------------------------------
+
+
+def _diagonals(draw, m):
+    """The diagonals of a triangulated m-gon split recursively at drawn apexes."""
+    diagonals, stack = [], [(0, m - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo >= 2:
+            k = draw(st.integers(lo + 1, hi - 1))
+            for a, b in ((lo, k), (k, hi)):
+                if b - a >= 2:
+                    diagonals.append((a, b))
+                    stack.append((a, b))
+    return diagonals
+
+
+def _labels(draw, m):
+    """Marked-point labels for vertices 0..m-1: distinct ints, distinct
+    strings, a mix, or a few labels repeated around the polygon."""
+    kind = draw(st.sampled_from(["int", "str", "mixed", "repeated"]))
+    order = draw(st.permutations(range(m)))
+    if kind == "int":
+        return [3 * i - m for i in order]
+    if kind == "str":
+        return [f"v{i}" for i in order]
+    if kind == "mixed":
+        return [i if draw(st.booleans()) else f"{i}" for i in order]
+    return [i % draw(st.integers(2, 3)) for i in order]
+
+
+def _break(doc, rng):
+    """One structural fault in a random edge: a side index moved, a triangle
+    renamed, an edge dropped, or an interior edge glued to its own cell."""
+    edges = doc["edges"]
+    e = rng.choice(edges)
+    fault = rng.choice(["side", "triangle", "drop", "self"])
+    if fault == "side":
+        e["attach"][0][1] = (e["attach"][0][1] + rng.choice([1, 2, 3])) % 4
+    elif fault == "triangle":
+        e["attach"][0][0] = "9-9-9"
+    elif fault == "drop":
+        edges.remove(e)
+    elif e["attach"][1] != "boundary":
+        e["attach"][1][0] = e["attach"][0][0]
+
+
+@st.composite
+def flip_walks(draw):
+    """A triangulation document, maybe broken, and the edge picks of a walk."""
+    m = draw(st.integers(4, 14))
+    doc = build_polygon(m, _diagonals(draw, m)).to_json()
+    labels = _labels(draw, m)
+    for e in doc["edges"]:
+        e["tail"], e["head"] = labels[e["tail"]], labels[e["head"]]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.integers(0, 3)) == 0:
+        _break(doc, rng)
+    picks = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))
+    return doc, picks, rng
+
+
+@settings(max_examples=120, deadline=None)
+@given(flip_walks())
+def test_flip_walks_match_the_reference(case):
+    doc, picks, rng = case
+    tri = Triangulation.from_json(doc)
+    values = None
+    for pick in picks:
+        if values is None:
+            values = {v: Third(rng.randrange(-60, 61)) for v in tri.theta_index()}
+        if rng.random() < 0.1:
+            del values[rng.choice(sorted(values))]
+        # mostly interior edges, then any edge, then an unknown one
+        ids = tri.interior_edges() if pick < 30 else [e.id for e in tri.edges]
+        edge_id = ids[pick % len(ids)] if ids and pick < 38 else "no-such-edge"
+        done = _same_flip(tri, edge_id)
+        if done is not None:
+            tri, frames, ref_frames = done
+            values = _same_transport(values, frames, ref_frames)
+
+
+def _torus():
+    """A once-punctured torus: every quadrilateral wraps onto itself."""
+    return Triangulation(["A", "B"], [
+        EdgeRec("a", "v", "v", ("A", 0), ("B", 1)),
+        EdgeRec("b", "v", "v", ("A", 1), ("B", 2)),
+        EdgeRec("c", "v", "v", ("B", 0), ("A", 2)),
+    ])
+
+
+def _self_glued():
+    return Triangulation(["A"], [
+        EdgeRec("loop", "v", "v", ("A", 0), ("A", 1)),
+        EdgeRec("b2", "v", "v", ("A", 2), None),
+    ])
+
+
+def test_fixed_structures_match_the_reference():
+    square = build_polygon(4, [(0, 2)]).to_json()
+    for e in square["edges"]:
+        e["tail"], e["head"] = "xyxy"[e["tail"]], "xyxy"[e["head"]]
+    renamed = build_polygon(4, [(0, 2)]).to_json()
+    next(e for e in renamed["edges"] if e["id"] == "0-3")["id"] = "1-3"
+    for tri in (_torus(), _self_glued(), Triangulation.from_json(square),
+                Triangulation.from_json(renamed), build_polygon(6, [(0, 2), (2, 4), (0, 4)])):
+        for edge_id in [e.id for e in tri.edges] + ["no-such-edge"]:
+            _same_flip(tri, edge_id)

@@ -93,6 +93,12 @@ MALFORMED = {
     "triangulation attach of three": (
         "triangulation", ("edges", 0, "attach"),
         [*DOCS["triangulation"]["edges"][0]["attach"], "boundary"]),
+    "triangulation attachment of three": (
+        "triangulation", ("edges", 0, "attach", 0),
+        [*DOCS["triangulation"]["edges"][0]["attach"][0], 7]),
+    "triangulation second attachment of three": (
+        "triangulation", ("edges", 1, "attach", 1),
+        [*DOCS["triangulation"]["edges"][1]["attach"][1], 7]),
     "triangulation triangles a string": ("triangulation", ("triangles",), "abc"),
     "triangulation triangles an object": (
         "triangulation", ("triangles",), dict.fromkeys(TRI.triangles, 0)),
@@ -188,6 +194,25 @@ def test_web_coordinates_are_capped(tmp_path, monkeypatch):
     code, out, err = invoke(["web2hive", "--web", "{doc}"], web, tmp_path)
     assert (code, out) == (2, "")
     assert "HIVEWEB_MAX_THIRDS=1" in err
+
+
+# an attachment's length is checked after its reads, so a pair those reads
+# fail on keeps their message
+ATTACHMENT_ERRORS = {
+    "extra entry": (["0-1-2", 0, 7], "attachment to triangle '0-1-2': 3 entries, expected 2"),
+    "two extra entries": (["0-1-2", 0, 7, 8],
+                          "attachment to triangle '0-1-2': 4 entries, expected 2"),
+    "bad side first": (["0-1-2", "x", 7], "side: expected an integer, got 'x'"),
+    "bad triangle first": ([1.5, 0, 7], "triangle id: expected a string or an integer, got 1.5"),
+    "too short": (["0-1-2"], "{doc} is malformed: IndexError: list index out of range"),
+}
+
+
+@pytest.mark.parametrize("pair,message", ATTACHMENT_ERRORS.values(), ids=ATTACHMENT_ERRORS)
+def test_attachment_pair_errors_keep_their_message(pair, message, tmp_path):
+    doc = changed("triangulation", ("edges", 0, "attach", 0), pair)
+    code, out, err = invoke(["validate", "--triangulation", "{doc}"], doc, tmp_path)
+    assert (code, out, err) == (2, "", f"hiveweb: {message}\n".format(doc=tmp_path / "doc.json"))
 
 
 @pytest.mark.parametrize("argv,doc,error", [

@@ -253,6 +253,13 @@ def _later_side_unattached(coords, tri):
     tri["edges"].sort(key=lambda e: e["id"] != "4-5")
 
 
+def _unknown_triangle(edge_id, k):
+    def change(coords, tri):
+        edge = next(e for e in tri["edges"] if e["id"] == edge_id)
+        edge["attach"][k][0] = "9-9-9"  # a triangle the document does not list
+    return change
+
+
 def _set(key, value):
     def change(coords, tri):
         coords["0-2-4"][key] = value
@@ -282,6 +289,19 @@ WEB_ERROR_ROWS = {
         "InvalidTriangulation", "side 1 of triangle '0-4-5' attached 0 times")),
     "mismatch before an unattached side": ((_side_unattached, _center_disagrees), _semantic(
         "GluingMismatch", "edge '2-4': side counts (1, 4) and (3, 1) do not glue")),
+    "edge attached to an unknown triangle": ((_unknown_triangle("0-1", 0),), _semantic(
+        "InvalidTriangulation", "edge '0-1' is attached to unknown triangle '9-9-9'")),
+    "second attachment to an unknown triangle": ((_unknown_triangle("0-2", 1),), _semantic(
+        "InvalidTriangulation", "edge '0-2' is attached to unknown triangle '9-9-9'")),
+    "unknown triangle before its edge's mismatch": (
+        (_center_disagrees, _unknown_triangle("2-4", 1)), _semantic(
+            "InvalidTriangulation", "edge '2-4' is attached to unknown triangle '9-9-9'")),
+    "mismatch before an unknown triangle": (
+        (_center_disagrees, _unknown_triangle("0-1", 0)), _semantic(
+            "GluingMismatch", "edge '2-4': side counts (1, 4) and (3, 1) do not glue")),
+    "missing triangle before an unknown triangle": (
+        (_drop_coords, _unknown_triangle("0-1", 0)), _semantic(
+            "InvalidWebCoords", "no coordinates for triangle '2-3-4'")),
     "non-integer strand counts": ((_set("x", 0.5),), (
         2, "", "hiveweb: x: expected an integer, got 0.5\n")),
     "non-int coordinate": ((_set("x", "1"),), (
