@@ -8,7 +8,7 @@ triangle the nine rhombus quantities
     a3+a6-a4   a4+a7-a5-a6   a1+a4-a2-a3
 
 are non-negative integers.  The per-triangle labels are read off a fixed
-frame, the table ``LAYOUT``: a4 at the center, a2/a5 on side 0 near corners
+frame, the table ``surface.LAYOUT``: a4 at the center, a2/a5 on side 0 near corners
 0/1, a7/a6 on side 1 near corners 1/2, and a3/a1 on side 2 near corners 2/0.
 The three-term quantities then pair the two edge vertices flanking each
 corner ((a1,a2) at corner 0, (a5,a7) at corner 1, (a3,a6) at corner 2), and
@@ -24,19 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Union
 
-from .errors import IncompleteHive, InvalidHive
+from .errors import IncompleteHive, InvalidHive, MalformedInput
+from .surface import CENTER, LAYOUT, SIDE_LABELS  # noqa: F401  (re-exported)
 from .surface import QuadFrame, ThetaVertex, Triangulation
 from .thirds import Third
 
 HiveValues = Dict[ThetaVertex, Third]
 HiveThirds = List[Optional[int]]  # thirds in theta_index() order, None where missing
-
-# a1..a7: (s, True) is the vertex of side s nearer corner s, (s, False) the one
-# nearer corner s+1, None the center; CENTER and each side's (near, far) pair
-# are label positions, 0 for a1
-LAYOUT = ((2, False), (0, True), (2, True), None, (0, False), (1, False), (1, True))
-CENTER = LAYOUT.index(None)
-SIDE_LABELS = tuple((LAYOUT.index((s, True)), LAYOUT.index((s, False))) for s in range(3))
 
 
 @dataclass(frozen=True)
@@ -61,11 +55,10 @@ class TriangleHive:
 
 
 def triangle_frame(tri: Triangulation, t: str) -> tuple[ThetaVertex, ...]:
-    """Quiver vertices of triangle ``t`` in hive-label order a1..a7."""
-    return tuple(
-        ThetaVertex.center(t) if site is None else tri.corner_vertex(t, *site)
-        for site in LAYOUT
-    )
+    """Quiver vertices of triangle ``t`` in hive-label order a1..a7; raises
+    what :meth:`~hiveweb.surface.CompiledTriangulation.frame` raises."""
+    view = tri.compiled
+    return tuple(map(view.vertices.__getitem__, view.frame(t)))
 
 
 def rhombi(a1: int, a2: int, a3: int, a4: int, a5: int, a6: int, a7: int) -> tuple[int, ...]:
@@ -108,9 +101,8 @@ def rhombus_scan(tri: Triangulation, thirds: HiveThirds) -> Iterator[tuple[str, 
     missing value (the first in label order) is raised there and not before.
     """
     view = tri.compiled
-    for t, frame in view.frames.items():
-        if frame is None:
-            triangle_frame(tri, t)  # raises the structural error
+    for t in tri.triangles:
+        frame = view.frame(t)
         picked = [thirds[p] for p in frame]
         if None in picked:
             raise IncompleteHive(f"no value for vertex {view.keys[frame[picked.index(None)]]}")
@@ -179,7 +171,12 @@ def hive_to_json(tri: Triangulation, values: HiveValues, inline: bool = True) ->
 
 
 def hive_values_from_json(doc: dict) -> HiveValues:
-    return {
-        ThetaVertex.parse(key): Third.from_json(v)
-        for key, v in doc["values"].items()
-    }
+    """The document's values by vertex; two keys naming one vertex are malformed."""
+    values: HiveValues = {}
+    for key, v in doc["values"].items():
+        vertex = ThetaVertex.parse(key)
+        if vertex in values:
+            first = next(k for k in doc["values"] if ThetaVertex.parse(k) == vertex)
+            raise MalformedInput(f"keys {first!r} and {key!r} name one vertex")
+        values[vertex] = Third.from_json(v)
+    return values

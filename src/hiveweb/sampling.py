@@ -17,8 +17,8 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import InvalidTriangulation, SamplingFailed
-from .hive import SIDE_LABELS, HiveThirds, HiveValues, triangle_frame
-from .surface import Triangulation
+from .hive import HiveThirds, HiveValues
+from .surface import SIDE_LABELS, Triangulation
 from .thirds import Third
 from .web import web_to_hive_thirds
 
@@ -89,9 +89,7 @@ def sample_thirds(tri: Triangulation, bound: int, seed: int) -> HiveThirds:
     view = tri.compiled
     thirds: HiveThirds = [None] * len(view.keys)
     for t in _tree_order(tri):
-        frame = view.frames[t]
-        if frame is None:
-            triangle_frame(tri, t)  # raises the structural error
+        frame = view.frame(t)
         pools = []  # candidates allowed by each side whose values are fixed
         for index, (near, far) in zip(by_side, SIDE_LABELS):
             pair = (thirds[frame[near]], thirds[frame[far]])

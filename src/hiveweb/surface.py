@@ -9,10 +9,11 @@ counterclockwise boundary, the second (if any) walks it head to tail.  A
 boundary edge has only the first.
 
 Quiver vertices: one at the center of each triangle and two on each edge,
-slot 0 nearer the tail.  Triangle and edge ids are plain strings; the polygon
-builder and the flip derive them canonically from marked-point labels
-("a-b" for an edge, "a-b-c" for a triangle), which makes triangulations
-produced along different flip paths directly comparable.
+slot 0 nearer the tail; only this module knows their keys and layout.
+Triangle and edge ids are plain strings; the polygon builder and the flip
+derive them canonically from marked-point labels ("a-b" for an edge,
+"a-b-c" for a triangle), which makes triangulations produced along
+different flip paths directly comparable.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ from .thirds import checked_int
 
 Label = object  # marked-point labels: ints for polygons, ints or strings in JSON
 Attach = tuple[str, int]
+
+# a1..a7: (s, True) is the vertex of side s nearer corner s, (s, False) the one
+# nearer corner s+1, None the center; CENTER and each side's (near, far) pair
+# are label positions, 0 for a1
+LAYOUT = ((2, False), (0, True), (2, True), None, (0, False), (1, False), (1, True))
+CENTER = LAYOUT.index(None)
+SIDE_LABELS = tuple((LAYOUT.index((s, True)), LAYOUT.index((s, False))) for s in range(3))
 
 
 @dataclass(frozen=True, order=True)
@@ -118,6 +126,14 @@ def _label(raw) -> Label:
     return raw if type(raw) is str else checked_int(raw, "label")
 
 
+def _entry(slots, tri: str, s: int) -> tuple[str, bool]:
+    """The one (edge id, walks tail->head) at side ``s`` of ``tri`` in a slot table."""
+    entries = slots.get((tri, s), ())
+    if len(entries) != 1:
+        raise InvalidTriangulation(f"side {s} of triangle {tri!r} attached {len(entries)} times")
+    return entries[0]
+
+
 class Triangulation:
     """Immutable-by-convention triangulation; derived lookups are cached."""
 
@@ -128,9 +144,10 @@ class Triangulation:
             tuple(signature) if signature is not None else None
         )
         self._edge_by_id = {e.id: e for e in self.edges}
+        self._triangle_ids = set(self.triangles)
         if len(self._edge_by_id) != len(self.edges):
             raise InvalidTriangulation("duplicate edge ids")
-        if len(set(self.triangles)) != len(self.triangles):
+        if len(self._triangle_ids) != len(self.triangles):
             raise InvalidTriangulation("duplicate triangle ids")
 
     # -- raw lookups ---------------------------------------------------
@@ -153,36 +170,20 @@ class Triangulation:
 
     def side(self, tri: str, s: int) -> tuple[str, bool]:
         """Edge at side ``s`` of ``tri`` and whether the side walks tail->head."""
-        entries = self._slots.get((tri, s % 3), [])
-        if len(entries) != 1:
-            raise InvalidTriangulation(
-                f"side {s % 3} of triangle {tri!r} attached {len(entries)} times"
-            )
-        return entries[0]
+        return _entry(self._slots, tri, s % 3)
 
-    def corner_label(self, tri: str, k: int) -> Label:
-        """Marked point at corner ``k``, read from side ``k``."""
-        edge_id, fwd = self.side(tri, k)
-        rec = self.edge(edge_id)
-        return rec.tail if fwd else rec.head
-
-    def corner_vertex(self, tri: str, s: int, at_start: bool) -> ThetaVertex:
-        """Edge vertex on side ``s`` nearest corner ``s`` (``at_start``) or
-        corner ``s+1`` (otherwise)."""
-        edge_id, fwd = self.side(tri, s)
-        slot = (0 if fwd else 1) if at_start else (1 if fwd else 0)
-        return ThetaVertex.edge(edge_id, slot)
+    def ends(self, side: tuple[str, bool]) -> tuple[Label, Label]:
+        """Labels at the first and second corner of a side (edge id, walks tail->head)."""
+        edge_id, fwd = side
+        rec = self._edge_by_id[edge_id]
+        return (rec.tail, rec.head) if fwd else (rec.head, rec.tail)
 
     # -- derived sets ---------------------------------------------------
 
     def theta_index(self) -> list[ThetaVertex]:
         """Canonical enumeration: centers by triangle id, then both slots of
         every edge by edge id."""
-        out = [ThetaVertex.center(t) for t in sorted(self.triangles)]
-        for eid in sorted(self._edge_by_id):
-            out.append(ThetaVertex.edge(eid, 0))
-            out.append(ThetaVertex.edge(eid, 1))
-        return out
+        return list(self.compiled.vertices)
 
     @cached_property
     def compiled(self) -> "CompiledTriangulation":
@@ -235,14 +236,24 @@ class Triangulation:
         """Integers obey :func:`~hiveweb.thirds.checked_int`; ids are strings or
         ints, labels ints or strings, ``triangles`` and ``edges`` are arrays and
         ``attach`` lists one or two attachments (the second may be
-        ``"boundary"``).  Each shape check follows the reads it guards, so a
-        value those reads already fail on keeps their message."""
+        ``"boundary"``), else the edge is named.  Each other shape check follows
+        the reads it guards, so a value those reads already fail on keeps their
+        message."""
         edges = []
         for e in doc["edges"]:
             raw = e["attach"]
-            attach1 = _attach(raw[1]) if len(raw) > 1 and raw[1] != "boundary" else None
-            edges.append(EdgeRec(_id(e["id"], "edge id"), _label(e["tail"]),
-                                 _label(e["head"]), _attach(raw[0]), attach1))
+            try:
+                attach1 = _attach(raw[1]) if len(raw) > 1 and raw[1] != "boundary" else None
+                edges.append(EdgeRec(_id(e["id"], "edge id"), _label(e["tail"]),
+                                     _label(e["head"]), _attach(raw[0]), attach1))
+            except (LookupError, TypeError, MalformedInput):
+                # any attach of the wrong shape fails above (a string is read char by char)
+                if type(raw) is not list or type(raw[0]) is not list or len(raw) > 1 and (
+                        type(raw[1]) is not list and raw[1] != "boundary"):
+                    raise MalformedInput(f"edge {_id(e['id'], 'edge id')!r}: attach must list a "
+                                         '[triangle, side] pair and optionally another or '
+                                         '"boundary"') from None
+                raise
             if len(raw) > 2:
                 raise MalformedInput(f"edge {edges[-1].id!r}: attach has {len(raw)} entries, "
                                      "expected 1 or 2")
@@ -260,42 +271,59 @@ class Triangulation:
 class CompiledTriangulation:
     """Quiver vertices as positions in ``theta_index()``, so that hive values
     travel as a list of ints: ``keys[i]`` is the key of vertex i, ``index``
-    maps it back, and ``frames[t]`` lists triangle t's positions in hive-label
-    order a1..a7 (``hive.LAYOUT``), or is None where a side of t is not
-    attached exactly once and ``hive.triangle_frame`` raises."""
+    maps it back, ``vertices[i]`` is the vertex itself, ``slot0[e]`` is the
+    position of slot 0 of edge e (slot 1 follows it), and :meth:`frame`
+    gives a triangle's positions in hive-label order a1..a7 (``LAYOUT``)."""
 
     def __init__(self, tri: Triangulation):
-        from .hive import CENTER, SIDE_LABELS  # hive imports this module
-
         centers, edge_ids = sorted(tri.triangles), sorted(tri._edge_by_id)
         self.keys = (*(f"c:{t}" for t in centers),
                      *(f"e:{e}:{slot}" for e in edge_ids for slot in (0, 1)))
         self.index = {key: i for i, key in enumerate(self.keys)}
         center = {t: i for i, t in enumerate(centers)}
-        slot0 = {e: len(center) + 2 * i for i, e in enumerate(edge_ids)}
-        slots = tri._slots
-        self.frames: dict[str, Optional[tuple[int, ...]]] = {}
+        self.slot0 = slot0 = {e: len(center) + 2 * i for i, e in enumerate(edge_ids)}
+        # the slot table, not the triangulation, which holds this view: no cycle
+        self._slots = slots = tri._slots
+        self._frames: dict[str, tuple[int, ...]] = {}
         for t in tri.triangles:
             sides = [slots.get((t, s), ()) for s in range(3)]
-            if any(len(entries) != 1 for entries in sides):
-                self.frames[t] = None
-                continue
-            frame = [0] * 7
-            frame[CENTER] = center[t]
-            for (near, far), ((edge_id, fwd),) in zip(SIDE_LABELS, sides):
-                p = slot0[edge_id]
-                frame[near], frame[far] = (p, p + 1) if fwd else (p + 1, p)
-            self.frames[t] = tuple(frame)
+            if all(len(entries) == 1 for entries in sides):
+                frame = [0] * 7
+                frame[CENTER] = center[t]
+                for (near, far), ((edge_id, fwd),) in zip(SIDE_LABELS, sides):
+                    p = slot0[edge_id]
+                    frame[near], frame[far] = (p, p + 1) if fwd else (p + 1, p)
+                self._frames[t] = tuple(frame)
+
+    def frame(self, t: str) -> tuple[int, ...]:
+        """Triangle ``t``'s positions a1..a7; raises for its first side in label
+        order not attached exactly once, then KeyError if ``t`` is not listed."""
+        if t not in self._frames:
+            for s in dict.fromkeys(site[0] for site in LAYOUT if site):  # 2, 0, 1
+                _entry(self._slots, t, s)
+            raise KeyError(f"unknown triangle {t!r}")
+        return self._frames[t]
+
+    @cached_property
+    def vertices(self) -> tuple[ThetaVertex, ...]:
+        """The quiver vertex at each position, built on first use."""
+        return tuple(map(ThetaVertex.parse, self.keys))
+
+
+def _corner_mismatches(tri: Triangulation, t: str) -> list[tuple[int, list]]:
+    """(k, [corner k's label read from side k, from side k-1]) where the two
+    disagree; every side of ``t`` must be attached exactly once."""
+    ends = [tri.ends(tri.side(t, s)) for s in range(3)]
+    return [(k, [ends[k][0], ends[k - 1][1]]) for k in range(3) if ends[k][0] != ends[k - 1][1]]
 
 
 def validate_complex(tri: Triangulation) -> ValidationReport:
     """Structural checks; an empty report means the gluing data is coherent."""
     report = ValidationReport()
-    tri_set = set(tri.triangles)
     for rec in tri.edges:
         attachments = [rec.attach0] + ([rec.attach1] if rec.attach1 is not None else [])
         for t, s in attachments:
-            if t not in tri_set:
+            if t not in tri._triangle_ids:
                 report.add("unknown-triangle", edge=rec.id, triangle=t)
             elif s not in (0, 1, 2):
                 report.add("bad-side-index", edge=rec.id, triangle=t, side=s)
@@ -307,20 +335,10 @@ def validate_complex(tri: Triangulation) -> ValidationReport:
                 report.add("dangling-side", triangle=t, side=s)
             elif len(hits) > 1:
                 report.add("double-attached-side", triangle=t, side=s, edges=hits)
-    # corner coherence: the label of corner k read from side k must match the
-    # label read from side k-1 (gluing reverses direction)
     if report.ok:
         for t in tri.triangles:
-            for k in range(3):
-                via_side_k = tri.corner_label(t, k)
-                eid, fwd = tri.side(t, (k - 1) % 3)
-                rec = tri.edge(eid)
-                via_prev = rec.head if fwd else rec.tail
-                if via_side_k != via_prev:
-                    report.add(
-                        "corner-mismatch", triangle=t, corner=k,
-                        labels=[via_side_k, via_prev],
-                    )
+            for k, labels in _corner_mismatches(tri, t):
+                report.add("corner-mismatch", triangle=t, corner=k, labels=labels)
     if tri.signature is not None:
         g, c, m = tri.signature
         want_f = 2 * c + m + 4 * g - 4
@@ -447,7 +465,8 @@ def _quad(tri: Triangulation, rec: EdgeRec) -> tuple[QuadFrame, tuple[tuple[str,
     """The frame around the diagonal ``rec`` and the (edge id, walks
     tail->head) of its outer sides.  A side (edge, fwd) has the vertex
     ``e:edge:(1-fwd)`` near its first corner and ``e:edge:fwd`` near its
-    second."""
+    second.  After those reads, so every error they give comes first, cells
+    that :func:`validate_complex` would reject are refused."""
     if rec.attach1 is None:
         raise NotFlippable(f"edge {rec.id!r} is on the boundary")
     (t_left, s_left), (t_right, s_right) = rec.attach0, rec.attach1
@@ -468,6 +487,14 @@ def _quad(tri: Triangulation, rec: EdgeRec) -> tuple[QuadFrame, tuple[tuple[str,
         raise SelfFoldedUnsupported(
             f"quadrilateral around {rec.id!r} wraps onto itself"
         )
+    for (t, s), fwd in ((rec.attach0, True), (rec.attach1, False)):
+        if t not in tri._triangle_ids:
+            raise InvalidTriangulation(f"edge {rec.id!r} is attached to unknown triangle {t!r}")
+        if s not in (0, 1, 2) or tri.side(t, s) != (rec.id, fwd):
+            raise InvalidTriangulation(f"edge {rec.id!r} is not side {s} of triangle {t!r}")
+        for k, labels in _corner_mismatches(tri, t):  # the first one
+            raise InvalidTriangulation(f"corner {k} of triangle {t!r} is labelled {labels[0]!r} "
+                                       f"on side {k} and {labels[1]!r} on side {(k - 1) % 3}")
     return frame, sides
 
 
@@ -507,12 +534,7 @@ def flip_triangulation(
     """
     rec = tri.edge(edge_id)
     frame_old, sides = _quad(tri, rec)
-
-    def first_corner(side):
-        eid, fwd = side
-        return tri.edge(eid).tail if fwd else tri.edge(eid).head
-
-    q, p, r, s = rec.tail, rec.head, first_corner(sides[RQ]), first_corner(sides[SP])
+    q, p, r, s = rec.tail, rec.head, tri.ends(sides[RQ])[0], tri.ends(sides[SP])[0]
     tail, head = _ordered_pair(r, s)
     new_eid = f"{tail}-{head}"
     if new_eid in tri._edge_by_id and new_eid != edge_id:

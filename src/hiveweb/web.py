@@ -26,8 +26,6 @@ from .errors import (
     InvalidWebCoords,
 )
 from .hive import (
-    CENTER,
-    SIDE_LABELS,
     HiveThirds,
     HiveValues,
     TriangleHive,
@@ -35,10 +33,9 @@ from .hive import (
     failed_rhombi,
     rhombi,
     rhombus_scan,
-    triangle_frame,
     validate_hive,
 )
-from .surface import Triangulation
+from .surface import CENTER, SIDE_LABELS, Triangulation
 from .thirds import Third, checked_int
 
 WebTuple = tuple[int, ...]  # (x, y, z, t, u, v, w) of one triangle
@@ -177,12 +174,10 @@ def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) 
                 pair0 = side_arc_counts(*map(Third, _near_far(hives[t0], s0)))
                 pair1 = side_arc_counts(*map(Third, _near_far(hives[t1], s1)))
                 raise GluingMismatch(rec.id, pair0, pair1)
-        p = view.index[f"e:{rec.id}:0"]
+        p = view.slot0[rec.id]
         thirds[p], thirds[p + 1] = v0
-    for t, frame in view.frames.items():
-        if frame is None:
-            triangle_frame(tri, t)  # raises the structural error
-        thirds[view.index[f"c:{t}"]] = hives[t][CENTER]
+    for t in tri.triangles:
+        thirds[view.frame(t)[CENTER]] = hives[t][CENTER]
     return thirds
 
 

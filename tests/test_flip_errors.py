@@ -16,10 +16,10 @@ import json
 import pytest
 
 from hiveweb.cli import run
-from hiveweb.errors import InvalidHive
+from hiveweb.errors import InvalidHive, InvalidTriangulation
 from hiveweb.hive import octahedron_transport
 from hiveweb.sampling import sample_hive
-from hiveweb.surface import build_polygon, flip_triangulation
+from hiveweb.surface import Triangulation, build_polygon, flip_triangulation, quad_frame
 
 SQUARE = build_polygon(4, [(0, 2)])
 
@@ -42,6 +42,14 @@ def _rename(edges):
     edges["0-3"]["id"] = "1-3"
 
 
+def _relabel_diagonal_head(edges):
+    edges["0-2"]["head"] = 7
+
+
+def _relabel_outer_head(edges):
+    edges["0-1"]["head"] = 7  # a boundary side of 0-1-2 only
+
+
 def _alternate_labels(edges):
     for e in edges.values():
         e["tail"], e["head"] = "xyxy"[e["tail"]], "xyxy"[e["head"]]
@@ -57,6 +65,19 @@ TORUS = {"triangles": ["A", "B"], "edges": [
     {"id": "b", "tail": "v", "head": "v", "attach": [["A", 1], ["B", 2]]},
     {"id": "c", "tail": "v", "head": "v", "attach": [["B", 0], ["A", 2]]},
 ]}
+# cells that validate rejects; the diagonal 0-2 walks side 0 of 0-2-3 and side 2 of 0-1-2
+INCOHERENT_CELLS = {
+    "diagonal at side 3": (_square(_unattach("0-2")),
+                           "edge '0-2' is not side 3 of triangle '0-2-3'"),
+    "diagonal head relabelled": (_square(_relabel_diagonal_head),
+                                 "corner 1 of triangle '0-2-3' is labelled 2 on side 1 "
+                                 "and 7 on side 0"),
+    "second cell's side relabelled": (_square(_relabel_outer_head),
+                                      "corner 1 of triangle '0-1-2' is labelled 1 on side 1 "
+                                      "and 7 on side 0"),
+    "unlisted cell": ({**_square(), "triangles": ["0-2-3"]},
+                      "edge '0-2' is attached to unknown triangle '0-1-2'"),
+}
 
 FLIP_ERRORS = {
     "boundary edge": (_square(), "0-1", "NotFlippable", "edge '0-1' is on the boundary"),
@@ -76,6 +97,8 @@ FLIP_ERRORS = {
                        "distinct arcs with equal endpoints are not supported"),
     "two cells with one id": (_square(_alternate_labels), "0-2", "SelfFoldedUnsupported",
                               "flip of '0-2' would produce two cells with id 'x-y-y'"),
+    **{name: (doc, "0-2", "InvalidTriangulation", detail)
+       for name, (doc, detail) in INCOHERENT_CELLS.items()},
 }
 
 
@@ -88,6 +111,13 @@ def test_flip_error_is_reported_with_its_text(doc, edge, error, detail, tmp_path
         code = run(["flip", "--triangulation", str(path), "--edge", edge])
     assert (code, json.loads(out.getvalue()), err.getvalue()) == (
         1, {"error": error, "detail": detail}, "")
+
+
+@pytest.mark.parametrize("doc,detail", INCOHERENT_CELLS.values(), ids=INCOHERENT_CELLS)
+def test_quad_frame_refuses_incoherent_cells(doc, detail):
+    with pytest.raises(InvalidTriangulation) as caught:
+        quad_frame(Triangulation.from_json(doc), "0-2")
+    assert str(caught.value) == detail
 
 
 def test_transport_names_the_first_missing_frame_vertex():

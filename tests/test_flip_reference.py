@@ -7,12 +7,15 @@ outer sides read a second time by name, each new cell found by a second
 search over its rotations and the post-flip frame rebuilt field by field.
 Every input must give the same flipped ``edges`` and ``triangles`` in order,
 the same frames, the same transported hive, or the same exception with the
-same text.
+same text.  The one difference is meant: the flip and ``quad_frame`` now
+refuse a quadrilateral whose cells ``validate_complex`` rejects, where the
+reference flipped them or failed later.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
 from hypothesis import given, settings
@@ -33,6 +36,7 @@ from hiveweb.surface import (
     build_polygon,
     flip_triangulation,
     quad_frame,
+    validate_complex,
 )
 from hiveweb.thirds import Third
 
@@ -247,12 +251,31 @@ def _frame(frame):
     return repr(frame.vertices()), frame.diagonal
 
 
+INCOHERENT_CELL = re.compile(r"edge .+ is attached to unknown triangle .+"
+                             r"|edge .+ is not side -?\d+ of triangle .+"
+                             r"|side \d of triangle .+ attached \d+ times"
+                             r"|corner \d of triangle .+ is labelled .+ on side \d and .+ on side \d")
+
+
+def _refused(outcome, tri):
+    """Whether ``outcome`` is a refusal of a cell that validate_complex rejects."""
+    return (outcome[:2] == ("raised", "InvalidTriangulation")
+            and INCOHERENT_CELL.fullmatch(outcome[2]) is not None
+            and not validate_complex(tri).ok)
+
+
 def _same_flip(tri, edge_id):
     """Compare both flips of ``edge_id`` and both frames; the flip's result
-    (or None when both raised)."""
+    (or None when both raised or the flip refused an incoherent cell)."""
     got, want = _outcome(flip_triangulation, tri, edge_id), _outcome(reference_flip, tri, edge_id)
     frame_got, frame_want = _outcome(quad_frame, tri, edge_id), _outcome(reference_quad_frame,
                                                                           tri, edge_id)
+    if got != want and _refused(got, tri):
+        # the check follows every read of the quadrilateral, so the reference
+        # framed it and then flipped it or failed on the new cells' ids
+        assert frame_got == got and frame_want[0] == "ok"
+        assert want[0] == "ok" or want[2].startswith(f"flip of {edge_id!r} would ")
+        return None
     if want[0] == "raised":
         assert got == want
     if frame_want[0] == "raised":
@@ -312,40 +335,46 @@ def _labels(draw, m):
 
 
 def _break(doc, rng):
-    """One structural fault in a random edge: a side index moved, a triangle
-    renamed, an edge dropped, or an interior edge glued to its own cell."""
+    """One structural fault at a random edge: a side index moved, a triangle
+    renamed, an edge dropped, an interior edge glued to its own cell, an end
+    relabelled or a cell left out of the triangle list; the edge's id."""
     edges = doc["edges"]
     e = rng.choice(edges)
-    fault = rng.choice(["side", "triangle", "drop", "self"])
+    fault = rng.choice(["side", "triangle", "drop", "self", "label", "unlist"])
     if fault == "side":
         e["attach"][0][1] = (e["attach"][0][1] + rng.choice([1, 2, 3])) % 4
     elif fault == "triangle":
         e["attach"][0][0] = "9-9-9"
     elif fault == "drop":
         edges.remove(e)
+    elif fault == "label":
+        e[rng.choice(["tail", "head"])] = "fresh"
+    elif fault == "unlist":
+        doc["triangles"].remove(e["attach"][0][0])
     elif e["attach"][1] != "boundary":
         e["attach"][1][0] = e["attach"][0][0]
+    return e["id"]
 
 
 @st.composite
-def flip_walks(draw):
-    """A triangulation document, maybe broken, and the edge picks of a walk."""
+def flip_walks(draw, broken=False):
+    """A triangulation document, broken when ``broken`` and else now and
+    then, the edge picks of a walk and the broken edge's id (or None)."""
     m = draw(st.integers(4, 14))
     doc = build_polygon(m, _diagonals(draw, m)).to_json()
     labels = _labels(draw, m)
     for e in doc["edges"]:
         e["tail"], e["head"] = labels[e["tail"]], labels[e["head"]]
     rng = random.Random(draw(st.integers(0, 2**32)))
-    if draw(st.integers(0, 3)) == 0:
-        _break(doc, rng)
+    at = _break(doc, rng) if broken or draw(st.integers(0, 3)) == 0 else None
     picks = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))
-    return doc, picks, rng
+    return doc, picks, rng, at
 
 
 @settings(max_examples=120, deadline=None)
 @given(flip_walks())
 def test_flip_walks_match_the_reference(case):
-    doc, picks, rng = case
+    doc, picks, rng, _ = case
     tri = Triangulation.from_json(doc)
     values = None
     for pick in picks:
@@ -360,6 +389,26 @@ def test_flip_walks_match_the_reference(case):
         if done is not None:
             tri, frames, ref_frames = done
             values = _same_transport(values, frames, ref_frames)
+
+
+@settings(max_examples=80, deadline=None)
+@given(flip_walks(broken=True))
+def test_a_flip_leaves_a_broken_complex_broken(case):
+    """When validate_complex rejects a triangulation, it rejects whatever a
+    flip makes of it; the walk flips at the broken edge first."""
+    doc, picks, _, at = case
+    tri = Triangulation.from_json(doc)
+    for pick in picks:
+        ids = [e.id for e in tri.edges]
+        edge_id = at if at in ids else ids[pick % len(ids)]
+        at = None
+        try:
+            flipped = flip_triangulation(tri, edge_id)[0]
+        except (HivewebError, KeyError):
+            continue
+        if not validate_complex(tri).ok:
+            assert not validate_complex(flipped).ok
+        tri = flipped
 
 
 def _torus():

@@ -1,9 +1,10 @@
 import pytest
 
-from hiveweb.errors import IncompleteHive
+from hiveweb.errors import IncompleteHive, MalformedInput
 from hiveweb.hive import (
     CENTER,
     TriangleHive,
+    hive_values_from_json,
     is_in_positive_cone,
     octahedron_transport,
     rhombus_differences,
@@ -155,3 +156,14 @@ def test_quad_frame_matches_transport_carriers():
     frame = quad_frame(tri, "0-2")
     assert frame.a5.kind == "c" and frame.a7.kind == "c"
     assert frame.a2.kind == "e" and frame.a6.kind == "e"
+
+
+@pytest.mark.parametrize("alias_first", [False, True], ids=["canonical first", "alias first"])
+@pytest.mark.parametrize("alias", ["e:0-1:00", "e:0-1:+0"])
+def test_hive_reader_refuses_two_keys_for_one_vertex(alias, alias_first):
+    pair = [("e:0-1:0", {"thirds": 1}), (alias, {"thirds": 2})]
+    first, second = pair[::-1] if alias_first else pair
+    doc = {"values": {first[0]: first[1], "c:0-1-2": {"thirds": 0}, second[0]: second[1]}}
+    with pytest.raises(MalformedInput) as caught:
+        hive_values_from_json(doc)
+    assert str(caught.value) == f"keys {first[0]!r} and {second[0]!r} name one vertex"

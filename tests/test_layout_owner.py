@@ -1,0 +1,65 @@
+"""The quiver layout has one owner: ``hiveweb.surface``.
+
+Where each hive label a1..a7 sits in a triangle (``LAYOUT``, ``CENTER``,
+``SIDE_LABELS``) and how a quiver vertex key is spelled (``c:<triangle>``,
+``e:<edge>:<slot>``) are decided in ``surface.py`` alone; the other modules
+work on the positions its compiled view gives them.  These checks read the
+package's source with ``ast``.
+"""
+
+import ast
+from pathlib import Path
+
+import hiveweb
+
+PACKAGE = Path(hiveweb.__file__).parent
+OWNER = "surface.py"
+LAYOUT_NAMES = {"LAYOUT", "CENTER", "SIDE_LABELS"}
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imports_hive(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name == "hiveweb.hive" for alias in node.names)
+    return node.module in ("hive", "hiveweb.hive") or (
+        node.module in (None, "hiveweb") and any(alias.name == "hive" for alias in node.names))
+
+
+def test_surface_imports_nothing_from_hive():
+    tree = _trees()[OWNER]
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and _imports_hive(node)] == []
+
+
+def test_only_surface_assigns_the_layout():
+    assigned = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                target = node.id if isinstance(node, ast.Name) else node.attr
+                if target in LAYOUT_NAMES and name != OWNER:
+                    assigned.append((name, node.lineno, target))
+    assert assigned == []
+
+
+def test_only_surface_spells_a_vertex_key():
+    spelled = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr) and node.values:
+                head = node.values[0]
+                if (isinstance(head, ast.Constant) and isinstance(head.value, str)
+                        and head.value.startswith(("c:", "e:")) and name != OWNER):
+                    spelled.append((name, node.lineno))
+    assert spelled == []
+
+
+def test_the_checks_see_the_owner():
+    tree = _trees()[OWNER]
+    assert LAYOUT_NAMES <= {node.id for node in ast.walk(tree)
+                            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert any(isinstance(node, ast.JoinedStr) and isinstance(node.values[0], ast.Constant)
+               and node.values[0].value.startswith("e:") for node in ast.walk(tree))

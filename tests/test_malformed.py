@@ -215,6 +215,26 @@ def test_attachment_pair_errors_keep_their_message(pair, message, tmp_path):
     assert (code, out, err) == (2, "", f"hiveweb: {message}\n".format(doc=tmp_path / "doc.json"))
 
 
+# an attach that is not an array, or whose first entry is not a pair or whose
+# second is neither a pair nor "boundary"; a string used to be read character
+# by character ("side: expected an integer, got 'o'", or an IndexError)
+WRONG_ATTACH = {
+    "attach a string": "boundary",
+    "first attachment a string": ["boundary"],
+    "second attachment a string": [["0-1-2", 0], "outside"],
+    "attach an int": 3,
+}
+
+
+@pytest.mark.parametrize("argv", COMMANDS["triangulation"], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("attach", WRONG_ATTACH.values(), ids=WRONG_ATTACH)
+def test_an_attach_of_the_wrong_shape_names_its_edge(argv, attach, tmp_path):
+    doc = changed("triangulation", ("edges", 0, "attach"), attach)
+    assert invoke(argv, doc, tmp_path) == (
+        2, "", "hiveweb: edge '0-1': attach must list a [triangle, side] pair and optionally "
+               'another or "boundary"\n')
+
+
 @pytest.mark.parametrize("argv,doc,error", [
     (["flip", "--triangulation", "{doc}", "--edge", "9-9"], DOCS["triangulation"], "KeyError"),
     (["dist", "--graph", "{doc}", "--from", "x", "--to", "u"], DOCS["graph"], "KeyError"),
