@@ -19,9 +19,7 @@ from . import hive as hive_mod
 from . import metric as metric_mod
 from . import sampling, surface, surfacoid, thirds, web
 from .errors import HivewebError, MalformedInput
-from .thirds import LatticePoint, Third, parse_ints, read_thirds
-
-_LABELS = tuple(f"a{i}" for i in range(1, 8))
+from .thirds import LatticePoint, parse_ints
 
 
 def _emit(doc, out_path) -> None:
@@ -81,57 +79,8 @@ def _load(path: str, args, read, doc=None):
     return _convert(path, convert)
 
 
-def _hive_values(doc: dict, tri: surface.Triangulation):
-    """The document's values as ``HiveThirds`` of ``tri``, and those of keys
-    that name no vertex of ``tri`` by their canonical key.  Two keys that
-    name one vertex (``"e:0-1:0"`` and ``"e:0-1:00"``) are malformed."""
-    index = tri.compiled.index
-    values: hive_mod.HiveThirds = [None] * len(index)
-    others = {}
-    named = {}  # canonical key -> the non-canonical key that named it
-    for key, obj in doc["values"].items():
-        i = index.get(key)
-        canonical = key
-        if i is None:
-            canonical = surface.ThetaVertex.parse(key).key()
-            i = index.get(canonical)
-        seen = canonical in others if i is None else values[i] is not None
-        if seen:
-            first = named.get(canonical, canonical)
-            raise MalformedInput(f"keys {first!r} and {key!r} name one vertex")
-        if canonical != key:
-            named[canonical] = key
-        value = read_thirds(obj, key)
-        if i is None:
-            others[canonical] = value
-        else:
-            values[i] = value
-    return values, others
-
-
-def _values_doc(pairs) -> dict:
-    """The hive document of (key, thirds) pairs, skipping missing values."""
-    return {"values": {key: {"thirds": x} for key, x in pairs if x is not None}}
-
-
-def _hive_doc(tri: surface.Triangulation, thirds: hive_mod.HiveThirds) -> dict:
-    """The hive document of ``thirds`` with ``tri`` inline, as ``hive_to_json``
-    writes it."""
-    doc = _values_doc(zip(tri.compiled.keys, thirds))
-    doc["triangulation"] = tri.to_json()
-    return doc
-
-
 def _web_coords(doc: dict, tri: surface.Triangulation) -> dict:
     return web.web_coords_from_json(doc)
-
-
-def _triangle_hive(doc: dict) -> hive_mod.TriangleHive:
-    return hive_mod.TriangleHive(*(Third(read_thirds(doc[a], a)) for a in _LABELS))
-
-
-def _triangle_hive_doc(h) -> dict:
-    return {a: v.to_json() for a, v in zip(_LABELS, h.values())}
 
 
 def _coords(text: str) -> web.TriangleWebCoords:
@@ -143,7 +92,7 @@ def _coords(text: str) -> web.TriangleWebCoords:
 
 def cmd_validate(args) -> int:
     if args.hive:
-        tri, (values, _) = _load(args.hive, args, _hive_values)
+        tri, (values, _) = _load(args.hive, args, hive_mod.hive_thirds_from_json)
         violations = hive_mod.validate_hive(tri, values)
         _emit({"valid": not violations, "violations": violations}, args.out)
         return 0 if not violations else 1
@@ -162,30 +111,30 @@ def cmd_validate(args) -> int:
 def cmd_web2hive(args) -> int:
     if args.coords:
         h = web.web_to_hive_triangle(_coords(args.coords))
-        _emit(_triangle_hive_doc(h), args.out)
+        _emit(h.to_json(), args.out)
         return 0
     if not args.web:
         raise MalformedInput("web2hive needs --coords or --web")
     tri, coords = _load(args.web, args, _web_coords)
-    _emit(_hive_doc(tri, web.surface_web_thirds(tri, coords)), args.out)
+    _emit(hive_mod.hive_doc(zip(tri.compiled.keys, web.surface_web_thirds(tri, coords)), tri),
+          args.out)
     return 0
 
 
 def cmd_hive2web(args) -> int:
     doc = _load_doc(args.hive)
     if isinstance(doc, dict) and "values" not in doc:
-        coords = web.hive_to_web_triangle(_convert(args.hive, _triangle_hive, doc))
+        coords = web.hive_to_web_triangle(_convert(args.hive, hive_mod.TriangleHive.from_json, doc))
         _emit(coords.to_json(), args.out)
         return 0
-    tri, (values, _) = _load(args.hive, args, _hive_values, doc)
-    coords = {t: dict(zip("xyztuvw", c)) for t, c in web.surface_web_tuples(tri, values)}
-    _emit({"coords": coords, "triangulation": tri.to_json()}, args.out)
+    tri, (values, _) = _load(args.hive, args, hive_mod.hive_thirds_from_json, doc)
+    _emit(web.web_doc(web.surface_web_tuples(tri, values), tri), args.out)
     return 0
 
 
 def cmd_flip(args) -> int:
     if args.hive:
-        tri, (values, others) = _load(args.hive, args, _hive_values)
+        tri, (values, others) = _load(args.hive, args, hive_mod.hive_thirds_from_json)
     else:
         tri = _load_triangulation(args.triangulation)
     flipped, frame_old, frame_new = surface.flip_triangulation(tri, args.edge)
@@ -203,19 +152,19 @@ def cmd_flip(args) -> int:
         quad = [moved.pop(v.key()) for v in frame_old.vertices()]
         new_keys = (v.key() for v in frame_new.vertices())
         moved.update(zip(new_keys, hive_mod.octahedron_thirds(*quad)))
-        out["hive"] = _values_doc(moved.items())
+        out["hive"] = hive_mod.hive_doc(moved.items())
     _emit(out, args.out)
     return 0
 
 
 def cmd_potential(args) -> int:
-    tri, (values, _) = _load(args.hive, args, _hive_values)
+    tri, (values, _) = _load(args.hive, args, hive_mod.hive_thirds_from_json)
     _emit(hive_mod.tropical_potential(tri, values).to_json(), args.out)
     return 0
 
 
 def cmd_cone(args) -> int:
-    tri, (values, _) = _load(args.hive, args, _hive_values)
+    tri, (values, _) = _load(args.hive, args, hive_mod.hive_thirds_from_json)
     _emit({"in_positive_cone": hive_mod.is_in_positive_cone(tri, values)}, args.out)
     return 0
 
@@ -225,8 +174,8 @@ def _oracle_once(coords: web.TriangleWebCoords) -> dict:
     oracle = surfacoid.oracle_triangle_hive(coords)
     return {
         "coords": coords.to_json(),
-        "formula": _triangle_hive_doc(formula),
-        "oracle": _triangle_hive_doc(oracle),
+        "formula": formula.to_json(),
+        "oracle": oracle.to_json(),
         "match": formula == oracle,
     }
 
@@ -288,7 +237,8 @@ def cmd_fermat(args) -> int:
 
 def cmd_sample(args) -> int:
     tri = _load_triangulation(args.triangulation)
-    _emit(_hive_doc(tri, sampling.sample_thirds(tri, args.bound, args.seed)), args.out)
+    thirds = sampling.sample_thirds(tri, args.bound, args.seed)
+    _emit(hive_mod.hive_doc(zip(tri.compiled.keys, thirds), tri), args.out)
     return 0
 
 

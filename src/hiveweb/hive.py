@@ -27,10 +27,11 @@ from typing import Dict, Iterator, List, Optional, Union
 from .errors import IncompleteHive, InvalidHive, MalformedInput
 from .surface import CENTER, LAYOUT, SIDE_LABELS  # noqa: F401  (re-exported)
 from .surface import QuadFrame, ThetaVertex, Triangulation
-from .thirds import Third
+from .thirds import Third, read_thirds
 
 HiveValues = Dict[ThetaVertex, Third]
 HiveThirds = List[Optional[int]]  # thirds in theta_index() order, None where missing
+_LABELS = tuple(f"a{i}" for i in range(1, 8))
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,14 @@ class TriangleHive:
 
     def thirds(self) -> tuple[int, ...]:
         return tuple(v.thirds for v in self.values())
+
+    def to_json(self) -> dict:
+        return {a: v.to_json() for a, v in zip(_LABELS, self.values())}
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "TriangleHive":
+        """The triangle hive document ``{"a1": {"thirds": n}, ...}``."""
+        return cls(*(Third(read_thirds(doc[a], a)) for a in _LABELS))
 
 
 def triangle_frame(tri: Triangulation, t: str) -> tuple[ThetaVertex, ...]:
@@ -163,20 +172,46 @@ def octahedron_transport(
     return out
 
 
-def hive_to_json(tri: Triangulation, values: HiveValues, inline: bool = True) -> dict:
-    doc = {"values": {v.key(): x.to_json() for v, x in values.items()}}
-    if inline:
+def hive_doc(pairs, tri: Optional[Triangulation] = None) -> dict:
+    """The hive document of (key, thirds) pairs, skipping missing values,
+    with ``tri`` inline when given: the one writer of hive documents."""
+    doc = {"values": {key: {"thirds": x} for key, x in pairs if x is not None}}
+    if tri is not None:
         doc["triangulation"] = tri.to_json()
     return doc
 
 
-def hive_values_from_json(doc: dict) -> HiveValues:
-    """The document's values by vertex; two keys naming one vertex are malformed."""
-    values: HiveValues = {}
-    for key, v in doc["values"].items():
-        vertex = ThetaVertex.parse(key)
-        if vertex in values:
-            first = next(k for k in doc["values"] if ThetaVertex.parse(k) == vertex)
+def hive_to_json(tri: Triangulation, values: HiveValues, inline: bool = True) -> dict:
+    return hive_doc(((v.key(), x.thirds) for v, x in values.items()), tri if inline else None)
+
+
+def hive_thirds_from_json(doc: dict, tri: Triangulation) -> tuple[HiveThirds, dict[str, int]]:
+    """The one reader of hive documents: the values, in thirds, at the
+    positions of ``tri``'s compiled view, and those of keys that name no
+    vertex of ``tri`` under their canonical key.  Each value is read by
+    :func:`~hiveweb.thirds.read_thirds` under its key; two keys that name one
+    vertex (``"e:0-1:0"`` and ``"e:0-1:00"``) are malformed."""
+    index = tri.compiled.index
+    raw = doc["values"]
+    values: HiveThirds = [None] * len(index)
+    others: dict[str, int] = {}
+    for key, obj in raw.items():
+        name, i = key, index.get(key)
+        if i is None:
+            name = ThetaVertex.parse(key).key()
+            i = index.get(name)
+        if (name in others) if i is None else (values[i] is not None):
+            first = next(k for k in raw if ThetaVertex.parse(k).key() == name)
             raise MalformedInput(f"keys {first!r} and {key!r} name one vertex")
-        values[vertex] = Third.from_json(v)
-    return values
+        value = read_thirds(obj, key)
+        if i is None:
+            others[name] = value
+        else:
+            values[i] = value
+    return values, others
+
+
+def hive_values_from_json(doc: dict) -> HiveValues:
+    """The document's values by vertex, as :func:`hive_thirds_from_json` reads them."""
+    _, values = hive_thirds_from_json(doc, Triangulation([], []))
+    return {ThetaVertex.parse(key): Third(x) for key, x in values.items()}

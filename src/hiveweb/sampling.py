@@ -39,11 +39,13 @@ def _box(k: int):
 
 
 def _tree_order(tri: Triangulation) -> list[str]:
-    """Breadth-first over shared interior edges, from the first triangle."""
+    """Breadth-first over shared interior edges in edge-id order, from the
+    least triangle id: the order depends on the triangulation's content, not
+    on how its lists are ordered."""
     if not tri.triangles:
         return []
     neighbors: dict[str, list[str]] = {t: [] for t in tri.triangles}
-    for rec in tri.edges:
+    for rec in map(tri.edge, tri.compiled.slot0):
         if rec.attach1 is not None:
             t0, t1 = rec.attach0[0], rec.attach1[0]
             if t0 == t1:
@@ -59,7 +61,7 @@ def _tree_order(tri: Triangulation) -> list[str]:
             neighbors[t0].append(t1)
             neighbors[t1].append(t0)
     order, seen = [], set()
-    queue = deque([tri.triangles[0]])
+    queue = deque([min(tri.triangles)])
     while queue:
         t = queue.popleft()
         if t in seen:

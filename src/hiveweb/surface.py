@@ -248,8 +248,8 @@ class Triangulation:
                                      _label(e["head"]), _attach(raw[0]), attach1))
             except (LookupError, TypeError, MalformedInput):
                 # any attach of the wrong shape fails above (a string is read char by char)
-                if type(raw) is not list or type(raw[0]) is not list or len(raw) > 1 and (
-                        type(raw[1]) is not list and raw[1] != "boundary"):
+                if type(raw) is not list or not raw or type(raw[0]) is not list or (
+                        len(raw) > 1 and type(raw[1]) is not list and raw[1] != "boundary"):
                     raise MalformedInput(f"edge {_id(e['id'], 'edge id')!r}: attach must list a "
                                          '[triangle, side] pair and optionally another or '
                                          '"boundary"') from None

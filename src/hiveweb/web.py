@@ -16,7 +16,7 @@ match after swapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Sequence, Union
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     GluingMismatch,
@@ -204,11 +204,17 @@ def hive_to_surface_web(tri: Triangulation, values: Union[HiveValues, HiveThirds
     return {t: TriangleWebCoords(*c) for t, c in surface_web_tuples(tri, values)}
 
 
-def surface_web_to_json(tri: Triangulation, web: SurfaceWeb, inline: bool = True) -> dict:
-    doc = {"coords": {t: c.to_json() for t, c in web.items()}}
-    if inline:
+def web_doc(pairs, tri: Optional[Triangulation] = None) -> dict:
+    """The web document of (triangle, (x, y, z, t, u, v, w)) pairs, with
+    ``tri`` inline when given: the one writer of web documents."""
+    doc = {"coords": {t: dict(zip("xyztuvw", c)) for t, c in pairs}}
+    if tri is not None:
         doc["triangulation"] = tri.to_json()
     return doc
+
+
+def surface_web_to_json(tri: Triangulation, web: SurfaceWeb, inline: bool = True) -> dict:
+    return web_doc(((t, c.values()) for t, c in web.items()), tri if inline else None)
 
 
 def web_coords_from_json(doc: dict) -> dict[str, WebTuple]:

@@ -1,0 +1,71 @@
+"""Hive and web documents each have one owner.
+
+``hiveweb.hive`` is the one reader and the one writer of a hive document's
+``values``, and it alone words the refusal of two keys that name one vertex;
+``hiveweb.web`` is the one reader and the one writer of a web document's
+``coords``.  The CLI loads files, resolves the triangulation and maps errors
+to exit codes, and calls those functions for the rest.  Each check names the
+owner's function, so it also fails if it stops seeing the owner.  These checks
+read the package's source with ``ast``.
+"""
+
+import ast
+from pathlib import Path
+
+import hiveweb
+
+PACKAGE = Path(hiveweb.__file__).parent
+# the oracle report's "coords" is the one triangle's coordinates it was given,
+# written by TriangleWebCoords.to_json; it is not a web document
+ORACLE_REPORT = ("cli.py", "_oracle_once", "builds")
+
+
+def _walk(node, func=None):
+    """(name of the innermost enclosing function, node) for every node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        yield func, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _walk(child, inner)
+
+
+def _nodes():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func, node in _walk(ast.parse(path.read_text())):
+            yield path.name, func, node
+
+
+def _is(node, field):
+    return isinstance(node, ast.Constant) and node.value == field
+
+
+def _sites(field):
+    """(module, function, "reads" or "builds") of each subscript by ``field``
+    and each dict display or ``dict(...)`` call with a ``field`` key."""
+    sites = set()
+    for module, func, node in _nodes():
+        if isinstance(node, ast.Subscript) and _is(node.slice, field):
+            sites.add((module, func, "reads"))
+        elif isinstance(node, ast.Dict) and any(_is(key, field) for key in node.keys):
+            sites.add((module, func, "builds"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "dict" and any(k.arg == field for k in node.keywords)):
+            sites.add((module, func, "builds"))
+    return sites
+
+
+def test_only_hive_reads_and_writes_hive_values():
+    assert _sites("values") == {("hive.py", "hive_thirds_from_json", "reads"),
+                                ("hive.py", "hive_doc", "builds")}
+
+
+def test_only_web_reads_and_writes_web_coords():
+    assert _sites("coords") - {ORACLE_REPORT} == {("web.py", "web_coords_from_json", "reads"),
+                                                  ("web.py", "web_doc", "builds")}
+
+
+def test_only_hive_words_the_alias_refusal():
+    worded = {(module, func) for module, func, node in _nodes()
+              if isinstance(node, ast.JoinedStr)
+              and any(isinstance(part, ast.Constant) and "name one vertex" in part.value
+                      for part in node.values)}
+    assert worded == {("hive.py", "hive_thirds_from_json")}

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 import hiveweb
 from hiveweb.cli import run
-from hiveweb.hive import hive_to_json
+from hiveweb.errors import MalformedInput
+from hiveweb.hive import hive_to_json, hive_values_from_json
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import build_polygon
 from hiveweb.web import hive_to_surface_web, surface_web_to_json
@@ -223,6 +224,7 @@ WRONG_ATTACH = {
     "first attachment a string": ["boundary"],
     "second attachment a string": [["0-1-2", 0], "outside"],
     "attach an int": 3,
+    "attach empty": [],
 }
 
 
@@ -250,18 +252,55 @@ def test_unknown_names_stay_semantic(argv, doc, error, tmp_path):
 FIRST_EDGE_KEY = next(key for key in sorted(DOCS["hive"]["values"]) if key.startswith("e:"))
 
 
-@pytest.mark.parametrize("alias_first", [False, True], ids=["canonical first", "alias first"])
-@pytest.mark.parametrize("alias", [FIRST_EDGE_KEY + "0", FIRST_EDGE_KEY[:-1] + "+0"])
-@pytest.mark.parametrize("argv", COMMANDS["hive"], ids=lambda argv: argv[0])
-def test_aliased_vertex_keys_exit_two(argv, alias, alias_first, tmp_path):
+ALIASES = [FIRST_EDGE_KEY + "0", FIRST_EDGE_KEY[:-1] + "+0"]
+ORDERS = {"canonical first": False, "alias first": True}
+
+
+def aliased(alias, alias_first):
+    """The hive document with ``alias`` naming the vertex of its first edge
+    key too, and the message that refuses it."""
     values = dict(DOCS["hive"]["values"])
     value = values.pop(FIRST_EDGE_KEY)
     pair = [(FIRST_EDGE_KEY, value), (alias, {"thirds": value["thirds"] + 3})]
     first, second = pair[::-1] if alias_first else pair
     doc = dict(DOCS["hive"], values={first[0]: first[1], **values, second[0]: second[1]})
+    return doc, f"keys {first[0]!r} and {second[0]!r} name one vertex"
+
+
+@pytest.mark.parametrize("alias_first", ORDERS.values(), ids=ORDERS)
+@pytest.mark.parametrize("alias", ALIASES)
+@pytest.mark.parametrize("argv", COMMANDS["hive"], ids=lambda argv: argv[0])
+def test_aliased_vertex_keys_exit_two(argv, alias, alias_first, tmp_path):
+    doc, message = aliased(alias, alias_first)
     code, out, err = invoke(argv, doc, tmp_path)
     assert (code, out) == (2, "")
-    assert err == f"hiveweb: keys {first[0]!r} and {second[0]!r} name one vertex\n"
+    assert err == f"hiveweb: {message}\n"
+
+
+def library_reads(doc, path):
+    """What ``hive_values_from_json`` says of ``doc``, worded as the CLI
+    prints it for the file ``path``: a ``MalformedInput`` as it is, any other
+    error as the CLI's boundary wraps it."""
+    try:
+        hive_values_from_json(doc)
+    except MalformedInput as exc:
+        return str(exc)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        return f"{path} is malformed: {type(exc).__name__}: {exc}"
+    return None
+
+
+READ_ALIKE = [pytest.param(changed(kind, path, value), id=name)
+              for name, (kind, path, value) in MALFORMED.items() if kind == "hive"]
+READ_ALIKE += [pytest.param(aliased(alias, alias_first)[0], id=f"{alias}-{order}")
+               for alias in ALIASES for order, alias_first in ORDERS.items()]
+
+
+@pytest.mark.parametrize("doc", READ_ALIKE)
+def test_the_library_reader_is_the_cli_reader(doc, tmp_path):
+    code, out, err = invoke(["validate", "--hive", "{doc}"], doc, tmp_path)
+    assert (code, out) == (2, "")
+    assert err == f"hiveweb: {library_reads(doc, tmp_path / 'doc.json')}\n"
 
 
 def test_aliases_of_a_key_outside_the_triangulation_exit_two(tmp_path):

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hiveweb.cli import run
 from hiveweb.errors import InvalidTriangulation, SamplingFailed
@@ -94,7 +96,9 @@ def test_interior_edge_on_unknown_triangle_rejected(tmp_path, capsys):
 
 
 def _tree_order_by_list(tri):
-    """The visit order as first written, with a list for the queue."""
+    """The visit order as first written, with a list for the queue, which
+    follows the order of ``tri``'s lists: on a canonical document (sorted, as
+    ``to_json`` writes it) that is the content order the sampler uses."""
     neighbors = {t: [] for t in tri.triangles}
     for rec in tri.edges:
         if rec.attach1 is not None:
@@ -123,4 +127,17 @@ def test_tree_order_is_unchanged_breadth_first():
                     diagonals += parts
                     stack += parts
             tri = build_polygon(m, diagonals)
-            assert _tree_order(tri) == _tree_order_by_list(tri)
+            assert _tree_order(tri) == _tree_order_by_list(Triangulation.from_json(tri.to_json()))
+
+
+THIRTEEN = build_polygon(13, [(0, 2), (0, 5), (2, 5), (3, 5), (5, 12), (6, 9), (6, 10), (6, 12),
+                              (7, 9), (10, 12)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(THIRTEEN.triangles), st.permutations(THIRTEEN.edges), st.integers(0, 9))
+@example(sorted(THIRTEEN.triangles), sorted(THIRTEEN.edges), 0)  # the order to_json writes
+def test_the_sample_depends_only_on_the_triangulations_content(triangles, edges, seed):
+    shuffled = Triangulation(triangles, edges, THIRTEEN.signature)
+    assert shuffled == THIRTEEN
+    assert sample_hive(shuffled, 1, seed) == sample_hive(THIRTEEN, 1, seed)
