@@ -116,7 +116,7 @@ def cmd_web2hive(args) -> int:
     if not args.web:
         raise MalformedInput("web2hive needs --coords or --web")
     tri, coords = _load(args.web, args, _web_coords)
-    _emit(hive_mod.hive_doc(zip(tri.compiled.keys, web.surface_web_thirds(tri, coords)), tri),
+    _emit(hive_mod.hive_doc(zip(tri.keys, web.surface_web_thirds(tri, coords)), tri),
           args.out)
     return 0
 
@@ -148,7 +148,7 @@ def cmd_flip(args) -> int:
         if bad:
             raise HivewebError(f"hive is invalid before transport: {bad[:3]}")
         # only the quadrilateral's twelve values take part in the transport
-        moved = {**others, **dict(zip(tri.compiled.keys, values))}
+        moved = {**others, **dict(zip(tri.keys, values))}
         quad = [moved.pop(v.key()) for v in frame_old.vertices()]
         new_keys = (v.key() for v in frame_new.vertices())
         moved.update(zip(new_keys, hive_mod.octahedron_thirds(*quad)))
@@ -238,7 +238,7 @@ def cmd_fermat(args) -> int:
 def cmd_sample(args) -> int:
     tri = _load_triangulation(args.triangulation)
     thirds = sampling.sample_thirds(tri, args.bound, args.seed)
-    _emit(hive_mod.hive_doc(zip(tri.compiled.keys, thirds), tri), args.out)
+    _emit(hive_mod.hive_doc(zip(tri.keys, thirds), tri), args.out)
     return 0
 
 

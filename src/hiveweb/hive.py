@@ -65,9 +65,8 @@ class TriangleHive:
 
 def triangle_frame(tri: Triangulation, t: str) -> tuple[ThetaVertex, ...]:
     """Quiver vertices of triangle ``t`` in hive-label order a1..a7; raises
-    what :meth:`~hiveweb.surface.CompiledTriangulation.frame` raises."""
-    view = tri.compiled
-    return tuple(map(view.vertices.__getitem__, view.frame(t)))
+    what :meth:`~hiveweb.surface.Triangulation.frame` raises."""
+    return tuple(map(tri.vertices.__getitem__, tri.frame(t)))
 
 
 def rhombi(a1: int, a2: int, a3: int, a4: int, a5: int, a6: int, a7: int) -> tuple[int, ...]:
@@ -99,7 +98,7 @@ def complete_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -
     """Like :func:`hive_thirds`, naming the first vertex without a value."""
     thirds = hive_thirds(tri, values)
     if None in thirds:
-        raise IncompleteHive(f"no value for vertex {tri.compiled.keys[thirds.index(None)]}")
+        raise IncompleteHive(f"no value for vertex {tri.keys[thirds.index(None)]}")
     return thirds
 
 
@@ -109,12 +108,11 @@ def rhombus_scan(tri: Triangulation, thirds: HiveThirds) -> Iterator[tuple[str, 
     A triangle is read when the scan reaches it, so a structural error or a
     missing value (the first in label order) is raised there and not before.
     """
-    view = tri.compiled
     for t in tri.triangles:
-        frame = view.frame(t)
+        frame = tri.frame(t)
         picked = [thirds[p] for p in frame]
         if None in picked:
-            raise IncompleteHive(f"no value for vertex {view.keys[frame[picked.index(None)]]}")
+            raise IncompleteHive(f"no value for vertex {tri.keys[frame[picked.index(None)]]}")
         yield t, rhombi(*picked)
 
 
@@ -185,20 +183,30 @@ def hive_to_json(tri: Triangulation, values: HiveValues, inline: bool = True) ->
     return hive_doc(((v.key(), x.thirds) for v, x in values.items()), tri if inline else None)
 
 
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"{what}: expected an object, got {type(obj).__name__}")
+    return obj
+
+
 def hive_thirds_from_json(doc: dict, tri: Triangulation) -> tuple[HiveThirds, dict[str, int]]:
     """The one reader of hive documents: the values, in thirds, at the
-    positions of ``tri``'s compiled view, and those of keys that name no
-    vertex of ``tri`` under their canonical key.  Each value is read by
+    positions of ``tri.keys``, and those of keys that name no vertex of
+    ``tri`` under their canonical key.  The document and its ``values`` are
+    objects and each key is a vertex key; each value is read by
     :func:`~hiveweb.thirds.read_thirds` under its key; two keys that name one
     vertex (``"e:0-1:0"`` and ``"e:0-1:00"``) are malformed."""
-    index = tri.compiled.index
-    raw = doc["values"]
+    index = tri.index
+    raw = _object(_object(doc, "hive document")["values"], "values")
     values: HiveThirds = [None] * len(index)
     others: dict[str, int] = {}
     for key, obj in raw.items():
         name, i = key, index.get(key)
         if i is None:
-            name = ThetaVertex.parse(key).key()
+            try:
+                name = ThetaVertex.parse(key).key()
+            except ValueError:
+                raise MalformedInput(f"values: {key!r} is not a vertex key") from None
             i = index.get(name)
         if (name in others) if i is None else (values[i] is not None):
             first = next(k for k in raw if ThetaVertex.parse(k).key() == name)

@@ -45,7 +45,7 @@ def _tree_order(tri: Triangulation) -> list[str]:
     if not tri.triangles:
         return []
     neighbors: dict[str, list[str]] = {t: [] for t in tri.triangles}
-    for rec in map(tri.edge, tri.compiled.slot0):
+    for rec in map(tri.edge, tri.slot0):
         if rec.attach1 is not None:
             t0, t1 = rec.attach0[0], rec.attach1[0]
             if t0 == t1:
@@ -53,13 +53,8 @@ def _tree_order(tri: Triangulation) -> list[str]:
                     f"edge {rec.id!r} glues a triangle to itself; sampling needs "
                     "flippable-or-boundary edges"
                 )
-            for t in (t0, t1):
-                if t not in neighbors:
-                    raise InvalidTriangulation(
-                        f"edge {rec.id!r} is attached to unknown triangle {t!r}"
-                    )
-            neighbors[t0].append(t1)
-            neighbors[t1].append(t0)
+            neighbors[tri.cell(rec, t0)].append(t1)
+            neighbors[tri.cell(rec, t1)].append(t0)
     order, seen = [], set()
     queue = deque([min(tri.triangles)])
     while queue:
@@ -88,10 +83,9 @@ def sample_thirds(tri: Triangulation, bound: int, seed: int) -> HiveThirds:
         raise ValueError("bound must be non-negative")
     entries, by_side = _box(bound)
     rng = random.Random(seed)
-    view = tri.compiled
-    thirds: HiveThirds = [None] * len(view.keys)
+    thirds: HiveThirds = [None] * len(tri.keys)
     for t in _tree_order(tri):
-        frame = view.frame(t)
+        frame = tri.frame(t)
         pools = []  # candidates allowed by each side whose values are fixed
         for index, (near, far) in zip(by_side, SIDE_LABELS):
             pair = (thirds[frame[near]], thirds[frame[far]])
@@ -111,7 +105,7 @@ def sample_thirds(tri: Triangulation, bound: int, seed: int) -> HiveThirds:
         for p, value in zip(frame, h):
             if thirds[p] is not None and thirds[p] != value:
                 raise SamplingFailed(
-                    f"internal inconsistency writing {view.keys[p]}"
+                    f"internal inconsistency writing {tri.keys[p]}"
                 )
             thirds[p] = value
     return thirds

@@ -178,17 +178,65 @@ class Triangulation:
         rec = self._edge_by_id[edge_id]
         return (rec.tail, rec.head) if fwd else (rec.head, rec.tail)
 
-    # -- derived sets ---------------------------------------------------
+    def cell(self, rec: EdgeRec, t: str) -> str:
+        """``t``, a triangle that edge ``rec`` is attached to, once it is listed."""
+        if t not in self._triangle_ids:
+            raise InvalidTriangulation(f"edge {rec.id!r} is attached to unknown triangle {t!r}")
+        return t
 
-    def theta_index(self) -> list[ThetaVertex]:
-        """Canonical enumeration: centers by triangle id, then both slots of
-        every edge by edge id."""
-        return list(self.compiled.vertices)
+    # -- derived sets, each built on first read ----------------------------
+    # Hive values travel as a list of ints indexed by quiver-vertex positions:
+    # centers by triangle id, then slots 0 and 1 of every edge by edge id.
 
     @cached_property
-    def compiled(self) -> "CompiledTriangulation":
-        """The index-based view of this triangulation, built on first use."""
-        return CompiledTriangulation(self)
+    def slot0(self) -> dict[str, int]:
+        """The position of slot 0 of each edge; slot 1 follows it."""
+        return {e: len(self.triangles) + 2 * i for i, e in enumerate(sorted(self._edge_by_id))}
+
+    @cached_property
+    def keys(self) -> tuple[str, ...]:
+        """The key of the vertex at each position."""
+        return (*(f"c:{t}" for t in sorted(self.triangles)),
+                *(f"e:{e}:{slot}" for e in self.slot0 for slot in (0, 1)))
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """The position of each key."""
+        return {key: i for i, key in enumerate(self.keys)}
+
+    @cached_property
+    def vertices(self) -> tuple[ThetaVertex, ...]:
+        """The vertex at each position."""
+        return tuple(map(ThetaVertex.parse, self.keys))
+
+    def theta_index(self) -> list[ThetaVertex]:
+        """Canonical enumeration: the vertex at each position."""
+        return list(self.vertices)
+
+    @cached_property
+    def _frames(self) -> dict[str, tuple[int, ...]]:
+        """The positions a1..a7 of each triangle whose sides are attached once each."""
+        frames, slots, slot0 = {}, self._slots, self.slot0
+        for c, t in enumerate(sorted(self.triangles)):
+            sides = [slots.get((t, s), ()) for s in range(3)]
+            if all(len(entries) == 1 for entries in sides):
+                frame = [0] * 7
+                frame[CENTER] = c
+                for (near, far), ((edge_id, fwd),) in zip(SIDE_LABELS, sides):
+                    p = slot0[edge_id]
+                    frame[near], frame[far] = (p, p + 1) if fwd else (p + 1, p)
+                frames[t] = tuple(frame)
+        return frames
+
+    def frame(self, t: str) -> tuple[int, ...]:
+        """Triangle ``t``'s positions in hive-label order a1..a7 (``LAYOUT``);
+        raises for its first side in label order not attached exactly once,
+        then KeyError if ``t`` is not listed."""
+        if t not in self._frames:
+            for s in dict.fromkeys(site[0] for site in LAYOUT if site):  # 2, 0, 1
+                _entry(self._slots, t, s)
+            raise KeyError(f"unknown triangle {t!r}")
+        return self._frames[t]
 
     def interior_edges(self) -> list[str]:
         return [e.id for e in self.edges if e.interior]
@@ -266,48 +314,6 @@ class Triangulation:
             if type(doc[key]) is not list:
                 raise MalformedInput(f"{key}: expected an array, got {type(doc[key]).__name__}")
         return cls(triangles, edges, sig)
-
-
-class CompiledTriangulation:
-    """Quiver vertices as positions in ``theta_index()``, so that hive values
-    travel as a list of ints: ``keys[i]`` is the key of vertex i, ``index``
-    maps it back, ``vertices[i]`` is the vertex itself, ``slot0[e]`` is the
-    position of slot 0 of edge e (slot 1 follows it), and :meth:`frame`
-    gives a triangle's positions in hive-label order a1..a7 (``LAYOUT``)."""
-
-    def __init__(self, tri: Triangulation):
-        centers, edge_ids = sorted(tri.triangles), sorted(tri._edge_by_id)
-        self.keys = (*(f"c:{t}" for t in centers),
-                     *(f"e:{e}:{slot}" for e in edge_ids for slot in (0, 1)))
-        self.index = {key: i for i, key in enumerate(self.keys)}
-        center = {t: i for i, t in enumerate(centers)}
-        self.slot0 = slot0 = {e: len(center) + 2 * i for i, e in enumerate(edge_ids)}
-        # the slot table, not the triangulation, which holds this view: no cycle
-        self._slots = slots = tri._slots
-        self._frames: dict[str, tuple[int, ...]] = {}
-        for t in tri.triangles:
-            sides = [slots.get((t, s), ()) for s in range(3)]
-            if all(len(entries) == 1 for entries in sides):
-                frame = [0] * 7
-                frame[CENTER] = center[t]
-                for (near, far), ((edge_id, fwd),) in zip(SIDE_LABELS, sides):
-                    p = slot0[edge_id]
-                    frame[near], frame[far] = (p, p + 1) if fwd else (p + 1, p)
-                self._frames[t] = tuple(frame)
-
-    def frame(self, t: str) -> tuple[int, ...]:
-        """Triangle ``t``'s positions a1..a7; raises for its first side in label
-        order not attached exactly once, then KeyError if ``t`` is not listed."""
-        if t not in self._frames:
-            for s in dict.fromkeys(site[0] for site in LAYOUT if site):  # 2, 0, 1
-                _entry(self._slots, t, s)
-            raise KeyError(f"unknown triangle {t!r}")
-        return self._frames[t]
-
-    @cached_property
-    def vertices(self) -> tuple[ThetaVertex, ...]:
-        """The quiver vertex at each position, built on first use."""
-        return tuple(map(ThetaVertex.parse, self.keys))
 
 
 def _corner_mismatches(tri: Triangulation, t: str) -> list[tuple[int, list]]:
@@ -488,8 +494,7 @@ def _quad(tri: Triangulation, rec: EdgeRec) -> tuple[QuadFrame, tuple[tuple[str,
             f"quadrilateral around {rec.id!r} wraps onto itself"
         )
     for (t, s), fwd in ((rec.attach0, True), (rec.attach1, False)):
-        if t not in tri._triangle_ids:
-            raise InvalidTriangulation(f"edge {rec.id!r} is attached to unknown triangle {t!r}")
+        tri.cell(rec, t)
         if s not in (0, 1, 2) or tri.side(t, s) != (rec.id, fwd):
             raise InvalidTriangulation(f"edge {rec.id!r} is not side {s} of triangle {t!r}")
         for k, labels in _corner_mismatches(tri, t):  # the first one

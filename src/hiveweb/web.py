@@ -22,7 +22,6 @@ from .errors import (
     GluingMismatch,
     InconsistentSide,
     InvalidHive,
-    InvalidTriangulation,
     InvalidWebCoords,
 )
 from .hive import (
@@ -155,29 +154,22 @@ def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) 
     for t in tri.triangles:
         if t not in coords:
             raise InvalidWebCoords(f"no coordinates for triangle {t!r}")
-    view = tri.compiled
-    thirds: HiveThirds = [None] * len(view.keys)
+    thirds: HiveThirds = [None] * len(tri.keys)
     hives = {t: web_to_hive_thirds(*coords[t]) for t in tri.triangles}
-
-    def hive_of(rec, t):
-        if t not in hives:
-            raise InvalidTriangulation(f"edge {rec.id!r} is attached to unknown triangle {t!r}")
-        return hives[t]
-
     for rec in tri.edges:
         t0, s0 = rec.attach0
-        v0 = _slot_values(tri, t0, s0, hive_of(rec, t0))
+        v0 = _slot_values(tri, t0, s0, hives[tri.cell(rec, t0)])
         if rec.attach1 is not None:
             t1, s1 = rec.attach1
-            v1 = _slot_values(tri, t1, s1, hive_of(rec, t1))
+            v1 = _slot_values(tri, t1, s1, hives[tri.cell(rec, t1)])
             if v0 != v1:
                 pair0 = side_arc_counts(*map(Third, _near_far(hives[t0], s0)))
                 pair1 = side_arc_counts(*map(Third, _near_far(hives[t1], s1)))
                 raise GluingMismatch(rec.id, pair0, pair1)
-        p = view.slot0[rec.id]
+        p = tri.slot0[rec.id]
         thirds[p], thirds[p + 1] = v0
     for t in tri.triangles:
-        thirds[view.frame(t)[CENTER]] = hives[t][CENTER]
+        thirds[tri.frame(t)[CENTER]] = hives[t][CENTER]
     return thirds
 
 

@@ -267,3 +267,50 @@ def test_inline_triangulation_reference_path(tmp_path, capsys):
     code, out, _ = invoke(capsys, "cone", "--hive", hive_path)
     assert code == 0
     assert json.loads(out) == {"in_positive_cone": True}
+
+
+def canonical(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+SQUARE = build_polygon(4, [(0, 2)])
+# a center one third off a zero hive: three rhombi fail
+OFF_CENTER = {v: Third(int(v == SQUARE.theta_index()[0])) for v in SQUARE.theta_index()}
+# argv with {name} for each document written, exit code, stdout, stderr
+BRANCHES = {
+    "flip --hive invalid": (
+        ["flip", "--triangulation", "{t}", "--edge", "0-2", "--hive", "{h}"],
+        {"t": SQUARE.to_json(), "h": hive_to_json(SQUARE, OFF_CENTER, inline=False)},
+        1, canonical({"error": "HivewebError", "detail": "hive is invalid before transport: "
+                      f"{validate_hive(SQUARE, OFF_CENTER)[:3]}"}), ""),
+    "validate without input": (
+        ["validate"], {}, 2, "", "hiveweb: validate needs --triangulation, --hive or --web\n"),
+    "web2hive without input": (
+        ["web2hive"], {}, 2, "", "hiveweb: web2hive needs --coords or --web\n"),
+    "oracle without input": (
+        ["oracle"], {}, 2, "", "hiveweb: oracle needs --coords or --sweep\n"),
+    "gamma-dist --to a,b": (
+        ["gamma-dist", "--to", "a,b"], {}, 2, "",
+        "hiveweb: --to needs 2 comma-separated integers, got 'a,b'\n"),
+    "potential without triangles": (
+        ["potential", "--hive", "{h}"],
+        {"h": {"values": {}, "triangulation": {"triangles": [], "edges": []}}},
+        1, '{"detail":"triangulation has no triangles","error":"InvalidHive"}\n', ""),
+}
+
+
+@pytest.mark.parametrize("argv,docs,code,out,err", BRANCHES.values(), ids=BRANCHES)
+def test_branch_exit_code_and_output(tmp_path, capsys, argv, docs, code, out, err):
+    paths = {name: write(tmp_path / f"{name}.json", doc) for name, doc in docs.items()}
+    assert invoke(capsys, *(arg.format(**paths) for arg in argv)) == (code, out, err)
+
+
+@pytest.mark.parametrize("coords", ["3,2,1,1,1,1,1", "-2,0,1,0,3,0,1", "0,0,0,0,0,0,0"])
+def test_single_triangle_hive2web_inverts_web2hive(tmp_path, capsys, coords):
+    code, hive_out, _ = invoke(capsys, "web2hive", "--coords", coords)
+    assert code == 0
+    hive_path = tmp_path / "h.json"
+    hive_path.write_text(hive_out)
+    code, web_out, err = invoke(capsys, "hive2web", "--hive", str(hive_path))
+    assert (code, err) == (0, "")
+    assert web_out == canonical(dict(zip("xyztuvw", map(int, coords.split(",")))))

@@ -1,10 +1,13 @@
-"""The quiver layout has one owner: ``hiveweb.surface``.
+"""The quiver layout and the gluing of cells have one owner: ``hiveweb.surface``.
 
 Where each hive label a1..a7 sits in a triangle (``LAYOUT``, ``CENTER``,
 ``SIDE_LABELS``) and how a quiver vertex key is spelled (``c:<triangle>``,
 ``e:<edge>:<slot>``) are decided in ``surface.py`` alone; the other modules
-work on the positions its compiled view gives them.  These checks read the
-package's source with ``ast``.
+work on the positions a ``Triangulation`` gives them (``keys``, ``slot0``,
+``frame``).  Only ``surface.py`` reads the triangulation's private tables and
+words the refusal of an edge attached to an unknown triangle; the other
+modules ask ``Triangulation.cell``.  These checks read the package's source
+with ``ast``.
 """
 
 import ast
@@ -15,6 +18,8 @@ import hiveweb
 PACKAGE = Path(hiveweb.__file__).parent
 OWNER = "surface.py"
 LAYOUT_NAMES = {"LAYOUT", "CENTER", "SIDE_LABELS"}
+PRIVATE_TABLES = {"_slots", "_triangle_ids", "_edge_by_id"}
+UNKNOWN_CELL = "is attached to unknown triangle"
 
 
 def _trees():
@@ -57,9 +62,34 @@ def test_only_surface_spells_a_vertex_key():
     assert spelled == []
 
 
+def _sites(predicate):
+    """(module, line) of each node of the package that ``predicate`` holds for."""
+    return [(name, node.lineno) for name, tree in _trees().items()
+            for node in ast.walk(tree) if predicate(node)]
+
+
+def _words_unknown_cell(node):
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and UNKNOWN_CELL in node.value)
+
+
+def _reads_private_table(node):
+    return isinstance(node, ast.Attribute) and node.attr in PRIVATE_TABLES
+
+
+def test_only_surface_words_the_unknown_cell_refusal():
+    assert [site for site in _sites(_words_unknown_cell) if site[0] != OWNER] == []
+
+
+def test_only_surface_reads_the_private_tables():
+    assert [site for site in _sites(_reads_private_table) if site[0] != OWNER] == []
+
+
 def test_the_checks_see_the_owner():
     tree = _trees()[OWNER]
     assert LAYOUT_NAMES <= {node.id for node in ast.walk(tree)
                             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     assert any(isinstance(node, ast.JoinedStr) and isinstance(node.values[0], ast.Constant)
                and node.values[0].value.startswith("e:") for node in ast.walk(tree))
+    assert [name for name, _ in _sites(_words_unknown_cell)] == [OWNER]
+    assert PRIVATE_TABLES == {node.attr for node in ast.walk(tree) if _reads_private_table(node)}

@@ -89,6 +89,9 @@ MALFORMED = {
     "hive value bare int": ("hive", ("values", FIRST_VALUE), 5),
     "hive value extra key": ("hive", ("values", FIRST_VALUE, "note"), 1),
     "hive values a list": ("hive", ("values",), [{"thirds": 0}]),
+    "hive key no vertex key": ("hive", ("values", "x"), {"thirds": 0}),
+    "hive key without a slot": ("hive", ("values", "e:0-1"), {"thirds": 0}),
+    "hive key with slot 2": ("hive", ("values", "e:0-1:2"), {"thirds": 0}),
     "triangulation no edges": ("triangulation", ("edges",), DROP),
     "triangulation attach an int": ("triangulation", ("edges", 0, "attach"), 3),
     "triangulation attach of three": (
@@ -277,17 +280,11 @@ def test_aliased_vertex_keys_exit_two(argv, alias, alias_first, tmp_path):
     assert err == f"hiveweb: {message}\n"
 
 
-def library_reads(doc, path):
-    """What ``hive_values_from_json`` says of ``doc``, worded as the CLI
-    prints it for the file ``path``: a ``MalformedInput`` as it is, any other
-    error as the CLI's boundary wraps it."""
-    try:
+def library_reads(doc):
+    """The ``MalformedInput`` that ``hive_values_from_json`` raises on ``doc``."""
+    with pytest.raises(MalformedInput) as info:
         hive_values_from_json(doc)
-    except MalformedInput as exc:
-        return str(exc)
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        return f"{path} is malformed: {type(exc).__name__}: {exc}"
-    return None
+    return str(info.value)
 
 
 READ_ALIKE = [pytest.param(changed(kind, path, value), id=name)
@@ -300,7 +297,11 @@ READ_ALIKE += [pytest.param(aliased(alias, alias_first)[0], id=f"{alias}-{order}
 def test_the_library_reader_is_the_cli_reader(doc, tmp_path):
     code, out, err = invoke(["validate", "--hive", "{doc}"], doc, tmp_path)
     assert (code, out) == (2, "")
-    assert err == f"hiveweb: {library_reads(doc, tmp_path / 'doc.json')}\n"
+    assert err == f"hiveweb: {library_reads(doc)}\n"
+
+
+def test_the_library_reader_refuses_a_document_that_is_a_list():
+    assert library_reads([DOCS["hive"]]) == "hive document: expected an object, got list"
 
 
 def test_aliases_of_a_key_outside_the_triangulation_exit_two(tmp_path):

@@ -1,7 +1,8 @@
-"""The compiled view's frames and rhombus scan against slow references.
+"""A triangulation's frames and the rhombus scan against slow references.
 
-``triangle_frame`` and ``theta_index`` read the compiled view, and
-``validate_complex`` reads corners through ``Triangulation.ends``.  The
+``triangle_frame`` and ``theta_index`` read ``Triangulation.frame`` and
+``Triangulation.vertices``, and ``validate_complex`` reads corners through
+``Triangulation.ends``.  The
 reference below is the code they replaced: a frame built vertex by vertex
 from side lookups, a second sorted enumeration of the quiver vertices and a
 corner check through a per-corner label lookup.  They must give the same
@@ -9,7 +10,7 @@ frames, enumeration and report, or the same exception with the same text, on
 random polygons with and without broken structure.
 
 ``validate_hive``, ``tropical_potential`` and ``is_in_positive_cone`` run on
-int lists over the compiled view; the reference reads every triangle through
+int lists over a triangulation's quiver-vertex positions; the reference reads every triangle through
 the reference frame and ``rhombus_differences`` on ``Third`` values.  They
 must agree on sampled hives, on single-vertex perturbations of them and on
 the same hives after random flips.
@@ -31,7 +32,7 @@ from hiveweb.hive import (
     tropical_potential,
     validate_hive,
 )
-from hiveweb.sampling import sample_hive
+from hiveweb.sampling import sample_hive, sample_thirds
 from hiveweb.surface import (
     ThetaVertex,
     Triangulation,
@@ -41,6 +42,7 @@ from hiveweb.surface import (
     validate_complex,
 )
 from hiveweb.thirds import Third
+from hiveweb.web import hive_to_surface_web, surface_web_thirds
 
 # -- the reference ------------------------------------------------------------
 
@@ -220,3 +222,25 @@ def test_frames_enumeration_and_report_match_the_reference(data):
             assert want[1][3] not in tri.theta_index()
         else:
             assert got == want
+
+
+POSITIONS = {"slot0", "keys", "index", "vertices"}
+SEPTAGON = ((0, 2), (0, 4), (2, 4), (4, 6))
+
+
+def built_by(call, *args):
+    """The position members a fresh 7-gon holds after ``call(tri, *args)``."""
+    tri = build_polygon(7, SEPTAGON)
+    call(tri, *args)
+    return POSITIONS & vars(tri).keys()
+
+
+def test_positions_are_built_only_when_read():
+    tri = build_polygon(7, SEPTAGON)
+    values = sample_hive(tri, 1, 0)
+    coords = {t: c.values() for t, c in hive_to_surface_web(tri, values).items()}
+    assert built_by(validate_complex) == set()
+    assert built_by(flip_triangulation, "0-2") == set()
+    assert built_by(sample_thirds, 1, 0) == {"slot0", "keys"}
+    assert built_by(surface_web_thirds, coords) == {"slot0", "keys"}
+    assert built_by(validate_hive, hive_thirds(tri, values)) == {"slot0"}

@@ -81,18 +81,28 @@ def test_self_glued_edge_rejected():
         sample_hive(tri, 1, seed=0)
 
 
-def test_interior_edge_on_unknown_triangle_rejected(tmp_path, capsys):
+def sample_with_unknown_triangle(tmp_path, capsys, attachment):
+    """Exit code and report of ``sample`` when the given attachment of the
+    interior edge 0-2 names the unlisted triangle 9-9-9."""
     doc = build_polygon(5, [(0, 2), (0, 3)]).to_json()
     edge = next(e for e in doc["edges"] if e["id"] == "0-2")
-    edge["attach"][1][0] = "9-9-9"
+    edge["attach"][attachment][0] = "9-9-9"
     path = tmp_path / "t.json"
     path.write_text(json.dumps(doc))
     code = run(["sample", "--triangulation", str(path), "--bound", "1", "--seed", "0"])
-    assert code == 1
-    assert json.loads(capsys.readouterr().out) == {
-        "error": "InvalidTriangulation",
-        "detail": "edge '0-2' is attached to unknown triangle '9-9-9'",
-    }
+    return code, json.loads(capsys.readouterr().out)
+
+
+UNKNOWN_TRIANGLE = (1, {"error": "InvalidTriangulation",
+                        "detail": "edge '0-2' is attached to unknown triangle '9-9-9'"})
+
+
+def test_interior_edge_on_unknown_triangle_rejected(tmp_path, capsys):
+    assert sample_with_unknown_triangle(tmp_path, capsys, 1) == UNKNOWN_TRIANGLE
+
+
+def test_interior_edge_from_unknown_triangle_rejected(tmp_path, capsys):
+    assert sample_with_unknown_triangle(tmp_path, capsys, 0) == UNKNOWN_TRIANGLE
 
 
 def _tree_order_by_list(tri):
