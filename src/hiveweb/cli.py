@@ -19,7 +19,7 @@ from . import hive as hive_mod
 from . import metric as metric_mod
 from . import sampling, surface, surfacoid, thirds, web
 from .errors import HivewebError, MalformedInput
-from .thirds import LatticePoint, parse_ints
+from .thirds import LatticePoint, parse_ints, read_object
 
 
 def _emit(doc, out_path) -> None:
@@ -58,29 +58,26 @@ def _load_triangulation(path: str) -> surface.Triangulation:
     return _convert(path, surface.Triangulation.from_json, _load_doc(path))
 
 
-def _load(path: str, args, read, doc=None):
-    """``(tri, read(doc, tri))`` for the document at ``path`` (``doc`` if read
-    already), ``tri`` from --triangulation, else embedded, else the file it
-    names relative to ``path``."""
+def _load(path: str, args, kind: str, doc=None):
+    """``tri`` and what its reader reads from the ``kind`` ("hive" or "web")
+    document at ``path`` (``doc`` if read already); ``tri`` comes from
+    --triangulation, else embedded, else the file it names relative to ``path``."""
     if doc is None:
         doc = _load_doc(path)
 
     def convert():
         if args.triangulation:
             tri = _load_triangulation(args.triangulation)
-        elif isinstance(ref := doc.get("triangulation"), str):
+        elif isinstance(ref := read_object(doc, f"{kind} document").get("triangulation"), str):
             tri = _load_triangulation(str(Path(path).parent / ref))
         elif isinstance(ref, dict):
             tri = surface.Triangulation.from_json(ref)
         else:
             raise MalformedInput("no triangulation: pass --triangulation or embed one in the document")
-        return tri, read(doc, tri)
+        return tri, (web.web_coords_from_json(doc) if kind == "web"
+                     else hive_mod.hive_thirds_from_json(doc, tri))
 
     return _convert(path, convert)
-
-
-def _web_coords(doc: dict, tri: surface.Triangulation) -> dict:
-    return web.web_coords_from_json(doc)
 
 
 def _coords(text: str) -> web.TriangleWebCoords:
@@ -92,12 +89,12 @@ def _coords(text: str) -> web.TriangleWebCoords:
 
 def cmd_validate(args) -> int:
     if args.hive:
-        tri, (values, _) = _load(args.hive, args, hive_mod.hive_thirds_from_json)
+        tri, (values, _) = _load(args.hive, args, "hive")
         violations = hive_mod.validate_hive(tri, values)
         _emit({"valid": not violations, "violations": violations}, args.out)
         return 0 if not violations else 1
     if args.web:
-        tri, coords = _load(args.web, args, _web_coords)
+        tri, coords = _load(args.web, args, "web")
         web.surface_web_thirds(tri, coords)  # raises GluingMismatch when bad
         _emit({"valid": True, "violations": []}, args.out)
         return 0
@@ -115,7 +112,7 @@ def cmd_web2hive(args) -> int:
         return 0
     if not args.web:
         raise MalformedInput("web2hive needs --coords or --web")
-    tri, coords = _load(args.web, args, _web_coords)
+    tri, coords = _load(args.web, args, "web")
     _emit(hive_mod.hive_doc(zip(tri.keys, web.surface_web_thirds(tri, coords)), tri),
           args.out)
     return 0
@@ -127,14 +124,14 @@ def cmd_hive2web(args) -> int:
         coords = web.hive_to_web_triangle(_convert(args.hive, hive_mod.TriangleHive.from_json, doc))
         _emit(coords.to_json(), args.out)
         return 0
-    tri, (values, _) = _load(args.hive, args, hive_mod.hive_thirds_from_json, doc)
+    tri, (values, _) = _load(args.hive, args, "hive", doc)
     _emit(web.web_doc(web.surface_web_tuples(tri, values), tri), args.out)
     return 0
 
 
 def cmd_flip(args) -> int:
     if args.hive:
-        tri, (values, others) = _load(args.hive, args, hive_mod.hive_thirds_from_json)
+        tri, (values, others) = _load(args.hive, args, "hive")
     else:
         tri = _load_triangulation(args.triangulation)
     flipped, frame_old, frame_new = surface.flip_triangulation(tri, args.edge)
@@ -158,13 +155,13 @@ def cmd_flip(args) -> int:
 
 
 def cmd_potential(args) -> int:
-    tri, (values, _) = _load(args.hive, args, hive_mod.hive_thirds_from_json)
+    tri, (values, _) = _load(args.hive, args, "hive")
     _emit(hive_mod.tropical_potential(tri, values).to_json(), args.out)
     return 0
 
 
 def cmd_cone(args) -> int:
-    tri, (values, _) = _load(args.hive, args, hive_mod.hive_thirds_from_json)
+    tri, (values, _) = _load(args.hive, args, "hive")
     _emit({"in_positive_cone": hive_mod.is_in_positive_cone(tri, values)}, args.out)
     return 0
 

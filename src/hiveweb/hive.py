@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Union
 from .errors import IncompleteHive, InvalidHive, MalformedInput
 from .surface import CENTER, LAYOUT, SIDE_LABELS  # noqa: F401  (re-exported)
 from .surface import QuadFrame, ThetaVertex, Triangulation
-from .thirds import Third, read_thirds
+from .thirds import Third, int_cap, read_object, read_thirds
 
 HiveValues = Dict[ThetaVertex, Third]
 HiveThirds = List[Optional[int]]  # thirds in theta_index() order, None where missing
@@ -118,11 +118,9 @@ def rhombus_scan(tri: Triangulation, thirds: HiveThirds) -> Iterator[tuple[str, 
 
 def validate_hive(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> list[dict]:
     """All rhombus violations, each naming (triangle, rhombus index, value)."""
-    return [
-        {"triangle": t, "rhombus": index, "thirds": value}
-        for t, quantities in rhombus_scan(tri, complete_thirds(tri, values))
-        for index, value in failed_rhombi(quantities)
-    ]
+    return [{"triangle": t, "rhombus": index, "thirds": value}
+            for t, quantities in rhombus_scan(tri, complete_thirds(tri, values))
+            for index, value in failed_rhombi(quantities)]
 
 
 def tropical_potential(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> Third:
@@ -151,9 +149,8 @@ def octahedron_thirds(a1: int, a2: int, a3: int, a4: int, a5: int, a6: int, a7: 
     return a1, b2, a3, a4, b5, b6, b7, a8, a9, a10, a11, a12
 
 
-def octahedron_transport(
-    values: HiveValues, frame_old: QuadFrame, frame_new: QuadFrame
-) -> HiveValues:
+def octahedron_transport(values: HiveValues, frame_old: QuadFrame,
+                         frame_new: QuadFrame) -> HiveValues:
     """Transport a hive across a diagonal flip by :func:`octahedron_thirds`;
     the results are written to the post-flip frame's inner positions and all
     other values carry over unchanged."""
@@ -183,25 +180,26 @@ def hive_to_json(tri: Triangulation, values: HiveValues, inline: bool = True) ->
     return hive_doc(((v.key(), x.thirds) for v, x in values.items()), tri if inline else None)
 
 
-def _object(obj, what: str) -> dict:
-    if not isinstance(obj, dict):
-        raise MalformedInput(f"{what}: expected an object, got {type(obj).__name__}")
-    return obj
-
-
 def hive_thirds_from_json(doc: dict, tri: Triangulation) -> tuple[HiveThirds, dict[str, int]]:
     """The one reader of hive documents: the values, in thirds, at the
     positions of ``tri.keys``, and those of keys that name no vertex of
     ``tri`` under their canonical key.  The document and its ``values`` are
     objects and each key is a vertex key; each value is read by
     :func:`~hiveweb.thirds.read_thirds` under its key; two keys that name one
-    vertex (``"e:0-1:0"`` and ``"e:0-1:00"``) are malformed."""
-    index = tri.index
-    raw = _object(_object(doc, "hive document")["values"], "values")
+    vertex (``"e:0-1:0"`` and ``"e:0-1:00"``) are malformed.  A key of
+    ``tri.keys`` not read yet whose value passes the inline test is taken as
+    it is; every other key goes through the general path, in document order."""
+    index, cap = tri.index, int_cap()
+    raw = read_object(read_object(doc, "hive document", "values")["values"], "values")
     values: HiveThirds = [None] * len(index)
     others: dict[str, int] = {}
     for key, obj in raw.items():
         name, i = key, index.get(key)
+        if i is not None and values[i] is None and type(obj) is dict and len(obj) == 1:
+            x = obj.get("thirds")
+            if type(x) is int and -cap <= x <= cap:
+                values[i] = x
+                continue
         if i is None:
             try:
                 name = ThetaVertex.parse(key).key()

@@ -22,14 +22,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .errors import (
-    InvalidPolygonTriangulation,
-    InvalidTriangulation,
-    MalformedInput,
-    NotFlippable,
-    SelfFoldedUnsupported,
-)
-from .thirds import checked_int
+from .errors import (InvalidPolygonTriangulation, InvalidTriangulation, MalformedInput,
+                     NotFlippable, SelfFoldedUnsupported)
+from .thirds import checked_int, int_cap
 
 Label = object  # marked-point labels: ints for polygons, ints or strings in JSON
 Attach = tuple[str, int]
@@ -40,6 +35,7 @@ Attach = tuple[str, int]
 LAYOUT = ((2, False), (0, True), (2, True), None, (0, False), (1, False), (1, True))
 CENTER = LAYOUT.index(None)
 SIDE_LABELS = tuple((LAYOUT.index((s, True)), LAYOUT.index((s, False))) for s in range(3))
+_SIDES = dict(enumerate(SIDE_LABELS))  # any other value names no side
 
 
 @dataclass(frozen=True, order=True)
@@ -61,15 +57,13 @@ class ThetaVertex:
         return cls("e", edge_id, slot)
 
     def key(self) -> str:
-        if self.kind == "c":
-            return f"c:{self.ref}"
-        return f"e:{self.ref}:{self.slot}"
+        return f"c:{self.ref}" if self.kind == "c" else f"e:{self.ref}:{self.slot}"
 
     @classmethod
     def parse(cls, key: str) -> "ThetaVertex":
-        if key.startswith("c:"):
+        if isinstance(key, str) and key.startswith("c:"):
             return cls.center(key[2:])
-        if key.startswith("e:"):
+        if isinstance(key, str) and key.startswith("e:"):
             ref, slot = key[2:].rsplit(":", 1)
             return cls.edge(ref, int(slot))
         raise ValueError(f"bad vertex key {key!r}")
@@ -126,12 +120,25 @@ def _label(raw) -> Label:
     return raw if type(raw) is str else checked_int(raw, "label")
 
 
-def _entry(slots, tri: str, s: int) -> tuple[str, bool]:
-    """The one (edge id, walks tail->head) at side ``s`` of ``tri`` in a slot table."""
-    entries = slots.get((tri, s), ())
-    if len(entries) != 1:
-        raise InvalidTriangulation(f"side {s} of triangle {tri!r} attached {len(entries)} times")
-    return entries[0]
+def _read_edge(e) -> EdgeRec:
+    """Edge document ``e`` read field by field, in the order that decides
+    which error is raised first; see :meth:`Triangulation.from_json`."""
+    raw = e["attach"]
+    try:
+        attach1 = _attach(raw[1]) if len(raw) > 1 and raw[1] != "boundary" else None
+        rec = EdgeRec(_id(e["id"], "edge id"), _label(e["tail"]), _label(e["head"]),
+                      _attach(raw[0]), attach1)
+    except (LookupError, TypeError, MalformedInput):
+        # any attach of the wrong shape fails above (a string is read char by char)
+        if type(raw) is not list or not raw or type(raw[0]) is not list or (
+                len(raw) > 1 and type(raw[1]) is not list and raw[1] != "boundary"):
+            raise MalformedInput(f"edge {_id(e['id'], 'edge id')!r}: attach must list a "
+                                 '[triangle, side] pair and optionally another or '
+                                 '"boundary"') from None
+        raise
+    if len(raw) > 2:
+        raise MalformedInput(f"edge {rec.id!r}: attach has {len(raw)} entries, expected 1 or 2")
+    return rec
 
 
 class Triangulation:
@@ -141,8 +148,7 @@ class Triangulation:
         self.triangles: list[str] = list(triangles)
         self.edges: list[EdgeRec] = list(edges)
         self.signature: Optional[tuple[int, int, int]] = (
-            tuple(signature) if signature is not None else None
-        )
+            tuple(signature) if signature is not None else None)
         self._edge_by_id = {e.id: e for e in self.edges}
         self._triangle_ids = set(self.triangles)
         if len(self._edge_by_id) != len(self.edges):
@@ -169,8 +175,13 @@ class Triangulation:
         return table
 
     def side(self, tri: str, s: int) -> tuple[str, bool]:
-        """Edge at side ``s`` of ``tri`` and whether the side walks tail->head."""
-        return _entry(self._slots, tri, s % 3)
+        """Edge at side ``s`` of ``tri`` and whether the side walks tail->head,
+        once that side is attached exactly once."""
+        entries = self._slots.get((tri, s % 3), ())
+        if len(entries) != 1:
+            raise InvalidTriangulation(
+                f"side {s % 3} of triangle {tri!r} attached {len(entries)} times")
+        return entries[0]
 
     def ends(self, side: tuple[str, bool]) -> tuple[Label, Label]:
         """Labels at the first and second corner of a side (edge id, walks tail->head)."""
@@ -191,18 +202,21 @@ class Triangulation:
     @cached_property
     def slot0(self) -> dict[str, int]:
         """The position of slot 0 of each edge; slot 1 follows it."""
-        return {e: len(self.triangles) + 2 * i for i, e in enumerate(sorted(self._edge_by_id))}
+        n = len(self.triangles)
+        return dict(zip(sorted(self._edge_by_id), range(n, n + 2 * len(self.edges), 2)))
 
     @cached_property
     def keys(self) -> tuple[str, ...]:
         """The key of the vertex at each position."""
-        return (*(f"c:{t}" for t in sorted(self.triangles)),
-                *(f"e:{e}:{slot}" for e in self.slot0 for slot in (0, 1)))
+        keys = [f"c:{t}" for t in sorted(self.triangles)]
+        for e in self.slot0:
+            keys += (f"e:{e}:0", f"e:{e}:1")
+        return tuple(keys)
 
     @cached_property
     def index(self) -> dict[str, int]:
         """The position of each key."""
-        return {key: i for i, key in enumerate(self.keys)}
+        return dict(zip(self.keys, range(len(self.keys))))
 
     @cached_property
     def vertices(self) -> tuple[ThetaVertex, ...]:
@@ -215,18 +229,25 @@ class Triangulation:
 
     @cached_property
     def _frames(self) -> dict[str, tuple[int, ...]]:
-        """The positions a1..a7 of each triangle whose sides are attached once each."""
-        frames, slots, slot0 = {}, self._slots, self.slot0
+        """The positions a1..a7 of each triangle whose sides are attached once
+        each, filled by one walk over the edges."""
+        frames, slot0 = {}, self.slot0
         for c, t in enumerate(sorted(self.triangles)):
-            sides = [slots.get((t, s), ()) for s in range(3)]
-            if all(len(entries) == 1 for entries in sides):
-                frame = [0] * 7
-                frame[CENTER] = c
-                for (near, far), ((edge_id, fwd),) in zip(SIDE_LABELS, sides):
-                    p = slot0[edge_id]
-                    frame[near], frame[far] = (p, p + 1) if fwd else (p + 1, p)
-                frames[t] = tuple(frame)
-        return frames
+            frames[t] = frame = [None] * 7
+            frame[CENTER] = c
+        # (cell, side, the positions near its first and second corner) of each attachment
+        sites = [(*rec.attach0, slot0[rec.id], slot0[rec.id] + 1) for rec in self.edges]
+        sites += [(*rec.attach1, slot0[rec.id] + 1, slot0[rec.id])
+                  for rec in self.edges if rec.attach1 is not None]
+        for t, s, first, second in sites:
+            frame, labels = frames.get(t), _SIDES.get(s)
+            if frame and labels:
+                near, far = labels
+                if frame[near] is None:
+                    frame[near], frame[far] = first, second
+                else:  # a side attached twice leaves its cell without a frame
+                    frame[CENTER] = None
+        return {t: tuple(frame) for t, frame in frames.items() if None not in frame}
 
     def frame(self, t: str) -> tuple[int, ...]:
         """Triangle ``t``'s positions in hive-label order a1..a7 (``LAYOUT``);
@@ -234,7 +255,7 @@ class Triangulation:
         then KeyError if ``t`` is not listed."""
         if t not in self._frames:
             for s in dict.fromkeys(site[0] for site in LAYOUT if site):  # 2, 0, 1
-                _entry(self._slots, t, s)
+                self.side(t, s)
             raise KeyError(f"unknown triangle {t!r}")
         return self._frames[t]
 
@@ -244,15 +265,9 @@ class Triangulation:
     # -- value semantics --------------------------------------------------
 
     def _content(self):
-        return (
-            frozenset(self.triangles),
-            frozenset(
-                (e.id, repr(e.tail), repr(e.head), tuple(e.attach0),
-                 tuple(e.attach1) if e.attach1 else None)
-                for e in self.edges
-            ),
-            self.signature,
-        )
+        edges = frozenset((e.id, repr(e.tail), repr(e.head), tuple(e.attach0),
+                           tuple(e.attach1) if e.attach1 else None) for e in self.edges)
+        return frozenset(self.triangles), edges, self.signature
 
     def __eq__(self, other):
         if not isinstance(other, Triangulation):
@@ -260,19 +275,14 @@ class Triangulation:
         return self._content() == other._content()
 
     def __repr__(self):
-        return (f"Triangulation({len(self.triangles)} triangles, "
-                f"{len(self.edges)} edges)")
+        return f"Triangulation({len(self.triangles)} triangles, {len(self.edges)} edges)"
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        edges = []
-        for rec in sorted(self.edges, key=lambda r: r.id):
-            attach = [list(rec.attach0)]
-            attach.append(list(rec.attach1) if rec.attach1 is not None else "boundary")
-            edges.append(
-                {"id": rec.id, "tail": rec.tail, "head": rec.head, "attach": attach}
-            )
+        edges = [{"id": rec.id, "tail": rec.tail, "head": rec.head,
+                  "attach": [list(rec.attach0), list(rec.attach1) if rec.attach1 else "boundary"]}
+                 for rec in sorted(self.edges, key=lambda r: r.id)]
         doc = {"triangles": sorted(self.triangles), "edges": edges}
         if self.signature is not None:
             g, c, m = self.signature
@@ -286,30 +296,31 @@ class Triangulation:
         ``attach`` lists one or two attachments (the second may be
         ``"boundary"``), else the edge is named.  Each other shape check follows
         the reads it guards, so a value those reads already fail on keeps their
-        message."""
-        edges = []
+        message.  An edge that passes the inline tests (a string id, string or
+        capped int labels, ``[string, capped int]`` pairs) is taken as it is;
+        :func:`_read_edge` reads any other, and words its first error."""
+        cap, edges, new = int_cap(), [], tuple.__new__  # new skips EdgeRec's own __new__
         for e in doc["edges"]:
-            raw = e["attach"]
             try:
-                attach1 = _attach(raw[1]) if len(raw) > 1 and raw[1] != "boundary" else None
-                edges.append(EdgeRec(_id(e["id"], "edge id"), _label(e["tail"]),
-                                     _label(e["head"]), _attach(raw[0]), attach1))
-            except (LookupError, TypeError, MalformedInput):
-                # any attach of the wrong shape fails above (a string is read char by char)
-                if type(raw) is not list or not raw or type(raw[0]) is not list or (
-                        len(raw) > 1 and type(raw[1]) is not list and raw[1] != "boundary"):
-                    raise MalformedInput(f"edge {_id(e['id'], 'edge id')!r}: attach must list a "
-                                         '[triangle, side] pair and optionally another or '
-                                         '"boundary"') from None
-                raise
-            if len(raw) > 2:
-                raise MalformedInput(f"edge {edges[-1].id!r}: attach has {len(raw)} entries, "
-                                     "expected 1 or 2")
+                raw, eid, tail, head = e["attach"], e["id"], e["tail"], e["head"]
+                a0, a1 = raw[0], raw[1] if len(raw) == 2 else "boundary"
+                boundary = a1 == "boundary"
+                (t0, s0), (t1, s1) = a0, a0 if boundary else a1
+                fast = (type(raw) is list and len(raw) < 3 and type(eid) is str
+                        and (type(tail) is str or type(tail) is int and -cap <= tail <= cap)
+                        and (type(head) is str or type(head) is int and -cap <= head <= cap)
+                        and type(a0) is list and (boundary or type(a1) is list)
+                        and type(t0) is str and type(s0) is int and -cap <= s0 <= cap
+                        and type(t1) is str and type(s1) is int and -cap <= s1 <= cap)
+            except (LookupError, TypeError, ValueError):
+                fast = False
+            edges.append(new(EdgeRec, (eid, tail, head, (t0, s0), None if boundary else (t1, s1)))
+                         if fast else _read_edge(e))
         sig = None
         if "signature" in doc:
             s = doc["signature"]
             sig = tuple(checked_int(s[k], "signature") for k in "gcm")
-        triangles = [_id(t, "triangle id") for t in doc["triangles"]]
+        triangles = [t if type(t) is str else _id(t, "triangle id") for t in doc["triangles"]]
         for key in ("edges", "triangles"):
             if type(doc[key]) is not list:
                 raise MalformedInput(f"{key}: expected an array, got {type(doc[key]).__name__}")
@@ -383,8 +394,7 @@ def build_polygon(m: int, diagonals) -> Triangulation:
         diags.add((lo, hi))
     if len(diags) != m - 3:
         raise InvalidPolygonTriangulation(
-            f"a triangulated {m}-gon needs {m - 3} diagonals, got {len(diags)}"
-        )
+            f"a triangulated {m}-gon needs {m - 3} diagonals, got {len(diags)}")
 
     # ends[hi]: the lower ends of the chords (lo, hi), the closing side (0, m-1) too
     ends: list[list[int]] = [[] for _ in range(m)]
@@ -477,22 +487,17 @@ def _quad(tri: Triangulation, rec: EdgeRec) -> tuple[QuadFrame, tuple[tuple[str,
         raise NotFlippable(f"edge {rec.id!r} is on the boundary")
     (t_left, s_left), (t_right, s_right) = rec.attach0, rec.attach1
     if t_left == t_right:
-        raise SelfFoldedUnsupported(
-            f"edge {rec.id!r} glues triangle {t_left!r} to itself"
-        )
+        raise SelfFoldedUnsupported(f"edge {rec.id!r} glues triangle {t_left!r} to itself")
     sides = (tri.side(t_left, s_left + 1), tri.side(t_right, s_right + 2),
              tri.side(t_left, s_left + 2), tri.side(t_right, s_right + 1))
     (a1, a4), (a8, a3), (a9, a10), (a11, a12) = (
-        (ThetaVertex.edge(eid, 1 - fwd), ThetaVertex.edge(eid, int(fwd))) for eid, fwd in sides
-    )
+        (ThetaVertex.edge(eid, 1 - fwd), ThetaVertex.edge(eid, int(fwd))) for eid, fwd in sides)
     frame = QuadFrame(a1, ThetaVertex.edge(rec.id, 1), a3, a4, ThetaVertex.center(t_left),
                       ThetaVertex.edge(rec.id, 0), ThetaVertex.center(t_right),
                       a8, a9, a10, a11, a12, rec.id)
     # also catches two outer sides on one edge, or one on the diagonal
     if len(set(frame.vertices())) != 12:
-        raise SelfFoldedUnsupported(
-            f"quadrilateral around {rec.id!r} wraps onto itself"
-        )
+        raise SelfFoldedUnsupported(f"quadrilateral around {rec.id!r} wraps onto itself")
     for (t, s), fwd in ((rec.attach0, True), (rec.attach1, False)):
         tri.cell(rec, t)
         if s not in (0, 1, 2) or tri.side(t, s) != (rec.id, fwd):
@@ -527,9 +532,8 @@ def _rotate_to_min(cycle: tuple) -> tuple[tuple, int]:
     return rotations[shift], shift
 
 
-def flip_triangulation(
-    tri: Triangulation, edge_id: str
-) -> tuple[Triangulation, QuadFrame, QuadFrame]:
+def flip_triangulation(tri: Triangulation,
+                       edge_id: str) -> tuple[Triangulation, QuadFrame, QuadFrame]:
     """Replace the diagonal of its quadrilateral with the other diagonal.
 
     Returns the new triangulation, the frame of (T, e) and the positional
@@ -543,10 +547,8 @@ def flip_triangulation(
     tail, head = _ordered_pair(r, s)
     new_eid = f"{tail}-{head}"
     if new_eid in tri._edge_by_id and new_eid != edge_id:
-        raise InvalidTriangulation(
-            f"flip of {edge_id!r} would reuse edge id {new_eid!r}; "
-            "distinct arcs with equal endpoints are not supported"
-        )
+        raise InvalidTriangulation(f"flip of {edge_id!r} would reuse edge id {new_eid!r}; "
+                                   "distinct arcs with equal endpoints are not supported")
 
     # each new cell as a counterclockwise cycle of (corner, the outer side
     # leaving it), None for the new diagonal; cell P covers the old a2 side
@@ -564,9 +566,7 @@ def flip_triangulation(
                 new_slot[outer] = (tid, k)
     (pid, _), (qid, _) = diag
     if pid == qid:
-        raise SelfFoldedUnsupported(
-            f"flip of {edge_id!r} would produce two cells with id {pid!r}"
-        )
+        raise SelfFoldedUnsupported(f"flip of {edge_id!r} would produce two cells with id {pid!r}")
 
     from_r = tail == r  # the new diagonal runs R -> S, so cell P walks it first
     moved = {edge_id: EdgeRec(new_eid, tail, head, *(diag if from_r else diag[::-1]))}
@@ -577,12 +577,7 @@ def flip_triangulation(
     new_tris = [pid if t == t_left else qid if t == t_right else t for t in tri.triangles]
     flipped = Triangulation(new_tris, [moved.get(e.id, e) for e in tri.edges], tri.signature)
 
-    frame_new = replace(
-        frame_old,
-        a2=ThetaVertex.center(pid),
-        a5=ThetaVertex.edge(new_eid, 0 if from_r else 1),
-        a6=ThetaVertex.center(qid),
-        a7=ThetaVertex.edge(new_eid, 1 if from_r else 0),
-        diagonal=new_eid,
-    )
+    frame_new = replace(frame_old, a2=ThetaVertex.center(pid), a6=ThetaVertex.center(qid),
+                        a5=ThetaVertex.edge(new_eid, 0 if from_r else 1),
+                        a7=ThetaVertex.edge(new_eid, 1 if from_r else 0), diagonal=new_eid)
     return flipped, frame_old, frame_new

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import MalformedInput
 
@@ -36,6 +37,23 @@ def checked_int(value, what: str = "value") -> int:
     if abs(value) > max_thirds():
         raise MalformedInput(f"{what}: |{value}| exceeds HIVEWEB_MAX_THIRDS={max_thirds()}")
     return value
+
+
+def int_cap() -> int:
+    """The cap for inline tests ``-cap <= x <= cap``, or -1 (no int passes) if unparsable."""
+    try:
+        return max_thirds()
+    except MalformedInput:
+        return -1
+
+
+def read_object(obj, what: str, key: Optional[str] = None) -> dict:
+    """``obj`` if it is a JSON object, holding ``key`` when one is given."""
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"{what}: expected an object, got {type(obj).__name__}")
+    if key is not None and key not in obj:
+        raise MalformedInput(f"{what}: no {key}")
+    return obj
 
 
 def read_thirds(obj, what: str = "value") -> int:

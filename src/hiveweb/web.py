@@ -16,28 +16,17 @@ match after swapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import (
-    GluingMismatch,
-    InconsistentSide,
-    InvalidHive,
-    InvalidWebCoords,
-)
-from .hive import (
-    HiveThirds,
-    HiveValues,
-    TriangleHive,
-    complete_thirds,
-    failed_rhombi,
-    rhombi,
-    rhombus_scan,
-    validate_hive,
-)
+from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
+from .hive import (HiveThirds, HiveValues, TriangleHive, complete_thirds, failed_rhombi, rhombi,
+                   rhombus_scan, validate_hive)
 from .surface import CENTER, SIDE_LABELS, Triangulation
-from .thirds import Third, checked_int
+from .thirds import Third, checked_int, int_cap, read_object
 
 WebTuple = tuple[int, ...]  # (x, y, z, t, u, v, w) of one triangle
+_XYZTUVW = itemgetter(*"xyztuvw")
 
 
 def _corners_checked(c: WebTuple) -> WebTuple:
@@ -123,14 +112,10 @@ def side_arc_counts(a_near: Third, a_far: Third) -> tuple[int, int]:
     first = 2 * a_near.thirds - a_far.thirds
     second = 2 * a_far.thirds - a_near.thirds
     if first % 3 or second % 3:
-        raise InconsistentSide(
-            f"values {a_near!r}, {a_far!r} give non-integer strand counts"
-        )
+        raise InconsistentSide(f"values {a_near!r}, {a_far!r} give non-integer strand counts")
     first, second = first // 3, second // 3
     if first < 0 or second < 0:
-        raise InconsistentSide(
-            f"values {a_near!r}, {a_far!r} give negative strand counts"
-        )
+        raise InconsistentSide(f"values {a_near!r}, {a_far!r} give negative strand counts")
     return first, second
 
 
@@ -179,9 +164,8 @@ def surface_web_to_hive(tri: Triangulation, web: SurfaceWeb) -> HiveValues:
     return dict(zip(tri.theta_index(), map(Third, thirds)))
 
 
-def surface_web_tuples(
-    tri: Triangulation, values: Union[HiveValues, HiveThirds]
-) -> Iterator[tuple[str, WebTuple]]:
+def surface_web_tuples(tri: Triangulation,
+                       values: Union[HiveValues, HiveThirds]) -> Iterator[tuple[str, WebTuple]]:
     """(triangle, its web coordinates) of a valid surface hive, for each
     triangle in order, read in the same pass that checks the rhombi."""
     for t, quantities in rhombus_scan(tri, complete_thirds(tri, values)):
@@ -210,11 +194,23 @@ def surface_web_to_json(tri: Triangulation, web: SurfaceWeb, inline: bool = True
 
 
 def web_coords_from_json(doc: dict) -> dict[str, WebTuple]:
-    """Every entry of the document's ``coords`` as a 7-tuple: each key in
+    """Every entry of the document's ``coords`` as a 7-tuple, entry by entry:
+    the document, its ``coords`` and each entry are objects, each key in
     ``xyztuvw`` order obeys :func:`~hiveweb.thirds.checked_int`, then the
     corner counts must be non-negative."""
-    return {t: _corners_checked(tuple(checked_int(c[k], k) for k in "xyztuvw"))
-            for t, c in doc["coords"].items()}
+    coords = read_object(read_object(doc, "web document", "coords")["coords"], "coords")
+    cap, out = int_cap(), {}
+    for t, entry in coords.items():
+        try:  # the inline test: seven capped ints, the six corner counts not negative
+            c = _XYZTUVW(entry)
+            fast = set(map(type, c)) == {int} and min(c[1:]) >= 0 and -cap <= c[0] and max(c) <= cap
+        except (LookupError, TypeError):
+            fast = False
+        if not fast:
+            entry = read_object(entry, f"coords of {t!r}")
+            c = _corners_checked(tuple(checked_int(entry[k], k) for k in "xyztuvw"))
+        out[t] = c
+    return out
 
 
 def surface_web_from_json(doc: dict) -> SurfaceWeb:

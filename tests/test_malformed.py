@@ -22,12 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hiveweb
+from hiveweb import hive, surface, web
 from hiveweb.cli import run
 from hiveweb.errors import MalformedInput
-from hiveweb.hive import hive_to_json, hive_values_from_json
+from hiveweb.hive import hive_thirds_from_json, hive_to_json, hive_values_from_json
 from hiveweb.sampling import sample_hive
-from hiveweb.surface import build_polygon
-from hiveweb.web import hive_to_surface_web, surface_web_to_json
+from hiveweb.surface import Triangulation, build_polygon
+from hiveweb.thirds import max_thirds
+from hiveweb.web import hive_to_surface_web, surface_web_to_json, web_coords_from_json
 
 TRI = build_polygon(5, [(0, 2), (0, 3)])
 VALUES = sample_hive(TRI, 2, seed=1)
@@ -117,6 +119,11 @@ MALFORMED = {
         "web", ("coords", FIRST_TRIANGLE, "y"),
         DOCS["web"]["coords"][FIRST_TRIANGLE]["y"] + 0.7),
     "web triangle without y": ("web", ("coords", FIRST_TRIANGLE, "y"), DROP),
+    "web document without coords": ("web", ("coords",), DROP),
+    "web coords a list": ("web", ("coords",), [DOCS["web"]["coords"][FIRST_TRIANGLE]]),
+    "web entry a list": (
+        "web", ("coords", FIRST_TRIANGLE), list(DOCS["web"]["coords"][FIRST_TRIANGLE].values())),
+    "hive document without values": ("hive", ("values",), DROP),
     "triangle hive bare ints": ("triangle-hive", ("a1",), 3),
     "graph no arcs": ("graph", ("arcs",), DROP),
     "graph vertices a string": ("graph", ("vertices",), "uvw"),
@@ -132,6 +139,7 @@ WHOLE = {
     "hive document a list": ("hive", [DOCS["hive"]], ("validate", "potential", "cone")),
     "triangulation a list": ("triangulation", [DOCS["triangulation"]], None),
     "graph a list": ("graph", [DOCS["graph"]], None),
+    "web document a list": ("web", [DOCS["web"]], None),
 }
 SIZE_FLAGS = (
     ["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "-1"],
@@ -226,6 +234,7 @@ WRONG_ATTACH = {
     "attach a string": "boundary",
     "first attachment a string": ["boundary"],
     "second attachment a string": [["0-1-2", 0], "outside"],
+    "second attachment null": [["0-1-2", 0], None],
     "attach an int": 3,
     "attach empty": [],
 }
@@ -302,6 +311,129 @@ def test_the_library_reader_is_the_cli_reader(doc, tmp_path):
 
 def test_the_library_reader_refuses_a_document_that_is_a_list():
     assert library_reads([DOCS["hive"]]) == "hive document: expected an object, got list"
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({}, "hive document: no values"),
+    ({"values": {5: {"thirds": 0}}}, "values: 5 is not a vertex key"),
+], ids=["no values", "an int key"])
+def test_the_library_reader_names_the_field(doc, message):
+    assert library_reads(doc) == message
+
+
+# a web document's missing coordinate still raises KeyError, whose command-line
+# text tests/test_web.py pins
+WEB_READ_ALIKE = [pytest.param(changed(kind, path, value), id=name)
+                  for name, (kind, path, value) in MALFORMED.items()
+                  if kind == "web" and name != "web triangle without y"]
+WEB_READ_ALIKE.append(pytest.param([DOCS["web"]], id="web document a list"))
+
+
+@pytest.mark.parametrize("argv", COMMANDS["web"], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("doc", WEB_READ_ALIKE)
+def test_the_web_reader_is_the_cli_reader(argv, doc, tmp_path):
+    with pytest.raises(MalformedInput) as info:
+        web_coords_from_json(doc)
+    assert invoke(argv, doc, tmp_path) == (2, "", f"hiveweb: {info.value}\n")
+
+
+@pytest.mark.parametrize("kind,argv", [(kind, argv) for kind in ("hive", "web")
+                                       for argv in COMMANDS[kind]],
+                         ids=lambda case: " ".join(case[:2]) if isinstance(case, list) else case)
+def test_a_document_that_is_a_list_is_named_by_its_reader(kind, argv, tmp_path):
+    assert invoke(argv, [DOCS[kind]], tmp_path) == (
+        2, "", f"hiveweb: {kind} document: expected an object, got list\n")
+
+
+# -- the cap --------------------------------------------------------------------
+
+CAP = 50
+# one integer at each place a document carries one, and the name it is read under
+CAPPED = {
+    "label": ("triangulation", ("edges", 0, "tail"), "label"),
+    "first attachment side": ("triangulation", ("edges", 0, "attach", 0, 1), "side"),
+    "second attachment side": ("triangulation", ("edges", 1, "attach", 1, 1), "side"),
+    "hive value": ("hive", ("values", FIRST_VALUE, "thirds"), FIRST_VALUE),
+    "web coordinate": ("web", ("coords", FIRST_TRIANGLE, "x"), "x"),
+}
+
+
+@pytest.fixture
+def capped(monkeypatch):
+    """``HIVEWEB_MAX_THIRDS=CAP``, with the cap read afresh before and after."""
+    monkeypatch.setenv("HIVEWEB_MAX_THIRDS", str(CAP))
+    max_thirds.cache_clear()
+    yield
+    max_thirds.cache_clear()
+
+
+@pytest.mark.parametrize("kind,path,what", CAPPED.values(), ids=CAPPED)
+def test_the_cap_admits_itself_and_refuses_one_more(kind, path, what, tmp_path, capped):
+    refused = {CAP + 1: f"|{CAP + 1}| exceeds HIVEWEB_MAX_THIRDS={CAP}",
+               -CAP - 1: f"|{-CAP - 1}| exceeds HIVEWEB_MAX_THIRDS={CAP}",
+               True: "expected an integer, got True"}
+    for argv in COMMANDS[kind]:
+        for value in (CAP, -CAP):
+            code, _, err = invoke(argv, changed(kind, path, value), tmp_path)
+            assert (code in (0, 1), err) == (True, ""), (argv, value)
+        for value, message in refused.items():
+            assert invoke(argv, changed(kind, path, value), tmp_path) == (
+                2, "", f"hiveweb: {what}: {message}\n"), (argv, value)
+
+
+def test_ints_at_the_cap_pass_the_inline_tests(capped, monkeypatch):
+    """The loaders read a document whose ints lie within the cap, some at it,
+    without the general readers, which are there to word errors."""
+    def general(*args):
+        raise AssertionError(f"general reader called on {args!r}")
+
+    tri_doc = copy.deepcopy(DOCS["triangulation"])
+    tri_doc["edges"][0].update(tail=CAP, head=-CAP, attach=[["0-1-2", CAP], "boundary"])
+    tri_doc["edges"][1]["attach"][1][1] = -CAP
+    values = {FIRST_VALUE: {"thirds": CAP}, FIRST_EDGE_KEY: {"thirds": -CAP}}
+    coords = dict(DOCS["web"]["coords"][FIRST_TRIANGLE], x=-CAP, y=CAP)
+    for module, name in ((surface, "_read_edge"), (hive, "read_thirds"), (web, "checked_int")):
+        monkeypatch.setattr(module, name, general)
+    edge0, edge1 = Triangulation.from_json(tri_doc).edges[:2]
+    assert (edge0.tail, edge0.head, edge0.attach0, edge1.attach1[1]) == (
+        CAP, -CAP, ("0-1-2", CAP), -CAP)
+    read, _ = hive_thirds_from_json({"values": values}, TRI)
+    assert (read[TRI.index[FIRST_VALUE]], read[TRI.index[FIRST_EDGE_KEY]]) == (CAP, -CAP)
+    assert web_coords_from_json({"coords": {"t": coords}})["t"][:2] == (-CAP, CAP)
+
+
+# where an unparsable cap is first read: at the first int, after any error found before it
+UNPARSABLE = {
+    "no int read": ({"triangles": [], "edges": []}, ["validate", "--triangulation"], 0, ""),
+    "first int of a triangulation": (
+        DOCS["triangulation"], ["validate", "--triangulation"], 2, "{cap}"),
+    "bad id of a boundary edge, before its labels": (
+        changed("triangulation", ("edges", 0, "id"), 1.5), ["validate", "--triangulation"], 2,
+        "edge id: expected a string or an integer, got 1.5"),
+    "bad id of an interior edge, after its second side": (
+        {**DOCS["triangulation"], "edges": [changed("triangulation", ("edges", 1, "id"), 1.5)[
+            "edges"][1]]}, ["validate", "--triangulation"], 2, "{cap}"),
+    "a bad key before the first value": (
+        {"triangulation": {"triangles": [], "edges": []},
+         "values": {"x": {"thirds": 0}, "c:t": {"thirds": 0}}}, ["validate", "--hive"], 2,
+        "values: 'x' is not a vertex key"),
+    "the first value before a bad key": (
+        {"triangulation": {"triangles": [], "edges": []},
+         "values": {"c:t": {"thirds": 0}, "x": {"thirds": 0}}}, ["validate", "--hive"], 2, "{cap}"),
+    "the first web coordinate": (
+        {"triangulation": {"triangles": [], "edges": []}, "coords": {"t": {"x": 0}}},
+        ["validate", "--web"], 2, "{cap}"),
+}
+
+
+@pytest.mark.parametrize("doc,argv,code,message", UNPARSABLE.values(), ids=UNPARSABLE)
+def test_an_unparsable_cap_fails_where_it_is_first_read(doc, argv, code, message, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setenv("HIVEWEB_MAX_THIRDS", "ten")
+    err = "" if not message else "hiveweb: " + message.format(
+        cap="HIVEWEB_MAX_THIRDS='ten' is not an integer") + "\n"
+    got = invoke([*argv, "{doc}"], doc, tmp_path)
+    assert (got[0], got[2]) == (code, err)
 
 
 def test_aliases_of_a_key_outside_the_triangulation_exit_two(tmp_path):

@@ -2,12 +2,13 @@
 
 ``triangle_frame`` and ``theta_index`` read ``Triangulation.frame`` and
 ``Triangulation.vertices``, and ``validate_complex`` reads corners through
-``Triangulation.ends``.  The
-reference below is the code they replaced: a frame built vertex by vertex
-from side lookups, a second sorted enumeration of the quiver vertices and a
-corner check through a per-corner label lookup.  They must give the same
-frames, enumeration and report, or the same exception with the same text, on
-random polygons with and without broken structure.
+``Triangulation.ends``.  The reference below reads the JSON document itself,
+not the loader's tables: a frame built vertex by vertex from side lookups that
+scan the document's edges, a second sorted enumeration of the quiver vertices
+and a corner check through a per-corner label lookup.  They must give the
+same frames, enumeration and report, or the same exception with the same
+text, on random polygons with and without broken structure, with their lists
+shuffled and with integer ids.
 
 ``validate_hive``, ``tropical_potential`` and ``is_in_positive_cone`` run on
 int lists over a triangulation's quiver-vertex positions; the reference reads every triangle through
@@ -17,11 +18,12 @@ the same hives after random flips.
 """
 
 import random
+from typing import NamedTuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiveweb.errors import HivewebError
+from hiveweb.errors import HivewebError, InvalidTriangulation
 from hiveweb.hive import (
     TriangleHive,
     hive_thirds,
@@ -51,66 +53,95 @@ from hiveweb.web import hive_to_surface_web, surface_web_thirds
 REF_LAYOUT = ((2, False), (0, True), (2, True), None, (0, False), (1, False), (1, True))
 
 
-def _corner_vertex(tri, t, s, at_start):
-    edge_id, fwd = tri.side(t, s)
+def _text(raw):
+    """An id as the loader names it: a string, or an int's decimal text."""
+    return raw if isinstance(raw, str) else str(raw)
+
+
+class DocEdge(NamedTuple):
+    id: str
+    tail: object
+    head: object
+    attachments: list  # (triangle, side, walks tail->head), the first one first
+
+
+def doc_edges(doc):
+    """The edges of a triangulation document, in its order."""
+    edges = []
+    for e in doc["edges"]:
+        first, second = (e["attach"] + ["boundary"])[:2]
+        attachments = [(_text(first[0]), first[1], True)]
+        if second != "boundary":
+            attachments.append((_text(second[0]), second[1], False))
+        edges.append(DocEdge(_text(e["id"]), e["tail"], e["head"], attachments))
+    return edges
+
+
+def _side(edges, t, s):
+    """(edge id, walks tail->head) of the one edge at side ``s`` of ``t``."""
+    hits = [(e.id, fwd) for e in edges for tt, ss, fwd in e.attachments if (tt, ss) == (t, s)]
+    if len(hits) != 1:
+        raise InvalidTriangulation(f"side {s} of triangle {t!r} attached {len(hits)} times")
+    return hits[0]
+
+
+def _corner_vertex(edges, t, s, at_start):
+    edge_id, fwd = _side(edges, t, s)
     slot = (0 if fwd else 1) if at_start else (1 if fwd else 0)
     return ThetaVertex.edge(edge_id, slot)
 
 
-def _corner_label(tri, t, k):
-    edge_id, fwd = tri.side(t, k)
-    rec = tri.edge(edge_id)
-    return rec.tail if fwd else rec.head
+def _corner_label(edges, t, k, at_start=True):
+    edge_id, fwd = _side(edges, t, k)
+    rec = next(e for e in edges if e.id == edge_id)
+    return rec.tail if fwd == at_start else rec.head
 
 
-def reference_frame(tri, t):
-    return tuple(ThetaVertex.center(t) if site is None else _corner_vertex(tri, t, *site)
+def reference_frame(edges, t):
+    return tuple(ThetaVertex.center(t) if site is None else _corner_vertex(edges, t, *site)
                  for site in REF_LAYOUT)
 
 
-def reference_theta_index(tri):
-    out = [ThetaVertex.center(t) for t in sorted(tri.triangles)]
-    for eid in sorted(e.id for e in tri.edges):
+def reference_theta_index(doc):
+    out = [ThetaVertex.center(t) for t in sorted(map(_text, doc["triangles"]))]
+    for eid in sorted(e.id for e in doc_edges(doc)):
         out.append(ThetaVertex.edge(eid, 0))
         out.append(ThetaVertex.edge(eid, 1))
     return out
 
 
-def reference_validate_complex(tri):
+def reference_validate_complex(doc):
     report = ValidationReport()
-    tri_set = set(tri.triangles)
-    for rec in tri.edges:
-        attachments = [rec.attach0] + ([rec.attach1] if rec.attach1 is not None else [])
-        for t, s in attachments:
-            if t not in tri_set:
+    edges, triangles = doc_edges(doc), [_text(t) for t in doc["triangles"]]
+    for rec in edges:
+        for t, s, _ in rec.attachments:
+            if t not in triangles:
                 report.add("unknown-triangle", edge=rec.id, triangle=t)
             elif s not in (0, 1, 2):
                 report.add("bad-side-index", edge=rec.id, triangle=t, side=s)
-    for t in tri.triangles:
+    for t in triangles:
         for s in range(3):
-            hits = [edge_id for edge_id, _ in tri._slots.get((t, s), ())]
+            hits = [e.id for e in edges for tt, ss, _ in e.attachments if (tt, ss) == (t, s)]
             if not hits:
                 report.add("dangling-side", triangle=t, side=s)
             elif len(hits) > 1:
                 report.add("double-attached-side", triangle=t, side=s, edges=hits)
     if report.ok:
-        for t in tri.triangles:
+        for t in triangles:
             for k in range(3):
-                via_side_k = _corner_label(tri, t, k)
-                eid, fwd = tri.side(t, (k - 1) % 3)
-                rec = tri.edge(eid)
-                via_prev = rec.head if fwd else rec.tail
+                via_side_k = _corner_label(edges, t, k)
+                via_prev = _corner_label(edges, t, (k - 1) % 3, at_start=False)
                 if via_side_k != via_prev:
                     report.add("corner-mismatch", triangle=t, corner=k,
                                labels=[via_side_k, via_prev])
-    if tri.signature is not None:
-        g, c, m = tri.signature
+    if "signature" in doc:
+        g, c, m = (doc["signature"][k] for k in "gcm")
         want_f = 2 * c + m + 4 * g - 4
         want_e = 3 * c + 2 * m + 6 * g - 6
-        if len(tri.triangles) != want_f:
-            report.add("count-mismatch", field="triangles", have=len(tri.triangles), want=want_f)
-        if len(tri.edges) != want_e:
-            report.add("count-mismatch", field="edges", have=len(tri.edges), want=want_e)
+        if len(triangles) != want_f:
+            report.add("count-mismatch", field="triangles", have=len(triangles), want=want_f)
+        if len(edges) != want_e:
+            report.add("count-mismatch", field="edges", have=len(edges), want=want_e)
     return report
 
 
@@ -129,9 +160,9 @@ def random_diagonals(m, rng):
 
 def reference(tri, values):
     """(violations, potential, in cone) one Third at a time."""
-    violations, worst = [], None
+    violations, worst, edges = [], None, doc_edges(tri.to_json())
     for t in tri.triangles:
-        frame = reference_frame(tri, t)
+        frame = reference_frame(edges, t)
         h = TriangleHive(*(values[v] for v in frame))
         for index, d in enumerate(rhombus_differences(h), start=1):
             if d.thirds < 0 or not d.is_integer():
@@ -202,6 +233,21 @@ def _break(doc, rng):
         e["attach"][1][0] = e["attach"][0][0]
 
 
+def _number_ids(doc, rng):
+    """Replace every triangle and edge id by a distinct int, some negative."""
+    numbers = {}
+
+    def number(name):
+        return numbers.setdefault(name, rng.choice([-1, 1]) * 7 * (len(numbers) + 1))
+
+    doc["triangles"] = [number(t) for t in doc["triangles"]]
+    for e in doc["edges"]:
+        e["id"] = number(e["id"])
+        for pair in e["attach"]:
+            if pair != "boundary":
+                pair[0] = number(pair[0])
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.data())
 def test_frames_enumeration_and_report_match_the_reference(data):
@@ -210,12 +256,17 @@ def test_frames_enumeration_and_report_match_the_reference(data):
     doc = build_polygon(m, random_diagonals(m, rng)).to_json()
     for _ in range(data.draw(st.integers(0, 2))):
         _break(doc, rng)
-    tri = Triangulation.from_json(doc)
-    assert tri.theta_index() == reference_theta_index(tri)
-    assert validate_complex(tri).to_json() == reference_validate_complex(tri).to_json()
+    if data.draw(st.booleans()):
+        rng.shuffle(doc["edges"])
+        rng.shuffle(doc["triangles"])
+    if data.draw(st.booleans()):
+        _number_ids(doc, rng)
+    tri, edges = Triangulation.from_json(doc), doc_edges(doc)
+    assert tri.theta_index() == reference_theta_index(doc)
+    assert validate_complex(tri).to_json() == reference_validate_complex(doc).to_json()
     named = {t for e in tri.edges for t, _ in filter(None, (e.attach0, e.attach1))}
     for t in [*tri.triangles, *sorted(named - set(tri.triangles)), "no-such-triangle"]:
-        got, want = _outcome(triangle_frame, tri, t), _outcome(reference_frame, tri, t)
+        got, want = _outcome(triangle_frame, tri, t), _outcome(reference_frame, edges, t)
         if t not in tri.triangles and want[0] == "ok":
             # all three sides attached, but no center position to read
             assert got == ("raised", "KeyError", repr(f"unknown triangle {t!r}"))
@@ -224,23 +275,39 @@ def test_frames_enumeration_and_report_match_the_reference(data):
             assert got == want
 
 
-POSITIONS = {"slot0", "keys", "index", "vertices"}
+def test_a_side_attached_twice_leaves_its_cell_without_a_frame():
+    doc = build_polygon(5, [(0, 2), (0, 3)]).to_json()
+    boundary = next(e for e in doc["edges"] if e["attach"][1] == "boundary")
+    t, s = boundary["attach"][0]
+    doc["edges"].append({"id": "extra", "tail": 0, "head": 1, "attach": [[t, s], "boundary"]})
+    tri = Triangulation.from_json(doc)
+    assert _outcome(triangle_frame, tri, t) == (
+        "raised", "InvalidTriangulation", f"side {s} of triangle {t!r} attached 2 times")
+    assert _outcome(reference_frame, doc_edges(doc), t) == _outcome(triangle_frame, tri, t)
+
+
+# the members built on first read, and the slot table
+POSITIONS = {"slot0", "keys", "index", "vertices", "_frames", "_slots"}
 SEPTAGON = ((0, 2), (0, 4), (2, 4), (4, 6))
 
 
 def built_by(call, *args):
-    """The position members a fresh 7-gon holds after ``call(tri, *args)``."""
-    tri = build_polygon(7, SEPTAGON)
-    call(tri, *args)
-    return POSITIONS & vars(tri).keys()
+    """The members a fresh 7-gon holds after ``call(tri, *args)``, the same
+    whether it was built or loaded from its document."""
+    built = build_polygon(7, SEPTAGON)
+    fresh = [built, Triangulation.from_json(built.to_json())]
+    for tri in fresh:
+        call(tri, *args)
+    assert vars(fresh[0]).keys() & POSITIONS == vars(fresh[1]).keys() & POSITIONS
+    return POSITIONS & vars(fresh[0]).keys()
 
 
 def test_positions_are_built_only_when_read():
     tri = build_polygon(7, SEPTAGON)
     values = sample_hive(tri, 1, 0)
     coords = {t: c.values() for t, c in hive_to_surface_web(tri, values).items()}
-    assert built_by(validate_complex) == set()
-    assert built_by(flip_triangulation, "0-2") == set()
-    assert built_by(sample_thirds, 1, 0) == {"slot0", "keys"}
-    assert built_by(surface_web_thirds, coords) == {"slot0", "keys"}
-    assert built_by(validate_hive, hive_thirds(tri, values)) == {"slot0"}
+    assert built_by(validate_complex) == {"_slots"}
+    assert built_by(flip_triangulation, "0-2") == {"_slots"}
+    assert built_by(sample_thirds, 1, 0) == {"slot0", "keys", "_frames"}
+    assert built_by(surface_web_thirds, coords) == {"slot0", "keys", "_frames", "_slots"}
+    assert built_by(validate_hive, hive_thirds(tri, values)) == {"slot0", "_frames"}
