@@ -34,6 +34,8 @@ def _emit(doc, out_path) -> None:
 
 
 def _load_doc(path: str):
+    if "\0" in path:  # open() refuses such a path with ValueError
+        raise MalformedInput(f"cannot read {path}: embedded null byte")
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -43,19 +45,8 @@ def _load_doc(path: str):
         raise MalformedInput(f"{path} is not valid JSON: {exc}")
 
 
-def _convert(path: str, convert, *args):
-    """``convert(*args)`` on the document from ``path``: the one boundary where a
-    lookup, type or value error means a malformed document (exit 2)."""
-    try:
-        return convert(*args)
-    except MalformedInput:
-        raise
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        raise MalformedInput(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
-
-
 def _load_triangulation(path: str) -> surface.Triangulation:
-    return _convert(path, surface.Triangulation.from_json, _load_doc(path))
+    return surface.Triangulation.from_json(_load_doc(path))
 
 
 def _load(path: str, args, kind: str, doc=None):
@@ -64,20 +55,16 @@ def _load(path: str, args, kind: str, doc=None):
     --triangulation, else embedded, else the file it names relative to ``path``."""
     if doc is None:
         doc = _load_doc(path)
-
-    def convert():
-        if args.triangulation:
-            tri = _load_triangulation(args.triangulation)
-        elif isinstance(ref := read_object(doc, f"{kind} document").get("triangulation"), str):
-            tri = _load_triangulation(str(Path(path).parent / ref))
-        elif isinstance(ref, dict):
-            tri = surface.Triangulation.from_json(ref)
-        else:
-            raise MalformedInput("no triangulation: pass --triangulation or embed one in the document")
-        return tri, (web.web_coords_from_json(doc) if kind == "web"
-                     else hive_mod.hive_thirds_from_json(doc, tri))
-
-    return _convert(path, convert)
+    if args.triangulation:
+        tri = _load_triangulation(args.triangulation)
+    elif isinstance(ref := read_object(doc, f"{kind} document").get("triangulation"), str):
+        tri = _load_triangulation(str(Path(path).parent / ref))
+    elif isinstance(ref, dict):
+        tri = surface.Triangulation.from_json(ref)
+    else:
+        raise MalformedInput("no triangulation: pass --triangulation or embed one in the document")
+    return tri, (web.web_coords_from_json(doc) if kind == "web"
+                 else hive_mod.hive_thirds_from_json(doc, tri))
 
 
 def _coords(text: str) -> web.TriangleWebCoords:
@@ -121,7 +108,7 @@ def cmd_web2hive(args) -> int:
 def cmd_hive2web(args) -> int:
     doc = _load_doc(args.hive)
     if isinstance(doc, dict) and "values" not in doc:
-        coords = web.hive_to_web_triangle(_convert(args.hive, hive_mod.TriangleHive.from_json, doc))
+        coords = web.hive_to_web_triangle(hive_mod.TriangleHive.from_json(doc))
         _emit(coords.to_json(), args.out)
         return 0
     tri, (values, _) = _load(args.hive, args, "hive", doc)
@@ -248,7 +235,7 @@ def _vertex(graph: metric_mod.OrientedGraph, name: str):
 
 
 def cmd_dist(args) -> int:
-    graph = _convert(args.graph, metric_mod.OrientedGraph.from_json, _load_doc(args.graph))
+    graph = metric_mod.OrientedGraph.from_json(_load_doc(args.graph))
     src, to = _vertex(graph, args.src), _vertex(graph, args.to)
     _emit(metric_mod.shortest_distance(graph, src, to).to_json(), args.out)
     return 0

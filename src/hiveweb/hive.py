@@ -59,8 +59,9 @@ class TriangleHive:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TriangleHive":
-        """The triangle hive document ``{"a1": {"thirds": n}, ...}``."""
-        return cls(*(Third(read_thirds(doc[a], a)) for a in _LABELS))
+        """The triangle hive document ``{"a1": {"thirds": n}, ...}``, read label by label."""
+        return cls(*(Third(read_thirds(read_object(doc, "triangle hive document", a)[a], a))
+                     for a in _LABELS))
 
 
 def triangle_frame(tri: Triangulation, t: str) -> tuple[ThetaVertex, ...]:

@@ -12,8 +12,8 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
-from .errors import OmegaEmpty, Unreachable
-from .thirds import LatticePoint, Third
+from .errors import MalformedInput, OmegaEmpty, Unreachable
+from .thirds import LatticePoint, Third, read_array
 
 Vertex = Hashable
 
@@ -31,15 +31,17 @@ class OrientedGraph:
         self.vertices = list(vertices)
         self._index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
-            raise ValueError("duplicate vertex ids")
+            twice = next(v for i, v in enumerate(self.vertices) if self._index[v] != i)
+            raise MalformedInput(f"vertices: {twice!r} is listed twice")
         self.arcs = list(arcs)
         index = self._index
         fwd: list[list[int]] = [[] for _ in self.vertices]
         back: list[list[int]] = [[] for _ in self.vertices]
         for tail, head in self.arcs:
-            i, j = index.get(tail), index.get(head)
-            if i is None or j is None:
-                raise ValueError(f"arc ({tail!r}, {head!r}) has an unknown endpoint")
+            try:
+                i, j = index[tail], index[head]
+            except (KeyError, TypeError):  # TypeError: an unhashable endpoint
+                raise MalformedInput(f"arc ({tail!r}, {head!r}) has an unknown endpoint") from None
             fwd[i].append(j)
             back[j].append(i)
         self._fwd, self._back = fwd, back
@@ -96,15 +98,13 @@ class OrientedGraph:
     def from_json(cls, obj: dict) -> "OrientedGraph":
         """Graph of a document whose ``vertices`` is an array of string or
         integer ids and whose ``arcs`` is an array of [tail, head] pairs."""
-        vertices, arcs = obj["vertices"], obj["arcs"]
-        if type(vertices) is not list or type(arcs) is not list:
-            raise TypeError("vertices and arcs must be arrays")
+        vertices, arcs = (read_array(obj, "graph document", key) for key in ("vertices", "arcs"))
         for v in vertices:
             if type(v) is not str and type(v) is not int:
-                raise TypeError(f"vertex id {v!r} is neither a string nor an integer")
+                raise MalformedInput(f"vertices: {v!r} is neither a string nor an integer")
         for arc in arcs:
             if type(arc) is not list or len(arc) != 2:
-                raise ValueError(f"arc {arc!r} is not a [tail, head] pair")
+                raise MalformedInput(f"arcs: {arc!r} is not a [tail, head] pair")
         return cls(vertices, [tuple(arc) for arc in arcs])
 
 

@@ -64,9 +64,8 @@ def _tree_order(tri: Triangulation) -> list[str]:
         seen.add(t)
         order.append(t)
         queue.extend(n for n in neighbors[t] if n not in seen)
-    for t in tri.triangles:  # disconnected complexes: start a new tree
-        if t not in seen:
-            raise InvalidTriangulation("triangulation is not connected")
+    if len(order) < len(tri.triangles):  # the walk missed a triangle
+        raise InvalidTriangulation("triangulation is not connected")
     return order
 
 

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (InvalidPolygonTriangulation, InvalidTriangulation, MalformedInput,
                      NotFlippable, SelfFoldedUnsupported)
-from .thirds import checked_int, int_cap
+from .thirds import checked_int, int_cap, read_array, read_object
 
 Label = object  # marked-point labels: ints for polygons, ints or strings in JSON
 Attach = tuple[str, int]
@@ -106,8 +106,10 @@ def _id(raw, what: str) -> str:
 
 
 def _attach(raw) -> Attach:
-    """A ``[triangle, side]`` pair; its length is checked after the reads, so
-    a pair those reads fail on keeps their message."""
+    """A ``[triangle, side]`` pair.  A shorter list is refused first; a longer
+    one after the reads, so a pair those reads fail on keeps their message."""
+    if len(raw) < 2:
+        raise MalformedInput(f"attachment {raw!r} is not a [triangle, side] pair")
     t, side = raw[0], checked_int(raw[1], "side")
     attach = _id(t, "triangle id"), side
     if len(raw) != 2:
@@ -120,10 +122,10 @@ def _label(raw) -> Label:
     return raw if type(raw) is str else checked_int(raw, "label")
 
 
-def _read_edge(e) -> EdgeRec:
-    """Edge document ``e`` read field by field, in the order that decides
+def _read_edge(e, k: int) -> EdgeRec:
+    """Entry ``k`` of ``edges`` read field by field, in the order that decides
     which error is raised first; see :meth:`Triangulation.from_json`."""
-    raw = e["attach"]
+    raw = read_object(e, f"edges[{k}]", "id", "tail", "head", "attach")["attach"]
     try:
         attach1 = _attach(raw[1]) if len(raw) > 1 and raw[1] != "boundary" else None
         rec = EdgeRec(_id(e["id"], "edge id"), _label(e["tail"]), _label(e["head"]),
@@ -292,15 +294,17 @@ class Triangulation:
     @classmethod
     def from_json(cls, doc: dict) -> "Triangulation":
         """Integers obey :func:`~hiveweb.thirds.checked_int`; ids are strings or
-        ints, labels ints or strings, ``triangles`` and ``edges`` are arrays and
-        ``attach`` lists one or two attachments (the second may be
-        ``"boundary"``), else the edge is named.  Each other shape check follows
-        the reads it guards, so a value those reads already fail on keeps their
-        message.  An edge that passes the inline tests (a string id, string or
-        capped int labels, ``[string, capped int]`` pairs) is taken as it is;
-        :func:`_read_edge` reads any other, and words its first error."""
+        ints, labels ints or strings.  The document, each edge and a signature
+        are objects holding their fields, and ``triangles`` and ``edges``
+        arrays, checked before they are read; ``attach`` lists one or two
+        attachments (the second may be ``"boundary"``), else the edge is named.
+        Each other check follows the reads it guards, so a value those reads
+        fail on keeps their message.  An edge that passes the inline tests (a
+        string id, string or capped int labels, ``[string, capped int]`` pairs)
+        is taken as it is; :func:`_read_edge` reads any other, and words its
+        first error."""
         cap, edges, new = int_cap(), [], tuple.__new__  # new skips EdgeRec's own __new__
-        for e in doc["edges"]:
+        for e in read_array(doc, "triangulation document", "edges"):
             try:
                 raw, eid, tail, head = e["attach"], e["id"], e["tail"], e["head"]
                 a0, a1 = raw[0], raw[1] if len(raw) == 2 else "boundary"
@@ -315,15 +319,13 @@ class Triangulation:
             except (LookupError, TypeError, ValueError):
                 fast = False
             edges.append(new(EdgeRec, (eid, tail, head, (t0, s0), None if boundary else (t1, s1)))
-                         if fast else _read_edge(e))
+                         if fast else _read_edge(e, len(edges)))
         sig = None
         if "signature" in doc:
-            s = doc["signature"]
+            s = read_object(doc["signature"], "signature", *"gcm")
             sig = tuple(checked_int(s[k], "signature") for k in "gcm")
-        triangles = [t if type(t) is str else _id(t, "triangle id") for t in doc["triangles"]]
-        for key in ("edges", "triangles"):
-            if type(doc[key]) is not list:
-                raise MalformedInput(f"{key}: expected an array, got {type(doc[key]).__name__}")
+        triangles = [t if type(t) is str else _id(t, "triangle id")
+                     for t in read_array(doc, "triangulation document", "triangles")]
         return cls(triangles, edges, sig)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import MalformedInput
 
@@ -47,13 +46,22 @@ def int_cap() -> int:
         return -1
 
 
-def read_object(obj, what: str, key: Optional[str] = None) -> dict:
-    """``obj`` if it is a JSON object, holding ``key`` when one is given."""
+def read_object(obj, what: str, *keys: str) -> dict:
+    """``obj`` if it is a JSON object holding each of ``keys``."""
     if not isinstance(obj, dict):
         raise MalformedInput(f"{what}: expected an object, got {type(obj).__name__}")
-    if key is not None and key not in obj:
-        raise MalformedInput(f"{what}: no {key}")
+    for key in keys:
+        if key not in obj:
+            raise MalformedInput(f"{what}: no {key}")
     return obj
+
+
+def read_array(obj, what: str, key: str) -> list:
+    """``obj[key]`` once ``obj`` is a JSON object holding ``key`` and that is an array."""
+    value = read_object(obj, what, key)[key]
+    if type(value) is not list:
+        raise MalformedInput(f"{key}: expected an array, got {type(value).__name__}")
+    return value
 
 
 def read_thirds(obj, what: str = "value") -> int:

@@ -196,8 +196,8 @@ def surface_web_to_json(tri: Triangulation, web: SurfaceWeb, inline: bool = True
 def web_coords_from_json(doc: dict) -> dict[str, WebTuple]:
     """Every entry of the document's ``coords`` as a 7-tuple, entry by entry:
     the document, its ``coords`` and each entry are objects, each key in
-    ``xyztuvw`` order obeys :func:`~hiveweb.thirds.checked_int`, then the
-    corner counts must be non-negative."""
+    ``xyztuvw`` order is present and obeys :func:`~hiveweb.thirds.checked_int`,
+    then the corner counts must be non-negative."""
     coords = read_object(read_object(doc, "web document", "coords")["coords"], "coords")
     cap, out = int_cap(), {}
     for t, entry in coords.items():
@@ -207,8 +207,8 @@ def web_coords_from_json(doc: dict) -> dict[str, WebTuple]:
         except (LookupError, TypeError):
             fast = False
         if not fast:
-            entry = read_object(entry, f"coords of {t!r}")
-            c = _corners_checked(tuple(checked_int(entry[k], k) for k in "xyztuvw"))
+            c = _corners_checked(tuple(checked_int(read_object(entry, f"coords of {t!r}", k)[k], k)
+                                       for k in "xyztuvw"))
         out[t] = c
     return out
 

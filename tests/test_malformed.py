@@ -3,8 +3,10 @@
 A document or flag of the wrong shape exits 2 with nothing on stdout and one
 ``hiveweb: ...`` line on stderr, whichever reader trips on it; every integer
 in a document obeys one rule (an exact int within ``HIVEWEB_MAX_THIRDS``);
-unknown names stay semantic (exit 1).  A Hypothesis test mutates valid
-documents of every kind and checks that ``run()`` never raises.
+unknown names stay semantic (exit 1).  Each library reader raises nothing but
+``MalformedInput`` or a domain error on any single-node mutation of a valid
+document, with the text the command line prints; a Hypothesis test runs such
+mutations through ``run()`` and checks that it never raises.
 """
 
 import contextlib
@@ -24,8 +26,9 @@ from hypothesis import strategies as st
 import hiveweb
 from hiveweb import hive, surface, web
 from hiveweb.cli import run
-from hiveweb.errors import MalformedInput
-from hiveweb.hive import hive_thirds_from_json, hive_to_json, hive_values_from_json
+from hiveweb.errors import HivewebError, MalformedInput
+from hiveweb.hive import TriangleHive, hive_thirds_from_json, hive_to_json, hive_values_from_json
+from hiveweb.metric import OrientedGraph
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import Triangulation, build_polygon
 from hiveweb.thirds import max_thirds
@@ -115,6 +118,10 @@ MALFORMED = {
     "triangulation edge id null": ("triangulation", ("edges", 0, "id"), None),
     "triangulation attached triangle float": (
         "triangulation", ("edges", 0, "attach", 0, 0), 1.5),
+    "triangulation attachment of one": ("triangulation", ("edges", 0, "attach", 0), ["0-1-2"]),
+    "triangulation edge a list": ("triangulation", ("edges", 1), ["0-2"]),
+    "triangulation edge without attach": ("triangulation", ("edges", 1, "attach"), DROP),
+    "triangulation signature without m": ("triangulation", ("signature", "m"), DROP),
     "web coordinate float": (
         "web", ("coords", FIRST_TRIANGLE, "y"),
         DOCS["web"]["coords"][FIRST_TRIANGLE]["y"] + 0.7),
@@ -125,6 +132,7 @@ MALFORMED = {
         "web", ("coords", FIRST_TRIANGLE), list(DOCS["web"]["coords"][FIRST_TRIANGLE].values())),
     "hive document without values": ("hive", ("values",), DROP),
     "triangle hive bare ints": ("triangle-hive", ("a1",), 3),
+    "triangle hive without a3": ("triangle-hive", ("a3",), DROP),
     "graph no arcs": ("graph", ("arcs",), DROP),
     "graph vertices a string": ("graph", ("vertices",), "uvw"),
     "graph arcs an object": ("graph", ("arcs",), {"uv": 0, "vw": 1}),
@@ -133,6 +141,9 @@ MALFORMED = {
     "graph vertex bool": ("graph", ("vertices",), ["u", "v", "w", True]),
     "graph vertex float": ("graph", ("vertices",), ["u", "v", "w", 1.5]),
     "graph vertex null": ("graph", ("vertices",), ["u", "v", "w", None]),
+    "graph arc to an unknown vertex": ("graph", ("arcs", 0, 1), "x"),
+    "graph arc to a list": ("graph", ("arcs", 0, 1), ["v"]),
+    "graph vertex twice": ("graph", ("vertices",), ["u", "v", "w", "u"]),
 }
 # a whole document that is a list (hive2web and flip --hive refused a listed hive already)
 WHOLE = {
@@ -173,13 +184,23 @@ def test_malformed_document_exits_two(argv, doc, tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("hiveweb: "), err
 
 
-@pytest.mark.parametrize("raw", [b"[" * 100_000 + b"]" * 100_000, b'{"values": "\xff"}'],
-                         ids=["nested too deep", "not utf-8"])
-def test_unreadable_document_exits_two(raw, tmp_path):
+UNREADABLE = {
+    "nested too deep": (b"[" * 100_000 + b"]" * 100_000, "{raw} is not valid JSON: "),
+    "not utf-8": (b'{"values": "\xff"}', "{raw} is not valid JSON: "),
+    # open() refuses a path with a null byte by ValueError, not OSError
+    "triangulation path with a null byte": (
+        b'{"triangulation": "t\\u0000.json", "values": {}}',
+        "cannot read {dir}/t\0.json: embedded null byte\n"),
+}
+
+
+@pytest.mark.parametrize("raw,start", UNREADABLE.values(), ids=UNREADABLE)
+def test_unreadable_document_exits_two(raw, start, tmp_path):
     (tmp_path / "raw.json").write_bytes(raw)
     code, out, err = invoke(["validate", "--hive", str(tmp_path / "raw.json")], {}, tmp_path)
     assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("hiveweb: "), err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("hiveweb: " + start.format(raw=tmp_path / "raw.json", dir=tmp_path)), err
 
 
 @pytest.mark.parametrize("argv", SIZE_FLAGS, ids=lambda argv: f"{argv[0]} {argv[-2]}")
@@ -216,7 +237,7 @@ ATTACHMENT_ERRORS = {
                           "attachment to triangle '0-1-2': 4 entries, expected 2"),
     "bad side first": (["0-1-2", "x", 7], "side: expected an integer, got 'x'"),
     "bad triangle first": ([1.5, 0, 7], "triangle id: expected a string or an integer, got 1.5"),
-    "too short": (["0-1-2"], "{doc} is malformed: IndexError: list index out of range"),
+    "too short": (["0-1-2"], "attachment ['0-1-2'] is not a [triangle, side] pair"),
 }
 
 
@@ -224,7 +245,7 @@ ATTACHMENT_ERRORS = {
 def test_attachment_pair_errors_keep_their_message(pair, message, tmp_path):
     doc = changed("triangulation", ("edges", 0, "attach", 0), pair)
     code, out, err = invoke(["validate", "--triangulation", "{doc}"], doc, tmp_path)
-    assert (code, out, err) == (2, "", f"hiveweb: {message}\n".format(doc=tmp_path / "doc.json"))
+    assert (code, out, err) == (2, "", f"hiveweb: {message}\n")
 
 
 # an attach that is not an array, or whose first entry is not a pair or whose
@@ -321,11 +342,8 @@ def test_the_library_reader_names_the_field(doc, message):
     assert library_reads(doc) == message
 
 
-# a web document's missing coordinate still raises KeyError, whose command-line
-# text tests/test_web.py pins
 WEB_READ_ALIKE = [pytest.param(changed(kind, path, value), id=name)
-                  for name, (kind, path, value) in MALFORMED.items()
-                  if kind == "web" and name != "web triangle without y"]
+                  for name, (kind, path, value) in MALFORMED.items() if kind == "web"]
 WEB_READ_ALIKE.append(pytest.param([DOCS["web"]], id="web document a list"))
 
 
@@ -335,6 +353,52 @@ def test_the_web_reader_is_the_cli_reader(argv, doc, tmp_path):
     with pytest.raises(MalformedInput) as info:
         web_coords_from_json(doc)
     assert invoke(argv, doc, tmp_path) == (2, "", f"hiveweb: {info.value}\n")
+
+
+def _embedded(doc):
+    """The triangulation a hive or web document carries inline, read as the
+    command line reads it, else ``TRI``."""
+    ref = doc.get("triangulation") if isinstance(doc, dict) else None
+    return Triangulation.from_json(ref) if isinstance(ref, dict) else TRI
+
+
+# the library reader of each kind of document
+READERS = {
+    "triangulation": Triangulation.from_json,
+    "hive": lambda doc: hive_thirds_from_json(doc, _embedded(doc)),
+    "web": lambda doc: (_embedded(doc), web_coords_from_json(doc)),
+    "triangle-hive": TriangleHive.from_json,
+    "graph": OrientedGraph.from_json,
+}
+OTHER_READ_ALIKE = ("triangulation attachment of one", "triangle hive without a3",
+                    "graph arc to an unknown vertex")
+
+
+@pytest.mark.parametrize("name", OTHER_READ_ALIKE)
+def test_the_other_readers_are_the_cli_readers(name, tmp_path):
+    kind, path, value = MALFORMED[name]
+    doc = changed(kind, path, value)
+    with pytest.raises(MalformedInput) as info:
+        READERS[kind](doc)
+    for argv in COMMANDS[kind]:
+        assert invoke(argv, doc, tmp_path) == (2, "", f"hiveweb: {info.value}\n"), argv
+
+
+# where each kind of document is read on the command line
+READER_OWNERS = {"triangulation": (Triangulation, "from_json"),
+                 "hive": (hive, "hive_thirds_from_json"), "web": (web, "web_coords_from_json"),
+                 "triangle-hive": (TriangleHive, "from_json"), "graph": (OrientedGraph, "from_json")}
+
+
+@pytest.mark.parametrize("kind", READER_OWNERS)
+def test_a_bug_in_a_reader_is_not_reported_as_malformed_input(kind, tmp_path, monkeypatch):
+    """Only a reader words malformed input: any other error it raises escapes ``run()``."""
+    def bug(*args):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr(*READER_OWNERS[kind], bug)
+    with pytest.raises(TypeError, match="a bug, not bad input"):
+        invoke(COMMANDS[kind][0], DOCS[kind], tmp_path)
 
 
 @pytest.mark.parametrize("kind,argv", [(kind, argv) for kind in ("hive", "web")
@@ -487,15 +551,43 @@ def _no_float(text):
     raise AssertionError(f"non-integer number {text!r} in output")
 
 
+def _node(kind, path):
+    """The node at ``path`` in the valid ``kind`` document."""
+    node = DOCS[kind]
+    for key in path:
+        node = node[key]
+    return node
+
+
+def single_node_mutations():
+    """(kind, the valid document of that kind with one node mutated), for each
+    node below the root and each of its mutations."""
+    for kind, paths in PATHS.items():
+        for path in paths:
+            for value in _mutations(_node(kind, path)):
+                yield kind, changed(kind, path, value)
+
+
+def test_each_reader_raises_only_malformed_input_on_every_single_node_mutation():
+    raw, calls = [], 0
+    for kind, doc in single_node_mutations():
+        calls += 1
+        try:
+            READERS[kind](doc)
+        except (MalformedInput, HivewebError):
+            pass
+        except Exception as exc:  # any other error is a reader bug, reported below
+            raw.append((kind, doc, repr(exc)))
+    assert calls == sum(len(PATHS[kind]) for kind in DOCS) * len(_mutations(0))
+    assert not raw, f"{len(raw)} raw errors, the first: {raw[:3]}"
+
+
 @st.composite
 def mutated_runs(draw):
     kind = draw(st.sampled_from(sorted(DOCS)))
     path = draw(st.sampled_from(PATHS[kind]))
-    node = DOCS[kind]
-    for key in path:
-        node = node[key]
     argv = draw(st.sampled_from(COMMANDS[kind]))
-    return argv, changed(kind, path, draw(st.sampled_from(_mutations(node))))
+    return argv, changed(kind, path, draw(st.sampled_from(_mutations(_node(kind, path)))))
 
 
 @settings(max_examples=500, deadline=None)

@@ -81,6 +81,16 @@ def test_self_glued_edge_rejected():
         sample_hive(tri, 1, seed=0)
 
 
+def test_disconnected_complex_rejected():
+    """Two triangles that share no edge: the walk from the least one misses the other."""
+    edges = [EdgeRec(f"{t}{s}", f"{t}{s}", f"{t}{(s + 1) % 3}", (t, s), None)
+             for t in "AB" for s in range(3)]
+    tri = Triangulation(["A", "B"], edges)
+    assert validate_complex(tri).ok
+    with pytest.raises(InvalidTriangulation, match="triangulation is not connected"):
+        sample_hive(tri, 1, seed=0)
+
+
 def sample_with_unknown_triangle(tmp_path, capsys, attachment):
     """Exit code and report of ``sample`` when the given attachment of the
     interior edge 0-2 names the unlisted triangle 9-9-9."""

@@ -306,7 +306,7 @@ WEB_ERROR_ROWS = {
         2, "", "hiveweb: x: expected an integer, got 0.5\n")),
     "non-int coordinate": ((_set("x", "1"),), (
         2, "", "hiveweb: x: expected an integer, got '1'\n")),
-    "missing key": ((_drop_w,), (2, "", "hiveweb: {doc} is malformed: KeyError: 'w'\n")),
+    "missing key": ((_drop_w,), (2, "", "hiveweb: coords of '0-2-4': no w\n")),
 }
 
 
