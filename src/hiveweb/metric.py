@@ -97,7 +97,8 @@ class OrientedGraph:
     @classmethod
     def from_json(cls, obj: dict) -> "OrientedGraph":
         """Graph of a document whose ``vertices`` is an array of string or
-        integer ids and whose ``arcs`` is an array of [tail, head] pairs."""
+        integer ids and whose ``arcs`` is an array of [tail, head] pairs of
+        them."""
         vertices, arcs = (read_array(obj, "graph document", key) for key in ("vertices", "arcs"))
         for v in vertices:
             if type(v) is not str and type(v) is not int:
@@ -105,6 +106,10 @@ class OrientedGraph:
         for arc in arcs:
             if type(arc) is not list or len(arc) != 2:
                 raise MalformedInput(f"arcs: {arc!r} is not a [tail, head] pair")
+            # true and 1.0 hash like the id 1, so an endpoint of another type
+            # would find that vertex
+            if not all(type(v) is str or type(v) is int for v in arc):
+                raise MalformedInput(f"arc ({arc[0]!r}, {arc[1]!r}) has an unknown endpoint")
         return cls(vertices, [tuple(arc) for arc in arcs])
 
 

@@ -46,10 +46,20 @@ def int_cap() -> int:
         return -1
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    """The JSON name of the type of a decoded ``value``: object, array,
+    string, number, boolean or null."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def read_object(obj, what: str, *keys: str) -> dict:
     """``obj`` if it is a JSON object holding each of ``keys``."""
     if not isinstance(obj, dict):
-        raise MalformedInput(f"{what}: expected an object, got {type(obj).__name__}")
+        raise MalformedInput(f"{what}: expected an object, got {_json_type(obj)}")
     for key in keys:
         if key not in obj:
             raise MalformedInput(f"{what}: no {key}")
@@ -60,7 +70,7 @@ def read_array(obj, what: str, key: str) -> list:
     """``obj[key]`` once ``obj`` is a JSON object holding ``key`` and that is an array."""
     value = read_object(obj, what, key)[key]
     if type(value) is not list:
-        raise MalformedInput(f"{key}: expected an array, got {type(value).__name__}")
+        raise MalformedInput(f"{key}: expected an array, got {_json_type(value)}")
     return value
 
 

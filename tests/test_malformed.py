@@ -31,7 +31,7 @@ from hiveweb.hive import TriangleHive, hive_thirds_from_json, hive_to_json, hive
 from hiveweb.metric import OrientedGraph
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import Triangulation, build_polygon
-from hiveweb.thirds import max_thirds
+from hiveweb.thirds import max_thirds, read_array, read_object
 from hiveweb.web import hive_to_surface_web, surface_web_to_json, web_coords_from_json
 
 TRI = build_polygon(5, [(0, 2), (0, 3)])
@@ -42,7 +42,8 @@ DOCS = {
     "web": surface_web_to_json(TRI, hive_to_surface_web(TRI, VALUES)),
     "triangle-hive": {f"a{i}": {"thirds": n}
                       for i, n in enumerate((12, 10, 9, 19, 14, 13, 11), start=1)},
-    "graph": {"vertices": ["u", "v", "w"], "arcs": [["u", "v"], ["v", "w"], ["w", "u"]]},
+    # the id 1 is what true and 1.0 would find by hash
+    "graph": {"vertices": ["u", "v", "w", 1], "arcs": [["u", "v"], ["v", "w"], ["w", "u"]]},
 }
 # the commands that read each kind of document; {doc} is its path, {tri} a valid triangulation
 COMMANDS = {
@@ -143,6 +144,8 @@ MALFORMED = {
     "graph vertex null": ("graph", ("vertices",), ["u", "v", "w", None]),
     "graph arc to an unknown vertex": ("graph", ("arcs", 0, 1), "x"),
     "graph arc to a list": ("graph", ("arcs", 0, 1), ["v"]),
+    "graph arc from true": ("graph", ("arcs", 0, 0), True),
+    "graph arc from a float": ("graph", ("arcs", 0, 0), 1.0),
     "graph vertex twice": ("graph", ("vertices",), ["u", "v", "w", "u"]),
 }
 # a whole document that is a list (hive2web and flip --hive refused a listed hive already)
@@ -331,7 +334,40 @@ def test_the_library_reader_is_the_cli_reader(doc, tmp_path):
 
 
 def test_the_library_reader_refuses_a_document_that_is_a_list():
-    assert library_reads([DOCS["hive"]]) == "hive document: expected an object, got list"
+    assert library_reads([DOCS["hive"]]) == "hive document: expected an object, got array"
+
+
+# a JSON value of each type but an object, and of each type but an array
+NOT_AN_OBJECT = {"array": [], "string": "{}", "number": 3, "boolean": True, "null": None}
+NOT_AN_ARRAY = {"object": {}, "string": "[]", "number": 1.5, "boolean": False, "null": None}
+
+
+@pytest.mark.parametrize("name,value", NOT_AN_OBJECT.items(), ids=NOT_AN_OBJECT)
+def test_the_object_reader_names_json_types(name, value):
+    with pytest.raises(MalformedInput) as info:
+        read_object(value, "document")
+    assert str(info.value) == f"document: expected an object, got {name}"
+
+
+@pytest.mark.parametrize("name,value", NOT_AN_ARRAY.items(), ids=NOT_AN_ARRAY)
+def test_the_array_reader_names_json_types(name, value):
+    with pytest.raises(MalformedInput) as info:
+        read_array({"edges": value}, "document", "edges")
+    assert str(info.value) == f"edges: expected an array, got {name}"
+
+
+def test_an_arc_endpoint_that_hashes_like_a_vertex_is_unknown():
+    with pytest.raises(MalformedInput) as info:
+        OrientedGraph.from_json({"vertices": [1, "v"], "arcs": [[True, "v"], [1.0, "v"]]})
+    assert str(info.value) == "arc (True, 'v') has an unknown endpoint"
+
+
+def test_the_graph_constructor_refuses_an_unhashable_endpoint():
+    """A document's list endpoint is refused by ``from_json`` before the
+    constructor sees it; a library caller's reaches the constructor."""
+    with pytest.raises(MalformedInput) as info:
+        OrientedGraph(["u", "v"], [(["v"], "u")])
+    assert str(info.value) == "arc (['v'], 'u') has an unknown endpoint"
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -406,7 +442,7 @@ def test_a_bug_in_a_reader_is_not_reported_as_malformed_input(kind, tmp_path, mo
                          ids=lambda case: " ".join(case[:2]) if isinstance(case, list) else case)
 def test_a_document_that_is_a_list_is_named_by_its_reader(kind, argv, tmp_path):
     assert invoke(argv, [DOCS[kind]], tmp_path) == (
-        2, "", f"hiveweb: {kind} document: expected an object, got list\n")
+        2, "", f"hiveweb: {kind} document: expected an object, got array\n")
 
 
 # -- the cap --------------------------------------------------------------------

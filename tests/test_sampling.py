@@ -1,16 +1,22 @@
 import json
 import random
+import time
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_flip_errors import TORUS
 
 from hiveweb.cli import run
-from hiveweb.errors import InvalidTriangulation, SamplingFailed
+from hiveweb import sampling
+from hiveweb.errors import HivewebError, InvalidTriangulation, SamplingFailed
 from hiveweb.hive import validate_hive
-from hiveweb.sampling import _tree_order, sample_hive
-from hiveweb.surface import EdgeRec, Triangulation, build_polygon, validate_complex
+from hiveweb.sampling import _tree_order, sample_hive, sample_thirds
+from hiveweb.surface import SIDE_LABELS, EdgeRec, Triangulation, build_polygon, validate_complex
 from hiveweb.thirds import Third
+from hiveweb.web import web_to_hive_thirds
 
 
 def test_bound_zero_gives_zero_hive():
@@ -161,3 +167,150 @@ def test_the_sample_depends_only_on_the_triangulations_content(triangles, edges,
     shuffled = Triangulation(triangles, edges, THIRTEEN.signature)
     assert shuffled == THIRTEEN
     assert sample_hive(shuffled, 1, seed) == sample_hive(THIRTEEN, 1, seed)
+
+
+# -- differential test against the enumerating sampler -------------------------
+#
+# The reference below is the sampler as it was before it counted and unranked:
+# it listed every tuple of the box, indexed them by each side's (near, far)
+# values and picked among the intersection of the lists that the fixed sides
+# allow.  Both must give the same hive, or fail with the same text.
+
+
+@lru_cache(maxsize=None)
+def _reference_box(k):
+    """All box hives a1..a7, in thirds, with their per-side value indexes."""
+    entries = [
+        web_to_hive_thirds(x, *rest)
+        for x in range(-k, k + 1)
+        for rest in product(range(k + 1), repeat=6)
+    ]
+    by_side = tuple({} for _ in SIDE_LABELS)
+    for idx, h in enumerate(entries):
+        for index, (near, far) in zip(by_side, SIDE_LABELS):
+            index.setdefault((h[near], h[far]), []).append(idx)
+    return entries, by_side
+
+
+def reference_sample_thirds(tri, bound, seed):
+    entries, by_side = _reference_box(bound)
+    rng = random.Random(seed)
+    thirds = [None] * len(tri.keys)
+    for t in _tree_order(tri):
+        frame = tri.frame(t)
+        pools = []
+        for index, (near, far) in zip(by_side, SIDE_LABELS):
+            pair = (thirds[frame[near]], thirds[frame[far]])
+            if None not in pair:
+                pools.append(index.get(pair, []))
+        if not pools:
+            candidates = range(len(entries))
+        elif len(pools) == 1:
+            candidates = pools[0]
+        else:
+            candidates = sorted(set(pools[0]).intersection(*pools[1:]))
+        if not candidates:
+            raise SamplingFailed(f"no box coordinates fit the fixed edges of triangle {t!r}")
+        h = entries[candidates[rng.randrange(len(candidates))]]
+        for p, value in zip(frame, h):
+            if thirds[p] is not None and thirds[p] != value:
+                raise SamplingFailed(f"internal inconsistency writing {tri.keys[p]}")
+            thirds[p] = value
+    return thirds
+
+
+def _outcome(sampler, tri, bound, seed):
+    try:
+        return "ok", sampler(tri, bound, seed)
+    except HivewebError as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+def _same_sample(tri, bound, seed):
+    got = _outcome(sample_thirds, tri, bound, seed)
+    assert got == _outcome(reference_sample_thirds, tri, bound, seed)
+    return got
+
+
+# the third triangle of the cycle has two fixed sides, the torus's second three
+CYCLIC = {"dual cycle": dual_cycle_complex(), "torus": Triangulation.from_json(TORUS)}
+
+
+@pytest.mark.parametrize("tri", CYCLIC.values(), ids=CYCLIC)
+def test_cyclic_complexes_sample_as_the_enumeration_does(tri):
+    outcomes = [_same_sample(tri, bound, seed) for bound in (0, 1, 2) for seed in range(16)]
+    assert any(outcome[0] == "ok" for outcome in outcomes)
+
+
+def test_the_seed_three_failure_is_the_enumerations():
+    assert _same_sample(dual_cycle_complex(), 1, 3) == (
+        "raised", "SamplingFailed", "no box coordinates fit the fixed edges of triangle 'C'")
+
+
+@st.composite
+def sampled_complexes(draw):
+    """A random polygon (m = 3..14) or one of the cyclic complexes."""
+    kind = draw(st.sampled_from(["polygon", *CYCLIC]))
+    if kind != "polygon":
+        return CYCLIC[kind]
+    m = draw(st.integers(3, 14))
+    diagonals, stack = [], [(0, m - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo >= 2:
+            k = draw(st.integers(lo + 1, hi - 1))
+            parts = [(a, b) for a, b in ((lo, k), (k, hi)) if b - a >= 2]
+            diagonals += parts
+            stack += parts
+    return build_polygon(m, diagonals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_complexes(), st.integers(0, 2), st.integers(0, 2**32))
+def test_the_sampler_picks_what_the_enumeration_picks(tri, bound, seed):
+    _same_sample(tri, bound, seed)
+
+
+TWELVE = build_polygon(12, [(0, 2), (0, 5), (2, 5), (3, 5), (5, 11), (6, 9), (6, 11), (7, 9),
+                            (9, 11)])
+
+
+def test_a_large_bound_is_counted_not_listed(tmp_path, capsys):
+    """A cost check: the box for K = 10 holds 21 * 11^6 (about 37M) tuples,
+    and counting the ones that fit keeps a 12-gon's sample well under a
+    second."""
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(TWELVE.to_json()))
+    start = time.perf_counter()
+    code = run(["sample", "--triangulation", str(path), "--bound", "10", "--seed", "4"])
+    elapsed = time.perf_counter() - start
+    hive = capsys.readouterr().out
+    assert code == 0 and elapsed < 1.0
+    (tmp_path / "h.json").write_text(hive)
+    assert run(["validate", "--hive", str(tmp_path / "h.json")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"valid": True, "violations": []}
+    # a4 of a K = 3 box tuple is at most 12 (36 thirds)
+    assert max(v["thirds"] for v in json.loads(hive)["values"].values()) > 36
+
+
+def test_values_past_a_byte_are_unpacked_whole():
+    """The sampler adds hives as ints that pack each value in 64 bits; at
+    K = 1000 the values run into the thousands of thirds and the hive is
+    still valid."""
+    hive = sample_thirds(TWELVE, 1000, 4)
+    assert max(hive) > 1 << 12
+    assert validate_hive(TWELVE, hive) == []
+
+
+def test_a_bound_past_the_packed_fields_is_refused(tmp_path, capsys, monkeypatch):
+    """12 * bound thirds must fit a 64-bit field; a larger bound is refused
+    before any work (were it not, building the list of x hives would run out
+    of memory, so the test stops it there)."""
+    monkeypatch.setattr(sampling, "_packed", None)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(TWELVE.to_json()))
+    bound = str(sampling.MAX_BOUND + 1)
+    assert run(["sample", "--triangulation", str(path), "--bound", bound, "--seed", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"hiveweb: bound must be at most {sampling.MAX_BOUND}\n"
+    assert 12 * sampling.MAX_BOUND < 1 << 64 <= 12 * (sampling.MAX_BOUND + 1)
