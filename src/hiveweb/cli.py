@@ -23,7 +23,8 @@ from .thirds import LatticePoint, parse_ints, read_object
 
 
 def _emit(doc, out_path) -> None:
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    # every document is a fresh tree, so it holds no cycle to look for
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
     if out_path:
         try:
             Path(out_path).write_text(text)

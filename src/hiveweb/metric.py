@@ -3,12 +3,16 @@
 Traversing an arc with its direction costs 1/3, against it 2/3.  Distances are
 computed by Dijkstra on the doubled arc set with integer weights 1 and 2 in
 third units, on plain ints indexed by vertex position; only the results the
-API returns are wrapped as exact :class:`~hiveweb.thirds.Third` values.
+API returns are wrapped as exact :class:`~hiveweb.thirds.Third` values.  The
+search keeps its queue in three rotating buckets (distances d, d+1 and d+2)
+and marks an unreached vertex with the int bound ``6·V``, which no sum of
+three real distances reaches.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
@@ -16,6 +20,18 @@ from .errors import MalformedInput, OmegaEmpty, Unreachable
 from .thirds import LatticePoint, Third, read_array
 
 Vertex = Hashable
+
+
+def _shown(value) -> str:
+    """``value`` as JSON text when it is a JSON value (``true``, ``null``,
+    ``"v"``), else by ``repr``, so that a Python caller's names, such as the
+    tuples of nets, read as they were written."""
+    if value is None or isinstance(value, (str, int, float, list, dict)):
+        try:
+            return json.dumps(value)
+        except (TypeError, ValueError):  # a non-JSON item, or a cycle
+            pass
+    return repr(value)
 
 
 class OrientedGraph:
@@ -32,7 +48,7 @@ class OrientedGraph:
         self._index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
             twice = next(v for i, v in enumerate(self.vertices) if self._index[v] != i)
-            raise MalformedInput(f"vertices: {twice!r} is listed twice")
+            raise MalformedInput(f"vertices: {_shown(twice)} is listed twice")
         self.arcs = list(arcs)
         index = self._index
         fwd: list[list[int]] = [[] for _ in self.vertices]
@@ -41,7 +57,8 @@ class OrientedGraph:
             try:
                 i, j = index[tail], index[head]
             except (KeyError, TypeError):  # TypeError: an unhashable endpoint
-                raise MalformedInput(f"arc ({tail!r}, {head!r}) has an unknown endpoint") from None
+                raise MalformedInput(
+                    f"arc ({_shown(tail)}, {_shown(head)}) has an unknown endpoint") from None
             fwd[i].append(j)
             back[j].append(i)
         self._fwd, self._back = fwd, back
@@ -102,82 +119,85 @@ class OrientedGraph:
         vertices, arcs = (read_array(obj, "graph document", key) for key in ("vertices", "arcs"))
         for v in vertices:
             if type(v) is not str and type(v) is not int:
-                raise MalformedInput(f"vertices: {v!r} is neither a string nor an integer")
+                raise MalformedInput(f"vertices: {_shown(v)} is neither a string nor an integer")
         for arc in arcs:
             if type(arc) is not list or len(arc) != 2:
-                raise MalformedInput(f"arcs: {arc!r} is not a [tail, head] pair")
+                raise MalformedInput(f"arcs: {_shown(arc)} is not a [tail, head] pair")
             # true and 1.0 hash like the id 1, so an endpoint of another type
             # would find that vertex
             if not all(type(v) is str or type(v) is int for v in arc):
-                raise MalformedInput(f"arc ({arc[0]!r}, {arc[1]!r}) has an unknown endpoint")
+                raise MalformedInput(
+                    f"arc ({_shown(arc[0])}, {_shown(arc[1])}) has an unknown endpoint")
         return cls(vertices, [tuple(arc) for arc in arcs])
 
 
-def _thirds_from(graph: OrientedGraph, s: int) -> list[int | None]:
-    """Distances in thirds from the vertex at position ``s``, by vertex
-    position (None where unreachable).
+def _unreached(graph: OrientedGraph) -> int:
+    """``6·V``, the distance :func:`_thirds_from` gives a vertex it does not
+    reach.  A real distance is at most 2(V-1) thirds, so three of them sum to
+    less than this bound, and a sum with an unreached term to at least it."""
+    return 6 * len(graph._fwd)
 
-    The weights are only 1 and 2, so Dijkstra runs on Dial's bucket queue:
-    ``buckets[d]`` lists the vertices reached at distance ``d``, and an entry
-    whose vertex was since reached closer is skipped.  Each vertex is settled
-    once, so the search is O(V + E).
+
+def _thirds_from(graph: OrientedGraph, s: int) -> list[int]:
+    """Distances in thirds from the vertex at position ``s``, by vertex
+    position (:func:`_unreached` where unreachable).
+
+    The weights are only 1 and 2, so Dijkstra runs on Dial's bucket queue
+    kept as three rotating lists: ``here`` holds the vertices reached at the
+    current distance ``d``, ``near`` those at d+1 and ``far`` those at d+2.
+    An entry whose vertex was since reached closer is skipped.  Each vertex
+    is settled once, so the search is O(V + E).
     """
     fwd, back = graph._fwd, graph._back
-    dist: list[int | None] = [None] * len(fwd)
+    dist = [_unreached(graph)] * len(fwd)
     dist[s] = 0
-    buckets: list[list[int]] = [[s], [], []]
+    here, near, far = [s], [], []
     d = 0
-    while any(buckets[d:]):
+    while here or near:  # far is empty after every rotation
         one, two = d + 1, d + 2
-        near, far = buckets[one], buckets[two]
-        for u in buckets[d]:
+        for u in here:
             if dist[u] != d:
                 continue
             for v in fwd[u]:
-                dv = dist[v]
-                if dv is None or one < dv:
+                if one < dist[v]:
                     dist[v] = one
                     near.append(v)
             for v in back[u]:
-                dv = dist[v]
-                if dv is None or two < dv:
+                if two < dist[v]:
                     dist[v] = two
                     far.append(v)
-        buckets.append([])
-        d += 1
+        here, near, far = near, far, []
+        d = one
     return dist
 
 
-def _tripod(
-    da: list[int | None], db: list[int | None], dc: list[int | None]
-) -> tuple[int | None, list[int]]:
-    """Minimum of da + db + dc over the positions reachable in all three,
-    with the positions attaining it (None and [] if there are none)."""
-    best: int | None = None
-    argmin: list[int] = []
+def _tripod(da: list[int], db: list[int], dc: list[int], bound: int) -> tuple[int, list[int]]:
+    """Minimum of da + db + dc over the positions reached in all three, with
+    the positions attaining it (``bound`` and [] if there are none).  A
+    position that some search left at ``bound`` sums to at least ``bound``."""
+    best, argmin = bound, []
     for i, (x, y, z) in enumerate(zip(da, db, dc)):
-        if x is None or y is None or z is None:
-            continue
         total = x + y + z
-        if best is None or total < best:
-            best = total
-            argmin = [i]
+        if total < best:
+            best, argmin = total, [i]
         elif total == best:
             argmin.append(i)
+    if best >= bound:
+        return bound, []
     return best, argmin
 
 
 def distances_from(graph: OrientedGraph, source: Vertex) -> dict[Vertex, Third]:
     """Exact distances from ``source`` to every reachable vertex."""
-    dist = _thirds_from(graph, graph._locate(source))
-    return {v: Third(d) for v, d in zip(graph.vertices, dist) if d is not None}
+    dist, bound = _thirds_from(graph, graph._locate(source)), _unreached(graph)
+    return {v: Third(d) for v, d in zip(graph.vertices, dist) if d < bound}
 
 
 def shortest_distance(graph: OrientedGraph, s: Vertex, t: Vertex) -> Third:
     """Minimum 1/3-2/3 path length from ``s`` to ``t``."""
     j = graph._locate(t)
     d = _thirds_from(graph, graph._locate(s))[j]
-    if d is None:
+    if d >= _unreached(graph):
         raise Unreachable(f"no path from {s!r} to {t!r}")
     return Third(d)
 
@@ -312,7 +332,8 @@ def fermat_brute(
 ) -> tuple[Third, set[Vertex]]:
     """Exact minimum of the three-distance sum over all vertices, with the
     full argmin set."""
-    best, argmin = _tripod(*(_thirds_from(graph, graph._locate(v)) for v in (a, b, c)))
-    if best is None:
+    best, argmin = _tripod(*(_thirds_from(graph, graph._locate(v)) for v in (a, b, c)),
+                           _unreached(graph))
+    if not argmin:
         raise Unreachable(f"no vertex reachable from all of {a!r}, {b!r}, {c!r}")
     return Third(best), set(map(graph._name, argmin))

@@ -28,11 +28,11 @@ from graph distances only.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from math import isqrt
 
 from .hive import TriangleHive
-from .metric import OrientedGraph, _lattice_piece, _thirds_from, _tripod
+from .metric import OrientedGraph, _lattice_piece, _thirds_from, _tripod, _unreached
 # unused here, but the benchmark's tracer hooks both by name on this module
 from .metric import distances_from, fermat_brute  # noqa: F401
 from .web import TriangleWebCoords
@@ -73,7 +73,7 @@ def _string(corner: int, inward: int, outward: int, fwd, back) -> int:
 
 def build_net(c: TriangleWebCoords) -> TriangleNet:
     """Net of the triangle web with coordinates ``c``."""
-    x, y, z, t, u, v, w = astuple(c)
+    x, y, z, t, u, v, w = c.x, c.y, c.z, c.t, c.u, c.v, c.w
     n = abs(x)
     # mesh row r = p + n holds (p, q) for q = 0..r at position r(r+1)/2 + q
     fwd, back = _lattice_piece([(0, r) for r in range(n + 1)])
@@ -104,7 +104,7 @@ def oracle_triangle_hive(c: TriangleWebCoords) -> TriangleHive:
     net = build_net(c)
     pa, pb, pc = net.terminals
     from_a, from_b, from_c = (_thirds_from(net.graph, p) for p in net.terminals)
-    a4, _ = _tripod(from_a, from_b, from_c)
+    a4, _ = _tripod(from_a, from_b, from_c, _unreached(net.graph))
     return TriangleHive.from_thirds(  # a1..a7
         (from_b[pa], from_c[pa], from_a[pb], a4, from_a[pc], from_c[pb], from_b[pc])
     )

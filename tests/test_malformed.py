@@ -359,7 +359,43 @@ def test_the_array_reader_names_json_types(name, value):
 def test_an_arc_endpoint_that_hashes_like_a_vertex_is_unknown():
     with pytest.raises(MalformedInput) as info:
         OrientedGraph.from_json({"vertices": [1, "v"], "arcs": [[True, "v"], [1.0, "v"]]})
-    assert str(info.value) == "arc (True, 'v') has an unknown endpoint"
+    assert str(info.value) == 'arc (true, "v") has an unknown endpoint'
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"vertices": [None], "arcs": []}, "vertices: null is neither a string nor an integer"),
+    ({"vertices": [True], "arcs": []}, "vertices: true is neither a string nor an integer"),
+    ({"vertices": [1.5], "arcs": []}, "vertices: 1.5 is neither a string nor an integer"),
+    ({"vertices": [{"v": [1]}], "arcs": []},
+     'vertices: {"v": [1]} is neither a string nor an integer'),
+    ({"vertices": ["v", "v"], "arcs": []}, 'vertices: "v" is listed twice'),
+    ({"vertices": ["v"], "arcs": [["v", None, "v"]]},
+     'arcs: ["v", null, "v"] is not a [tail, head] pair'),
+    ({"vertices": ["v"], "arcs": ["v-v"]}, 'arcs: "v-v" is not a [tail, head] pair'),
+    ({"vertices": ["v"], "arcs": [["v", False]]}, 'arc ("v", false) has an unknown endpoint'),
+    ({"vertices": ["v"], "arcs": [["v", "u"]]}, 'arc ("v", "u") has an unknown endpoint'),
+    ({"vertices": [1], "arcs": [[1, 2]]}, "arc (1, 2) has an unknown endpoint"),
+])
+def test_the_graph_reader_shows_values_as_json(doc, message):
+    with pytest.raises(MalformedInput) as info:
+        OrientedGraph.from_json(doc)
+    assert str(info.value) == message
+
+
+def test_the_graph_constructor_shows_python_names_by_repr():
+    """Names JSON cannot hold, such as the tuples of nets, are shown as a
+    Python caller wrote them, and a message is made for any name."""
+    odd = object()
+    cases = [
+        ([(0, 1), (0, 1)], [], "vertices: (0, 1) is listed twice"),
+        ([(0, 1)], [((0, 1), (0, 2))], "arc ((0, 1), (0, 2)) has an unknown endpoint"),
+        (["u"], [("u", odd)], f"arc (\"u\", {odd!r}) has an unknown endpoint"),
+        (["u"], [([odd], "u")], f"arc ([{odd!r}], \"u\") has an unknown endpoint"),
+    ]
+    for vertices, arcs, message in cases:
+        with pytest.raises(MalformedInput) as info:
+            OrientedGraph(vertices, arcs)
+        assert str(info.value) == message
 
 
 def test_the_graph_constructor_refuses_an_unhashable_endpoint():
@@ -367,7 +403,7 @@ def test_the_graph_constructor_refuses_an_unhashable_endpoint():
     constructor sees it; a library caller's reaches the constructor."""
     with pytest.raises(MalformedInput) as info:
         OrientedGraph(["u", "v"], [(["v"], "u")])
-    assert str(info.value) == "arc (['v'], 'u') has an unknown endpoint"
+    assert str(info.value) == 'arc (["v"], "u") has an unknown endpoint'
 
 
 @pytest.mark.parametrize("doc,message", [

@@ -24,6 +24,8 @@ from hiveweb.metric import (
     OrientedGraph,
     _lattice_piece,
     _thirds_from,
+    _tripod,
+    _unreached,
     distances_from,
     fermat_brute,
     gamma_window,
@@ -137,6 +139,48 @@ def test_kernel_settles_each_reachable_vertex_once(case):
     index = {v: i for i, v in enumerate(vertices)}
     settled = reference_distances(vertices, arcs, source)
     assert graph._fwd.reads == Counter(index[v] for v in settled)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_a_chain_of_back_arcs_reaches_the_largest_distance(n):
+    """Every arc points back toward the source, so the far end is 2(n-1)
+    thirds away, the most a graph on n vertices allows: a bound of n or
+    less for "unreached" would lose it."""
+    vertices = list(range(n))
+    graph = OrientedGraph(vertices, [(i + 1, i) for i in range(n - 1)])
+    assert distances_from(graph, 0) == {i: Third(2 * i) for i in vertices}
+    assert shortest_distance(graph, 0, n - 1) == Third(2 * (n - 1))
+    assert shortest_distance(graph, n - 1, 0) == Third(n - 1)
+    # from both ends, every vertex sums to 2(n-1)
+    assert fermat_brute(graph, n - 1, n - 1, 0) == (Third(2 * (n - 1)), set(vertices))
+
+
+def test_a_vertex_reached_by_two_sources_is_no_tripod_point():
+    """Arcs can be walked both ways, so a vertex is reached by all three
+    sources or the sources lie in two components.  Here ``b`` and ``c`` sit
+    on a vertex that ``a`` cannot reach: their distances there are 0, so its
+    sum is exactly the bound."""
+    graph = OrientedGraph(["a", "b"], [])
+    bound = _unreached(graph)
+    assert _thirds_from(graph, 0) == [0, bound]
+    with pytest.raises(Unreachable, match="no vertex reachable from all of 'a', 'b', 'b'"):
+        fermat_brute(graph, "a", "b", "b")
+    assert _tripod([0, bound], [bound, 0], [bound, 0], bound) == (bound, [])
+    with pytest.raises(Unreachable):
+        fermat_brute(OrientedGraph(["a", "b", "c"], [("a", "b")]), "a", "b", "c")
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_no_distance_is_the_bound(case):
+    vertices, arcs, (source, _, _) = case
+    graph = OrientedGraph(vertices, arcs)
+    dist = _thirds_from(graph, graph._locate(source))
+    bound = _unreached(graph)
+    reached = distances_from(graph, source)
+    assert all(d.thirds < bound for d in reached.values())
+    assert len(reached) == sum(d < bound for d in dist)
+    assert all(d <= bound for d in dist)  # an unreached vertex holds the bound itself
 
 
 def test_unknown_vertices_raise_key_error():

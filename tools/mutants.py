@@ -13,7 +13,9 @@ a temporary directory, applies the one replacement there, runs
 ``pytest -x -q`` on the listed files against the copy and prints one
 canonical JSON line:
 
-    killed    the tests failed, or could not be collected, on the mutant
+    killed    the tests failed, or could not be collected, on the mutant,
+              or ran more than ten times as long as on the unmutated copy
+              plus a minute ("timed_out": a mutated loop that never ends)
     survived  they passed (a test gap, unless the entry is marked
               "equivalent" with a one-line reason)
     stale     the snippet no longer occurs exactly once
@@ -33,6 +35,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,13 +56,18 @@ def copy_src(tmp: str) -> Path:
     return src
 
 
-def pytest(src: Path, tests: list[str]) -> int:
+def pytest(src: Path, tests: list[str], timeout: float | None = None) -> int | None:
+    """pytest's exit code, or None if it ran longer than ``timeout`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(
-        [sys.executable, "-c", PYTEST, str(src), "-x", "-q", "-p", "no:cacheprovider",
-         *(str(ROOT / test) for test in tests)],
-        cwd=src.parent, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    ).returncode
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", PYTEST, str(src), "-x", "-q", "-p", "no:cacheprovider",
+             *(str(ROOT / test) for test in tests)],
+            cwd=src.parent, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=timeout,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def run_one(entry: dict, baselines: dict) -> dict:
@@ -72,11 +80,15 @@ def run_one(entry: dict, baselines: dict) -> dict:
         if text.count(entry["snippet"]) != 1:
             return {**result, "status": "stale"}
         if tests not in baselines:
-            baselines[tests] = pytest(src, entry["tests"])
-        if baselines[tests] != 0:
-            return {**result, "status": "error", "baseline": baselines[tests]}
+            start = time.monotonic()
+            baselines[tests] = pytest(src, entry["tests"]), time.monotonic() - start
+        baseline, seconds = baselines[tests]
+        if baseline != 0:
+            return {**result, "status": "error", "baseline": baseline}
         target.write_text(text.replace(entry["snippet"], entry["replacement"]))
-        code = pytest(src, entry["tests"])
+        code = pytest(src, entry["tests"], timeout=10 * seconds + 60)
+    if code is None:
+        return {**result, "status": "killed", "timed_out": True}
     if code in (1, 2):  # 2: a test module failed to import the mutant
         return {**result, "status": "killed"}
     if code == 0:
