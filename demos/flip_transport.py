@@ -25,7 +25,7 @@ def transport_along(tri, values, edges):
 quad = build_polygon(4, [(0, 2)])
 values = sample_hive(quad, bound=3, seed=7)
 print("quadrilateral hive:")
-for vertex in quad.theta_index():
+for vertex in quad.vertices:
     print(f"  {vertex.key():8s} = {values[vertex].thirds}/3")
 
 flipped, frame_old, frame_new = flip_triangulation(quad, "0-2")

@@ -7,21 +7,20 @@ distances on the web's dual net.  This script runs both routes side by side.
 """
 
 from hiveweb import (
-    TriangleWebCoords,
     build_net,
     hive_to_web_triangle,
     oracle_triangle_hive,
-    rhombus_differences,
-    web_to_hive_triangle,
+    rhombi,
+    web_to_hive_thirds,
 )
 
-coords = TriangleWebCoords(x=3, y=2, z=1, t=1, u=1, v=1, w=1)
+coords = (3, 2, 1, 1, 1, 1, 1)  # x, y, z, t, u, v, w
 print(f"web coordinates        : {coords}")
 
-hive = web_to_hive_triangle(coords)
-print(f"hive (thirds)          : {hive.thirds()}")
+hive = web_to_hive_thirds(*coords)
+print(f"hive (thirds)          : {hive}")
 
-diffs = [d.thirds // 3 for d in rhombus_differences(hive)]
+diffs = [d // 3 for d in rhombi(*hive)]
 print(f"rhombus quantities     : {diffs}   (all non-negative integers)")
 
 back = hive_to_web_triangle(hive)
@@ -32,10 +31,10 @@ net = build_net(coords)
 print(f"dual net               : {len(net.graph.vertices)} vertices, "
       f"{len(net.graph.arcs)} arcs")
 oracle = oracle_triangle_hive(coords)
-print(f"oracle hive (distances): {oracle.thirds()}")
+print(f"oracle hive (distances): {oracle}")
 assert oracle == hive
 
 # the reversed honeycomb exercises the mirror-orientation branch
-reversed_coords = TriangleWebCoords(-2, 0, 1, 0, 2, 0, 0)
-assert oracle_triangle_hive(reversed_coords) == web_to_hive_triangle(reversed_coords)
+reversed_coords = (-2, 0, 1, 0, 2, 0, 0)
+assert oracle_triangle_hive(reversed_coords) == web_to_hive_thirds(*reversed_coords)
 print(f"reversed honeycomb     : {reversed_coords} agrees on both routes")

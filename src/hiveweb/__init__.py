@@ -17,11 +17,9 @@ from .errors import (
 )
 from .hive import (
     HiveValues,
-    TriangleHive,
     is_in_positive_cone,
     octahedron_transport,
-    rhombus_differences,
-    triangle_frame,
+    rhombi,
     tropical_potential,
     validate_hive,
 )
@@ -45,15 +43,14 @@ from .surface import (
     validate_complex,
 )
 from .surfacoid import TriangleNet, build_net, oracle_triangle_hive
-from .thirds import ZERO, LatticePoint, Third, is_integer
+from .thirds import ZERO, LatticePoint, Third
 from .web import (
     SurfaceWeb,
-    TriangleWebCoords,
     hive_to_surface_web,
     hive_to_web_triangle,
     side_arc_counts,
     surface_web_to_hive,
-    web_to_hive_triangle,
+    web_to_hive_thirds,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

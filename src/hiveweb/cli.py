@@ -68,8 +68,8 @@ def _load(path: str, args, kind: str, doc=None):
                  else hive_mod.hive_thirds_from_json(doc, tri))
 
 
-def _coords(text: str) -> web.TriangleWebCoords:
-    return web.TriangleWebCoords(*parse_ints(text, 7, "--coords"))
+def _coords(text: str) -> web.WebTuple:
+    return web._corners_checked(tuple(parse_ints(text, 7, "--coords")))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -95,8 +95,7 @@ def cmd_validate(args) -> int:
 
 def cmd_web2hive(args) -> int:
     if args.coords:
-        h = web.web_to_hive_triangle(_coords(args.coords))
-        _emit(h.to_json(), args.out)
+        _emit(hive_mod.triangle_doc(web.web_to_hive_thirds(*_coords(args.coords))), args.out)
         return 0
     if not args.web:
         raise MalformedInput("web2hive needs --coords or --web")
@@ -109,8 +108,8 @@ def cmd_web2hive(args) -> int:
 def cmd_hive2web(args) -> int:
     doc = _load_doc(args.hive)
     if isinstance(doc, dict) and "values" not in doc:
-        coords = web.hive_to_web_triangle(hive_mod.TriangleHive.from_json(doc))
-        _emit(coords.to_json(), args.out)
+        coords = web.hive_to_web_triangle(hive_mod.triangle_thirds_from_json(doc))
+        _emit(dict(zip("xyztuvw", coords)), args.out)
         return 0
     tri, (values, _) = _load(args.hive, args, "hive", doc)
     _emit(web.web_doc(web.surface_web_tuples(tri, values), tri), args.out)
@@ -154,13 +153,13 @@ def cmd_cone(args) -> int:
     return 0
 
 
-def _oracle_once(coords: web.TriangleWebCoords) -> dict:
-    formula = web.web_to_hive_triangle(coords)
+def _oracle_once(coords: web.WebTuple) -> dict:
+    formula = web.web_to_hive_thirds(*coords)
     oracle = surfacoid.oracle_triangle_hive(coords)
     return {
-        "coords": coords.to_json(),
-        "formula": formula.to_json(),
-        "oracle": oracle.to_json(),
+        "coords": dict(zip("xyztuvw", coords)),
+        "formula": hive_mod.triangle_doc(formula),
+        "oracle": hive_mod.triangle_doc(oracle),
         "match": formula == oracle,
     }
 
@@ -171,10 +170,7 @@ def cmd_oracle(args) -> int:
         bound = args.bound if args.bound is not None else 2
         mismatches = []
         for _ in range(args.sweep):
-            coords = web.TriangleWebCoords(
-                rng.randint(-bound, bound),
-                *(rng.randint(0, bound) for _ in range(6)),
-            )
+            coords = (rng.randint(-bound, bound), *(rng.randint(0, bound) for _ in range(6)))
             result = _oracle_once(coords)
             if not result["match"]:
                 mismatches.append(result)

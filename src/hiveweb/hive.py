@@ -21,7 +21,6 @@ quadrilateral frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Union
 
 from .errors import IncompleteHive, InvalidHive, MalformedInput
@@ -30,44 +29,8 @@ from .surface import QuadFrame, ThetaVertex, Triangulation
 from .thirds import Third, int_cap, read_object, read_thirds
 
 HiveValues = Dict[ThetaVertex, Third]
-HiveThirds = List[Optional[int]]  # thirds in theta_index() order, None where missing
+HiveThirds = List[Optional[int]]  # thirds by quiver-vertex position, None where missing
 _LABELS = tuple(f"a{i}" for i in range(1, 8))
-
-
-@dataclass(frozen=True)
-class TriangleHive:
-    a1: Third
-    a2: Third
-    a3: Third
-    a4: Third
-    a5: Third
-    a6: Third
-    a7: Third
-
-    @classmethod
-    def from_thirds(cls, values) -> "TriangleHive":
-        return cls(*(Third(int(v)) for v in values))
-
-    def values(self) -> tuple[Third, ...]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a5, self.a6, self.a7)
-
-    def thirds(self) -> tuple[int, ...]:
-        return tuple(v.thirds for v in self.values())
-
-    def to_json(self) -> dict:
-        return {a: v.to_json() for a, v in zip(_LABELS, self.values())}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TriangleHive":
-        """The triangle hive document ``{"a1": {"thirds": n}, ...}``, read label by label."""
-        return cls(*(Third(read_thirds(read_object(doc, "triangle hive document", a)[a], a))
-                     for a in _LABELS))
-
-
-def triangle_frame(tri: Triangulation, t: str) -> tuple[ThetaVertex, ...]:
-    """Quiver vertices of triangle ``t`` in hive-label order a1..a7; raises
-    what :meth:`~hiveweb.surface.Triangulation.frame` raises."""
-    return tuple(map(tri.vertices.__getitem__, tri.frame(t)))
 
 
 def rhombi(a1: int, a2: int, a3: int, a4: int, a5: int, a6: int, a7: int) -> tuple[int, ...]:
@@ -83,16 +46,11 @@ def failed_rhombi(quantities) -> list[tuple[int, int]]:
     return [(i, d) for i, d in enumerate(quantities, start=1) if d < 0 or d % 3]
 
 
-def rhombus_differences(h: TriangleHive) -> tuple[Third, ...]:
-    """The nine rhombus quantities in the canonical listing order."""
-    return tuple(Third(d) for d in rhombi(*h.thirds()))
-
-
 def hive_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> HiveThirds:
     """``values`` as :data:`HiveThirds`; a list is taken to be that already."""
     if isinstance(values, list):
         return values
-    return [None if x is None else x.thirds for x in map(values.get, tri.theta_index())]
+    return [None if x is None else x.thirds for x in map(values.get, tri.vertices)]
 
 
 def complete_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> list[int]:
@@ -166,6 +124,18 @@ def octahedron_transport(values: HiveValues, frame_old: QuadFrame,
         del out[old[i]]
     out.update((new[i], Third(moved[i])) for i in inner)
     return out
+
+
+def triangle_doc(h) -> dict:
+    """The triangle hive document ``{"a1": {"thirds": n}, ...}`` of a1..a7 in
+    thirds: the one writer of single-triangle hives."""
+    return {a: {"thirds": x} for a, x in zip(_LABELS, h)}
+
+
+def triangle_thirds_from_json(doc: dict) -> tuple[int, ...]:
+    """a1..a7 in thirds of the triangle hive document, read label by label."""
+    return tuple(read_thirds(read_object(doc, "triangle hive document", a)[a], a)
+                 for a in _LABELS)
 
 
 def hive_doc(pairs, tri: Optional[Triangulation] = None) -> dict:

@@ -202,7 +202,7 @@ def _tree_order(tri: Triangulation) -> list[str]:
 def sample_hive(tri: Triangulation, bound: int, seed: int) -> HiveValues:
     """A valid hive, deterministic in (triangulation, bound, seed)."""
     thirds = sample_thirds(tri, bound, seed)
-    return {v: Third(x) for v, x in zip(tri.theta_index(), thirds) if x is not None}
+    return {v: Third(x) for v, x in zip(tri.vertices, thirds) if x is not None}
 
 
 def sample_thirds(tri: Triangulation, bound: int, seed: int) -> HiveThirds:

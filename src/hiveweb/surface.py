@@ -225,10 +225,6 @@ class Triangulation:
         """The vertex at each position."""
         return tuple(map(ThetaVertex.parse, self.keys))
 
-    def theta_index(self) -> list[ThetaVertex]:
-        """Canonical enumeration: the vertex at each position."""
-        return list(self.vertices)
-
     @cached_property
     def _frames(self) -> dict[str, tuple[int, ...]]:
         """The positions a1..a7 of each triangle whose sides are attached once
@@ -569,13 +565,17 @@ def flip_triangulation(tri: Triangulation,
     (pid, _), (qid, _) = diag
     if pid == qid:
         raise SelfFoldedUnsupported(f"flip of {edge_id!r} would produce two cells with id {pid!r}")
+    t_left, t_right = rec.attach0[0], rec.attach1[0]
+    for tid in (pid, qid):
+        if tid in tri._triangle_ids and tid not in (t_left, t_right):
+            raise InvalidTriangulation(f"flip of {edge_id!r} would reuse triangle id {tid!r}; "
+                                       "the cell that has it is not replaced")
 
     from_r = tail == r  # the new diagonal runs R -> S, so cell P walks it first
     moved = {edge_id: EdgeRec(new_eid, tail, head, *(diag if from_r else diag[::-1]))}
     for outer, (eid, fwd) in enumerate(sides):
         old, at = tri.edge(eid), new_slot[outer]
         moved[eid] = old._replace(attach0=at) if fwd else old._replace(attach1=at)
-    t_left, t_right = rec.attach0[0], rec.attach1[0]
     new_tris = [pid if t == t_left else qid if t == t_right else t for t in tri.triangles]
     flipped = Triangulation(new_tris, [moved.get(e.id, e) for e in tri.edges], tri.signature)
 

@@ -31,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .hive import TriangleHive
 from .metric import OrientedGraph, _lattice_piece, _thirds_from, _tripod, _unreached
 # unused here, but the benchmark's tracer hooks both by name on this module
 from .metric import distances_from, fermat_brute  # noqa: F401
-from .web import TriangleWebCoords
+from .web import WebTuple, _corners_checked
 
 
 @dataclass(frozen=True)
@@ -71,9 +70,10 @@ def _string(corner: int, inward: int, outward: int, fwd, back) -> int:
     return start
 
 
-def build_net(c: TriangleWebCoords) -> TriangleNet:
-    """Net of the triangle web with coordinates ``c``."""
-    x, y, z, t, u, v, w = c.x, c.y, c.z, c.t, c.u, c.v, c.w
+def build_net(c: WebTuple) -> TriangleNet:
+    """Net of the triangle web with coordinates ``c`` = (x, y, z, t, u, v, w);
+    raises :class:`~hiveweb.errors.InvalidWebCoords` for a negative corner count."""
+    x, y, z, t, u, v, w = _corners_checked(c)
     n = abs(x)
     # mesh row r = p + n holds (p, q) for q = 0..r at position r(r+1)/2 + q
     fwd, back = _lattice_piece([(0, r) for r in range(n + 1)])
@@ -97,14 +97,12 @@ def build_net(c: TriangleWebCoords) -> TriangleNet:
     return TriangleNet(graph, *map(name, terminals), *map(name, corners), terminals)
 
 
-def oracle_triangle_hive(c: TriangleWebCoords) -> TriangleHive:
-    """Hive coordinates of ``c`` computed purely from net distances: the six
-    terminal-to-terminal distances and the tripod minimum all come from the
-    three searches out of the terminals."""
+def oracle_triangle_hive(c: WebTuple) -> tuple[int, ...]:
+    """Hive coordinates a1..a7 of ``c``, in thirds, computed purely from net
+    distances: the six terminal-to-terminal distances and the tripod minimum
+    all come from the three searches out of the terminals."""
     net = build_net(c)
     pa, pb, pc = net.terminals
     from_a, from_b, from_c = (_thirds_from(net.graph, p) for p in net.terminals)
     a4, _ = _tripod(from_a, from_b, from_c, _unreached(net.graph))
-    return TriangleHive.from_thirds(  # a1..a7
-        (from_b[pa], from_c[pa], from_a[pb], a4, from_a[pc], from_c[pb], from_b[pc])
-    )
+    return from_b[pa], from_c[pa], from_a[pb], a4, from_a[pc], from_c[pb], from_b[pc]

@@ -131,11 +131,6 @@ class Third:
 ZERO = Third(0)
 
 
-def is_integer(v: Third) -> bool:
-    """True iff ``v`` is a whole integer (thirds divisible by three)."""
-    return v.is_integer()
-
-
 @dataclass(frozen=True, order=True)
 class LatticePoint:
     """A point of the Z^2 vertex lattice."""

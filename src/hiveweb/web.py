@@ -15,13 +15,12 @@ match after swapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
-from .hive import (HiveThirds, HiveValues, TriangleHive, complete_thirds, failed_rhombi, rhombi,
-                   rhombus_scan, validate_hive)
+from .hive import (HiveThirds, HiveValues, complete_thirds, failed_rhombi, rhombi, rhombus_scan,
+                   validate_hive)
 from .surface import CENTER, SIDE_LABELS, Triangulation
 from .thirds import Third, checked_int, int_cap, read_object
 
@@ -37,31 +36,7 @@ def _corners_checked(c: WebTuple) -> WebTuple:
     return c
 
 
-@dataclass(frozen=True)
-class TriangleWebCoords:
-    x: int
-    y: int
-    z: int
-    t: int
-    u: int
-    v: int
-    w: int
-
-    def __post_init__(self):
-        for name in ("x", "y", "z", "t", "u", "v", "w"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidWebCoords(f"{name} must be an int, got {value!r}")
-        _corners_checked(self.values())
-
-    def values(self) -> tuple[int, ...]:
-        return (self.x, self.y, self.z, self.t, self.u, self.v, self.w)
-
-    def to_json(self) -> dict:
-        return dict(zip("xyztuvw", self.values()))
-
-
-SurfaceWeb = Dict[str, TriangleWebCoords]
+SurfaceWeb = Dict[str, WebTuple]
 
 
 def web_to_hive_thirds(x: int, y: int, z: int, t: int, u: int, v: int, w: int) -> tuple[int, ...]:
@@ -85,11 +60,6 @@ def web_to_hive_thirds(x: int, y: int, z: int, t: int, u: int, v: int, w: int) -
     )
 
 
-def web_to_hive_triangle(c: TriangleWebCoords) -> TriangleHive:
-    """Hive coordinates of a triangle web; see :func:`web_to_hive_thirds`."""
-    return TriangleHive.from_thirds(web_to_hive_thirds(*c.values()))
-
-
 def web_from_rhombi(quantities) -> WebTuple:
     """Web coordinates of a valid triangle hive from its nine rhombus
     quantities, all multiples of three."""
@@ -97,13 +67,14 @@ def web_from_rhombi(quantities) -> WebTuple:
     return (r3 - r2, r4, min(r5, r6), min(r9, r8), r7, min(r2, r3), r1)
 
 
-def hive_to_web_triangle(h: TriangleHive) -> TriangleWebCoords:
-    """Inverse of :func:`web_to_hive_triangle` on valid triangle hives."""
-    quantities = rhombi(*h.thirds())
+def hive_to_web_triangle(h: Sequence[int]) -> WebTuple:
+    """Web coordinates of the valid triangle hive ``h`` = a1..a7 in thirds;
+    inverse of :func:`web_to_hive_thirds`."""
+    quantities = rhombi(*h)
     bad = failed_rhombi(quantities)
     if bad:
         raise InvalidHive(f"rhombus conditions fail: {[(i, Third(d)) for i, d in bad]}")
-    return TriangleWebCoords(*web_from_rhombi(quantities))
+    return web_from_rhombi(quantities)
 
 
 def side_arc_counts(a_near: Third, a_far: Third) -> tuple[int, int]:
@@ -160,8 +131,7 @@ def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) 
 
 def surface_web_to_hive(tri: Triangulation, web: SurfaceWeb) -> HiveValues:
     """Assemble the surface hive of an edge-consistent surface web."""
-    thirds = surface_web_thirds(tri, {t: c.values() for t, c in web.items()})
-    return dict(zip(tri.theta_index(), map(Third, thirds)))
+    return dict(zip(tri.vertices, map(Third, surface_web_thirds(tri, web))))
 
 
 def surface_web_tuples(tri: Triangulation,
@@ -177,7 +147,7 @@ def surface_web_tuples(tri: Triangulation,
 
 def hive_to_surface_web(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> SurfaceWeb:
     """Per-triangle web coordinates of a valid surface hive."""
-    return {t: TriangleWebCoords(*c) for t, c in surface_web_tuples(tri, values)}
+    return dict(surface_web_tuples(tri, values))
 
 
 def web_doc(pairs, tri: Optional[Triangulation] = None) -> dict:
@@ -190,7 +160,7 @@ def web_doc(pairs, tri: Optional[Triangulation] = None) -> dict:
 
 
 def surface_web_to_json(tri: Triangulation, web: SurfaceWeb, inline: bool = True) -> dict:
-    return web_doc(((t, c.values()) for t, c in web.items()), tri if inline else None)
+    return web_doc(web.items(), tri if inline else None)
 
 
 def web_coords_from_json(doc: dict) -> dict[str, WebTuple]:
@@ -213,5 +183,4 @@ def web_coords_from_json(doc: dict) -> dict[str, WebTuple]:
     return out
 
 
-def surface_web_from_json(doc: dict) -> SurfaceWeb:
-    return {t: TriangleWebCoords(*c) for t, c in web_coords_from_json(doc).items()}
+surface_web_from_json = web_coords_from_json  # the reader under its older name

@@ -14,9 +14,7 @@ import pytest
 from hiveweb.errors import GluingMismatch
 from hiveweb.hive import (
     octahedron_transport,
-    rhombus_differences,
-    TriangleHive,
-    triangle_frame,
+    rhombi,
     is_in_positive_cone,
     tropical_potential,
     validate_hive,
@@ -35,11 +33,10 @@ from hiveweb.surface import build_polygon, flip_triangulation
 from hiveweb.surfacoid import oracle_triangle_hive
 from hiveweb.thirds import LatticePoint, Third
 from hiveweb.web import (
-    TriangleWebCoords,
     hive_to_surface_web,
     hive_to_web_triangle,
     surface_web_to_hive,
-    web_to_hive_triangle,
+    web_to_hive_thirds,
 )
 
 
@@ -71,16 +68,16 @@ def transport_along(tri, values, edges):
 
 
 def test_criterion_1_figure_instance():
-    coords = TriangleWebCoords(3, 2, 1, 1, 1, 1, 1)
-    web_to_hive_triangle(coords)  # warm any lazy setup before timing
+    coords = (3, 2, 1, 1, 1, 1, 1)
+    web_to_hive_thirds(*coords)  # warm any lazy setup before timing
     with checked("1 figure-instance", 0.001):
-        hive = web_to_hive_triangle(coords)
-        diffs = rhombus_differences(hive)
+        hive = web_to_hive_thirds(*coords)
+        diffs = rhombi(*hive)
         back = hive_to_web_triangle(hive)
-        assert hive.thirds() == (12, 10, 9, 19, 14, 13, 11)
-        # the w, u, y rhombi are the 1st, 7th and 4th listed quantities
-        assert (diffs[0], diffs[6], diffs[3]) == (Third(3), Third(3), Third(6))
-        assert back.x == 3 and back == coords
+        assert hive == (12, 10, 9, 19, 14, 13, 11)
+        # the w, u, y rhombi are the 1st, 7th and 4th listed quantities, in thirds
+        assert (diffs[0], diffs[6], diffs[3]) == (3, 3, 6)
+        assert back[0] == 3 and back == coords
 
 
 def test_criterion_2_triangle_bijection_exhaustive():
@@ -88,12 +85,9 @@ def test_criterion_2_triangle_bijection_exhaustive():
         count = 0
         for x in range(-4, 5):
             for rest in product(range(4), repeat=6):
-                coords = TriangleWebCoords(x, *rest)
-                hive = web_to_hive_triangle(coords)
-                assert all(
-                    d.thirds >= 0 and d.thirds % 3 == 0
-                    for d in rhombus_differences(hive)
-                ), coords
+                coords = (x, *rest)
+                hive = web_to_hive_thirds(*coords)
+                assert all(d >= 0 and d % 3 == 0 for d in rhombi(*hive)), coords
                 assert hive_to_web_triangle(hive) == coords
                 count += 1
         assert count == 9 * 4**6
@@ -103,10 +97,8 @@ def test_criterion_3_oracle_equivalence():
     with checked("3 oracle-equivalence (1000 nets)", 60.0):
         rng = random.Random(33550336)
         for _ in range(1000):
-            coords = TriangleWebCoords(
-                rng.randint(-3, 3), *(rng.randint(0, 2) for _ in range(6))
-            )
-            assert oracle_triangle_hive(coords) == web_to_hive_triangle(coords), coords
+            coords = (rng.randint(-3, 3), *(rng.randint(0, 2) for _ in range(6)))
+            assert oracle_triangle_hive(coords) == web_to_hive_thirds(*coords), coords
 
 
 def test_criterion_4_gamma_closed_form():
@@ -180,7 +172,7 @@ def test_criterion_6_octahedron_suite():
 def test_criterion_7_cone_equivalence():
     with checked("7 cone-equivalence (1000 assignments)", 5.0):
         quad = build_polygon(4, [(0, 2)])
-        theta = quad.theta_index()
+        theta = quad.vertices
         rng = random.Random(496)
         for case in range(1000):
             values = sample_hive(quad, 2, seed=case)
@@ -192,10 +184,9 @@ def test_criterion_7_cone_equivalence():
             valid = validate_hive(quad, values) == []
             cone = is_in_positive_cone(quad, values)
             integral = all(
-                d.is_integer()
+                d % 3 == 0
                 for t in quad.triangles
-                for d in rhombus_differences(
-                    TriangleHive(*(values[v] for v in triangle_frame(quad, t))))
+                for d in rhombi(*(values[theta[p]].thirds for p in quad.frame(t)))
             )
             nonpositive = tropical_potential(quad, values).thirds <= 0
             assert valid == cone == (nonpositive and integral), case
@@ -215,8 +206,8 @@ def test_criterion_8_surface_round_trip():
             web = hive_to_surface_web(tri, sample_hive(tri, bound, 0))
             interior = tri.interior_edges()[0]
             victim = tri.edge(interior).attach0[0]
-            c = web[victim]
-            web[victim] = TriangleWebCoords(c.x + 1, c.y, c.z, c.t, c.u, c.v, c.w)
+            x, *corners = web[victim]
+            web[victim] = (x + 1, *corners)
             with pytest.raises(GluingMismatch):
                 surface_web_to_hive(tri, web)
 
@@ -228,4 +219,4 @@ def test_criterion_9_counting_invariants():
             tri = build_polygon(m, fan)
             assert len(tri.triangles) == m - 2
             assert len(tri.edges) == 2 * m - 3
-            assert len(tri.theta_index()) == 2 * (2 * m - 3) + (m - 2)
+            assert len(tri.vertices) == 2 * (2 * m - 3) + (m - 2)

@@ -45,7 +45,7 @@ def test_gamma_dist_with_source(capsys):
 def test_validate_zero_hive(tmp_path, capsys):
     tri = build_polygon(5, [(0, 2), (0, 3)])
     tri_path = write(tmp_path / "t.json", tri.to_json())
-    values = {v: Third(0) for v in tri.theta_index()}
+    values = {v: Third(0) for v in tri.vertices}
     hive_path = write(tmp_path / "h.json", hive_to_json(tri, values, inline=False))
     code, out, _ = invoke(
         capsys, "validate", "--triangulation", tri_path, "--hive", hive_path
@@ -57,8 +57,8 @@ def test_validate_zero_hive(tmp_path, capsys):
 def test_validate_invalid_hive_exits_one(tmp_path, capsys):
     tri = build_polygon(4, [(0, 2)])
     tri_path = write(tmp_path / "t.json", tri.to_json())
-    values = {v: Third(0) for v in tri.theta_index()}
-    values[tri.theta_index()[0]] = Third(1)  # a center
+    values = {v: Third(0) for v in tri.vertices}
+    values[tri.vertices[0]] = Third(1)  # a center
     hive_path = write(tmp_path / "h.json", hive_to_json(tri, values, inline=False))
     code, out, _ = invoke(
         capsys, "validate", "--triangulation", tri_path, "--hive", hive_path
@@ -275,7 +275,7 @@ def canonical(doc):
 
 SQUARE = build_polygon(4, [(0, 2)])
 # a center one third off a zero hive: three rhombi fail
-OFF_CENTER = {v: Third(int(v == SQUARE.theta_index()[0])) for v in SQUARE.theta_index()}
+OFF_CENTER = {v: Third(int(v == SQUARE.vertices[0])) for v in SQUARE.vertices}
 # argv with {name} for each document written, exit code, stdout, stderr
 BRANCHES = {
     "flip --hive invalid": (

@@ -15,8 +15,8 @@ from pathlib import Path
 import hiveweb
 
 PACKAGE = Path(hiveweb.__file__).parent
-# the oracle report's "coords" is the one triangle's coordinates it was given,
-# written by TriangleWebCoords.to_json; it is not a web document
+# the oracle report's "coords" is the 7-tuple of the one triangle it was given,
+# written in place as {"x": ..., "w": ...}; it is not a web document
 ORACLE_REPORT = ("cli.py", "_oracle_once", "builds")
 
 

@@ -59,6 +59,19 @@ SELF_GLUED = {"triangles": ["A"], "edges": [
     {"id": "loop", "tail": "v", "head": "v", "attach": [["A", 0], ["A", 1]]},
     {"id": "b", "tail": "v", "head": "v", "attach": [["A", 2], "boundary"]},
 ]}
+
+
+def _relabelled(doc, labels):
+    """``doc`` with marked point i of each edge's ends renamed ``labels[i]``."""
+    for e in doc["edges"]:
+        e["tail"], e["head"] = labels[e["tail"]], labels[e["head"]]
+    return doc
+
+
+# an 8-gon that validates; the flip of 2-4 would make the cell 5-6-7 from the
+# labels 7, '5' and '6', an id that a cell the flip keeps already has
+RELABELLED_OCTAGON = _relabelled(build_polygon(8, [(1, 7), (1, 4), (1, 5), (2, 4), (5, 7)])
+                                 .to_json(), [3, 7, "5", "6", 4, 2, "0", "1"])
 # a once-punctured torus: two triangles glued along all three of their sides
 TORUS = {"triangles": ["A", "B"], "edges": [
     {"id": "a", "tail": "v", "head": "v", "attach": [["A", 0], ["B", 1]]},
@@ -97,6 +110,9 @@ FLIP_ERRORS = {
                        "distinct arcs with equal endpoints are not supported"),
     "two cells with one id": (_square(_alternate_labels), "0-2", "SelfFoldedUnsupported",
                               "flip of '0-2' would produce two cells with id 'x-y-y'"),
+    "reused triangle id": (RELABELLED_OCTAGON, "2-4", "InvalidTriangulation",
+                           "flip of '2-4' would reuse triangle id '5-6-7'; "
+                           "the cell that has it is not replaced"),
     **{name: (doc, "0-2", "InvalidTriangulation", detail)
        for name, (doc, detail) in INCOHERENT_CELLS.items()},
 }
@@ -111,6 +127,15 @@ def test_flip_error_is_reported_with_its_text(doc, edge, error, detail, tmp_path
         code = run(["flip", "--triangulation", str(path), "--edge", edge])
     assert (code, json.loads(out.getvalue()), err.getvalue()) == (
         1, {"error": error, "detail": detail}, "")
+
+
+def test_the_octagon_whose_flip_reuses_a_triangle_id_validates(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(RELABELLED_OCTAGON))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["validate", "--triangulation", str(path)])
+    assert (code, json.loads(out.getvalue())) == (0, {"valid": True, "violations": []})
 
 
 @pytest.mark.parametrize("doc,detail", INCOHERENT_CELLS.values(), ids=INCOHERENT_CELLS)

@@ -1,0 +1,112 @@
+"""The flip as four tropical mutations of the Fock–Goncharov quiver.
+
+A reference for ``hive.octahedron_thirds`` that shares none of its formulas.
+The SL3 quiver of a triangulation is built from ``surface.LAYOUT`` alone, its
+exchange matrix stored doubled (E = 2ε) so that every entry is an int.  In
+each triangle with frame f and center c, each side s, whose vertices near
+corners s and s+1 carry the labels ``near`` and ``far``, adds
+
+- the half-arrow f[near] → f[far] with E = 1 (the two half-arrows of an
+  interior edge cancel),
+- the arrows f[far] → c and c → f[near] with E = 2 each,
+- the corner arrow from the vertex of side s+1 near corner s+1 to f[far],
+  with E = 2.
+
+A flip is the tropical A-mutation at the old frame's a2, a6, a5 and a7, in
+that order: at k,
+
+    x'_k = max(Σ_{E_kj > 0} E_kj·x_j, Σ_{E_kj < 0} −E_kj·x_j) / 2 − x_k,
+    E'_ij = −E_ij if i or j is k, else E_ij + (|E_ik|·E_kj + E_ik·|E_kj|) / 4,
+
+both exact in ints.  Along a walk of flips, the mutated values must be the
+transported hive, and the mutated matrix, relabelled from the old frame to
+the new one, must be the quiver of the flipped triangulation.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hiveweb.hive import octahedron_thirds
+from hiveweb.sampling import sample_thirds
+from hiveweb.surface import LAYOUT, build_polygon, flip_triangulation
+
+CENTER = LAYOUT.index(None)
+SIDES = tuple((LAYOUT.index((s, True)), LAYOUT.index((s, False))) for s in range(3))
+
+
+def quiver(tri) -> dict:
+    """The doubled exchange matrix of ``tri``'s quiver, {(i, j): E_ij} over
+    vertex keys, zero entries left out."""
+    matrix = Counter()
+
+    def arrow(i, j, e):
+        matrix[i, j] += e
+        matrix[j, i] -= e
+
+    for t in tri.triangles:
+        f = [tri.keys[p] for p in tri.frame(t)]
+        for s, (near, far) in enumerate(SIDES):
+            arrow(f[near], f[far], 1)
+            arrow(f[far], f[CENTER], 2)
+            arrow(f[CENTER], f[near], 2)
+            arrow(f[SIDES[(s + 1) % 3][0]], f[far], 2)
+    return {ij: e for ij, e in matrix.items() if e}
+
+
+def mutate(matrix: dict, x: dict, k) -> tuple[dict, dict]:
+    """The tropical A-mutation of ``matrix`` and the values ``x`` at ``k``."""
+    row = {j: e for (i, j), e in matrix.items() if i == k}
+    top = max(sum(e * x[j] for j, e in row.items() if e > 0),
+              sum(-e * x[j] for j, e in row.items() if e < 0))
+    assert top % 2 == 0
+    mutated = Counter({(i, j): -e if k in (i, j) else e for (i, j), e in matrix.items()})
+    for i, e_ik in ((i, e) for (i, j), e in matrix.items() if j == k):
+        for j, e_kj in row.items():
+            change = abs(e_ik) * e_kj + e_ik * abs(e_kj)
+            assert change % 4 == 0
+            mutated[i, j] += change // 4
+    return {ij: e for ij, e in mutated.items() if e}, {**x, k: top // 2 - x[k]}
+
+
+@st.composite
+def flip_walks(draw):
+    """A triangulated m-gon split recursively at drawn apexes, a sampled hive
+    on it and the edge picks of a walk."""
+    m = draw(st.integers(4, 10))
+    diagonals, stack = [], [(0, m - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo >= 2:
+            k = draw(st.integers(lo + 1, hi - 1))
+            for a, b in ((lo, k), (k, hi)):
+                if b - a >= 2:
+                    diagonals.append((a, b))
+                    stack.append((a, b))
+    tri = build_polygon(m, diagonals)
+    thirds = sample_thirds(tri, draw(st.integers(1, 3)), draw(st.integers(0, 2**32)))
+    return tri, thirds, draw(st.lists(st.integers(0, 20), min_size=1, max_size=6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(flip_walks())
+def test_a_flip_is_four_tropical_mutations(case):
+    tri, thirds, picks = case
+    x, matrix = dict(zip(tri.keys, thirds)), quiver(tri)
+    for pick in picks:
+        interior = tri.interior_edges()
+        tri, frame_old, frame_new = flip_triangulation(tri, interior[pick % len(interior)])
+        old = [v.key() for v in frame_old.vertices()]
+        moved = {key: value for key, value in x.items() if key not in old}
+        moved.update(zip((v.key() for v in frame_new.vertices()),
+                         octahedron_thirds(*map(x.__getitem__, old))))
+        for k in (frame_old.a2, frame_old.a6, frame_old.a5, frame_old.a7):
+            matrix, x = mutate(matrix, x, k.key())
+        new = dict(zip(old, (v.key() for v in frame_new.vertices())))
+        x = {new.get(key, key): value for key, value in x.items()}
+        matrix = {(new.get(i, i), new.get(j, j)): e for (i, j), e in matrix.items()}
+        assert x == moved
+        assert matrix == quiver(tri)

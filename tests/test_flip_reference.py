@@ -7,9 +7,15 @@ outer sides read a second time by name, each new cell found by a second
 search over its rotations and the post-flip frame rebuilt field by field.
 Every input must give the same flipped ``edges`` and ``triangles`` in order,
 the same frames, the same transported hive, or the same exception with the
-same text.  The one difference is meant: the flip and ``quad_frame`` now
+same text.  Two differences are meant: the flip and ``quad_frame`` now
 refuse a quadrilateral whose cells ``validate_complex`` rejects, where the
-reference flipped them or failed later.
+reference flipped them or failed later; and the flip refuses a new cell whose
+id a cell it keeps already has, naming the edge and the id, where the
+reference built the cell list and ``Triangulation`` refused it.
+
+On complexes that ``validate_complex`` accepts, a flip either gives a complex
+it accepts, with a transported hive that validates, or is refused with a text
+that names the edge.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from hiveweb.errors import (
     NotFlippable,
     SelfFoldedUnsupported,
 )
-from hiveweb.hive import octahedron_transport
+from hiveweb.hive import octahedron_thirds, octahedron_transport, validate_hive
+from hiveweb.sampling import sample_thirds
 from hiveweb.surface import (
     EdgeRec,
     ThetaVertex,
@@ -274,9 +281,22 @@ def _reused_cell_id(tri, edge_id):
     return not made.isdisjoint(set(tri.triangles) - {rec.attach0[0], rec.attach1[0]})
 
 
+REUSED_CELL = re.compile(r"flip of (.+) would reuse triangle id .+; "
+                         r"the cell that has it is not replaced")
+
+
+def _reuses_cell_id(outcome, edge_id):
+    """Whether ``outcome`` is the flip's refusal of a new cell id that a kept
+    cell has, naming ``edge_id``."""
+    refused = outcome[:2] == ("raised", "InvalidTriangulation")
+    match = REUSED_CELL.fullmatch(outcome[2]) if refused else None
+    return match is not None and match[1] == repr(edge_id)
+
+
 def _same_flip(tri, edge_id):
     """Compare both flips of ``edge_id`` and both frames; the flip's result
-    (or None when both raised or the flip refused an incoherent cell)."""
+    (or None when both raised, or the flip refused an incoherent cell or a
+    reused cell id)."""
     got, want = _outcome(flip_triangulation, tri, edge_id), _outcome(reference_flip, tri, edge_id)
     frame_got, frame_want = _outcome(quad_frame, tri, edge_id), _outcome(reference_quad_frame,
                                                                           tri, edge_id)
@@ -289,6 +309,13 @@ def _same_flip(tri, edge_id):
         assert (want[0] == "ok" or want[2].startswith(f"flip of {edge_id!r} would ")
                 or want[1:] == ("InvalidTriangulation", "duplicate triangle ids")
                 and _reused_cell_id(tri, edge_id))
+        return None
+    if got != want and _reuses_cell_id(got, edge_id):
+        # the flip refuses before it builds anything; the reference builds
+        # the cell list, which Triangulation refuses
+        assert want[1:] == ("InvalidTriangulation", "duplicate triangle ids")
+        assert _reused_cell_id(tri, edge_id)
+        assert _frame(frame_got[1]) == _frame(frame_want[1])
         return None
     if want[0] == "raised":
         assert got == want
@@ -385,15 +412,22 @@ def flip_walks(draw, broken=False):
     return doc, picks, rng, at
 
 
-def _relabelled_octagon():
-    """An 8-gon, labelled by ints and digit strings, whose edge 1-2 has its
-    head relabelled: cell 1-2-4 is incoherent, so the flip of 2-4 is refused,
-    while the reference flips it into cells 5-6-7 (from the labels 7, '5',
-    '6') and 6-4-7, and 5-6-7 is already an unrelated cell's id."""
+def _octagon():
+    """An 8-gon labelled by ints and digit strings whose flip of 2-4 would
+    make cells 5-6-7 (from the labels 7, '5', '6') and 6-4-7, while 5-6-7 is
+    already an unrelated cell's id."""
     doc = build_polygon(8, [(1, 7), (1, 4), (1, 5), (2, 4), (5, 7)]).to_json()
     labels = [3, 7, "5", "6", 4, 2, "0", "1"]
     for e in doc["edges"]:
         e["tail"], e["head"] = labels[e["tail"]], labels[e["head"]]
+    return doc
+
+
+def _relabelled_octagon():
+    """The octagon with the head of its edge 1-2 relabelled: cell 1-2-4 is
+    incoherent, so the flip of 2-4 is refused, while the reference flips it
+    into the cell 5-6-7 and fails on its id."""
+    doc = _octagon()
     next(e for e in doc["edges"] if e["id"] == "1-2")["head"] = "fresh"
     return doc, [3], random.Random(0), "1-2"  # interior edge 3 is 2-4
 
@@ -407,7 +441,7 @@ def test_flip_walks_match_the_reference(case):
     values = None
     for pick in picks:
         if values is None:
-            values = {v: Third(rng.randrange(-60, 61)) for v in tri.theta_index()}
+            values = {v: Third(rng.randrange(-60, 61)) for v in tri.vertices}
         if rng.random() < 0.1:
             del values[rng.choice(sorted(values))]
         # mostly interior edges, then any edge, then an unknown one
@@ -462,6 +496,71 @@ def test_fixed_structures_match_the_reference():
     renamed = build_polygon(4, [(0, 2)]).to_json()
     next(e for e in renamed["edges"] if e["id"] == "0-3")["id"] = "1-3"
     for tri in (_torus(), _self_glued(), Triangulation.from_json(square),
-                Triangulation.from_json(renamed), build_polygon(6, [(0, 2), (2, 4), (0, 4)])):
+                Triangulation.from_json(renamed), build_polygon(6, [(0, 2), (2, 4), (0, 4)]),
+                Triangulation.from_json(_octagon())):
         for edge_id in [e.id for e in tri.edges] + ["no-such-edge"]:
             _same_flip(tri, edge_id)
+
+
+# -- flips of complexes that validate_complex accepts -------------------------
+
+
+@st.composite
+def valid_complexes(draw):
+    """A relabelled polygon document, as ``flip_walks`` makes it but never
+    broken, with its cell ids now and then shuffled among the cells, so that a
+    flip can make an id that a cell it keeps already has; the edge picks of a
+    walk and a sampling seed."""
+    m = draw(st.integers(4, 14))
+    doc = build_polygon(m, _diagonals(draw, m)).to_json()
+    labels = _labels(draw, m) if draw(st.booleans()) else range(m)
+    for e in doc["edges"]:
+        e["tail"], e["head"] = labels[e["tail"]], labels[e["head"]]
+    if draw(st.booleans()):
+        names = dict(zip(doc["triangles"], draw(st.permutations(doc["triangles"]))))
+        doc["triangles"] = [names[t] for t in doc["triangles"]]
+        for e in doc["edges"]:
+            for pair in e["attach"]:
+                if pair != "boundary":
+                    pair[0] = names[pair[0]]
+    picks = draw(st.lists(st.integers(0, 10), min_size=1, max_size=6))  # repeats flip back
+    return doc, picks, draw(st.integers(0, 2**32))
+
+
+def _flip_or_refusal(tri, edge_id, thirds):
+    """The flip of ``edge_id`` and the hive ``thirds`` moved across it, once
+    both validate; None if the flip is refused with a text naming the edge."""
+    try:
+        flipped, frame_old, frame_new = flip_triangulation(tri, edge_id)
+    except (NotFlippable, SelfFoldedUnsupported, InvalidTriangulation) as exc:
+        assert repr(edge_id) in str(exc)
+        return None
+    assert validate_complex(flipped).ok
+    moved = dict(zip(tri.keys, thirds))
+    quad = [moved.pop(v.key()) for v in frame_old.vertices()]
+    moved.update(zip((v.key() for v in frame_new.vertices()), octahedron_thirds(*quad)))
+    thirds = [moved.pop(key) for key in flipped.keys]
+    assert not moved and validate_hive(flipped, thirds) == []
+    return flipped, thirds
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_complexes())
+@example((_octagon(), [3], 0))  # interior edge 3 is 2-4
+def test_a_flip_of_a_valid_complex_validates_or_names_the_edge(case):
+    doc, picks, seed = case
+    tri = Triangulation.from_json(doc)
+    assert validate_complex(tri).ok
+    thirds = sample_thirds(tri, 2, seed)
+    for pick in picks:
+        interior = tri.interior_edges()
+        done = _flip_or_refusal(tri, interior[pick % len(interior)], thirds)
+        if done is not None:
+            tri, thirds = done
+
+
+def test_a_flip_of_a_fixed_complex_validates_or_names_the_edge():
+    for tri in (_torus(), _self_glued()):
+        assert validate_complex(tri).ok
+        for edge_id in tri.interior_edges():
+            _flip_or_refusal(tri, edge_id, [0] * len(tri.keys))

@@ -27,7 +27,8 @@ import hiveweb
 from hiveweb import hive, surface, web
 from hiveweb.cli import run
 from hiveweb.errors import HivewebError, MalformedInput
-from hiveweb.hive import TriangleHive, hive_thirds_from_json, hive_to_json, hive_values_from_json
+from hiveweb.hive import (hive_thirds_from_json, hive_to_json, hive_values_from_json,
+                          triangle_thirds_from_json)
 from hiveweb.metric import OrientedGraph
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import Triangulation, build_polygon
@@ -439,7 +440,7 @@ READERS = {
     "triangulation": Triangulation.from_json,
     "hive": lambda doc: hive_thirds_from_json(doc, _embedded(doc)),
     "web": lambda doc: (_embedded(doc), web_coords_from_json(doc)),
-    "triangle-hive": TriangleHive.from_json,
+    "triangle-hive": triangle_thirds_from_json,
     "graph": OrientedGraph.from_json,
 }
 OTHER_READ_ALIKE = ("triangulation attachment of one", "triangle hive without a3",
@@ -459,7 +460,8 @@ def test_the_other_readers_are_the_cli_readers(name, tmp_path):
 # where each kind of document is read on the command line
 READER_OWNERS = {"triangulation": (Triangulation, "from_json"),
                  "hive": (hive, "hive_thirds_from_json"), "web": (web, "web_coords_from_json"),
-                 "triangle-hive": (TriangleHive, "from_json"), "graph": (OrientedGraph, "from_json")}
+                 "triangle-hive": (hive, "triangle_thirds_from_json"),
+                 "graph": (OrientedGraph, "from_json")}
 
 
 @pytest.mark.parametrize("kind", READER_OWNERS)

@@ -1,7 +1,7 @@
 """A triangulation's frames and the rhombus scan against slow references.
 
-``triangle_frame`` and ``theta_index`` read ``Triangulation.frame`` and
-``Triangulation.vertices``, and ``validate_complex`` reads corners through
+``Triangulation.frame`` and ``Triangulation.vertices`` give each triangle's
+quiver vertices, and ``validate_complex`` reads corners through
 ``Triangulation.ends``.  The reference below reads the JSON document itself,
 not the loader's tables: a frame built vertex by vertex from side lookups that
 scan the document's edges, a second sorted enumeration of the quiver vertices
@@ -12,7 +12,7 @@ shuffled and with integer ids.
 
 ``validate_hive``, ``tropical_potential`` and ``is_in_positive_cone`` run on
 int lists over a triangulation's quiver-vertex positions; the reference reads every triangle through
-the reference frame and ``rhombus_differences`` on ``Third`` values.  They
+the reference frame and the nine rhombus quantities on ``Third`` values.  They
 must agree on sampled hives, on single-vertex perturbations of them and on
 the same hives after random flips.
 """
@@ -25,12 +25,9 @@ from hypothesis import strategies as st
 
 from hiveweb.errors import HivewebError, InvalidTriangulation
 from hiveweb.hive import (
-    TriangleHive,
     hive_thirds,
     is_in_positive_cone,
     octahedron_transport,
-    rhombus_differences,
-    triangle_frame,
     tropical_potential,
     validate_hive,
 )
@@ -102,6 +99,18 @@ def reference_frame(edges, t):
                  for site in REF_LAYOUT)
 
 
+def reference_rhombi(a1, a2, a3, a4, a5, a6, a7):
+    """The nine rhombus quantities of Third values, in the canonical listing order."""
+    return (a1 + a2 - a4, a3 + a4 - a1 - a6, a4 + a5 - a2 - a7,
+            a5 + a7 - a4, a2 + a4 - a1 - a5, a4 + a6 - a3 - a7,
+            a3 + a6 - a4, a4 + a7 - a5 - a6, a1 + a4 - a2 - a3)
+
+
+def triangle_frame(tri, t):
+    """The library's quiver vertices of ``t`` in hive-label order a1..a7."""
+    return tuple(tri.vertices[p] for p in tri.frame(t))
+
+
 def reference_theta_index(doc):
     out = [ThetaVertex.center(t) for t in sorted(map(_text, doc["triangles"]))]
     for eid in sorted(e.id for e in doc_edges(doc)):
@@ -163,8 +172,7 @@ def reference(tri, values):
     violations, worst, edges = [], None, doc_edges(tri.to_json())
     for t in tri.triangles:
         frame = reference_frame(edges, t)
-        h = TriangleHive(*(values[v] for v in frame))
-        for index, d in enumerate(rhombus_differences(h), start=1):
+        for index, d in enumerate(reference_rhombi(*(values[v] for v in frame)), start=1):
             if d.thirds < 0 or not d.is_integer():
                 violations.append({"triangle": t, "rhombus": index, "thirds": d.thirds})
             worst = -d.thirds if worst is None else max(worst, -d.thirds)
@@ -180,7 +188,7 @@ def assert_agrees(tri, values):
 
 
 def perturbed(tri, values, data):
-    vertex = data.draw(st.sampled_from(tri.theta_index()))
+    vertex = data.draw(st.sampled_from(tri.vertices))
     delta = data.draw(st.integers(-4, 4).filter(bool))
     return {**values, vertex: Third(values[vertex].thirds + delta)}
 
@@ -262,7 +270,7 @@ def test_frames_enumeration_and_report_match_the_reference(data):
     if data.draw(st.booleans()):
         _number_ids(doc, rng)
     tri, edges = Triangulation.from_json(doc), doc_edges(doc)
-    assert tri.theta_index() == reference_theta_index(doc)
+    assert list(tri.vertices) == reference_theta_index(doc)
     assert validate_complex(tri).to_json() == reference_validate_complex(doc).to_json()
     named = {t for e in tri.edges for t, _ in filter(None, (e.attach0, e.attach1))}
     for t in [*tri.triangles, *sorted(named - set(tri.triangles)), "no-such-triangle"]:
@@ -270,7 +278,7 @@ def test_frames_enumeration_and_report_match_the_reference(data):
         if t not in tri.triangles and want[0] == "ok":
             # all three sides attached, but no center position to read
             assert got == ("raised", "KeyError", repr(f"unknown triangle {t!r}"))
-            assert want[1][3] not in tri.theta_index()
+            assert want[1][3] not in tri.vertices
         else:
             assert got == want
 
@@ -305,7 +313,7 @@ def built_by(call, *args):
 def test_positions_are_built_only_when_read():
     tri = build_polygon(7, SEPTAGON)
     values = sample_hive(tri, 1, 0)
-    coords = {t: c.values() for t, c in hive_to_surface_web(tri, values).items()}
+    coords = hive_to_surface_web(tri, values)
     assert built_by(validate_complex) == {"_slots"}
     assert built_by(flip_triangulation, "0-2") == {"_slots"}
     assert built_by(sample_thirds, 1, 0) == {"slot0", "keys", "_frames"}

@@ -40,7 +40,7 @@ def test_samples_are_valid_hives():
 def test_assigns_every_theta_vertex():
     tri = build_polygon(6, [(0, 2), (0, 3), (3, 5)])
     values = sample_hive(tri, 2, seed=0)
-    assert set(values) == set(tri.theta_index())
+    assert set(values) == set(tri.vertices)
 
 
 def dual_cycle_complex():

@@ -29,7 +29,7 @@ def test_triangle_is_forced():
     t = build_polygon(3, [])
     assert len(t.triangles) == 1
     assert len(t.edges) == 3
-    assert len(t.theta_index()) == 7
+    assert len(t.vertices) == 7
     assert validate_complex(t).ok
 
 
@@ -37,7 +37,7 @@ def test_quadrilateral_counts():
     t = build_polygon(4, [(0, 2)])
     assert len(t.triangles) == 2
     assert len(t.edges) == 5
-    assert len(t.theta_index()) == 12
+    assert len(t.vertices) == 12
     assert t.signature == (0, 1, 4)
     assert validate_complex(t).ok
 
@@ -46,7 +46,7 @@ def test_pentagon_counts():
     t = build_polygon(5, [(0, 2), (0, 3)])
     assert len(t.triangles) == 3
     assert len(t.edges) == 7
-    assert len(t.theta_index()) == 17
+    assert len(t.vertices) == 17
 
 
 @pytest.mark.parametrize(
@@ -88,9 +88,9 @@ def test_validate_reports_count_mismatch():
 
 def test_theta_index_is_stable():
     t = build_polygon(6, [(0, 2), (2, 4), (0, 4)])
-    first = t.theta_index()
-    assert first == t.theta_index()
-    assert first == build_polygon(6, [(0, 4), (0, 2), (2, 4)]).theta_index()
+    first = t.vertices
+    assert first == t.vertices
+    assert first == build_polygon(6, [(0, 4), (0, 2), (2, 4)]).vertices
     assert len(first) == len(set(first)) == 2 * 9 + 4
 
 
@@ -114,7 +114,7 @@ def test_flip_is_an_involution_on_the_complex():
     once, _, frame_new = flip_triangulation(t, "0-2")
     twice, _, _ = flip_triangulation(once, frame_new.diagonal)
     assert twice == t
-    assert twice.theta_index() == t.theta_index()
+    assert twice.vertices == t.vertices
 
 
 def test_flip_boundary_edge_rejected():

@@ -7,7 +7,6 @@ reference.
 
 import random
 from collections import Counter
-from dataclasses import astuple
 
 import pytest
 
@@ -20,19 +19,19 @@ from hiveweb.metric import (
 )
 from hiveweb.surfacoid import build_net, oracle_triangle_hive
 from hiveweb.thirds import Third
-from hiveweb.web import TriangleWebCoords, web_to_hive_triangle
+from hiveweb.web import WebTuple, web_to_hive_thirds
 
 
 def test_zero_net_is_a_point():
-    net = build_net(TriangleWebCoords(0, 0, 0, 0, 0, 0, 0))
+    net = build_net((0, 0, 0, 0, 0, 0, 0))
     assert net.a == net.b == net.c == (0, 0)
     assert len(net.graph.vertices) == 1
     assert net.graph.arcs == []
-    assert oracle_triangle_hive(TriangleWebCoords(0, 0, 0, 0, 0, 0, 0)).thirds() == (0,) * 7
+    assert oracle_triangle_hive((0, 0, 0, 0, 0, 0, 0)) == (0,) * 7
 
 
 def test_unit_honeycomb_net_is_a_directed_triangle():
-    net = build_net(TriangleWebCoords(1, 0, 0, 0, 0, 0, 0))
+    net = build_net((1, 0, 0, 0, 0, 0, 0))
     assert len(net.graph.vertices) == 3
     assert len(net.graph.arcs) == 3
     value, argmin = fermat_brute(net.graph, net.a, net.b, net.c)
@@ -41,47 +40,44 @@ def test_unit_honeycomb_net_is_a_directed_triangle():
 
 
 def test_net_vertex_count_formula():
-    net = build_net(TriangleWebCoords(3, 2, 1, 1, 1, 1, 1))
+    net = build_net((3, 2, 1, 1, 1, 1, 1))
     # (n+1)(n+2)/2 mesh vertices plus one per string arc
     assert len(net.graph.vertices) == 10 + (1 + 1) + (1 + 1) + (2 + 1)
 
 
 def test_oracle_matches_formulas_on_honeycomb_instance():
-    coords = TriangleWebCoords(3, 2, 1, 1, 1, 1, 1)
-    assert oracle_triangle_hive(coords) == web_to_hive_triangle(coords)
+    coords = (3, 2, 1, 1, 1, 1, 1)
+    assert oracle_triangle_hive(coords) == web_to_hive_thirds(*coords)
 
 
 def test_oracle_matches_on_reversed_honeycomb():
-    coords = TriangleWebCoords(-2, 0, 1, 0, 2, 0, 0)
-    assert oracle_triangle_hive(coords) == web_to_hive_triangle(coords)
+    coords = (-2, 0, 1, 0, 2, 0, 0)
+    assert oracle_triangle_hive(coords) == web_to_hive_thirds(*coords)
 
 
 def test_oracle_equivalence_seeded_batch():
     rng = random.Random(20240901)
     for _ in range(200):
-        coords = TriangleWebCoords(
-            rng.randint(-3, 3), *(rng.randint(0, 2) for _ in range(6))
-        )
-        assert oracle_triangle_hive(coords) == web_to_hive_triangle(coords), coords
+        coords = (rng.randint(-3, 3), *(rng.randint(0, 2) for _ in range(6)))
+        assert oracle_triangle_hive(coords) == web_to_hive_thirds(*coords), coords
 
 
 def test_boundary_straight_path_is_geodesic():
     # d(B, A) along the boundary: bottom-left string, one mesh side, top string
     for x in (-3, -1, 0, 2, 3):
-        coords = TriangleWebCoords(x, 1, 2, 1, 2, 1, 2)
+        coords = (x, 1, 2, 1, 2, 1, 2)
+        _, _, _, t, u, v, w = coords
         net = build_net(coords)
         n = abs(x)
         mesh_leg = n if x < 0 else 2 * n  # reversed mesh flips the side's direction
-        straight = (coords.u + 2 * coords.t) + mesh_leg + (2 * coords.w + coords.v)
+        straight = (u + 2 * t) + mesh_leg + (2 * w + v)
         assert shortest_distance(net.graph, net.b, net.a) == Third(straight)
 
 
 def test_tripod_minimum_attained_on_mesh():
     rng = random.Random(7)
     for _ in range(40):
-        coords = TriangleWebCoords(
-            rng.randint(-2, 2), *(rng.randint(0, 2) for _ in range(6))
-        )
+        coords = (rng.randint(-2, 2), *(rng.randint(0, 2) for _ in range(6)))
         net = build_net(coords)
         value, _ = fermat_brute(net.graph, net.a, net.b, net.c)
         da = distances_from(net.graph, net.a)
@@ -97,8 +93,8 @@ def test_tripod_minimum_attained_on_mesh():
 @pytest.mark.parametrize("corners", [(0,) * 6, (6,) * 6, (5, 1, 0, 2, 6, 3)])
 @pytest.mark.parametrize("x", [-40, -17, -1, 0, 1, 17, 40])
 def test_oracle_matches_formulas_at_benchmark_sizes(x, corners):
-    coords = TriangleWebCoords(x, *corners)
-    assert oracle_triangle_hive(coords) == web_to_hive_triangle(coords)
+    coords = (x, *corners)
+    assert oracle_triangle_hive(coords) == web_to_hive_thirds(*coords)
 
 
 def reference_mesh(n: int, reverse: bool):
@@ -129,9 +125,9 @@ def reference_string(name: str, corner, inward: int, outward: int, vertices, arc
     return chain[0]
 
 
-def reference_net(coords: TriangleWebCoords):
+def reference_net(coords: WebTuple):
     """Graph, terminals and mesh corners as the tuple-keyed builder made them."""
-    x, y, z, t, u, v, w = astuple(coords)
+    x, y, z, t, u, v, w = coords
     n = abs(x)
     vertices, arcs = reference_mesh(n, reverse=x < 0)
     corners = (-n, 0), (0, 0), (0, n)
@@ -144,13 +140,12 @@ def reference_net(coords: TriangleWebCoords):
 
 def _sampled_coords():
     rng = random.Random(6)
-    extremes = [TriangleWebCoords(x, *corners)
-                for x in (-40, -1, 0, 1, 40) for corners in ((0,) * 6, (6,) * 6)]
-    return extremes + [TriangleWebCoords(rng.randint(-40, 40), *(rng.randint(0, 6) for _ in range(6)))
+    extremes = [(x, *corners) for x in (-40, -1, 0, 1, 40) for corners in ((0,) * 6, (6,) * 6)]
+    return extremes + [(rng.randint(-40, 40), *(rng.randint(0, 6) for _ in range(6)))
                        for _ in range(30)]
 
 
-@pytest.mark.parametrize("coords", _sampled_coords(), ids=lambda c: ",".join(map(str, astuple(c))))
+@pytest.mark.parametrize("coords", _sampled_coords(), ids=lambda c: ",".join(map(str, c)))
 def test_net_matches_tuple_keyed_builder(coords):
     reference, terminals, corners = reference_net(coords)
     net = build_net(coords)
@@ -164,7 +159,7 @@ def test_net_matches_tuple_keyed_builder(coords):
 
 
 def test_net_names_read_after_a_search_match_names_read_before():
-    coords = TriangleWebCoords(-5, 2, 0, 1, 3, 0, 2)
+    coords = (-5, 2, 0, 1, 3, 0, 2)
     before = build_net(coords).graph
     expected = before.vertices, before.arcs, before.to_json()
     net = build_net(coords)

@@ -1,6 +1,6 @@
 import pytest
 
-from hiveweb.thirds import ZERO, LatticePoint, Third, is_integer
+from hiveweb.thirds import ZERO, LatticePoint, Third
 
 
 def test_arithmetic_is_exact_on_thirds():
@@ -21,7 +21,7 @@ def test_comparison_total_order():
     [(3, True), (1, False), (0, True), (-3, True), (-2, False)],
 )
 def test_is_integer(thirds, expected):
-    assert is_integer(Third(thirds)) is expected
+    assert Third(thirds).is_integer() is expected
 
 
 def test_zero_constant():

@@ -19,17 +19,15 @@ from hiveweb.errors import (
 from hiveweb.cli import run
 from hiveweb.hive import (
     CENTER,
-    TriangleHive,
     hive_thirds,
     hive_to_json,
-    triangle_frame,
     validate_hive,
 )
 from hiveweb.sampling import sample_hive, sample_thirds
 from hiveweb.surface import Triangulation, build_polygon
+from hiveweb.surfacoid import build_net
 from hiveweb.thirds import Third
 from hiveweb.web import (
-    TriangleWebCoords,
     hive_to_surface_web,
     hive_to_web_triangle,
     side_arc_counts,
@@ -38,39 +36,43 @@ from hiveweb.web import (
     surface_web_to_hive,
     surface_web_to_json,
     surface_web_tuples,
-    web_to_hive_triangle,
+    web_to_hive_thirds,
 )
 
 
+def triangle_frame(tri, t):
+    """The quiver vertices of ``t`` in hive-label order a1..a7."""
+    return tuple(tri.vertices[p] for p in tri.frame(t))
+
+
 def test_zero_coords_give_zero_hive():
-    h = web_to_hive_triangle(TriangleWebCoords(0, 0, 0, 0, 0, 0, 0))
-    assert h.thirds() == (0,) * 7
+    h = web_to_hive_thirds(0, 0, 0, 0, 0, 0, 0)
+    assert h == (0,) * 7
 
 
 def test_honeycomb_instance():
-    h = web_to_hive_triangle(TriangleWebCoords(3, 2, 1, 1, 1, 1, 1))
-    assert h.thirds() == (12, 10, 9, 19, 14, 13, 11)
+    h = web_to_hive_thirds(3, 2, 1, 1, 1, 1, 1)
+    assert h == (12, 10, 9, 19, 14, 13, 11)
 
 
 def test_reversed_honeycomb_instance():
-    h = web_to_hive_triangle(TriangleWebCoords(-1, 0, 0, 0, 0, 0, 0))
-    assert h.thirds() == (1, 2, 2, 3, 1, 1, 2)
+    h = web_to_hive_thirds(-1, 0, 0, 0, 0, 0, 0)
+    assert h == (1, 2, 2, 3, 1, 1, 2)
 
 
 def test_negative_corner_count_rejected():
     with pytest.raises(InvalidWebCoords):
-        TriangleWebCoords(0, -1, 0, 0, 0, 0, 0)
+        build_net((0, -1, 0, 0, 0, 0, 0))
+    refused = _semantic("InvalidWebCoords", "corner count y is negative")
+    for command in ("web2hive", "oracle"):
+        assert _cli([command, "--coords", "0,-1,0,0,0,0,0"]) == refused
 
 
 def test_inverse_examples():
-    assert hive_to_web_triangle(
-        TriangleHive.from_thirds([0] * 7)
-    ) == TriangleWebCoords(0, 0, 0, 0, 0, 0, 0)
-    assert hive_to_web_triangle(
-        TriangleHive.from_thirds((12, 10, 9, 19, 14, 13, 11))
-    ) == TriangleWebCoords(3, 2, 1, 1, 1, 1, 1)
+    assert hive_to_web_triangle((0,) * 7) == (0, 0, 0, 0, 0, 0, 0)
+    assert hive_to_web_triangle((12, 10, 9, 19, 14, 13, 11)) == (3, 2, 1, 1, 1, 1, 1)
     with pytest.raises(InvalidHive):
-        hive_to_web_triangle(TriangleHive.from_thirds((0, 0, 0, 1, 0, 0, 0)))
+        hive_to_web_triangle((0, 0, 0, 1, 0, 0, 0))
 
 
 def test_side_arc_count_examples():
@@ -85,8 +87,8 @@ def test_side_arc_count_examples():
 def test_bijection_on_small_box():
     for x in range(-2, 3):
         for rest in product(range(3), repeat=6):
-            coords = TriangleWebCoords(x, *rest)
-            h = web_to_hive_triangle(coords)
+            coords = (x, *rest)
+            h = web_to_hive_thirds(*coords)
             assert hive_to_web_triangle(h) == coords
 
 
@@ -94,9 +96,8 @@ def test_left_side_count_identity():
     # the a3/a1 side counts split into corner arcs plus the honeycomb strands
     for x in range(-3, 4):
         for y, z, t, u, v, w in product(range(2), repeat=6):
-            c = TriangleWebCoords(x, y, z, t, u, v, w)
-            h = web_to_hive_triangle(c)
-            counts = side_arc_counts(h.a3, h.a1)
+            h = web_to_hive_thirds(x, y, z, t, u, v, w)
+            counts = side_arc_counts(Third(h[2]), Third(h[0]))  # a3, a1
             assert counts == (u + v + max(-x, 0), t + w + max(x, 0))
 
 
@@ -108,18 +109,18 @@ coords_strategy = st.tuples(
 @settings(deadline=None, max_examples=200)
 @given(coords_strategy)
 def test_round_trip_property(raw):
-    coords = TriangleWebCoords(*raw)
-    assert hive_to_web_triangle(web_to_hive_triangle(coords)) == coords
+    coords = raw
+    assert hive_to_web_triangle(web_to_hive_thirds(*coords)) == coords
 
 
 def test_single_triangle_surface_reduces_to_triangle_ops():
     tri = build_polygon(3, [])
     t = tri.triangles[0]
-    coords = TriangleWebCoords(2, 1, 0, 1, 0, 2, 1)
+    coords = (2, 1, 0, 1, 0, 2, 1)
     values = surface_web_to_hive(tri, {t: coords})
     frame = triangle_frame(tri, t)
-    expected = web_to_hive_triangle(coords)
-    assert tuple(values[v] for v in frame) == expected.values()
+    expected = web_to_hive_thirds(*coords)
+    assert tuple(values[v] for v in frame) == tuple(map(Third, expected))
     assert validate_hive(tri, values) == []
 
 
@@ -127,8 +128,8 @@ def test_gluing_mismatch_names_edge_and_pairs():
     tri = build_polygon(4, [(0, 2)])
     t0, t1 = tri.triangles
     web = {
-        t0: TriangleWebCoords(0, 0, 0, 0, 0, 0, 0),
-        t1: TriangleWebCoords(1, 0, 0, 0, 0, 0, 0),
+        t0: (0, 0, 0, 0, 0, 0, 0),
+        t1: (1, 0, 0, 0, 0, 0, 0),
     }
     with pytest.raises(GluingMismatch) as err:
         surface_web_to_hive(tri, web)
@@ -146,7 +147,7 @@ def test_surface_round_trip_on_pentagon():
 
 def test_hive_to_surface_web_requires_validity():
     tri = build_polygon(4, [(0, 2)])
-    values = {v: Third(0) for v in tri.theta_index()}
+    values = {v: Third(0) for v in tri.vertices}
     frame = triangle_frame(tri, tri.triangles[0])
     values[frame[CENTER]] = Third(1)
     with pytest.raises(InvalidHive):
@@ -189,9 +190,8 @@ def test_int_cores_match_the_public_functions(tri, bound, seed):
     values = sample_hive(tri, bound, seed)
     assert sample_thirds(tri, bound, seed) == hive_thirds(tri, values)
     web = hive_to_surface_web(tri, values)
-    assert {t: TriangleWebCoords(*c) for t, c in surface_web_tuples(tri, values)} == web
-    coords = {t: c.values() for t, c in web.items()}
-    assert surface_web_thirds(tri, coords) == hive_thirds(tri, values)
+    assert dict(surface_web_tuples(tri, values)) == web
+    assert surface_web_thirds(tri, web) == hive_thirds(tri, values)
 
     with tempfile.TemporaryDirectory() as workdir:
         t, h, w = (Path(workdir) / name for name in ("t.json", "h.json", "w.json"))
