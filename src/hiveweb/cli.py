@@ -3,13 +3,15 @@
 Exit codes: 0 success / valid, 1 semantically invalid input (a hive that
 fails validation, an empty minimizer region, ...), 2 malformed input or
 usage errors (usage text goes to stderr).  Output JSON is canonical: sorted
-keys, no insignificant whitespace, integers only.
+keys, no insignificant whitespace, integers only.  ``run()`` holds the
+cyclic collector off for one command and restores the caller's setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import random
 import sys
@@ -130,7 +132,8 @@ def cmd_flip(args) -> int:
     if args.hive:
         bad = hive_mod.validate_hive(tri, values)
         if bad:
-            raise HivewebError(f"hive is invalid before transport: {bad[:3]}")
+            raise HivewebError("hive is invalid before transport: "
+                               + hive_mod.shown_violations(bad))
         # only the quadrilateral's twelve values take part in the transport
         moved = {**others, **dict(zip(tri.keys, values))}
         quad = [moved.pop(v.key()) for v in frame_old.vertices()]
@@ -343,21 +346,30 @@ def _absorb_negative_values(argv):
 
 
 def run(argv) -> int:
-    try:
-        args = build_parser().parse_args(_absorb_negative_values(list(argv)))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    thirds.max_thirds.cache_clear()
+    # a command's objects are acyclic trees that refcounting frees, so the
+    # cyclic collector is held off while it runs and the caller's setting
+    # comes back on every way out
+    was = gc.isenabled()
+    gc.disable()
     try:
         try:
-            return args.func(args)
-        except (HivewebError, KeyError) as exc:
-            detail = str(exc.args[0]) if exc.args else str(exc)
-            _emit({"error": type(exc).__name__, "detail": detail}, getattr(args, "out", None))
-            return 1
-    except MalformedInput as exc:  # also when the error report cannot be written
-        print(f"hiveweb: {exc}", file=sys.stderr)
-        return 2
+            args = build_parser().parse_args(_absorb_negative_values(list(argv)))
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        thirds.max_thirds.cache_clear()
+        try:
+            try:
+                return args.func(args)
+            except (HivewebError, KeyError) as exc:
+                detail = str(exc.args[0]) if exc.args else str(exc)
+                _emit({"error": type(exc).__name__, "detail": detail}, getattr(args, "out", None))
+                return 1
+        except MalformedInput as exc:  # also when the error report cannot be written
+            print(f"hiveweb: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        if was:
+            gc.enable()
 
 
 def main() -> None:

@@ -21,6 +21,7 @@ quadrilateral frame.
 
 from __future__ import annotations
 
+import json
 from typing import Dict, Iterator, List, Optional, Union
 
 from .errors import IncompleteHive, InvalidHive, MalformedInput
@@ -44,6 +45,12 @@ def failed_rhombi(quantities) -> list[tuple[int, int]]:
     """(rhombus index from 1, thirds) of each quantity that is not a
     non-negative integer: the one predicate behind every hive test."""
     return [(i, d) for i, d in enumerate(quantities, start=1) if d < 0 or d % 3]
+
+
+def shown_violations(violations: list[dict]) -> str:
+    """The first three of ``violations`` as the JSON objects ``validate
+    --hive`` prints: the one wording of failed rhombi in an error detail."""
+    return json.dumps(violations[:3], sort_keys=True, separators=(",", ":"))
 
 
 def hive_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> HiveThirds:

@@ -102,7 +102,7 @@ class OrientedGraph:
     def _locate(self, v: Vertex) -> int:
         i = self._position(v)
         if i is None:
-            raise KeyError(f"unknown vertex {v!r}")
+            raise KeyError(f"unknown vertex {_shown(v)}")
         return i
 
     def __contains__(self, v: Vertex) -> bool:
@@ -198,7 +198,7 @@ def shortest_distance(graph: OrientedGraph, s: Vertex, t: Vertex) -> Third:
     j = graph._locate(t)
     d = _thirds_from(graph, graph._locate(s))[j]
     if d >= _unreached(graph):
-        raise Unreachable(f"no path from {s!r} to {t!r}")
+        raise Unreachable(f"no path from {_shown(s)} to {_shown(t)}")
     return Third(d)
 
 
@@ -335,5 +335,5 @@ def fermat_brute(
     best, argmin = _tripod(*(_thirds_from(graph, graph._locate(v)) for v in (a, b, c)),
                            _unreached(graph))
     if not argmin:
-        raise Unreachable(f"no vertex reachable from all of {a!r}, {b!r}, {c!r}")
+        raise Unreachable(f"no vertex reachable from all of {_shown(a)}, {_shown(b)}, {_shown(c)}")
     return Third(best), set(map(graph._name, argmin))

@@ -20,7 +20,7 @@ from typing import Dict, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
 from .hive import (HiveThirds, HiveValues, complete_thirds, failed_rhombi, rhombi, rhombus_scan,
-                   validate_hive)
+                   shown_violations, validate_hive)
 from .surface import CENTER, SIDE_LABELS, Triangulation
 from .thirds import Third, checked_int, int_cap, read_object
 
@@ -73,7 +73,8 @@ def hive_to_web_triangle(h: Sequence[int]) -> WebTuple:
     quantities = rhombi(*h)
     bad = failed_rhombi(quantities)
     if bad:
-        raise InvalidHive(f"rhombus conditions fail: {[(i, Third(d)) for i, d in bad]}")
+        raise InvalidHive(f"rhombus conditions fail: "
+                          f"{shown_violations([{'rhombus': i, 'thirds': d} for i, d in bad])}")
     return web_from_rhombi(quantities)
 
 
@@ -141,7 +142,7 @@ def surface_web_tuples(tri: Triangulation,
     for t, quantities in rhombus_scan(tri, complete_thirds(tri, values)):
         if failed_rhombi(quantities):
             bad = validate_hive(tri, values)
-            raise InvalidHive(f"hive has {len(bad)} rhombus violations: {bad[:3]}")
+            raise InvalidHive(f"hive has {len(bad)} rhombus violations: {shown_violations(bad)}")
         yield t, web_from_rhombi(quantities)
 
 

@@ -5,7 +5,9 @@ each command below, captured from the implementation that built every hive
 label out of ``Third``/``ThetaVertex`` objects.  Any rewrite of the hive
 internals must reproduce these bytes: the sampler's choices for each seed,
 the order and text of violations, the vertex named by ``IncompleteHive``,
-and the carrying of unknown vertex keys through ``flip --hive``.
+and the carrying of unknown vertex keys through ``flip --hive``.  The three
+``hive2web invalid`` digests were taken again when failed rhombi came to be
+worded as the JSON objects ``validate --hive`` prints.
 
 Print the digests of the current code with
 ``PYTHONPATH=src python tests/test_golden.py``.

@@ -6,7 +6,9 @@ each command below, captured from the implementation whose Dijkstra was a
 Any rewrite of the metric or of the net oracle must reproduce these bytes:
 the oracle's hives at benchmark sizes (|x| up to 40, corners up to 6), the
 brute-force tripod value and argmin size, and the text of unknown-vertex,
-unreachable and empty-region errors.
+unreachable and empty-region errors.  The four digests of unknown and
+unreachable vertices were taken again when those errors came to name vertices
+as JSON text (``"a"``, not ``'a'``).
 
 Print the digests of the current code with
 ``PYTHONPATH=src python tests/test_golden_metric.py``.
