@@ -81,18 +81,16 @@ def cmd_validate(args) -> int:
     if args.hive:
         tri, (values, _) = _load(args.hive, args, "hive")
         violations = hive_mod.validate_hive(tri, values)
-        _emit({"valid": not violations, "violations": violations}, args.out)
-        return 0 if not violations else 1
-    if args.web:
+    elif args.web:
         tri, coords = _load(args.web, args, "web")
         web.surface_web_thirds(tri, coords)  # raises GluingMismatch when bad
-        _emit({"valid": True, "violations": []}, args.out)
-        return 0
-    if not args.triangulation:
+        violations = []
+    elif args.triangulation:
+        violations = surface.validate_complex(_load_triangulation(args.triangulation))
+    else:
         raise MalformedInput("validate needs --triangulation, --hive or --web")
-    report = surface.validate_complex(_load_triangulation(args.triangulation))
-    _emit(report.to_json(), args.out)
-    return 0 if report.ok else 1
+    _emit({"valid": not violations, "violations": violations}, args.out)
+    return 1 if violations else 0
 
 
 def cmd_web2hive(args) -> int:

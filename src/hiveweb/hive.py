@@ -25,7 +25,6 @@ import json
 from typing import Dict, Iterator, List, Optional, Union
 
 from .errors import IncompleteHive, InvalidHive, MalformedInput
-from .surface import CENTER, LAYOUT, SIDE_LABELS  # noqa: F401  (re-exported)
 from .surface import QuadFrame, ThetaVertex, Triangulation
 from .thirds import Third, int_cap, read_object, read_thirds
 
@@ -53,39 +52,30 @@ def shown_violations(violations: list[dict]) -> str:
     return json.dumps(violations[:3], sort_keys=True, separators=(",", ":"))
 
 
-def hive_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> HiveThirds:
-    """``values`` as :data:`HiveThirds`; a list is taken to be that already."""
-    if isinstance(values, list):
-        return values
-    return [None if x is None else x.thirds for x in map(values.get, tri.vertices)]
+def hive_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> list[int]:
+    """``values`` as :data:`HiveThirds` (a list is taken to be that already)
+    once every vertex has a value: the one completeness check, which names
+    the first vertex without one by position."""
+    if not isinstance(values, list):
+        values = [None if x is None else x.thirds for x in map(values.get, tri.vertices)]
+    if None in values:
+        raise IncompleteHive(f"no value for vertex {tri.keys[values.index(None)]}")
+    return values
 
 
-def complete_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> list[int]:
-    """Like :func:`hive_thirds`, naming the first vertex without a value."""
-    thirds = hive_thirds(tri, values)
-    if None in thirds:
-        raise IncompleteHive(f"no value for vertex {tri.keys[thirds.index(None)]}")
-    return thirds
-
-
-def rhombus_scan(tri: Triangulation, thirds: HiveThirds) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """(triangle, its nine rhombus quantities) for each triangle in order.
-
-    A triangle is read when the scan reaches it, so a structural error or a
-    missing value (the first in label order) is raised there and not before.
-    """
+def rhombus_scan(tri: Triangulation, thirds: list[int]) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(triangle, its nine rhombus quantities) for each triangle in order, on
+    complete ``thirds``.  Every frame is read, by position, before the first
+    triangle is yielded, so a structural error does not depend on list order."""
+    frames = {t: tri.frame(t) for t in sorted(tri.triangles)}
     for t in tri.triangles:
-        frame = tri.frame(t)
-        picked = [thirds[p] for p in frame]
-        if None in picked:
-            raise IncompleteHive(f"no value for vertex {tri.keys[frame[picked.index(None)]]}")
-        yield t, rhombi(*picked)
+        yield t, rhombi(*[thirds[p] for p in frames[t]])
 
 
 def validate_hive(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> list[dict]:
     """All rhombus violations, each naming (triangle, rhombus index, value)."""
     return [{"triangle": t, "rhombus": index, "thirds": value}
-            for t, quantities in rhombus_scan(tri, complete_thirds(tri, values))
+            for t, quantities in rhombus_scan(tri, hive_thirds(tri, values))
             for index, value in failed_rhombi(quantities)]
 
 

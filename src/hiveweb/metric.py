@@ -12,26 +12,13 @@ three real distances reaches.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
 from .errors import MalformedInput, OmegaEmpty, Unreachable
-from .thirds import LatticePoint, Third, read_array
+from .thirds import LatticePoint, Third, _shown, read_array
 
 Vertex = Hashable
-
-
-def _shown(value) -> str:
-    """``value`` as JSON text when it is a JSON value (``true``, ``null``,
-    ``"v"``), else by ``repr``, so that a Python caller's names, such as the
-    tuples of nets, read as they were written."""
-    if value is None or isinstance(value, (str, int, float, list, dict)):
-        try:
-            return json.dumps(value)
-        except (TypeError, ValueError):  # a non-JSON item, or a cycle
-            pass
-    return repr(value)
 
 
 class OrientedGraph:

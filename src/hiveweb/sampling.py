@@ -175,16 +175,14 @@ def _tree_order(tri: Triangulation) -> list[str]:
         return []
     neighbors: dict[str, list[str]] = {t: [] for t in tri.triangles}
     for rec in map(tri.edge, tri.slot0):
+        t0 = tri.cell(rec, rec.attach0[0])
         if rec.attach1 is not None:
-            t0, t1 = rec.attach0[0], rec.attach1[0]
+            t1 = tri.cell(rec, rec.attach1[0])
             if t0 == t1:
                 raise InvalidTriangulation(
                     f"edge {rec.id!r} glues a triangle to itself; sampling needs "
                     "flippable-or-boundary edges"
                 )
-            if t0 not in neighbors or t1 not in neighbors:
-                tri.cell(rec, t0)
-                tri.cell(rec, t1)  # one of the two raises
             neighbors[t0].append(t1)
             neighbors[t1].append(t0)
     first = min(tri.triangles)

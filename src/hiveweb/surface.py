@@ -18,13 +18,13 @@ different flip paths directly comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import (InvalidPolygonTriangulation, InvalidTriangulation, MalformedInput,
                      NotFlippable, SelfFoldedUnsupported)
-from .thirds import checked_int, int_cap, read_array, read_object
+from .thirds import _shown, checked_int, int_cap, read_array, read_object
 
 Label = object  # marked-point labels: ints for polygons, ints or strings in JSON
 Attach = tuple[str, int]
@@ -79,21 +79,6 @@ class EdgeRec(NamedTuple):
     @property
     def interior(self) -> bool:
         return self.attach1 is not None
-
-
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, kind: str, **details):
-        self.violations.append({"kind": kind, **details})
-
-    def to_json(self) -> dict:
-        return {"valid": self.ok, "violations": self.violations}
 
 
 def _id(raw, what: str) -> str:
@@ -164,7 +149,7 @@ class Triangulation:
         try:
             return self._edge_by_id[edge_id]
         except KeyError:
-            raise KeyError(f"unknown edge {edge_id!r}") from None
+            raise KeyError(f"unknown edge {_shown(edge_id)}") from None
 
     @cached_property
     def _slots(self) -> dict[Attach, list[tuple[str, bool]]]:
@@ -254,7 +239,7 @@ class Triangulation:
         if t not in self._frames:
             for s in dict.fromkeys(site[0] for site in LAYOUT if site):  # 2, 0, 1
                 self.side(t, s)
-            raise KeyError(f"unknown triangle {t!r}")
+            raise KeyError(f"unknown triangle {_shown(t)}")
         return self._frames[t]
 
     def interior_edges(self) -> list[str]:
@@ -332,39 +317,35 @@ def _corner_mismatches(tri: Triangulation, t: str) -> list[tuple[int, list]]:
     return [(k, [ends[k][0], ends[k - 1][1]]) for k in range(3) if ends[k][0] != ends[k - 1][1]]
 
 
-def validate_complex(tri: Triangulation) -> ValidationReport:
-    """Structural checks; an empty report means the gluing data is coherent."""
-    report = ValidationReport()
+def validate_complex(tri: Triangulation) -> list[dict]:
+    """Structural violations, each a dict naming its kind; an empty list
+    means the gluing data is coherent."""
+    out = []
     for rec in tri.edges:
-        attachments = [rec.attach0] + ([rec.attach1] if rec.attach1 is not None else [])
-        for t, s in attachments:
+        for t, s in filter(None, (rec.attach0, rec.attach1)):
             if t not in tri._triangle_ids:
-                report.add("unknown-triangle", edge=rec.id, triangle=t)
+                out.append({"kind": "unknown-triangle", "edge": rec.id, "triangle": t})
             elif s not in (0, 1, 2):
-                report.add("bad-side-index", edge=rec.id, triangle=t, side=s)
+                out.append({"kind": "bad-side-index", "edge": rec.id, "triangle": t, "side": s})
     slots = tri._slots
     for t in tri.triangles:
         for s in range(3):
             hits = [edge_id for edge_id, _ in slots.get((t, s), ())]
             if not hits:
-                report.add("dangling-side", triangle=t, side=s)
+                out.append({"kind": "dangling-side", "triangle": t, "side": s})
             elif len(hits) > 1:
-                report.add("double-attached-side", triangle=t, side=s, edges=hits)
-    if report.ok:
-        for t in tri.triangles:
-            for k, labels in _corner_mismatches(tri, t):
-                report.add("corner-mismatch", triangle=t, corner=k, labels=labels)
+                out.append({"kind": "double-attached-side", "triangle": t, "side": s,
+                            "edges": hits})
+    if not out:
+        out = [{"kind": "corner-mismatch", "triangle": t, "corner": k, "labels": labels}
+               for t in tri.triangles for k, labels in _corner_mismatches(tri, t)]
     if tri.signature is not None:
         g, c, m = tri.signature
-        want_f = 2 * c + m + 4 * g - 4
-        want_e = 3 * c + 2 * m + 6 * g - 6
-        if len(tri.triangles) != want_f:
-            report.add("count-mismatch", field="triangles",
-                       have=len(tri.triangles), want=want_f)
-        if len(tri.edges) != want_e:
-            report.add("count-mismatch", field="edges",
-                       have=len(tri.edges), want=want_e)
-    return report
+        for name, have, want in (("triangles", len(tri.triangles), 2 * c + m + 4 * g - 4),
+                                 ("edges", len(tri.edges), 3 * c + 2 * m + 6 * g - 6)):
+            if have != want:
+                out.append({"kind": "count-mismatch", "field": name, "have": have, "want": want})
+    return out
 
 
 # -- polygon construction ---------------------------------------------------
@@ -511,22 +492,15 @@ def quad_frame(tri: Triangulation, edge_id: str) -> QuadFrame:
     return _quad(tri, tri.edge(edge_id))[0]
 
 
-def _ordered_pair(a: Label, b: Label) -> tuple[Label, Label]:
-    try:
-        if b < a:
-            return b, a
-    except TypeError:
-        pass
-    return a, b
-
-
 def _rotate_to_min(cycle: tuple) -> tuple[tuple, int]:
-    """The least rotation of a 3-cycle and the shift that gives it."""
-    rotations = [cycle[i:] + cycle[:i] for i in range(3)]
+    """The least rotation of a cycle and the shift that gives it; labels that
+    do not compare are compared by ``repr``."""
+    shifts = range(len(cycle))
+    rotations = [cycle[i:] + cycle[:i] for i in shifts]
     try:
-        shift = min(range(3), key=rotations.__getitem__)
+        shift = min(shifts, key=rotations.__getitem__)
     except TypeError:
-        shift = min(range(3), key=lambda i: tuple(map(repr, rotations[i])))
+        shift = min(shifts, key=lambda i: tuple(map(repr, rotations[i])))
     return rotations[shift], shift
 
 
@@ -542,7 +516,7 @@ def flip_triangulation(tri: Triangulation,
     rec = tri.edge(edge_id)
     frame_old, sides = _quad(tri, rec)
     q, p, r, s = rec.tail, rec.head, tri.ends(sides[RQ])[0], tri.ends(sides[SP])[0]
-    tail, head = _ordered_pair(r, s)
+    (tail, head), _ = _rotate_to_min((r, s))
     new_eid = f"{tail}-{head}"
     if new_eid in tri._edge_by_id and new_eid != edge_id:
         raise InvalidTriangulation(f"flip of {edge_id!r} would reuse edge id {new_eid!r}; "

@@ -12,6 +12,7 @@ rule, :func:`checked_int`: an exact ``int`` of magnitude at most ``HIVEWEB_MAX_T
 from __future__ import annotations
 
 import functools
+import json
 import os
 from dataclasses import dataclass
 
@@ -79,6 +80,18 @@ def read_thirds(obj, what: str = "value") -> int:
     if type(obj) is not dict or len(obj) != 1 or "thirds" not in obj:
         raise MalformedInput(f"{what}: expected {{'thirds': n}}, got {obj!r}")
     return checked_int(obj["thirds"], what)
+
+
+def _shown(value) -> str:
+    """``value`` as JSON text when it is a JSON value (``true``, ``null``,
+    ``"v"``), else by ``repr``, so that a Python caller's names, such as the
+    tuples of nets, read as they were written."""
+    if value is None or isinstance(value, (str, int, float, list, dict)):
+        try:
+            return json.dumps(value)
+        except (TypeError, ValueError):  # a non-JSON item, or a cycle
+            pass
+    return repr(value)
 
 
 def parse_ints(text: str, n: int, what: str) -> list[int]:

@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
-from .hive import (HiveThirds, HiveValues, complete_thirds, failed_rhombi, rhombi, rhombus_scan,
+from .hive import (HiveThirds, HiveValues, failed_rhombi, hive_thirds, rhombi, rhombus_scan,
                    shown_violations, validate_hive)
 from .surface import CENTER, SIDE_LABELS, Triangulation
 from .thirds import Third, checked_int, int_cap, read_object
@@ -139,7 +139,7 @@ def surface_web_tuples(tri: Triangulation,
                        values: Union[HiveValues, HiveThirds]) -> Iterator[tuple[str, WebTuple]]:
     """(triangle, its web coordinates) of a valid surface hive, for each
     triangle in order, read in the same pass that checks the rhombi."""
-    for t, quantities in rhombus_scan(tri, complete_thirds(tri, values)):
+    for t, quantities in rhombus_scan(tri, hive_thirds(tri, values)):
         if failed_rhombi(quantities):
             bad = validate_hive(tri, values)
             raise InvalidHive(f"hive has {len(bad)} rhombus violations: {shown_violations(bad)}")

@@ -276,6 +276,9 @@ def canonical(doc):
 SQUARE = build_polygon(4, [(0, 2)])
 # a center one third off a zero hive: all nine rhombi of its triangle fail
 OFF_CENTER = {v: Third(int(v == SQUARE.vertices[0])) for v in SQUARE.vertices}
+# the square with its first edge listed twice
+TWICE_LISTED_EDGE = {**SQUARE.to_json(), "edges": [*SQUARE.to_json()["edges"],
+                                                   SQUARE.to_json()["edges"][0]]}
 # argv with {name} for each document written, exit code, stdout, stderr
 BRANCHES = {
     "flip --hive invalid": (
@@ -298,6 +301,9 @@ BRANCHES = {
         ["potential", "--hive", "{h}"],
         {"h": {"values": {}, "triangulation": {"triangles": [], "edges": []}}},
         1, '{"detail":"triangulation has no triangles","error":"InvalidHive"}\n', ""),
+    "validate duplicate edge ids": (
+        ["validate", "--triangulation", "{t}"], {"t": TWICE_LISTED_EDGE},
+        1, '{"detail":"duplicate edge ids","error":"InvalidTriangulation"}\n', ""),
 }
 
 

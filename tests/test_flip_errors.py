@@ -68,10 +68,13 @@ def _relabelled(doc, labels):
     return doc
 
 
+OCTAGON = build_polygon(8, [(1, 7), (1, 4), (1, 5), (2, 4), (5, 7)])
 # an 8-gon that validates; the flip of 2-4 would make the cell 5-6-7 from the
-# labels 7, '5' and '6', an id that a cell the flip keeps already has
-RELABELLED_OCTAGON = _relabelled(build_polygon(8, [(1, 7), (1, 4), (1, 5), (2, 4), (5, 7)])
-                                 .to_json(), [3, 7, "5", "6", 4, 2, "0", "1"])
+# labels '7', '5' and 6, an id that a cell the flip keeps already has
+RELABELLED_OCTAGON = _relabelled(OCTAGON.to_json(), [3, "7", "5", 6, 4, 2, "0", "1"])
+# the same 8-gon under other labels: the new diagonal joins 7 and '6', which
+# read as 6-7 (labels that do not compare go by repr), the id of a kept edge
+RELABELLED_OCTAGON_EDGE = _relabelled(OCTAGON.to_json(), [3, 7, "5", "6", 4, 2, "0", "1"])
 # a once-punctured torus: two triangles glued along all three of their sides
 TORUS = {"triangles": ["A", "B"], "edges": [
     {"id": "a", "tail": "v", "head": "v", "attach": [["A", 0], ["B", 1]]},
@@ -94,7 +97,7 @@ INCOHERENT_CELLS = {
 
 FLIP_ERRORS = {
     "boundary edge": (_square(), "0-1", "NotFlippable", "edge '0-1' is on the boundary"),
-    "unknown edge": (_square(), "9-9", "KeyError", "unknown edge '9-9'"),
+    "unknown edge": (_square(), "9-9", "KeyError", 'unknown edge "9-9"'),
     "self-glued edge": (SELF_GLUED, "loop", "SelfFoldedUnsupported",
                         "edge 'loop' glues triangle 'A' to itself"),
     "quadrilateral wraps onto itself": (TORUS, "c", "SelfFoldedUnsupported",
@@ -113,6 +116,9 @@ FLIP_ERRORS = {
     "reused triangle id": (RELABELLED_OCTAGON, "2-4", "InvalidTriangulation",
                            "flip of '2-4' would reuse triangle id '5-6-7'; "
                            "the cell that has it is not replaced"),
+    "reused edge id from mixed labels": (RELABELLED_OCTAGON_EDGE, "2-4", "InvalidTriangulation",
+                                         "flip of '2-4' would reuse edge id '6-7'; "
+                                         "distinct arcs with equal endpoints are not supported"),
     **{name: (doc, "0-2", "InvalidTriangulation", detail)
        for name, (doc, detail) in INCOHERENT_CELLS.items()},
 }

@@ -7,7 +7,12 @@ internals must reproduce these bytes: the sampler's choices for each seed,
 the order and text of violations, the vertex named by ``IncompleteHive``,
 and the carrying of unknown vertex keys through ``flip --hive``.  The three
 ``hive2web invalid`` digests were taken again when failed rhombi came to be
-worded as the JSON objects ``validate --hive`` prints.
+worded as the JSON objects ``validate --hive`` prints.  ``cone incomplete
+seed=2`` was taken again when every hive command came to check completeness
+before the rhombus scan: it exited 0 with ``{"in_positive_cone":false}``
+because the scan met a failed rhombus before the missing value, and now
+exits 1 with the ``IncompleteHive`` document that ``validate``, ``potential``
+and ``hive2web`` print for that hive.
 
 Print the digests of the current code with
 ``PYTHONPATH=src python tests/test_golden.py``.

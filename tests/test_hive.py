@@ -2,7 +2,6 @@ import pytest
 
 from hiveweb.errors import IncompleteHive, MalformedInput
 from hiveweb.hive import (
-    CENTER,
     hive_values_from_json,
     is_in_positive_cone,
     octahedron_transport,
@@ -11,7 +10,7 @@ from hiveweb.hive import (
     validate_hive,
 )
 from hiveweb.sampling import sample_hive
-from hiveweb.surface import build_polygon, flip_triangulation, quad_frame
+from hiveweb.surface import CENTER, build_polygon, flip_triangulation, quad_frame
 from hiveweb.thirds import Third
 
 

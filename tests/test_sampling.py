@@ -59,7 +59,7 @@ def dual_cycle_complex():
 
 def test_sampling_failure_is_reported():
     tri = dual_cycle_complex()
-    assert validate_complex(tri).ok
+    assert not validate_complex(tri)
     with pytest.raises(SamplingFailed):
         sample_hive(tri, 1, seed=3)
 
@@ -92,7 +92,7 @@ def test_disconnected_complex_rejected():
     edges = [EdgeRec(f"{t}{s}", f"{t}{s}", f"{t}{(s + 1) % 3}", (t, s), None)
              for t in "AB" for s in range(3)]
     tri = Triangulation(["A", "B"], edges)
-    assert validate_complex(tri).ok
+    assert not validate_complex(tri)
     with pytest.raises(InvalidTriangulation, match="triangulation is not connected"):
         sample_hive(tri, 1, seed=0)
 
@@ -119,6 +119,22 @@ def test_interior_edge_on_unknown_triangle_rejected(tmp_path, capsys):
 
 def test_interior_edge_from_unknown_triangle_rejected(tmp_path, capsys):
     assert sample_with_unknown_triangle(tmp_path, capsys, 0) == UNKNOWN_TRIANGLE
+
+
+def test_edge_attached_only_to_an_unlisted_triangle_rejected(tmp_path, capsys):
+    """A boundary edge whose one cell is not listed: the sampler refuses it as
+    ``validate --triangulation`` does, rather than writing a hive that
+    ``validate --hive`` refuses for the edge's missing values."""
+    doc = build_polygon(4, [(0, 2)]).to_json()
+    doc["edges"].append({"id": "9-9", "tail": 7, "head": 8, "attach": [["zz", 0], "boundary"]})
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", "--triangulation", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"][0]["kind"] == "unknown-triangle"
+    code = run(["sample", "--triangulation", str(path), "--bound", "1", "--seed", "0"])
+    assert (code, json.loads(capsys.readouterr().out)) == (1, {
+        "error": "InvalidTriangulation",
+        "detail": "edge '9-9' is attached to unknown triangle 'zz'"})
 
 
 def _tree_order_by_list(tri):

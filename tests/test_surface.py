@@ -30,7 +30,7 @@ def test_triangle_is_forced():
     assert len(t.triangles) == 1
     assert len(t.edges) == 3
     assert len(t.vertices) == 7
-    assert validate_complex(t).ok
+    assert not validate_complex(t)
 
 
 def test_quadrilateral_counts():
@@ -39,7 +39,7 @@ def test_quadrilateral_counts():
     assert len(t.edges) == 5
     assert len(t.vertices) == 12
     assert t.signature == (0, 1, 4)
-    assert validate_complex(t).ok
+    assert not validate_complex(t)
 
 
 def test_pentagon_counts():
@@ -74,16 +74,15 @@ def test_validate_reports_double_attachment():
             broken.append(EdgeRec(rec.id, rec.tail, rec.head, ("0-1-2", 1), None))
         else:
             broken.append(rec)
-    report = validate_complex(Triangulation(t.triangles, broken))
-    kinds = {v["kind"] for v in report.violations}
+    kinds = {v["kind"] for v in validate_complex(Triangulation(t.triangles, broken))}
     assert "double-attached-side" in kinds
     assert "dangling-side" in kinds
 
 
 def test_validate_reports_count_mismatch():
     t = build_polygon(4, [(0, 2)])
-    report = validate_complex(Triangulation(t.triangles, t.edges, signature=(0, 1, 5)))
-    assert any(v["kind"] == "count-mismatch" for v in report.violations)
+    violations = validate_complex(Triangulation(t.triangles, t.edges, signature=(0, 1, 5)))
+    assert any(v["kind"] == "count-mismatch" for v in violations)
 
 
 def test_theta_index_is_stable():

@@ -18,13 +18,12 @@ from hiveweb.errors import (
 )
 from hiveweb.cli import run
 from hiveweb.hive import (
-    CENTER,
     hive_thirds,
     hive_to_json,
     validate_hive,
 )
 from hiveweb.sampling import sample_hive, sample_thirds
-from hiveweb.surface import Triangulation, build_polygon
+from hiveweb.surface import CENTER, Triangulation, build_polygon
 from hiveweb.surfacoid import build_net
 from hiveweb.thirds import Third
 from hiveweb.web import (
