@@ -131,7 +131,7 @@ def cmd_flip(args) -> int:
         bad = hive_mod.validate_hive(tri, values)
         if bad:
             raise HivewebError("hive is invalid before transport: "
-                               + hive_mod.shown_violations(bad))
+                               + thirds.shown_violations(bad))
         # only the quadrilateral's twelve values take part in the transport
         moved = {**others, **dict(zip(tri.keys, values))}
         quad = [moved.pop(v.key()) for v in frame_old.vertices()]

@@ -21,7 +21,6 @@ quadrilateral frame.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Iterator, List, Optional, Union
 
 from .errors import IncompleteHive, InvalidHive, MalformedInput
@@ -46,12 +45,6 @@ def failed_rhombi(quantities) -> list[tuple[int, int]]:
     return [(i, d) for i, d in enumerate(quantities, start=1) if d < 0 or d % 3]
 
 
-def shown_violations(violations: list[dict]) -> str:
-    """The first three of ``violations`` as the JSON objects ``validate
-    --hive`` prints: the one wording of failed rhombi in an error detail."""
-    return json.dumps(violations[:3], sort_keys=True, separators=(",", ":"))
-
-
 def hive_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> list[int]:
     """``values`` as :data:`HiveThirds` (a list is taken to be that already)
     once every vertex has a value: the one completeness check, which names
@@ -65,9 +58,9 @@ def hive_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> li
 
 def rhombus_scan(tri: Triangulation, thirds: list[int]) -> Iterator[tuple[str, tuple[int, ...]]]:
     """(triangle, its nine rhombus quantities) for each triangle in order, on
-    complete ``thirds``.  Every frame is read, by position, before the first
-    triangle is yielded, so a structural error does not depend on list order."""
-    frames = {t: tri.frame(t) for t in sorted(tri.triangles)}
+    complete ``thirds``, once :meth:`~hiveweb.surface.Triangulation.check`
+    passes; it runs before the first triangle is yielded."""
+    frames = tri.check()
     for t in tri.triangles:
         yield t, rhombi(*[thirds[p] for p in frames[t]])
 

@@ -175,9 +175,8 @@ def _tree_order(tri: Triangulation) -> list[str]:
         return []
     neighbors: dict[str, list[str]] = {t: [] for t in tri.triangles}
     for rec in map(tri.edge, tri.slot0):
-        t0 = tri.cell(rec, rec.attach0[0])
         if rec.attach1 is not None:
-            t1 = tri.cell(rec, rec.attach1[0])
+            t0, t1 = rec.attach0[0], rec.attach1[0]
             if t0 == t1:
                 raise InvalidTriangulation(
                     f"edge {rec.id!r} glues a triangle to itself; sampling needs "
@@ -199,17 +198,17 @@ def _tree_order(tri: Triangulation) -> list[str]:
 
 def sample_hive(tri: Triangulation, bound: int, seed: int) -> HiveValues:
     """A valid hive, deterministic in (triangulation, bound, seed)."""
-    thirds = sample_thirds(tri, bound, seed)
-    return {v: Third(x) for v, x in zip(tri.vertices, thirds) if x is not None}
+    return dict(zip(tri.vertices, map(Third, sample_thirds(tri, bound, seed))))
 
 
 def sample_thirds(tri: Triangulation, bound: int, seed: int) -> HiveThirds:
-    """The hive of :func:`sample_hive` as :data:`HiveThirds`: None only at
-    vertices of edges that no triangle of the tree holds."""
+    """The hive of :func:`sample_hive` as complete :data:`HiveThirds`, once
+    the bound is in range and the structural gate passes."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
     if bound > MAX_BOUND:
         raise MalformedInput(f"bound must be at most {MAX_BOUND}")
+    frames = tri.check()
     rng = random.Random(seed)
     thirds: HiveThirds = [None] * len(tri.keys)
     x_hives = [_packed(web_to_hive_thirds(x, 0, 0, 0, 0, 0, 0)) for x in range(-bound, bound + 1)]
@@ -217,7 +216,7 @@ def sample_thirds(tri: Triangulation, bound: int, seed: int) -> HiveThirds:
     seen: dict[tuple, tuple] = {}
     parts: dict[tuple, tuple] = {}
     for t in _tree_order(tri):
-        frame = tri.frame(t)
+        frame = frames[t]
         pins = tuple(map(thirds.__getitem__, _PINS(frame)))
         found = seen.get(pins)
         if found is None:

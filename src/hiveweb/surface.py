@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (InvalidPolygonTriangulation, InvalidTriangulation, MalformedInput,
                      NotFlippable, SelfFoldedUnsupported)
-from .thirds import _shown, checked_int, int_cap, read_array, read_object
+from .thirds import _shown, checked_int, int_cap, read_array, read_object, shown_violations
 
 Label = object  # marked-point labels: ints for polygons, ints or strings in JSON
 Attach = tuple[str, int]
@@ -35,7 +35,8 @@ Attach = tuple[str, int]
 LAYOUT = ((2, False), (0, True), (2, True), None, (0, False), (1, False), (1, True))
 CENTER = LAYOUT.index(None)
 SIDE_LABELS = tuple((LAYOUT.index((s, True)), LAYOUT.index((s, False))) for s in range(3))
-_SIDES = dict(enumerate(SIDE_LABELS))  # any other value names no side
+# side s's (near, far) positions and corners s, s+1; any other value names no side
+_SIDES = {s: (near, far, s, (s + 1) % 3) for s, (near, far) in enumerate(SIDE_LABELS)}
 
 
 @dataclass(frozen=True, order=True)
@@ -163,24 +164,15 @@ class Triangulation:
 
     def side(self, tri: str, s: int) -> tuple[str, bool]:
         """Edge at side ``s`` of ``tri`` and whether the side walks tail->head,
-        once that side is attached exactly once."""
-        entries = self._slots.get((tri, s % 3), ())
-        if len(entries) != 1:
-            raise InvalidTriangulation(
-                f"side {s % 3} of triangle {tri!r} attached {len(entries)} times")
-        return entries[0]
+        once :meth:`check` passes."""
+        self.check()
+        return self._slots[tri, s % 3][0]
 
     def ends(self, side: tuple[str, bool]) -> tuple[Label, Label]:
         """Labels at the first and second corner of a side (edge id, walks tail->head)."""
         edge_id, fwd = side
         rec = self._edge_by_id[edge_id]
         return (rec.tail, rec.head) if fwd else (rec.head, rec.tail)
-
-    def cell(self, rec: EdgeRec, t: str) -> str:
-        """``t``, a triangle that edge ``rec`` is attached to, once it is listed."""
-        if t not in self._triangle_ids:
-            raise InvalidTriangulation(f"edge {rec.id!r} is attached to unknown triangle {t!r}")
-        return t
 
     # -- derived sets, each built on first read ----------------------------
     # Hive values travel as a list of ints indexed by quiver-vertex positions:
@@ -211,36 +203,54 @@ class Triangulation:
         return tuple(map(ThetaVertex.parse, self.keys))
 
     @cached_property
-    def _frames(self) -> dict[str, tuple[int, ...]]:
-        """The positions a1..a7 of each triangle whose sides are attached once
-        each, filled by one walk over the edges."""
+    def _frames(self) -> Optional[dict[str, tuple[int, ...]]]:
+        """The positions a1..a7 of every triangle, or None when
+        :func:`validate_complex` would report anything: the one structural
+        decision, made by one walk over the edges that also reads the labels
+        at both ends of each side."""
         frames, slot0 = {}, self.slot0
         for c, t in enumerate(sorted(self.triangles)):
             frames[t] = frame = [None] * 7
             frame[CENTER] = c
-        # (cell, side, the positions near its first and second corner) of each attachment
-        sites = [(*rec.attach0, slot0[rec.id], slot0[rec.id] + 1) for rec in self.edges]
-        sites += [(*rec.attach1, slot0[rec.id] + 1, slot0[rec.id])
+        # (cell, side, the positions near its first and second corner, the labels there)
+        sites = [(*rec.attach0, slot0[rec.id], slot0[rec.id] + 1, rec.tail, rec.head)
+                 for rec in self.edges]
+        sites += [(*rec.attach1, slot0[rec.id] + 1, slot0[rec.id], rec.head, rec.tail)
                   for rec in self.edges if rec.attach1 is not None]
-        for t, s, first, second in sites:
-            frame, labels = frames.get(t), _SIDES.get(s)
-            if frame and labels:
-                near, far = labels
-                if frame[near] is None:
-                    frame[near], frame[far] = first, second
-                else:  # a side attached twice leaves its cell without a frame
-                    frame[CENTER] = None
-        return {t: tuple(frame) for t, frame in frames.items() if None not in frame}
+        if _count_mismatches(self) or len(sites) != 3 * len(frames):
+            return None
+        # at 3c + k: corner k's label in the cell with center c, from side k and side k-1
+        starts, ends = [None] * len(sites), [None] * len(sites)
+        for t, s, first, second, start, end in sites:
+            frame, at = frames.get(t), _SIDES.get(s)
+            if frame is None or at is None or frame[at[0]] is not None:
+                return None
+            near, far, k, k_next = at
+            frame[near], frame[far] = first, second
+            c = 3 * frame[CENTER]
+            starts[c + k], ends[c + k_next] = start, end
+        return {t: tuple(frame) for t, frame in frames.items()} if starts == ends else None
+
+    def check(self) -> dict[str, tuple[int, ...]]:
+        """Every triangle's :meth:`frame` once the walk passes, else
+        InvalidTriangulation with the first three violations that
+        :func:`validate_complex` reports for the lists in canonical order, so
+        the text depends only on content: the one structural gate."""
+        frames = self._frames
+        if frames is None:
+            bad = validate_complex(
+                Triangulation(sorted(self.triangles), sorted(self.edges), self.signature))
+            raise InvalidTriangulation(
+                f"triangulation has {len(bad)} structural violations: {shown_violations(bad)}")
+        return frames
 
     def frame(self, t: str) -> tuple[int, ...]:
-        """Triangle ``t``'s positions in hive-label order a1..a7 (``LAYOUT``);
-        raises for its first side in label order not attached exactly once,
-        then KeyError if ``t`` is not listed."""
-        if t not in self._frames:
-            for s in dict.fromkeys(site[0] for site in LAYOUT if site):  # 2, 0, 1
-                self.side(t, s)
+        """Triangle ``t``'s positions in hive-label order a1..a7 (``LAYOUT``)
+        once :meth:`check` passes; KeyError if ``t`` is not listed."""
+        frames = self.check()
+        if t not in frames:
             raise KeyError(f"unknown triangle {_shown(t)}")
-        return self._frames[t]
+        return frames[t]
 
     def interior_edges(self) -> list[str]:
         return [e.id for e in self.edges if e.interior]
@@ -310,16 +320,22 @@ class Triangulation:
         return cls(triangles, edges, sig)
 
 
-def _corner_mismatches(tri: Triangulation, t: str) -> list[tuple[int, list]]:
-    """(k, [corner k's label read from side k, from side k-1]) where the two
-    disagree; every side of ``t`` must be attached exactly once."""
-    ends = [tri.ends(tri.side(t, s)) for s in range(3)]
-    return [(k, [ends[k][0], ends[k - 1][1]]) for k in range(3) if ends[k][0] != ends[k - 1][1]]
+def _count_mismatches(tri: Triangulation) -> list[dict]:
+    """The triangle and edge counts of ``tri`` that its signature does not give."""
+    if tri.signature is None:
+        return []
+    g, c, m = tri.signature
+    return [{"kind": "count-mismatch", "field": name, "have": have, "want": want}
+            for name, have, want in (("triangles", len(tri.triangles), 2 * c + m + 4 * g - 4),
+                                     ("edges", len(tri.edges), 3 * c + 2 * m + 6 * g - 6))
+            if have != want]
 
 
 def validate_complex(tri: Triangulation) -> list[dict]:
-    """Structural violations, each a dict naming its kind; an empty list
-    means the gluing data is coherent."""
+    """Structural violations in list order, each a dict naming its kind; none,
+    as soon as the walk of ``tri._frames`` passes, when the gluing is coherent."""
+    if tri._frames is not None:
+        return []
     out = []
     for rec in tri.edges:
         for t, s in filter(None, (rec.attach0, rec.attach1)):
@@ -336,16 +352,13 @@ def validate_complex(tri: Triangulation) -> list[dict]:
             elif len(hits) > 1:
                 out.append({"kind": "double-attached-side", "triangle": t, "side": s,
                             "edges": hits})
-    if not out:
-        out = [{"kind": "corner-mismatch", "triangle": t, "corner": k, "labels": labels}
-               for t in tri.triangles for k, labels in _corner_mismatches(tri, t)]
-    if tri.signature is not None:
-        g, c, m = tri.signature
-        for name, have, want in (("triangles", len(tri.triangles), 2 * c + m + 4 * g - 4),
-                                 ("edges", len(tri.edges), 3 * c + 2 * m + 6 * g - 6)):
-            if have != want:
-                out.append({"kind": "count-mismatch", "field": name, "have": have, "want": want})
-    return out
+    if not out:  # every side is attached once
+        for t in tri.triangles:
+            ends = [tri.ends(slots[t, s][0]) for s in range(3)]
+            out += [{"kind": "corner-mismatch", "triangle": t, "corner": k,
+                     "labels": [ends[k][0], ends[k - 1][1]]}
+                    for k in range(3) if ends[k][0] != ends[k - 1][1]]
+    return out + _count_mismatches(tri)
 
 
 # -- polygon construction ---------------------------------------------------
@@ -458,10 +471,10 @@ PR, SP, RQ, QS = range(4)
 
 def _quad(tri: Triangulation, rec: EdgeRec) -> tuple[QuadFrame, tuple[tuple[str, bool], ...]]:
     """The frame around the diagonal ``rec`` and the (edge id, walks
-    tail->head) of its outer sides.  A side (edge, fwd) has the vertex
-    ``e:edge:(1-fwd)`` near its first corner and ``e:edge:fwd`` near its
-    second.  After those reads, so every error they give comes first, cells
-    that :func:`validate_complex` would reject are refused."""
+    tail->head) of its outer sides, once :meth:`Triangulation.check` passes.
+    A side (edge, fwd) has the vertex ``e:edge:(1-fwd)`` near its first
+    corner and ``e:edge:fwd`` near its second."""
+    tri.check()
     if rec.attach1 is None:
         raise NotFlippable(f"edge {rec.id!r} is on the boundary")
     (t_left, s_left), (t_right, s_right) = rec.attach0, rec.attach1
@@ -477,13 +490,6 @@ def _quad(tri: Triangulation, rec: EdgeRec) -> tuple[QuadFrame, tuple[tuple[str,
     # also catches two outer sides on one edge, or one on the diagonal
     if len(set(frame.vertices())) != 12:
         raise SelfFoldedUnsupported(f"quadrilateral around {rec.id!r} wraps onto itself")
-    for (t, s), fwd in ((rec.attach0, True), (rec.attach1, False)):
-        tri.cell(rec, t)
-        if s not in (0, 1, 2) or tri.side(t, s) != (rec.id, fwd):
-            raise InvalidTriangulation(f"edge {rec.id!r} is not side {s} of triangle {t!r}")
-        for k, labels in _corner_mismatches(tri, t):  # the first one
-            raise InvalidTriangulation(f"corner {k} of triangle {t!r} is labelled {labels[0]!r} "
-                                       f"on side {k} and {labels[1]!r} on side {(k - 1) % 3}")
     return frame, sides
 
 

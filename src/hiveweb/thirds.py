@@ -94,6 +94,12 @@ def _shown(value) -> str:
     return repr(value)
 
 
+def shown_violations(violations: list[dict]) -> str:
+    """The first three of ``violations`` as the JSON objects ``validate``
+    prints: the one wording of a violation list in an error detail."""
+    return json.dumps(violations[:3], sort_keys=True, separators=(",", ":"))
+
+
 def parse_ints(text: str, n: int, what: str) -> list[int]:
     """The ``n`` comma-separated integers of command-line ``text``, under the rule."""
     try:

@@ -20,9 +20,9 @@ from typing import Dict, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
 from .hive import (HiveThirds, HiveValues, failed_rhombi, hive_thirds, rhombi, rhombus_scan,
-                   shown_violations, validate_hive)
+                   validate_hive)
 from .surface import CENTER, SIDE_LABELS, Triangulation
-from .thirds import Third, checked_int, int_cap, read_object
+from .thirds import Third, checked_int, int_cap, read_object, shown_violations
 
 WebTuple = tuple[int, ...]  # (x, y, z, t, u, v, w) of one triangle
 _XYZTUVW = itemgetter(*"xyztuvw")
@@ -97,36 +97,31 @@ def _near_far(h: tuple[int, ...], s: int) -> tuple[int, int]:
     return h[near], h[far]
 
 
-def _slot_values(tri: Triangulation, t: str, s: int, h: tuple[int, ...]) -> tuple[int, int]:
-    """Same values reordered (slot 0, slot 1) of the underlying edge."""
-    near, far = _near_far(h, s)
-    _, fwd = tri.side(t, s)
-    return (near, far) if fwd else (far, near)
-
-
 def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) -> HiveThirds:
     """The surface hive of the web with ``coords[t] = (x, y, z, t, u, v, w)``
     per triangle, as complete :data:`HiveThirds`, glued edge by edge in
-    ``tri.edges`` order; it raises what :func:`surface_web_to_hive` raises."""
+    ``tri.edges`` order once every triangle has coordinates and the gate
+    passes; it raises what :func:`surface_web_to_hive` raises."""
     for t in tri.triangles:
         if t not in coords:
             raise InvalidWebCoords(f"no coordinates for triangle {t!r}")
+    frames = tri.check()
     thirds: HiveThirds = [None] * len(tri.keys)
     hives = {t: web_to_hive_thirds(*coords[t]) for t in tri.triangles}
     for rec in tri.edges:
         t0, s0 = rec.attach0
-        v0 = _slot_values(tri, t0, s0, hives[tri.cell(rec, t0)])
+        v0 = _near_far(hives[t0], s0)
         if rec.attach1 is not None:
             t1, s1 = rec.attach1
-            v1 = _slot_values(tri, t1, s1, hives[tri.cell(rec, t1)])
-            if v0 != v1:
-                pair0 = side_arc_counts(*map(Third, _near_far(hives[t0], s0)))
-                pair1 = side_arc_counts(*map(Third, _near_far(hives[t1], s1)))
+            v1 = _near_far(hives[t1], s1)
+            if v0 != v1[::-1]:  # the second attachment walks the edge head -> tail
+                pair0 = side_arc_counts(*map(Third, v0))
+                pair1 = side_arc_counts(*map(Third, v1))
                 raise GluingMismatch(rec.id, pair0, pair1)
         p = tri.slot0[rec.id]
         thirds[p], thirds[p + 1] = v0
     for t in tri.triangles:
-        thirds[tri.frame(t)[CENTER]] = hives[t][CENTER]
+        thirds[frames[t][CENTER]] = hives[t][CENTER]
     return thirds
 
 

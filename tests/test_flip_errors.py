@@ -4,7 +4,10 @@ Small hand-built triangulation documents go through ``hiveweb flip``, which
 exits 1 and prints the error's type and detail; the transport's missing-value
 error is reached through the library.  The square below is the quadrilateral
 0-1-2-3 with diagonal 0-2: Q = 0, P = 2, R = 3 and S = 1, and its outer sides
-P->R, S->P, R->Q, Q->S lie on the edges 2-3, 1-2, 0-3 and 0-1.
+P->R, S->P, R->Q, Q->S lie on the edges 2-3, 1-2, 0-3 and 0-1.  After the
+edge lookup, a flip of a complex that ``validate --triangulation`` refuses is
+refused by the structural gate, which names the count and the first three
+violations of that report for the lists in canonical order.
 """
 
 from __future__ import annotations
@@ -83,16 +86,22 @@ TORUS = {"triangles": ["A", "B"], "edges": [
 ]}
 # cells that validate rejects; the diagonal 0-2 walks side 0 of 0-2-3 and side 2 of 0-1-2
 INCOHERENT_CELLS = {
-    "diagonal at side 3": (_square(_unattach("0-2")),
-                           "edge '0-2' is not side 3 of triangle '0-2-3'"),
-    "diagonal head relabelled": (_square(_relabel_diagonal_head),
-                                 "corner 1 of triangle '0-2-3' is labelled 2 on side 1 "
-                                 "and 7 on side 0"),
-    "second cell's side relabelled": (_square(_relabel_outer_head),
-                                      "corner 1 of triangle '0-1-2' is labelled 1 on side 1 "
-                                      "and 7 on side 0"),
-    "unlisted cell": ({**_square(), "triangles": ["0-2-3"]},
-                      "edge '0-2' is attached to unknown triangle '0-1-2'"),
+    "diagonal at side 3": (_square(_unattach("0-2")), (
+        'triangulation has 2 structural violations: '
+        '[{"edge":"0-2","kind":"bad-side-index","side":3,"triangle":"0-2-3"},'
+        '{"kind":"dangling-side","side":0,"triangle":"0-2-3"}]')),
+    "diagonal head relabelled": (_square(_relabel_diagonal_head), (
+        'triangulation has 2 structural violations: '
+        '[{"corner":2,"kind":"corner-mismatch","labels":[7,2],"triangle":"0-1-2"},'
+        '{"corner":1,"kind":"corner-mismatch","labels":[2,7],"triangle":"0-2-3"}]')),
+    "second cell's side relabelled": (_square(_relabel_outer_head), (
+        'triangulation has 1 structural violations: '
+        '[{"corner":1,"kind":"corner-mismatch","labels":[1,7],"triangle":"0-1-2"}]')),
+    "unlisted cell": ({**_square(), "triangles": ["0-2-3"]}, (
+        'triangulation has 4 structural violations: '
+        '[{"edge":"0-1","kind":"unknown-triangle","triangle":"0-1-2"},'
+        '{"edge":"0-2","kind":"unknown-triangle","triangle":"0-1-2"},'
+        '{"edge":"1-2","kind":"unknown-triangle","triangle":"0-1-2"}]')),
 }
 
 FLIP_ERRORS = {
@@ -104,10 +113,16 @@ FLIP_ERRORS = {
                                         "quadrilateral around 'c' wraps onto itself"),
     "side S->P unattached before R->Q": (
         _square(_unattach("0-3"), _unattach("1-2")), "0-2", "InvalidTriangulation",
-        "side 1 of triangle '0-1-2' attached 0 times"),
+        'triangulation has 4 structural violations: '
+        '[{"edge":"0-3","kind":"bad-side-index","side":5,"triangle":"0-2-3"},'
+        '{"edge":"1-2","kind":"bad-side-index","side":4,"triangle":"0-1-2"},'
+        '{"kind":"dangling-side","side":1,"triangle":"0-1-2"}]'),
     "side R->Q unattached before Q->S": (
         _square(_unattach("0-1"), _unattach("0-3")), "0-2", "InvalidTriangulation",
-        "side 2 of triangle '0-2-3' attached 0 times"),
+        'triangulation has 4 structural violations: '
+        '[{"edge":"0-1","kind":"bad-side-index","side":3,"triangle":"0-1-2"},'
+        '{"edge":"0-3","kind":"bad-side-index","side":5,"triangle":"0-2-3"},'
+        '{"kind":"dangling-side","side":0,"triangle":"0-1-2"}]'),
     "reused edge id": (_square(_rename), "0-2", "InvalidTriangulation",
                        "flip of '0-2' would reuse edge id '1-3'; "
                        "distinct arcs with equal endpoints are not supported"),
@@ -121,6 +136,12 @@ FLIP_ERRORS = {
                                          "distinct arcs with equal endpoints are not supported"),
     **{name: (doc, "0-2", "InvalidTriangulation", detail)
        for name, (doc, detail) in INCOHERENT_CELLS.items()},
+    # the edge lookup, then the structure, then the flip's own refusals
+    "unknown edge of a broken complex": (INCOHERENT_CELLS["unlisted cell"][0], "9-9", "KeyError",
+                                         'unknown edge "9-9"'),
+    "boundary edge of a broken complex": (INCOHERENT_CELLS["unlisted cell"][0], "0-3",
+                                          "InvalidTriangulation",
+                                          INCOHERENT_CELLS["unlisted cell"][1]),
 }
 
 

@@ -5,9 +5,10 @@ Where each hive label a1..a7 sits in a triangle (``LAYOUT``, ``CENTER``,
 ``e:<edge>:<slot>``) are decided in ``surface.py`` alone; the other modules
 work on the positions a ``Triangulation`` gives them (``keys``, ``slot0``,
 ``frame``).  Only ``surface.py`` reads the triangulation's private tables and
-words the refusal of an edge attached to an unknown triangle; the other
-modules ask ``Triangulation.cell``.  These checks read the package's source
-with ``ast``.
+words the refusal of an unsound triangulation, in the report of
+``validate_complex`` (an edge attached to an unknown triangle) and in the gate
+``Triangulation.check`` (its structural violations); the other modules ask
+the gate.  These checks read the package's source with ``ast``.
 """
 
 import ast
@@ -19,7 +20,7 @@ PACKAGE = Path(hiveweb.__file__).parent
 OWNER = "surface.py"
 LAYOUT_NAMES = {"LAYOUT", "CENTER", "SIDE_LABELS"}
 PRIVATE_TABLES = {"_slots", "_triangle_ids", "_edge_by_id"}
-UNKNOWN_CELL = "is attached to unknown triangle"
+UNSOUND = ("unknown-triangle", "structural violations")
 
 
 def _trees():
@@ -70,7 +71,7 @@ def _sites(predicate):
 
 def _words_unknown_cell(node):
     return (isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and UNKNOWN_CELL in node.value)
+            and any(phrase in node.value for phrase in UNSOUND))
 
 
 def _reads_private_table(node):
@@ -91,5 +92,5 @@ def test_the_checks_see_the_owner():
                             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     assert any(isinstance(node, ast.JoinedStr) and isinstance(node.values[0], ast.Constant)
                and node.values[0].value.startswith("e:") for node in ast.walk(tree))
-    assert [name for name, _ in _sites(_words_unknown_cell)] == [OWNER]
+    assert [name for name, _ in _sites(_words_unknown_cell)] == [OWNER] * len(UNSOUND)
     assert PRIVATE_TABLES == {node.attr for node in ast.walk(tree) if _reads_private_table(node)}

@@ -16,11 +16,16 @@ the reference frame and the nine rhombus quantities on ``Third`` values.  They
 must agree on sampled hives, on single-vertex perturbations of them and on
 the same hives after random flips.
 
-Every hive command decides validity in one order: completeness by position,
-then every frame by position, then the scan.  So on incomplete or broken
-hive documents the commands answer by content, not by list order, and
-``potential``, ``cone`` and ``hive2web`` print the error ``validate --hive``
-prints.
+The walk that builds the frames is the one structural decision: it finds
+nothing exactly when the reference report is empty, and every other frame
+read raises the gate's error, whose text is the reference report of the lists
+in canonical order.  Every hive command decides validity in one order:
+completeness by position, then the structure, then the scan.  So on
+incomplete or broken hive documents the commands answer by content, not by
+list order, and ``potential``, ``cone`` and ``hive2web`` print the error
+``validate --hive`` prints; ``sample``, ``web2hive --web``, ``validate --web``
+and ``flip`` print the gate's error exactly when ``validate --triangulation``
+exits 1.
 """
 
 import contextlib
@@ -31,6 +36,7 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,6 +174,25 @@ def reference_validate_complex(doc):
     return violations
 
 
+def _shown(violations):
+    return json.dumps(violations[:3], sort_keys=True, separators=(",", ":"))
+
+
+def canonical_doc(doc):
+    """``doc`` with its triangles sorted and its edges in id order."""
+    return {**doc, "triangles": sorted(doc["triangles"], key=_text),
+            "edges": sorted(doc["edges"], key=lambda e: _text(e["id"]))}
+
+
+def reference_refusal(doc):
+    """The gate's refusal of a broken ``doc``: the count and the first three
+    of the violations that the reference reports for the lists in canonical
+    order."""
+    bad = reference_validate_complex(canonical_doc(doc))
+    return ("raised", "InvalidTriangulation",
+            f"triangulation has {len(bad)} structural violations: {_shown(bad)}")
+
+
 def random_diagonals(m, rng):
     diags, stack = [], [(0, m - 1)]
     while stack:
@@ -285,27 +310,72 @@ def test_frames_enumeration_and_report_match_the_reference(data):
         _number_ids(doc, rng)
     tri, edges = Triangulation.from_json(doc), doc_edges(doc)
     assert list(tri.vertices) == reference_theta_index(doc)
-    assert validate_complex(tri) == reference_validate_complex(doc)
+    broken = reference_validate_complex(doc)
+    assert validate_complex(tri) == broken
+    assert (tri._frames is None) == bool(broken)
     named = {t for e in tri.edges for t, _ in filter(None, (e.attach0, e.attach1))}
     for t in [*tri.triangles, *sorted(named - set(tri.triangles)), "no-such-triangle"]:
-        got, want = _outcome(triangle_frame, tri, t), _outcome(reference_frame, edges, t)
-        if t not in tri.triangles and want[0] == "ok":
-            # all three sides attached, but no center position to read
-            assert got == ("raised", "KeyError", repr(f"unknown triangle {json.dumps(t)}"))
-            assert want[1][3] not in tri.vertices
+        got = _outcome(triangle_frame, tri, t)
+        if broken:
+            assert got == reference_refusal(doc)
+        elif t in tri.triangles:
+            assert got == _outcome(reference_frame, edges, t)
         else:
-            assert got == want
+            assert got == ("raised", "KeyError", repr(f"unknown triangle {json.dumps(t)}"))
+
+
+def _square_cell(change):
+    """The square's document with ``change`` made to each attachment to its cell 0-1-2."""
+    doc = build_polygon(4, [(0, 2)]).to_json()
+    for e in doc["edges"]:
+        for pair in e["attach"]:
+            if pair != "boundary" and pair[0] == "0-1-2":
+                change(pair)
+    return doc
+
+
+def _rename(pair):
+    pair[0] = "9-9-9"
+
+
+def _past_two(pair):
+    pair[1] += 3
+
+
+# complexes that one test of the walk alone refuses: the rest leave every side
+# of a cell bare, so that its corners agree, and keep three attachments a cell
+WALK_ALONE = {
+    "a cell renamed in its edges": _square_cell(_rename),
+    "a cell's sides moved past 2": _square_cell(_past_two),
+    "a listed cell that no edge holds": {"triangles": ["0-1-2", "0-2-3", "9-9-9"],
+                                         "edges": build_polygon(4, [(0, 2)]).to_json()["edges"]},
+    "three sides held twice": {"triangles": ["A", "B"], "edges": [
+        {"id": "a", "tail": "v", "head": "v", "attach": [["A", 0], ["A", 1]]},
+        {"id": "b", "tail": "v", "head": "v", "attach": [["A", 1], ["A", 2]]},
+        {"id": "c", "tail": "v", "head": "v", "attach": [["A", 2], ["A", 0]]}]},
+}
+
+
+@pytest.mark.parametrize("doc", WALK_ALONE.values(), ids=WALK_ALONE)
+def test_each_refusal_of_the_walk_stands_alone(doc):
+    tri = Triangulation.from_json(doc)
+    assert tri._frames is None
+    assert validate_complex(tri) == reference_validate_complex(doc) != []
+    assert _outcome(tri.check) == reference_refusal(doc)
 
 
 def test_a_side_attached_twice_leaves_its_cell_without_a_frame():
+    """And every other cell: the gate refuses the whole complex."""
     doc = build_polygon(5, [(0, 2), (0, 3)]).to_json()
     boundary = next(e for e in doc["edges"] if e["attach"][1] == "boundary")
     t, s = boundary["attach"][0]
     doc["edges"].append({"id": "extra", "tail": 0, "head": 1, "attach": [[t, s], "boundary"]})
     tri = Triangulation.from_json(doc)
-    assert _outcome(triangle_frame, tri, t) == (
-        "raised", "InvalidTriangulation", f"side {s} of triangle {t!r} attached 2 times")
-    assert _outcome(reference_frame, doc_edges(doc), t) == _outcome(triangle_frame, tri, t)
+    assert tri._frames is None
+    refusal = reference_refusal(doc)
+    assert '"kind":"double-attached-side"' in refusal[2]
+    for cell in tri.triangles:
+        assert _outcome(triangle_frame, tri, cell) == refusal
 
 
 # the members built on first read, and the slot table
@@ -328,10 +398,11 @@ def test_positions_are_built_only_when_read():
     tri = build_polygon(7, SEPTAGON)
     values = sample_hive(tri, 1, 0)
     coords = hive_to_surface_web(tri, values)
-    assert built_by(validate_complex) == {"_slots"}
-    assert built_by(flip_triangulation, "0-2") == {"_slots"}
+    # the walk decides the structure, so every reader builds the frames
+    assert built_by(validate_complex) == {"slot0", "_frames"}
+    assert built_by(flip_triangulation, "0-2") == {"slot0", "_frames", "_slots"}
     assert built_by(sample_thirds, 1, 0) == {"slot0", "keys", "_frames"}
-    assert built_by(surface_web_thirds, coords) == {"slot0", "keys", "_frames", "_slots"}
+    assert built_by(surface_web_thirds, coords) == {"slot0", "keys", "_frames"}
     assert built_by(validate_hive, hive_thirds(tri, values)) == {"slot0", "_frames"}
 
 
@@ -353,8 +424,11 @@ def test_hive_commands_answer_by_content_on_incomplete_or_broken_hives(data):
     m = data.draw(st.integers(3, 14))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     tri = build_polygon(m, random_diagonals(m, rng))
-    values = {key: {"thirds": x} for key, x in zip(tri.keys, sample_thirds(tri, 1, 0))}
+    thirds = sample_thirds(tri, 1, 0)
+    values = {key: {"thirds": x} for key, x in zip(tri.keys, thirds)}
     doc = {"values": values, "triangulation": tri.to_json()}
+    coords = {t: dict(zip("xyztuvw", c)) for t, c in hive_to_surface_web(tri, thirds).items()}
+    web = {"coords": coords, "triangulation": doc["triangulation"]}  # broken with the hive's
     for key in rng.sample(sorted(values), data.draw(st.integers(0, 2))):  # failed rhombi
         values[key] = {"thirds": values[key]["thirds"] + rng.choice([-1, 1])}
     missing = data.draw(st.integers(0, 2))
@@ -364,13 +438,54 @@ def test_hive_commands_answer_by_content_on_incomplete_or_broken_hives(data):
         _break(doc["triangulation"], rng)
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "h.json"
+        path, t_path, w_path = (Path(tmp) / name for name in ("h.json", "t.json", "w.json"))
+        t_path.write_text(json.dumps(canonical_doc(doc["triangulation"])))
+        _, report, _ = _cli(["validate", "--triangulation", str(t_path)])
+        report = json.loads(report)["violations"]
+        edge = min(e["id"] for e in doc["triangulation"]["edges"])
+        structure = {"sample": ["sample", "--triangulation", str(t_path), "--bound", "1",
+                                "--seed", "0"],
+                     "web2hive --web": ["web2hive", "--web", str(w_path)],
+                     "validate --web": ["validate", "--web", str(w_path)],
+                     "flip": ["flip", "--triangulation", str(t_path), "--edge", edge]}
         for _ in range(2):
             path.write_text(json.dumps(doc))
+            t_path.write_text(json.dumps(doc["triangulation"]))
+            w_path.write_text(json.dumps(web))
             outputs.append({cmd: _cli([cmd, "--hive", str(path)]) for cmd in HIVE_COMMANDS})
+            outputs[-1].update((cmd, _cli(argv)) for cmd, argv in structure.items())
             rng.shuffle(doc["triangulation"]["triangles"])
+            rng.shuffle(doc["triangulation"]["edges"])
+    refused = (1, json.dumps({"detail": f"triangulation has {len(report)} structural violations: "
+                                        f"{_shown(report)}", "error": "InvalidTriangulation"},
+                             sort_keys=True, separators=(",", ":")) + "\n", "")
+    for cmd in structure:  # each answers by content
+        assert outputs[0][cmd] == outputs[1][cmd], cmd
+        if report:
+            assert outputs[0][cmd] == refused, cmd
+        else:
+            assert '"error":"InvalidTriangulation"' not in outputs[0][cmd][1], cmd
     # a report lists violations in triangle order; an error does not depend on it
     if any(not out["validate"][1].startswith('{"valid":') for out in outputs):
         assert outputs[0] == outputs[1]
         for cmd in HIVE_COMMANDS:
             assert outputs[0][cmd] == outputs[0]["validate"], cmd
+    if report and not missing:  # the structure, once the hive is complete
+        assert outputs[0]["validate"] == refused
+
+
+def test_hive_commands_refuse_a_corner_with_two_labels(tmp_path):
+    """The square with the head of edge 0-1 relabelled 7: every frame reads,
+    but corner 1 of 0-1-2 has two labels, so no hive on it is valid."""
+    tri = build_polygon(4, [(0, 2)])
+    doc = {"values": {key: {"thirds": x} for key, x in zip(tri.keys, sample_thirds(tri, 1, 0))},
+           "triangulation": tri.to_json()}
+    next(e for e in doc["triangulation"]["edges"] if e["id"] == "0-1")["head"] = 7
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    detail = ('triangulation has 1 structural violations: '
+              '[{"corner":1,"kind":"corner-mismatch","labels":[1,7],"triangle":"0-1-2"}]')
+    refused = json.dumps({"detail": detail, "error": "InvalidTriangulation"},
+                         sort_keys=True, separators=(",", ":")) + "\n"
+    for cmd in HIVE_COMMANDS:
+        assert _cli([cmd, "--hive", str(path)]) == (1, refused, ""), cmd

@@ -109,32 +109,58 @@ def sample_with_unknown_triangle(tmp_path, capsys, attachment):
     return code, json.loads(capsys.readouterr().out)
 
 
-UNKNOWN_TRIANGLE = (1, {"error": "InvalidTriangulation",
-                        "detail": "edge '0-2' is attached to unknown triangle '9-9-9'"})
+def _unsound(detail):
+    return 1, {"error": "InvalidTriangulation", "detail": detail}
 
 
 def test_interior_edge_on_unknown_triangle_rejected(tmp_path, capsys):
-    assert sample_with_unknown_triangle(tmp_path, capsys, 1) == UNKNOWN_TRIANGLE
+    assert sample_with_unknown_triangle(tmp_path, capsys, 1) == _unsound(
+        'triangulation has 2 structural violations: '
+        '[{"edge":"0-2","kind":"unknown-triangle","triangle":"9-9-9"},'
+        '{"kind":"dangling-side","side":2,"triangle":"0-1-2"}]')
 
 
 def test_interior_edge_from_unknown_triangle_rejected(tmp_path, capsys):
-    assert sample_with_unknown_triangle(tmp_path, capsys, 0) == UNKNOWN_TRIANGLE
+    assert sample_with_unknown_triangle(tmp_path, capsys, 0) == _unsound(
+        'triangulation has 2 structural violations: '
+        '[{"edge":"0-2","kind":"unknown-triangle","triangle":"9-9-9"},'
+        '{"kind":"dangling-side","side":0,"triangle":"0-2-3"}]')
+
+
+def _sample_extra_edge(tmp_path, capsys, attachment):
+    """The reports of ``validate --triangulation`` and ``sample`` on the
+    square plus a boundary edge 9-9 at ``attachment``."""
+    doc = build_polygon(4, [(0, 2)]).to_json()
+    doc["edges"].append({"id": "9-9", "tail": 7, "head": 8, "attach": [attachment, "boundary"]})
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", "--triangulation", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)["violations"]
+    code = run(["sample", "--triangulation", str(path), "--bound", "1", "--seed", "0"])
+    return report, (code, json.loads(capsys.readouterr().out))
 
 
 def test_edge_attached_only_to_an_unlisted_triangle_rejected(tmp_path, capsys):
     """A boundary edge whose one cell is not listed: the sampler refuses it as
     ``validate --triangulation`` does, rather than writing a hive that
     ``validate --hive`` refuses for the edge's missing values."""
-    doc = build_polygon(4, [(0, 2)]).to_json()
-    doc["edges"].append({"id": "9-9", "tail": 7, "head": 8, "attach": [["zz", 0], "boundary"]})
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(doc))
-    assert run(["validate", "--triangulation", str(path)]) == 1
-    assert json.loads(capsys.readouterr().out)["violations"][0]["kind"] == "unknown-triangle"
-    code = run(["sample", "--triangulation", str(path), "--bound", "1", "--seed", "0"])
-    assert (code, json.loads(capsys.readouterr().out)) == (1, {
-        "error": "InvalidTriangulation",
-        "detail": "edge '9-9' is attached to unknown triangle 'zz'"})
+    report, sampled = _sample_extra_edge(tmp_path, capsys, ["zz", 0])
+    assert [v["kind"] for v in report] == ["unknown-triangle", "count-mismatch"]
+    assert sampled == _unsound(
+        'triangulation has 2 structural violations: '
+        '[{"edge":"9-9","kind":"unknown-triangle","triangle":"zz"},'
+        '{"field":"edges","have":6,"kind":"count-mismatch","want":5}]')
+
+
+def test_edge_at_a_side_outside_its_triangle_rejected(tmp_path, capsys):
+    """A boundary edge at side 3 of a listed cell: refused before the
+    sampler walks the cells, not written as a hive without the edge's values."""
+    report, sampled = _sample_extra_edge(tmp_path, capsys, ["0-1-2", 3])
+    assert [v["kind"] for v in report] == ["bad-side-index", "count-mismatch"]
+    assert sampled == _unsound(
+        'triangulation has 2 structural violations: '
+        '[{"edge":"9-9","kind":"bad-side-index","side":3,"triangle":"0-1-2"},'
+        '{"field":"edges","have":6,"kind":"count-mismatch","want":5}]')
 
 
 def _tree_order_by_list(tri):

@@ -273,6 +273,26 @@ def _semantic(error, detail):
     return 1, _canonical({"error": error, "detail": detail}), ""
 
 
+def _unsound(*violations):
+    """The structural gate's refusal of a complex whose ``validate
+    --triangulation`` report is ``violations``: it comes before any gluing."""
+    shown = json.dumps(violations[:3], sort_keys=True, separators=(",", ":"))
+    return _semantic("InvalidTriangulation",
+                     f"triangulation has {len(violations)} structural violations: {shown}")
+
+
+def _side(edge, t, side, bare):
+    """A report's two lines for an edge moved from side ``bare`` of ``t`` to ``side``."""
+    return ({"kind": "bad-side-index", "edge": edge, "triangle": t, "side": side},
+            {"kind": "dangling-side", "triangle": t, "side": bare})
+
+
+def _cell(edge, t, bare):
+    """A report's two lines for an edge moved from side ``bare`` of ``t`` to an unlisted cell."""
+    return ({"kind": "unknown-triangle", "edge": edge, "triangle": "9-9-9"},
+            {"kind": "dangling-side", "triangle": t, "side": bare})
+
+
 WEB_ERROR_ROWS = {
     "missing triangle": ((_drop_coords,), _semantic(
         "InvalidWebCoords", "no coordinates for triangle '2-3-4'")),
@@ -282,22 +302,20 @@ WEB_ERROR_ROWS = {
         "GluingMismatch", "edge '2-4': side counts (1, 4) and (3, 1) do not glue")),
     "gluing mismatch in slot 1 alone": ((_slot_1_disagrees,), _semantic(
         "GluingMismatch", "edge '0-2': side counts (3, 3) and (5, 2) do not glue")),
-    "unattached side": ((_side_unattached,), _semantic(
-        "InvalidTriangulation", "side 0 of triangle '0-1-2' attached 0 times")),
-    "unattached side before a mismatch": ((_center_disagrees, _later_side_unattached), _semantic(
-        "InvalidTriangulation", "side 1 of triangle '0-4-5' attached 0 times")),
-    "mismatch before an unattached side": ((_side_unattached, _center_disagrees), _semantic(
-        "GluingMismatch", "edge '2-4': side counts (1, 4) and (3, 1) do not glue")),
-    "edge attached to an unknown triangle": ((_unknown_triangle("0-1", 0),), _semantic(
-        "InvalidTriangulation", "edge '0-1' is attached to unknown triangle '9-9-9'")),
-    "second attachment to an unknown triangle": ((_unknown_triangle("0-2", 1),), _semantic(
-        "InvalidTriangulation", "edge '0-2' is attached to unknown triangle '9-9-9'")),
+    # the structure is decided before any edge is glued, whatever the list order
+    "unattached side": ((_side_unattached,), _unsound(*_side("0-1", "0-1-2", 3, 0))),
+    "unattached side before a mismatch": ((_center_disagrees, _later_side_unattached),
+                                          _unsound(*_side("4-5", "0-4-5", 4, 1))),
+    "mismatch before an unattached side": ((_side_unattached, _center_disagrees),
+                                           _unsound(*_side("0-1", "0-1-2", 3, 0))),
+    "edge attached to an unknown triangle": ((_unknown_triangle("0-1", 0),),
+                                             _unsound(*_cell("0-1", "0-1-2", 0))),
+    "second attachment to an unknown triangle": ((_unknown_triangle("0-2", 1),),
+                                                 _unsound(*_cell("0-2", "0-1-2", 2))),
     "unknown triangle before its edge's mismatch": (
-        (_center_disagrees, _unknown_triangle("2-4", 1)), _semantic(
-            "InvalidTriangulation", "edge '2-4' is attached to unknown triangle '9-9-9'")),
+        (_center_disagrees, _unknown_triangle("2-4", 1)), _unsound(*_cell("2-4", "2-3-4", 2))),
     "mismatch before an unknown triangle": (
-        (_center_disagrees, _unknown_triangle("0-1", 0)), _semantic(
-            "GluingMismatch", "edge '2-4': side counts (1, 4) and (3, 1) do not glue")),
+        (_center_disagrees, _unknown_triangle("0-1", 0)), _unsound(*_cell("0-1", "0-1-2", 0))),
     "missing triangle before an unknown triangle": (
         (_drop_coords, _unknown_triangle("0-1", 0)), _semantic(
             "InvalidWebCoords", "no coordinates for triangle '2-3-4'")),
