@@ -21,12 +21,12 @@ from . import hive as hive_mod
 from . import metric as metric_mod
 from . import sampling, surface, surfacoid, thirds, web
 from .errors import HivewebError, MalformedInput
-from .thirds import LatticePoint, parse_ints, read_object
+from .thirds import LatticePoint, json_text, parse_ints, read_object
 
 
-def _emit(doc, out_path) -> None:
-    # every document is a fresh tree, so it holds no cycle to look for
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+def _emit(text: str, out_path) -> None:
+    """Write one canonical JSON document's ``text`` and a newline."""
+    text += "\n"
     if out_path:
         try:
             Path(out_path).write_text(text)
@@ -89,13 +89,14 @@ def cmd_validate(args) -> int:
         violations = surface.validate_complex(_load_triangulation(args.triangulation))
     else:
         raise MalformedInput("validate needs --triangulation, --hive or --web")
-    _emit({"valid": not violations, "violations": violations}, args.out)
+    _emit(json_text({"valid": not violations, "violations": violations}), args.out)
     return 1 if violations else 0
 
 
 def cmd_web2hive(args) -> int:
     if args.coords:
-        _emit(hive_mod.triangle_doc(web.web_to_hive_thirds(*_coords(args.coords))), args.out)
+        _emit(json_text(hive_mod.triangle_doc(web.web_to_hive_thirds(*_coords(args.coords)))),
+              args.out)
         return 0
     if not args.web:
         raise MalformedInput("web2hive needs --coords or --web")
@@ -109,7 +110,7 @@ def cmd_hive2web(args) -> int:
     doc = _load_doc(args.hive)
     if isinstance(doc, dict) and "values" not in doc:
         coords = web.hive_to_web_triangle(hive_mod.triangle_thirds_from_json(doc))
-        _emit(dict(zip("xyztuvw", coords)), args.out)
+        _emit(json_text(dict(zip("xyztuvw", coords))), args.out)
         return 0
     tri, (values, _) = _load(args.hive, args, "hive", doc)
     _emit(web.web_doc(web.surface_web_tuples(tri, values), tri), args.out)
@@ -122,11 +123,7 @@ def cmd_flip(args) -> int:
     else:
         tri = _load_triangulation(args.triangulation)
     flipped, frame_old, frame_new = surface.flip_triangulation(tri, args.edge)
-    out = {
-        "old_edge": args.edge,
-        "new_edge": frame_new.diagonal,
-        "triangulation": flipped.to_json(),
-    }
+    hive = ""
     if args.hive:
         bad = hive_mod.validate_hive(tri, values)
         if bad:
@@ -137,20 +134,21 @@ def cmd_flip(args) -> int:
         quad = [moved.pop(v.key()) for v in frame_old.vertices()]
         new_keys = (v.key() for v in frame_new.vertices())
         moved.update(zip(new_keys, hive_mod.octahedron_thirds(*quad)))
-        out["hive"] = hive_mod.hive_doc(moved.items())
-    _emit(out, args.out)
+        hive = '"hive":%s,' % hive_mod.hive_doc(moved.items())
+    _emit('{%s"new_edge":%s,"old_edge":%s,"triangulation":%s}' % (
+        hive, json_text(frame_new.diagonal), json_text(args.edge), flipped.to_text()), args.out)
     return 0
 
 
 def cmd_potential(args) -> int:
     tri, (values, _) = _load(args.hive, args, "hive")
-    _emit(hive_mod.tropical_potential(tri, values).to_json(), args.out)
+    _emit(json_text(hive_mod.tropical_potential(tri, values).to_json()), args.out)
     return 0
 
 
 def cmd_cone(args) -> int:
     tri, (values, _) = _load(args.hive, args, "hive")
-    _emit({"in_positive_cone": hive_mod.is_in_positive_cone(tri, values)}, args.out)
+    _emit(json_text({"in_positive_cone": hive_mod.is_in_positive_cone(tri, values)}), args.out)
     return 0
 
 
@@ -176,22 +174,22 @@ def cmd_oracle(args) -> int:
             if not result["match"]:
                 mismatches.append(result)
         _emit(
-            {"instances": args.sweep, "all_match": not mismatches,
-             "mismatches": mismatches},
+            json_text({"instances": args.sweep, "all_match": not mismatches,
+                       "mismatches": mismatches}),
             args.out,
         )
         return 0 if not mismatches else 1
     if not args.coords:
         raise MalformedInput("oracle needs --coords or --sweep")
     result = _oracle_once(_coords(args.coords))
-    _emit(result, args.out)
+    _emit(json_text(result), args.out)
     return 0 if result["match"] else 1
 
 
 def cmd_gamma_dist(args) -> int:
     to = LatticePoint.parse(args.to, "--to")
     src = LatticePoint.parse(args.src, "--from") if args.src else LatticePoint(0, 0)
-    _emit(metric_mod.gamma_distance(to - src).to_json(), args.out)
+    _emit(json_text(metric_mod.gamma_distance(to - src).to_json()), args.out)
     return 0
 
 
@@ -213,7 +211,7 @@ def cmd_fermat(args) -> int:
             "brute": {"thirds": brute.thirds, "argmin_size": len(argmin)},
             "match": brute == value,
         }
-    _emit(out, args.out)
+    _emit(json_text(out), args.out)
     return 0
 
 
@@ -235,7 +233,7 @@ def _vertex(graph: metric_mod.OrientedGraph, name: str):
 def cmd_dist(args) -> int:
     graph = metric_mod.OrientedGraph.from_json(_load_doc(args.graph))
     src, to = _vertex(graph, args.src), _vertex(graph, args.to)
-    _emit(metric_mod.shortest_distance(graph, src, to).to_json(), args.out)
+    _emit(json_text(metric_mod.shortest_distance(graph, src, to).to_json()), args.out)
     return 0
 
 
@@ -360,7 +358,8 @@ def run(argv) -> int:
                 return args.func(args)
             except (HivewebError, KeyError) as exc:
                 detail = str(exc.args[0]) if exc.args else str(exc)
-                _emit({"error": type(exc).__name__, "detail": detail}, getattr(args, "out", None))
+                _emit(json_text({"error": type(exc).__name__, "detail": detail}),
+                      getattr(args, "out", None))
                 return 1
         except MalformedInput as exc:  # also when the error report cannot be written
             print(f"hiveweb: {exc}", file=sys.stderr)

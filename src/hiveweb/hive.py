@@ -21,11 +21,12 @@ quadrilateral frame.
 
 from __future__ import annotations
 
+import json
 from typing import Dict, Iterator, List, Optional, Union
 
 from .errors import IncompleteHive, InvalidHive, MalformedInput
 from .surface import QuadFrame, ThetaVertex, Triangulation
-from .thirds import Third, int_cap, read_object, read_thirds
+from .thirds import Third, int_cap, json_text, quoted, read_object, read_thirds
 
 HiveValues = Dict[ThetaVertex, Third]
 HiveThirds = List[Optional[int]]  # thirds by quiver-vertex position, None where missing
@@ -128,17 +129,22 @@ def triangle_thirds_from_json(doc: dict) -> tuple[int, ...]:
                  for a in _LABELS)
 
 
-def hive_doc(pairs, tri: Optional[Triangulation] = None) -> dict:
-    """The hive document of (key, thirds) pairs, skipping missing values,
+def hive_doc(pairs, tri: Optional[Triangulation] = None) -> str:
+    """The hive document of (key, thirds) pairs as canonical JSON text,
+    keeping the last value of a repeated key and skipping missing values,
     with ``tri`` inline when given: the one writer of hive documents."""
-    doc = {"values": {key: {"thirds": x} for key, x in pairs if x is not None}}
-    if tri is not None:
-        doc["triangulation"] = tri.to_json()
-    return doc
+    values = ",".join(['%s:{"thirds":%s}' % (quoted(key if type(key) is str else json_text(key)),
+                                            x if type(x) is int else json_text(x))
+                       for key, x in sorted({key: x for key, x in pairs if x is not None}.items())])
+    if tri is None:
+        return '{"values":{%s}}' % values
+    return '{"triangulation":%s,"values":{%s}}' % (tri.to_text(), values)
 
 
 def hive_to_json(tri: Triangulation, values: HiveValues, inline: bool = True) -> dict:
-    return hive_doc(((v.key(), x.thirds) for v, x in values.items()), tri if inline else None)
+    """The hive document :func:`hive_doc` writes, parsed."""
+    return json.loads(hive_doc(((v.key(), x.thirds) for v, x in values.items()),
+                               tri if inline else None))
 
 
 def hive_thirds_from_json(doc: dict, tri: Triangulation) -> tuple[HiveThirds, dict[str, int]]:

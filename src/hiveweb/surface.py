@@ -18,13 +18,15 @@ different flip paths directly comparable.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import (InvalidPolygonTriangulation, InvalidTriangulation, MalformedInput,
                      NotFlippable, SelfFoldedUnsupported)
-from .thirds import _shown, checked_int, int_cap, read_array, read_object, shown_violations
+from .thirds import (_shown, checked_int, int_cap, json_text, quoted, read_array, read_object,
+                     shown_violations)
 
 Label = object  # marked-point labels: ints for polygons, ints or strings in JSON
 Attach = tuple[str, int]
@@ -80,6 +82,15 @@ class EdgeRec(NamedTuple):
     @property
     def interior(self) -> bool:
         return self.attach1 is not None
+
+
+def _first_repeat(ids):
+    """The first of ``ids`` that an earlier one equals."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
 
 
 def _id(raw, what: str) -> str:
@@ -140,9 +151,11 @@ class Triangulation:
         self._edge_by_id = {e.id: e for e in self.edges}
         self._triangle_ids = set(self.triangles)
         if len(self._edge_by_id) != len(self.edges):
-            raise InvalidTriangulation("duplicate edge ids")
+            raise InvalidTriangulation(
+                f"duplicate edge id {_shown(_first_repeat(e.id for e in self.edges))}")
         if len(self._triangle_ids) != len(self.triangles):
-            raise InvalidTriangulation("duplicate triangle ids")
+            raise InvalidTriangulation(
+                f"duplicate triangle id {_shown(_first_repeat(self.triangles))}")
 
     # -- raw lookups ---------------------------------------------------
 
@@ -272,15 +285,35 @@ class Triangulation:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json(self) -> dict:
-        edges = [{"id": rec.id, "tail": rec.tail, "head": rec.head,
-                  "attach": [list(rec.attach0), list(rec.attach1) if rec.attach1 else "boundary"]}
-                 for rec in sorted(self.edges, key=lambda r: r.id)]
-        doc = {"triangles": sorted(self.triangles), "edges": edges}
+    def to_text(self) -> str:
+        """The triangulation document as canonical JSON text, written in one
+        pass: triangles sorted, edges by id, each ``{"attach": [[triangle,
+        side], [triangle, side] or "boundary"], "head", "id", "tail"}``, and
+        ``{"c", "g", "m"}`` when there is a signature.  The one writer of
+        triangulation documents; each scalar is written as
+        :func:`~hiveweb.thirds.json_text` writes it."""
+        edges = []
+        for rec in sorted(self.edges, key=lambda r: r.id):
+            (t0, s0), a1, eid, tail, head = rec.attach0, rec.attach1, rec.id, rec.tail, rec.head
+            second = '"boundary"' if not a1 else "[%s,%s]" % (
+                quoted(a1[0]) if type(a1[0]) is str else json_text(a1[0]),
+                a1[1] if type(a1[1]) is int else json_text(a1[1]))
+            edges.append('{"attach":[[%s,%s],%s],"head":%s,"id":%s,"tail":%s}' % (
+                quoted(t0) if type(t0) is str else json_text(t0),
+                s0 if type(s0) is int else json_text(s0), second,
+                head if type(head) is int else json_text(head),
+                quoted(eid) if type(eid) is str else json_text(eid),
+                tail if type(tail) is int else json_text(tail)))
+        signature = ""
         if self.signature is not None:
-            g, c, m = self.signature
-            doc["signature"] = {"g": g, "c": c, "m": m}
-        return doc
+            g, c, m = map(json_text, self.signature)
+            signature = '"signature":{"c":%s,"g":%s,"m":%s},' % (c, g, m)
+        return '{"edges":[%s],%s"triangles":[%s]}' % (
+            ",".join(edges), signature, ",".join(map(json_text, sorted(self.triangles))))
+
+    def to_json(self) -> dict:
+        """The triangulation document :meth:`to_text` writes, parsed."""
+        return json.loads(self.to_text())
 
     @classmethod
     def from_json(cls, doc: dict) -> "Triangulation":

@@ -94,10 +94,27 @@ def _shown(value) -> str:
     return repr(value)
 
 
+quoted = json.encoder.encode_basestring_ascii  # the escaper json.dumps writes strings with
+
+
+def json_text(value) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, separators=(",", ":"))``
+    writes it: an exact int by ``int.__repr__``, a string by :data:`quoted`
+    and anything else by ``json.dumps`` itself.  The document writers pass an
+    exact int to ``%s`` and an exact string to :data:`quoted` inline, which
+    writes the same text; ``json.dumps`` writes a key that is not a string
+    as the string of its text."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is str:
+        return quoted(value)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def shown_violations(violations: list[dict]) -> str:
     """The first three of ``violations`` as the JSON objects ``validate``
     prints: the one wording of a violation list in an error detail."""
-    return json.dumps(violations[:3], sort_keys=True, separators=(",", ":"))
+    return json_text(violations[:3])
 
 
 def parse_ints(text: str, n: int, what: str) -> list[int]:

@@ -15,6 +15,7 @@ match after swapping.
 
 from __future__ import annotations
 
+import json
 from operator import itemgetter
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Union
 
@@ -22,10 +23,12 @@ from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoo
 from .hive import (HiveThirds, HiveValues, failed_rhombi, hive_thirds, rhombi, rhombus_scan,
                    validate_hive)
 from .surface import CENTER, SIDE_LABELS, Triangulation
-from .thirds import Third, checked_int, int_cap, read_object, shown_violations
+from .thirds import (Third, checked_int, int_cap, json_text, quoted, read_object,
+                     shown_violations)
 
 WebTuple = tuple[int, ...]  # (x, y, z, t, u, v, w) of one triangle
 _XYZTUVW = itemgetter(*"xyztuvw")
+_TUVWXYZ = itemgetter(3, 4, 5, 6, 0, 1, 2)  # a 7-tuple's entries in the order of their keys
 
 
 def _corners_checked(c: WebTuple) -> WebTuple:
@@ -146,17 +149,22 @@ def hive_to_surface_web(tri: Triangulation, values: Union[HiveValues, HiveThirds
     return dict(surface_web_tuples(tri, values))
 
 
-def web_doc(pairs, tri: Optional[Triangulation] = None) -> dict:
-    """The web document of (triangle, (x, y, z, t, u, v, w)) pairs, with
+def web_doc(pairs, tri: Optional[Triangulation] = None) -> str:
+    """The web document of (triangle, (x, y, z, t, u, v, w)) pairs as
+    canonical JSON text, keeping the last tuple of a repeated triangle, with
     ``tri`` inline when given: the one writer of web documents."""
-    doc = {"coords": {t: dict(zip("xyztuvw", c)) for t, c in pairs}}
-    if tri is not None:
-        doc["triangulation"] = tri.to_json()
-    return doc
+    coords = ",".join(['%s:{"t":%s,"u":%s,"v":%s,"w":%s,"x":%s,"y":%s,"z":%s}' % (
+        quoted(t if type(t) is str else json_text(t)),
+        *[n if type(n) is int else json_text(n) for n in _TUVWXYZ(c)])
+        for t, c in sorted(dict(pairs).items())])
+    if tri is None:
+        return '{"coords":{%s}}' % coords
+    return '{"coords":{%s},"triangulation":%s}' % (coords, tri.to_text())
 
 
 def surface_web_to_json(tri: Triangulation, web: SurfaceWeb, inline: bool = True) -> dict:
-    return web_doc(web.items(), tri if inline else None)
+    """The web document :func:`web_doc` writes, parsed."""
+    return json.loads(web_doc(web.items(), tri if inline else None))
 
 
 def web_coords_from_json(doc: dict) -> dict[str, WebTuple]:

@@ -276,9 +276,10 @@ def canonical(doc):
 SQUARE = build_polygon(4, [(0, 2)])
 # a center one third off a zero hive: all nine rhombi of its triangle fail
 OFF_CENTER = {v: Third(int(v == SQUARE.vertices[0])) for v in SQUARE.vertices}
-# the square with its first edge listed twice
+# the square with its first edge listed twice, and with its first triangle listed twice
 TWICE_LISTED_EDGE = {**SQUARE.to_json(), "edges": [*SQUARE.to_json()["edges"],
                                                    SQUARE.to_json()["edges"][0]]}
+TWICE_LISTED_TRIANGLE = {**SQUARE.to_json(), "triangles": ["0-1-2", "0-2-3", "0-1-2"]}
 # argv with {name} for each document written, exit code, stdout, stderr
 BRANCHES = {
     "flip --hive invalid": (
@@ -303,7 +304,15 @@ BRANCHES = {
         1, '{"detail":"triangulation has no triangles","error":"InvalidHive"}\n', ""),
     "validate duplicate edge ids": (
         ["validate", "--triangulation", "{t}"], {"t": TWICE_LISTED_EDGE},
-        1, '{"detail":"duplicate edge ids","error":"InvalidTriangulation"}\n', ""),
+        1, canonical({"error": "InvalidTriangulation", "detail": 'duplicate edge id "0-1"'}), ""),
+    "validate duplicate triangle ids": (
+        ["validate", "--triangulation", "{t}"], {"t": TWICE_LISTED_TRIANGLE},
+        1, canonical({"error": "InvalidTriangulation",
+                      "detail": 'duplicate triangle id "0-1-2"'}), ""),
+    "sample duplicate edge ids": (
+        ["sample", "--triangulation", "{t}", "--bound", "1", "--seed", "0"],
+        {"t": TWICE_LISTED_EDGE},
+        1, canonical({"error": "InvalidTriangulation", "detail": 'duplicate edge id "0-1"'}), ""),
 }
 
 

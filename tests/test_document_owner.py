@@ -1,12 +1,15 @@
-"""Hive and web documents each have one owner.
+"""Hive, web and triangulation documents each have one owner.
 
 ``hiveweb.hive`` is the one reader and the one writer of a hive document's
 ``values``, and it alone words the refusal of two keys that name one vertex;
 ``hiveweb.web`` is the one reader and the one writer of a web document's
-``coords``.  The CLI loads files, resolves the triangulation and maps errors
-to exit codes, and calls those functions for the rest.  Each check names the
-owner's function, so it also fails if it stops seeing the owner.  These checks
-read the package's source with ``ast``.
+``coords``; ``hiveweb.surface`` alone writes a triangulation document's
+``edges``.  The writers write canonical JSON text, so a string constant that
+writes a key (``"values":``) counts as building it.  The CLI loads files,
+resolves the triangulation and maps errors to exit codes, and calls those
+functions for the rest.  Each check names the owner's function, so it also
+fails if it stops seeing the owner.  These checks read the package's source
+with ``ast``.
 """
 
 import ast
@@ -18,6 +21,9 @@ PACKAGE = Path(hiveweb.__file__).parent
 # the oracle report's "coords" is the 7-tuple of the one triangle it was given,
 # written in place as {"x": ..., "w": ...}; it is not a web document
 ORACLE_REPORT = ("cli.py", "_oracle_once", "builds")
+# the double-attached-side violation lists the edges at that side; it is not
+# a triangulation document
+SIDE_VIOLATION = ("surface.py", "validate_complex", "builds")
 
 
 def _walk(node, func=None):
@@ -39,12 +45,16 @@ def _is(node, field):
 
 
 def _sites(field):
-    """(module, function, "reads" or "builds") of each subscript by ``field``
-    and each dict display or ``dict(...)`` call with a ``field`` key."""
+    """(module, function, "reads" or "builds") of each subscript by ``field``,
+    each dict display or ``dict(...)`` call with a ``field`` key and each
+    string constant that writes ``"field":``."""
     sites = set()
     for module, func, node in _nodes():
         if isinstance(node, ast.Subscript) and _is(node.slice, field):
             sites.add((module, func, "reads"))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and f'"{field}":' in node.value):
+            sites.add((module, func, "builds"))
         elif isinstance(node, ast.Dict) and any(_is(key, field) for key in node.keys):
             sites.add((module, func, "builds"))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -61,6 +71,11 @@ def test_only_hive_reads_and_writes_hive_values():
 def test_only_web_reads_and_writes_web_coords():
     assert _sites("coords") - {ORACLE_REPORT} == {("web.py", "web_coords_from_json", "reads"),
                                                   ("web.py", "web_doc", "builds")}
+
+
+def test_only_surface_writes_triangulation_edges():
+    assert {site for site in _sites("edges") if site[2] == "builds"} - {SIDE_VIOLATION} == {
+        ("surface.py", "to_text", "builds")}
 
 
 def test_only_hive_words_the_alias_refusal():

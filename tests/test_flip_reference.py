@@ -271,14 +271,14 @@ def _refusal(tri):
             f"triangulation has {len(bad)} structural violations: {shown}")
 
 
-def _reused_cell_id(tri, edge_id):
-    """Whether a cell the reference makes in ``edge_id``'s flip takes the id
-    of a cell the flip does not replace."""
+def _reused_cell_ids(tri, edge_id):
+    """The ids of the cells the reference makes in ``edge_id``'s flip that a
+    cell the flip does not replace has."""
     labels = reference_quad_frame(tri, edge_id).labels
     r, s, p, q = (labels[k] for k in "RSPQ")
     made = {"-".join(map(str, _rotate_to_min(cycle))) for cycle in ((r, s, p), (r, q, s))}
     rec = tri.edge(edge_id)
-    return not made.isdisjoint(set(tri.triangles) - {rec.attach0[0], rec.attach1[0]})
+    return made & (set(tri.triangles) - {rec.attach0[0], rec.attach1[0]})
 
 
 REUSED_CELL = re.compile(r"flip of (.+) would reuse triangle id .+; "
@@ -307,9 +307,10 @@ def _same_flip(tri, edge_id):
         return None
     if got != want and _reuses_cell_id(got, edge_id):
         # the flip refuses before it builds anything; the reference builds
-        # the cell list, which Triangulation refuses
-        assert want[1:] == ("InvalidTriangulation", "duplicate triangle ids")
-        assert _reused_cell_id(tri, edge_id)
+        # the cell list, which Triangulation refuses, naming the reused id
+        assert want[:2] == ("raised", "InvalidTriangulation")
+        assert want[2] in {f"duplicate triangle id {json.dumps(t)}"
+                           for t in _reused_cell_ids(tri, edge_id)}
         assert _frame(frame_got[1]) == _frame(frame_want[1])
         return None
     if want[0] == "raised":
