@@ -323,16 +323,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COORD_FLAGS = {"--to", "--from", "--a", "--b", "--c", "--coords"}
+# flags whose value is a coordinate list, an edge or vertex id or a path
+_VALUE_FLAGS = {"--to", "--from", "--a", "--b", "--c", "--coords", "--edge",
+                "--hive", "--web", "--triangulation", "--graph", "--out"}
 
 
 def _absorb_negative_values(argv):
-    """Let coordinate flags take values like "-1,0" without argparse reading
-    them as options."""
+    """Let value flags take values like "-1,0", "-5~2" or "-h.json" without
+    argparse reading them as options."""
     out, i = [], 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _COORD_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

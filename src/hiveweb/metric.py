@@ -24,9 +24,9 @@ Vertex = Hashable
 class OrientedGraph:
     """Finite directed multigraph; immutable once built.
 
-    Searches run on positions 0..V-1: ``_fwd[i]`` lists the heads of arcs out
-    of ``i`` (1 third each), ``_back[j]`` the tails of arcs into ``j`` (2 thirds
-    each).  ``vertices``, the name-to-position index ``_index`` and ``arcs``
+    Searches run on positions 0..V-1: ``_fwd[i]`` is a sequence of the heads
+    of arcs out of ``i`` (1 third each), ``_back[j]`` of the tails of arcs
+    into ``j`` (2 thirds each).  ``vertices``, the name-to-position index ``_index`` and ``arcs``
     are made from them the first time they are read.
     """
 
@@ -194,42 +194,73 @@ def gamma_distance(p: LatticePoint) -> Third:
     return Third(max(p.x + p.y, p.y - 2 * p.x, p.x - 2 * p.y))
 
 
-def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list[list[int]], list[list[int]]]:
+# a row of at most this many columns builds every entry per cell: on such a
+# row the six ranges of the bulk cost more than the lists they replace
+_SHORT_ROW = 11
+
+
+def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list, list]:
     """``_fwd`` and ``_back`` of the lattice graph induced on the points
     (k, c) with ``lo <= c <= hi`` for ``rows[k] == (lo, hi)``, numbered row by
     row: (k, c) is at position ``sum of earlier row lengths + c - lo``.  Every
     point sends arcs to (k+1, c), (k, c+1) and (k-1, c-1) where those exist,
-    and each list keeps that order (tails in increasing position)."""
-    starts = []  # position of (k, c) is starts[k] + c
+    and each entry keeps that order (tails in increasing position).
+
+    In a row of more than ``_SHORT_ROW`` columns, the columns whose six
+    neighbours all exist get their entries in one step: heads (k+1, c),
+    (k, c+1), (k-1, c-1) and tails (k-1, c), (k, c-1), (k+1, c+1) are three
+    position ranges each, zipped into tuples.  Every other column, the row
+    ends among them, gets lists from per-cell tests, so an entry that is
+    appended to later must sit at a row end."""
+    none = (1, 0)  # an empty row
+    starts = [0]  # position of (k, c) is starts[k + 1] + c
     size = 0
     for lo, hi in rows:
         starts.append(size - lo)
         size += hi - lo + 1
-    fwd: list[list[int]] = []
-    back: list[list[int]] = []
-    none = (1, 0, 0)  # an empty row
-    for k, (lo, hi) in enumerate(rows):
-        here = starts[k]
-        up_lo, up_hi, up = rows[k + 1] + (starts[k + 1],) if k + 1 < len(rows) else none
-        dn_lo, dn_hi, dn = rows[k - 1] + (starts[k - 1],) if k else none
-        for c in range(lo, hi + 1):
-            i = here + c
-            heads = []
-            tails = []
-            if up_lo <= c <= up_hi:
-                heads.append(up + c)
-            if dn_lo <= c <= dn_hi:
-                tails.append(dn + c)
-            if c < hi:
-                heads.append(i + 1)
-            if c > lo:
-                tails.append(i - 1)
-            if dn_lo < c <= dn_hi + 1:
-                heads.append(dn + c - 1)
-            if up_lo <= c + 1 <= up_hi:
-                tails.append(up + c + 1)
-            fwd.append(heads)
-            back.append(tails)
+    starts.append(0)
+    padded = [none, *rows, none]
+    fwd: list = []
+    back: list = []
+    for k in range(1, len(padded) - 1):
+        dn_lo, dn_hi = padded[k - 1]
+        lo, hi = padded[k]
+        up_lo, up_hi = padded[k + 1]
+        dn, here, up = starts[k - 1], starts[k], starts[k + 1]
+        a = b = hi + 1  # the bulk is columns a..b-1; none in a short row
+        if hi - lo >= _SHORT_ROW:
+            a = max(lo + 1, up_lo, dn_lo + 1)
+            b = min(hi, up_hi, dn_hi + 1)
+            if a >= b:
+                a = b = hi + 1
+        # per cell: columns lo..a-1, then, after the bulk, b..hi
+        c, stop = lo, a
+        while True:
+            for c in range(c, stop):
+                i = here + c
+                heads = []
+                tails = []
+                if up_lo <= c <= up_hi:
+                    heads.append(up + c)
+                if dn_lo <= c <= dn_hi:
+                    tails.append(dn + c)
+                if c < hi:
+                    heads.append(i + 1)
+                if c > lo:
+                    tails.append(i - 1)
+                if dn_lo < c <= dn_hi + 1:
+                    heads.append(dn + c - 1)
+                if up_lo <= c + 1 <= up_hi:
+                    tails.append(up + c + 1)
+                fwd.append(heads)
+                back.append(tails)
+            if stop > hi:
+                break
+            fwd.extend(zip(range(up + a, up + b), range(here + a + 1, here + b + 1),
+                           range(dn + a - 1, dn + b - 1)))
+            back.extend(zip(range(dn + a, dn + b), range(here + a - 1, here + b - 1),
+                            range(up + a + 1, up + b + 1)))
+            c, stop = b, hi + 1
     return fwd, back
 
 

@@ -289,6 +289,9 @@ BRANCHES = {
                       '[{"rhombus":1,"thirds":-1,"triangle":"0-1-2"},'
                       '{"rhombus":2,"thirds":1,"triangle":"0-1-2"},'
                       '{"rhombus":3,"thirds":1,"triangle":"0-1-2"}]'}), ""),
+    "flip --edge -5~2": (
+        ["flip", "--triangulation", "{t}", "--edge", "-5~2"], {"t": SQUARE.to_json()},
+        1, canonical({"error": "KeyError", "detail": 'unknown edge "-5~2"'}), ""),
     "validate without input": (
         ["validate"], {}, 2, "", "hiveweb: validate needs --triangulation, --hive or --web\n"),
     "web2hive without input": (
@@ -331,3 +334,40 @@ def test_single_triangle_hive2web_inverts_web2hive(tmp_path, capsys, coords):
     code, web_out, err = invoke(capsys, "hive2web", "--hive", str(hive_path))
     assert (code, err) == (0, "")
     assert web_out == canonical(dict(zip("xyztuvw", map(int, coords.split(",")))))
+
+
+DASHED = {
+    "-t.json": SQUARE.to_json(),
+    "-h.json": hive_to_json(SQUARE, sample_hive(SQUARE, 2, 0)),
+    "-g.json": {"vertices": ["u", "-v"], "arcs": [["u", "-v"]]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["flip", "--triangulation", "-t.json", "--edge", "-5~2"],
+    ["flip", "--triangulation", "-t.json", "--edge", "0-2", "--hive", "-h.json"],
+    ["validate", "--triangulation", "-t.json"],
+    ["validate", "--hive", "-h.json"],
+    ["validate", "--hive", "-h"],  # a path, not the help flag
+    ["validate", "--web", "-w.json"],
+    ["hive2web", "--hive", "-h.json", "--triangulation", "-t.json"],
+    ["dist", "--graph", "-g.json", "--from", "u", "--to", "-v"],
+])
+def test_value_flags_take_values_that_start_with_a_dash(tmp_path, monkeypatch, capsys, argv):
+    """Edge ids, vertex ids and paths are taken whole after their flag even
+    when they start with "-", as the --flag=value form takes them."""
+    monkeypatch.chdir(tmp_path)
+    for name, doc in DASHED.items():
+        write(tmp_path / name, doc)
+    code, out, _ = invoke(capsys, "hive2web", "--hive=-h.json")
+    (tmp_path / "-w.json").write_text(out)
+    joined = [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    expected = invoke(capsys, argv[0], *joined)
+    assert "usage" not in expected[2]
+    assert invoke(capsys, *argv) == expected
+
+
+def test_out_path_may_start_with_a_dash(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert invoke(capsys, "gamma-dist", "--to", "2,1", "--out", "-o.json") == (0, "", "")
+    assert (tmp_path / "-o.json").read_text() == invoke(capsys, "gamma-dist", "--to", "2,1")[1]

@@ -21,6 +21,16 @@ that order: at k,
 both exact in ints.  Along a walk of flips, the mutated values must be the
 transported hive, and the mutated matrix, relabelled from the old frame to
 the new one, must be the quiver of the flipped triangulation.
+
+The same walk checks the X side.  With ε = E/2, p(a)_i = Σ_j ε_ij·a_j, and
+the tropical X-mutation at k is
+
+    p'_k = −p_k,    p'_i = p_i − ε_ik·max(0, −sgn(ε_ik)·p_k) for i ≠ k,
+
+both kept as 4p = 2E·a, exact in ints.  After each of the four mutations,
+the X-mutated p(a) must be p of the A-mutated values over the mutated
+matrix; relabelled to the new frame, it must be p, over the flipped
+triangulation's quiver, of the transported hive.
 """
 
 from __future__ import annotations
@@ -72,6 +82,26 @@ def mutate(matrix: dict, x: dict, k) -> tuple[dict, dict]:
     return {ij: e for ij, e in mutated.items() if e}, {**x, k: top // 2 - x[k]}
 
 
+def tropical_p(matrix: dict, a: dict) -> dict:
+    """4·p(a), p(a)_i = Σ_j ε_ij·a_j, at every vertex of ``a``."""
+    p = dict.fromkeys(a, 0)
+    for (i, j), e in matrix.items():
+        p[i] += 2 * e * a[j]
+    return p
+
+
+def mutate_x(matrix: dict, p: dict, k) -> dict:
+    """The tropical X-mutation at ``k`` over ``matrix`` of ``p``, given and
+    returned as 4p."""
+    mutated = {**p, k: -p[k]}
+    for (i, j), e in matrix.items():
+        if j == k:
+            change = e * max(0, -p[k] if e > 0 else p[k])
+            assert change % 2 == 0
+            mutated[i] -= change // 2
+    return mutated
+
+
 @st.composite
 def flip_walks(draw):
     """A triangulated m-gon split recursively at drawn apexes, a sampled hive
@@ -94,6 +124,8 @@ def flip_walks(draw):
 @settings(max_examples=40, deadline=None)
 @given(flip_walks())
 def test_a_flip_is_four_tropical_mutations(case):
+    """Each flip is the A-mutations of the values and the X-mutations of
+    their p at a2, a6, a5, a7."""
     tri, thirds, picks = case
     x, matrix = dict(zip(tri.keys, thirds)), quiver(tri)
     for pick in picks:
@@ -103,10 +135,16 @@ def test_a_flip_is_four_tropical_mutations(case):
         moved = {key: value for key, value in x.items() if key not in old}
         moved.update(zip((v.key() for v in frame_new.vertices()),
                          octahedron_thirds(*map(x.__getitem__, old))))
+        p = tropical_p(matrix, x)
         for k in (frame_old.a2, frame_old.a6, frame_old.a5, frame_old.a7):
+            p = mutate_x(matrix, p, k.key())
             matrix, x = mutate(matrix, x, k.key())
+            assert p == tropical_p(matrix, x)
         new = dict(zip(old, (v.key() for v in frame_new.vertices())))
         x = {new.get(key, key): value for key, value in x.items()}
         matrix = {(new.get(i, i), new.get(j, j)): e for (i, j), e in matrix.items()}
+        flipped = quiver(tri)
         assert x == moved
-        assert matrix == quiver(tri)
+        assert matrix == flipped
+        assert {new.get(key, key): value for key, value in p.items()} == tropical_p(
+            flipped, moved)

@@ -228,11 +228,32 @@ def reference_lattice_piece(rows):
     return fwd, back
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 6)), min_size=1, max_size=8))
-def test_lattice_piece_matches_point_lookup(spans):
-    rows = [(lo, lo + length) for lo, length in spans]
-    assert _lattice_piece(rows) == reference_lattice_piece(rows)
+def contents(piece):
+    """``_lattice_piece``'s entries as lists: interior entries are tuples."""
+    fwd, back = piece
+    return [list(heads) for heads in fwd], [list(tails) for tails in back]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-6, 6),
+       st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 18)), min_size=1, max_size=8))
+def test_lattice_piece_matches_point_lookup(lo, spans):
+    """Rows up to 19 columns long, each shifted from the one below by up to
+    four columns either way: long rows take the ranged path, and a shift of
+    two or more leaves several per-cell columns at a row end."""
+    rows = []
+    for shift, length in spans:
+        lo += shift
+        rows.append((lo, lo + length))
+    assert contents(_lattice_piece(rows)) == reference_lattice_piece(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    *([(-r, r)] * (2 * r + 1) for r in range(21)),  # gamma_window(r)
+    *([(0, k) for k in range(n + 1)] for n in range(46)),  # build_net mesh, |x| = n
+], ids=[*(f"window{r}" for r in range(21)), *(f"mesh{n}" for n in range(46))])
+def test_lattice_piece_matches_point_lookup_on_cli_shapes(rows):
+    assert contents(_lattice_piece(rows)) == reference_lattice_piece(rows)
 
 
 @pytest.mark.parametrize("radius", range(17))

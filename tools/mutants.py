@@ -8,10 +8,10 @@ Each entry of ``tools/mutants.json`` names a file under ``src/``, a snippet
 that occurs exactly once in it, the snippet's replacement and the test files
 to run.  Each distinct set of test files is first run once against an
 unmutated copy of ``src/``: it must pass there, and ``hiveweb`` must have been
-imported from that copy.  Then, for each entry, the runner copies ``src/`` to
-a temporary directory, applies the one replacement there, runs
-``pytest -x -q`` on the listed files against the copy and prints one
-canonical JSON line:
+imported from that copy.  Every such baseline runs before any mutant.  Then,
+for each entry, the runner copies ``src/`` to a temporary directory, applies
+the one replacement there, runs ``pytest -x -q`` on the listed files against
+the copy and prints one canonical JSON line, in catalogue order:
 
     killed    the tests failed, or could not be collected, on the mutant,
               or ran more than ten times as long as on the unmutated copy
@@ -24,7 +24,8 @@ canonical JSON line:
               code in "pytest")
 
 The exit code is 0 when every entry is killed, or survived and is marked
-equivalent.  The source tree is never written to.
+equivalent.  The source tree is never written to.  Baselines and mutants
+each run one pytest process per CPU the runner may use, at the same time.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,21 +72,25 @@ def pytest(src: Path, tests: list[str], timeout: float | None = None) -> int | N
         return None
 
 
+def baseline(tests: tuple[str, ...]) -> tuple[int | None, float]:
+    """Exit code and run time of ``tests`` on an unmutated copy of ``src/``."""
+    with tempfile.TemporaryDirectory(prefix="baseline-") as tmp:
+        src = copy_src(tmp)
+        start = time.monotonic()
+        return pytest(src, list(tests)), time.monotonic() - start
+
+
 def run_one(entry: dict, baselines: dict) -> dict:
     result = {"id": entry["id"]}
-    tests = tuple(entry["tests"])
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         src = copy_src(tmp)
         target = src.parent / entry["file"]
         text = target.read_text() if target.is_file() else ""
         if text.count(entry["snippet"]) != 1:
             return {**result, "status": "stale"}
-        if tests not in baselines:
-            start = time.monotonic()
-            baselines[tests] = pytest(src, entry["tests"]), time.monotonic() - start
-        baseline, seconds = baselines[tests]
-        if baseline != 0:
-            return {**result, "status": "error", "baseline": baseline}
+        code, seconds = baselines[tuple(entry["tests"])]
+        if code != 0:
+            return {**result, "status": "error", "baseline": code}
         target.write_text(text.replace(entry["snippet"], entry["replacement"]))
         code = pytest(src, entry["tests"], timeout=10 * seconds + 60)
     if code is None:
@@ -100,13 +106,17 @@ def run_one(entry: dict, baselines: dict) -> dict:
 
 
 def main() -> int:
-    baselines: dict = {}
+    entries = json.loads(CATALOGUE.read_text())
+    test_sets = list(dict.fromkeys(tuple(entry["tests"]) for entry in entries))
     ok = True
-    for entry in json.loads(CATALOGUE.read_text()):
-        result = run_one(entry, baselines)
-        print(json.dumps(result, sort_keys=True, separators=(",", ":")), flush=True)
-        ok &= result["status"] == "killed" or (
-            result["status"] == "survived" and "equivalent" in entry)
+    # each job waits on its own pytest process, so one thread per CPU keeps
+    # every CPU busy
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        baselines = dict(zip(test_sets, pool.map(baseline, test_sets)))
+        for entry, result in zip(entries, pool.map(lambda e: run_one(e, baselines), entries)):
+            print(json.dumps(result, sort_keys=True, separators=(",", ":")), flush=True)
+            ok &= result["status"] == "killed" or (
+                result["status"] == "survived" and "equivalent" in entry)
     return 0 if ok else 1
 
 
