@@ -34,7 +34,6 @@ from .metric import (
 )
 from .sampling import sample_hive
 from .surface import (
-    QuadFrame,
     ThetaVertex,
     Triangulation,
     build_polygon,

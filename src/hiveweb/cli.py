@@ -66,7 +66,7 @@ def _load(path: str, args, kind: str, doc=None):
         tri = surface.Triangulation.from_json(ref)
     else:
         raise MalformedInput("no triangulation: pass --triangulation or embed one in the document")
-    return tri, (web.web_coords_from_json(doc) if kind == "web"
+    return tri, (web.surface_web_from_json(doc) if kind == "web"
                  else hive_mod.hive_thirds_from_json(doc, tri))
 
 
@@ -113,7 +113,7 @@ def cmd_hive2web(args) -> int:
         _emit(json_text(dict(zip("xyztuvw", coords))), args.out)
         return 0
     tri, (values, _) = _load(args.hive, args, "hive", doc)
-    _emit(web.web_doc(web.surface_web_tuples(tri, values), tri), args.out)
+    _emit(web.web_doc(web.hive_to_surface_web(tri, values).items(), tri), args.out)
     return 0
 
 
@@ -122,21 +122,19 @@ def cmd_flip(args) -> int:
         tri, (values, others) = _load(args.hive, args, "hive")
     else:
         tri = _load_triangulation(args.triangulation)
-    flipped, frame_old, frame_new = surface.flip_triangulation(tri, args.edge)
+    flipped, frame_old, frame_new, new_edge = surface.flip_triangulation(tri, args.edge)
     hive = ""
     if args.hive:
         bad = hive_mod.validate_hive(tri, values)
         if bad:
             raise HivewebError("hive is invalid before transport: "
                                + thirds.shown_violations(bad))
-        # only the quadrilateral's twelve values take part in the transport
-        moved = {**others, **dict(zip(tri.keys, values))}
-        quad = [moved.pop(v.key()) for v in frame_old.vertices()]
-        new_keys = (v.key() for v in frame_new.vertices())
-        moved.update(zip(new_keys, hive_mod.octahedron_thirds(*quad)))
+        # the document's other keys travel along; a transported value replaces one
+        moved = hive_mod.octahedron_transport({**others, **dict(zip(tri.keys, values))},
+                                              frame_old, frame_new)
         hive = '"hive":%s,' % hive_mod.hive_doc(moved.items())
     _emit('{%s"new_edge":%s,"old_edge":%s,"triangulation":%s}' % (
-        hive, json_text(frame_new.diagonal), json_text(args.edge), flipped.to_text()), args.out)
+        hive, json_text(new_edge), json_text(args.edge), flipped.to_text()), args.out)
     return 0
 
 
@@ -202,10 +200,9 @@ def cmd_fermat(args) -> int:
     value = metric_mod.fermat_closed_form(spec)
     out = value.to_json()
     if args.window is not None:
-        graph = metric_mod.gamma_window(args.window)
-        brute, argmin = metric_mod.fermat_brute(
-            graph, spec.a.key(), spec.b.key(), spec.c.key()
-        )
+        corners = spec.a.key(), spec.b.key(), spec.c.key()
+        graph = metric_mod.gamma_window(args.window, corners)
+        brute, argmin = metric_mod.fermat_brute(graph, *corners)
         out = {
             "thirds": value.thirds,
             "brute": {"thirds": brute.thirds, "argmin_size": len(argmin)},
@@ -217,8 +214,8 @@ def cmd_fermat(args) -> int:
 
 def cmd_sample(args) -> int:
     tri = _load_triangulation(args.triangulation)
-    thirds = sampling.sample_thirds(tri, args.bound, args.seed)
-    _emit(hive_mod.hive_doc(zip(tri.keys, thirds), tri), args.out)
+    hive = sampling.sample_hive(tri, args.bound, args.seed)
+    _emit(hive_mod.hive_doc(zip(tri.keys, hive), tri), args.out)
     return 0
 
 

@@ -15,8 +15,8 @@ corner ((a1,a2) at corner 0, (a5,a7) at corner 1, (a3,a6) at corner 2), and
 the whole list is invariant under rotating which corner is called 0.
 
 Across a diagonal flip, hives are transported by the max-plus octahedron
-relations; the four new values land on the four inner positions of the
-quadrilateral frame.
+relations, by key: the quadrilateral frame is the tuple of its twelve vertex
+keys a1..a12, and the four new values land on its four inner slots.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 from typing import Dict, Iterator, List, Optional, Union
 
 from .errors import IncompleteHive, InvalidHive, MalformedInput
-from .surface import QuadFrame, ThetaVertex, Triangulation
+from .surface import ThetaVertex, Triangulation
 from .thirds import Third, int_cap, json_text, quoted, read_object, read_thirds
 
 HiveValues = Dict[ThetaVertex, Third]
@@ -47,7 +47,8 @@ def failed_rhombi(quantities) -> list[tuple[int, int]]:
 
 
 def hive_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> list[int]:
-    """``values`` as :data:`HiveThirds` (a list is taken to be that already)
+    """``values`` as :data:`HiveThirds` (a list is taken to be that already;
+    a :data:`HiveValues` dict, read by the benchmark's checks, is converted)
     once every vertex has a value: the one completeness check, which names
     the first vertex without one by position."""
     if not isinstance(values, list):
@@ -73,7 +74,7 @@ def validate_hive(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> 
             for index, value in failed_rhombi(quantities)]
 
 
-def tropical_potential(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> Third:
+def tropical_potential(tri: Triangulation, values: HiveThirds) -> Third:
     """Max over all triangles and rhombi of minus the rhombus quantity."""
     best = max((-min(q) for _, q in rhombus_scan(tri, hive_thirds(tri, values))), default=None)
     if best is None:
@@ -81,7 +82,7 @@ def tropical_potential(tri: Triangulation, values: Union[HiveValues, HiveThirds]
     return Third(best)
 
 
-def is_in_positive_cone(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> bool:
+def is_in_positive_cone(tri: Triangulation, values: HiveThirds) -> bool:
     """True iff every rhombus quantity is a non-negative integer; agrees with
     validate_hive returning no violations."""
     return all(not failed_rhombi(q) for _, q in rhombus_scan(tri, hive_thirds(tri, values)))
@@ -99,21 +100,22 @@ def octahedron_thirds(a1: int, a2: int, a3: int, a4: int, a5: int, a6: int, a7: 
     return a1, b2, a3, a4, b5, b6, b7, a8, a9, a10, a11, a12
 
 
-def octahedron_transport(values: HiveValues, frame_old: QuadFrame,
-                         frame_new: QuadFrame) -> HiveValues:
-    """Transport a hive across a diagonal flip by :func:`octahedron_thirds`;
-    the results are written to the post-flip frame's inner positions and all
-    other values carry over unchanged."""
-    old, new = frame_old.vertices(), frame_new.vertices()
-    for v in old:
-        if v not in values:
-            raise InvalidHive(f"hive has no value at frame vertex {v.key()}")
-    moved = octahedron_thirds(*(values[v].thirds for v in old))
+def octahedron_transport(values: dict[str, int], frame_old: tuple[str, ...],
+                         frame_new: tuple[str, ...]) -> dict[str, int]:
+    """Transport a hive, thirds by vertex key, across a diagonal flip by
+    :func:`octahedron_thirds` on the frames that
+    :func:`~hiveweb.surface.flip_triangulation` returns: the old frame's
+    inner keys (a2, a5, a6, a7) are dropped, the new frame's are written last,
+    and every other value carries over unchanged."""
+    for key in frame_old:
+        if key not in values:
+            raise InvalidHive(f"hive has no value at frame vertex {key}")
+    moved = octahedron_thirds(*map(values.__getitem__, frame_old))
     out = dict(values)
     inner = (1, 4, 5, 6)  # a2, a5, a6, a7: the diagonal's vertices and the centers move
     for i in inner:
-        del out[old[i]]
-    out.update((new[i], Third(moved[i])) for i in inner)
+        del out[frame_old[i]]
+    out.update((frame_new[i], moved[i]) for i in inner)
     return out
 
 
@@ -141,10 +143,10 @@ def hive_doc(pairs, tri: Optional[Triangulation] = None) -> str:
     return '{"triangulation":%s,"values":{%s}}' % (tri.to_text(), values)
 
 
-def hive_to_json(tri: Triangulation, values: HiveValues, inline: bool = True) -> dict:
-    """The hive document :func:`hive_doc` writes, parsed."""
-    return json.loads(hive_doc(((v.key(), x.thirds) for v, x in values.items()),
-                               tri if inline else None))
+def hive_to_json(tri: Triangulation, thirds: HiveThirds, inline: bool = True) -> dict:
+    """The hive document :func:`hive_doc` writes of ``thirds`` at the
+    positions of ``tri.keys``, parsed."""
+    return json.loads(hive_doc(zip(tri.keys, thirds), tri if inline else None))
 
 
 def hive_thirds_from_json(doc: dict, tri: Triangulation) -> tuple[HiveThirds, dict[str, int]]:
@@ -185,6 +187,7 @@ def hive_thirds_from_json(doc: dict, tri: Triangulation) -> tuple[HiveThirds, di
 
 
 def hive_values_from_json(doc: dict) -> HiveValues:
-    """The document's values by vertex, as :func:`hive_thirds_from_json` reads them."""
+    """The document's values by vertex, as :func:`hive_thirds_from_json` reads
+    them, in the :data:`HiveValues` form that the benchmark's checks read."""
     _, values = hive_thirds_from_json(doc, Triangulation([], []))
     return {ThetaVertex.parse(key): Third(x) for key, x in values.items()}

@@ -264,7 +264,7 @@ def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list, list]:
     return fwd, back
 
 
-def gamma_window(radius: int) -> OrientedGraph:
+def gamma_window(radius: int, corners: Iterable[Vertex] = ()) -> OrientedGraph:
     """Induced subgraph of the lattice graph on the square [-radius, radius]^2.
 
     Every point sends arcs to (x+1,y), (x,y+1) and (x-1,y-1) when those stay
@@ -273,12 +273,12 @@ def gamma_window(radius: int) -> OrientedGraph:
     -side-1, and the adjacency is built by that arithmetic alone.  A vertex is
     named by its :meth:`LatticePoint.key` string ``"x,y"``; the names are made
     only when a caller reads them, and a name is resolved by parsing it, so
-    only the exact key text of a point in the window is a vertex.
+    only the exact key text of a point in the window is a vertex.  The first
+    of ``corners`` that is not is refused before the adjacency is built.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     side = 2 * radius + 1
-    fwd, back = _lattice_piece([(-radius, radius)] * side)
 
     def name(i: int) -> str:
         return f"{i // side - radius},{i % side - radius}"
@@ -294,7 +294,11 @@ def gamma_window(radius: int) -> OrientedGraph:
         # outside the square, (x, y) can alias a position whose name is v
         return i if 0 <= i < side * side and name(i) == v else None
 
-    return OrientedGraph.indexed(fwd, back, name, position)
+    graph = OrientedGraph.indexed([], [], name, position)
+    for v in corners:
+        graph._locate(v)
+    graph._fwd, graph._back = _lattice_piece([(-radius, radius)] * side)
+    return graph
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,8 @@ from operator import itemgetter, mul
 from struct import Struct
 
 from .errors import InvalidTriangulation, MalformedInput, SamplingFailed
-from .hive import HiveThirds, HiveValues
+from .hive import HiveThirds
 from .surface import SIDE_LABELS, Triangulation
-from .thirds import Third
 from .web import web_to_hive_thirds
 
 # the corner counts y, z, t, u, v, w are positions 0..5; side s pins the sums
@@ -196,14 +195,10 @@ def _tree_order(tri: Triangulation) -> list[str]:
     return order
 
 
-def sample_hive(tri: Triangulation, bound: int, seed: int) -> HiveValues:
-    """A valid hive, deterministic in (triangulation, bound, seed)."""
-    return dict(zip(tri.vertices, map(Third, sample_thirds(tri, bound, seed))))
-
-
-def sample_thirds(tri: Triangulation, bound: int, seed: int) -> HiveThirds:
-    """The hive of :func:`sample_hive` as complete :data:`HiveThirds`, once
-    the bound is in range and the structural gate passes."""
+def sample_hive(tri: Triangulation, bound: int, seed: int) -> HiveThirds:
+    """A valid hive as complete :data:`HiveThirds`, deterministic in
+    (triangulation, bound, seed), once the bound is in range and the
+    structural gate passes."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
     if bound > MAX_BOUND:

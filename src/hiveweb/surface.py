@@ -19,7 +19,7 @@ different flip paths directly comparable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -43,7 +43,9 @@ _SIDES = {s: (near, far, s, (s + 1) % 3) for s, (near, far) in enumerate(SIDE_LA
 
 @dataclass(frozen=True, order=True)
 class ThetaVertex:
-    """A quiver vertex: kind "c" (triangle center) or "e" (edge vertex)."""
+    """A quiver vertex: kind "c" (triangle center) or "e" (edge vertex).  The
+    library names vertices by their keys; this class parses a key and is the
+    vertex of the ``HiveValues`` dict form."""
 
     kind: str
     ref: str
@@ -212,7 +214,7 @@ class Triangulation:
 
     @cached_property
     def vertices(self) -> tuple[ThetaVertex, ...]:
-        """The vertex at each position."""
+        """The vertex at each position, for the ``HiveValues`` dict form."""
         return tuple(map(ThetaVertex.parse, self.keys))
 
     @cached_property
@@ -462,51 +464,24 @@ def build_polygon(m: int, diagonals) -> Triangulation:
 # -- the quadrilateral frame and the flip ------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadFrame:
-    """The 12 quiver vertices around an interior diagonal.
-
-    For the frame of (T, e): the diagonal runs Q -> P by its stored
-    orientation; a6/a2 sit on the diagonal near Q/P; a5/a7 are the centers of
-    the triangles to the left/right of Q -> P; a1/a4 lie on the P-R edge near
-    P/R, a9/a10 on R-Q near R/Q, a3/a8 on S-P near P/S, a11/a12 on Q-S near
-    Q/S, where R and S are the far corners of the left and right triangle.
-
-    The post-flip frame returned by :func:`flip_triangulation` is positional:
-    its slot k holds the vertex that now occupies the pre-flip position of
-    slot k (so a2/a6 are the new centers and a5/a7 the new diagonal's
-    vertices near R and S).
-    """
-
-    a1: ThetaVertex
-    a2: ThetaVertex
-    a3: ThetaVertex
-    a4: ThetaVertex
-    a5: ThetaVertex
-    a6: ThetaVertex
-    a7: ThetaVertex
-    a8: ThetaVertex
-    a9: ThetaVertex
-    a10: ThetaVertex
-    a11: ThetaVertex
-    a12: ThetaVertex
-    diagonal: str
-
-    def vertices(self) -> tuple[ThetaVertex, ...]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a5, self.a6,
-                self.a7, self.a8, self.a9, self.a10, self.a11, self.a12)
-
-
 # positions of the quadrilateral's outer sides P->R, S->P, R->Q, Q->S in what
 # _quad returns, each side walked counterclockwise by its old cell
 PR, SP, RQ, QS = range(4)
 
 
-def _quad(tri: Triangulation, rec: EdgeRec) -> tuple[QuadFrame, tuple[tuple[str, bool], ...]]:
-    """The frame around the diagonal ``rec`` and the (edge id, walks
-    tail->head) of its outer sides, once :meth:`Triangulation.check` passes.
-    A side (edge, fwd) has the vertex ``e:edge:(1-fwd)`` near its first
-    corner and ``e:edge:fwd`` near its second."""
+def _quad(tri: Triangulation,
+          rec: EdgeRec) -> tuple[tuple[str, ...], tuple[tuple[str, bool], ...]]:
+    """The frame around the diagonal ``rec``, the keys of its twelve quiver
+    vertices a1..a12, and the (edge id, walks tail->head) of its outer sides,
+    once :meth:`Triangulation.check` passes.
+
+    The diagonal runs Q -> P by its stored orientation; a6/a2 sit on it near
+    Q/P, and a5/a7 are the centers of the triangles to the left/right of
+    Q -> P.  With R and S the far corners of the left and right triangle,
+    a1/a4 lie on the side P-R near P/R, a9/a10 on R-Q near R/Q, a3/a8 on S-P
+    near P/S and a11/a12 on Q-S near Q/S.  A side (edge, fwd) has the vertex
+    ``e:edge:(1-fwd)`` near its first corner and ``e:edge:fwd`` near its
+    second."""
     tri.check()
     if rec.attach1 is None:
         raise NotFlippable(f"edge {rec.id!r} is on the boundary")
@@ -516,18 +491,17 @@ def _quad(tri: Triangulation, rec: EdgeRec) -> tuple[QuadFrame, tuple[tuple[str,
     sides = (tri.side(t_left, s_left + 1), tri.side(t_right, s_right + 2),
              tri.side(t_left, s_left + 2), tri.side(t_right, s_right + 1))
     (a1, a4), (a8, a3), (a9, a10), (a11, a12) = (
-        (ThetaVertex.edge(eid, 1 - fwd), ThetaVertex.edge(eid, int(fwd))) for eid, fwd in sides)
-    frame = QuadFrame(a1, ThetaVertex.edge(rec.id, 1), a3, a4, ThetaVertex.center(t_left),
-                      ThetaVertex.edge(rec.id, 0), ThetaVertex.center(t_right),
-                      a8, a9, a10, a11, a12, rec.id)
+        (f"e:{eid}:{1 - fwd}", f"e:{eid}:{int(fwd)}") for eid, fwd in sides)
+    frame = (a1, f"e:{rec.id}:1", a3, a4, f"c:{t_left}", f"e:{rec.id}:0", f"c:{t_right}",
+             a8, a9, a10, a11, a12)
     # also catches two outer sides on one edge, or one on the diagonal
-    if len(set(frame.vertices())) != 12:
+    if len(set(frame)) != 12:
         raise SelfFoldedUnsupported(f"quadrilateral around {rec.id!r} wraps onto itself")
     return frame, sides
 
 
-def quad_frame(tri: Triangulation, edge_id: str) -> QuadFrame:
-    """Canonical frame of the quadrilateral around interior edge ``edge_id``."""
+def quad_frame(tri: Triangulation, edge_id: str) -> tuple[str, ...]:
+    """The keys a1..a12 of the quadrilateral around interior edge ``edge_id``."""
     return _quad(tri, tri.edge(edge_id))[0]
 
 
@@ -543,14 +517,18 @@ def _rotate_to_min(cycle: tuple) -> tuple[tuple, int]:
     return rotations[shift], shift
 
 
-def flip_triangulation(tri: Triangulation,
-                       edge_id: str) -> tuple[Triangulation, QuadFrame, QuadFrame]:
+def flip_triangulation(tri: Triangulation, edge_id: str
+                       ) -> tuple[Triangulation, tuple[str, ...], tuple[str, ...], str]:
     """Replace the diagonal of its quadrilateral with the other diagonal.
 
-    Returns the new triangulation, the frame of (T, e) and the positional
-    post-flip frame.  Ids of the two rebuilt cells and of the new diagonal
-    are derived from corner labels, so any flip path between the same two
-    triangulations of a polygon yields identical data.
+    Returns the new triangulation, the frame of (T, e) as
+    :func:`quad_frame` gives it, the post-flip frame and the new diagonal's
+    id.  The post-flip frame is positional: its slot k holds the key of the
+    vertex that now occupies the pre-flip position of slot k, so a2/a6 are the
+    new centers and a5/a7 the new diagonal's vertices near R and S.  Ids of
+    the two rebuilt cells and of the new diagonal are derived from corner
+    labels, so any flip path between the same two triangulations of a polygon
+    yields identical data.
     """
     rec = tri.edge(edge_id)
     frame_old, sides = _quad(tri, rec)
@@ -592,7 +570,7 @@ def flip_triangulation(tri: Triangulation,
     new_tris = [pid if t == t_left else qid if t == t_right else t for t in tri.triangles]
     flipped = Triangulation(new_tris, [moved.get(e.id, e) for e in tri.edges], tri.signature)
 
-    frame_new = replace(frame_old, a2=ThetaVertex.center(pid), a6=ThetaVertex.center(qid),
-                        a5=ThetaVertex.edge(new_eid, 0 if from_r else 1),
-                        a7=ThetaVertex.edge(new_eid, 1 if from_r else 0), diagonal=new_eid)
-    return flipped, frame_old, frame_new
+    a1, _, a3, a4, _, _, _, *outer = frame_old
+    frame_new = (a1, f"c:{pid}", a3, a4, f"e:{new_eid}:{1 - from_r}", f"c:{qid}",
+                 f"e:{new_eid}:{int(from_r)}", *outer)
+    return flipped, frame_old, frame_new, new_eid

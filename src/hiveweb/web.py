@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from operator import itemgetter
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence
 
 from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
 from .hive import (HiveThirds, HiveValues, failed_rhombi, hive_thirds, rhombi, rhombus_scan,
@@ -129,24 +129,21 @@ def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) 
 
 
 def surface_web_to_hive(tri: Triangulation, web: SurfaceWeb) -> HiveValues:
-    """Assemble the surface hive of an edge-consistent surface web."""
+    """:func:`surface_web_thirds` as a :data:`~hiveweb.hive.HiveValues`
+    dict, the form that the benchmark's checks read."""
     return dict(zip(tri.vertices, map(Third, surface_web_thirds(tri, web))))
 
 
-def surface_web_tuples(tri: Triangulation,
-                       values: Union[HiveValues, HiveThirds]) -> Iterator[tuple[str, WebTuple]]:
-    """(triangle, its web coordinates) of a valid surface hive, for each
-    triangle in order, read in the same pass that checks the rhombi."""
+def hive_to_surface_web(tri: Triangulation, values: HiveThirds) -> SurfaceWeb:
+    """Per-triangle web coordinates of a valid surface hive, read in the same
+    pass that checks the rhombi."""
+    out = {}
     for t, quantities in rhombus_scan(tri, hive_thirds(tri, values)):
         if failed_rhombi(quantities):
             bad = validate_hive(tri, values)
             raise InvalidHive(f"hive has {len(bad)} rhombus violations: {shown_violations(bad)}")
-        yield t, web_from_rhombi(quantities)
-
-
-def hive_to_surface_web(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> SurfaceWeb:
-    """Per-triangle web coordinates of a valid surface hive."""
-    return dict(surface_web_tuples(tri, values))
+        out[t] = web_from_rhombi(quantities)
+    return out
 
 
 def web_doc(pairs, tri: Optional[Triangulation] = None) -> str:
@@ -167,7 +164,7 @@ def surface_web_to_json(tri: Triangulation, web: SurfaceWeb, inline: bool = True
     return json.loads(web_doc(web.items(), tri if inline else None))
 
 
-def web_coords_from_json(doc: dict) -> dict[str, WebTuple]:
+def surface_web_from_json(doc: dict) -> SurfaceWeb:
     """Every entry of the document's ``coords`` as a 7-tuple, entry by entry:
     the document, its ``coords`` and each entry are objects, each key in
     ``xyztuvw`` order is present and obeys :func:`~hiveweb.thirds.checked_int`,
@@ -186,5 +183,3 @@ def web_coords_from_json(doc: dict) -> dict[str, WebTuple]:
         out[t] = c
     return out
 
-
-surface_web_from_json = web_coords_from_json  # the reader under its older name

@@ -2,11 +2,11 @@ import json
 
 import pytest
 
+from hiveweb import hive, metric, sampling, web
 from hiveweb.cli import run
 from hiveweb.hive import hive_to_json, validate_hive
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import Triangulation, build_polygon
-from hiveweb.thirds import Third
 
 
 def invoke(capsys, *argv):
@@ -45,7 +45,7 @@ def test_gamma_dist_with_source(capsys):
 def test_validate_zero_hive(tmp_path, capsys):
     tri = build_polygon(5, [(0, 2), (0, 3)])
     tri_path = write(tmp_path / "t.json", tri.to_json())
-    values = {v: Third(0) for v in tri.vertices}
+    values = [0] * len(tri.keys)
     hive_path = write(tmp_path / "h.json", hive_to_json(tri, values, inline=False))
     code, out, _ = invoke(
         capsys, "validate", "--triangulation", tri_path, "--hive", hive_path
@@ -57,8 +57,8 @@ def test_validate_zero_hive(tmp_path, capsys):
 def test_validate_invalid_hive_exits_one(tmp_path, capsys):
     tri = build_polygon(4, [(0, 2)])
     tri_path = write(tmp_path / "t.json", tri.to_json())
-    values = {v: Third(0) for v in tri.vertices}
-    values[tri.vertices[0]] = Third(1)  # a center
+    values = [0] * len(tri.keys)
+    values[0] = 1  # a center
     hive_path = write(tmp_path / "h.json", hive_to_json(tri, values, inline=False))
     code, out, _ = invoke(
         capsys, "validate", "--triangulation", tri_path, "--hive", hive_path
@@ -275,7 +275,7 @@ def canonical(doc):
 
 SQUARE = build_polygon(4, [(0, 2)])
 # a center one third off a zero hive: all nine rhombi of its triangle fail
-OFF_CENTER = {v: Third(int(v == SQUARE.vertices[0])) for v in SQUARE.vertices}
+OFF_CENTER = [1] + [0] * (len(SQUARE.keys) - 1)
 # the square with its first edge listed twice, and with its first triangle listed twice
 TWICE_LISTED_EDGE = {**SQUARE.to_json(), "edges": [*SQUARE.to_json()["edges"],
                                                    SQUARE.to_json()["edges"][0]]}
@@ -325,6 +325,27 @@ def test_branch_exit_code_and_output(tmp_path, capsys, argv, docs, code, out, er
     assert invoke(capsys, *(arg.format(**paths) for arg in argv)) == (code, out, err)
 
 
+def test_flip_hive_values_of_created_vertices_win_over_extra_keys(tmp_path, capsys):
+    """Extra keys that name no vertex of the square are carried across the
+    flip, but where one names a vertex the flip creates (the new diagonal's
+    e:1-3:0, the new cell c:1-2-3), the transported value replaces it."""
+    tri_path = write(tmp_path / "t.json", SQUARE.to_json())
+    code, sampled, _ = invoke(capsys, "sample", "--triangulation", tri_path,
+                              "--bound", "2", "--seed", "1")
+    assert code == 0
+    doc = json.loads(sampled)
+    argv = ["flip", "--triangulation", tri_path, "--edge", "0-2", "--hive"]
+    code, plain, err = invoke(capsys, *argv, write(tmp_path / "h.json", doc))
+    assert (code, err) == (0, "")
+    doc["values"].update({"e:1-3:0": {"thirds": 999}, "c:1-2-3": {"thirds": 998},
+                          "e:5-6:00": {"thirds": 7}})
+    code, out, err = invoke(capsys, *argv, write(tmp_path / "extra.json", doc))
+    assert (code, err) == (0, "")
+    values = json.loads(out)["hive"]["values"]
+    assert (values["e:1-3:0"], values["c:1-2-3"]) == ({"thirds": 12}, {"thirds": 10})
+    assert values == {**json.loads(plain)["hive"]["values"], "e:5-6:0": {"thirds": 7}}
+
+
 @pytest.mark.parametrize("coords", ["3,2,1,1,1,1,1", "-2,0,1,0,3,0,1", "0,0,0,0,0,0,0"])
 def test_single_triangle_hive2web_inverts_web2hive(tmp_path, capsys, coords):
     code, hive_out, _ = invoke(capsys, "web2hive", "--coords", coords)
@@ -371,3 +392,56 @@ def test_out_path_may_start_with_a_dash(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert invoke(capsys, "gamma-dist", "--to", "2,1", "--out", "-o.json") == (0, "", "")
     assert (tmp_path / "-o.json").read_text() == invoke(capsys, "gamma-dist", "--to", "2,1")[1]
+
+
+# a, b, c and window radius; the first corner outside the window in a, b, c order
+OUTSIDE_THE_WINDOW = {
+    "a": (("-30,0", "2,0", "0,2", "6"), "-30,0"),
+    "b": (("0,0", "30,0", "0,2", "24"), "30,0"),
+    "c": (("0,0", "2,0", "0,30", "6"), "0,30"),
+    "a and b": (("-30,0", "30,0", "0,2", "6"), "-30,0"),
+}
+
+
+@pytest.mark.parametrize("corners,outside", OUTSIDE_THE_WINDOW.values(), ids=OUTSIDE_THE_WINDOW)
+def test_fermat_refuses_a_corner_outside_the_window_before_building_it(
+        capsys, monkeypatch, corners, outside):
+    def no_window(rows):
+        raise AssertionError("the window was built")
+
+    monkeypatch.setattr(metric, "_lattice_piece", no_window)
+    a, b, c, radius = corners
+    assert invoke(capsys, "fermat", "--a", a, "--b", b, "--c", c, "--window", radius) == (
+        1, canonical({"error": "KeyError", "detail": f'unknown vertex "{outside}"'}), "")
+
+
+def test_fermat_checks_the_region_before_the_window(capsys, monkeypatch):
+    monkeypatch.setattr(metric, "_lattice_piece", None)
+    code, out, err = invoke(capsys, "fermat", "--a", "0,0", "--b", "-30,0", "--c", "0,-1",
+                            "--window", "2")
+    assert (code, json.loads(out)["error"], err) == (1, "OmegaEmpty", "")
+    with pytest.raises(TypeError):  # a window that holds its corners is built
+        run(["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "6"])
+
+
+def test_each_surface_command_runs_the_exported_function(tmp_path, capsys, monkeypatch):
+    """``sample``, ``hive2web``, ``flip --hive`` and ``web2hive --web`` call
+    the exported functions through their modules, where a wrapper put at the
+    module attribute sees each call."""
+    calls = {}
+    for module, name in ((sampling, "sample_hive"), (web, "hive_to_surface_web"),
+                         (hive, "octahedron_transport"), (web, "surface_web_from_json")):
+        def counted(*args, _name=name, _call=getattr(module, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _call(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    t = write(tmp_path / "t.json", SQUARE.to_json())
+    h, w = str(tmp_path / "h.json"), str(tmp_path / "w.json")
+    for argv in (["sample", "--triangulation", t, "--bound", "2", "--seed", "0", "--out", h],
+                 ["hive2web", "--hive", h, "--out", w],
+                 ["flip", "--triangulation", t, "--edge", "0-2", "--hive", h],
+                 ["web2hive", "--web", w]):
+        assert invoke(capsys, *argv)[0] == 0, argv
+    assert calls == {"sample_hive": 1, "hive_to_surface_web": 1, "octahedron_transport": 1,
+                     "surface_web_from_json": 1}

@@ -69,7 +69,7 @@ def test_only_hive_reads_and_writes_hive_values():
 
 
 def test_only_web_reads_and_writes_web_coords():
-    assert _sites("coords") - {ORACLE_REPORT} == {("web.py", "web_coords_from_json", "reads"),
+    assert _sites("coords") - {ORACLE_REPORT} == {("web.py", "surface_web_from_json", "reads"),
                                                   ("web.py", "web_doc", "builds")}
 
 

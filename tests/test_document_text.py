@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiveweb.hive import hive_doc, hive_to_json
-from hiveweb.sampling import sample_thirds
-from hiveweb.surface import EdgeRec, ThetaVertex, Triangulation, build_polygon
-from hiveweb.thirds import DEFAULT_MAX_THIRDS, Third
+from hiveweb.sampling import sample_hive
+from hiveweb.surface import EdgeRec, Triangulation, build_polygon
+from hiveweb.thirds import DEFAULT_MAX_THIRDS
 from hiveweb.web import surface_web_to_json, web_doc
 
 CAP = DEFAULT_MAX_THIRDS
@@ -107,12 +107,10 @@ def test_web_text_is_json_dumps_of_the_reference(pairs, tri):
 def test_polygon_documents_in_position_order_are_written_sorted():
     tri = build_polygon(12, [(0, i) for i in range(2, 11)])
     assert list(tri.keys) != sorted(tri.keys)  # e:0-10 sorts before e:0-2 and e:0-1
-    thirds = sample_thirds(tri, 2, 3)
-    values = {ThetaVertex.parse(k): Third(x) for k, x in zip(tri.keys, thirds)}
+    thirds = sample_hive(tri, 2, 3)
     web = {t: (t.count("1") - 1, 0, 1, 2, 3, 4, 5) for t in tri.triangles}
     assert hive_doc(zip(tri.keys, thirds), tri) == canonical(
         reference_hive(zip(tri.keys, thirds), tri))
-    assert hive_to_json(tri, values) == reference_hive(
-        [(v.key(), x.thirds) for v, x in values.items()], tri)
+    assert hive_to_json(tri, thirds) == reference_hive(zip(tri.keys, thirds), tri)
     assert web_doc(web.items(), tri) == canonical(reference_web(web.items(), tri))
     assert surface_web_to_json(tri, web, inline=False) == reference_web(web.items())

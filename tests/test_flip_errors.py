@@ -25,6 +25,7 @@ from hiveweb.sampling import sample_hive
 from hiveweb.surface import Triangulation, build_polygon, flip_triangulation, quad_frame
 
 SQUARE = build_polygon(4, [(0, 2)])
+A3, A9 = 2, 8  # slots of a frame a1..a12, a1 at 0
 
 
 def _square(*changes):
@@ -173,10 +174,10 @@ def test_quad_frame_refuses_incoherent_cells(doc, detail):
 
 
 def test_transport_names_the_first_missing_frame_vertex():
-    _, frame_old, frame_new = flip_triangulation(SQUARE, "0-2")
-    values = sample_hive(SQUARE, 1, 0)
-    del values[frame_old.a9], values[frame_old.a3]
+    _, frame_old, frame_new, _ = flip_triangulation(SQUARE, "0-2")
+    values = dict(zip(SQUARE.keys, sample_hive(SQUARE, 1, 0)))
+    del values[frame_old[A9]], values[frame_old[A3]]
     with pytest.raises(InvalidHive) as caught:
         octahedron_transport(values, frame_old, frame_new)
     assert str(caught.value) == "hive has no value at frame vertex e:1-2:1"
-    assert frame_old.a3.key() == "e:1-2:1"
+    assert frame_old[A3] == "e:1-2:1"

@@ -1,10 +1,10 @@
 """The flip as four tropical mutations of the Fock–Goncharov quiver.
 
-A reference for ``hive.octahedron_thirds`` that shares none of its formulas.
-The SL3 quiver of a triangulation is built from ``surface.LAYOUT`` alone, its
-exchange matrix stored doubled (E = 2ε) so that every entry is an int.  In
-each triangle with frame f and center c, each side s, whose vertices near
-corners s and s+1 carry the labels ``near`` and ``far``, adds
+A reference for ``hive.octahedron_transport`` that shares none of its
+formulas.  The SL3 quiver of a triangulation is built from ``surface.LAYOUT``
+alone, its exchange matrix stored doubled (E = 2ε) so that every entry is an
+int.  In each triangle with frame f and center c, each side s, whose vertices
+near corners s and s+1 carry the labels ``near`` and ``far``, adds
 
 - the half-arrow f[near] → f[far] with E = 1 (the two half-arrows of an
   interior edge cancel),
@@ -40,10 +40,11 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiveweb.hive import octahedron_thirds
-from hiveweb.sampling import sample_thirds
+from hiveweb.hive import octahedron_transport
+from hiveweb.sampling import sample_hive
 from hiveweb.surface import LAYOUT, build_polygon, flip_triangulation
 
+A2, A5, A6, A7 = 1, 4, 5, 6  # the inner slots of a frame a1..a12, a1 at 0
 CENTER = LAYOUT.index(None)
 SIDES = tuple((LAYOUT.index((s, True)), LAYOUT.index((s, False))) for s in range(3))
 
@@ -117,7 +118,7 @@ def flip_walks(draw):
                     diagonals.append((a, b))
                     stack.append((a, b))
     tri = build_polygon(m, diagonals)
-    thirds = sample_thirds(tri, draw(st.integers(1, 3)), draw(st.integers(0, 2**32)))
+    thirds = sample_hive(tri, draw(st.integers(1, 3)), draw(st.integers(0, 2**32)))
     return tri, thirds, draw(st.lists(st.integers(0, 20), min_size=1, max_size=6))
 
 
@@ -130,17 +131,14 @@ def test_a_flip_is_four_tropical_mutations(case):
     x, matrix = dict(zip(tri.keys, thirds)), quiver(tri)
     for pick in picks:
         interior = tri.interior_edges()
-        tri, frame_old, frame_new = flip_triangulation(tri, interior[pick % len(interior)])
-        old = [v.key() for v in frame_old.vertices()]
-        moved = {key: value for key, value in x.items() if key not in old}
-        moved.update(zip((v.key() for v in frame_new.vertices()),
-                         octahedron_thirds(*map(x.__getitem__, old))))
+        tri, frame_old, frame_new, _ = flip_triangulation(tri, interior[pick % len(interior)])
+        moved = octahedron_transport(x, frame_old, frame_new)
         p = tropical_p(matrix, x)
-        for k in (frame_old.a2, frame_old.a6, frame_old.a5, frame_old.a7):
-            p = mutate_x(matrix, p, k.key())
-            matrix, x = mutate(matrix, x, k.key())
+        for k in (frame_old[A2], frame_old[A6], frame_old[A5], frame_old[A7]):
+            p = mutate_x(matrix, p, k)
+            matrix, x = mutate(matrix, x, k)
             assert p == tropical_p(matrix, x)
-        new = dict(zip(old, (v.key() for v in frame_new.vertices())))
+        new = dict(zip(frame_old, frame_new))
         x = {new.get(key, key): value for key, value in x.items()}
         matrix = {(new.get(i, i), new.get(j, j)): e for (i, j), e in matrix.items()}
         flipped = quiver(tri)

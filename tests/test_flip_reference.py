@@ -7,7 +7,9 @@ outer sides read a second time by name, each new cell found by a second
 search over its rotations and the post-flip frame rebuilt field by field.
 Every input must give the same flipped ``edges`` and ``triangles`` in order,
 the same frames, the same transported hive, or the same exception with the
-same text.  The reference orders the new diagonal's two labels by ``repr``
+same text.  The library gives a frame as the keys of its twelve vertices and
+the new diagonal's id beside the flip, and it transports thirds by key, so the
+reference's frames and hives are compared by their keys.  The reference orders the new diagonal's two labels by ``repr``
 when they do not compare, as the cells' corners are ordered.  Two
 differences are meant: once the edge is found, the flip and ``quad_frame``
 refuse every complex that ``validate_complex`` rejects with the structural
@@ -38,8 +40,8 @@ from hiveweb.errors import (
     NotFlippable,
     SelfFoldedUnsupported,
 )
-from hiveweb.hive import octahedron_thirds, octahedron_transport, validate_hive
-from hiveweb.sampling import sample_thirds
+from hiveweb.hive import octahedron_transport, validate_hive
+from hiveweb.sampling import sample_hive
 from hiveweb.surface import (
     EdgeRec,
     ThetaVertex,
@@ -258,8 +260,9 @@ def _outcome(call, *args):
         return "raised", type(exc).__name__, str(exc)
 
 
-def _frame(frame):
-    return repr(frame.vertices()), frame.diagonal
+def _keys(frame):
+    """The keys of a reference frame's vertices a1..a12, as the library gives a frame."""
+    return tuple(v.key() for v in frame.vertices())
 
 
 def _refusal(tri):
@@ -311,33 +314,35 @@ def _same_flip(tri, edge_id):
         assert want[:2] == ("raised", "InvalidTriangulation")
         assert want[2] in {f"duplicate triangle id {json.dumps(t)}"
                            for t in _reused_cell_ids(tri, edge_id)}
-        assert _frame(frame_got[1]) == _frame(frame_want[1])
+        assert frame_got[1] == _keys(frame_want[1])
         return None
     if want[0] == "raised":
         assert got == want
     if frame_want[0] == "raised":
         assert frame_got == frame_want
     else:
-        assert _frame(frame_got[1]) == _frame(frame_want[1])
+        assert frame_got[1] == _keys(frame_want[1])
     if want[0] == "raised":
         return None
-    (flipped, old, new), (ref_flipped, ref_old, ref_new) = got[1], want[1]
+    (flipped, old, new, new_edge), (ref_flipped, ref_old, ref_new) = got[1], want[1]
     assert repr(flipped.edges) == repr(ref_flipped.edges)
     assert flipped.triangles == ref_flipped.triangles
     assert flipped.signature == ref_flipped.signature
     assert flipped.to_json() == ref_flipped.to_json()
-    assert (_frame(old), _frame(new)) == (_frame(ref_old), _frame(ref_new))
+    assert (old, new, new_edge) == (_keys(ref_old), _keys(ref_new), ref_new.diagonal)
     return flipped, (old, new), (ref_old, ref_new)
 
 
 def _same_transport(values, frames, ref_frames):
-    got = _outcome(octahedron_transport, values, *frames)
+    """Compare both transports of ``values``, Thirds by vertex, in order; the
+    reference's result (or None when both raised)."""
+    got = _outcome(octahedron_transport, {v.key(): x.thirds for v, x in values.items()}, *frames)
     want = _outcome(reference_transport, values, *ref_frames)
     if want[0] == "raised":
         assert got == want
         return None
-    assert repr(list(got[1].items())) == repr(list(want[1].items()))
-    return got[1]
+    assert repr(list(got[1].items())) == repr([(v.key(), x.thirds) for v, x in want[1].items()])
+    return want[1]
 
 
 # -- inputs -------------------------------------------------------------------
@@ -528,14 +533,12 @@ def _flip_or_refusal(tri, edge_id, thirds):
     """The flip of ``edge_id`` and the hive ``thirds`` moved across it, once
     both validate; None if the flip is refused with a text naming the edge."""
     try:
-        flipped, frame_old, frame_new = flip_triangulation(tri, edge_id)
+        flipped, frame_old, frame_new, _ = flip_triangulation(tri, edge_id)
     except (NotFlippable, SelfFoldedUnsupported, InvalidTriangulation) as exc:
         assert repr(edge_id) in str(exc)
         return None
     assert not validate_complex(flipped)
-    moved = dict(zip(tri.keys, thirds))
-    quad = [moved.pop(v.key()) for v in frame_old.vertices()]
-    moved.update(zip((v.key() for v in frame_new.vertices()), octahedron_thirds(*quad)))
+    moved = octahedron_transport(dict(zip(tri.keys, thirds)), frame_old, frame_new)
     thirds = [moved.pop(key) for key in flipped.keys]
     assert not moved and validate_hive(flipped, thirds) == []
     return flipped, thirds
@@ -548,7 +551,7 @@ def test_a_flip_of_a_valid_complex_validates_or_names_the_edge(case):
     doc, picks, seed = case
     tri = Triangulation.from_json(doc)
     assert not validate_complex(tri)
-    thirds = sample_thirds(tri, 2, seed)
+    thirds = sample_hive(tri, 2, seed)
     for pick in picks:
         interior = tri.interior_edges()
         done = _flip_or_refusal(tri, interior[pick % len(interior)], thirds)
@@ -580,8 +583,8 @@ def test_three_flips_of_a_mixed_label_polygon_equal_one(m, data):
         e["tail"], e["head"] = labels[e["tail"]], labels[e["head"]]
     tri = Triangulation.from_json(doc)
     for edge_id in tri.interior_edges():
-        once, _, frame = flip_triangulation(tri, edge_id)
-        again = flip_triangulation(once, frame.diagonal)
-        thrice = flip_triangulation(again[0], again[2].diagonal)
+        once, _, _, new_edge = flip_triangulation(tri, edge_id)
+        again = flip_triangulation(once, new_edge)
+        thrice = flip_triangulation(again[0], again[3])
         assert thrice[0].to_json() == once.to_json()
-        assert thrice[2].diagonal == frame.diagonal
+        assert thrice[3] == new_edge

@@ -14,13 +14,16 @@ from hiveweb.surface import CENTER, build_polygon, flip_triangulation, quad_fram
 from hiveweb.thirds import Third
 
 
+A2, A5, A6, A7 = 1, 4, 5, 6  # the inner slots of a frame a1..a12, a1 at 0
+
+
 def zero_hive(tri):
-    return {v: Third(0) for v in tri.vertices}
+    return [0] * len(tri.keys)
 
 
 def triangle_frame(tri, t):
-    """The quiver vertices of ``t`` in hive-label order a1..a7."""
-    return tuple(tri.vertices[p] for p in tri.frame(t))
+    """The quiver-vertex positions of ``t`` in hive-label order a1..a7."""
+    return tri.frame(t)
 
 
 def as_ints(diffs):
@@ -56,7 +59,7 @@ def test_validate_flags_bumped_center():
     values = zero_hive(tri)
     target = tri.triangles[0]
     frame = triangle_frame(tri, target)
-    values[frame[CENTER]] = Third(1)
+    values[frame[CENTER]] = 1
     violations = validate_hive(tri, values)
     assert {v["triangle"] for v in violations} == {target}
     # the three corner rhombi go negative by 1/3 ...
@@ -70,7 +73,7 @@ def test_validate_flags_non_integral_four_term():
     tri = build_polygon(3, [])
     values = zero_hive(tri)
     frame = triangle_frame(tri, tri.triangles[0])
-    values[frame[2]] = Third(1)  # a3
+    values[frame[2]] = 1  # a3
     violations = validate_hive(tri, values)
     assert any(v["rhombus"] == 2 and v["thirds"] == 1 for v in violations)
 
@@ -78,7 +81,7 @@ def test_validate_flags_non_integral_four_term():
 def test_validate_requires_every_vertex():
     tri = build_polygon(4, [(0, 2)])
     values = zero_hive(tri)
-    values.pop(next(iter(values)))
+    values[0] = None
     with pytest.raises(IncompleteHive):
         validate_hive(tri, values)
 
@@ -89,11 +92,13 @@ def test_potential_examples():
 
     frame = triangle_frame(tri, tri.triangles[0])
     instance = (12, 10, 9, 19, 14, 13, 11)
-    values = dict(zip(frame, map(Third, instance)))
+    values = zero_hive(tri)
+    for p, x in zip(frame, instance):
+        values[p] = x
     assert tropical_potential(tri, values) == Third(-3)
 
     bumped = zero_hive(tri)
-    bumped[frame[CENTER]] = Third(1)
+    bumped[frame[CENTER]] = 1
     assert tropical_potential(tri, bumped) == Third(1)
 
 
@@ -104,43 +109,43 @@ def test_positive_cone_examples():
     assert is_in_positive_cone(tri, sampled)
     bad = zero_hive(tri)
     frame = triangle_frame(tri, tri.triangles[0])
-    bad[frame[CENTER]] = Third(3)  # drives a1+a2-a4 negative
+    bad[frame[CENTER]] = 3  # drives a1+a2-a4 negative
     assert not is_in_positive_cone(tri, bad)
     assert validate_hive(tri, bad) != []
 
 
 def test_transport_zero_hive_fixed():
     tri = build_polygon(4, [(0, 2)])
-    _, frame_old, frame_new = flip_triangulation(tri, "0-2")
-    moved = octahedron_transport(zero_hive(tri), frame_old, frame_new)
-    assert all(v == Third(0) for v in moved.values())
+    _, frame_old, frame_new, _ = flip_triangulation(tri, "0-2")
+    moved = octahedron_transport(dict.fromkeys(tri.keys, 0), frame_old, frame_new)
+    assert all(v == 0 for v in moved.values())
 
 
 def test_transport_formula_instance():
     # raw thirds on the twelve frame positions; validity is not part of this check
     tri = build_polygon(4, [(0, 2)])
-    flipped, frame_old, frame_new = flip_triangulation(tri, "0-2")
+    flipped, frame_old, frame_new, _ = flip_triangulation(tri, "0-2")
     raw = (0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0)
-    values = dict(zip(frame_old.vertices(), (Third(n) for n in raw)))
+    values = dict(zip(frame_old, raw))
     moved = octahedron_transport(values, frame_old, frame_new)
     got = (
-        moved[frame_new.a2],
-        moved[frame_new.a5],
-        moved[frame_new.a6],
-        moved[frame_new.a7],
+        moved[frame_new[A2]],
+        moved[frame_new[A5]],
+        moved[frame_new[A6]],
+        moved[frame_new[A7]],
     )
-    assert got == (Third(0), Third(-1), Third(0), Third(-1))
-    assert set(moved) == set(flipped.vertices)
+    assert got == (0, -1, 0, -1)
+    assert set(moved) == set(flipped.keys)
 
 
 def test_transport_round_trip_is_identity():
     tri = build_polygon(4, [(0, 2)])
     for seed in range(50):
-        values = sample_hive(tri, 3, seed)
-        t1, fo1, fn1 = flip_triangulation(tri, "0-2")
+        values = dict(zip(tri.keys, sample_hive(tri, 3, seed)))
+        t1, fo1, fn1, new_edge = flip_triangulation(tri, "0-2")
         moved = octahedron_transport(values, fo1, fn1)
-        assert validate_hive(t1, moved) == []
-        t2, fo2, fn2 = flip_triangulation(t1, fn1.diagonal)
+        assert validate_hive(t1, [moved[key] for key in t1.keys]) == []
+        t2, fo2, fn2, _ = flip_triangulation(t1, new_edge)
         back = octahedron_transport(moved, fo2, fn2)
         assert t2 == tri
         assert back == values
@@ -156,8 +161,8 @@ def test_triangle_frame_vertices_are_distinct():
 def test_quad_frame_matches_transport_carriers():
     tri = build_polygon(4, [(0, 2)])
     frame = quad_frame(tri, "0-2")
-    assert frame.a5.kind == "c" and frame.a7.kind == "c"
-    assert frame.a2.kind == "e" and frame.a6.kind == "e"
+    assert frame[A5].startswith("c:") and frame[A7].startswith("c:")
+    assert frame[A2].startswith("e:") and frame[A6].startswith("e:")
 
 
 @pytest.mark.parametrize("alias_first", [False, True], ids=["canonical first", "alias first"])

@@ -33,7 +33,7 @@ from hiveweb.metric import OrientedGraph
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import Triangulation, build_polygon
 from hiveweb.thirds import max_thirds, read_array, read_object
-from hiveweb.web import hive_to_surface_web, surface_web_to_json, web_coords_from_json
+from hiveweb.web import hive_to_surface_web, surface_web_to_json, surface_web_from_json
 
 TRI = build_polygon(5, [(0, 2), (0, 3)])
 VALUES = sample_hive(TRI, 2, seed=1)
@@ -424,7 +424,7 @@ WEB_READ_ALIKE.append(pytest.param([DOCS["web"]], id="web document a list"))
 @pytest.mark.parametrize("doc", WEB_READ_ALIKE)
 def test_the_web_reader_is_the_cli_reader(argv, doc, tmp_path):
     with pytest.raises(MalformedInput) as info:
-        web_coords_from_json(doc)
+        surface_web_from_json(doc)
     assert invoke(argv, doc, tmp_path) == (2, "", f"hiveweb: {info.value}\n")
 
 
@@ -439,7 +439,7 @@ def _embedded(doc):
 READERS = {
     "triangulation": Triangulation.from_json,
     "hive": lambda doc: hive_thirds_from_json(doc, _embedded(doc)),
-    "web": lambda doc: (_embedded(doc), web_coords_from_json(doc)),
+    "web": lambda doc: (_embedded(doc), surface_web_from_json(doc)),
     "triangle-hive": triangle_thirds_from_json,
     "graph": OrientedGraph.from_json,
 }
@@ -459,7 +459,7 @@ def test_the_other_readers_are_the_cli_readers(name, tmp_path):
 
 # where each kind of document is read on the command line
 READER_OWNERS = {"triangulation": (Triangulation, "from_json"),
-                 "hive": (hive, "hive_thirds_from_json"), "web": (web, "web_coords_from_json"),
+                 "hive": (hive, "hive_thirds_from_json"), "web": (web, "surface_web_from_json"),
                  "triangle-hive": (hive, "triangle_thirds_from_json"),
                  "graph": (OrientedGraph, "from_json")}
 
@@ -537,7 +537,7 @@ def test_ints_at_the_cap_pass_the_inline_tests(capped, monkeypatch):
         CAP, -CAP, ("0-1-2", CAP), -CAP)
     read, _ = hive_thirds_from_json({"values": values}, TRI)
     assert (read[TRI.index[FIRST_VALUE]], read[TRI.index[FIRST_EDGE_KEY]]) == (CAP, -CAP)
-    assert web_coords_from_json({"coords": {"t": coords}})["t"][:2] == (-CAP, CAP)
+    assert surface_web_from_json({"coords": {"t": coords}})["t"][:2] == (-CAP, CAP)
 
 
 # where an unparsable cap is first read: at the first int, after any error found before it

@@ -1,6 +1,6 @@
 """A triangulation's frames and the rhombus scan against slow references.
 
-``Triangulation.frame`` and ``Triangulation.vertices`` give each triangle's
+``Triangulation.frame`` and ``Triangulation.keys`` give each triangle's
 quiver vertices, and ``validate_complex`` reads corners through
 ``Triangulation.ends``.  The reference below reads the JSON document itself,
 not the loader's tables: a frame built vertex by vertex from side lookups that
@@ -11,8 +11,10 @@ text, on random polygons with and without broken structure, with their lists
 shuffled and with integer ids.
 
 ``validate_hive``, ``tropical_potential`` and ``is_in_positive_cone`` run on
-int lists over a triangulation's quiver-vertex positions; the reference reads every triangle through
-the reference frame and the nine rhombus quantities on ``Third`` values.  They
+int lists over a triangulation's quiver-vertex positions, and on the same
+values as ``Third`` by ``ThetaVertex``; the reference reads every triangle
+through the reference frame and the nine rhombus quantities on ``Third``
+values.  They
 must agree on sampled hives, on single-vertex perturbations of them and on
 the same hives after random flips.
 
@@ -49,9 +51,8 @@ from hiveweb.hive import (
     tropical_potential,
     validate_hive,
 )
-from hiveweb.sampling import sample_hive, sample_thirds
+from hiveweb.sampling import sample_hive
 from hiveweb.surface import (
-    ThetaVertex,
     Triangulation,
     build_polygon,
     flip_triangulation,
@@ -102,7 +103,7 @@ def _side(edges, t, s):
 def _corner_vertex(edges, t, s, at_start):
     edge_id, fwd = _side(edges, t, s)
     slot = (0 if fwd else 1) if at_start else (1 if fwd else 0)
-    return ThetaVertex.edge(edge_id, slot)
+    return f"e:{edge_id}:{slot}"
 
 
 def _corner_label(edges, t, k, at_start=True):
@@ -112,7 +113,7 @@ def _corner_label(edges, t, k, at_start=True):
 
 
 def reference_frame(edges, t):
-    return tuple(ThetaVertex.center(t) if site is None else _corner_vertex(edges, t, *site)
+    return tuple(f"c:{t}" if site is None else _corner_vertex(edges, t, *site)
                  for site in REF_LAYOUT)
 
 
@@ -124,15 +125,15 @@ def reference_rhombi(a1, a2, a3, a4, a5, a6, a7):
 
 
 def triangle_frame(tri, t):
-    """The library's quiver vertices of ``t`` in hive-label order a1..a7."""
-    return tuple(tri.vertices[p] for p in tri.frame(t))
+    """The keys of the library's quiver vertices of ``t`` in hive-label order a1..a7."""
+    return tuple(tri.keys[p] for p in tri.frame(t))
 
 
 def reference_theta_index(doc):
-    out = [ThetaVertex.center(t) for t in sorted(map(_text, doc["triangles"]))]
+    out = [f"c:{t}" for t in sorted(map(_text, doc["triangles"]))]
     for eid in sorted(e.id for e in doc_edges(doc)):
-        out.append(ThetaVertex.edge(eid, 0))
-        out.append(ThetaVertex.edge(eid, 1))
+        out.append(f"e:{eid}:0")
+        out.append(f"e:{eid}:1")
     return out
 
 
@@ -207,11 +208,13 @@ def random_diagonals(m, rng):
 
 
 def reference(tri, values):
-    """(violations, potential, in cone) one Third at a time."""
+    """(violations, potential, in cone) one Third at a time, of ``values``
+    in thirds by position."""
     violations, worst, edges = [], None, doc_edges(tri.to_json())
     for t in tri.triangles:
         frame = reference_frame(edges, t)
-        for index, d in enumerate(reference_rhombi(*(values[v] for v in frame)), start=1):
+        thirds = (Third(values[tri.index[key]]) for key in frame)
+        for index, d in enumerate(reference_rhombi(*thirds), start=1):
             if d.thirds < 0 or not d.is_integer():
                 violations.append({"triangle": t, "rhombus": index, "thirds": d.thirds})
             worst = -d.thirds if worst is None else max(worst, -d.thirds)
@@ -220,16 +223,16 @@ def reference(tri, values):
 
 def assert_agrees(tri, values):
     violations, potential, cone = reference(tri, values)
-    for form in (values, hive_thirds(tri, values)):
+    for form in (values, dict(zip(tri.vertices, map(Third, values)))):
         assert validate_hive(tri, form) == violations
         assert tropical_potential(tri, form) == potential
         assert is_in_positive_cone(tri, form) is cone
 
 
 def perturbed(tri, values, data):
-    vertex = data.draw(st.sampled_from(tri.vertices))
+    p = tri.index[data.draw(st.sampled_from(tri.keys))]
     delta = data.draw(st.integers(-4, 4).filter(bool))
-    return {**values, vertex: Third(values[vertex].thirds + delta)}
+    return [x + delta if i == p else x for i, x in enumerate(values)]
 
 
 @settings(deadline=None, max_examples=60)
@@ -244,8 +247,10 @@ def test_scan_agrees_with_reference(data):
         interior = sorted(tri.interior_edges())
         if not interior:
             break
-        tri, frame_old, frame_new = flip_triangulation(tri, data.draw(st.sampled_from(interior)))
-        values = octahedron_transport(values, frame_old, frame_new)
+        flipped, frame_old, frame_new, _ = flip_triangulation(
+            tri, data.draw(st.sampled_from(interior)))
+        moved = octahedron_transport(dict(zip(tri.keys, values)), frame_old, frame_new)
+        tri, values = flipped, [moved[key] for key in flipped.keys]
         assert_agrees(tri, values)
     assert_agrees(tri, perturbed(tri, values, data))
 
@@ -309,7 +314,7 @@ def test_frames_enumeration_and_report_match_the_reference(data):
     if data.draw(st.booleans()):
         _number_ids(doc, rng)
     tri, edges = Triangulation.from_json(doc), doc_edges(doc)
-    assert list(tri.vertices) == reference_theta_index(doc)
+    assert list(tri.keys) == reference_theta_index(doc)
     broken = reference_validate_complex(doc)
     assert validate_complex(tri) == broken
     assert (tri._frames is None) == bool(broken)
@@ -401,7 +406,7 @@ def test_positions_are_built_only_when_read():
     # the walk decides the structure, so every reader builds the frames
     assert built_by(validate_complex) == {"slot0", "_frames"}
     assert built_by(flip_triangulation, "0-2") == {"slot0", "_frames", "_slots"}
-    assert built_by(sample_thirds, 1, 0) == {"slot0", "keys", "_frames"}
+    assert built_by(sample_hive, 1, 0) == {"slot0", "keys", "_frames"}
     assert built_by(surface_web_thirds, coords) == {"slot0", "keys", "_frames"}
     assert built_by(validate_hive, hive_thirds(tri, values)) == {"slot0", "_frames"}
 
@@ -424,7 +429,7 @@ def test_hive_commands_answer_by_content_on_incomplete_or_broken_hives(data):
     m = data.draw(st.integers(3, 14))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     tri = build_polygon(m, random_diagonals(m, rng))
-    thirds = sample_thirds(tri, 1, 0)
+    thirds = sample_hive(tri, 1, 0)
     values = {key: {"thirds": x} for key, x in zip(tri.keys, thirds)}
     doc = {"values": values, "triangulation": tri.to_json()}
     coords = {t: dict(zip("xyztuvw", c)) for t, c in hive_to_surface_web(tri, thirds).items()}
@@ -478,7 +483,7 @@ def test_hive_commands_refuse_a_corner_with_two_labels(tmp_path):
     """The square with the head of edge 0-1 relabelled 7: every frame reads,
     but corner 1 of 0-1-2 has two labels, so no hive on it is valid."""
     tri = build_polygon(4, [(0, 2)])
-    doc = {"values": {key: {"thirds": x} for key, x in zip(tri.keys, sample_thirds(tri, 1, 0))},
+    doc = {"values": {key: {"thirds": x} for key, x in zip(tri.keys, sample_hive(tri, 1, 0))},
            "triangulation": tri.to_json()}
     next(e for e in doc["triangulation"]["edges"] if e["id"] == "0-1")["head"] = 7
     path = tmp_path / "h.json"

@@ -15,6 +15,8 @@ from hiveweb.surface import (
     validate_complex,
 )
 
+A2, A6 = 1, 5  # the diagonal's vertices near P and Q in a frame a1..a12, a1 at 0
+
 
 def test_theta_vertex_keys_round_trip():
     c = ThetaVertex.center("0-1-2")
@@ -29,7 +31,7 @@ def test_triangle_is_forced():
     t = build_polygon(3, [])
     assert len(t.triangles) == 1
     assert len(t.edges) == 3
-    assert len(t.vertices) == 7
+    assert len(t.keys) == 7
     assert not validate_complex(t)
 
 
@@ -37,7 +39,7 @@ def test_quadrilateral_counts():
     t = build_polygon(4, [(0, 2)])
     assert len(t.triangles) == 2
     assert len(t.edges) == 5
-    assert len(t.vertices) == 12
+    assert len(t.keys) == 12
     assert t.signature == (0, 1, 4)
     assert not validate_complex(t)
 
@@ -46,7 +48,7 @@ def test_pentagon_counts():
     t = build_polygon(5, [(0, 2), (0, 3)])
     assert len(t.triangles) == 3
     assert len(t.edges) == 7
-    assert len(t.vertices) == 17
+    assert len(t.keys) == 17
 
 
 @pytest.mark.parametrize(
@@ -87,9 +89,9 @@ def test_validate_reports_count_mismatch():
 
 def test_theta_index_is_stable():
     t = build_polygon(6, [(0, 2), (2, 4), (0, 4)])
-    first = t.vertices
-    assert first == t.vertices
-    assert first == build_polygon(6, [(0, 4), (0, 2), (2, 4)]).vertices
+    first = t.keys
+    assert first == t.keys
+    assert first == build_polygon(6, [(0, 4), (0, 2), (2, 4)]).keys
     assert len(first) == len(set(first)) == 2 * 9 + 4
 
 
@@ -102,18 +104,18 @@ def test_json_round_trip():
 
 def test_flip_quadrilateral_switches_diagonal():
     t = build_polygon(4, [(0, 2)])
-    flipped, frame_old, frame_new = flip_triangulation(t, "0-2")
-    assert frame_old.diagonal == "0-2"
-    assert frame_new.diagonal == "1-3"
+    flipped, frame_old, _, new_edge = flip_triangulation(t, "0-2")
+    assert (frame_old[A2], frame_old[A6]) == ("e:0-2:1", "e:0-2:0")
+    assert new_edge == "1-3"
     assert flipped == build_polygon(4, [(1, 3)])
 
 
 def test_flip_is_an_involution_on_the_complex():
     t = build_polygon(4, [(0, 2)])
-    once, _, frame_new = flip_triangulation(t, "0-2")
-    twice, _, _ = flip_triangulation(once, frame_new.diagonal)
+    once, _, _, new_edge = flip_triangulation(t, "0-2")
+    twice = flip_triangulation(once, new_edge)[0]
     assert twice == t
-    assert twice.vertices == t.vertices
+    assert twice.keys == t.keys
 
 
 def test_flip_boundary_edge_rejected():
@@ -136,17 +138,17 @@ def test_quad_frame_has_twelve_distinct_vertices():
     t = build_polygon(5, [(0, 2), (0, 3)])
     for edge_id in ("0-2", "0-3"):
         frame = quad_frame(t, edge_id)
-        assert len(set(frame.vertices())) == 12
-        assert frame.a6 == ThetaVertex.edge(edge_id, 0)
-        assert frame.a2 == ThetaVertex.edge(edge_id, 1)
+        assert len(set(frame)) == 12
+        assert frame[A6] == ThetaVertex.edge(edge_id, 0).key()
+        assert frame[A2] == ThetaVertex.edge(edge_id, 1).key()
 
 
 def test_flip_path_independence_of_labels():
     # both routes from the fan {0-2, 0-3} to {1-3, 1-4} give identical data
     t = build_polygon(5, [(0, 2), (0, 3)])
-    a, _, _ = flip_triangulation(t, "0-2")
-    a, _, _ = flip_triangulation(a, "0-3")
-    b, _, _ = flip_triangulation(t, "0-3")
-    b, _, _ = flip_triangulation(b, "0-2")
-    b, _, _ = flip_triangulation(b, "2-4")
+    a = flip_triangulation(t, "0-2")[0]
+    a = flip_triangulation(a, "0-3")[0]
+    b = flip_triangulation(t, "0-3")[0]
+    b = flip_triangulation(b, "0-2")[0]
+    b = flip_triangulation(b, "2-4")[0]
     assert a == b

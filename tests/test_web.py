@@ -22,7 +22,7 @@ from hiveweb.hive import (
     hive_to_json,
     validate_hive,
 )
-from hiveweb.sampling import sample_hive, sample_thirds
+from hiveweb.sampling import sample_hive
 from hiveweb.surface import CENTER, Triangulation, build_polygon
 from hiveweb.surfacoid import build_net
 from hiveweb.thirds import Third
@@ -34,14 +34,8 @@ from hiveweb.web import (
     surface_web_thirds,
     surface_web_to_hive,
     surface_web_to_json,
-    surface_web_tuples,
     web_to_hive_thirds,
 )
-
-
-def triangle_frame(tri, t):
-    """The quiver vertices of ``t`` in hive-label order a1..a7."""
-    return tuple(tri.vertices[p] for p in tri.frame(t))
 
 
 def test_zero_coords_give_zero_hive():
@@ -116,10 +110,9 @@ def test_single_triangle_surface_reduces_to_triangle_ops():
     tri = build_polygon(3, [])
     t = tri.triangles[0]
     coords = (2, 1, 0, 1, 0, 2, 1)
-    values = surface_web_to_hive(tri, {t: coords})
-    frame = triangle_frame(tri, t)
+    values = surface_web_thirds(tri, {t: coords})
     expected = web_to_hive_thirds(*coords)
-    assert tuple(values[v] for v in frame) == tuple(map(Third, expected))
+    assert tuple(values[p] for p in tri.frame(t)) == expected
     assert validate_hive(tri, values) == []
 
 
@@ -131,7 +124,7 @@ def test_gluing_mismatch_names_edge_and_pairs():
         t1: (1, 0, 0, 0, 0, 0, 0),
     }
     with pytest.raises(GluingMismatch) as err:
-        surface_web_to_hive(tri, web)
+        surface_web_thirds(tri, web)
     assert err.value.edge_id == "0-2"
     assert err.value.pair_a != err.value.pair_b
 
@@ -141,19 +134,18 @@ def test_surface_round_trip_on_pentagon():
     for seed in range(60):
         values = sample_hive(tri, 2, seed)
         web = hive_to_surface_web(tri, values)
-        assert surface_web_to_hive(tri, web) == values
+        assert surface_web_thirds(tri, web) == values
 
 
 def test_hive_to_surface_web_requires_validity():
     tri = build_polygon(4, [(0, 2)])
-    values = {v: Third(0) for v in tri.vertices}
-    frame = triangle_frame(tri, tri.triangles[0])
-    values[frame[CENTER]] = Third(1)
+    values = [0] * len(tri.keys)
+    values[tri.frame(tri.triangles[0])[CENTER]] = 1
     with pytest.raises(InvalidHive):
         hive_to_surface_web(tri, values)
 
 
-# -- the int cores against the public functions and today's CLI bytes --------
+# -- the dict forms against the int lists, and each function against the CLI --
 
 def _cli(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -185,12 +177,16 @@ def polygons(draw):
 @settings(max_examples=40, deadline=None)
 @given(polygons(), st.integers(0, 3), st.integers(-(2**64), 2**64))
 def test_int_cores_match_the_public_functions(tri, bound, seed):
+    """The dict forms of a hive (``Third`` by ``ThetaVertex``) give what the
+    int lists give, and each exported function writes the CLI's bytes."""
     tri = Triangulation.from_json(tri.to_json())  # as the CLI reads it, triangles sorted
     values = sample_hive(tri, bound, seed)
-    assert sample_thirds(tri, bound, seed) == hive_thirds(tri, values)
+    as_dict = dict(zip(tri.vertices, map(Third, values)))
+    assert hive_thirds(tri, as_dict) == values
     web = hive_to_surface_web(tri, values)
-    assert dict(surface_web_tuples(tri, values)) == web
-    assert surface_web_thirds(tri, web) == hive_thirds(tri, values)
+    assert hive_to_surface_web(tri, as_dict) == web
+    assert surface_web_thirds(tri, web) == values
+    assert surface_web_to_hive(tri, web) == as_dict
 
     with tempfile.TemporaryDirectory() as workdir:
         t, h, w = (Path(workdir) / name for name in ("t.json", "h.json", "w.json"))
@@ -203,7 +199,7 @@ def test_int_cores_match_the_public_functions(tri, bound, seed):
         assert (code, webbed) == (0, _canonical(surface_web_to_json(tri, web)))
         w.write_text(webbed)
         code, back, _ = _cli(["web2hive", "--web", str(w)])
-        glued = surface_web_to_hive(tri, surface_web_from_json(json.loads(webbed)))
+        glued = surface_web_thirds(tri, surface_web_from_json(json.loads(webbed)))
         assert (code, back) == (0, _canonical(hive_to_json(tri, glued)))
 
 
