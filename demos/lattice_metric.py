@@ -7,8 +7,6 @@ corner points has a closed form attained exactly on a polygonal region.
 """
 
 from hiveweb import (
-    FermatSpec,
-    LatticePoint,
     fermat_brute,
     fermat_closed_form,
     gamma_distance,
@@ -19,16 +17,15 @@ from hiveweb.metric import omega_points
 
 print("distance from the origin (in thirds), closed form vs Dijkstra:")
 window = gamma_window(8)
-for point in [(2, 1), (-1, 0), (3, 3), (-2, -2), (0, -3)]:
-    p = LatticePoint(*point)
-    closed = gamma_distance(p)
-    measured = shortest_distance(window, "0,0", p.key())
-    print(f"  d(O, {point}): {closed.thirds}/3  (graph agrees: {closed == measured})")
+for x, y in [(2, 1), (-1, 0), (3, 3), (-2, -2), (0, -3)]:
+    closed = gamma_distance(x, y)
+    measured = shortest_distance(window, "0,0", f"{x},{y}")
+    print(f"  d(O, {(x, y)}): {closed}/3  (graph agrees: {closed == measured})")
 
-spec = FermatSpec(LatticePoint(0, 0), LatticePoint(2, 0), LatticePoint(0, 2))
-value = fermat_closed_form(spec)
+corners = (0, 0), (2, 0), (0, 2)
+value = fermat_closed_form(*corners)
 brute, argmin = fermat_brute(gamma_window(6), "0,0", "2,0", "0,2")
-region = {p.key() for p in omega_points(spec, 6)}
-print(f"\ntripod minimum for A=(0,0), B=(2,0), C=(0,2): {value.thirds}/3")
+region = {f"{x},{y}" for x, y in omega_points(*corners, 6)}
+print(f"\ntripod minimum for A=(0,0), B=(2,0), C=(0,2): {value}/3")
 print(f"brute force agrees: {brute == value}")
 print(f"minimizers = the whole region ({len(region)} points): {argmin == region}")

@@ -27,9 +27,8 @@ back = hive_to_web_triangle(hive)
 print(f"inverse formulas give  : {back}")
 assert back == coords
 
-net = build_net(coords)
-print(f"dual net               : {len(net.graph.vertices)} vertices, "
-      f"{len(net.graph.arcs)} arcs")
+graph, _ = build_net(coords)
+print(f"dual net               : {len(graph.vertices)} vertices, {len(graph.arcs)} arcs")
 oracle = oracle_triangle_hive(coords)
 print(f"oracle hive (distances): {oracle}")
 assert oracle == hive

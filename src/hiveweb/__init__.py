@@ -24,7 +24,6 @@ from .hive import (
     validate_hive,
 )
 from .metric import (
-    FermatSpec,
     OrientedGraph,
     fermat_brute,
     fermat_closed_form,
@@ -41,8 +40,8 @@ from .surface import (
     quad_frame,
     validate_complex,
 )
-from .surfacoid import TriangleNet, build_net, oracle_triangle_hive
-from .thirds import ZERO, LatticePoint, Third
+from .surfacoid import build_net, oracle_triangle_hive
+from .thirds import Third
 from .web import (
     SurfaceWeb,
     hive_to_surface_web,

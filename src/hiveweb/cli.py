@@ -21,7 +21,7 @@ from . import hive as hive_mod
 from . import metric as metric_mod
 from . import sampling, surface, surfacoid, thirds, web
 from .errors import HivewebError, MalformedInput
-from .thirds import LatticePoint, json_text, parse_ints, read_object
+from .thirds import json_text, parse_ints, read_object
 
 
 def _emit(text: str, out_path) -> None:
@@ -140,7 +140,7 @@ def cmd_flip(args) -> int:
 
 def cmd_potential(args) -> int:
     tri, (values, _) = _load(args.hive, args, "hive")
-    _emit(json_text(hive_mod.tropical_potential(tri, values).to_json()), args.out)
+    _emit(json_text({"thirds": hive_mod.tropical_potential(tri, values)}), args.out)
     return 0
 
 
@@ -185,29 +185,22 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gamma_dist(args) -> int:
-    to = LatticePoint.parse(args.to, "--to")
-    src = LatticePoint.parse(args.src, "--from") if args.src else LatticePoint(0, 0)
-    _emit(json_text(metric_mod.gamma_distance(to - src).to_json()), args.out)
+    x, y = parse_ints(args.to, 2, "--to")
+    x0, y0 = parse_ints(args.src, 2, "--from") if args.src else (0, 0)
+    _emit(json_text({"thirds": metric_mod.gamma_distance(x - x0, y - y0)}), args.out)
     return 0
 
 
 def cmd_fermat(args) -> int:
-    spec = metric_mod.FermatSpec(
-        LatticePoint.parse(args.a, "--a"),
-        LatticePoint.parse(args.b, "--b"),
-        LatticePoint.parse(args.c, "--c"),
-    )
-    value = metric_mod.fermat_closed_form(spec)
-    out = value.to_json()
+    points = [parse_ints(text, 2, flag) for text, flag in
+              ((args.a, "--a"), (args.b, "--b"), (args.c, "--c"))]
+    value = metric_mod.fermat_closed_form(*points)
+    out = {"thirds": value}
     if args.window is not None:
-        corners = spec.a.key(), spec.b.key(), spec.c.key()
+        corners = [f"{x},{y}" for x, y in points]
         graph = metric_mod.gamma_window(args.window, corners)
         brute, argmin = metric_mod.fermat_brute(graph, *corners)
-        out = {
-            "thirds": value.thirds,
-            "brute": {"thirds": brute.thirds, "argmin_size": len(argmin)},
-            "match": brute == value,
-        }
+        out.update(brute={"thirds": brute, "argmin_size": len(argmin)}, match=brute == value)
     _emit(json_text(out), args.out)
     return 0
 
@@ -230,7 +223,7 @@ def _vertex(graph: metric_mod.OrientedGraph, name: str):
 def cmd_dist(args) -> int:
     graph = metric_mod.OrientedGraph.from_json(_load_doc(args.graph))
     src, to = _vertex(graph, args.src), _vertex(graph, args.to)
-    _emit(json_text(metric_mod.shortest_distance(graph, src, to).to_json()), args.out)
+    _emit(json_text({"thirds": metric_mod.shortest_distance(graph, src, to)}), args.out)
     return 0
 
 

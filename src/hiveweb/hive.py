@@ -74,12 +74,12 @@ def validate_hive(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> 
             for index, value in failed_rhombi(quantities)]
 
 
-def tropical_potential(tri: Triangulation, values: HiveThirds) -> Third:
-    """Max over all triangles and rhombi of minus the rhombus quantity."""
+def tropical_potential(tri: Triangulation, values: HiveThirds) -> int:
+    """Max over all triangles and rhombi of minus the rhombus quantity, in thirds."""
     best = max((-min(q) for _, q in rhombus_scan(tri, hive_thirds(tri, values))), default=None)
     if best is None:
         raise InvalidHive("triangulation has no triangles")
-    return Third(best)
+    return best
 
 
 def is_in_positive_cone(tri: Triangulation, values: HiveThirds) -> bool:

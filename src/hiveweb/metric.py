@@ -2,21 +2,20 @@
 
 Traversing an arc with its direction costs 1/3, against it 2/3.  Distances are
 computed by Dijkstra on the doubled arc set with integer weights 1 and 2 in
-third units, on plain ints indexed by vertex position; only the results the
-API returns are wrapped as exact :class:`~hiveweb.thirds.Third` values.  The
-search keeps its queue in three rotating buckets (distances d, d+1 and d+2)
-and marks an unreached vertex with the int bound ``6·V``, which no sum of
-three real distances reaches.
+third units, on plain ints indexed by vertex position, and every distance
+and minimum the API returns is such an int in thirds.  The search keeps its
+queue in three rotating buckets (distances d, d+1 and d+2) and marks an
+unreached vertex with the int bound ``6·V``, which no sum of three real
+distances reaches.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
 from .errors import MalformedInput, OmegaEmpty, Unreachable
-from .thirds import LatticePoint, Third, _shown, read_array
+from .thirds import _shown, read_array
 
 Vertex = Hashable
 
@@ -174,24 +173,25 @@ def _tripod(da: list[int], db: list[int], dc: list[int], bound: int) -> tuple[in
     return best, argmin
 
 
-def distances_from(graph: OrientedGraph, source: Vertex) -> dict[Vertex, Third]:
-    """Exact distances from ``source`` to every reachable vertex."""
+def distances_from(graph: OrientedGraph, source: Vertex) -> dict[Vertex, int]:
+    """Exact distances in thirds from ``source`` to every reachable vertex."""
     dist, bound = _thirds_from(graph, graph._locate(source)), _unreached(graph)
-    return {v: Third(d) for v, d in zip(graph.vertices, dist) if d < bound}
+    return {v: d for v, d in zip(graph.vertices, dist) if d < bound}
 
 
-def shortest_distance(graph: OrientedGraph, s: Vertex, t: Vertex) -> Third:
-    """Minimum 1/3-2/3 path length from ``s`` to ``t``."""
+def shortest_distance(graph: OrientedGraph, s: Vertex, t: Vertex) -> int:
+    """Minimum 1/3-2/3 path length from ``s`` to ``t``, in thirds."""
     j = graph._locate(t)
     d = _thirds_from(graph, graph._locate(s))[j]
     if d >= _unreached(graph):
         raise Unreachable(f"no path from {_shown(s)} to {_shown(t)}")
-    return Third(d)
+    return d
 
 
-def gamma_distance(p: LatticePoint) -> Third:
-    """Closed-form distance from the origin to ``p`` on the infinite lattice graph."""
-    return Third(max(p.x + p.y, p.y - 2 * p.x, p.x - 2 * p.y))
+def gamma_distance(x: int, y: int) -> int:
+    """Closed-form distance in thirds from the origin to (x, y) on the
+    infinite lattice graph."""
+    return max(x + y, y - 2 * x, x - 2 * y)
 
 
 # a row of at most this many columns builds every entry per cell: on such a
@@ -271,7 +271,7 @@ def gamma_window(radius: int, corners: Iterable[Vertex] = ()) -> OrientedGraph:
     inside the window.  With ``side = 2*radius + 1`` the point (x, y) sits at
     position ``(x+radius)*side + (y+radius)``, so the arcs go to +side, +1 and
     -side-1, and the adjacency is built by that arithmetic alone.  A vertex is
-    named by its :meth:`LatticePoint.key` string ``"x,y"``; the names are made
+    named by the string ``"x,y"`` of its point; the names are made
     only when a caller reads them, and a name is resolved by parsing it, so
     only the exact key text of a point in the window is a vertex.  The first
     of ``corners`` that is not is refused before the adjacency is built.
@@ -301,61 +301,57 @@ def gamma_window(radius: int, corners: Iterable[Vertex] = ()) -> OrientedGraph:
     return graph
 
 
-@dataclass(frozen=True)
-class FermatSpec:
-    """Corner points for the tripod minimum, in the fixed role layout:
+Point = tuple[int, int]  # (x, y) of the Z^2 vertex lattice
+
+
+def _omega_bounds(a: Point, b: Point, c: Point) -> tuple[int, int, int, int, int, int]:
+    """Bounds of the minimizer region for corners in the fixed role layout:
     ``a`` lower-left, ``b`` lower-right, ``c`` upper.  Permuted roles must be
     rotated into this layout by the caller."""
-
-    a: LatticePoint
-    b: LatticePoint
-    c: LatticePoint
-
-
-def _omega_bounds(spec: FermatSpec) -> tuple[int, int, int, int, int, int]:
     return (
-        spec.a.x, spec.b.x,            # a1 <= x <= b1
-        spec.a.y, spec.c.y,            # a2 <= y <= c2
-        spec.b.y - spec.b.x,           # b2-b1 <= y-x
-        spec.c.y - spec.c.x,           # y-x <= c2-c1
+        a[0], b[0],     # a1 <= x <= b1
+        a[1], c[1],     # a2 <= y <= c2
+        b[1] - b[0],    # b2-b1 <= y-x
+        c[1] - c[0],    # y-x <= c2-c1
     )
 
 
-def omega_is_empty(spec: FermatSpec) -> bool:
-    xlo, xhi, ylo, yhi, dlo, dhi = _omega_bounds(spec)
+def omega_is_empty(a: Point, b: Point, c: Point) -> bool:
+    xlo, xhi, ylo, yhi, dlo, dhi = _omega_bounds(a, b, c)
     if xlo > xhi or ylo > yhi or dlo > dhi:
         return True
     # the band y-x in [dlo, dhi] must meet the box's diagonal range
     return dlo > yhi - xlo or dhi < ylo - xhi
 
 
-def fermat_closed_form(spec: FermatSpec) -> Third:
-    """Minimum of d(a,X)+d(b,X)+d(c,X) over the lattice, when the minimizer
-    region is nonempty."""
-    if omega_is_empty(spec):
-        raise OmegaEmpty(f"empty minimizer region for {spec}")
-    value = -spec.a.x - spec.a.y + 2 * spec.b.x - spec.b.y - spec.c.x + 2 * spec.c.y
-    return Third(value)
+def fermat_closed_form(a: Point, b: Point, c: Point) -> int:
+    """Minimum in thirds of d(a,X)+d(b,X)+d(c,X) over the lattice, when the
+    minimizer region is nonempty; an empty one is refused naming each corner
+    by its ``"x,y"`` text."""
+    if omega_is_empty(a, b, c):
+        corners = (f"{name} {_shown(f'{x},{y}')}" for name, (x, y) in zip("abc", (a, b, c)))
+        raise OmegaEmpty(f"empty minimizer region for {', '.join(corners)}")
+    return -a[0] - a[1] + 2 * b[0] - b[1] - c[0] + 2 * c[1]
 
 
-def omega_points(spec: FermatSpec, radius: int) -> set[LatticePoint]:
+def omega_points(a: Point, b: Point, c: Point, radius: int) -> set[Point]:
     """Integer points of the minimizer region inside [-radius, radius]^2."""
-    xlo, xhi, ylo, yhi, dlo, dhi = _omega_bounds(spec)
+    xlo, xhi, ylo, yhi, dlo, dhi = _omega_bounds(a, b, c)
     points = set()
     for x in range(max(xlo, -radius), min(xhi, radius) + 1):
         for y in range(max(ylo, -radius), min(yhi, radius) + 1):
             if dlo <= y - x <= dhi:
-                points.add(LatticePoint(x, y))
+                points.add((x, y))
     return points
 
 
 def fermat_brute(
     graph: OrientedGraph, a: Vertex, b: Vertex, c: Vertex
-) -> tuple[Third, set[Vertex]]:
-    """Exact minimum of the three-distance sum over all vertices, with the
-    full argmin set."""
+) -> tuple[int, set[Vertex]]:
+    """Exact minimum in thirds of the three-distance sum over all vertices,
+    with the full argmin set."""
     best, argmin = _tripod(*(_thirds_from(graph, graph._locate(v)) for v in (a, b, c)),
                            _unreached(graph))
     if not argmin:
         raise Unreachable(f"no vertex reachable from all of {_shown(a)}, {_shown(b)}, {_shown(c)}")
-    return Third(best), set(map(graph._name, argmin))
+    return best, set(map(graph._name, argmin))

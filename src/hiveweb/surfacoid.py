@@ -28,8 +28,8 @@ from graph distances only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .metric import OrientedGraph, _lattice_piece, _thirds_from, _tripod, _unreached
 # unused here, but the benchmark's tracer hooks both by name on this module
@@ -37,16 +37,12 @@ from .metric import distances_from, fermat_brute  # noqa: F401
 from .web import WebTuple, _corners_checked
 
 
-@dataclass(frozen=True)
-class TriangleNet:
+class Net(NamedTuple):
+    """A net and the positions of its terminals a, b, c; unpacks as
+    ``graph, terminals`` (the benchmark's tracer reads ``.graph``)."""
+
     graph: OrientedGraph
-    a: object  # terminal vertices
-    b: object
-    c: object
-    a_mesh: object  # mesh corner each string attaches to
-    b_mesh: object
-    c_mesh: object
-    terminals: tuple[int, int, int]  # positions of a, b, c in the graph
+    terminals: tuple[int, int, int]
 
 
 def _string(corner: int, inward: int, outward: int, fwd, back) -> int:
@@ -70,9 +66,11 @@ def _string(corner: int, inward: int, outward: int, fwd, back) -> int:
     return start
 
 
-def build_net(c: WebTuple) -> TriangleNet:
-    """Net of the triangle web with coordinates ``c`` = (x, y, z, t, u, v, w);
-    raises :class:`~hiveweb.errors.InvalidWebCoords` for a negative corner count."""
+def build_net(c: WebTuple) -> Net:
+    """Net of the triangle web with coordinates ``c`` = (x, y, z, t, u, v, w)
+    and the positions of its terminals A, B, C; the mesh corners A', B', C'
+    sit at positions 0, n(n+1)/2 and (mesh size) - 1.  Raises
+    :class:`~hiveweb.errors.InvalidWebCoords` for a negative corner count."""
     x, y, z, t, u, v, w = _corners_checked(c)
     n = abs(x)
     # mesh row r = p + n holds (p, q) for q = 0..r at position r(r+1)/2 + q
@@ -93,16 +91,14 @@ def build_net(c: WebTuple) -> TriangleNet:
         label, start = next(chain for chain in chains if chain[1] <= i)
         return (label, i - start)
 
-    graph = OrientedGraph.indexed(fwd, back, name)
-    return TriangleNet(graph, *map(name, terminals), *map(name, corners), terminals)
+    return Net(OrientedGraph.indexed(fwd, back, name), terminals)
 
 
 def oracle_triangle_hive(c: WebTuple) -> tuple[int, ...]:
     """Hive coordinates a1..a7 of ``c``, in thirds, computed purely from net
     distances: the six terminal-to-terminal distances and the tripod minimum
     all come from the three searches out of the terminals."""
-    net = build_net(c)
-    pa, pb, pc = net.terminals
-    from_a, from_b, from_c = (_thirds_from(net.graph, p) for p in net.terminals)
-    a4, _ = _tripod(from_a, from_b, from_c, _unreached(net.graph))
+    graph, (pa, pb, pc) = build_net(c)
+    from_a, from_b, from_c = (_thirds_from(graph, p) for p in (pa, pb, pc))
+    a4, _ = _tripod(from_a, from_b, from_c, _unreached(graph))
     return from_b[pa], from_c[pa], from_a[pb], a4, from_a[pc], from_c[pb], from_b[pc]

@@ -1,9 +1,10 @@
 """Exact arithmetic in (1/3)Z.
 
 Every quantity in the calculus lives in the lattice of integer thirds, so a
-value is stored as a single machine integer ``thirds`` meaning ``thirds / 3``.
-Python integers are unbounded, which keeps addition, subtraction, max and min
-closed and exact with no overflow mode to worry about.  No float ever appears.
+value is a plain int ``thirds`` meaning ``thirds / 3``, and a lattice point a
+pair ``(x, y)`` of ints.  Python integers are unbounded, which keeps addition,
+subtraction, max and min closed and exact with no overflow mode to worry
+about.  No float ever appears.
 
 Every integer read from a JSON document or a command-line value passes one
 rule, :func:`checked_int`: an exact ``int`` of magnitude at most ``HIVEWEB_MAX_THIRDS``.
@@ -128,27 +129,17 @@ def parse_ints(text: str, n: int, what: str) -> list[int]:
     return [checked_int(v, what) for v in values]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Third:
-    """A value in (1/3)Z, stored scaled by three."""
+    """A value in (1/3)Z, stored scaled by three: the value type of the
+    :data:`~hiveweb.hive.HiveValues` dict that the benchmark's checks read.
+    Everywhere else a value is the plain int ``thirds``."""
 
     thirds: int
 
     def __post_init__(self):
         if not isinstance(self.thirds, int) or isinstance(self.thirds, bool):
             raise TypeError(f"thirds must be an int, got {type(self.thirds).__name__}")
-
-    def __add__(self, other: "Third") -> "Third":
-        return Third(self.thirds + other.thirds)
-
-    def __sub__(self, other: "Third") -> "Third":
-        return Third(self.thirds - other.thirds)
-
-    def __neg__(self) -> "Third":
-        return Third(-self.thirds)
-
-    def is_integer(self) -> bool:
-        return self.thirds % 3 == 0
 
     def __repr__(self) -> str:
         q, r = divmod(self.thirds, 3)
@@ -158,28 +149,3 @@ class Third:
 
     def to_json(self) -> dict:
         return {"thirds": self.thirds}
-
-    @classmethod
-    def from_json(cls, obj) -> "Third":
-        return cls(read_thirds(obj))
-
-
-ZERO = Third(0)
-
-
-@dataclass(frozen=True, order=True)
-class LatticePoint:
-    """A point of the Z^2 vertex lattice."""
-
-    x: int
-    y: int
-
-    def __sub__(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(self.x - other.x, self.y - other.y)
-
-    @classmethod
-    def parse(cls, text: str, what: str = "point") -> "LatticePoint":
-        return cls(*parse_ints(text, 2, what))
-
-    def key(self) -> str:
-        return f"{self.x},{self.y}"

@@ -81,16 +81,16 @@ def hive_to_web_triangle(h: Sequence[int]) -> WebTuple:
     return web_from_rhombi(quantities)
 
 
-def side_arc_counts(a_near: Third, a_far: Third) -> tuple[int, int]:
+def side_arc_counts(a_near: int, a_far: int) -> tuple[int, int]:
     """Oriented strand counts (2a_near - a_far, 2a_far - a_near) through a
-    side carrying hive values a_near, a_far."""
-    first = 2 * a_near.thirds - a_far.thirds
-    second = 2 * a_far.thirds - a_near.thirds
+    side carrying hive values a_near, a_far in thirds."""
+    first = 2 * a_near - a_far
+    second = 2 * a_far - a_near
     if first % 3 or second % 3:
-        raise InconsistentSide(f"values {a_near!r}, {a_far!r} give non-integer strand counts")
+        raise InconsistentSide(f"thirds {a_near}, {a_far} give non-integer strand counts")
     first, second = first // 3, second // 3
     if first < 0 or second < 0:
-        raise InconsistentSide(f"values {a_near!r}, {a_far!r} give negative strand counts")
+        raise InconsistentSide(f"thirds {a_near}, {a_far} give negative strand counts")
     return first, second
 
 
@@ -118,9 +118,7 @@ def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) 
             t1, s1 = rec.attach1
             v1 = _near_far(hives[t1], s1)
             if v0 != v1[::-1]:  # the second attachment walks the edge head -> tail
-                pair0 = side_arc_counts(*map(Third, v0))
-                pair1 = side_arc_counts(*map(Third, v1))
-                raise GluingMismatch(rec.id, pair0, pair1)
+                raise GluingMismatch(rec.id, side_arc_counts(*v0), side_arc_counts(*v1))
         p = tri.slot0[rec.id]
         thirds[p], thirds[p + 1] = v0
     for t in tri.triangles:

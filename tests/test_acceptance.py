@@ -20,7 +20,6 @@ from hiveweb.hive import (
     validate_hive,
 )
 from hiveweb.metric import (
-    FermatSpec,
     distances_from,
     fermat_brute,
     fermat_closed_form,
@@ -31,7 +30,6 @@ from hiveweb.metric import (
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import build_polygon, flip_triangulation
 from hiveweb.surfacoid import oracle_triangle_hive
-from hiveweb.thirds import LatticePoint
 from hiveweb.web import (
     hive_to_surface_web,
     hive_to_web_triangle,
@@ -113,7 +111,7 @@ def test_criterion_4_gamma_closed_form():
                 for r in (radius, radius + 3):
                     if r not in by_radius:
                         by_radius[r] = distances_from(gamma_window(r), "0,0")
-                expected = gamma_distance(LatticePoint(x, y))
+                expected = gamma_distance(x, y)
                 key = f"{x},{y}"
                 assert by_radius[radius][key] == expected, (x, y)
                 assert by_radius[radius + 3][key] == expected, (x, y)
@@ -125,20 +123,14 @@ def test_criterion_5_fermat():
         window = gamma_window(12)
         done = 0
         while done < 200:
-            pts = [
-                LatticePoint(rng.randint(-4, 4), rng.randint(-4, 4))
-                for _ in range(3)
-            ]
-            spec = FermatSpec(*pts)
-            region = omega_points(spec, 12)
+            pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3)]
+            region = omega_points(*pts, 12)
             if not region:
                 continue
-            value = fermat_closed_form(spec)
-            brute, argmin = fermat_brute(
-                window, spec.a.key(), spec.b.key(), spec.c.key()
-            )
-            assert brute == value, spec
-            assert argmin == {p.key() for p in region}, spec
+            value = fermat_closed_form(*pts)
+            brute, argmin = fermat_brute(window, *(f"{x},{y}" for x, y in pts))
+            assert brute == value, pts
+            assert argmin == {f"{x},{y}" for x, y in region}, pts
             done += 1
 
 
@@ -189,7 +181,7 @@ def test_criterion_7_cone_equivalence():
                 for t in quad.triangles
                 for d in rhombi(*(values[p] for p in quad.frame(t)))
             )
-            nonpositive = tropical_potential(quad, values).thirds <= 0
+            nonpositive = tropical_potential(quad, values) <= 0
             assert valid == cone == (nonpositive and integral), case
 
 

@@ -301,6 +301,16 @@ BRANCHES = {
     "gamma-dist --to a,b": (
         ["gamma-dist", "--to", "a,b"], {}, 2, "",
         "hiveweb: --to needs 2 comma-separated integers, got 'a,b'\n"),
+    "gamma-dist --from 1": (
+        ["gamma-dist", "--to", "1,1", "--from", "1"], {}, 2, "",
+        "hiveweb: --from needs 2 comma-separated integers, got '1'\n"),
+    "fermat --b 1": (
+        ["fermat", "--a", "0,0", "--b", "1", "--c", "0,2"], {}, 2, "",
+        "hiveweb: --b needs 2 comma-separated integers, got '1'\n"),
+    "fermat empty region": (
+        ["fermat", "--a", "0,0", "--b", "30,0", "--c", "0,-2"], {}, 1,
+        canonical({"error": "OmegaEmpty",
+                   "detail": 'empty minimizer region for a "0,0", b "30,0", c "0,-2"'}), ""),
     "potential without triangles": (
         ["potential", "--hive", "{h}"],
         {"h": {"values": {}, "triangulation": {"triangles": [], "edges": []}}},

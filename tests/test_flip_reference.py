@@ -51,7 +51,6 @@ from hiveweb.surface import (
     quad_frame,
     validate_complex,
 )
-from hiveweb.thirds import Third
 
 # -- the reference ------------------------------------------------------------
 
@@ -234,7 +233,7 @@ def reference_transport(values, frame_old, frame_new):
         if v not in values:
             raise InvalidHive(f"hive has no value at frame vertex {v.key()}")
         read.append(values[v])
-    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = (v.thirds for v in read)
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = read
     b2 = max(a1 + a7, a5 + a3) - a2
     b6 = max(a5 + a11, a7 + a10) - a6
     b5 = max(a4 + b6, a9 + b2) - a5
@@ -242,10 +241,10 @@ def reference_transport(values, frame_old, frame_new):
     out = dict(values)
     for vertex in (frame_old.a2, frame_old.a5, frame_old.a6, frame_old.a7):
         del out[vertex]
-    out[frame_new.a2] = Third(b2)
-    out[frame_new.a5] = Third(b5)
-    out[frame_new.a6] = Third(b6)
-    out[frame_new.a7] = Third(b7)
+    out[frame_new.a2] = b2
+    out[frame_new.a5] = b5
+    out[frame_new.a6] = b6
+    out[frame_new.a7] = b7
     return out
 
 
@@ -334,14 +333,14 @@ def _same_flip(tri, edge_id):
 
 
 def _same_transport(values, frames, ref_frames):
-    """Compare both transports of ``values``, Thirds by vertex, in order; the
+    """Compare both transports of ``values``, thirds by vertex, in order; the
     reference's result (or None when both raised)."""
-    got = _outcome(octahedron_transport, {v.key(): x.thirds for v, x in values.items()}, *frames)
+    got = _outcome(octahedron_transport, {v.key(): x for v, x in values.items()}, *frames)
     want = _outcome(reference_transport, values, *ref_frames)
     if want[0] == "raised":
         assert got == want
         return None
-    assert repr(list(got[1].items())) == repr([(v.key(), x.thirds) for v, x in want[1].items()])
+    assert repr(list(got[1].items())) == repr([(v.key(), x) for v, x in want[1].items()])
     return want[1]
 
 
@@ -442,7 +441,7 @@ def test_flip_walks_match_the_reference(case):
     values = None
     for pick in picks:
         if values is None:
-            values = {v: Third(rng.randrange(-60, 61)) for v in tri.vertices}
+            values = {v: rng.randrange(-60, 61) for v in tri.vertices}
         if rng.random() < 0.1:
             del values[rng.choice(sorted(values))]
         # mostly interior edges, then any edge, then an unknown one

@@ -8,7 +8,9 @@ the oracle's hives at benchmark sizes (|x| up to 40, corners up to 6), the
 brute-force tripod value and argmin size, and the text of unknown-vertex,
 unreachable and empty-region errors.  The four digests of unknown and
 unreachable vertices were taken again when those errors came to name vertices
-as JSON text (``"a"``, not ``'a'``).
+as JSON text (``"a"``, not ``'a'``), and the four of empty regions when that
+error came to name its corners as ``a "0,0", b "-1,0", c "0,-1"`` in place of
+the repr of a Python object.
 
 Print the digests of the current code with
 ``PYTHONPATH=src python tests/test_golden_metric.py``.

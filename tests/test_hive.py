@@ -11,7 +11,6 @@ from hiveweb.hive import (
 )
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import CENTER, build_polygon, flip_triangulation, quad_frame
-from hiveweb.thirds import Third
 
 
 A2, A5, A6, A7 = 1, 4, 5, 6  # the inner slots of a frame a1..a12, a1 at 0
@@ -88,18 +87,18 @@ def test_validate_requires_every_vertex():
 
 def test_potential_examples():
     tri = build_polygon(3, [])
-    assert tropical_potential(tri, zero_hive(tri)) == Third(0)
+    assert tropical_potential(tri, zero_hive(tri)) == 0
 
     frame = triangle_frame(tri, tri.triangles[0])
     instance = (12, 10, 9, 19, 14, 13, 11)
     values = zero_hive(tri)
     for p, x in zip(frame, instance):
         values[p] = x
-    assert tropical_potential(tri, values) == Third(-3)
+    assert tropical_potential(tri, values) == -3
 
     bumped = zero_hive(tri)
     bumped[frame[CENTER]] = 1
-    assert tropical_potential(tri, bumped) == Third(1)
+    assert tropical_potential(tri, bumped) == 1
 
 
 def test_positive_cone_examples():

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiveweb.errors import OmegaEmpty, Unreachable
+from hiveweb.hive import tropical_potential
 from hiveweb.metric import (
-    FermatSpec,
     OrientedGraph,
     distances_from,
     fermat_brute,
@@ -14,20 +14,20 @@ from hiveweb.metric import (
     omega_points,
     shortest_distance,
 )
-from hiveweb.thirds import LatticePoint, Third
+from hiveweb.surface import build_polygon
 
 
 def test_single_arc_costs():
     g = OrientedGraph(["u", "v"], [("u", "v")])
-    assert shortest_distance(g, "u", "v") == Third(1)
-    assert shortest_distance(g, "v", "u") == Third(2)
+    assert shortest_distance(g, "u", "v") == 1
+    assert shortest_distance(g, "v", "u") == 2
 
 
 def test_directed_three_cycle():
     g = OrientedGraph("uvw", [("u", "v"), ("v", "w"), ("w", "u")])
     # two candidate routes: with the arcs (1/3 + 1/3) or against one (2/3)
-    assert shortest_distance(g, "u", "w") == Third(2)
-    assert shortest_distance(g, "w", "u") == Third(1)
+    assert shortest_distance(g, "u", "w") == 2
+    assert shortest_distance(g, "w", "u") == 1
 
 
 def test_isolated_vertices_unreachable():
@@ -38,7 +38,7 @@ def test_isolated_vertices_unreachable():
 
 def test_parallel_arcs_allowed():
     g = OrientedGraph(["a", "b"], [("a", "b"), ("a", "b")])
-    assert shortest_distance(g, "a", "b") == Third(1)
+    assert shortest_distance(g, "a", "b") == 1
 
 
 def test_unknown_vertex_is_key_error():
@@ -52,7 +52,7 @@ def test_unknown_vertex_is_key_error():
     [((0, 0), 0), ((2, 1), 3), ((-1, 0), 2), ((1, 1), 2), ((-2, -2), 2), ((3, -1), 5)],
 )
 def test_gamma_distance_closed_form(point, thirds):
-    assert gamma_distance(LatticePoint(*point)) == Third(thirds)
+    assert gamma_distance(*point) == thirds
 
 
 def test_gamma_distance_matches_window_dijkstra():
@@ -61,7 +61,7 @@ def test_gamma_distance_matches_window_dijkstra():
             radius = abs(x) + abs(y) + 2
             g = gamma_window(radius)
             d = shortest_distance(g, "0,0", f"{x},{y}")
-            assert d == gamma_distance(LatticePoint(x, y)), (x, y)
+            assert d == gamma_distance(x, y), (x, y)
 
 
 def test_straight_axis_path_is_geodesic():
@@ -69,33 +69,29 @@ def test_straight_axis_path_is_geodesic():
     for p in range(4):
         for q in range(4):
             d = shortest_distance(g, f"0,{p}", f"{q},0")
-            assert d == Third(2 * p + q), (p, q)
+            assert d == 2 * p + q, (p, q)
 
 
 def test_fermat_closed_form_examples():
-    origin = LatticePoint(0, 0)
-    assert fermat_closed_form(FermatSpec(origin, origin, origin)) == Third(0)
-    spec = FermatSpec(origin, LatticePoint(2, 0), LatticePoint(0, 2))
-    assert fermat_closed_form(spec) == Third(8)
+    origin = (0, 0)
+    assert fermat_closed_form(origin, origin, origin) == 0
+    assert fermat_closed_form(origin, (2, 0), (0, 2)) == 8
     with pytest.raises(OmegaEmpty):
-        fermat_closed_form(
-            FermatSpec(origin, LatticePoint(-1, 0), LatticePoint(0, -1))
-        )
+        fermat_closed_form(origin, (-1, 0), (0, -1))
 
 
 def test_fermat_brute_agrees_on_window():
-    spec = FermatSpec(LatticePoint(0, 0), LatticePoint(2, 0), LatticePoint(0, 2))
     g = gamma_window(6)
     value, argmin = fermat_brute(g, "0,0", "2,0", "0,2")
-    assert value == Third(8)
-    expected = {p.key() for p in omega_points(spec, 6)}
+    assert value == 8
+    expected = {f"{x},{y}" for x, y in omega_points((0, 0), (2, 0), (0, 2), 6)}
     assert argmin == expected
     assert len(expected) == 9  # the whole 3x3 box minimizes here
 
 
 def test_fermat_brute_single_vertex():
     g = OrientedGraph(["only"], [])
-    assert fermat_brute(g, "only", "only", "only") == (Third(0), {"only"})
+    assert fermat_brute(g, "only", "only", "only") == (0, {"only"})
 
 
 def test_fermat_brute_unreachable_triple():
@@ -126,7 +122,22 @@ def test_metric_axioms_on_random_graphs(data):
     for a in range(n):
         for b in range(n):
             d_ab = dist[a][b]
-            assert d_ab.thirds >= 0
-            assert (d_ab.thirds == 0) == (a == b)
+            assert d_ab >= 0
+            assert (d_ab == 0) == (a == b)
             for c in range(n):
-                assert d_ab.thirds + dist[b][c].thirds >= dist[a][c].thirds
+                assert d_ab + dist[b][c] >= dist[a][c]
+
+
+def test_every_value_is_a_plain_int():
+    """Distances, Fermat minima and the tropical potential are ints in thirds."""
+    g = gamma_window(4)
+    tri = build_polygon(3, [])
+    values = [
+        gamma_distance(3, -1),
+        shortest_distance(g, "0,0", "2,1"),
+        *distances_from(g, "0,0").values(),
+        fermat_closed_form((0, 0), (2, 0), (0, 2)),
+        fermat_brute(g, "0,0", "2,0", "0,2")[0],
+        tropical_potential(tri, [0] * len(tri.keys)),
+    ]
+    assert [type(v) for v in values] == [int] * len(values)

@@ -32,7 +32,6 @@ from hiveweb.metric import (
     gamma_window,
     shortest_distance,
 )
-from hiveweb.thirds import Third
 
 
 def reference_distances(vertices, arcs, source) -> dict:
@@ -55,17 +54,17 @@ def reference_distances(vertices, arcs, source) -> dict:
                 dist[v] = nd
                 order += 1
                 heapq.heappush(heap, (nd, order, v))
-    return {v: Third(d) for v, d in dist.items()}
+    return dist
 
 
 def reference_fermat(vertices, arcs, a, b, c):
     da, db, dc = (reference_distances(vertices, arcs, s) for s in (a, b, c))
-    totals = {v: da[v].thirds + db[v].thirds + dc[v].thirds
+    totals = {v: da[v] + db[v] + dc[v]
               for v in vertices if v in da and v in db and v in dc}
     if not totals:
         return None
     best = min(totals.values())
-    return Third(best), {v for v, total in totals.items() if total == best}
+    return best, {v for v, total in totals.items() if total == best}
 
 
 def _vertex_id(i: int, kind: int):
@@ -149,11 +148,11 @@ def test_a_chain_of_back_arcs_reaches_the_largest_distance(n):
     less for "unreached" would lose it."""
     vertices = list(range(n))
     graph = OrientedGraph(vertices, [(i + 1, i) for i in range(n - 1)])
-    assert distances_from(graph, 0) == {i: Third(2 * i) for i in vertices}
-    assert shortest_distance(graph, 0, n - 1) == Third(2 * (n - 1))
-    assert shortest_distance(graph, n - 1, 0) == Third(n - 1)
+    assert distances_from(graph, 0) == {i: 2 * i for i in vertices}
+    assert shortest_distance(graph, 0, n - 1) == 2 * (n - 1)
+    assert shortest_distance(graph, n - 1, 0) == n - 1
     # from both ends, every vertex sums to 2(n-1)
-    assert fermat_brute(graph, n - 1, n - 1, 0) == (Third(2 * (n - 1)), set(vertices))
+    assert fermat_brute(graph, n - 1, n - 1, 0) == (2 * (n - 1), set(vertices))
 
 
 def test_a_vertex_reached_by_two_sources_is_no_tripod_point():
@@ -179,7 +178,7 @@ def test_no_distance_is_the_bound(case):
     dist = _thirds_from(graph, graph._locate(source))
     bound = _unreached(graph)
     reached = distances_from(graph, source)
-    assert all(d.thirds < bound for d in reached.values())
+    assert all(d < bound for d in reached.values())
     assert len(reached) == sum(d < bound for d in dist)
     assert all(d <= bound for d in dist)  # an unreached vertex holds the bound itself
 
@@ -290,6 +289,6 @@ def test_names_read_after_a_search_match_names_read_before():
     expected = before.vertices, before.arcs, before.to_json()
     after = gamma_window(4)
     assert fermat_brute(after, "0,0", "2,0", "0,2") == fermat_brute(before, "0,0", "2,0", "0,2")
-    assert shortest_distance(after, "-4,-4", "4,4") == Third(16)
+    assert shortest_distance(after, "-4,-4", "4,4") == 16
     assert (after.vertices, after.arcs, after.to_json()) == expected
     assert distances_from(after, "1,1") == distances_from(before, "1,1")

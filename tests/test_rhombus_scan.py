@@ -13,10 +13,9 @@ shuffled and with integer ids.
 ``validate_hive``, ``tropical_potential`` and ``is_in_positive_cone`` run on
 int lists over a triangulation's quiver-vertex positions, and on the same
 values as ``Third`` by ``ThetaVertex``; the reference reads every triangle
-through the reference frame and the nine rhombus quantities on ``Third``
-values.  They
-must agree on sampled hives, on single-vertex perturbations of them and on
-the same hives after random flips.
+through the reference frame and the nine rhombus quantities on int values in
+thirds.  They must agree on sampled hives, on single-vertex perturbations of
+them and on the same hives after random flips.
 
 The walk that builds the frames is the one structural decision: it finds
 nothing exactly when the reference report is empty, and every other frame
@@ -118,7 +117,7 @@ def reference_frame(edges, t):
 
 
 def reference_rhombi(a1, a2, a3, a4, a5, a6, a7):
-    """The nine rhombus quantities of Third values, in the canonical listing order."""
+    """The nine rhombus quantities of values in thirds, in the canonical listing order."""
     return (a1 + a2 - a4, a3 + a4 - a1 - a6, a4 + a5 - a2 - a7,
             a5 + a7 - a4, a2 + a4 - a1 - a5, a4 + a6 - a3 - a7,
             a3 + a6 - a4, a4 + a7 - a5 - a6, a1 + a4 - a2 - a3)
@@ -208,17 +207,17 @@ def random_diagonals(m, rng):
 
 
 def reference(tri, values):
-    """(violations, potential, in cone) one Third at a time, of ``values``
+    """(violations, potential, in cone) one value at a time, of ``values``
     in thirds by position."""
     violations, worst, edges = [], None, doc_edges(tri.to_json())
     for t in tri.triangles:
         frame = reference_frame(edges, t)
-        thirds = (Third(values[tri.index[key]]) for key in frame)
+        thirds = (values[tri.index[key]] for key in frame)
         for index, d in enumerate(reference_rhombi(*thirds), start=1):
-            if d.thirds < 0 or not d.is_integer():
-                violations.append({"triangle": t, "rhombus": index, "thirds": d.thirds})
-            worst = -d.thirds if worst is None else max(worst, -d.thirds)
-    return violations, Third(worst), not violations
+            if d < 0 or d % 3 != 0:
+                violations.append({"triangle": t, "rhombus": index, "thirds": d})
+            worst = -d if worst is None else max(worst, -d)
+    return violations, worst, not violations
 
 
 def assert_agrees(tri, values):

@@ -50,8 +50,8 @@ def test_the_search_ends_on_small_graphs(alarm, graph, expected):
 
 
 def test_the_searches_of_a_net_and_a_window_end(alarm):
-    net = build_net((-3, 1, 2, 0, 1, 2, 1))
-    for position in net.terminals:
-        assert len(_thirds_from(net.graph, position)) == len(net.graph.vertices)
+    graph, terminals = build_net((-3, 1, 2, 0, 1, 2, 1))
+    for position in terminals:
+        assert len(_thirds_from(graph, position)) == len(graph.vertices)
     window = gamma_window(3)
     assert max(_thirds_from(window, 0)) < 6 * len(window.vertices)

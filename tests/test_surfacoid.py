@@ -18,31 +18,36 @@ from hiveweb.metric import (
     shortest_distance,
 )
 from hiveweb.surfacoid import build_net, oracle_triangle_hive
-from hiveweb.thirds import Third
 from hiveweb.web import WebTuple, web_to_hive_thirds
 
 
+def terminal_names(graph, terminals):
+    """The names of the terminals a, b, c at their positions."""
+    return tuple(graph.vertices[p] for p in terminals)
+
+
 def test_zero_net_is_a_point():
-    net = build_net((0, 0, 0, 0, 0, 0, 0))
-    assert net.a == net.b == net.c == (0, 0)
-    assert len(net.graph.vertices) == 1
-    assert net.graph.arcs == []
+    graph, terminals = build_net((0, 0, 0, 0, 0, 0, 0))
+    a, b, c = terminal_names(graph, terminals)
+    assert a == b == c == (0, 0)
+    assert len(graph.vertices) == 1
+    assert graph.arcs == []
     assert oracle_triangle_hive((0, 0, 0, 0, 0, 0, 0)) == (0,) * 7
 
 
 def test_unit_honeycomb_net_is_a_directed_triangle():
-    net = build_net((1, 0, 0, 0, 0, 0, 0))
-    assert len(net.graph.vertices) == 3
-    assert len(net.graph.arcs) == 3
-    value, argmin = fermat_brute(net.graph, net.a, net.b, net.c)
-    assert value == Third(3)
+    graph, terminals = build_net((1, 0, 0, 0, 0, 0, 0))
+    assert len(graph.vertices) == 3
+    assert len(graph.arcs) == 3
+    value, argmin = fermat_brute(graph, *terminal_names(graph, terminals))
+    assert value == 3
     assert argmin == {(-1, 0), (0, 0), (0, 1)}
 
 
 def test_net_vertex_count_formula():
-    net = build_net((3, 2, 1, 1, 1, 1, 1))
+    graph, _ = build_net((3, 2, 1, 1, 1, 1, 1))
     # (n+1)(n+2)/2 mesh vertices plus one per string arc
-    assert len(net.graph.vertices) == 10 + (1 + 1) + (1 + 1) + (2 + 1)
+    assert len(graph.vertices) == 10 + (1 + 1) + (1 + 1) + (2 + 1)
 
 
 def test_oracle_matches_formulas_on_honeycomb_instance():
@@ -67,27 +72,27 @@ def test_boundary_straight_path_is_geodesic():
     for x in (-3, -1, 0, 2, 3):
         coords = (x, 1, 2, 1, 2, 1, 2)
         _, _, _, t, u, v, w = coords
-        net = build_net(coords)
+        graph, terminals = build_net(coords)
+        a, b, _ = terminal_names(graph, terminals)
         n = abs(x)
         mesh_leg = n if x < 0 else 2 * n  # reversed mesh flips the side's direction
         straight = (u + 2 * t) + mesh_leg + (2 * w + v)
-        assert shortest_distance(net.graph, net.b, net.a) == Third(straight)
+        assert shortest_distance(graph, b, a) == straight
 
 
 def test_tripod_minimum_attained_on_mesh():
     rng = random.Random(7)
     for _ in range(40):
         coords = (rng.randint(-2, 2), *(rng.randint(0, 2) for _ in range(6)))
-        net = build_net(coords)
-        value, _ = fermat_brute(net.graph, net.a, net.b, net.c)
-        da = distances_from(net.graph, net.a)
-        db = distances_from(net.graph, net.b)
-        dc = distances_from(net.graph, net.c)
-        mesh = [v for v in net.graph.vertices if isinstance(v, tuple)]
-        best_on_mesh = min(
-            da[v].thirds + db[v].thirds + dc[v].thirds for v in mesh
-        )
-        assert best_on_mesh == value.thirds
+        graph, terminals = build_net(coords)
+        a, b, c = terminal_names(graph, terminals)
+        value, _ = fermat_brute(graph, a, b, c)
+        da = distances_from(graph, a)
+        db = distances_from(graph, b)
+        dc = distances_from(graph, c)
+        mesh = [v for v in graph.vertices if isinstance(v, tuple)]
+        best_on_mesh = min(da[v] + db[v] + dc[v] for v in mesh)
+        assert best_on_mesh == value
 
 
 @pytest.mark.parametrize("corners", [(0,) * 6, (6,) * 6, (5, 1, 0, 2, 6, 3)])
@@ -148,21 +153,24 @@ def _sampled_coords():
 @pytest.mark.parametrize("coords", _sampled_coords(), ids=lambda c: ",".join(map(str, c)))
 def test_net_matches_tuple_keyed_builder(coords):
     reference, terminals, corners = reference_net(coords)
-    net = build_net(coords)
-    assert net.graph.vertices == reference.vertices
-    assert Counter(net.graph.arcs) == Counter(reference.arcs)
-    assert (net.a, net.b, net.c) == terminals
-    assert (net.a_mesh, net.b_mesh, net.c_mesh) == corners
-    assert net.terminals == tuple(reference._index[v] for v in terminals)
-    for position in net.terminals:
-        assert _thirds_from(net.graph, position) == _thirds_from(reference, position)
+    graph, positions = build_net(coords)
+    assert graph.vertices == reference.vertices
+    assert Counter(graph.arcs) == Counter(reference.arcs)
+    assert terminal_names(graph, positions) == terminals
+    n = abs(coords[0])
+    mesh = (n + 1) * (n + 2) // 2
+    # the mesh corners A', B', C' at their documented positions
+    assert tuple(graph.vertices[p] for p in (0, n * (n + 1) // 2, mesh - 1)) == corners
+    assert positions == tuple(reference._index[v] for v in terminals)
+    for position in positions:
+        assert _thirds_from(graph, position) == _thirds_from(reference, position)
 
 
 def test_net_names_read_after_a_search_match_names_read_before():
     coords = (-5, 2, 0, 1, 3, 0, 2)
-    before = build_net(coords).graph
+    before, _ = build_net(coords)
     expected = before.vertices, before.arcs, before.to_json()
-    net = build_net(coords)
-    for position in net.terminals:  # searches by position, as the oracle does
-        _thirds_from(net.graph, position)
-    assert (net.graph.vertices, net.graph.arcs, net.graph.to_json()) == expected
+    graph, terminals = build_net(coords)
+    for position in terminals:  # searches by position, as the oracle does
+        _thirds_from(graph, position)
+    assert (graph.vertices, graph.arcs, graph.to_json()) == expected

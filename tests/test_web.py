@@ -69,12 +69,12 @@ def test_inverse_examples():
 
 
 def test_side_arc_count_examples():
-    assert side_arc_counts(Third(0), Third(0)) == (0, 0)
-    assert side_arc_counts(Third(9), Third(12)) == (2, 5)
+    assert side_arc_counts(0, 0) == (0, 0)
+    assert side_arc_counts(9, 12) == (2, 5)
     with pytest.raises(InconsistentSide):
-        side_arc_counts(Third(0), Third(3))
+        side_arc_counts(0, 3)
     with pytest.raises(InconsistentSide):
-        side_arc_counts(Third(1), Third(0))
+        side_arc_counts(1, 0)
 
 
 def test_bijection_on_small_box():
@@ -90,7 +90,7 @@ def test_left_side_count_identity():
     for x in range(-3, 4):
         for y, z, t, u, v, w in product(range(2), repeat=6):
             h = web_to_hive_thirds(x, y, z, t, u, v, w)
-            counts = side_arc_counts(Third(h[2]), Third(h[0]))  # a3, a1
+            counts = side_arc_counts(h[2], h[0])  # a3, a1
             assert counts == (u + v + max(-x, 0), t + w + max(x, 0))
 
 
