@@ -15,7 +15,6 @@ import gc
 import json
 import random
 import sys
-from pathlib import Path
 
 from . import hive as hive_mod
 from . import metric as metric_mod
@@ -28,6 +27,8 @@ def _emit(text: str, out_path) -> None:
     """Write one canonical JSON document's ``text`` and a newline."""
     text += "\n"
     if out_path:
+        from pathlib import Path  # imported on use: at start-up it costs more than most commands
+
         try:
             Path(out_path).write_text(text)
         except OSError as exc:
@@ -61,6 +62,7 @@ def _load(path: str, args, kind: str, doc=None):
     if args.triangulation:
         tri = _load_triangulation(args.triangulation)
     elif isinstance(ref := read_object(doc, f"{kind} document").get("triangulation"), str):
+        from pathlib import Path  # see _emit
         tri = _load_triangulation(str(Path(path).parent / ref))
     elif isinstance(ref, dict):
         tri = surface.Triangulation.from_json(ref)
@@ -229,7 +231,7 @@ def cmd_dist(args) -> int:
 
 def _size(text: str) -> int:
     """A size flag's value: a non-negative integer."""
-    if not text.isdecimal():
+    if not thirds.is_decimal(text, signed=False):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 

@@ -22,14 +22,14 @@ keys a1..a12, and the four new values land on its four inner slots.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional, Union
+from collections.abc import Iterator
 
 from .errors import IncompleteHive, InvalidHive, MalformedInput
 from .surface import ThetaVertex, Triangulation
 from .thirds import Third, int_cap, json_text, quoted, read_object, read_thirds
 
-HiveValues = Dict[ThetaVertex, Third]
-HiveThirds = List[Optional[int]]  # thirds by quiver-vertex position, None where missing
+HiveValues = dict[ThetaVertex, Third]
+HiveThirds = list[int | None]  # thirds by quiver-vertex position, None where missing
 _LABELS = tuple(f"a{i}" for i in range(1, 8))
 
 
@@ -46,13 +46,14 @@ def failed_rhombi(quantities) -> list[tuple[int, int]]:
     return [(i, d) for i, d in enumerate(quantities, start=1) if d < 0 or d % 3]
 
 
-def hive_thirds(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> list[int]:
+def hive_thirds(tri: Triangulation, values: HiveValues | HiveThirds) -> list[int]:
     """``values`` as :data:`HiveThirds` (a list is taken to be that already;
     a :data:`HiveValues` dict, read by the benchmark's checks, is converted)
     once every vertex has a value: the one completeness check, which names
     the first vertex without one by position."""
     if not isinstance(values, list):
-        values = [None if x is None else x.thirds for x in map(values.get, tri.vertices)]
+        values = [None if x is None else x.thirds
+                  for x in map(values.get, map(ThetaVertex.parse, tri.keys))]
     if None in values:
         raise IncompleteHive(f"no value for vertex {tri.keys[values.index(None)]}")
     return values
@@ -67,7 +68,7 @@ def rhombus_scan(tri: Triangulation, thirds: list[int]) -> Iterator[tuple[str, t
         yield t, rhombi(*[thirds[p] for p in frames[t]])
 
 
-def validate_hive(tri: Triangulation, values: Union[HiveValues, HiveThirds]) -> list[dict]:
+def validate_hive(tri: Triangulation, values: HiveValues | HiveThirds) -> list[dict]:
     """All rhombus violations, each naming (triangle, rhombus index, value)."""
     return [{"triangle": t, "rhombus": index, "thirds": value}
             for t, quantities in rhombus_scan(tri, hive_thirds(tri, values))
@@ -131,7 +132,7 @@ def triangle_thirds_from_json(doc: dict) -> tuple[int, ...]:
                  for a in _LABELS)
 
 
-def hive_doc(pairs, tri: Optional[Triangulation] = None) -> str:
+def hive_doc(pairs, tri: Triangulation | None = None) -> str:
     """The hive document of (key, thirds) pairs as canonical JSON text,
     keeping the last value of a repeated key and skipping missing values,
     with ``tri`` inline when given: the one writer of hive documents."""

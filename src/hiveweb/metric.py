@@ -12,7 +12,7 @@ distances reaches.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable
 
 from .errors import MalformedInput, OmegaEmpty, Unreachable
 from .thirds import _shown, read_array

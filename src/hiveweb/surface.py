@@ -19,9 +19,8 @@ different flip paths directly comparable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple, Optional
 
 from .errors import (InvalidPolygonTriangulation, InvalidTriangulation, MalformedInput,
                      NotFlippable, SelfFoldedUnsupported)
@@ -41,22 +40,19 @@ SIDE_LABELS = tuple((LAYOUT.index((s, True)), LAYOUT.index((s, False))) for s in
 _SIDES = {s: (near, far, s, (s + 1) % 3) for s, (near, far) in enumerate(SIDE_LABELS)}
 
 
-@dataclass(frozen=True, order=True)
-class ThetaVertex:
+class ThetaVertex(namedtuple("ThetaVertex", "kind ref slot", defaults=(-1,))):
     """A quiver vertex: kind "c" (triangle center) or "e" (edge vertex).  The
     library names vertices by their keys; this class parses a key and is the
     vertex of the ``HiveValues`` dict form."""
 
-    kind: str
-    ref: str
-    slot: int = -1
+    __slots__ = ()
 
     @classmethod
-    def center(cls, tri: str) -> "ThetaVertex":
+    def center(cls, tri: str) -> ThetaVertex:
         return cls("c", tri)
 
     @classmethod
-    def edge(cls, edge_id: str, slot: int) -> "ThetaVertex":
+    def edge(cls, edge_id: str, slot: int) -> ThetaVertex:
         if slot not in (0, 1):
             raise ValueError(f"slot must be 0 or 1, got {slot}")
         return cls("e", edge_id, slot)
@@ -65,7 +61,7 @@ class ThetaVertex:
         return f"c:{self.ref}" if self.kind == "c" else f"e:{self.ref}:{self.slot}"
 
     @classmethod
-    def parse(cls, key: str) -> "ThetaVertex":
+    def parse(cls, key: str) -> ThetaVertex:
         if isinstance(key, str) and key.startswith("c:"):
             return cls.center(key[2:])
         if isinstance(key, str) and key.startswith("e:"):
@@ -74,16 +70,8 @@ class ThetaVertex:
         raise ValueError(f"bad vertex key {key!r}")
 
 
-class EdgeRec(NamedTuple):
-    id: str
-    tail: Label
-    head: Label
-    attach0: Attach                 # walks tail -> head
-    attach1: Optional[Attach]       # walks head -> tail; None on the boundary
-
-    @property
-    def interior(self) -> bool:
-        return self.attach1 is not None
+# attach0 walks the edge tail -> head, attach1 head -> tail (None on the boundary)
+EdgeRec = namedtuple("EdgeRec", "id tail head attach0 attach1")
 
 
 def _first_repeat(ids):
@@ -148,7 +136,7 @@ class Triangulation:
     def __init__(self, triangles, edges, signature=None):
         self.triangles: list[str] = list(triangles)
         self.edges: list[EdgeRec] = list(edges)
-        self.signature: Optional[tuple[int, int, int]] = (
+        self.signature: tuple[int, int, int] | None = (
             tuple(signature) if signature is not None else None)
         self._edge_by_id = {e.id: e for e in self.edges}
         self._triangle_ids = set(self.triangles)
@@ -213,12 +201,7 @@ class Triangulation:
         return dict(zip(self.keys, range(len(self.keys))))
 
     @cached_property
-    def vertices(self) -> tuple[ThetaVertex, ...]:
-        """The vertex at each position, for the ``HiveValues`` dict form."""
-        return tuple(map(ThetaVertex.parse, self.keys))
-
-    @cached_property
-    def _frames(self) -> Optional[dict[str, tuple[int, ...]]]:
+    def _frames(self) -> dict[str, tuple[int, ...]] | None:
         """The positions a1..a7 of every triangle, or None when
         :func:`validate_complex` would report anything: the one structural
         decision, made by one walk over the edges that also reads the labels
@@ -268,7 +251,7 @@ class Triangulation:
         return frames[t]
 
     def interior_edges(self) -> list[str]:
-        return [e.id for e in self.edges if e.interior]
+        return [e.id for e in self.edges if e.attach1 is not None]
 
     # -- value semantics --------------------------------------------------
 

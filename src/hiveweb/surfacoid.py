@@ -28,8 +28,8 @@ from graph distances only.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import isqrt
-from typing import NamedTuple
 
 from .metric import OrientedGraph, _lattice_piece, _thirds_from, _tripod, _unreached
 # unused here, but the benchmark's tracer hooks both by name on this module
@@ -37,12 +37,9 @@ from .metric import distances_from, fermat_brute  # noqa: F401
 from .web import WebTuple, _corners_checked
 
 
-class Net(NamedTuple):
-    """A net and the positions of its terminals a, b, c; unpacks as
-    ``graph, terminals`` (the benchmark's tracer reads ``.graph``)."""
-
-    graph: OrientedGraph
-    terminals: tuple[int, int, int]
+# a net's OrientedGraph and the positions of its terminals a, b, c; unpacks
+# as ``graph, terminals`` (the benchmark's tracer reads ``.graph``)
+Net = namedtuple("Net", "graph terminals")
 
 
 def _string(corner: int, inward: int, outward: int, fwd, back) -> int:

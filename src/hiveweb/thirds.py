@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import MalformedInput
 
@@ -118,28 +118,38 @@ def shown_violations(violations: list[dict]) -> str:
     return json_text(violations[:3])
 
 
+def is_decimal(text: str, signed: bool = True) -> bool:
+    """Whether command-line ``text`` writes an integer: the ASCII digits
+    0-9, after one ``-`` when ``signed``.  ``int()`` also takes ``_``,
+    ``+``, spaces and non-ASCII digits, which this refuses."""
+    if signed and text.startswith("-"):
+        text = text[1:]
+    return text.isascii() and text.isdecimal()
+
+
 def parse_ints(text: str, n: int, what: str) -> list[int]:
     """The ``n`` comma-separated integers of command-line ``text``, under the rule."""
+    parts = text.split(",")
     try:
-        values = [int(part) for part in text.split(",")]
-    except ValueError:
+        values = [int(part) for part in parts] if all(map(is_decimal, parts)) else []
+    except ValueError:  # more digits than int() converts
         values = []
     if len(values) != n:
         raise MalformedInput(f"{what} needs {n} comma-separated integers, got {text!r}")
     return [checked_int(v, what) for v in values]
 
 
-@dataclass(frozen=True)
-class Third:
+class Third(namedtuple("Third", "thirds")):
     """A value in (1/3)Z, stored scaled by three: the value type of the
     :data:`~hiveweb.hive.HiveValues` dict that the benchmark's checks read.
     Everywhere else a value is the plain int ``thirds``."""
 
-    thirds: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.thirds, int) or isinstance(self.thirds, bool):
-            raise TypeError(f"thirds must be an int, got {type(self.thirds).__name__}")
+    def __new__(cls, thirds: int) -> Third:
+        if not isinstance(thirds, int) or isinstance(thirds, bool):
+            raise TypeError(f"thirds must be an int, got {type(thirds).__name__}")
+        return super().__new__(cls, thirds)
 
     def __repr__(self) -> str:
         q, r = divmod(self.thirds, 3)

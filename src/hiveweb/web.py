@@ -16,13 +16,13 @@ match after swapping.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from operator import itemgetter
-from typing import Dict, Mapping, Optional, Sequence
 
 from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
 from .hive import (HiveThirds, HiveValues, failed_rhombi, hive_thirds, rhombi, rhombus_scan,
                    validate_hive)
-from .surface import CENTER, SIDE_LABELS, Triangulation
+from .surface import CENTER, SIDE_LABELS, ThetaVertex, Triangulation
 from .thirds import (Third, checked_int, int_cap, json_text, quoted, read_object,
                      shown_violations)
 
@@ -39,7 +39,7 @@ def _corners_checked(c: WebTuple) -> WebTuple:
     return c
 
 
-SurfaceWeb = Dict[str, WebTuple]
+SurfaceWeb = dict[str, WebTuple]
 
 
 def web_to_hive_thirds(x: int, y: int, z: int, t: int, u: int, v: int, w: int) -> tuple[int, ...]:
@@ -129,7 +129,7 @@ def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) 
 def surface_web_to_hive(tri: Triangulation, web: SurfaceWeb) -> HiveValues:
     """:func:`surface_web_thirds` as a :data:`~hiveweb.hive.HiveValues`
     dict, the form that the benchmark's checks read."""
-    return dict(zip(tri.vertices, map(Third, surface_web_thirds(tri, web))))
+    return dict(zip(map(ThetaVertex.parse, tri.keys), map(Third, surface_web_thirds(tri, web))))
 
 
 def hive_to_surface_web(tri: Triangulation, values: HiveThirds) -> SurfaceWeb:
@@ -144,7 +144,7 @@ def hive_to_surface_web(tri: Triangulation, values: HiveThirds) -> SurfaceWeb:
     return out
 
 
-def web_doc(pairs, tri: Optional[Triangulation] = None) -> str:
+def web_doc(pairs, tri: Triangulation | None = None) -> str:
     """The web document of (triangle, (x, y, z, t, u, v, w)) pairs as
     canonical JSON text, keeping the last tuple of a repeated triangle, with
     ``tri`` inline when given: the one writer of web documents."""

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hiveweb import hive, metric, sampling, web
-from hiveweb.cli import run
+from hiveweb.cli import build_parser, run
 from hiveweb.hive import hive_to_json, validate_hive
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import Triangulation, build_polygon
@@ -280,6 +280,15 @@ OFF_CENTER = [1] + [0] * (len(SQUARE.keys) - 1)
 TWICE_LISTED_EDGE = {**SQUARE.to_json(), "edges": [*SQUARE.to_json()["edges"],
                                                    SQUARE.to_json()["edges"][0]]}
 TWICE_LISTED_TRIANGLE = {**SQUARE.to_json(), "triangles": ["0-1-2", "0-2-3", "0-1-2"]}
+
+
+def usage_error(command, message):
+    """The stderr of a flag value that ``command`` refuses: its usage, which
+    argparse wraps to the terminal's width, and the error line."""
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a.choices, dict)]
+    return f"{commands[command].format_usage()}hiveweb {command}: error: {message}\n"
+
+
 # argv with {name} for each document written, exit code, stdout, stderr
 BRANCHES = {
     "flip --hive invalid": (
@@ -301,6 +310,28 @@ BRANCHES = {
     "gamma-dist --to a,b": (
         ["gamma-dist", "--to", "a,b"], {}, 2, "",
         "hiveweb: --to needs 2 comma-separated integers, got 'a,b'\n"),
+    # an integer on the command line is ASCII digits after an optional "-",
+    # not every text that int() reads
+    "gamma-dist --to 1_0,2": (
+        ["gamma-dist", "--to", "1_0,2"], {}, 2, "",
+        "hiveweb: --to needs 2 comma-separated integers, got '1_0,2'\n"),
+    "gamma-dist --to +1,2": (
+        ["gamma-dist", "--to", "+1,2"], {}, 2, "",
+        "hiveweb: --to needs 2 comma-separated integers, got '+1,2'\n"),
+    "gamma-dist --to ' 1,2'": (
+        ["gamma-dist", "--to", " 1,2"], {}, 2, "",
+        "hiveweb: --to needs 2 comma-separated integers, got ' 1,2'\n"),
+    "web2hive --coords with a fullwidth digit": (
+        ["web2hive", "--coords", "0,0,0,0,0,0,\uff11"], {}, 2, "",
+        "hiveweb: --coords needs 7 comma-separated integers, got '0,0,0,0,0,0,\uff11'\n"),
+    "gamma-dist --to -0,-00": (
+        ["gamma-dist", "--to", "-0,-00"], {}, 0, '{"thirds":0}\n', ""),
+    "fermat --window with an Arabic-Indic digit": (
+        ["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "\u0663"], {}, 2, "",
+        usage_error("fermat", "argument --window: expected a non-negative integer, got '\u0663'")),
+    "oracle --sweep with an Arabic-Indic digit": (
+        ["oracle", "--sweep", "\u0662"], {}, 2, "",
+        usage_error("oracle", "argument --sweep: expected a non-negative integer, got '\u0662'")),
     "gamma-dist --from 1": (
         ["gamma-dist", "--to", "1,1", "--from", "1"], {}, 2, "",
         "hiveweb: --from needs 2 comma-separated integers, got '1'\n"),

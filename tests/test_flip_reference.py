@@ -441,7 +441,7 @@ def test_flip_walks_match_the_reference(case):
     values = None
     for pick in picks:
         if values is None:
-            values = {v: rng.randrange(-60, 61) for v in tri.vertices}
+            values = {v: rng.randrange(-60, 61) for v in map(ThetaVertex.parse, tri.keys)}
         if rng.random() < 0.1:
             del values[rng.choice(sorted(values))]
         # mostly interior edges, then any edge, then an unknown one

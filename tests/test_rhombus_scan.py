@@ -52,6 +52,7 @@ from hiveweb.hive import (
 )
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import (
+    ThetaVertex,
     Triangulation,
     build_polygon,
     flip_triangulation,
@@ -222,7 +223,7 @@ def reference(tri, values):
 
 def assert_agrees(tri, values):
     violations, potential, cone = reference(tri, values)
-    for form in (values, dict(zip(tri.vertices, map(Third, values)))):
+    for form in (values, dict(zip(map(ThetaVertex.parse, tri.keys), map(Third, values)))):
         assert validate_hive(tri, form) == violations
         assert tropical_potential(tri, form) == potential
         assert is_in_positive_cone(tri, form) is cone
@@ -383,7 +384,7 @@ def test_a_side_attached_twice_leaves_its_cell_without_a_frame():
 
 
 # the members built on first read, and the slot table
-POSITIONS = {"slot0", "keys", "index", "vertices", "_frames", "_slots"}
+POSITIONS = {"slot0", "keys", "index", "_frames", "_slots"}
 SEPTAGON = ((0, 2), (0, 4), (2, 4), (4, 6))
 
 

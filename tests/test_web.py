@@ -23,7 +23,7 @@ from hiveweb.hive import (
     validate_hive,
 )
 from hiveweb.sampling import sample_hive
-from hiveweb.surface import CENTER, Triangulation, build_polygon
+from hiveweb.surface import CENTER, ThetaVertex, Triangulation, build_polygon
 from hiveweb.surfacoid import build_net
 from hiveweb.thirds import Third
 from hiveweb.web import (
@@ -181,7 +181,7 @@ def test_int_cores_match_the_public_functions(tri, bound, seed):
     int lists give, and each exported function writes the CLI's bytes."""
     tri = Triangulation.from_json(tri.to_json())  # as the CLI reads it, triangles sorted
     values = sample_hive(tri, bound, seed)
-    as_dict = dict(zip(tri.vertices, map(Third, values)))
+    as_dict = dict(zip(map(ThetaVertex.parse, tri.keys), map(Third, values)))
     assert hive_thirds(tri, as_dict) == values
     web = hive_to_surface_web(tri, values)
     assert hive_to_surface_web(tri, as_dict) == web
