@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hiveweb import hive, metric, sampling, web
-from hiveweb.cli import build_parser, run
+from hiveweb.cli import run
 from hiveweb.hive import hive_to_json, validate_hive
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import Triangulation, build_polygon
@@ -280,15 +280,6 @@ OFF_CENTER = [1] + [0] * (len(SQUARE.keys) - 1)
 TWICE_LISTED_EDGE = {**SQUARE.to_json(), "edges": [*SQUARE.to_json()["edges"],
                                                    SQUARE.to_json()["edges"][0]]}
 TWICE_LISTED_TRIANGLE = {**SQUARE.to_json(), "triangles": ["0-1-2", "0-2-3", "0-1-2"]}
-
-
-def usage_error(command, message):
-    """The stderr of a flag value that ``command`` refuses: its usage, which
-    argparse wraps to the terminal's width, and the error line."""
-    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a.choices, dict)]
-    return f"{commands[command].format_usage()}hiveweb {command}: error: {message}\n"
-
-
 # argv with {name} for each document written, exit code, stdout, stderr
 BRANCHES = {
     "flip --hive invalid": (
@@ -328,10 +319,13 @@ BRANCHES = {
         ["gamma-dist", "--to", "-0,-00"], {}, 0, '{"thirds":0}\n', ""),
     "fermat --window with an Arabic-Indic digit": (
         ["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "\u0663"], {}, 2, "",
-        usage_error("fermat", "argument --window: expected a non-negative integer, got '\u0663'")),
+        "usage: hiveweb fermat [-h] --a A --b B --c C [--window WINDOW] [--out OUT]\n"
+        "hiveweb fermat: error: argument --window: expected a non-negative integer, got '\u0663'\n"),
     "oracle --sweep with an Arabic-Indic digit": (
         ["oracle", "--sweep", "\u0662"], {}, 2, "",
-        usage_error("oracle", "argument --sweep: expected a non-negative integer, got '\u0662'")),
+        "usage: hiveweb oracle [-h] [--coords COORDS] [--sweep SWEEP] [--seed SEED]\n"
+        "                      [--bound BOUND] [--out OUT]\n"
+        "hiveweb oracle: error: argument --sweep: expected a non-negative integer, got '\u0662'\n"),
     "gamma-dist --from 1": (
         ["gamma-dist", "--to", "1,1", "--from", "1"], {}, 2, "",
         "hiveweb: --from needs 2 comma-separated integers, got '1'\n"),
@@ -361,7 +355,8 @@ BRANCHES = {
 
 
 @pytest.mark.parametrize("argv,docs,code,out,err", BRANCHES.values(), ids=BRANCHES)
-def test_branch_exit_code_and_output(tmp_path, capsys, argv, docs, code, out, err):
+def test_branch_exit_code_and_output(tmp_path, capsys, monkeypatch, argv, docs, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps a usage line to
     paths = {name: write(tmp_path / f"{name}.json", doc) for name, doc in docs.items()}
     assert invoke(capsys, *(arg.format(**paths) for arg in argv)) == (code, out, err)
 

@@ -2,13 +2,13 @@
 
 Usage (Python standard library only):
 
-    python3 tools/startup.py [--rounds N] SRC [SRC ...]
+    python3 tools/startup.py SRC [SRC ...]
 
 Each SRC is a directory holding the ``hiveweb`` package, such as ``src`` of
 two checkouts to compare.  Each is first compiled to bytecode under its own
 temporary ``-X pycache_prefix``: one run of every command below with
 bytecode writing on fills it, stdlib modules included, so the timed runs
-read bytecode even where ``PYTHONDONTWRITEBYTECODE`` is set.  Then N rounds
+read bytecode even where ``PYTHONDONTWRITEBYTECODE`` is set.  Then ROUNDS rounds
 run, in every round, for each command, each site mode (``-S`` and the
 default ``site``) and each SRC (their order reversed every other round):
 
@@ -39,6 +39,8 @@ import time
 from pathlib import Path
 
 MODES = {"-S": ["-S"], "site": []}
+# each median and IQR is over this many interleaved runs, as in BENCH_24.json
+ROUNDS = 25
 COUNT = ("import sys, hiveweb.cli; "
          "print(sum(m.partition('.')[0] != 'hiveweb' for m in sys.modules))")
 # a fan of the 200-gon, as the triangulation document the CLI reads
@@ -86,10 +88,7 @@ def summary(values: list[float]) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="+", type=lambda p: Path(p).resolve())
-    parser.add_argument("--rounds", type=int, default=25)
     args = parser.parse_args()
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2, for quartiles")
     with tempfile.TemporaryDirectory() as tmp:
         tri, hive = Path(tmp, "t.json"), Path(tmp, "h.json")
         tri.write_text(python(args.src[0], None, ["-c", FAN]).stdout)
@@ -104,7 +103,7 @@ def main() -> None:
                 for argv in argvs.values():
                     python(src, prefix, [*mode, *argv], write=True)
         walls, importtimes, modules = {}, {}, {}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for name, argv in argvs.items():
                 for mode, flags in MODES.items():
                     for src in args.src[::-1] if r % 2 else args.src:
