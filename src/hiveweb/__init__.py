@@ -16,7 +16,6 @@ from .errors import (
     Unreachable,
 )
 from .hive import (
-    HiveValues,
     is_in_positive_cone,
     octahedron_transport,
     rhombi,
@@ -43,6 +42,7 @@ from .surface import (
 from .surfacoid import build_net, oracle_triangle_hive
 from .thirds import Third
 from .web import (
+    HiveValues,
     SurfaceWeb,
     hive_to_surface_web,
     hive_to_web_triangle,

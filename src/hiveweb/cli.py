@@ -229,11 +229,17 @@ def cmd_dist(args) -> int:
     return 0
 
 
-def _size(text: str) -> int:
-    """A size flag's value: a non-negative integer."""
-    if not thirds.is_decimal(text, signed=False):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+class _Integer(argparse.Action):
+    """A size flag's non-negative integer under the rule, or a seed's integer
+    of any magnitude, read as it is parsed: unlike a ``type``, an action lets
+    the cap's ``MalformedInput`` reach :func:`run`."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        seed = self.dest == "seed"
+        if not thirds.is_decimal(text, signed=seed):
+            raise argparse.ArgumentError(self, "expected %s integer, got %r" % (
+                "an" if seed else "a non-negative", text))
+        setattr(namespace, self.dest, thirds.parse_int(text, self.option_strings[0], not seed))
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -283,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="compare formula hive against the net oracle")
     p.add_argument("--coords")
-    p.add_argument("--sweep", type=_size, help="number of seeded random instances")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=_size)
+    p.add_argument("--sweep", action=_Integer, help="number of seeded random instances")
+    p.add_argument("--seed", action=_Integer, default=0)
+    p.add_argument("--bound", action=_Integer)
     common(p, cmd_oracle)
 
     p = sub.add_parser("gamma-dist", help="closed-form lattice distance")
@@ -297,13 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="x,y of the lower-left point")
     p.add_argument("--b", required=True, help="x,y of the lower-right point")
     p.add_argument("--c", required=True, help="x,y of the upper point")
-    p.add_argument("--window", type=_size, help="also brute-force on this window radius")
+    p.add_argument("--window", action=_Integer, help="also brute-force on this window radius")
     common(p, cmd_fermat)
 
     p = sub.add_parser("sample", help="deterministic valid hive")
     p.add_argument("--triangulation", required=True)
-    p.add_argument("--bound", type=_size, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--bound", action=_Integer, required=True)
+    p.add_argument("--seed", action=_Integer, required=True)
     common(p, cmd_sample)
 
     p = sub.add_parser("dist", help="shortest distance in an oriented graph")
@@ -341,23 +347,20 @@ def run(argv) -> int:
     # comes back on every way out
     was = gc.isenabled()
     gc.disable()
+    thirds.max_thirds.cache_clear()  # before parse_args: the size flags read the cap
     try:
         try:
             args = build_parser().parse_args(_absorb_negative_values(list(argv)))
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
-        thirds.max_thirds.cache_clear()
-        try:
-            try:
-                return args.func(args)
-            except (HivewebError, KeyError) as exc:
-                detail = str(exc.args[0]) if exc.args else str(exc)
-                _emit(json_text({"error": type(exc).__name__, "detail": detail}),
-                      getattr(args, "out", None))
-                return 1
-        except MalformedInput as exc:  # also when the error report cannot be written
-            print(f"hiveweb: {exc}", file=sys.stderr)
-            return 2
+            return args.func(args)
+        except (HivewebError, KeyError) as exc:
+            detail = str(exc.args[0]) if exc.args else str(exc)
+            _emit(json_text({"error": type(exc).__name__, "detail": detail}), args.out)
+            return 1
+    except SystemExit as exc:  # argparse's exit, on --help or a usage error
+        return exc.code if isinstance(exc.code, int) else 2
+    except MalformedInput as exc:  # also when the error report cannot be written
+        print(f"hiveweb: {exc}", file=sys.stderr)
+        return 2
     finally:
         if was:
             gc.enable()

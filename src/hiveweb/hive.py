@@ -26,9 +26,8 @@ from collections.abc import Iterator
 
 from .errors import IncompleteHive, InvalidHive, MalformedInput
 from .surface import ThetaVertex, Triangulation
-from .thirds import Third, int_cap, json_text, quoted, read_object, read_thirds
+from .thirds import int_cap, json_text, quoted, read_object, read_thirds
 
-HiveValues = dict[ThetaVertex, Third]
 HiveThirds = list[int | None]  # thirds by quiver-vertex position, None where missing
 _LABELS = tuple(f"a{i}" for i in range(1, 8))
 
@@ -46,14 +45,13 @@ def failed_rhombi(quantities) -> list[tuple[int, int]]:
     return [(i, d) for i, d in enumerate(quantities, start=1) if d < 0 or d % 3]
 
 
-def hive_thirds(tri: Triangulation, values: HiveValues | HiveThirds) -> list[int]:
+def hive_thirds(tri: Triangulation, values: dict[str, int] | HiveThirds) -> list[int]:
     """``values`` as :data:`HiveThirds` (a list is taken to be that already;
-    a :data:`HiveValues` dict, read by the benchmark's checks, is converted)
-    once every vertex has a value: the one completeness check, which names
-    the first vertex without one by position."""
+    a dict of thirds by vertex key is read at ``tri.keys``) once every vertex
+    has a value: the one completeness check, which names the first vertex
+    without one by position."""
     if not isinstance(values, list):
-        values = [None if x is None else x.thirds
-                  for x in map(values.get, map(ThetaVertex.parse, tri.keys))]
+        values = list(map(values.get, tri.keys))
     if None in values:
         raise IncompleteHive(f"no value for vertex {tri.keys[values.index(None)]}")
     return values
@@ -68,7 +66,7 @@ def rhombus_scan(tri: Triangulation, thirds: list[int]) -> Iterator[tuple[str, t
         yield t, rhombi(*[thirds[p] for p in frames[t]])
 
 
-def validate_hive(tri: Triangulation, values: HiveValues | HiveThirds) -> list[dict]:
+def validate_hive(tri: Triangulation, values: dict[str, int] | HiveThirds) -> list[dict]:
     """All rhombus violations, each naming (triangle, rhombus index, value)."""
     return [{"triangle": t, "rhombus": index, "thirds": value}
             for t, quantities in rhombus_scan(tri, hive_thirds(tri, values))
@@ -152,43 +150,30 @@ def hive_to_json(tri: Triangulation, thirds: HiveThirds, inline: bool = True) ->
 
 def hive_thirds_from_json(doc: dict, tri: Triangulation) -> tuple[HiveThirds, dict[str, int]]:
     """The one reader of hive documents: the values, in thirds, at the
-    positions of ``tri.keys``, and those of keys that name no vertex of
-    ``tri`` under their canonical key.  The document and its ``values`` are
-    objects and each key is a vertex key; each value is read by
-    :func:`~hiveweb.thirds.read_thirds` under its key; two keys that name one
-    vertex (``"e:0-1:0"`` and ``"e:0-1:00"``) are malformed.  A key of
-    ``tri.keys`` not read yet whose value passes the inline test is taken as
-    it is; every other key goes through the general path, in document order."""
+    positions of ``tri.keys``, and by key those of the other keys.  The
+    document and its ``values`` are objects and each key is a vertex key as
+    written (``"e:0-1:0"``, not ``"e:0-1:00"``); each value is read by
+    :func:`~hiveweb.thirds.read_thirds` under its checked key, unless it
+    passes the inline test at a key of ``tri.keys``."""
     index, cap = tri.index, int_cap()
     raw = read_object(read_object(doc, "hive document", "values")["values"], "values")
     values: HiveThirds = [None] * len(index)
     others: dict[str, int] = {}
     for key, obj in raw.items():
-        name, i = key, index.get(key)
-        if i is not None and values[i] is None and type(obj) is dict and len(obj) == 1:
-            x = obj.get("thirds")
-            if type(x) is int and -cap <= x <= cap:
-                values[i] = x
-                continue
+        i = index.get(key)
         if i is None:
             try:
-                name = ThetaVertex.parse(key).key()
+                ThetaVertex.parse(key)
             except ValueError:
                 raise MalformedInput(f"values: {key!r} is not a vertex key") from None
-            i = index.get(name)
-        if (name in others) if i is None else (values[i] is not None):
-            first = next(k for k in raw if ThetaVertex.parse(k).key() == name)
-            raise MalformedInput(f"keys {first!r} and {key!r} name one vertex")
-        value = read_thirds(obj, key)
-        if i is None:
-            others[name] = value
+            others[key] = read_thirds(obj, key)
         else:
-            values[i] = value
+            x = obj.get("thirds") if type(obj) is dict and len(obj) == 1 else None
+            values[i] = x if type(x) is int and -cap <= x <= cap else read_thirds(obj, key)
     return values, others
 
 
-def hive_values_from_json(doc: dict) -> HiveValues:
-    """The document's values by vertex, as :func:`hive_thirds_from_json` reads
-    them, in the :data:`HiveValues` form that the benchmark's checks read."""
-    _, values = hive_thirds_from_json(doc, Triangulation([], []))
-    return {ThetaVertex.parse(key): Third(x) for key, x in values.items()}
+def hive_values_from_json(doc: dict) -> dict[str, int]:
+    """The document's values in thirds by vertex key, as
+    :func:`hive_thirds_from_json` reads them."""
+    return hive_thirds_from_json(doc, Triangulation([], []))[1]

@@ -42,8 +42,8 @@ _SIDES = {s: (near, far, s, (s + 1) % 3) for s, (near, far) in enumerate(SIDE_LA
 
 class ThetaVertex(namedtuple("ThetaVertex", "kind ref slot", defaults=(-1,))):
     """A quiver vertex: kind "c" (triangle center) or "e" (edge vertex).  The
-    library names vertices by their keys; this class parses a key and is the
-    vertex of the ``HiveValues`` dict form."""
+    library names vertices by their keys, each read as written; this class
+    parses a key and is the vertex of the ``HiveValues`` dict form."""
 
     __slots__ = ()
 
@@ -66,7 +66,8 @@ class ThetaVertex(namedtuple("ThetaVertex", "kind ref slot", defaults=(-1,))):
             return cls.center(key[2:])
         if isinstance(key, str) and key.startswith("e:"):
             ref, slot = key[2:].rsplit(":", 1)
-            return cls.edge(ref, int(slot))
+            if slot in ("0", "1"):
+                return cls.edge(ref, int(slot))
         raise ValueError(f"bad vertex key {key!r}")
 
 

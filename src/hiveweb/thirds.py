@@ -7,7 +7,8 @@ subtraction, max and min closed and exact with no overflow mode to worry
 about.  No float ever appears.
 
 Every integer read from a JSON document or a command-line value passes one
-rule, :func:`checked_int`: an exact ``int`` of magnitude at most ``HIVEWEB_MAX_THIRDS``.
+rule, :func:`checked_int`: an exact ``int`` of magnitude at most ``HIVEWEB_MAX_THIRDS``,
+except a seed, which is not a quantity and keeps any magnitude ``int()`` converts.
 """
 
 from __future__ import annotations
@@ -127,16 +128,25 @@ def is_decimal(text: str, signed: bool = True) -> bool:
     return text.isascii() and text.isdecimal()
 
 
+def parse_int(text: str, what: str, capped: bool = True) -> int:
+    """The integer of command-line ``text`` that :func:`is_decimal` accepts,
+    under the rule when ``capped``.  Past its leading zeros, a value with more
+    digits than ``int()`` converts is over the cap, which ``int()`` reads too."""
+    digits = text.lstrip("-").lstrip("0") or "0"
+    try:
+        value = int("-" + digits if text.startswith("-") else digits)
+    except ValueError:  # worded by its digit count, not its digits
+        limit = f"HIVEWEB_MAX_THIRDS={max_thirds()}" if capped else "what int() converts"
+        raise MalformedInput(f"{what}: a value of {len(digits)} digits exceeds {limit}") from None
+    return checked_int(value, what) if capped else value
+
+
 def parse_ints(text: str, n: int, what: str) -> list[int]:
     """The ``n`` comma-separated integers of command-line ``text``, under the rule."""
     parts = text.split(",")
-    try:
-        values = [int(part) for part in parts] if all(map(is_decimal, parts)) else []
-    except ValueError:  # more digits than int() converts
-        values = []
-    if len(values) != n:
+    if len(parts) != n or not all(map(is_decimal, parts)):
         raise MalformedInput(f"{what} needs {n} comma-separated integers, got {text!r}")
-    return [checked_int(v, what) for v in values]
+    return [parse_int(part, what) for part in parts]
 
 
 class Third(namedtuple("Third", "thirds")):

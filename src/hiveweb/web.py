@@ -20,8 +20,7 @@ from collections.abc import Mapping, Sequence
 from operator import itemgetter
 
 from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
-from .hive import (HiveThirds, HiveValues, failed_rhombi, hive_thirds, rhombi, rhombus_scan,
-                   validate_hive)
+from .hive import HiveThirds, failed_rhombi, hive_thirds, rhombi, rhombus_scan, validate_hive
 from .surface import CENTER, SIDE_LABELS, ThetaVertex, Triangulation
 from .thirds import (Third, checked_int, int_cap, json_text, quoted, read_object,
                      shown_violations)
@@ -40,6 +39,7 @@ def _corners_checked(c: WebTuple) -> WebTuple:
 
 
 SurfaceWeb = dict[str, WebTuple]
+HiveValues = dict[ThetaVertex, Third]  # what surface_web_to_hive returns
 
 
 def web_to_hive_thirds(x: int, y: int, z: int, t: int, u: int, v: int, w: int) -> tuple[int, ...]:
@@ -127,8 +127,8 @@ def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) 
 
 
 def surface_web_to_hive(tri: Triangulation, web: SurfaceWeb) -> HiveValues:
-    """:func:`surface_web_thirds` as a :data:`~hiveweb.hive.HiveValues`
-    dict, the form that the benchmark's checks read."""
+    """:func:`surface_web_thirds` as a :data:`HiveValues` dict, the form
+    that the benchmark's checks read."""
     return dict(zip(map(ThetaVertex.parse, tri.keys), map(Third, surface_web_thirds(tri, web))))
 
 

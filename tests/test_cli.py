@@ -281,6 +281,11 @@ TWICE_LISTED_EDGE = {**SQUARE.to_json(), "edges": [*SQUARE.to_json()["edges"],
                                                    SQUARE.to_json()["edges"][0]]}
 TWICE_LISTED_TRIANGLE = {**SQUARE.to_json(), "triangles": ["0-1-2", "0-2-3", "0-1-2"]}
 # argv with {name} for each document written, exit code, stdout, stderr
+NO_TRIANGLES = {"edges": [], "triangles": []}
+ORACLE_USAGE = ("usage: hiveweb oracle [-h] [--coords COORDS] [--sweep SWEEP] [--seed SEED]\n"
+                "                      [--bound BOUND] [--out OUT]\n")
+SAMPLE_USAGE = ("usage: hiveweb sample [-h] --triangulation TRIANGULATION --bound BOUND --seed\n"
+                "                      SEED [--out OUT]\n")
 BRANCHES = {
     "flip --hive invalid": (
         ["flip", "--triangulation", "{t}", "--edge", "0-2", "--hive", "{h}"],
@@ -351,6 +356,67 @@ BRANCHES = {
         ["sample", "--triangulation", "{t}", "--bound", "1", "--seed", "0"],
         {"t": TWICE_LISTED_EDGE},
         1, canonical({"error": "InvalidTriangulation", "detail": 'duplicate edge id "0-1"'}), ""),
+    # a size flag obeys the cap; a value with more digits than int() converts
+    # is over it, and its refusal counts the digits instead of repeating them
+    "fermat --window over the cap": (
+        ["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "10000000000000"], {},
+        2, "", "hiveweb: --window: |10000000000000| exceeds HIVEWEB_MAX_THIRDS=1000000000000\n"),
+    "fermat --window of 5,000 digits": (
+        ["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "9" * 5000], {}, 2, "",
+        "hiveweb: --window: a value of 5000 digits exceeds HIVEWEB_MAX_THIRDS=1000000000000\n"),
+    "fermat --window after 5,000 zeros": (
+        ["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "0" * 5000 + "6"], {},
+        0, '{"brute":{"argmin_size":9,"thirds":8},"match":true,"thirds":8}\n', ""),
+    "oracle --sweep of 5,000 digits": (
+        ["oracle", "--sweep", "1" * 5000], {}, 2, "",
+        "hiveweb: --sweep: a value of 5000 digits exceeds HIVEWEB_MAX_THIRDS=1000000000000\n"),
+    "sample --bound over the cap": (
+        ["sample", "--triangulation", "{t}", "--bound", "1000000000001", "--seed", "0"],
+        {"t": SQUARE.to_json()}, 2, "",
+        "hiveweb: --bound: |1000000000001| exceeds HIVEWEB_MAX_THIRDS=1000000000000\n"),
+    "gamma-dist --to of 5,000 digits": (
+        ["gamma-dist", "--to", "1" * 5000 + ",1"], {}, 2, "",
+        "hiveweb: --to: a value of 5000 digits exceeds HIVEWEB_MAX_THIRDS=1000000000000\n"),
+    "gamma-dist --to after 5,000 zeros": (
+        ["gamma-dist", "--to", "-" + "0" * 5000 + "1,1"], {}, 0, '{"thirds":3}\n', ""),
+    "oracle --coords of 5,000 digits": (
+        ["oracle", "--coords", "0,0,0,0,0,0," + "2" * 5000], {}, 2, "",
+        "hiveweb: --coords: a value of 5000 digits exceeds HIVEWEB_MAX_THIRDS=1000000000000\n"),
+    # a seed is read by the same grammar, and keeps any magnitude int() converts
+    "oracle --seed 1_0": (
+        ["oracle", "--sweep", "1", "--seed", "1_0"], {}, 2, "", ORACLE_USAGE
+        + "hiveweb oracle: error: argument --seed: expected an integer, got '1_0'\n"),
+    "oracle --seed +3": (
+        ["oracle", "--sweep", "1", "--seed", "+3"], {}, 2, "", ORACLE_USAGE
+        + "hiveweb oracle: error: argument --seed: expected an integer, got '+3'\n"),
+    "oracle --seed ' 3'": (
+        ["oracle", "--sweep", "1", "--seed", " 3"], {}, 2, "", ORACLE_USAGE
+        + "hiveweb oracle: error: argument --seed: expected an integer, got ' 3'\n"),
+    "oracle --seed -5": (
+        ["oracle", "--sweep", "1", "--seed", "-5", "--bound", "0"], {}, 0,
+        '{"all_match":true,"instances":1,"mismatches":[]}\n', ""),
+    "sample --seed with an Arabic-Indic digit": (
+        ["sample", "--triangulation", "{t}", "--bound", "1", "--seed", "\u0661"],
+        {"t": SQUARE.to_json()}, 2, "", SAMPLE_USAGE
+        + "hiveweb sample: error: argument --seed: expected an integer, got '\u0661'\n"),
+    "sample --seed of 30 digits": (
+        ["sample", "--triangulation", "{t}", "--bound", "0", "--seed", "9" * 30],
+        {"t": SQUARE.to_json()}, 0, hive.hive_doc(zip(SQUARE.keys, [0] * len(SQUARE.keys)),
+                                                  SQUARE) + "\n", ""),
+    "sample --seed of 5,000 digits": (
+        ["sample", "--triangulation", "{t}", "--bound", "1", "--seed", "-" + "7" * 5000],
+        {"t": SQUARE.to_json()}, 2, "",
+        "hiveweb: --seed: a value of 5000 digits exceeds what int() converts\n"),
+    # the complex with no triangles
+    "sample without triangles": (
+        ["sample", "--triangulation", "{t}", "--bound", "1", "--seed", "0"], {"t": NO_TRIANGLES},
+        0, '{"triangulation":{"edges":[],"triangles":[]},"values":{}}\n', ""),
+    "hive2web without triangles": (
+        ["hive2web", "--hive", "{h}"], {"h": {"values": {}, "triangulation": NO_TRIANGLES}},
+        0, '{"coords":{},"triangulation":{"edges":[],"triangles":[]}}\n', ""),
+    "web2hive --web without triangles": (
+        ["web2hive", "--web", "{w}"], {"w": {"coords": {}, "triangulation": NO_TRIANGLES}},
+        0, '{"triangulation":{"edges":[],"triangles":[]},"values":{}}\n', ""),
 }
 
 
@@ -374,7 +440,7 @@ def test_flip_hive_values_of_created_vertices_win_over_extra_keys(tmp_path, caps
     code, plain, err = invoke(capsys, *argv, write(tmp_path / "h.json", doc))
     assert (code, err) == (0, "")
     doc["values"].update({"e:1-3:0": {"thirds": 999}, "c:1-2-3": {"thirds": 998},
-                          "e:5-6:00": {"thirds": 7}})
+                          "e:5-6:0": {"thirds": 7}})
     code, out, err = invoke(capsys, *argv, write(tmp_path / "extra.json", doc))
     assert (code, err) == (0, "")
     values = json.loads(out)["hive"]["values"]

@@ -1,7 +1,7 @@
 """Hive, web and triangulation documents each have one owner.
 
 ``hiveweb.hive`` is the one reader and the one writer of a hive document's
-``values``, and it alone words the refusal of two keys that name one vertex;
+``values``, and it alone words the refusal of a key that is not a vertex key;
 ``hiveweb.web`` is the one reader and the one writer of a web document's
 ``coords``; ``hiveweb.surface`` alone writes a triangulation document's
 ``edges``.  The writers write canonical JSON text, so a string constant that
@@ -81,6 +81,6 @@ def test_only_surface_writes_triangulation_edges():
 def test_only_hive_words_the_alias_refusal():
     worded = {(module, func) for module, func, node in _nodes()
               if isinstance(node, ast.JoinedStr)
-              and any(isinstance(part, ast.Constant) and "name one vertex" in part.value
+              and any(isinstance(part, ast.Constant) and "is not a vertex key" in part.value
                       for part in node.values)}
     assert worded == {("hive.py", "hive_thirds_from_json")}

@@ -164,12 +164,24 @@ def test_quad_frame_matches_transport_carriers():
     assert frame[A2].startswith("e:") and frame[A6].startswith("e:")
 
 
-@pytest.mark.parametrize("alias_first", [False, True], ids=["canonical first", "alias first"])
-@pytest.mark.parametrize("alias", ["e:0-1:00", "e:0-1:+0"])
+@pytest.mark.parametrize("alias_first", [False, True, None],
+                         ids=["canonical first", "alias first", "alias alone"])
+@pytest.mark.parametrize("alias", ["e:0-1:00", "e:0-1:+0", "e:0-1: 0", "e:0-1:0 ",
+                                   "e:0-1:\u0660", "e:0-1:\uff10"])
 def test_hive_reader_refuses_two_keys_for_one_vertex(alias, alias_first):
+    """A key is read as written: a spelling that int() would read as the key
+    ``e:0-1:0`` is not a vertex key, beside that key or alone."""
     pair = [("e:0-1:0", {"thirds": 1}), (alias, {"thirds": 2})]
-    first, second = pair[::-1] if alias_first else pair
-    doc = {"values": {first[0]: first[1], "c:0-1-2": {"thirds": 0}, second[0]: second[1]}}
+    if alias_first is None:
+        pair = pair[1:]
+    first, *second = pair[::-1] if alias_first else pair
+    doc = {"values": {first[0]: first[1], "c:0-1-2": {"thirds": 0}, **dict(second)}}
     with pytest.raises(MalformedInput) as caught:
         hive_values_from_json(doc)
-    assert str(caught.value) == f"keys {first[0]!r} and {second[0]!r} name one vertex"
+    assert str(caught.value) == f"values: {alias!r} is not a vertex key"
+
+
+def test_hive_reader_keeps_each_vertex_key_as_written():
+    values = {"e:0-1:0": {"thirds": 1}, "c:0-1-2": {"thirds": 0}, "e:a:b:1": {"thirds": -3}}
+    assert hive_values_from_json({"values": values}) == {"e:0-1:0": 1, "c:0-1-2": 0,
+                                                         "e:a:b:1": -3}

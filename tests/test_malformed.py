@@ -289,19 +289,25 @@ def test_unknown_names_stay_semantic(argv, doc, error, tmp_path):
 FIRST_EDGE_KEY = next(key for key in sorted(DOCS["hive"]["values"]) if key.startswith("e:"))
 
 
-ALIASES = [FIRST_EDGE_KEY + "0", FIRST_EDGE_KEY[:-1] + "+0"]
-ORDERS = {"canonical first": False, "alias first": True}
+# int() reads each of these slots as the first edge key's slot 0; the reader does not
+SLOTS = ["00", "+0", " 0", "0 ", "\u0660", "\uff10"]  # Arabic-Indic and fullwidth zero
+ALIASES = [FIRST_EDGE_KEY[:-1] + slot for slot in SLOTS]
+ORDERS = {"canonical first": False, "alias first": True, "alias alone": None}
 
 
 def aliased(alias, alias_first):
-    """The hive document with ``alias`` naming the vertex of its first edge
-    key too, and the message that refuses it."""
+    """The hive document with ``alias``, a spelling of its first edge key
+    that is not that key, beside the key (after it, or before it when
+    ``alias_first``) or, when ``alias_first`` is None, in its place; and the
+    message that refuses it."""
     values = dict(DOCS["hive"]["values"])
     value = values.pop(FIRST_EDGE_KEY)
     pair = [(FIRST_EDGE_KEY, value), (alias, {"thirds": value["thirds"] + 3})]
-    first, second = pair[::-1] if alias_first else pair
-    doc = dict(DOCS["hive"], values={first[0]: first[1], **values, second[0]: second[1]})
-    return doc, f"keys {first[0]!r} and {second[0]!r} name one vertex"
+    if alias_first is None:
+        pair = [(alias, value)]
+    first, *second = pair[::-1] if alias_first else pair
+    doc = dict(DOCS["hive"], values={first[0]: first[1], **values, **dict(second)})
+    return doc, f"values: {alias!r} is not a vertex key"
 
 
 @pytest.mark.parametrize("alias_first", ORDERS.values(), ids=ORDERS)
@@ -561,6 +567,9 @@ UNPARSABLE = {
     "the first web coordinate": (
         {"triangulation": {"triangles": [], "edges": []}, "coords": {"t": {"x": 0}}},
         ["validate", "--web"], 2, "{cap}"),
+    "a size flag, as the arguments are parsed": (
+        {"triangles": [], "edges": []}, ["sample", "--bound", "0", "--seed", "0", "--triangulation"],
+        2, "{cap}"),
 }
 
 
@@ -574,11 +583,25 @@ def test_an_unparsable_cap_fails_where_it_is_first_read(doc, argv, code, message
     assert (got[0], got[2]) == (code, err)
 
 
+def test_the_size_flags_read_the_cap_of_their_own_run(tmp_path, monkeypatch):
+    fermat = ["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "6"]
+    assert invoke(fermat, {}, tmp_path)[0] == 0  # reads the default cap
+    monkeypatch.setenv("HIVEWEB_MAX_THIRDS", "5")
+    assert invoke(fermat, {}, tmp_path) == (
+        2, "", "hiveweb: --window: |6| exceeds HIVEWEB_MAX_THIRDS=5\n")
+
+
 def test_aliases_of_a_key_outside_the_triangulation_exit_two(tmp_path):
-    doc = copy.deepcopy(DOCS["hive"])
-    doc["values"].update({"e:9-9:1": {"thirds": 0}, "e:9-9:01": {"thirds": 3}})
-    argv = COMMANDS["hive"][-1]  # flip --hive carries such keys through
-    assert invoke(argv, doc, tmp_path)[:2] == (2, "")
+    argv = COMMANDS["hive"][-1]  # flip --hive carries the keys of other vertices through
+    refused = (2, "", "hiveweb: values: 'e:9-9:01' is not a vertex key\n")
+    for extra in ({"e:9-9:1": {"thirds": 0}, "e:9-9:01": {"thirds": 3}},
+                  {"e:9-9:01": {"thirds": 3}}):
+        doc = copy.deepcopy(DOCS["hive"])
+        doc["values"].update(extra)
+        assert invoke(argv, doc, tmp_path) == refused
+    doc["values"] = {**DOCS["hive"]["values"], "e:9-9:1": {"thirds": 0}}
+    code, out, _ = invoke(argv, doc, tmp_path)
+    assert (code, json.loads(out)["hive"]["values"]["e:9-9:1"]) == (0, {"thirds": 0})
 
 
 def test_parser_is_reused_without_changing_help_or_usage_errors(tmp_path):

@@ -12,7 +12,7 @@ shuffled and with integer ids.
 
 ``validate_hive``, ``tropical_potential`` and ``is_in_positive_cone`` run on
 int lists over a triangulation's quiver-vertex positions, and on the same
-values as ``Third`` by ``ThetaVertex``; the reference reads every triangle
+values as thirds by vertex key; the reference reads every triangle
 through the reference frame and the nine rhombus quantities on int values in
 thirds.  They must agree on sampled hives, on single-vertex perturbations of
 them and on the same hives after random flips.
@@ -52,13 +52,11 @@ from hiveweb.hive import (
 )
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import (
-    ThetaVertex,
     Triangulation,
     build_polygon,
     flip_triangulation,
     validate_complex,
 )
-from hiveweb.thirds import Third
 from hiveweb.web import hive_to_surface_web, surface_web_thirds
 
 # -- the reference ------------------------------------------------------------
@@ -223,7 +221,7 @@ def reference(tri, values):
 
 def assert_agrees(tri, values):
     violations, potential, cone = reference(tri, values)
-    for form in (values, dict(zip(map(ThetaVertex.parse, tri.keys), map(Third, values)))):
+    for form in (values, dict(zip(tri.keys, values))):
         assert validate_hive(tri, form) == violations
         assert tropical_potential(tri, form) == potential
         assert is_in_positive_cone(tri, form) is cone

@@ -351,6 +351,7 @@ def test_a_bound_past_the_packed_fields_is_refused(tmp_path, capsys, monkeypatch
     path = tmp_path / "t.json"
     path.write_text(json.dumps(TWELVE.to_json()))
     bound = str(sampling.MAX_BOUND + 1)
+    monkeypatch.setenv("HIVEWEB_MAX_THIRDS", bound)  # a size flag obeys the cap, read first
     assert run(["sample", "--triangulation", str(path), "--bound", bound, "--seed", "0"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"hiveweb: bound must be at most {sampling.MAX_BOUND}\n"
