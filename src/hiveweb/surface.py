@@ -468,10 +468,11 @@ def _quad(tri: Triangulation,
     second."""
     tri.check()
     if rec.attach1 is None:
-        raise NotFlippable(f"edge {rec.id!r} is on the boundary")
+        raise NotFlippable(f"edge {_shown(rec.id)} is on the boundary")
     (t_left, s_left), (t_right, s_right) = rec.attach0, rec.attach1
     if t_left == t_right:
-        raise SelfFoldedUnsupported(f"edge {rec.id!r} glues triangle {t_left!r} to itself")
+        raise SelfFoldedUnsupported(
+            f"edge {_shown(rec.id)} glues triangle {_shown(t_left)} to itself")
     sides = (tri.side(t_left, s_left + 1), tri.side(t_right, s_right + 2),
              tri.side(t_left, s_left + 2), tri.side(t_right, s_right + 1))
     (a1, a4), (a8, a3), (a9, a10), (a11, a12) = (
@@ -480,7 +481,7 @@ def _quad(tri: Triangulation,
              a8, a9, a10, a11, a12)
     # also catches two outer sides on one edge, or one on the diagonal
     if len(set(frame)) != 12:
-        raise SelfFoldedUnsupported(f"quadrilateral around {rec.id!r} wraps onto itself")
+        raise SelfFoldedUnsupported(f"quadrilateral around {_shown(rec.id)} wraps onto itself")
     return frame, sides
 
 
@@ -520,8 +521,9 @@ def flip_triangulation(tri: Triangulation, edge_id: str
     (tail, head), _ = _rotate_to_min((r, s))
     new_eid = f"{tail}-{head}"
     if new_eid in tri._edge_by_id and new_eid != edge_id:
-        raise InvalidTriangulation(f"flip of {edge_id!r} would reuse edge id {new_eid!r}; "
-                                   "distinct arcs with equal endpoints are not supported")
+        raise InvalidTriangulation(
+            f"flip of {_shown(edge_id)} would reuse edge id {_shown(new_eid)}; "
+            "distinct arcs with equal endpoints are not supported")
 
     # each new cell as a counterclockwise cycle of (corner, the outer side
     # leaving it), None for the new diagonal; cell P covers the old a2 side
@@ -539,12 +541,14 @@ def flip_triangulation(tri: Triangulation, edge_id: str
                 new_slot[outer] = (tid, k)
     (pid, _), (qid, _) = diag
     if pid == qid:
-        raise SelfFoldedUnsupported(f"flip of {edge_id!r} would produce two cells with id {pid!r}")
+        raise SelfFoldedUnsupported(
+            f"flip of {_shown(edge_id)} would produce two cells with id {_shown(pid)}")
     t_left, t_right = rec.attach0[0], rec.attach1[0]
     for tid in (pid, qid):
         if tid in tri._triangle_ids and tid not in (t_left, t_right):
-            raise InvalidTriangulation(f"flip of {edge_id!r} would reuse triangle id {tid!r}; "
-                                       "the cell that has it is not replaced")
+            raise InvalidTriangulation(
+                f"flip of {_shown(edge_id)} would reuse triangle id {_shown(tid)}; "
+                "the cell that has it is not replaced")
 
     from_r = tail == r  # the new diagonal runs R -> S, so cell P walks it first
     moved = {edge_id: EdgeRec(new_eid, tail, head, *(diag if from_r else diag[::-1]))}

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from hiveweb import hive, metric, sampling, web
+from hiveweb import hive, metric, sampling, surfacoid, web
 from hiveweb.cli import run
 from hiveweb.hive import hive_to_json, validate_hive
 from hiveweb.sampling import sample_hive
@@ -156,6 +157,26 @@ def test_oracle_single_and_sweep(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"all_match": True, "instances": 25, "mismatches": []}
+
+
+def test_oracle_sweep_lists_each_mismatch(capsys, monkeypatch):
+    """An oracle that is off by one third in a1 whenever x > 0: the sweep
+    exits 1 and lists exactly those instances, each with both hives."""
+    def wrong(coords):
+        h = web.web_to_hive_thirds(*coords)
+        return (h[0] + 1, *h[1:]) if coords[0] > 0 else h
+
+    monkeypatch.setattr(surfacoid, "oracle_triangle_hive", wrong)
+    code, out, err = invoke(capsys, "oracle", "--sweep", "25", "--seed", "5", "--bound", "2")
+    doc = json.loads(out)
+    assert (code, err, doc["instances"], doc["all_match"]) == (1, "", 25, False)
+    rng = random.Random(5)
+    drawn = [(rng.randint(-2, 2), *(rng.randint(0, 2) for _ in range(6))) for _ in range(25)]
+    assert [tuple(m["coords"][k] for k in "xyztuvw") for m in doc["mismatches"]] == [
+        c for c in drawn if c[0] > 0]
+    for m in doc["mismatches"]:
+        assert m["match"] is False
+        assert m["oracle"] == {**m["formula"], "a1": {"thirds": m["formula"]["a1"]["thirds"] + 1}}
 
 
 def test_fermat_with_brute_window(capsys):

@@ -106,12 +106,12 @@ INCOHERENT_CELLS = {
 }
 
 FLIP_ERRORS = {
-    "boundary edge": (_square(), "0-1", "NotFlippable", "edge '0-1' is on the boundary"),
+    "boundary edge": (_square(), "0-1", "NotFlippable", 'edge "0-1" is on the boundary'),
     "unknown edge": (_square(), "9-9", "KeyError", 'unknown edge "9-9"'),
     "self-glued edge": (SELF_GLUED, "loop", "SelfFoldedUnsupported",
-                        "edge 'loop' glues triangle 'A' to itself"),
+                        'edge "loop" glues triangle "A" to itself'),
     "quadrilateral wraps onto itself": (TORUS, "c", "SelfFoldedUnsupported",
-                                        "quadrilateral around 'c' wraps onto itself"),
+                                        'quadrilateral around "c" wraps onto itself'),
     "side S->P unattached before R->Q": (
         _square(_unattach("0-3"), _unattach("1-2")), "0-2", "InvalidTriangulation",
         'triangulation has 4 structural violations: '
@@ -125,15 +125,15 @@ FLIP_ERRORS = {
         '{"edge":"0-3","kind":"bad-side-index","side":5,"triangle":"0-2-3"},'
         '{"kind":"dangling-side","side":0,"triangle":"0-1-2"}]'),
     "reused edge id": (_square(_rename), "0-2", "InvalidTriangulation",
-                       "flip of '0-2' would reuse edge id '1-3'; "
+                       'flip of "0-2" would reuse edge id "1-3"; '
                        "distinct arcs with equal endpoints are not supported"),
     "two cells with one id": (_square(_alternate_labels), "0-2", "SelfFoldedUnsupported",
-                              "flip of '0-2' would produce two cells with id 'x-y-y'"),
+                              'flip of "0-2" would produce two cells with id "x-y-y"'),
     "reused triangle id": (RELABELLED_OCTAGON, "2-4", "InvalidTriangulation",
-                           "flip of '2-4' would reuse triangle id '5-6-7'; "
+                           'flip of "2-4" would reuse triangle id "5-6-7"; '
                            "the cell that has it is not replaced"),
     "reused edge id from mixed labels": (RELABELLED_OCTAGON_EDGE, "2-4", "InvalidTriangulation",
-                                         "flip of '2-4' would reuse edge id '6-7'; "
+                                         'flip of "2-4" would reuse edge id "6-7"; '
                                          "distinct arcs with equal endpoints are not supported"),
     **{name: (doc, "0-2", "InvalidTriangulation", detail)
        for name, (doc, detail) in INCOHERENT_CELLS.items()},

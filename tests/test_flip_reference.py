@@ -94,11 +94,12 @@ def _corner_vertex(tri, t, s, at_start):
 def reference_quad_frame(tri, edge_id):
     rec = tri.edge(edge_id)
     if rec.attach1 is None:
-        raise NotFlippable(f"edge {edge_id!r} is on the boundary")
+        raise NotFlippable(f"edge {json.dumps(edge_id)} is on the boundary")
     t_left, s_left = rec.attach0
     t_right, s_right = rec.attach1
     if t_left == t_right:
-        raise SelfFoldedUnsupported(f"edge {edge_id!r} glues triangle {t_left!r} to itself")
+        raise SelfFoldedUnsupported(
+            f"edge {json.dumps(edge_id)} glues triangle {json.dumps(t_left)} to itself")
     frame = RefFrame(
         a1=_corner_vertex(tri, t_left, s_left + 1, at_start=True),
         a2=ThetaVertex.edge(edge_id, 1),
@@ -123,7 +124,8 @@ def reference_quad_frame(tri, edge_id):
         },
     )
     if len(set(frame.vertices())) != 12:
-        raise SelfFoldedUnsupported(f"quadrilateral around {edge_id!r} wraps onto itself")
+        raise SelfFoldedUnsupported(
+            f"quadrilateral around {json.dumps(edge_id)} wraps onto itself")
     return frame
 
 
@@ -166,7 +168,7 @@ def reference_flip(tri, edge_id):
     new_eid = f"{tail}-{head}"
     if new_eid in tri._edge_by_id and new_eid != edge_id:
         raise InvalidTriangulation(
-            f"flip of {edge_id!r} would reuse edge id {new_eid!r}; "
+            f"flip of {json.dumps(edge_id)} would reuse edge id {json.dumps(new_eid)}; "
             "distinct arcs with equal endpoints are not supported"
         )
 
@@ -183,7 +185,8 @@ def reference_flip(tri, edge_id):
     pid, sides_of_p = build_cell(cycle_p, sides_p)
     qid, sides_of_q = build_cell(cycle_q, sides_q)
     if pid == qid:
-        raise SelfFoldedUnsupported(f"flip of {edge_id!r} would produce two cells with id {pid!r}")
+        raise SelfFoldedUnsupported(
+            f"flip of {json.dumps(edge_id)} would produce two cells with id {json.dumps(pid)}")
 
     replacements = {}
     for cell_id, sides in ((pid, sides_of_p), (qid, sides_of_q)):
@@ -292,7 +295,7 @@ def _reuses_cell_id(outcome, edge_id):
     cell has, naming ``edge_id``."""
     refused = outcome[:2] == ("raised", "InvalidTriangulation")
     match = REUSED_CELL.fullmatch(outcome[2]) if refused else None
-    return match is not None and match[1] == repr(edge_id)
+    return match is not None and match[1] == json.dumps(edge_id)
 
 
 def _same_flip(tri, edge_id):
@@ -534,7 +537,7 @@ def _flip_or_refusal(tri, edge_id, thirds):
     try:
         flipped, frame_old, frame_new, _ = flip_triangulation(tri, edge_id)
     except (NotFlippable, SelfFoldedUnsupported, InvalidTriangulation) as exc:
-        assert repr(edge_id) in str(exc)
+        assert json.dumps(edge_id) in str(exc)
         return None
     assert not validate_complex(flipped)
     moved = octahedron_transport(dict(zip(tri.keys, thirds)), frame_old, frame_new)

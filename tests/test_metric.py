@@ -64,6 +64,11 @@ def test_gamma_distance_matches_window_dijkstra():
             assert d == gamma_distance(x, y), (x, y)
 
 
+def test_a_negative_window_radius_is_refused():
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        gamma_window(-1)
+
+
 def test_straight_axis_path_is_geodesic():
     g = gamma_window(9)
     for p in range(4):

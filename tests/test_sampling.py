@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from test_flip_errors import TORUS
 
 from hiveweb.cli import run
-from hiveweb import sampling
 from hiveweb.errors import HivewebError, InvalidTriangulation, SamplingFailed
 from hiveweb.hive import validate_hive
 from hiveweb.sampling import _tree_order, sample_hive
@@ -22,6 +22,11 @@ def test_bound_zero_gives_zero_hive():
     tri = build_polygon(5, [(0, 2), (0, 3)])
     values = sample_hive(tri, 0, seed=99)
     assert values == [0] * len(tri.keys)
+
+
+def test_a_negative_bound_is_refused():
+    with pytest.raises(ValueError, match="bound must be non-negative"):
+        sample_hive(build_polygon(4, [(0, 2)]), -1, 0)
 
 
 def test_deterministic_in_seed():
@@ -251,7 +256,7 @@ def reference_sample_hive(tri, bound, seed):
         else:
             candidates = sorted(set(pools[0]).intersection(*pools[1:]))
         if not candidates:
-            raise SamplingFailed(f"no box coordinates fit the fixed edges of triangle {t!r}")
+            raise SamplingFailed(f"no box coordinates fit the fixed edges of triangle {json.dumps(t)}")
         h = entries[candidates[rng.randrange(len(candidates))]]
         for p, value in zip(frame, h):
             if thirds[p] is not None and thirds[p] != value:
@@ -285,7 +290,7 @@ def test_cyclic_complexes_sample_as_the_enumeration_does(tri):
 
 def test_the_seed_three_failure_is_the_enumerations():
     assert _same_sample(dual_cycle_complex(), 1, 3) == (
-        "raised", "SamplingFailed", "no box coordinates fit the fixed edges of triangle 'C'")
+        "raised", "SamplingFailed", 'no box coordinates fit the fixed edges of triangle "C"')
 
 
 @st.composite
@@ -334,25 +339,57 @@ def test_a_large_bound_is_counted_not_listed(tmp_path, capsys):
     assert max(v["thirds"] for v in json.loads(hive)["values"].values()) > 36
 
 
-def test_values_past_a_byte_are_unpacked_whole():
-    """The sampler adds hives as ints that pack each value in 64 bits; at
-    K = 1000 the values run into the thousands of thirds and the hive is
-    still valid."""
+def test_values_past_a_byte_are_written_whole():
+    """At K = 1000 the values run into the thousands of thirds, and the
+    hive that the drawn web converts to is still valid."""
     hive = sample_hive(TWELVE, 1000, 4)
     assert max(hive) > 1 << 12
     assert validate_hive(TWELVE, hive) == []
 
 
-def test_a_bound_past_the_packed_fields_is_refused(tmp_path, capsys, monkeypatch):
-    """12 * bound thirds must fit a 64-bit field; a larger bound is refused
-    before any work (were it not, building the list of x hives would run out
-    of memory, so the test stops it there)."""
-    monkeypatch.setattr(sampling, "_packed", None)
+# SHA-256 of the `sample` document where the enumeration reference does not
+# reach: larger bounds, both cyclic complexes at K = 3 and a 200-gon
+PINNED = {
+    "twelve": TWELVE, **CYCLIC,
+    "200-gon fan": build_polygon(200, [(0, k) for k in range(2, 199)]),
+}
+SAMPLE_SHA256 = {
+    ("twelve", 10, 0): "9367e92ee4d555e11f0cb09b20bdf539a9ae4da1abe3da97228c1d5aa643e0b5",
+    ("twelve", 10, 1): "2bfd565517521d92813bc6033da23fa50d8f5d693baaef8ee21694e4d257bb52",
+    ("twelve", 10, 2): "c9301b27d6537b8f2cd7f9ea3d72e20abf6401f98f00f24becd71d80cd7ad880",
+    ("twelve", 1000, 0): "2abc0ae8aad020cbf7fccb97536a8c3035ce90551a5cbd8813f3d76f94952b00",
+    ("twelve", 1000, 1): "37ebed25eb54d78ee2bc9c6c61870ec4bbf0ee1f7673a0bcce9a5c16a59770ab",
+    ("twelve", 1000, 2): "9dab554f0f662d51e46494d498555ec4a2c1385830e332fe58b0dda5ef446a73",
+    ("torus", 3, 0): "a71dda8d2d26f33f2abf98692efd62566d5bbcabb78c78082489d8ca35b4c937",
+    ("torus", 3, 1): "dd52561ec4e42e532682568ba78e81fb7be852812921a8fa1ca4c493ce8bbd89",
+    ("torus", 3, 2): "6ba4e4a08a4c2b1f59457a0ed76f90fc9c7dec0247c4dce3d34a07c3015dbcea",
+    ("torus", 3, 3): "624b4839ab38873ea975d4881f7b020308f9422fc6c4e403bce21a4e8bf65476",
+    ("torus", 3, 4): "e3cda8d6584ab8d941837db41a3a57b52139d7ad9e27eda7edda57bcb6ea907a",
+    ("torus", 3, 5): "e735024e83824b6bc26865f97bf3dfbc200a700b1e91c8ed144cff351e80d980",
+    ("torus", 3, 6): "c19411101ec7910e090d40c8aa20107c8f375dc22005030ea5d0fde087afd114",
+    ("torus", 3, 7): "e9434fc1a00e5e175394cfce3bf02fd589455f2b95862b35699884c7884639ef",
+    ("dual cycle", 3, 0): "17f52fdb8cf729aa9b42145a101e1809ac4533c3901c21c6bfe19c6bbea31971",
+    ("dual cycle", 3, 1): "31efed59ab4d6da67ff2fd18be2c3fae3dec1dd995211d34d1a7f4bb898e68ea",
+    ("dual cycle", 3, 2): (1, '{"detail":"no box coordinates fit the fixed edges of triangle '
+                              '\\"C\\"","error":"SamplingFailed"}\n', ""),
+    ("dual cycle", 3, 3): "2f8effb8f35180cdb52bfdc60cc9bc9301e5b529156c75be2fd42a1cc093e3c0",
+    ("dual cycle", 3, 4): "853ae6c26621411dc6d497a8590ee02885b78bf2c339868a78b5097853740429",
+    ("dual cycle", 3, 5): "cf8585ecb55be42119752ae356d954a4fe61203ff5fa417ccd2a06f418078828",
+    ("dual cycle", 3, 6): "bca5177e0f108a00ef2f985486706b25a0cc3fa4a445173fec41dc1cbf1e7de8",
+    ("dual cycle", 3, 7): "fbe5b0f9e5098583bfe206ef894423b34f82bc5fbf848569553ef9c7b15ae76f",
+    ("200-gon fan", 3, 0): "e373d55b9d5768de09bda31c5ec0a47eebcc867ac6ce90efcab9d63995fc2180",
+}
+
+
+@pytest.mark.parametrize("case", SAMPLE_SHA256, ids=lambda case: "-".join(map(str, case)))
+def test_sample_documents_are_pinned(case, tmp_path, capsys):
+    name, bound, seed = case
     path = tmp_path / "t.json"
-    path.write_text(json.dumps(TWELVE.to_json()))
-    bound = str(sampling.MAX_BOUND + 1)
-    monkeypatch.setenv("HIVEWEB_MAX_THIRDS", bound)  # a size flag obeys the cap, read first
-    assert run(["sample", "--triangulation", str(path), "--bound", bound, "--seed", "0"]) == 2
+    path.write_text(json.dumps(PINNED[name].to_json()))
+    code = run(["sample", "--triangulation", str(path), "--bound", str(bound), "--seed", str(seed)])
     out, err = capsys.readouterr()
-    assert out == "" and err == f"hiveweb: bound must be at most {sampling.MAX_BOUND}\n"
-    assert 12 * sampling.MAX_BOUND < 1 << 64 <= 12 * (sampling.MAX_BOUND + 1)
+    want = SAMPLE_SHA256[case]
+    if isinstance(want, tuple):  # a failure: exit code, report and stderr
+        assert (code, out, err) == want
+    else:
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, want, "")
