@@ -26,7 +26,7 @@ from .thirds import json_text, parse_ints, read_object
 def _emit(text: str, out_path) -> None:
     """Write one canonical JSON document's ``text`` and a newline."""
     text += "\n"
-    if out_path:
+    if out_path is not None:
         from pathlib import Path  # imported on use: at start-up it costs more than most commands
 
         try:
@@ -59,7 +59,7 @@ def _load(path: str, args, kind: str, doc=None):
     --triangulation, else embedded, else the file it names relative to ``path``."""
     if doc is None:
         doc = _load_doc(path)
-    if args.triangulation:
+    if args.triangulation is not None:
         tri = _load_triangulation(args.triangulation)
     elif isinstance(ref := read_object(doc, f"{kind} document").get("triangulation"), str):
         from pathlib import Path  # see _emit
@@ -80,14 +80,14 @@ def _coords(text: str) -> web.WebTuple:
 
 
 def cmd_validate(args) -> int:
-    if args.hive:
+    if args.hive is not None:
         tri, (values, _) = _load(args.hive, args, "hive")
         violations = hive_mod.validate_hive(tri, values)
-    elif args.web:
+    elif args.web is not None:
         tri, coords = _load(args.web, args, "web")
         web.surface_web_thirds(tri, coords)  # raises GluingMismatch when bad
         violations = []
-    elif args.triangulation:
+    elif args.triangulation is not None:
         violations = surface.validate_complex(_load_triangulation(args.triangulation))
     else:
         raise MalformedInput("validate needs --triangulation, --hive or --web")
@@ -96,11 +96,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_web2hive(args) -> int:
-    if args.coords:
+    if args.coords is not None:
         _emit(json_text(hive_mod.triangle_doc(web.web_to_hive_thirds(*_coords(args.coords)))),
               args.out)
         return 0
-    if not args.web:
+    if args.web is None:
         raise MalformedInput("web2hive needs --coords or --web")
     tri, coords = _load(args.web, args, "web")
     _emit(hive_mod.hive_doc(zip(tri.keys, web.surface_web_thirds(tri, coords)), tri),
@@ -120,13 +120,13 @@ def cmd_hive2web(args) -> int:
 
 
 def cmd_flip(args) -> int:
-    if args.hive:
+    if args.hive is not None:
         tri, (values, others) = _load(args.hive, args, "hive")
     else:
         tri = _load_triangulation(args.triangulation)
     flipped, frame_old, frame_new, new_edge = surface.flip_triangulation(tri, args.edge)
     hive = ""
-    if args.hive:
+    if args.hive is not None:
         bad = hive_mod.validate_hive(tri, values)
         if bad:
             raise HivewebError("hive is invalid before transport: "
@@ -165,8 +165,7 @@ def _oracle_once(coords: web.WebTuple) -> dict:
 
 def cmd_oracle(args) -> int:
     if args.sweep is not None:
-        rng = random.Random(args.seed)
-        bound = args.bound if args.bound is not None else 2
+        rng, bound = random.Random(args.seed), args.bound
         mismatches = []
         for _ in range(args.sweep):
             coords = (rng.randint(-bound, bound), *(rng.randint(0, bound) for _ in range(6)))
@@ -179,7 +178,7 @@ def cmd_oracle(args) -> int:
             args.out,
         )
         return 0 if not mismatches else 1
-    if not args.coords:
+    if args.coords is None:
         raise MalformedInput("oracle needs --coords or --sweep")
     result = _oracle_once(_coords(args.coords))
     _emit(json_text(result), args.out)
@@ -188,7 +187,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_gamma_dist(args) -> int:
     x, y = parse_ints(args.to, 2, "--to")
-    x0, y0 = parse_ints(args.src, 2, "--from") if args.src else (0, 0)
+    x0, y0 = parse_ints(args.src, 2, "--from") if args.src is not None else (0, 0)
     _emit(json_text({"thirds": metric_mod.gamma_distance(x - x0, y - y0)}), args.out)
     return 0
 
@@ -291,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coords")
     p.add_argument("--sweep", action=_Integer, help="number of seeded random instances")
     p.add_argument("--seed", action=_Integer, default=0)
-    p.add_argument("--bound", action=_Integer)
+    p.add_argument("--bound", action=_Integer, default=2)
     common(p, cmd_oracle)
 
     p = sub.add_parser("gamma-dist", help="closed-form lattice distance")

@@ -209,8 +209,6 @@ def sample_hive(tri: Triangulation, bound: int, seed: int) -> HiveThirds:
                 corners[j] = strands[e] - (plus if e & 1 else minus) - corners[k]
         for p, value in zip(frame, web_to_hive_thirds(x, *corners)):
             if thirds[p] is not None and thirds[p] != value:
-                raise SamplingFailed(
-                    f"internal inconsistency writing {tri.keys[p]}"
-                )
+                raise SamplingFailed(f"internal inconsistency writing {_shown(tri.keys[p])}")
             thirds[p] = value
     return thirds

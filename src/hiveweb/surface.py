@@ -156,21 +156,12 @@ class Triangulation:
         except KeyError:
             raise KeyError(f"unknown edge {_shown(edge_id)}") from None
 
-    @cached_property
-    def _slots(self) -> dict[Attach, list[tuple[str, bool]]]:
-        """(triangle, side) -> [(edge id, walks tail->head)], possibly 0 or 2+ entries."""
-        table: dict[Attach, list[tuple[str, bool]]] = {}
-        for rec in self.edges:
-            table.setdefault(tuple(rec.attach0), []).append((rec.id, True))
-            if rec.attach1 is not None:
-                table.setdefault(tuple(rec.attach1), []).append((rec.id, False))
-        return table
-
     def side(self, tri: str, s: int) -> tuple[str, bool]:
         """Edge at side ``s`` of ``tri`` and whether the side walks tail->head,
-        once :meth:`check` passes."""
-        self.check()
-        return self._slots[tri, s % 3][0]
+        once :meth:`check` passes: the position near the side's first corner
+        is slot 0 of an edge that walks it tail->head, else slot 1."""
+        at = self.frame(tri)[SIDE_LABELS[s % 3][0]] - len(self.triangles)
+        return list(self.slot0)[at // 2], at % 2 == 0
 
     def ends(self, side: tuple[str, bool]) -> tuple[Label, Label]:
         """Labels at the first and second corner of a side (edge id, walks tail->head)."""
@@ -202,40 +193,70 @@ class Triangulation:
         return dict(zip(self.keys, range(len(self.keys))))
 
     @cached_property
-    def _frames(self) -> dict[str, tuple[int, ...]] | None:
-        """The positions a1..a7 of every triangle, or None when
-        :func:`validate_complex` would report anything: the one structural
-        decision, made by one walk over the edges that also reads the labels
-        at both ends of each side."""
-        frames, slot0 = {}, self.slot0
+    def _walk(self) -> tuple[dict[str, tuple[int, ...]] | None, list[dict]]:
+        """The positions a1..a7 of every triangle, or None, and the structural
+        faults in list order: the one walk over the edges that decides and
+        reports the structure.  It fills each side's two positions and corner
+        labels and names an attachment to an unlisted triangle or to a side
+        outside 0..2 as it meets it; only when something failed does it word,
+        in triangle order, the sides attached twice or not at all, else the
+        corners with two labels; then the signature counts that do not hold."""
+        frames, slot0, n = {}, self.slot0, len(self.triangles)
         for c, t in enumerate(sorted(self.triangles)):
             frames[t] = frame = [None] * 7
             frame[CENTER] = c
-        # (cell, side, the positions near its first and second corner, the labels there)
-        sites = [(*rec.attach0, slot0[rec.id], slot0[rec.id] + 1, rec.tail, rec.head)
-                 for rec in self.edges]
-        sites += [(*rec.attach1, slot0[rec.id] + 1, slot0[rec.id], rec.head, rec.tail)
-                  for rec in self.edges if rec.attach1 is not None]
-        if _count_mismatches(self) or len(sites) != 3 * len(frames):
-            return None
+        # (edge, cell, side, the positions near its first and second corner, the labels there)
+        sites = []
+        for rec in self.edges:
+            p = slot0[rec.id]
+            sites.append((rec.id, *rec.attach0, p, p + 1, rec.tail, rec.head))
+            if rec.attach1 is not None:
+                sites.append((rec.id, *rec.attach1, p + 1, p, rec.head, rec.tail))
         # at 3c + k: corner k's label in the cell with center c, from side k and side k-1
-        starts, ends = [None] * len(sites), [None] * len(sites)
-        for t, s, first, second, start, end in sites:
+        out, doubles, starts, ends = [], {}, [None] * (3 * n), [None] * (3 * n)
+        for eid, t, s, first, second, start, end in sites:
             frame, at = frames.get(t), _SIDES.get(s)
-            if frame is None or at is None or frame[at[0]] is not None:
-                return None
-            near, far, k, k_next = at
-            frame[near], frame[far] = first, second
-            c = 3 * frame[CENTER]
-            starts[c + k], ends[c + k_next] = start, end
-        return {t: tuple(frame) for t, frame in frames.items()} if starts == ends else None
+            if frame is None:
+                out.append({"kind": "unknown-triangle", "edge": eid, "triangle": t})
+            elif at is None:
+                out.append({"kind": "bad-side-index", "edge": eid, "triangle": t, "side": s})
+            elif frame[at[0]] is not None:  # held already: the position names its first edge
+                doubles.setdefault((t, s), [frame[at[0]]]).append(eid)
+            else:
+                near, far, k, k_next = at
+                frame[near], frame[far] = first, second
+                c = 3 * frame[CENTER]
+                starts[c + k], ends[c + k_next] = start, end
+        if out or doubles or len(sites) != 3 * n:
+            eids = list(slot0)
+            for t in self.triangles:
+                for s, (near, _) in enumerate(SIDE_LABELS):
+                    if (t, s) in doubles:
+                        first, *more = doubles[t, s]
+                        out.append({"kind": "double-attached-side", "triangle": t, "side": s,
+                                    "edges": [eids[(first - n) // 2], *more]})
+                    elif frames[t][near] is None:
+                        out.append({"kind": "dangling-side", "triangle": t, "side": s})
+        elif starts != ends:
+            for t in self.triangles:
+                c = 3 * frames[t][CENTER]
+                out += [{"kind": "corner-mismatch", "triangle": t, "corner": k,
+                         "labels": [starts[c + k], ends[c + k]]}
+                        for k in range(3) if starts[c + k] != ends[c + k]]
+        if self.signature is not None:
+            g, c, m = self.signature
+            out += [{"kind": "count-mismatch", "field": name, "have": have, "want": want}
+                    for name, have, want in (("triangles", n, 2 * c + m + 4 * g - 4),
+                                             ("edges", len(self.edges), 3 * c + 2 * m + 6 * g - 6))
+                    if have != want]
+        return None if out else {t: tuple(frame) for t, frame in frames.items()}, out
 
     def check(self) -> dict[str, tuple[int, ...]]:
         """Every triangle's :meth:`frame` once the walk passes, else
-        InvalidTriangulation with the first three violations that
-        :func:`validate_complex` reports for the lists in canonical order, so
-        the text depends only on content: the one structural gate."""
-        frames = self._frames
+        InvalidTriangulation with the first three violations that the walk
+        reports for the lists in canonical order, so the text depends only on
+        content: the one structural gate."""
+        frames = self._walk[0]
         if frames is None:
             bad = validate_complex(
                 Triangulation(sorted(self.triangles), sorted(self.edges), self.signature))
@@ -339,45 +360,10 @@ class Triangulation:
         return cls(triangles, edges, sig)
 
 
-def _count_mismatches(tri: Triangulation) -> list[dict]:
-    """The triangle and edge counts of ``tri`` that its signature does not give."""
-    if tri.signature is None:
-        return []
-    g, c, m = tri.signature
-    return [{"kind": "count-mismatch", "field": name, "have": have, "want": want}
-            for name, have, want in (("triangles", len(tri.triangles), 2 * c + m + 4 * g - 4),
-                                     ("edges", len(tri.edges), 3 * c + 2 * m + 6 * g - 6))
-            if have != want]
-
-
 def validate_complex(tri: Triangulation) -> list[dict]:
-    """Structural violations in list order, each a dict naming its kind; none,
-    as soon as the walk of ``tri._frames`` passes, when the gluing is coherent."""
-    if tri._frames is not None:
-        return []
-    out = []
-    for rec in tri.edges:
-        for t, s in filter(None, (rec.attach0, rec.attach1)):
-            if t not in tri._triangle_ids:
-                out.append({"kind": "unknown-triangle", "edge": rec.id, "triangle": t})
-            elif s not in (0, 1, 2):
-                out.append({"kind": "bad-side-index", "edge": rec.id, "triangle": t, "side": s})
-    slots = tri._slots
-    for t in tri.triangles:
-        for s in range(3):
-            hits = [edge_id for edge_id, _ in slots.get((t, s), ())]
-            if not hits:
-                out.append({"kind": "dangling-side", "triangle": t, "side": s})
-            elif len(hits) > 1:
-                out.append({"kind": "double-attached-side", "triangle": t, "side": s,
-                            "edges": hits})
-    if not out:  # every side is attached once
-        for t in tri.triangles:
-            ends = [tri.ends(slots[t, s][0]) for s in range(3)]
-            out += [{"kind": "corner-mismatch", "triangle": t, "corner": k,
-                     "labels": [ends[k][0], ends[k - 1][1]]}
-                    for k in range(3) if ends[k][0] != ends[k - 1][1]]
-    return out + _count_mismatches(tri)
+    """Structural violations in list order, each a dict naming its kind, as
+    the walk of ``tri._walk`` found them; none when the gluing is coherent."""
+    return list(tri._walk[1])
 
 
 # -- polygon construction ---------------------------------------------------

@@ -23,7 +23,7 @@ PACKAGE = Path(hiveweb.__file__).parent
 ORACLE_REPORT = ("cli.py", "_oracle_once", "builds")
 # the double-attached-side violation lists the edges at that side; it is not
 # a triangulation document
-SIDE_VIOLATION = ("surface.py", "validate_complex", "builds")
+SIDE_VIOLATION = ("surface.py", "_walk", "builds")
 
 
 def _walk(node, func=None):

@@ -5,10 +5,10 @@ Where each hive label a1..a7 sits in a triangle (``LAYOUT``, ``CENTER``,
 ``e:<edge>:<slot>``) are decided in ``surface.py`` alone; the other modules
 work on the positions a ``Triangulation`` gives them (``keys``, ``slot0``,
 ``frame``).  Only ``surface.py`` reads the triangulation's private tables and
-words the refusal of an unsound triangulation, in the report of
-``validate_complex`` (an edge attached to an unknown triangle) and in the gate
-``Triangulation.check`` (its structural violations); the other modules ask
-the gate.  These checks read the package's source with ``ast``.
+words the refusal of an unsound triangulation, in the walk that decides and
+reports the structure (an edge attached to an unknown triangle) and in the
+gate ``Triangulation.check`` (its structural violations); the other modules
+ask the gate.  These checks read the package's source with ``ast``.
 """
 
 import ast
@@ -19,7 +19,7 @@ import hiveweb
 PACKAGE = Path(hiveweb.__file__).parent
 OWNER = "surface.py"
 LAYOUT_NAMES = {"LAYOUT", "CENTER", "SIDE_LABELS"}
-PRIVATE_TABLES = {"_slots", "_triangle_ids", "_edge_by_id"}
+PRIVATE_TABLES = {"_triangle_ids", "_edge_by_id"}
 UNSOUND = ("unknown-triangle", "structural violations")
 
 

@@ -225,6 +225,40 @@ def test_unwritable_out_exits_two(kind, argv, tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("hiveweb: cannot write "), err
 
 
+# a flag given an empty value reaches its reader, which refuses it; none of
+# these is read as the flag left out
+EMPTY_VALUES = {
+    "validate --hive": (["validate", "--hive", "", "--triangulation", "{doc}"],
+                        "cannot read : "),
+    "validate --web": (["validate", "--web", "", "--triangulation", "{doc}"], "cannot read : "),
+    "validate --triangulation": (["validate", "--triangulation", ""], "cannot read : "),
+    "validate --hive with --triangulation": (
+        ["validate", "--hive", "{doc}", "--triangulation", ""], "cannot read : "),
+    "flip --hive": (["flip", "--triangulation", "{tri}", "--edge", "0-2", "--hive", ""],
+                    "cannot read : "),
+    "potential --triangulation": (["potential", "--hive", "{doc}", "--triangulation", ""],
+                                  "cannot read : "),
+    "web2hive --web": (["web2hive", "--web", ""], "cannot read : "),
+    "web2hive --coords": (["web2hive", "--coords", ""],
+                          "--coords needs 7 comma-separated integers, got ''\n"),
+    "oracle --coords": (["oracle", "--coords", ""],
+                        "--coords needs 7 comma-separated integers, got ''\n"),
+    "gamma-dist --from": (["gamma-dist", "--to", "1,1", "--from", ""],
+                          "--from needs 2 comma-separated integers, got ''\n"),
+    "sample --out": (["sample", "--triangulation", "{tri}", "--bound", "1", "--seed", "0",
+                      "--out", ""], "cannot write : "),
+    "flip --out on the error report": (
+        ["flip", "--triangulation", "{tri}", "--edge", "9-9", "--out", ""], "cannot write : "),
+}
+
+
+@pytest.mark.parametrize("argv,start", EMPTY_VALUES.values(), ids=EMPTY_VALUES)
+def test_an_empty_flag_value_is_not_an_absent_flag(argv, start, tmp_path):
+    code, out, err = invoke(argv, DOCS["hive"], tmp_path)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("hiveweb: " + start), err
+
+
 def test_web_coordinates_are_capped(tmp_path, monkeypatch):
     monkeypatch.setenv("HIVEWEB_MAX_THIRDS", "1")
     web = changed("web", ("coords", FIRST_TRIANGLE, "x"), 2)

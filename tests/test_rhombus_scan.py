@@ -1,8 +1,8 @@
 """A triangulation's frames and the rhombus scan against slow references.
 
 ``Triangulation.frame`` and ``Triangulation.keys`` give each triangle's
-quiver vertices, and ``validate_complex`` reads corners through
-``Triangulation.ends``.  The reference below reads the JSON document itself,
+quiver vertices, and ``validate_complex`` reports what the walk that builds
+the frames found.  The reference below reads the JSON document itself,
 not the loader's tables: a frame built vertex by vertex from side lookups that
 scan the document's edges, a second sorted enumeration of the quiver vertices
 and a corner check through a per-corner label lookup.  They must give the
@@ -315,7 +315,7 @@ def test_frames_enumeration_and_report_match_the_reference(data):
     assert list(tri.keys) == reference_theta_index(doc)
     broken = reference_validate_complex(doc)
     assert validate_complex(tri) == broken
-    assert (tri._frames is None) == bool(broken)
+    assert (tri._walk[0] is None) == bool(broken)
     named = {t for e in tri.edges for t, _ in filter(None, (e.attach0, e.attach1))}
     for t in [*tri.triangles, *sorted(named - set(tri.triangles)), "no-such-triangle"]:
         got = _outcome(triangle_frame, tri, t)
@@ -362,7 +362,7 @@ WALK_ALONE = {
 @pytest.mark.parametrize("doc", WALK_ALONE.values(), ids=WALK_ALONE)
 def test_each_refusal_of_the_walk_stands_alone(doc):
     tri = Triangulation.from_json(doc)
-    assert tri._frames is None
+    assert tri._walk[0] is None
     assert validate_complex(tri) == reference_validate_complex(doc) != []
     assert _outcome(tri.check) == reference_refusal(doc)
 
@@ -374,15 +374,15 @@ def test_a_side_attached_twice_leaves_its_cell_without_a_frame():
     t, s = boundary["attach"][0]
     doc["edges"].append({"id": "extra", "tail": 0, "head": 1, "attach": [[t, s], "boundary"]})
     tri = Triangulation.from_json(doc)
-    assert tri._frames is None
+    assert tri._walk[0] is None
     refusal = reference_refusal(doc)
     assert '"kind":"double-attached-side"' in refusal[2]
     for cell in tri.triangles:
         assert _outcome(triangle_frame, tri, cell) == refusal
 
 
-# the members built on first read, and the slot table
-POSITIONS = {"slot0", "keys", "index", "_frames", "_slots"}
+# the members built on first read
+POSITIONS = {"slot0", "keys", "index", "_walk"}
 SEPTAGON = ((0, 2), (0, 4), (2, 4), (4, 6))
 
 
@@ -402,11 +402,11 @@ def test_positions_are_built_only_when_read():
     values = sample_hive(tri, 1, 0)
     coords = hive_to_surface_web(tri, values)
     # the walk decides the structure, so every reader builds the frames
-    assert built_by(validate_complex) == {"slot0", "_frames"}
-    assert built_by(flip_triangulation, "0-2") == {"slot0", "_frames", "_slots"}
-    assert built_by(sample_hive, 1, 0) == {"slot0", "keys", "_frames"}
-    assert built_by(surface_web_thirds, coords) == {"slot0", "keys", "_frames"}
-    assert built_by(validate_hive, hive_thirds(tri, values)) == {"slot0", "_frames"}
+    assert built_by(validate_complex) == {"slot0", "_walk"}
+    assert built_by(flip_triangulation, "0-2") == {"slot0", "_walk"}
+    assert built_by(sample_hive, 1, 0) == {"slot0", "keys", "_walk"}
+    assert built_by(surface_web_thirds, coords) == {"slot0", "keys", "_walk"}
+    assert built_by(validate_hive, hive_thirds(tri, values)) == {"slot0", "_walk"}
 
 
 # -- one order of checks for every hive command ---------------------------------

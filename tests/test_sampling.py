@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_flip_errors import TORUS
 
+from hiveweb import sampling
 from hiveweb.cli import run
 from hiveweb.errors import HivewebError, InvalidTriangulation, SamplingFailed
 from hiveweb.hive import validate_hive
@@ -260,7 +261,7 @@ def reference_sample_hive(tri, bound, seed):
         h = entries[candidates[rng.randrange(len(candidates))]]
         for p, value in zip(frame, h):
             if thirds[p] is not None and thirds[p] != value:
-                raise SamplingFailed(f"internal inconsistency writing {tri.keys[p]}")
+                raise SamplingFailed(f"internal inconsistency writing {json.dumps(tri.keys[p])}")
             thirds[p] = value
     return thirds
 
@@ -286,6 +287,25 @@ CYCLIC = {"dual cycle": dual_cycle_complex(), "torus": Triangulation.from_json(T
 def test_cyclic_complexes_sample_as_the_enumeration_does(tri):
     outcomes = [_same_sample(tri, bound, seed) for bound in (0, 1, 2) for seed in range(16)]
     assert any(outcome[0] == "ok" for outcome in outcomes)
+
+
+def test_a_value_that_disagrees_with_a_neighbours_is_refused(monkeypatch):
+    """The sampler checks each value it writes against the one a neighbour
+    wrote there: one shifted value on the square's shared diagonal, in the
+    second cell it fills, is named."""
+    convert, cells = sampling.web_to_hive_thirds, []
+
+    def shifted(*coords):
+        values = list(convert(*coords))
+        cells.append(values)
+        if len(cells) == 2:
+            values[1] += 3  # a2 of 0-2-3: on its side 0, the diagonal 0-2
+        return values
+
+    monkeypatch.setattr(sampling, "web_to_hive_thirds", shifted)
+    with pytest.raises(SamplingFailed) as info:
+        sample_hive(build_polygon(4, [(0, 2)]), 1, 0)
+    assert str(info.value) == 'internal inconsistency writing "e:0-2:0"'
 
 
 def test_the_seed_three_failure_is_the_enumerations():

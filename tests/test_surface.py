@@ -1,7 +1,14 @@
+import contextlib
+import io
+import json
+import random
+
 import pytest
 
+from hiveweb.cli import run
 from hiveweb.errors import (
     InvalidPolygonTriangulation,
+    InvalidTriangulation,
     NotFlippable,
     SelfFoldedUnsupported,
 )
@@ -85,6 +92,76 @@ def test_validate_reports_count_mismatch():
     t = build_polygon(4, [(0, 2)])
     violations = validate_complex(Triangulation(t.triangles, t.edges, signature=(0, 1, 5)))
     assert any(v["kind"] == "count-mismatch" for v in violations)
+
+
+def _edge(eid, tail, head, *attach):
+    return {"id": eid, "tail": tail, "head": head, "attach": list(attach)}
+
+
+# every kind but the corners at once: "0-1" enters side 0 of 0-1-2 by its
+# second attachment, before "y" and "x" enter it too
+MANY_FAULTS = {"triangles": ["0-2-3", "0-1-2"], "signature": {"g": 0, "c": 1, "m": 4}, "edges": [
+    _edge("1-2", 1, 2, ["0-1-2", 1], "boundary"),
+    _edge("0-3", 3, 0, ["0-2-3", 5], "boundary"),
+    _edge("0-1", 0, 1, ["9-9-9", 0], ["0-1-2", 0]),
+    _edge("0-2", 0, 2, ["0-2-3", 0], ["0-1-2", 2]),
+    _edge("y", 0, 1, ["0-1-2", 0], "boundary"),
+    _edge("2-3", 2, 3, ["0-2-3", 1], "boundary"),
+    _edge("x", 0, 1, ["0-1-2", 0], "boundary"),
+]}
+# the pentagon with three labels changed: only corners disagree
+CORNER_FAULTS = {"triangles": ["0-3-4", "0-2-3", "0-1-2"], "signature": {"g": 0, "c": 1, "m": 5},
+                 "edges": [_edge("0-1", 0, 1, ["0-1-2", 0], "boundary"),
+                           _edge("0-2", 0, 2, ["0-2-3", 0], ["0-1-2", 2]),
+                           _edge("0-3", "zero", 3, ["0-3-4", 0], ["0-2-3", 2]),
+                           _edge("0-4", 4, 0, ["0-3-4", 2], "boundary"),
+                           _edge("1-2", 1, 5, ["0-1-2", 1], "boundary"),
+                           _edge("2-3", 2, 3, ["0-2-3", 1], "boundary"),
+                           _edge("3-4", "three", 4, ["0-3-4", 1], "boundary")]}
+# (the document, what validate --triangulation prints, the gate's error)
+FAULT_REPORTS = {
+    "many faults": (
+        MANY_FAULTS,
+        '{"valid":false,"violations":['
+        '{"edge":"0-3","kind":"bad-side-index","side":5,"triangle":"0-2-3"},'
+        '{"edge":"0-1","kind":"unknown-triangle","triangle":"9-9-9"},'
+        '{"kind":"dangling-side","side":2,"triangle":"0-2-3"},'
+        '{"edges":["0-1","y","x"],"kind":"double-attached-side","side":0,"triangle":"0-1-2"},'
+        '{"field":"edges","have":7,"kind":"count-mismatch","want":5}]}\n',
+        'triangulation has 5 structural violations: ['
+        '{"edge":"0-1","kind":"unknown-triangle","triangle":"9-9-9"},'
+        '{"edge":"0-3","kind":"bad-side-index","side":5,"triangle":"0-2-3"},'
+        '{"edges":["0-1","x","y"],"kind":"double-attached-side","side":0,"triangle":"0-1-2"}]'),
+    "corners only": (
+        CORNER_FAULTS,
+        '{"valid":false,"violations":['
+        '{"corner":0,"kind":"corner-mismatch","labels":["zero",0],"triangle":"0-3-4"},'
+        '{"corner":1,"kind":"corner-mismatch","labels":["three",3],"triangle":"0-3-4"},'
+        '{"corner":0,"kind":"corner-mismatch","labels":[0,"zero"],"triangle":"0-2-3"},'
+        '{"corner":2,"kind":"corner-mismatch","labels":[2,5],"triangle":"0-1-2"}]}\n',
+        'triangulation has 4 structural violations: ['
+        '{"corner":2,"kind":"corner-mismatch","labels":[2,5],"triangle":"0-1-2"},'
+        '{"corner":0,"kind":"corner-mismatch","labels":[0,"zero"],"triangle":"0-2-3"},'
+        '{"corner":0,"kind":"corner-mismatch","labels":["zero",0],"triangle":"0-3-4"}]'),
+}
+
+
+@pytest.mark.parametrize("doc,report,refusal", FAULT_REPORTS.values(), ids=FAULT_REPORTS)
+def test_fault_reports_in_list_order_and_the_gate_by_content(doc, report, refusal, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["validate", "--triangulation", str(path)]) == 1
+    assert out.getvalue() == report
+    rng = random.Random(0)
+    for _ in range(4):
+        shuffled = json.loads(json.dumps(doc))
+        rng.shuffle(shuffled["edges"])
+        rng.shuffle(shuffled["triangles"])
+        with pytest.raises(InvalidTriangulation) as info:
+            Triangulation.from_json(shuffled).check()
+        assert str(info.value) == refusal
 
 
 def test_theta_index_is_stable():
