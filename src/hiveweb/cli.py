@@ -5,6 +5,11 @@ fails validation, an empty minimizer region, ...), 2 malformed input or
 usage errors (usage text goes to stderr).  Output JSON is canonical: sorted
 keys, no insignificant whitespace, integers only.  ``run()`` holds the
 cyclic collector off for one command and restores the caller's setting.
+
+A command is one short process, so start-up is much of its time: ``run()``
+builds the parser of the command it runs, and the modules only some commands
+use (``metric``, ``surfacoid``, ``sampling``, ``random``) are imported by
+those commands.
 """
 
 from __future__ import annotations
@@ -13,12 +18,10 @@ import argparse
 import functools
 import gc
 import json
-import random
 import sys
 
 from . import hive as hive_mod
-from . import metric as metric_mod
-from . import sampling, surface, surfacoid, thirds, web
+from . import surface, thirds, web
 from .errors import HivewebError, MalformedInput
 from .thirds import json_text, parse_ints, read_object
 
@@ -30,7 +33,7 @@ def _emit(text: str, out_path) -> None:
         from pathlib import Path  # imported on use: at start-up it costs more than most commands
 
         try:
-            Path(out_path).write_text(text)
+            Path(out_path).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise MalformedInput(f"cannot write {out_path}: {exc}")
     else:
@@ -41,7 +44,7 @@ def _load_doc(path: str):
     if "\0" in path:  # open() refuses such a path with ValueError
         raise MalformedInput(f"cannot read {path}: embedded null byte")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}")
@@ -153,6 +156,8 @@ def cmd_cone(args) -> int:
 
 
 def _oracle_once(coords: web.WebTuple) -> dict:
+    from . import surfacoid
+
     formula = web.web_to_hive_thirds(*coords)
     oracle = surfacoid.oracle_triangle_hive(coords)
     return {
@@ -165,6 +170,8 @@ def _oracle_once(coords: web.WebTuple) -> dict:
 
 def cmd_oracle(args) -> int:
     if args.sweep is not None:
+        import random
+
         rng, bound = random.Random(args.seed), args.bound
         mismatches = []
         for _ in range(args.sweep):
@@ -186,6 +193,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gamma_dist(args) -> int:
+    from . import metric as metric_mod
+
     x, y = parse_ints(args.to, 2, "--to")
     x0, y0 = parse_ints(args.src, 2, "--from") if args.src is not None else (0, 0)
     _emit(json_text({"thirds": metric_mod.gamma_distance(x - x0, y - y0)}), args.out)
@@ -193,6 +202,8 @@ def cmd_gamma_dist(args) -> int:
 
 
 def cmd_fermat(args) -> int:
+    from . import metric as metric_mod
+
     points = [parse_ints(text, 2, flag) for text, flag in
               ((args.a, "--a"), (args.b, "--b"), (args.c, "--c"))]
     value = metric_mod.fermat_closed_form(*points)
@@ -207,13 +218,15 @@ def cmd_fermat(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import sampling
+
     tri = _load_triangulation(args.triangulation)
     hive = sampling.sample_hive(tri, args.bound, args.seed)
     _emit(hive_mod.hive_doc(zip(tri.keys, hive), tri), args.out)
     return 0
 
 
-def _vertex(graph: metric_mod.OrientedGraph, name: str):
+def _vertex(graph, name: str):
     """The vertex ``name`` names: the string vertex with that text, else the
     integer vertex whose decimal text it is; an unknown name stays as it is."""
     if name in graph:
@@ -222,6 +235,8 @@ def _vertex(graph: metric_mod.OrientedGraph, name: str):
 
 
 def cmd_dist(args) -> int:
+    from . import metric as metric_mod
+
     graph = metric_mod.OrientedGraph.from_json(_load_doc(args.graph))
     src, to = _vertex(graph, args.src), _vertex(graph, args.to)
     _emit(json_text({"thirds": metric_mod.shortest_distance(graph, src, to)}), args.out)
@@ -241,82 +256,67 @@ class _Integer(argparse.Action):
         setattr(namespace, self.dest, thirds.parse_int(text, self.option_strings[0], not seed))
 
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand in the order --help lists them: its help and its flags with
+# their add_argument keywords; every one also takes --out and runs cmd_<name>
+_COMMANDS = {
+    "validate": ("check a triangulation, hive or web",
+                 {"--triangulation": {}, "--hive": {}, "--web": {}}),
+    "web2hive": ("web coordinates to hive values", {
+        "--coords": {"help": "x,y,z,t,u,v,w for a single triangle"},
+        "--web": {"help": "surface web JSON file"},
+        "--triangulation": {}}),
+    "hive2web": ("hive values to web coordinates",
+                 {"--hive": {"required": True}, "--triangulation": {}}),
+    "flip": ("flip a diagonal, optionally transporting a hive",
+             {"--triangulation": {"required": True}, "--edge": {"required": True},
+              "--hive": {}}),
+    "potential": ("tropical potential of an assignment",
+                  {"--hive": {"required": True}, "--triangulation": {}}),
+    "cone": ("positive-cone membership",
+             {"--hive": {"required": True}, "--triangulation": {}}),
+    "oracle": ("compare formula hive against the net oracle", {
+        "--coords": {},
+        "--sweep": {"action": _Integer, "help": "number of seeded random instances"},
+        "--seed": {"action": _Integer, "default": 0},
+        "--bound": {"action": _Integer, "default": 2}}),
+    "gamma-dist": ("closed-form lattice distance", {
+        "--to": {"required": True, "help": "x,y"},
+        "--from": {"dest": "src", "help": "x,y (default origin)"}}),
+    "fermat": ("closed-form tripod minimum", {
+        "--a": {"required": True, "help": "x,y of the lower-left point"},
+        "--b": {"required": True, "help": "x,y of the lower-right point"},
+        "--c": {"required": True, "help": "x,y of the upper point"},
+        "--window": {"action": _Integer, "help": "also brute-force on this window radius"}}),
+    "sample": ("deterministic valid hive", {
+        "--triangulation": {"required": True},
+        "--bound": {"action": _Integer, "required": True},
+        "--seed": {"action": _Integer, "required": True}}),
+    "dist": ("shortest distance in an oriented graph", {
+        "--graph": {"required": True},
+        "--from": {"dest": "src", "required": True},
+        "--to": {"required": True}}),
+}
+
+
+@functools.cache  # built once per process and command; parse_args leaves it unchanged
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of an argv that starts with ``command``: the root parser
+    and that command's subparser, or every subcommand's when None."""
     parser = argparse.ArgumentParser(
         prog="hiveweb",
         description="Exact web/hive calculus on triangulated surfaces",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, func):
+    # the root reports unrecognized arguments under its usage, which names
+    # every command even where only one is built
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if command is None else "{%s}" % ",".join(_COMMANDS)))
+    for name in _COMMANDS if command is None else [command]:
+        summary, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
         p.add_argument("--out", help="write the JSON document here instead of stdout")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("validate", help="check a triangulation, hive or web")
-    p.add_argument("--triangulation")
-    p.add_argument("--hive")
-    p.add_argument("--web")
-    common(p, cmd_validate)
-
-    p = sub.add_parser("web2hive", help="web coordinates to hive values")
-    p.add_argument("--coords", help="x,y,z,t,u,v,w for a single triangle")
-    p.add_argument("--web", help="surface web JSON file")
-    p.add_argument("--triangulation")
-    common(p, cmd_web2hive)
-
-    p = sub.add_parser("hive2web", help="hive values to web coordinates")
-    p.add_argument("--hive", required=True)
-    p.add_argument("--triangulation")
-    common(p, cmd_hive2web)
-
-    p = sub.add_parser("flip", help="flip a diagonal, optionally transporting a hive")
-    p.add_argument("--triangulation", required=True)
-    p.add_argument("--edge", required=True)
-    p.add_argument("--hive")
-    common(p, cmd_flip)
-
-    p = sub.add_parser("potential", help="tropical potential of an assignment")
-    p.add_argument("--hive", required=True)
-    p.add_argument("--triangulation")
-    common(p, cmd_potential)
-
-    p = sub.add_parser("cone", help="positive-cone membership")
-    p.add_argument("--hive", required=True)
-    p.add_argument("--triangulation")
-    common(p, cmd_cone)
-
-    p = sub.add_parser("oracle", help="compare formula hive against the net oracle")
-    p.add_argument("--coords")
-    p.add_argument("--sweep", action=_Integer, help="number of seeded random instances")
-    p.add_argument("--seed", action=_Integer, default=0)
-    p.add_argument("--bound", action=_Integer, default=2)
-    common(p, cmd_oracle)
-
-    p = sub.add_parser("gamma-dist", help="closed-form lattice distance")
-    p.add_argument("--to", required=True, help="x,y")
-    p.add_argument("--from", dest="src", help="x,y (default origin)")
-    common(p, cmd_gamma_dist)
-
-    p = sub.add_parser("fermat", help="closed-form tripod minimum")
-    p.add_argument("--a", required=True, help="x,y of the lower-left point")
-    p.add_argument("--b", required=True, help="x,y of the lower-right point")
-    p.add_argument("--c", required=True, help="x,y of the upper point")
-    p.add_argument("--window", action=_Integer, help="also brute-force on this window radius")
-    common(p, cmd_fermat)
-
-    p = sub.add_parser("sample", help="deterministic valid hive")
-    p.add_argument("--triangulation", required=True)
-    p.add_argument("--bound", action=_Integer, required=True)
-    p.add_argument("--seed", action=_Integer, required=True)
-    common(p, cmd_sample)
-
-    p = sub.add_parser("dist", help="shortest distance in an oriented graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", required=True)
-    common(p, cmd_dist)
-
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -349,7 +349,9 @@ def run(argv) -> int:
     thirds.max_thirds.cache_clear()  # before parse_args: the size flags read the cap
     try:
         try:
-            args = build_parser().parse_args(_absorb_negative_values(list(argv)))
+            argv = _absorb_negative_values(list(argv))
+            parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+            args = parser.parse_args(argv)
             return args.func(args)
         except (HivewebError, KeyError) as exc:
             detail = str(exc.args[0]) if exc.args else str(exc)

@@ -118,10 +118,13 @@ USAGE_ERRORS = {
 
 
 @pytest.fixture
-def held():
+def held(request):
     """The collector off and nothing left for it, as a census needs.  The
-    parser is built first: a process builds it once, not once per command."""
-    cli.build_parser()
+    parser of the censused argv is built first, as ``run()`` chooses it: a
+    process builds it once, not once per run."""
+    name = request.node.callspec.params["name"]
+    first = (CENSUS[name][0] if name in CENSUS else USAGE_ERRORS[name])[0]
+    cli.build_parser(first if first in cli._COMMANDS else None)
     was = gc.isenabled()
     gc.disable()
     gc.collect()

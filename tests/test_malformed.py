@@ -656,6 +656,25 @@ def test_python_dash_m_runs_the_command():
     assert done.returncode == 2 and "invalid choice" in done.stderr
 
 
+def test_documents_are_read_and_written_as_utf8(tmp_path):
+    """JSON text is UTF-8 whatever the locale: a read, an --out write and a
+    triangulation named relative to its hive run with the warning for an
+    encoding left to the locale turned into an error."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hiveweb.__file__).parents[1]))
+    (tmp_path / "tri.json").write_text(json.dumps(DOCS["triangle-hive"]))
+    (tmp_path / "t.json").write_text(json.dumps(DOCS["triangulation"]))
+    (tmp_path / "h.json").write_text(json.dumps({**DOCS["hive"], "triangulation": "t.json"}))
+    for argv, expected in (
+            (["hive2web", "--hive", "tri.json"], '{"t":1,"u":1,"v":1,"w":1,"x":3,"y":2,"z":1}\n'),
+            (["gamma-dist", "--to", "1,1", "--out", "o.json"], ""),
+            (["validate", "--hive", "h.json"], '{"valid":true,"violations":[]}\n')):
+        done = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "hiveweb", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, ""), argv
+    assert (tmp_path / "o.json").read_text(encoding="utf-8") == '{"thirds":2}\n'
+
+
 # -- mutation fuzzing ---------------------------------------------------------
 
 

@@ -16,7 +16,10 @@ default ``site``) and each SRC (their order reversed every other round):
     import         python -c "import hiveweb.cli"
     gamma-dist     python -m hiveweb gamma-dist --to 1,1
     validate-hive  python -m hiveweb validate --hive H, on a hive of a fan
-                   triangulation of the 200-gon that the first SRC samples
+                   triangulation T of the 200-gon that the first SRC samples
+    sample         python -m hiveweb sample --triangulation T --bound 3 --seed 0
+    oracle         python -m hiveweb oracle --coords -17,6,0,3,6,1,2
+    help           python -m hiveweb --help: the parser of every command
     importtime     python -X importtime -c "import hiveweb.cli"
 
 It prints one JSON line per SRC, site mode and command: the median and the
@@ -48,12 +51,16 @@ FAN = ("import json; from hiveweb.surface import build_polygon; "
        "print(json.dumps(build_polygon(200, [(0, k) for k in range(2, 199)]).to_json()))")
 
 
-def commands(hive: Path) -> dict[str, list[str]]:
+def commands(tri: Path, hive: Path) -> dict[str, list[str]]:
     return {
         "pass": ["-c", "pass"],
         "import": ["-c", "import hiveweb.cli"],
         "gamma-dist": ["-m", "hiveweb", "gamma-dist", "--to", "1,1"],
         "validate-hive": ["-m", "hiveweb", "validate", "--hive", str(hive)],
+        "sample": ["-m", "hiveweb", "sample", "--triangulation", str(tri), "--bound", "3",
+                   "--seed", "0"],
+        "oracle": ["-m", "hiveweb", "oracle", "--coords", "-17,6,0,3,6,1,2"],
+        "help": ["-m", "hiveweb", "--help"],
         "importtime": ["-X", "importtime", "-c", COUNT],
     }
 
@@ -94,7 +101,7 @@ def main() -> None:
         tri.write_text(python(args.src[0], None, ["-c", FAN]).stdout)
         python(args.src[0], None, ["-m", "hiveweb", "sample", "--triangulation", str(tri),
                                    "--bound", "3", "--seed", "0", "--out", str(hive)])
-        argvs = commands(hive)
+        argvs = commands(tri, hive)
         prefixes = {}
         for k, src in enumerate(args.src):
             prefixes[src] = prefix = os.path.join(tmp, f"pyc{k}")
