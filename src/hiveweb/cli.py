@@ -34,7 +34,7 @@ def _emit(text: str, out_path) -> None:
 
         try:
             Path(out_path).write_text(text, encoding="utf-8")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
             raise MalformedInput(f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(text)
@@ -243,17 +243,30 @@ def cmd_dist(args) -> int:
     return 0
 
 
-class _Integer(argparse.Action):
+class _Value(argparse.Action):
+    """A flag's one value, as written.  argparse hands the value of
+    ``--flag=--`` over as an empty list; it is refused as ``--flag --`` is."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        if text == []:
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, self.read(text))
+
+    def read(self, text):
+        return text
+
+
+class _Integer(_Value):
     """A size flag's non-negative integer under the rule, or a seed's integer
     of any magnitude, read as it is parsed: unlike a ``type``, an action lets
     the cap's ``MalformedInput`` reach :func:`run`."""
 
-    def __call__(self, parser, namespace, text, option_string=None):
+    def read(self, text):
         seed = self.dest == "seed"
         if not thirds.is_decimal(text, signed=seed):
             raise argparse.ArgumentError(self, "expected %s integer, got %r" % (
                 "an" if seed else "a non-negative", text))
-        setattr(namespace, self.dest, thirds.parse_int(text, self.option_strings[0], not seed))
+        return thirds.parse_int(text, self.option_strings[0], not seed)
 
 
 # each subcommand in the order --help lists them: its help and its flags with
@@ -314,15 +327,16 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         summary, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
         for flag, keywords in flags.items():
-            p.add_argument(flag, **keywords)
-        p.add_argument("--out", help="write the JSON document here instead of stdout")
+            p.add_argument(flag, **{"action": _Value, **keywords})
+        p.add_argument("--out", action=_Value,
+                       help="write the JSON document here instead of stdout")
         p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 # flags whose value is a coordinate list, an edge or vertex id or a path
-_VALUE_FLAGS = {"--to", "--from", "--a", "--b", "--c", "--coords", "--edge",
-                "--hive", "--web", "--triangulation", "--graph", "--out"}
+_VALUE_FLAGS = {flag for _, flags in _COMMANDS.values() for flag, keywords in flags.items()
+                if "action" not in keywords} | {"--out"}
 
 
 def _absorb_negative_values(argv):

@@ -75,15 +75,6 @@ class ThetaVertex(namedtuple("ThetaVertex", "kind ref slot", defaults=(-1,))):
 EdgeRec = namedtuple("EdgeRec", "id tail head attach0 attach1")
 
 
-def _first_repeat(ids):
-    """The first of ``ids`` that an earlier one equals."""
-    seen = set()
-    for i in ids:
-        if i in seen:
-            return i
-        seen.add(i)
-
-
 def _id(raw, what: str) -> str:
     """A triangle or edge id: a string, or an int read as its decimal text."""
     if type(raw) is str:
@@ -140,13 +131,6 @@ class Triangulation:
         self.signature: tuple[int, int, int] | None = (
             tuple(signature) if signature is not None else None)
         self._edge_by_id = {e.id: e for e in self.edges}
-        self._triangle_ids = set(self.triangles)
-        if len(self._edge_by_id) != len(self.edges):
-            raise InvalidTriangulation(
-                f"duplicate edge id {_shown(_first_repeat(e.id for e in self.edges))}")
-        if len(self._triangle_ids) != len(self.triangles):
-            raise InvalidTriangulation(
-                f"duplicate triangle id {_shown(_first_repeat(self.triangles))}")
 
     # -- raw lookups ---------------------------------------------------
 
@@ -160,8 +144,8 @@ class Triangulation:
         """Edge at side ``s`` of ``tri`` and whether the side walks tail->head,
         once :meth:`check` passes: the position near the side's first corner
         is slot 0 of an edge that walks it tail->head, else slot 1."""
-        at = self.frame(tri)[SIDE_LABELS[s % 3][0]] - len(self.triangles)
-        return list(self.slot0)[at // 2], at % 2 == 0
+        at = self.frame(tri)[SIDE_LABELS[s % 3][0]] - len(self._ids[0])
+        return self._ids[1][at // 2], at % 2 == 0
 
     def ends(self, side: tuple[str, bool]) -> tuple[Label, Label]:
         """Labels at the first and second corner of a side (edge id, walks tail->head)."""
@@ -174,15 +158,20 @@ class Triangulation:
     # centers by triangle id, then slots 0 and 1 of every edge by edge id.
 
     @cached_property
+    def _ids(self) -> tuple[list[str], list[str]]:
+        """The distinct triangle ids and edge ids, each sorted: the positions' order."""
+        return sorted(dict.fromkeys(self.triangles)), sorted(self._edge_by_id)
+
+    @cached_property
     def slot0(self) -> dict[str, int]:
         """The position of slot 0 of each edge; slot 1 follows it."""
-        n = len(self.triangles)
-        return dict(zip(sorted(self._edge_by_id), range(n, n + 2 * len(self.edges), 2)))
+        n, eids = len(self._ids[0]), self._ids[1]
+        return dict(zip(eids, range(n, n + 2 * len(eids), 2)))
 
     @cached_property
     def keys(self) -> tuple[str, ...]:
         """The key of the vertex at each position."""
-        keys = [f"c:{t}" for t in sorted(self.triangles)]
+        keys = [f"c:{t}" for t in self._ids[0]]
         for e in self.slot0:
             keys += (f"e:{e}:0", f"e:{e}:1")
         return tuple(keys)
@@ -196,13 +185,24 @@ class Triangulation:
     def _walk(self) -> tuple[dict[str, tuple[int, ...]] | None, list[dict]]:
         """The positions a1..a7 of every triangle, or None, and the structural
         faults in list order: the one walk over the edges that decides and
-        reports the structure.  It fills each side's two positions and corner
-        labels and names an attachment to an unlisted triangle or to a side
-        outside 0..2 as it meets it; only when something failed does it word,
-        in triangle order, the sides attached twice or not at all, else the
-        corners with two labels; then the signature counts that do not hold."""
-        frames, slot0, n = {}, self.slot0, len(self.triangles)
-        for c, t in enumerate(sorted(self.triangles)):
+        reports the structure.  A repeated id makes positions ambiguous, so
+        then it reports only each repeat, at its second listing, triangles
+        first.  Else it fills each side's two positions and corner labels and
+        names an attachment to an unlisted triangle or to a side outside 0..2
+        as it meets it; only when something failed does it word, in triangle
+        order, the sides attached twice or not at all, else the corners with
+        two labels; then the signature counts that do not hold."""
+        tris, eids = self._ids
+        if len(tris) != len(self.triangles) or len(eids) != len(self.edges):
+            listed, out = {}, []
+            for site in [*(("triangle", t) for t in self.triangles),
+                         *(("edge", e.id) for e in self.edges)]:
+                listed[site] = listed.get(site, 0) + 1
+                if listed[site] == 2:
+                    out.append({"kind": "duplicate-id", site[0]: site[1]})
+            return None, out
+        frames, slot0, n, out = {}, self.slot0, len(tris), []
+        for c, t in enumerate(tris):
             frames[t] = frame = [None] * 7
             frame[CENTER] = c
         # (edge, cell, side, the positions near its first and second corner, the labels there)
@@ -213,7 +213,7 @@ class Triangulation:
             if rec.attach1 is not None:
                 sites.append((rec.id, *rec.attach1, p + 1, p, rec.head, rec.tail))
         # at 3c + k: corner k's label in the cell with center c, from side k and side k-1
-        out, doubles, starts, ends = [], {}, [None] * (3 * n), [None] * (3 * n)
+        doubles, starts, ends = {}, [None] * (3 * n), [None] * (3 * n)
         for eid, t, s, first, second, start, end in sites:
             frame, at = frames.get(t), _SIDES.get(s)
             if frame is None:
@@ -228,7 +228,6 @@ class Triangulation:
                 c = 3 * frame[CENTER]
                 starts[c + k], ends[c + k_next] = start, end
         if out or doubles or len(sites) != 3 * n:
-            eids = list(slot0)
             for t in self.triangles:
                 for s, (near, _) in enumerate(SIDE_LABELS):
                     if (t, s) in doubles:
@@ -259,7 +258,8 @@ class Triangulation:
         frames = self._walk[0]
         if frames is None:
             bad = validate_complex(
-                Triangulation(sorted(self.triangles), sorted(self.edges), self.signature))
+                Triangulation(sorted(self.triangles), sorted(self.edges, key=lambda r: r.id),
+                              self.signature))
             raise InvalidTriangulation(
                 f"triangulation has {len(bad)} structural violations: {shown_violations(bad)}")
         return frames
@@ -531,7 +531,7 @@ def flip_triangulation(tri: Triangulation, edge_id: str
             f"flip of {_shown(edge_id)} would produce two cells with id {_shown(pid)}")
     t_left, t_right = rec.attach0[0], rec.attach1[0]
     for tid in (pid, qid):
-        if tid in tri._triangle_ids and tid not in (t_left, t_right):
+        if tid in tri.check() and tid not in (t_left, t_right):
             raise InvalidTriangulation(
                 f"flip of {_shown(edge_id)} would reuse triangle id {_shown(tid)}; "
                 "the cell that has it is not replaced")

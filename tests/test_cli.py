@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hiveweb import hive, metric, sampling, surfacoid, web
+from hiveweb import cli, hive, metric, sampling, surfacoid, web
 from hiveweb.cli import run
 from hiveweb.hive import hive_to_json, validate_hive
 from hiveweb.sampling import sample_hive
@@ -301,10 +301,33 @@ OFF_CENTER = [1] + [0] * (len(SQUARE.keys) - 1)
 TWICE_LISTED_EDGE = {**SQUARE.to_json(), "edges": [*SQUARE.to_json()["edges"],
                                                    SQUARE.to_json()["edges"][0]]}
 TWICE_LISTED_TRIANGLE = {**SQUARE.to_json(), "triangles": ["0-1-2", "0-2-3", "0-1-2"]}
+# the square with the edge ids 1 and "1", one id once read; with edge 0-1
+# listed again under the tail "x", whose copies no longer sort by their fields
+INT_BESIDE_TEXT_ID = {**SQUARE.to_json(), "edges": [
+    {**e, "id": {"0-1": 1, "1-2": "1"}.get(e["id"], e["id"])} for e in SQUARE.to_json()["edges"]]}
+TWICE_LISTED_EDGE_TAILS = {**SQUARE.to_json(), "edges": [
+    *SQUARE.to_json()["edges"], {**SQUARE.to_json()["edges"][0], "tail": "x"}]}
+SQUARE_ZEROS = {key: {"thirds": 0} for key in SQUARE.keys}
+SQUARE_WEB = web.surface_web_to_json(SQUARE, web.hive_to_surface_web(SQUARE, [0] * len(SQUARE.keys)))
+
+
+def refused(*violations):
+    """The structural gate's error document for ``violations``."""
+    return canonical({"error": "InvalidTriangulation", "detail": (
+        f"triangulation has {len(violations)} structural violations: "
+        + json.dumps(list(violations[:3]), sort_keys=True, separators=(",", ":")))})
+
+
+def reported(*violations):
+    return canonical({"valid": False, "violations": list(violations)})
+
+
+EDGE_0_1_TWICE = {"kind": "duplicate-id", "edge": "0-1"}
 # argv with {name} for each document written, exit code, stdout, stderr
 NO_TRIANGLES = {"edges": [], "triangles": []}
 ORACLE_USAGE = ("usage: hiveweb oracle [-h] [--coords COORDS] [--sweep SWEEP] [--seed SEED]\n"
                 "                      [--bound BOUND] [--out OUT]\n")
+GAMMA_DIST_USAGE = "usage: hiveweb gamma-dist [-h] --to TO [--from SRC] [--out OUT]\n"
 SAMPLE_USAGE = ("usage: hiveweb sample [-h] --triangulation TRIANGULATION --bound BOUND --seed\n"
                 "                      SEED [--out OUT]\n")
 BRANCHES = {
@@ -366,17 +389,39 @@ BRANCHES = {
         ["potential", "--hive", "{h}"],
         {"h": {"values": {}, "triangulation": {"triangles": [], "edges": []}}},
         1, '{"detail":"triangulation has no triangles","error":"InvalidHive"}\n', ""),
+    # a repeated id is the walk's one finding: reported by validate
+    # --triangulation, the gate's refusal after the reads and the
+    # completeness check everywhere else
     "validate duplicate edge ids": (
         ["validate", "--triangulation", "{t}"], {"t": TWICE_LISTED_EDGE},
-        1, canonical({"error": "InvalidTriangulation", "detail": 'duplicate edge id "0-1"'}), ""),
+        1, reported(EDGE_0_1_TWICE), ""),
     "validate duplicate triangle ids": (
         ["validate", "--triangulation", "{t}"], {"t": TWICE_LISTED_TRIANGLE},
-        1, canonical({"error": "InvalidTriangulation",
-                      "detail": 'duplicate triangle id "0-1-2"'}), ""),
+        1, reported({"kind": "duplicate-id", "triangle": "0-1-2"}), ""),
+    "validate edge ids 1 and \"1\"": (
+        ["validate", "--triangulation", "{t}"], {"t": INT_BESIDE_TEXT_ID},
+        1, reported({"kind": "duplicate-id", "edge": "1"}), ""),
+    "validate --hive duplicate triangle ids": (
+        ["validate", "--hive", "{h}"],
+        {"h": {"values": SQUARE_ZEROS, "triangulation": TWICE_LISTED_TRIANGLE}},
+        1, refused({"kind": "duplicate-id", "triangle": "0-1-2"}), ""),
+    "validate --hive duplicate triangle ids, incomplete": (
+        ["validate", "--hive", "{h}"], {"h": {
+            "values": {k: v for k, v in SQUARE_ZEROS.items() if k != "e:0-1:1"},
+            "triangulation": TWICE_LISTED_TRIANGLE}},
+        1, canonical({"error": "IncompleteHive", "detail": "no value for vertex e:0-1:1"}), ""),
     "sample duplicate edge ids": (
         ["sample", "--triangulation", "{t}", "--bound", "1", "--seed", "0"],
-        {"t": TWICE_LISTED_EDGE},
-        1, canonical({"error": "InvalidTriangulation", "detail": 'duplicate edge id "0-1"'}), ""),
+        {"t": TWICE_LISTED_EDGE}, 1, refused(EDGE_0_1_TWICE), ""),
+    "sample duplicate edge ids with an int and a string tail": (
+        ["sample", "--triangulation", "{t}", "--bound", "1", "--seed", "0"],
+        {"t": TWICE_LISTED_EDGE_TAILS}, 1, refused(EDGE_0_1_TWICE), ""),
+    "flip duplicate edge ids": (
+        ["flip", "--triangulation", "{t}", "--edge", "0-2"], {"t": TWICE_LISTED_EDGE},
+        1, refused(EDGE_0_1_TWICE), ""),
+    "web2hive --web duplicate triangle ids": (
+        ["web2hive", "--web", "{w}"], {"w": {**SQUARE_WEB, "triangulation": TWICE_LISTED_TRIANGLE}},
+        1, refused({"kind": "duplicate-id", "triangle": "0-1-2"}), ""),
     # a size flag obeys the cap; a value with more digits than int() converts
     # is over it, and its refusal counts the digits instead of repeating them
     "fermat --window over the cap": (
@@ -428,6 +473,24 @@ BRANCHES = {
         ["sample", "--triangulation", "{t}", "--bound", "1", "--seed", "-" + "7" * 5000],
         {"t": SQUARE.to_json()}, 2, "",
         "hiveweb: --seed: a value of 5000 digits exceeds what int() converts\n"),
+    # "--" is no flag's value, in either spelling
+    "gamma-dist --to --": (
+        ["gamma-dist", "--to", "--"], {}, 2, "", GAMMA_DIST_USAGE
+        + "hiveweb gamma-dist: error: argument --to: expected one argument\n"),
+    "gamma-dist --out=--": (
+        ["gamma-dist", "--to", "1,1", "--out=--"], {}, 2, "", GAMMA_DIST_USAGE
+        + "hiveweb gamma-dist: error: argument --out: expected one argument\n"),
+    "sample --seed=--": (
+        ["sample", "--triangulation", "{t}", "--bound", "1", "--seed=--"],
+        {"t": SQUARE.to_json()}, 2, "", SAMPLE_USAGE
+        + "hiveweb sample: error: argument --seed: expected one argument\n"),
+    # an in-process caller can name an output path with a NUL byte
+    "gamma-dist --out with a NUL byte": (
+        ["gamma-dist", "--to", "1,1", "--out", "a\0b"], {}, 2, "",
+        "hiveweb: cannot write a\0b: embedded null byte\n"),
+    "fermat empty region --out with a NUL byte": (
+        ["fermat", "--a", "0,0", "--b", "30,0", "--c", "0,-2", "--out", "a\0b"], {}, 2, "",
+        "hiveweb: cannot write a\0b: embedded null byte\n"),
     # the complex with no triangles
     "sample without triangles": (
         ["sample", "--triangulation", "{t}", "--bound", "1", "--seed", "0"], {"t": NO_TRIANGLES},
@@ -446,6 +509,18 @@ def test_branch_exit_code_and_output(tmp_path, capsys, monkeypatch, argv, docs, 
     monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps a usage line to
     paths = {name: write(tmp_path / f"{name}.json", doc) for name, doc in docs.items()}
     assert invoke(capsys, *(arg.format(**paths) for arg in argv)) == (code, out, err)
+
+
+EVERY_FLAG = [(command, flag) for command, (_, flags) in cli._COMMANDS.items()
+              for flag in [*flags, "--out"]]
+
+
+@pytest.mark.parametrize("command,flag", EVERY_FLAG, ids=[" ".join(c) for c in EVERY_FLAG])
+def test_no_flag_takes_dash_dash_as_its_value(capsys, command, flag):
+    for argv in ([command, flag, "--"], [command, f"{flag}=--"]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err.splitlines()[-1]) == (
+            2, "", f"hiveweb {command}: error: argument {flag}: expected one argument"), argv
 
 
 def test_flip_hive_values_of_created_vertices_win_over_extra_keys(tmp_path, capsys):

@@ -19,7 +19,7 @@ import hiveweb
 PACKAGE = Path(hiveweb.__file__).parent
 OWNER = "surface.py"
 LAYOUT_NAMES = {"LAYOUT", "CENTER", "SIDE_LABELS"}
-PRIVATE_TABLES = {"_triangle_ids", "_edge_by_id"}
+PRIVATE_TABLES = {"_ids", "_edge_by_id"}
 UNSOUND = ("unknown-triangle", "structural violations")
 
 

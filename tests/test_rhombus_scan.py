@@ -128,8 +128,8 @@ def triangle_frame(tri, t):
 
 
 def reference_theta_index(doc):
-    out = [f"c:{t}" for t in sorted(map(_text, doc["triangles"]))]
-    for eid in sorted(e.id for e in doc_edges(doc)):
+    out = [f"c:{t}" for t in sorted(set(map(_text, doc["triangles"])))]
+    for eid in sorted({e.id for e in doc_edges(doc)}):
         out.append(f"e:{eid}:0")
         out.append(f"e:{eid}:1")
     return out
@@ -142,6 +142,12 @@ def reference_validate_complex(doc):
         violations.append({"kind": kind, **details})
 
     edges, triangles = doc_edges(doc), [_text(t) for t in doc["triangles"]]
+    for kind, ids in (("triangle", triangles), ("edge", [e.id for e in edges])):
+        for k, i in enumerate(ids):
+            if ids[:k].count(i) == 1:  # its second listing
+                add("duplicate-id", **{kind: i})
+    if violations:  # the positions are ambiguous: nothing else is reported
+        return violations
     for rec in edges:
         for t, s, _ in rec.attachments:
             if t not in triangles:
@@ -265,10 +271,12 @@ def _outcome(call, *args):
 
 def _break(doc, rng):
     """One structural fault at a random edge: a side index moved, an end
-    relabelled, the edge dropped, a triangle renamed or left out of the
-    triangle list, or an interior edge glued to its own cell."""
+    relabelled, the edge dropped or listed again, a triangle renamed, left out
+    of the triangle list or listed again, or an interior edge glued to its
+    own cell."""
     e = rng.choice(doc["edges"])
-    fault = rng.choice(["side", "label", "drop", "triangle", "unlist", "self"])
+    fault = rng.choice(["side", "label", "drop", "triangle", "unlist", "self", "edge again",
+                        "triangle again"])
     if fault == "side":
         e["attach"][0][1] = (e["attach"][0][1] + rng.choice([1, 2, 3])) % 4
     elif fault == "label":
@@ -281,6 +289,10 @@ def _break(doc, rng):
         doc["triangles"].remove(e["attach"][0][0])
     elif fault == "self" and e["attach"][1] != "boundary":
         e["attach"][1][0] = e["attach"][0][0]
+    elif fault == "edge again":
+        doc["edges"].append(json.loads(json.dumps(e)))
+    elif fault == "triangle again" and doc["triangles"]:
+        doc["triangles"].append(rng.choice(doc["triangles"]))
 
 
 def _number_ids(doc, rng):

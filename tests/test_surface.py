@@ -118,6 +118,11 @@ CORNER_FAULTS = {"triangles": ["0-3-4", "0-2-3", "0-1-2"], "signature": {"g": 0,
                            _edge("1-2", 1, 5, ["0-1-2", 1], "boundary"),
                            _edge("2-3", 2, 3, ["0-2-3", 1], "boundary"),
                            _edge("3-4", "three", 4, ["0-3-4", 1], "boundary")]}
+# MANY_FAULTS with 0-1-2 listed twice and x three times: only the repeats are
+# reported, each once
+REPEATED_IDS = {**MANY_FAULTS, "triangles": ["0-2-3", "0-1-2", "0-1-2"], "edges": [
+    *MANY_FAULTS["edges"], MANY_FAULTS["edges"][-1], MANY_FAULTS["edges"][0],
+    MANY_FAULTS["edges"][-1]]}
 # (the document, what validate --triangulation prints, the gate's error)
 FAULT_REPORTS = {
     "many faults": (
@@ -143,7 +148,20 @@ FAULT_REPORTS = {
         '{"corner":2,"kind":"corner-mismatch","labels":[2,5],"triangle":"0-1-2"},'
         '{"corner":0,"kind":"corner-mismatch","labels":[0,"zero"],"triangle":"0-2-3"},'
         '{"corner":0,"kind":"corner-mismatch","labels":["zero",0],"triangle":"0-3-4"}]'),
+    "repeated ids": (
+        REPEATED_IDS,
+        '{"valid":false,"violations":[{"kind":"duplicate-id","triangle":"0-1-2"},'
+        '{"edge":"x","kind":"duplicate-id"},{"edge":"1-2","kind":"duplicate-id"}]}\n',
+        'triangulation has 3 structural violations: [{"kind":"duplicate-id","triangle":"0-1-2"},'
+        '{"edge":"1-2","kind":"duplicate-id"},{"edge":"x","kind":"duplicate-id"}]'),
 }
+
+
+def test_a_repeated_id_constructs_and_is_the_walks_finding():
+    tri = Triangulation(["a", "a"], [])
+    assert validate_complex(tri) == [{"kind": "duplicate-id", "triangle": "a"}]
+    with pytest.raises(InvalidTriangulation):
+        tri.check()
 
 
 @pytest.mark.parametrize("doc,report,refusal", FAULT_REPORTS.values(), ids=FAULT_REPORTS)
