@@ -44,10 +44,6 @@ class InconsistentSide(HivewebError):
 class GluingMismatch(HivewebError):
     """Adjacent triangles disagree on the strand counts through a shared edge."""
 
-    def __init__(self, edge_id, pair_a, pair_b):
-        self.edge_id, self.pair_a, self.pair_b = edge_id, pair_a, pair_b
-        super().__init__(f"edge {edge_id!r}: side counts {pair_a} and {pair_b} do not glue")
-
 
 class Unreachable(HivewebError):
     """No path exists between the requested vertices."""

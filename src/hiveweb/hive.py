@@ -26,7 +26,7 @@ from collections.abc import Iterator
 
 from .errors import IncompleteHive, InvalidHive, MalformedInput
 from .surface import ThetaVertex, Triangulation
-from .thirds import int_cap, json_text, quoted, read_object, read_thirds
+from .thirds import _shown, int_cap, json_text, quoted, read_object, read_thirds
 
 HiveThirds = list[int | None]  # thirds by quiver-vertex position, None where missing
 _LABELS = tuple(f"a{i}" for i in range(1, 8))
@@ -53,7 +53,7 @@ def hive_thirds(tri: Triangulation, values: dict[str, int] | HiveThirds) -> list
     if not isinstance(values, list):
         values = list(map(values.get, tri.keys))
     if None in values:
-        raise IncompleteHive(f"no value for vertex {tri.keys[values.index(None)]}")
+        raise IncompleteHive(f"no value for vertex {_shown(tri.keys[values.index(None)])}")
     return values
 
 
@@ -108,7 +108,7 @@ def octahedron_transport(values: dict[str, int], frame_old: tuple[str, ...],
     and every other value carries over unchanged."""
     for key in frame_old:
         if key not in values:
-            raise InvalidHive(f"hive has no value at frame vertex {key}")
+            raise InvalidHive(f"hive has no value at frame vertex {_shown(key)}")
     moved = octahedron_thirds(*map(values.__getitem__, frame_old))
     out = dict(values)
     inner = (1, 4, 5, 6)  # a2, a5, a6, a7: the diagonal's vertices and the centers move
@@ -165,7 +165,7 @@ def hive_thirds_from_json(doc: dict, tri: Triangulation) -> tuple[HiveThirds, di
             try:
                 ThetaVertex.parse(key)
             except ValueError:
-                raise MalformedInput(f"values: {key!r} is not a vertex key") from None
+                raise MalformedInput(f"values: {_shown(key)} is not a vertex key") from None
             others[key] = read_thirds(obj, key)
         else:
             x = obj.get("thirds") if type(obj) is dict and len(obj) == 1 else None

@@ -68,7 +68,7 @@ class ThetaVertex(namedtuple("ThetaVertex", "kind ref slot", defaults=(-1,))):
             ref, slot = key[2:].rsplit(":", 1)
             if slot in ("0", "1"):
                 return cls.edge(ref, int(slot))
-        raise ValueError(f"bad vertex key {key!r}")
+        raise ValueError(f"bad vertex key {_shown(key)}")
 
 
 # attach0 walks the edge tail -> head, attach1 head -> tail (None on the boundary)
@@ -80,7 +80,7 @@ def _id(raw, what: str) -> str:
     if type(raw) is str:
         return raw
     if type(raw) is not int:
-        raise MalformedInput(f"{what}: expected a string or an integer, got {raw!r}")
+        raise MalformedInput(f"{what}: expected a string or an integer, got {_shown(raw)}")
     return str(checked_int(raw, what))
 
 
@@ -88,12 +88,12 @@ def _attach(raw) -> Attach:
     """A ``[triangle, side]`` pair.  A shorter list is refused first; a longer
     one after the reads, so a pair those reads fail on keeps their message."""
     if len(raw) < 2:
-        raise MalformedInput(f"attachment {raw!r} is not a [triangle, side] pair")
+        raise MalformedInput(f"attachment {_shown(raw)} is not a [triangle, side] pair")
     t, side = raw[0], checked_int(raw[1], "side")
     attach = _id(t, "triangle id"), side
     if len(raw) != 2:
         raise MalformedInput(
-            f"attachment to triangle {attach[0]!r}: {len(raw)} entries, expected 2")
+            f"attachment to triangle {_shown(attach[0])}: {len(raw)} entries, expected 2")
     return attach
 
 
@@ -113,12 +113,13 @@ def _read_edge(e, k: int) -> EdgeRec:
         # any attach of the wrong shape fails above (a string is read char by char)
         if type(raw) is not list or not raw or type(raw[0]) is not list or (
                 len(raw) > 1 and type(raw[1]) is not list and raw[1] != "boundary"):
-            raise MalformedInput(f"edge {_id(e['id'], 'edge id')!r}: attach must list a "
+            raise MalformedInput(f"edge {_shown(_id(e['id'], 'edge id'))}: attach must list a "
                                  '[triangle, side] pair and optionally another or '
                                  '"boundary"') from None
         raise
     if len(raw) > 2:
-        raise MalformedInput(f"edge {rec.id!r}: attach has {len(raw)} entries, expected 1 or 2")
+        raise MalformedInput(
+            f"edge {_shown(rec.id)}: attach has {len(raw)} entries, expected 1 or 2")
     return rec
 
 
@@ -277,15 +278,11 @@ class Triangulation:
 
     # -- value semantics --------------------------------------------------
 
-    def _content(self):
-        edges = frozenset((e.id, repr(e.tail), repr(e.head), tuple(e.attach0),
-                           tuple(e.attach1) if e.attach1 else None) for e in self.edges)
-        return frozenset(self.triangles), edges, self.signature
-
     def __eq__(self, other):
+        """Equal exactly when :meth:`to_text` writes the same document for both."""
         if not isinstance(other, Triangulation):
             return NotImplemented
-        return self._content() == other._content()
+        return self.to_text() == other.to_text()
 
     def __repr__(self):
         return f"Triangulation({len(self.triangles)} triangles, {len(self.edges)} edges)"
@@ -377,17 +374,17 @@ def build_polygon(m: int, diagonals) -> Triangulation:
     with sorted corners.
     """
     if not isinstance(m, int) or m < 3:
-        raise InvalidPolygonTriangulation(f"need an integer m >= 3, got {m!r}")
+        raise InvalidPolygonTriangulation(f"need an integer m >= 3, got {_shown(m)}")
     diags: set[tuple[int, int]] = set()
     for pair in diagonals:
         a, b = int(pair[0]), int(pair[1])
         if not (0 <= a < m and 0 <= b < m):
-            raise InvalidPolygonTriangulation(f"diagonal {pair!r} out of range")
+            raise InvalidPolygonTriangulation(f"diagonal {_shown(pair)} out of range")
         lo, hi = min(a, b), max(a, b)
         if lo == hi or (hi - lo) % m in (1, m - 1):
-            raise InvalidPolygonTriangulation(f"{pair!r} is not a diagonal of the {m}-gon")
+            raise InvalidPolygonTriangulation(f"{_shown(pair)} is not a diagonal of the {m}-gon")
         if (lo, hi) in diags:
-            raise InvalidPolygonTriangulation(f"duplicate diagonal {pair!r}")
+            raise InvalidPolygonTriangulation(f"duplicate diagonal {_shown(pair)}")
         diags.add((lo, hi))
     if len(diags) != m - 3:
         raise InvalidPolygonTriangulation(

@@ -35,7 +35,7 @@ def max_thirds() -> int:
 def checked_int(value, what: str = "value") -> int:
     """``value`` if it is an int (not a bool, float or string) within the cap."""
     if type(value) is not int:
-        raise MalformedInput(f"{what}: expected an integer, got {value!r}")
+        raise MalformedInput(f"{what}: expected an integer, got {_shown(value)}")
     if abs(value) > max_thirds():
         raise MalformedInput(f"{what}: |{value}| exceeds HIVEWEB_MAX_THIRDS={max_thirds()}")
     return value
@@ -80,18 +80,19 @@ def read_array(obj, what: str, key: str) -> list:
 def read_thirds(obj, what: str = "value") -> int:
     """n of a ``{"thirds": n}`` object, under :func:`checked_int`."""
     if type(obj) is not dict or len(obj) != 1 or "thirds" not in obj:
-        raise MalformedInput(f"{what}: expected {{'thirds': n}}, got {obj!r}")
+        raise MalformedInput(f'{what}: expected {{"thirds": n}}, got {_shown(obj)}')
     return checked_int(obj["thirds"], what)
 
 
 def _shown(value) -> str:
-    """``value`` as JSON text when it is a JSON value (``true``, ``null``,
-    ``"v"``), else by ``repr``, so that a Python caller's names, such as the
-    tuples of nets, read as they were written."""
+    """How an error text quotes an id, key, label or value it names: a JSON
+    value as :func:`json_text` writes it (``true``, ``null``, ``"v"``,
+    ``{"thirds":1}``), anything else by ``repr``, so that a Python caller's
+    names, such as the tuples of nets, read as they were written."""
     if value is None or isinstance(value, (str, int, float, list, dict)):
         try:
-            return json.dumps(value)
-        except (TypeError, ValueError):  # a non-JSON item, or a cycle
+            return json_text(value)
+        except (TypeError, ValueError):  # a non-JSON item, keys that do not sort, or a cycle
             pass
     return repr(value)
 

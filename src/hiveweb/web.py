@@ -22,7 +22,7 @@ from operator import itemgetter
 from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
 from .hive import HiveThirds, failed_rhombi, hive_thirds, rhombi, rhombus_scan, validate_hive
 from .surface import CENTER, SIDE_LABELS, ThetaVertex, Triangulation
-from .thirds import (Third, checked_int, int_cap, json_text, quoted, read_object,
+from .thirds import (Third, _shown, checked_int, int_cap, json_text, quoted, read_object,
                      shown_violations)
 
 WebTuple = tuple[int, ...]  # (x, y, z, t, u, v, w) of one triangle
@@ -107,7 +107,7 @@ def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) 
     passes; it raises what :func:`surface_web_to_hive` raises."""
     for t in tri.triangles:
         if t not in coords:
-            raise InvalidWebCoords(f"no coordinates for triangle {t!r}")
+            raise InvalidWebCoords(f"no coordinates for triangle {_shown(t)}")
     frames = tri.check()
     thirds: HiveThirds = [None] * len(tri.keys)
     hives = {t: web_to_hive_thirds(*coords[t]) for t in tri.triangles}
@@ -118,7 +118,8 @@ def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) 
             t1, s1 = rec.attach1
             v1 = _near_far(hives[t1], s1)
             if v0 != v1[::-1]:  # the second attachment walks the edge head -> tail
-                raise GluingMismatch(rec.id, side_arc_counts(*v0), side_arc_counts(*v1))
+                raise GluingMismatch(f"edge {_shown(rec.id)}: side counts {side_arc_counts(*v0)} "
+                                     f"and {side_arc_counts(*v1)} do not glue")
         p = tri.slot0[rec.id]
         thirds[p], thirds[p + 1] = v0
     for t in tri.triangles:
@@ -176,7 +177,8 @@ def surface_web_from_json(doc: dict) -> SurfaceWeb:
         except (LookupError, TypeError):
             fast = False
         if not fast:
-            c = _corners_checked(tuple(checked_int(read_object(entry, f"coords of {t!r}", k)[k], k)
+            what = f"coords of {_shown(t)}"
+            c = _corners_checked(tuple(checked_int(read_object(entry, what, k)[k], k)
                                        for k in "xyztuvw"))
         out[t] = c
     return out

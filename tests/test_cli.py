@@ -409,7 +409,7 @@ BRANCHES = {
         ["validate", "--hive", "{h}"], {"h": {
             "values": {k: v for k, v in SQUARE_ZEROS.items() if k != "e:0-1:1"},
             "triangulation": TWICE_LISTED_TRIANGLE}},
-        1, canonical({"error": "IncompleteHive", "detail": "no value for vertex e:0-1:1"}), ""),
+        1, canonical({"error": "IncompleteHive", "detail": 'no value for vertex "e:0-1:1"'}), ""),
     "sample duplicate edge ids": (
         ["sample", "--triangulation", "{t}", "--bound", "1", "--seed", "0"],
         {"t": TWICE_LISTED_EDGE}, 1, refused(EDGE_0_1_TWICE), ""),

@@ -179,5 +179,5 @@ def test_transport_names_the_first_missing_frame_vertex():
     del values[frame_old[A9]], values[frame_old[A3]]
     with pytest.raises(InvalidHive) as caught:
         octahedron_transport(values, frame_old, frame_new)
-    assert str(caught.value) == "hive has no value at frame vertex e:1-2:1"
+    assert str(caught.value) == 'hive has no value at frame vertex "e:1-2:1"'
     assert frame_old[A3] == "e:1-2:1"

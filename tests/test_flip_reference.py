@@ -234,7 +234,7 @@ def reference_transport(values, frame_old, frame_new):
     read = []
     for v in frame_old.vertices():
         if v not in values:
-            raise InvalidHive(f"hive has no value at frame vertex {v.key()}")
+            raise InvalidHive(f"hive has no value at frame vertex {json.dumps(v.key())}")
         read.append(values[v])
     a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = read
     b2 = max(a1 + a7, a5 + a3) - a2

@@ -12,7 +12,10 @@ seed=2`` was taken again when every hive command came to check completeness
 before the rhombus scan: it exited 0 with ``{"in_positive_cone":false}``
 because the scan met a failed rhombus before the missing value, and now
 exits 1 with the ``IncompleteHive`` document that ``validate``, ``potential``
-and ``hive2web`` print for that hive.
+and ``hive2web`` print for that hive.  The twelve ``incomplete`` digests were
+taken again when the ``IncompleteHive`` detail came to quote the vertex key
+as a JSON string (``no value for vertex "e:0-1:1"``), as every error text
+quotes what it names.
 
 Print the digests of the current code with
 ``PYTHONPATH=src python tests/test_golden.py``.

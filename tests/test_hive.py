@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from hiveweb.errors import IncompleteHive, MalformedInput
@@ -178,7 +180,7 @@ def test_hive_reader_refuses_two_keys_for_one_vertex(alias, alias_first):
     doc = {"values": {first[0]: first[1], "c:0-1-2": {"thirds": 0}, **dict(second)}}
     with pytest.raises(MalformedInput) as caught:
         hive_values_from_json(doc)
-    assert str(caught.value) == f"values: {alias!r} is not a vertex key"
+    assert str(caught.value) == f"values: {json.dumps(alias)} is not a vertex key"
 
 
 def test_hive_reader_keeps_each_vertex_key_as_written():

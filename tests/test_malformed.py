@@ -270,12 +270,12 @@ def test_web_coordinates_are_capped(tmp_path, monkeypatch):
 # an attachment's length is checked after its reads, so a pair those reads
 # fail on keeps their message
 ATTACHMENT_ERRORS = {
-    "extra entry": (["0-1-2", 0, 7], "attachment to triangle '0-1-2': 3 entries, expected 2"),
+    "extra entry": (["0-1-2", 0, 7], 'attachment to triangle "0-1-2": 3 entries, expected 2'),
     "two extra entries": (["0-1-2", 0, 7, 8],
-                          "attachment to triangle '0-1-2': 4 entries, expected 2"),
-    "bad side first": (["0-1-2", "x", 7], "side: expected an integer, got 'x'"),
+                          'attachment to triangle "0-1-2": 4 entries, expected 2'),
+    "bad side first": (["0-1-2", "x", 7], 'side: expected an integer, got "x"'),
     "bad triangle first": ([1.5, 0, 7], "triangle id: expected a string or an integer, got 1.5"),
-    "too short": (["0-1-2"], "attachment ['0-1-2'] is not a [triangle, side] pair"),
+    "too short": (["0-1-2"], 'attachment ["0-1-2"] is not a [triangle, side] pair'),
 }
 
 
@@ -288,7 +288,7 @@ def test_attachment_pair_errors_keep_their_message(pair, message, tmp_path):
 
 # an attach that is not an array, or whose first entry is not a pair or whose
 # second is neither a pair nor "boundary"; a string used to be read character
-# by character ("side: expected an integer, got 'o'", or an IndexError)
+# by character ('side: expected an integer, got "o"', or an IndexError)
 WRONG_ATTACH = {
     "attach a string": "boundary",
     "first attachment a string": ["boundary"],
@@ -304,7 +304,7 @@ WRONG_ATTACH = {
 def test_an_attach_of_the_wrong_shape_names_its_edge(argv, attach, tmp_path):
     doc = changed("triangulation", ("edges", 0, "attach"), attach)
     assert invoke(argv, doc, tmp_path) == (
-        2, "", "hiveweb: edge '0-1': attach must list a [triangle, side] pair and optionally "
+        2, "", 'hiveweb: edge "0-1": attach must list a [triangle, side] pair and optionally '
                'another or "boundary"\n')
 
 
@@ -341,7 +341,7 @@ def aliased(alias, alias_first):
         pair = [(alias, value)]
     first, *second = pair[::-1] if alias_first else pair
     doc = dict(DOCS["hive"], values={first[0]: first[1], **values, **dict(second)})
-    return doc, f"values: {alias!r} is not a vertex key"
+    return doc, f"values: {json.dumps(alias)} is not a vertex key"
 
 
 @pytest.mark.parametrize("alias_first", ORDERS.values(), ids=ORDERS)
@@ -408,10 +408,10 @@ def test_an_arc_endpoint_that_hashes_like_a_vertex_is_unknown():
     ({"vertices": [True], "arcs": []}, "vertices: true is neither a string nor an integer"),
     ({"vertices": [1.5], "arcs": []}, "vertices: 1.5 is neither a string nor an integer"),
     ({"vertices": [{"v": [1]}], "arcs": []},
-     'vertices: {"v": [1]} is neither a string nor an integer'),
+     'vertices: {"v":[1]} is neither a string nor an integer'),
     ({"vertices": ["v", "v"], "arcs": []}, 'vertices: "v" is listed twice'),
     ({"vertices": ["v"], "arcs": [["v", None, "v"]]},
-     'arcs: ["v", null, "v"] is not a [tail, head] pair'),
+     'arcs: ["v",null,"v"] is not a [tail, head] pair'),
     ({"vertices": ["v"], "arcs": ["v-v"]}, 'arcs: "v-v" is not a [tail, head] pair'),
     ({"vertices": ["v"], "arcs": [["v", False]]}, 'arc ("v", false) has an unknown endpoint'),
     ({"vertices": ["v"], "arcs": [["v", "u"]]}, 'arc ("v", "u") has an unknown endpoint'),
@@ -549,7 +549,7 @@ def capped(monkeypatch):
 def test_the_cap_admits_itself_and_refuses_one_more(kind, path, what, tmp_path, capped):
     refused = {CAP + 1: f"|{CAP + 1}| exceeds HIVEWEB_MAX_THIRDS={CAP}",
                -CAP - 1: f"|{-CAP - 1}| exceeds HIVEWEB_MAX_THIRDS={CAP}",
-               True: "expected an integer, got True"}
+               True: "expected an integer, got true"}
     for argv in COMMANDS[kind]:
         for value in (CAP, -CAP):
             code, _, err = invoke(argv, changed(kind, path, value), tmp_path)
@@ -594,7 +594,7 @@ UNPARSABLE = {
     "a bad key before the first value": (
         {"triangulation": {"triangles": [], "edges": []},
          "values": {"x": {"thirds": 0}, "c:t": {"thirds": 0}}}, ["validate", "--hive"], 2,
-        "values: 'x' is not a vertex key"),
+        'values: "x" is not a vertex key'),
     "the first value before a bad key": (
         {"triangulation": {"triangles": [], "edges": []},
          "values": {"c:t": {"thirds": 0}, "x": {"thirds": 0}}}, ["validate", "--hive"], 2, "{cap}"),
@@ -627,7 +627,7 @@ def test_the_size_flags_read_the_cap_of_their_own_run(tmp_path, monkeypatch):
 
 def test_aliases_of_a_key_outside_the_triangulation_exit_two(tmp_path):
     argv = COMMANDS["hive"][-1]  # flip --hive carries the keys of other vertices through
-    refused = (2, "", "hiveweb: values: 'e:9-9:01' is not a vertex key\n")
+    refused = (2, "", 'hiveweb: values: "e:9-9:01" is not a vertex key\n')
     for extra in ({"e:9-9:1": {"thirds": 0}, "e:9-9:01": {"thirds": 3}},
                   {"e:9-9:01": {"thirds": 3}}):
         doc = copy.deepcopy(DOCS["hive"])

@@ -213,6 +213,42 @@ def test_flip_is_an_involution_on_the_complex():
     assert twice.keys == t.keys
 
 
+SQUARE = build_polygon(4, [(0, 2)])
+SQUARE_DOC = SQUARE.to_json()
+
+
+def _relabelled(label):
+    """The square with corner 1 labelled ``label``."""
+    return Triangulation.from_json({**SQUARE_DOC, "edges": [
+        {**e, **{end: label for end in ("tail", "head") if e[end] == 1}}
+        for e in SQUARE_DOC["edges"]]})
+
+
+# pairs whose documents differ, and so compare unequal
+UNEQUAL = {
+    "triangle 0-1-2 and edge 0-1 listed twice": (
+        Triangulation([*SQUARE.triangles, "0-1-2"], [*SQUARE.edges, SQUARE.edge("0-1")],
+                      SQUARE.signature), SQUARE),
+    "label 1 and label \"1\"": (_relabelled(1), _relabelled("1")),
+    "side 1 and side true": (
+        Triangulation(SQUARE.triangles, [e._replace(attach0=(e.attach0[0], True))
+                                         if e.attach0[1] == 1 else e for e in SQUARE.edges],
+                      SQUARE.signature), SQUARE),
+    "no signature": (Triangulation(SQUARE.triangles, SQUARE.edges), SQUARE),
+}
+
+
+@pytest.mark.parametrize("a,b", UNEQUAL.values(), ids=UNEQUAL)
+def test_triangulations_that_write_different_documents_are_unequal(a, b):
+    assert a.to_text() != b.to_text()
+    assert a != b and b != a
+
+
+def test_equality_ignores_list_order():
+    t = build_polygon(6, [(0, 2), (2, 4), (0, 4)])
+    assert Triangulation(t.triangles[::-1], t.edges[::-1], t.signature) == t
+
+
 def test_flip_boundary_edge_rejected():
     t = build_polygon(4, [(0, 2)])
     with pytest.raises(NotFlippable):

@@ -64,10 +64,10 @@ LABELS = {
 }
 
 
-def polygon(m: int, labels: str = "int", seed: int | None = None) -> dict:
+def polygon(m: int, labels: str = "int") -> dict:
     """The document of a triangulated m-gon, vertex i labelled by ``LABELS[labels]``:
     sides counterclockwise, boundary edges i -> i+1, diagonals lo -> hi."""
-    rng = random.Random(m if seed is None else seed)
+    rng = random.Random(m)
     label = LABELS[labels]
     faces = _split_faces(m, rng)
     attach: dict[tuple[int, int], list] = {}  # by (tail, head): [first, second]
@@ -112,8 +112,6 @@ def _edited(doc, path, op="set", value=None):
     moved to the key ``value`` in its object's place (``RENAME``) or also
     written there, the copy last (``COPY``)."""
     doc = json.loads(json.dumps(doc))
-    if not path:
-        return value
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -132,7 +130,8 @@ def _edited(doc, path, op="set", value=None):
 
 def _nodes(doc, path=()):
     """The path of every node below the root of ``doc``, parents first."""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    items = (doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list)
+             else ())
     for key, value in items:
         yield (*path, key)
         yield from _nodes(value, (*path, key))
@@ -208,7 +207,8 @@ FAULTS = {
     "edge listed twice": _square_with(edges=[*SQUARE_EDGES, SQUARE_EDGES[0]]),
     "triangle listed twice": _square_with(triangles=[*SQUARE["triangles"], SQUARE["triangles"][0]]),
     "edge ids 1 and \"1\"": _square_with(edges=[
-        {**e, "id": 1 if k == 0 else "1" if k == 1 else e["id"]} for k, e in enumerate(SQUARE_EDGES)]),
+        {**e, "id": 1 if k == 0 else "1" if k == 1 else e["id"]}
+        for k, e in enumerate(SQUARE_EDGES)]),
     "edge listed twice under another tail": _square_with(
         edges=[*SQUARE_EDGES, {**SQUARE_EDGES[0], "tail": "x"}]),
     "both listed twice": _square_with(edges=[*SQUARE_EDGES, SQUARE_EDGES[1]],
@@ -263,11 +263,12 @@ POOL = [None, True, 14.5, "14", "x", [], ["x"], ["x", 0, 7], {}, {"thirds": 0}, 
 
 def mutation_cases():
     """Each node of a valid document of each kind set to each value of
-    ``POOL``, dropped, or as a key renamed; the reading command rotates."""
+    ``POOL``, dropped, or its key renamed or written twice; the reading
+    command rotates.  A hive or web document is the one its set-up writes."""
     hived = [["sample", "--triangulation", "t.json", "--bound", "2", "--seed", "1",
               "--out", "doc.json"]]
     bases = {
-        "triangulation": (PENTAGON, [], polygon(5)),
+        "triangulation": (PENTAGON, [], PENTAGON),
         "hive": (None, hived, {"values": {k: {"thirds": 0} for k in _keys(PENTAGON)},
                                "triangulation": PENTAGON}),
         "web": (None, [*hived, ["hive2web", "--hive", "doc.json", "--out", "doc.json"]],
@@ -319,7 +320,8 @@ def metric_cases():
         if n % 4:  # a lower-left, b lower-right, c upper: mostly a region to search
             x, y, right, up = (rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(0, 12),
                                rng.randint(0, 12))
-            corners = [(x, y), (x + right, y + rng.randint(-1, 1)), (x + rng.randint(-1, 1), y + up)]
+            corners = [(x, y), (x + right, y + rng.randint(-1, 1)),
+                       (x + rng.randint(-1, 1), y + up)]
         else:  # anywhere, some outside the window
             corners = [(rng.randint(-radius - 3, radius + 3), rng.randint(-radius - 3, radius + 3))
                        for _ in "abc"]
@@ -370,7 +372,8 @@ VALUES = ["--", "-", "", "-1,0", "1,1", "0,0", "2,0", "0,2", "0,0,0,0,0,0,0", "2
 def argv_cases():
     files = {"t.json": SQUARE, "-h.json": {"values": {}, "triangulation": "t.json"},
              "twice.json": FAULTS["edge listed twice"],
-             "h.json": {"values": {k: {"thirds": 0} for k in _keys(SQUARE)}, "triangulation": SQUARE},
+             "h.json": {"values": {k: {"thirds": 0} for k in _keys(SQUARE)},
+                        "triangulation": SQUARE},
              "g.json": {"vertices": ["u", "v"], "arcs": [["u", "v"]]}, "bad.json": [1, 2],
              "raw.json": b"{\"values\": ", "deep.json": b"[" * 5000 + b"]" * 5000,
              "latin.json": b'{"values": "\xff"}'}
@@ -387,7 +390,8 @@ def argv_cases():
         argv = [command]
         pool = FLAGS.get(command, flags)
         for _ in range(rng.randint(0, 6)):
-            flag = rng.choice(pool) if rng.random() < 0.85 else rng.choice([*flags, "-h", "--bogus"])
+            flag = (rng.choice(pool) if rng.random() < 0.85
+                    else rng.choice([*flags, "-h", "--bogus"]))
             if rng.random() < 0.15:
                 flag = flag[:rng.randint(min(3, len(flag)), len(flag))]
             value, form = rng.choice(VALUES), rng.choice(["apart", "apart", "=", "bare"])
