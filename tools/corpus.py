@@ -346,6 +346,15 @@ def metric_cases():
                 yield case(f"dist {name} {src!r} -> {to!r}",
                            ["dist", "--graph", "g.json", "--from", src, "--to", to],
                            {"g.json": graph})
+    # windows of one point and larger than the ones above, a on the left edge,
+    # b on the bottom edge and c on the top edge: some regions are empty
+    for radius in (0, *range(25, 41)):
+        corners = [(-radius, rng.randint(-radius, radius)), (rng.randint(-radius, radius), -radius),
+                   (rng.randint(-radius, radius), radius)]
+        points = [f"{a},{b}" for a, b in corners]
+        yield case(f"fermat {' '.join(points)} edges of window {radius}",
+                   ["fermat", "--a", points[0], "--b", points[1], "--c", points[2],
+                    "--window", str(radius)])
 
 
 # each command's flags, --out last
