@@ -6,7 +6,9 @@ third units, on plain ints indexed by vertex position, and every distance
 and minimum the API returns is such an int in thirds.  The search keeps its
 queue in three rotating buckets (distances d, d+1 and d+2) and marks an
 unreached vertex with the int bound ``6·V``, which no sum of three real
-distances reaches.
+distances reaches.  On a lattice window, where every arc walked backwards
+costs what two arcs walked forwards do, the search is breadth-first over
+the forward arcs, on a padded array of the window's own.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ Vertex = Hashable
 class OrientedGraph:
     """Finite directed multigraph; immutable once built.
 
-    Searches run on positions 0..V-1: ``_fwd[i]`` is a sequence of the heads
-    of arcs out of ``i`` (1 third each), ``_back[j]`` of the tails of arcs
-    into ``j`` (2 thirds each).  ``vertices``, the name-to-position index ``_index`` and ``arcs``
-    are made from them the first time they are read.
+    Searches run on positions 0..V-1, with V = ``_size``: ``_fwd[i]`` is a
+    sequence of the heads of arcs out of ``i`` (1 third each), ``_back[j]``
+    of the tails of arcs into ``j`` (2 thirds each).  ``vertices``, the
+    name-to-position index ``_index`` and ``arcs`` are made from them the
+    first time they are read.
     """
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[tuple[Vertex, Vertex]]):
@@ -49,6 +52,7 @@ class OrientedGraph:
             back[j].append(i)
         self._fwd, self._back = fwd, back
         self._name = self.vertices.__getitem__
+        self._size = len(self.vertices)
 
     @classmethod
     def indexed(
@@ -63,14 +67,14 @@ class OrientedGraph:
         (distinct) vertex at position ``i``; ``position(v)``, if given, finds
         the position of ``v`` in place of a lookup in ``_index``."""
         graph = cls.__new__(cls)
-        graph._fwd, graph._back, graph._name = fwd, back, name
+        graph._fwd, graph._back, graph._name, graph._size = fwd, back, name, len(fwd)
         if position is not None:
             graph._position = position
         return graph
 
     @functools.cached_property
     def vertices(self) -> list[Vertex]:
-        return list(map(self._name, range(len(self._fwd))))
+        return list(map(self._name, range(self._size)))
 
     @functools.cached_property
     def _index(self) -> dict[Vertex, int]:
@@ -121,7 +125,7 @@ def _unreached(graph: OrientedGraph) -> int:
     """``6·V``, the distance :func:`_thirds_from` gives a vertex it does not
     reach.  A real distance is at most 2(V-1) thirds, so three of them sum to
     less than this bound, and a sum with an unreached term to at least it."""
-    return 6 * len(graph._fwd)
+    return 6 * graph._size
 
 
 def _thirds_from(graph: OrientedGraph, s: int) -> list[int]:
@@ -132,8 +136,12 @@ def _thirds_from(graph: OrientedGraph, s: int) -> list[int]:
     kept as three rotating lists: ``here`` holds the vertices reached at the
     current distance ``d``, ``near`` those at d+1 and ``far`` those at d+2.
     An entry whose vertex was since reached closer is skipped.  Each vertex
-    is settled once, so the search is O(V + E).
+    is settled once, so the search is O(V + E).  A :func:`gamma_window` is
+    searched breadth-first on an array of its own (:func:`_window_thirds`),
+    every other graph on its lists.
     """
+    if isinstance(graph, _Window):
+        return _window_thirds(graph, s)
     fwd, back = graph._fwd, graph._back
     dist = [_unreached(graph)] * len(fwd)
     dist[s] = 0
@@ -155,6 +163,46 @@ def _thirds_from(graph: OrientedGraph, s: int) -> list[int]:
         here, near, far = near, far, []
         d = one
     return dist
+
+
+def _window_thirds(window: _Window, s: int) -> list[int]:
+    """:func:`_thirds_from` on a window, without its lists.
+
+    The lattice's triangles are the oriented 3-cycles (x, y) -> (x+1, y) ->
+    (x, y-1) -> (x, y) and (x, y) -> (x, y+1) -> (x-1, y) -> (x, y).  Every
+    arc of a window lies on one that the window holds, whose other two arcs
+    lead from the arc's head back to its tail for the two thirds that walking
+    the arc backwards costs.  So the distances are those over the arcs walked
+    forwards alone, one third each, and a breadth-first search finds them: a
+    cell is settled when it is first reached.
+
+    With P = side + 2, the window's point at row i, column j is cell
+    (i+1)·P + j+1 of a list of P² cells whose border cells hold -1, so that
+    ``d < dist[v]`` never enters them: the arcs out of a cell are the offsets
+    +P, +1 and -P-1, with no test of where the cell lies.  The distances are
+    then read back row by row at the window's positions."""
+    side = window._side
+    P = side + 2
+    diag = P + 1  # the offset of (x+1, y+1)
+    dist = [-1] * P + ([-1] + [_unreached(window)] * side + [-1]) * side + [-1] * P
+    start = s + diag + 2 * (s // side)
+    dist[start] = 0
+    queue = [start]
+    for u in queue:  # read while it grows
+        d = dist[u] + 1
+        if d < dist[v := u + P]:
+            dist[v] = d
+            queue.append(v)
+        if d < dist[v := u + 1]:
+            dist[v] = d
+            queue.append(v)
+        if d < dist[v := u - diag]:
+            dist[v] = d
+            queue.append(v)
+    out: list[int] = []
+    for k in range(diag, diag + side * P, P):
+        out += dist[k:k + side]
+    return out
 
 
 def _tripod(da: list[int], db: list[int], dc: list[int], bound: int) -> tuple[int, list[int]]:
@@ -264,40 +312,53 @@ def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list, list]:
     return fwd, back
 
 
+class _Window(OrientedGraph):
+    """The graph :func:`gamma_window` returns.  Its searches never read
+    ``_fwd`` and ``_back``: :func:`_lattice_piece` builds them when a generic
+    reader, such as ``arcs``, first asks for one."""
+
+    def __init__(self, radius: int):
+        self._radius, self._side = radius, 2 * radius + 1
+        self._size = self._side * self._side
+
+    def _name(self, i: int) -> str:
+        return f"{i // self._side - self._radius},{i % self._side - self._radius}"
+
+    def _position(self, v: Vertex) -> int | None:
+        if not isinstance(v, str):
+            return None
+        x, _, y = v.partition(",")
+        try:
+            i = (int(x) + self._radius) * self._side + int(y) + self._radius
+        except ValueError:
+            return None
+        # outside the square, (x, y) can alias a position whose name is v
+        return i if 0 <= i < self._size and self._name(i) == v else None
+
+    def __getattr__(self, attr: str):  # called only for an attribute not yet set
+        if attr in ("_fwd", "_back"):
+            self._fwd, self._back = _lattice_piece([(-self._radius, self._radius)] * self._side)
+        return object.__getattribute__(self, attr)
+
+
 def gamma_window(radius: int, corners: Iterable[Vertex] = ()) -> OrientedGraph:
     """Induced subgraph of the lattice graph on the square [-radius, radius]^2.
 
     Every point sends arcs to (x+1,y), (x,y+1) and (x-1,y-1) when those stay
     inside the window.  With ``side = 2*radius + 1`` the point (x, y) sits at
-    position ``(x+radius)*side + (y+radius)``, so the arcs go to +side, +1 and
-    -side-1, and the adjacency is built by that arithmetic alone.  A vertex is
-    named by the string ``"x,y"`` of its point; the names are made
-    only when a caller reads them, and a name is resolved by parsing it, so
-    only the exact key text of a point in the window is a vertex.  The first
-    of ``corners`` that is not is refused before the adjacency is built.
+    position ``(x+radius)*side + (y+radius)``.  A vertex is named by the
+    string ``"x,y"`` of its point; the names are made only when a caller
+    reads them, and a name is resolved by parsing it, so only the exact key
+    text of a point in the window is a vertex.  The first of ``corners`` that
+    is not is refused.  A search runs on an array of the window's own
+    (:func:`_window_thirds`); the adjacency lists are built only when a
+    caller reads them.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    side = 2 * radius + 1
-
-    def name(i: int) -> str:
-        return f"{i // side - radius},{i % side - radius}"
-
-    def position(v: Vertex) -> int | None:
-        if not isinstance(v, str):
-            return None
-        x, _, y = v.partition(",")
-        try:
-            i = (int(x) + radius) * side + int(y) + radius
-        except ValueError:
-            return None
-        # outside the square, (x, y) can alias a position whose name is v
-        return i if 0 <= i < side * side and name(i) == v else None
-
-    graph = OrientedGraph.indexed([], [], name, position)
+    graph = _Window(radius)
     for v in corners:
         graph._locate(v)
-    graph._fwd, graph._back = _lattice_piece([(-radius, radius)] * side)
     return graph
 
 

@@ -25,11 +25,12 @@ DEFAULT_MAX_THIRDS = 10**12
 
 @functools.cache  # cleared by cli.run(), so the cap is read once per run at first use
 def max_thirds() -> int:
+    """``HIVEWEB_MAX_THIRDS``, written as a size flag is: ASCII digits alone."""
     raw = os.environ.get("HIVEWEB_MAX_THIRDS", str(DEFAULT_MAX_THIRDS))
-    try:
-        return int(raw)
-    except ValueError:
-        raise MalformedInput(f"HIVEWEB_MAX_THIRDS={raw!r} is not an integer") from None
+    if not is_decimal(raw, signed=False):
+        kind = "a non-negative integer" if is_decimal(raw) else "an integer"
+        raise MalformedInput(f"HIVEWEB_MAX_THIRDS={raw!r} is not {kind}")
+    return parse_int(raw, "HIVEWEB_MAX_THIRDS", capped=False)
 
 
 def checked_int(value, what: str = "value") -> int:

@@ -118,8 +118,9 @@ def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) 
             t1, s1 = rec.attach1
             v1 = _near_far(hives[t1], s1)
             if v0 != v1[::-1]:  # the second attachment walks the edge head -> tail
-                raise GluingMismatch(f"edge {_shown(rec.id)}: side counts {side_arc_counts(*v0)} "
-                                     f"and {side_arc_counts(*v1)} do not glue")
+                raise GluingMismatch(f"edge {_shown(rec.id)}: side counts "
+                                     f"{_shown([*side_arc_counts(*v0)])} and "
+                                     f"{_shown([*side_arc_counts(*v1)])} do not glue")
         p = tri.slot0[rec.id]
         thirds[p], thirds[p + 1] = v0
     for t in tri.triangles:

@@ -604,22 +604,31 @@ OUTSIDE_THE_WINDOW = {
 @pytest.mark.parametrize("corners,outside", OUTSIDE_THE_WINDOW.values(), ids=OUTSIDE_THE_WINDOW)
 def test_fermat_refuses_a_corner_outside_the_window_before_building_it(
         capsys, monkeypatch, corners, outside):
-    def no_window(rows):
-        raise AssertionError("the window was built")
+    def no_array(window, s):
+        raise AssertionError("the window's search array was built")
 
-    monkeypatch.setattr(metric, "_lattice_piece", no_window)
+    monkeypatch.setattr(metric, "_window_thirds", no_array)
     a, b, c, radius = corners
     assert invoke(capsys, "fermat", "--a", a, "--b", b, "--c", c, "--window", radius) == (
         1, canonical({"error": "KeyError", "detail": f'unknown vertex "{outside}"'}), "")
 
 
 def test_fermat_checks_the_region_before_the_window(capsys, monkeypatch):
-    monkeypatch.setattr(metric, "_lattice_piece", None)
+    monkeypatch.setattr(metric, "_window_thirds", None)
     code, out, err = invoke(capsys, "fermat", "--a", "0,0", "--b", "-30,0", "--c", "0,-1",
                             "--window", "2")
     assert (code, json.loads(out)["error"], err) == (1, "OmegaEmpty", "")
-    with pytest.raises(TypeError):  # a window that holds its corners is built
+    with pytest.raises(TypeError):  # a window that holds its corners is searched
         run(["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "6"])
+
+
+def test_fermat_searches_the_window_without_its_adjacency_lists(capsys, monkeypatch):
+    def no_lists(rows):
+        raise AssertionError("the window's lists were built")
+
+    monkeypatch.setattr(metric, "_lattice_piece", no_lists)
+    assert invoke(capsys, "fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "6") == (
+        0, canonical({"thirds": 8, "brute": {"thirds": 8, "argmin_size": 9}, "match": True}), "")
 
 
 def test_each_surface_command_runs_the_exported_function(tmp_path, capsys, monkeypatch):

@@ -617,6 +617,38 @@ def test_an_unparsable_cap_fails_where_it_is_first_read(doc, argv, code, message
     assert (got[0], got[2]) == (code, err)
 
 
+# each HIVEWEB_MAX_THIRDS that a size flag's grammar refuses, and its refusal
+CAP_TEXTS = {
+    "a space": (" 7", "HIVEWEB_MAX_THIRDS=' 7' is not an integer"),
+    "an underscore": ("1_000", "HIVEWEB_MAX_THIRDS='1_000' is not an integer"),
+    "a plus sign": ("+7", "HIVEWEB_MAX_THIRDS='+7' is not an integer"),
+    "another script's digit": ("\u0663", "HIVEWEB_MAX_THIRDS='\u0663' is not an integer"),
+    "minus one": ("-1", "HIVEWEB_MAX_THIRDS='-1' is not a non-negative integer"),
+    "minus zero": ("-0", "HIVEWEB_MAX_THIRDS='-0' is not a non-negative integer"),
+    "5000 digits": ("9" * 5000,
+                    "HIVEWEB_MAX_THIRDS: a value of 5000 digits exceeds what int() converts"),
+}
+
+
+@pytest.mark.parametrize("raw,message", CAP_TEXTS.values(), ids=CAP_TEXTS)
+def test_the_cap_is_written_as_a_size_flag_is(raw, message, tmp_path, monkeypatch):
+    monkeypatch.setenv("HIVEWEB_MAX_THIRDS", raw)
+    fermat = ["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "6"]
+    assert invoke(fermat, {}, tmp_path) == (2, "", f"hiveweb: {message}\n")
+    assert invoke(["validate", "--hive", "{doc}"], DOCS["hive"], tmp_path) == (
+        2, "", f"hiveweb: {message}\n")
+
+
+def test_a_cap_of_leading_zeros_and_a_cap_of_zero_are_read(tmp_path, monkeypatch):
+    fermat = ["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "6"]
+    monkeypatch.setenv("HIVEWEB_MAX_THIRDS", "0" * 5000 + "6")
+    assert invoke(fermat, {}, tmp_path)[0] == 0
+    monkeypatch.setenv("HIVEWEB_MAX_THIRDS", "0")
+    assert invoke(["gamma-dist", "--to", "0,0"], {}, tmp_path) == (0, '{"thirds":0}\n', "")
+    assert invoke(["gamma-dist", "--to", "0,1"], {}, tmp_path) == (
+        2, "", "hiveweb: --to: |1| exceeds HIVEWEB_MAX_THIRDS=0\n")
+
+
 def test_the_size_flags_read_the_cap_of_their_own_run(tmp_path, monkeypatch):
     fermat = ["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "6"]
     assert invoke(fermat, {}, tmp_path)[0] == 0  # reads the default cap

@@ -6,7 +6,8 @@ multigraphs (self-loops, parallel and antiparallel arcs, isolated vertices,
 string, tuple and int ids) must give the same distances, the same tripod
 minimum and argmin, and the same errors.  The lattice window, built by
 position arithmetic with names made on demand, is compared with the
-string-keyed window it replaced.
+string-keyed window it replaced, and its search on a padded array of its own
+with the list search on the window's lattice lists.
 """
 
 from __future__ import annotations
@@ -292,3 +293,46 @@ def test_names_read_after_a_search_match_names_read_before():
     assert shortest_distance(after, "-4,-4", "4,4") == 16
     assert (after.vertices, after.arcs, after.to_json()) == expected
     assert distances_from(after, "1,1") == distances_from(before, "1,1")
+
+
+def list_window(radius: int) -> OrientedGraph:
+    """The window on its ``_lattice_piece`` lists as a graph of the kind nets
+    are, which :func:`_thirds_from` searches on its lists."""
+    rows = [(-radius, radius)] * (2 * radius + 1)
+    return OrientedGraph.indexed(*_lattice_piece(rows), gamma_window(radius)._name)
+
+
+@pytest.mark.parametrize("radius", range(13))
+def test_window_search_matches_list_search_from_every_source(radius):
+    window, reference = gamma_window(radius), list_window(radius)
+    for s in range(len(reference._fwd)):
+        assert _thirds_from(window, s) == _thirds_from(reference, s)
+    assert _unreached(window) == _unreached(reference)
+    assert fermat_brute(window, "0,0", f"{radius},0", f"0,{radius}") == fermat_brute(
+        reference, "0,0", f"{radius},0", f"0,{radius}")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_window_search_matches_list_search_on_large_windows(data):
+    radius = data.draw(st.integers(13, 40), label="radius")
+    reference = list_window(radius)
+    s = data.draw(st.integers(0, len(reference._fwd) - 1), label="source")
+    assert _thirds_from(gamma_window(radius), s) == _thirds_from(reference, s)
+
+
+def test_counting_and_searching_a_window_builds_no_lists():
+    window = gamma_window(5, ["-5,-5", "5,5"])
+    assert len(window.vertices) == 121 and _unreached(window) == 6 * 121
+    assert distances_from(window, "0,0")["5,5"] == 10
+    assert fermat_brute(window, "0,0", "2,0", "0,2")[0] == 8
+    assert "_fwd" not in vars(window) and "_back" not in vars(window)
+    assert len(window.arcs) == 2 * 11 * 10 + 10 * 10  # a generic reader builds them
+    assert window._back == list_window(5)._back
+
+
+def test_window_refuses_a_corner_outside_it():
+    with pytest.raises(KeyError, match='unknown vertex "6,0"'):
+        gamma_window(5, ["0,0", "6,0", "7,0"])
+    with pytest.raises(AttributeError):
+        gamma_window(1)._missing

@@ -125,7 +125,7 @@ def test_gluing_mismatch_names_edge_and_pairs():
     }
     with pytest.raises(GluingMismatch) as err:
         surface_web_thirds(tri, web)
-    assert str(err.value) == 'edge "0-2": side counts (0, 1) and (0, 0) do not glue'
+    assert str(err.value) == 'edge "0-2": side counts [0,1] and [0,0] do not glue'
 
 
 def test_surface_round_trip_on_pentagon():
@@ -296,9 +296,9 @@ WEB_ERROR_ROWS = {
     "negative corner count in an extra triangle": ((_extra_negative,), _semantic(
         "InvalidWebCoords", "corner count y is negative")),
     "gluing mismatch on the first edge in order": ((_center_disagrees,), _semantic(
-        "GluingMismatch", 'edge "2-4": side counts (1, 4) and (3, 1) do not glue')),
+        "GluingMismatch", 'edge "2-4": side counts [1,4] and [3,1] do not glue')),
     "gluing mismatch in slot 1 alone": ((_slot_1_disagrees,), _semantic(
-        "GluingMismatch", 'edge "0-2": side counts (3, 3) and (5, 2) do not glue')),
+        "GluingMismatch", 'edge "0-2": side counts [3,3] and [5,2] do not glue')),
     # the structure is decided before any edge is glued, whatever the list order
     "unattached side": ((_side_unattached,), _unsound(*_side("0-1", "0-1-2", 3, 0))),
     "unattached side before a mismatch": ((_center_disagrees, _later_side_unattached),
