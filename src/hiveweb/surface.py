@@ -192,7 +192,10 @@ class Triangulation:
         names an attachment to an unlisted triangle or to a side outside 0..2
         as it meets it; only when something failed does it word, in triangle
         order, the sides attached twice or not at all, else the corners with
-        two labels; then the signature counts that do not hold."""
+        two labels; then the signature counts that do not hold.  A puncture,
+        a corner label that no boundary edge ends at, adds a triangle and an
+        edge to the counts; punctures are counted only when nothing else
+        failed, since a faulty gluing has no marked points to count."""
         tris, eids = self._ids
         if len(tris) != len(self.triangles) or len(eids) != len(self.edges):
             listed, out = {}, []
@@ -207,12 +210,18 @@ class Triangulation:
             frames[t] = frame = [None] * 7
             frame[CENTER] = c
         # (edge, cell, side, the positions near its first and second corner, the labels there)
-        sites = []
+        # rim: the tails of boundary edges.  Once the corners agree, the
+        # corners of a label that a boundary edge ends at chain through glued
+        # sides back to one that a boundary edge starts at, so rim then holds
+        # every label on the boundary
+        sites, rim = [], set()
         for rec in self.edges:
             p = slot0[rec.id]
             sites.append((rec.id, *rec.attach0, p, p + 1, rec.tail, rec.head))
             if rec.attach1 is not None:
                 sites.append((rec.id, *rec.attach1, p + 1, p, rec.head, rec.tail))
+            else:
+                rim.add(rec.tail)
         # at 3c + k: corner k's label in the cell with center c, from side k and side k-1
         doubles, starts, ends = {}, [None] * (3 * n), [None] * (3 * n)
         for eid, t, s, first, second, start, end in sites:
@@ -245,9 +254,12 @@ class Triangulation:
                         for k in range(3) if starts[c + k] != ends[c + k]]
         if self.signature is not None:
             g, c, m = self.signature
+            # the punctures, corner labels off the boundary, once the corners agree
+            p = 0 if out else len(set(starts) - rim)
             out += [{"kind": "count-mismatch", "field": name, "have": have, "want": want}
-                    for name, have, want in (("triangles", n, 2 * c + m + 4 * g - 4),
-                                             ("edges", len(self.edges), 3 * c + 2 * m + 6 * g - 6))
+                    for name, have, want in (
+                        ("triangles", n, 2 * c + m + p + 4 * g - 4),
+                        ("edges", len(self.edges), 3 * c + 2 * m + p + 6 * g - 6))
                     if have != want]
         return None if out else {t: tuple(frame) for t, frame in frames.items()}, out
 

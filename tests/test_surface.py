@@ -98,6 +98,36 @@ def _edge(eid, tail, head, *attach):
     return {"id": eid, "tail": tail, "head": head, "attach": list(attach)}
 
 
+# the once-punctured torus: one marked point v, off every boundary
+PUNCTURED_TORUS = {"triangles": ["A", "B"], "signature": {"g": 1, "c": 0, "m": 1}, "edges": [
+    _edge("a", "v", "v", ["A", 0], ["B", 1]),
+    _edge("b", "v", "v", ["A", 1], ["B", 2]),
+    _edge("c", "v", "v", ["B", 0], ["A", 2]),
+]}
+# the square 0-1-2-3 coned to one puncture p: cell t<k> has corners k, k+1, p
+PUNCTURED_SQUARE = {"triangles": [f"t{k}" for k in range(4)],
+                    "signature": {"g": 0, "c": 1, "m": 5}, "edges": [
+    *(_edge(f"{k}-{(k + 1) % 4}", k, (k + 1) % 4, [f"t{k}", 0], "boundary") for k in range(4)),
+    *(_edge(f"{k}-p", k, "p", [f"t{(k - 1) % 4}", 1], [f"t{k}", 2]) for k in range(4)),
+]}
+
+
+@pytest.mark.parametrize("doc, triangles, edges", [
+    (PUNCTURED_TORUS, 2, 3), (PUNCTURED_SQUARE, 4, 8),
+], ids=["torus", "punctured square"])
+def test_the_census_counts_each_puncture(doc, triangles, edges):
+    """A puncture, a marked point off the boundary, adds one triangle and one
+    edge to the census of a surface whose marked points are on its rim."""
+    t = Triangulation.from_json(doc)
+    assert (len(t.triangles), len(t.edges)) == (triangles, edges)
+    assert validate_complex(t) == []
+    g, c, m = t.signature
+    # one more marked point on the rim, as the census read it before
+    assert validate_complex(Triangulation(t.triangles, t.edges, (g, c, m + 1))) == [
+        {"kind": "count-mismatch", "field": "triangles", "have": triangles, "want": triangles + 1},
+        {"kind": "count-mismatch", "field": "edges", "have": edges, "want": edges + 2}]
+
+
 # every kind but the corners at once: "0-1" enters side 0 of 0-1-2 by its
 # second attachment, before "y" and "x" enter it too
 MANY_FAULTS = {"triangles": ["0-2-3", "0-1-2"], "signature": {"g": 0, "c": 1, "m": 4}, "edges": [
