@@ -27,9 +27,9 @@ class OrientedGraph:
 
     Searches run on positions 0..V-1, with V = ``_size``: ``_fwd[i]`` is a
     sequence of the heads of arcs out of ``i`` (1 third each), ``_back[j]``
-    of the tails of arcs into ``j`` (2 thirds each).  ``vertices``, the
-    name-to-position index ``_index`` and ``arcs`` are made from them the
-    first time they are read.
+    of the tails of arcs into ``j`` (2 thirds each); an entry may also hold
+    -1, which names no vertex.  ``vertices``, the name-to-position index
+    ``_index`` and ``arcs`` are made from them the first time they are read.
     """
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[tuple[Vertex, Vertex]]):
@@ -55,21 +55,13 @@ class OrientedGraph:
         self._size = len(self.vertices)
 
     @classmethod
-    def indexed(
-        cls,
-        fwd: list[list[int]],
-        back: list[list[int]],
-        name: Callable[[int], Vertex],
-        position: Callable[[Vertex], int | None] | None = None,
-    ) -> "OrientedGraph":
+    def indexed(cls, fwd: list, back: list, name: Callable[[int], Vertex]) -> "OrientedGraph":
         """Graph given by its adjacency on positions: ``back`` must hold the
-        same arcs as ``fwd``, seen from their heads.  ``name(i)`` is the
-        (distinct) vertex at position ``i``; ``position(v)``, if given, finds
-        the position of ``v`` in place of a lookup in ``_index``."""
+        same arcs as ``fwd``, seen from their heads, and an entry may hold
+        -1, which names no vertex.  ``name(i)`` is the (distinct) vertex at
+        position ``i``."""
         graph = cls.__new__(cls)
         graph._fwd, graph._back, graph._name, graph._size = fwd, back, name, len(fwd)
-        if position is not None:
-            graph._position = position
         return graph
 
     @functools.cached_property
@@ -83,7 +75,8 @@ class OrientedGraph:
     @functools.cached_property
     def arcs(self) -> list[tuple[Vertex, Vertex]]:
         names = self.vertices
-        return [(names[i], names[j]) for i, heads in enumerate(self._fwd) for j in heads]
+        return [(names[i], names[j])
+                for i, heads in enumerate(self._fwd) for j in heads if j >= 0]
 
     def _position(self, v: Vertex) -> int | None:
         """Position of ``v``, or None if it is no vertex."""
@@ -136,14 +129,16 @@ def _thirds_from(graph: OrientedGraph, s: int) -> list[int]:
     kept as three rotating lists: ``here`` holds the vertices reached at the
     current distance ``d``, ``near`` those at d+1 and ``far`` those at d+2.
     An entry whose vertex was since reached closer is skipped.  Each vertex
-    is settled once, so the search is O(V + E).  A :func:`gamma_window` is
+    is settled once, so the search is O(V + E).  A -1 in the lists reads one
+    cell appended to ``dist`` that holds -1, below every distance, so it is
+    never entered; the cell is popped before return.  A :func:`gamma_window` is
     searched breadth-first on an array of its own (:func:`_window_thirds`),
     every other graph on its lists.
     """
     if isinstance(graph, _Window):
         return _window_thirds(graph, s)
     fwd, back = graph._fwd, graph._back
-    dist = [_unreached(graph)] * len(fwd)
+    dist = [_unreached(graph)] * len(fwd) + [-1]
     dist[s] = 0
     here, near, far = [s], [], []
     d = 0
@@ -162,6 +157,7 @@ def _thirds_from(graph: OrientedGraph, s: int) -> list[int]:
                     far.append(v)
         here, near, far = near, far, []
         d = one
+    dist.pop()
     return dist
 
 
@@ -242,73 +238,34 @@ def gamma_distance(x: int, y: int) -> int:
     return max(x + y, y - 2 * x, x - 2 * y)
 
 
-# a row of at most this many columns builds every entry per cell: on such a
-# row the six ranges of the bulk cost more than the lists they replace
-_SHORT_ROW = 11
-
-
 def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list, list]:
     """``_fwd`` and ``_back`` of the lattice graph induced on the points
     (k, c) with ``lo <= c <= hi`` for ``rows[k] == (lo, hi)``, numbered row by
     row: (k, c) is at position ``sum of earlier row lengths + c - lo``.  Every
-    point sends arcs to (k+1, c), (k, c+1) and (k-1, c-1) where those exist,
-    and each entry keeps that order (tails in increasing position).
+    point sends arcs to (k+1, c), (k, c+1) and (k-1, c-1).
 
-    In a row of more than ``_SHORT_ROW`` columns, the columns whose six
-    neighbours all exist get their entries in one step: heads (k+1, c),
-    (k, c+1), (k-1, c-1) and tails (k-1, c), (k, c-1), (k+1, c+1) are three
-    position ranges each, zipped into tuples.  Every other column, the row
-    ends among them, gets lists from per-cell tests, so an entry that is
-    appended to later must sit at a row end."""
-    none = (1, 0)  # an empty row
-    starts = [0]  # position of (k, c) is starts[k + 1] + c
+    The positions are laid out on one int list, P columns wide, whose cells
+    outside the piece hold -1.  A row's ``fwd`` entries zip the slices of
+    that list at offsets +P, +1 and -P-1 (heads up, right and down-left), its
+    ``back`` entries those at -P, -1 and +P+1 (tails down, left and
+    up-right), so every entry is a triple, with -1 for a missing
+    neighbour."""
+    first = min(lo for lo, _ in rows) - 1  # the column of each row's first cell
+    P = max(hi for _, hi in rows) - first + 2
+    grid = [-1] * (P * (len(rows) + 2))
+    spans = []
     size = 0
-    for lo, hi in rows:
-        starts.append(size - lo)
-        size += hi - lo + 1
-    starts.append(0)
-    padded = [none, *rows, none]
+    for k, (lo, hi) in enumerate(rows, 1):
+        a = k * P + lo - first
+        b = a + hi - lo + 1
+        grid[a:b] = range(size, size + b - a)
+        size += b - a
+        spans.append((a, b))
     fwd: list = []
     back: list = []
-    for k in range(1, len(padded) - 1):
-        dn_lo, dn_hi = padded[k - 1]
-        lo, hi = padded[k]
-        up_lo, up_hi = padded[k + 1]
-        dn, here, up = starts[k - 1], starts[k], starts[k + 1]
-        a = b = hi + 1  # the bulk is columns a..b-1; none in a short row
-        if hi - lo >= _SHORT_ROW:
-            a = max(lo + 1, up_lo, dn_lo + 1)
-            b = min(hi, up_hi, dn_hi + 1)
-            if a >= b:
-                a = b = hi + 1
-        # per cell: columns lo..a-1, then, after the bulk, b..hi
-        c, stop = lo, a
-        while True:
-            for c in range(c, stop):
-                i = here + c
-                heads = []
-                tails = []
-                if up_lo <= c <= up_hi:
-                    heads.append(up + c)
-                if dn_lo <= c <= dn_hi:
-                    tails.append(dn + c)
-                if c < hi:
-                    heads.append(i + 1)
-                if c > lo:
-                    tails.append(i - 1)
-                if dn_lo < c <= dn_hi + 1:
-                    heads.append(dn + c - 1)
-                if up_lo <= c + 1 <= up_hi:
-                    tails.append(up + c + 1)
-                fwd.append(heads)
-                back.append(tails)
-            if stop > hi:
-                break
-            fwd.extend(zip(range(up + a, up + b), range(here + a + 1, here + b + 1),
-                           range(dn + a - 1, dn + b - 1)))
-            back.extend(zip(range(dn + a, dn + b), range(here + a - 1, here + b - 1),
-                            range(up + a + 1, up + b + 1)))
-            c, stop = b, hi + 1
+    for a, b in spans:
+        fwd += zip(grid[a + P:b + P], grid[a + 1:b + 1], grid[a - P - 1:b - P - 1])
+        back += zip(grid[a - P:b - P], grid[a - 1:b - 1], grid[a + P + 1:b + P + 1])
     return fwd, back
 
 

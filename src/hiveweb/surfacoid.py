@@ -76,6 +76,8 @@ def build_net(c: WebTuple) -> Net:
         fwd, back = back, fwd
     mesh = len(fwd)
     corners = (0, n * (n + 1) // 2, mesh - 1)  # A' = (-n, 0), B' = (0, 0), C' = (0, n)
+    for i in corners:  # the entries a string is appended to, as lists
+        fwd[i], back[i] = list(fwd[i]), list(back[i])
     terminals = tuple(_string(corner, inward, outward, fwd, back)
                       for corner, inward, outward in zip(corners, (w, u, y), (v, t, z)))
     # (label, first position) of each nonempty string, last first

@@ -153,7 +153,7 @@ def parse_ints(text: str, n: int, what: str) -> list[int]:
 
 class Third(namedtuple("Third", "thirds")):
     """A value in (1/3)Z, stored scaled by three: the value type of the
-    :data:`~hiveweb.hive.HiveValues` dict that the benchmark's checks read.
+    :data:`~hiveweb.web.HiveValues` dict that the benchmark's checks read.
     Everywhere else a value is the plain int ``thirds``."""
 
     __slots__ = ()

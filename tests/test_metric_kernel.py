@@ -13,6 +13,7 @@ with the list search on the window's lattice lists.
 from __future__ import annotations
 
 import heapq
+import random
 import re
 from collections import Counter
 
@@ -21,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hiveweb.errors import Unreachable
+from hiveweb.surfacoid import build_net
 from hiveweb.metric import (
     OrientedGraph,
     _lattice_piece,
@@ -229,9 +231,12 @@ def reference_lattice_piece(rows):
 
 
 def contents(piece):
-    """``_lattice_piece``'s entries as lists: interior entries are tuples."""
+    """``_lattice_piece``'s entries as lists: each entry is a triple, with -1
+    for a neighbour that is not in the piece."""
     fwd, back = piece
-    return [list(heads) for heads in fwd], [list(tails) for tails in back]
+    assert all(len(entry) == 3 for entry in (*fwd, *back))
+    return ([[j for j in heads if j >= 0] for heads in fwd],
+            [[i for i in tails if i >= 0] for tails in back])
 
 
 @settings(max_examples=300, deadline=None)
@@ -239,8 +244,8 @@ def contents(piece):
        st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 18)), min_size=1, max_size=8))
 def test_lattice_piece_matches_point_lookup(lo, spans):
     """Rows up to 19 columns long, each shifted from the one below by up to
-    four columns either way: long rows take the ranged path, and a shift of
-    two or more leaves several per-cell columns at a row end."""
+    four columns either way, so that a row may overhang its neighbours at
+    either end or lie beside them with no column in common."""
     rows = []
     for shift, length in spans:
         lo += shift
@@ -319,6 +324,24 @@ def test_window_search_matches_list_search_on_large_windows(data):
     reference = list_window(radius)
     s = data.draw(st.integers(0, len(reference._fwd) - 1), label="source")
     assert _thirds_from(gamma_window(radius), s) == _thirds_from(reference, s)
+
+
+def test_a_graph_rebuilt_from_its_arcs_gives_the_same_distances():
+    """Nets and windows hold -1 in their lists where the lattice has no
+    neighbour.  A graph compiled from their ``arcs``, where a -1 would name
+    the last vertex, is searched to the same distances from each net
+    terminal and each window source."""
+    rng = random.Random(0)
+    for x in range(-12, 13):
+        graph, terminals = build_net((x, *(rng.randrange(5) for _ in range(6))))
+        rebuilt = OrientedGraph(graph.vertices, graph.arcs)
+        for p in terminals:
+            assert _thirds_from(rebuilt, p) == _thirds_from(graph, p)
+    for radius in range(7):
+        window = gamma_window(radius)
+        rebuilt = OrientedGraph(window.vertices, window.arcs)
+        for s in range(window._size):
+            assert _thirds_from(rebuilt, s) == _thirds_from(window, s)
 
 
 def test_counting_and_searching_a_window_builds_no_lists():
