@@ -250,7 +250,7 @@ def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list, list]:
     ``back`` entries those at -P, -1 and +P+1 (tails down, left and
     up-right), so every entry is a triple, with -1 for a missing
     neighbour."""
-    first = min(lo for lo, _ in rows) - 1  # the column of each row's first cell
+    first = min(lo for lo, _ in rows) - 1  # the border column each row of the list starts with
     P = max(hi for _, hi in rows) - first + 2
     grid = [-1] * (P * (len(rows) + 2))
     spans = []

@@ -22,7 +22,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hiveweb.errors import Unreachable
-from hiveweb.surfacoid import build_net
 from hiveweb.metric import (
     OrientedGraph,
     _lattice_piece,
@@ -35,6 +34,7 @@ from hiveweb.metric import (
     gamma_window,
     shortest_distance,
 )
+from hiveweb.surfacoid import build_net
 
 
 def reference_distances(vertices, arcs, source) -> dict:
