@@ -6,15 +6,18 @@ third units, on plain ints indexed by vertex position, and every distance
 and minimum the API returns is such an int in thirds.  The search keeps its
 queue in three rotating buckets (distances d, d+1 and d+2) and marks an
 unreached vertex with the int bound ``6·V``, which no sum of three real
-distances reaches.  On a lattice window, where every arc walked backwards
-costs what two arcs walked forwards do, the search is breadth-first over
-the forward arcs, on a padded array of the window's own.
+distances reaches.  Each kind of graph provides its search (``_search``): a
+graph read from a document runs Dijkstra on its lists, while a lattice
+window and a dual net (:mod:`hiveweb.surfacoid`), on whose mesh every arc
+walked backwards costs what two arcs walked forwards do, run one
+breadth-first kernel (:func:`_bfs`) over the forward arcs on a padded array
+of their own and build no lists.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Hashable, Iterable
 
 from .errors import MalformedInput, OmegaEmpty, Unreachable
 from .thirds import _shown, read_array
@@ -54,16 +57,6 @@ class OrientedGraph:
         self._name = self.vertices.__getitem__
         self._size = len(self.vertices)
 
-    @classmethod
-    def indexed(cls, fwd: list, back: list, name: Callable[[int], Vertex]) -> "OrientedGraph":
-        """Graph given by its adjacency on positions: ``back`` must hold the
-        same arcs as ``fwd``, seen from their heads, and an entry may hold
-        -1, which names no vertex.  ``name(i)`` is the (distinct) vertex at
-        position ``i``."""
-        graph = cls.__new__(cls)
-        graph._fwd, graph._back, graph._name, graph._size = fwd, back, name, len(fwd)
-        return graph
-
     @functools.cached_property
     def vertices(self) -> list[Vertex]:
         return list(map(self._name, range(self._size)))
@@ -91,6 +84,11 @@ class OrientedGraph:
     def __contains__(self, v: Vertex) -> bool:
         return self._position(v) is not None
 
+    def _search(self, s: int) -> list[int]:
+        """Distances in thirds from position ``s``, by vertex position
+        (:func:`_unreached` where unreachable): here Dijkstra on the lists."""
+        return _thirds_from(self, s)
+
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices), "arcs": [[t, h] for t, h in self.arcs]}
 
@@ -115,15 +113,16 @@ class OrientedGraph:
 
 
 def _unreached(graph: OrientedGraph) -> int:
-    """``6·V``, the distance :func:`_thirds_from` gives a vertex it does not
-    reach.  A real distance is at most 2(V-1) thirds, so three of them sum to
-    less than this bound, and a sum with an unreached term to at least it."""
+    """``6·V``, the distance a search gives a vertex it does not reach.  A
+    real distance is at most 2(V-1) thirds, so three of them sum to less
+    than this bound, and a sum with an unreached term to at least it."""
     return 6 * graph._size
 
 
 def _thirds_from(graph: OrientedGraph, s: int) -> list[int]:
     """Distances in thirds from the vertex at position ``s``, by vertex
-    position (:func:`_unreached` where unreachable).
+    position (:func:`_unreached` where unreachable), searched on the graph's
+    ``_fwd`` and ``_back``.
 
     The weights are only 1 and 2, so Dijkstra runs on Dial's bucket queue
     kept as three rotating lists: ``here`` holds the vertices reached at the
@@ -131,12 +130,10 @@ def _thirds_from(graph: OrientedGraph, s: int) -> list[int]:
     An entry whose vertex was since reached closer is skipped.  Each vertex
     is settled once, so the search is O(V + E).  A -1 in the lists reads one
     cell appended to ``dist`` that holds -1, below every distance, so it is
-    never entered; the cell is popped before return.  A :func:`gamma_window` is
-    searched breadth-first on an array of its own (:func:`_window_thirds`),
-    every other graph on its lists.
+    never entered; the cell is popped before return.  This is the search of
+    a graph read from a document; on a window or a net, whose own searches
+    need no lists, it serves the tests as the reference.
     """
-    if isinstance(graph, _Window):
-        return _window_thirds(graph, s)
     fwd, back = graph._fwd, graph._back
     dist = [_unreached(graph)] * len(fwd) + [-1]
     dist[s] = 0
@@ -161,40 +158,46 @@ def _thirds_from(graph: OrientedGraph, s: int) -> list[int]:
     return dist
 
 
+def _bfs(dist: list[int], start: int, d: int, up: int, right: int, down_left: int) -> None:
+    """Fill ``dist``, a padded list of cells, breadth-first from cell
+    ``start`` at distance ``d`` over the arcs to the cells at offsets ``up``,
+    ``right`` and ``down_left``, one third each; a cell is settled when it is
+    first reached.  Cells to be reached hold a bound above every distance,
+    the others -1, so that ``d < dist[v]`` never enters them and a cell's
+    arcs need no test of where it lies.  These are the true distances on a
+    lattice piece where every arc lies on an oriented lattice triangle inside
+    the piece: the triangle's other two arcs lead from the arc's head back
+    to its tail for the two thirds that walking the arc backwards costs."""
+    dist[start] = d
+    queue = [start]
+    for u in queue:  # read while it grows
+        d = dist[u] + 1
+        if d < dist[v := u + up]:
+            dist[v] = d
+            queue.append(v)
+        if d < dist[v := u + right]:
+            dist[v] = d
+            queue.append(v)
+        if d < dist[v := u + down_left]:
+            dist[v] = d
+            queue.append(v)
+
+
 def _window_thirds(window: _Window, s: int) -> list[int]:
-    """:func:`_thirds_from` on a window, without its lists.
+    """A window's search, without its lists.
 
     The lattice's triangles are the oriented 3-cycles (x, y) -> (x+1, y) ->
-    (x, y-1) -> (x, y) and (x, y) -> (x, y+1) -> (x-1, y) -> (x, y).  Every
-    arc of a window lies on one that the window holds, whose other two arcs
-    lead from the arc's head back to its tail for the two thirds that walking
-    the arc backwards costs.  So the distances are those over the arcs walked
-    forwards alone, one third each, and a breadth-first search finds them: a
-    cell is settled when it is first reached.
-
-    With P = side + 2, the window's point at row i, column j is cell
-    (i+1)·P + j+1 of a list of P² cells whose border cells hold -1, so that
-    ``d < dist[v]`` never enters them: the arcs out of a cell are the offsets
-    +P, +1 and -P-1, with no test of where the cell lies.  The distances are
-    then read back row by row at the window's positions."""
+    (x, y-1) -> (x, y) and (x, y) -> (x, y+1) -> (x-1, y) -> (x, y), and
+    every arc of a window lies on one that the window holds, so :func:`_bfs`
+    finds its distances.  With P = side + 2, the window's point at row i,
+    column j is cell (i+1)·P + j+1 of a list of P² cells whose border cells
+    hold -1; the arcs out of a cell are the offsets +P, +1 and -P-1.  The
+    distances are then read back row by row at the window's positions."""
     side = window._side
     P = side + 2
     diag = P + 1  # the offset of (x+1, y+1)
     dist = [-1] * P + ([-1] + [_unreached(window)] * side + [-1]) * side + [-1] * P
-    start = s + diag + 2 * (s // side)
-    dist[start] = 0
-    queue = [start]
-    for u in queue:  # read while it grows
-        d = dist[u] + 1
-        if d < dist[v := u + P]:
-            dist[v] = d
-            queue.append(v)
-        if d < dist[v := u + 1]:
-            dist[v] = d
-            queue.append(v)
-        if d < dist[v := u - diag]:
-            dist[v] = d
-            queue.append(v)
+    _bfs(dist, s + diag + 2 * (s // side), 0, P, 1, -diag)
     out: list[int] = []
     for k in range(diag, diag + side * P, P):
         out += dist[k:k + side]
@@ -219,14 +222,14 @@ def _tripod(da: list[int], db: list[int], dc: list[int], bound: int) -> tuple[in
 
 def distances_from(graph: OrientedGraph, source: Vertex) -> dict[Vertex, int]:
     """Exact distances in thirds from ``source`` to every reachable vertex."""
-    dist, bound = _thirds_from(graph, graph._locate(source)), _unreached(graph)
+    dist, bound = graph._search(graph._locate(source)), _unreached(graph)
     return {v: d for v, d in zip(graph.vertices, dist) if d < bound}
 
 
 def shortest_distance(graph: OrientedGraph, s: Vertex, t: Vertex) -> int:
     """Minimum 1/3-2/3 path length from ``s`` to ``t``, in thirds."""
     j = graph._locate(t)
-    d = _thirds_from(graph, graph._locate(s))[j]
+    d = graph._search(graph._locate(s))[j]
     if d >= _unreached(graph):
         raise Unreachable(f"no path from {_shown(s)} to {_shown(t)}")
     return d
@@ -269,14 +272,30 @@ def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list, list]:
     return fwd, back
 
 
-class _Window(OrientedGraph):
-    """The graph :func:`gamma_window` returns.  Its searches never read
-    ``_fwd`` and ``_back``: :func:`_lattice_piece` builds them when a generic
-    reader, such as ``arcs``, first asks for one."""
+class _LatticeGraph(OrientedGraph):
+    """A graph whose ``_search`` never reads ``_fwd`` and ``_back``: its
+    ``_lists()`` builds them when a generic reader, such as ``arcs``, first
+    asks for one."""
+
+    def __getattr__(self, attr: str):  # called only for an attribute not yet set
+        if attr in ("_fwd", "_back"):
+            self._fwd, self._back = self._lists()
+        return object.__getattribute__(self, attr)
+
+
+class _Window(_LatticeGraph):
+    """The graph :func:`gamma_window` returns, searched by
+    :func:`_window_thirds`; :func:`_lattice_piece` builds its lists."""
 
     def __init__(self, radius: int):
         self._radius, self._side = radius, 2 * radius + 1
         self._size = self._side * self._side
+
+    def _search(self, s: int) -> list[int]:
+        return _window_thirds(self, s)
+
+    def _lists(self) -> tuple[list, list]:
+        return _lattice_piece([(-self._radius, self._radius)] * self._side)
 
     def _name(self, i: int) -> str:
         return f"{i // self._side - self._radius},{i % self._side - self._radius}"
@@ -291,11 +310,6 @@ class _Window(OrientedGraph):
             return None
         # outside the square, (x, y) can alias a position whose name is v
         return i if 0 <= i < self._size and self._name(i) == v else None
-
-    def __getattr__(self, attr: str):  # called only for an attribute not yet set
-        if attr in ("_fwd", "_back"):
-            self._fwd, self._back = _lattice_piece([(-self._radius, self._radius)] * self._side)
-        return object.__getattribute__(self, attr)
 
 
 def gamma_window(radius: int, corners: Iterable[Vertex] = ()) -> OrientedGraph:
@@ -368,7 +382,7 @@ def fermat_brute(
 ) -> tuple[int, set[Vertex]]:
     """Exact minimum in thirds of the three-distance sum over all vertices,
     with the full argmin set."""
-    best, argmin = _tripod(*(_thirds_from(graph, graph._locate(v)) for v in (a, b, c)),
+    best, argmin = _tripod(*(graph._search(graph._locate(v)) for v in (a, b, c)),
                            _unreached(graph))
     if not argmin:
         raise Unreachable(f"no vertex reachable from all of {_shown(a)}, {_shown(b)}, {_shown(c)}")

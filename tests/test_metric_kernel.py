@@ -271,7 +271,7 @@ def test_gamma_window_matches_string_keyed_window(radius):
     for x in (-radius, radius):
         for y in (-radius, radius):
             corner = f"{x},{y}"
-            assert (_thirds_from(window, window._locate(corner))
+            assert (window._search(window._locate(corner))
                     == _thirds_from(reference, reference._index[corner]))
 
 
@@ -300,30 +300,27 @@ def test_names_read_after_a_search_match_names_read_before():
     assert distances_from(after, "1,1") == distances_from(before, "1,1")
 
 
-def list_window(radius: int) -> OrientedGraph:
-    """The window on its ``_lattice_piece`` lists as a graph of the kind nets
-    are, which :func:`_thirds_from` searches on its lists."""
-    rows = [(-radius, radius)] * (2 * radius + 1)
-    return OrientedGraph.indexed(*_lattice_piece(rows), gamma_window(radius)._name)
-
-
 @pytest.mark.parametrize("radius", range(13))
 def test_window_search_matches_list_search_from_every_source(radius):
-    window, reference = gamma_window(radius), list_window(radius)
+    """:func:`_thirds_from` runs the list search on the lists a window
+    builds for a generic reader."""
+    window, reference = gamma_window(radius), gamma_window(radius)
     for s in range(len(reference._fwd)):
-        assert _thirds_from(window, s) == _thirds_from(reference, s)
-    assert _unreached(window) == _unreached(reference)
+        assert window._search(s) == _thirds_from(reference, s)
+    assert "_fwd" not in vars(window)
+    listed = OrientedGraph(reference.vertices, reference.arcs)
+    assert _unreached(window) == _unreached(listed)
     assert fermat_brute(window, "0,0", f"{radius},0", f"0,{radius}") == fermat_brute(
-        reference, "0,0", f"{radius},0", f"0,{radius}")
+        listed, "0,0", f"{radius},0", f"0,{radius}")
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_window_search_matches_list_search_on_large_windows(data):
     radius = data.draw(st.integers(13, 40), label="radius")
-    reference = list_window(radius)
+    reference = gamma_window(radius)
     s = data.draw(st.integers(0, len(reference._fwd) - 1), label="source")
-    assert _thirds_from(gamma_window(radius), s) == _thirds_from(reference, s)
+    assert gamma_window(radius)._search(s) == _thirds_from(reference, s)
 
 
 def test_a_graph_rebuilt_from_its_arcs_gives_the_same_distances():
@@ -336,12 +333,12 @@ def test_a_graph_rebuilt_from_its_arcs_gives_the_same_distances():
         graph, terminals = build_net((x, *(rng.randrange(5) for _ in range(6))))
         rebuilt = OrientedGraph(graph.vertices, graph.arcs)
         for p in terminals:
-            assert _thirds_from(rebuilt, p) == _thirds_from(graph, p)
+            assert _thirds_from(rebuilt, p) == _thirds_from(graph, p) == graph._search(p)
     for radius in range(7):
         window = gamma_window(radius)
         rebuilt = OrientedGraph(window.vertices, window.arcs)
         for s in range(window._size):
-            assert _thirds_from(rebuilt, s) == _thirds_from(window, s)
+            assert _thirds_from(rebuilt, s) == _thirds_from(window, s) == window._search(s)
 
 
 def test_counting_and_searching_a_window_builds_no_lists():
@@ -351,7 +348,7 @@ def test_counting_and_searching_a_window_builds_no_lists():
     assert fermat_brute(window, "0,0", "2,0", "0,2")[0] == 8
     assert "_fwd" not in vars(window) and "_back" not in vars(window)
     assert len(window.arcs) == 2 * 11 * 10 + 10 * 10  # a generic reader builds them
-    assert window._back == list_window(5)._back
+    assert window._back == _lattice_piece([(-5, 5)] * 11)[1]
 
 
 def test_window_refuses_a_corner_outside_it():

@@ -52,6 +52,6 @@ def test_the_search_ends_on_small_graphs(alarm, graph, expected):
 def test_the_searches_of_a_net_and_a_window_end(alarm):
     graph, terminals = build_net((-3, 1, 2, 0, 1, 2, 1))
     for position in terminals:
-        assert len(_thirds_from(graph, position)) == len(graph.vertices)
+        assert len(graph._search(position)) == len(graph.vertices)
     window = gamma_window(3)
-    assert max(_thirds_from(window, 0)) < 6 * len(window.vertices)
+    assert max(window._search(0)) < 6 * len(window.vertices)

@@ -1,15 +1,21 @@
 """The dual net and the distance oracle.
 
-The net is built by position arithmetic with names made on demand; it is
-compared with the tuple-keyed builder it replaced, kept below as the
-reference.
+The net is built by position arithmetic with names and lists made on
+demand; it is compared with the tuple-keyed builder it replaced, kept below
+as the reference, and its search on a padded array of its own with the list
+search on the lists it builds for a generic reader.
 """
 
+import json
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hiveweb import metric, surfacoid
+from hiveweb.cli import run
 from hiveweb.metric import (
     OrientedGraph,
     _thirds_from,
@@ -163,7 +169,7 @@ def test_net_matches_tuple_keyed_builder(coords):
     assert tuple(graph.vertices[p] for p in (0, n * (n + 1) // 2, mesh - 1)) == corners
     assert positions == tuple(reference._index[v] for v in terminals)
     for position in positions:
-        assert _thirds_from(graph, position) == _thirds_from(reference, position)
+        assert graph._search(position) == _thirds_from(reference, position)
 
 
 def test_net_names_read_after_a_search_match_names_read_before():
@@ -172,5 +178,67 @@ def test_net_names_read_after_a_search_match_names_read_before():
     expected = before.vertices, before.arcs, before.to_json()
     graph, terminals = build_net(coords)
     for position in terminals:  # searches by position, as the oracle does
-        _thirds_from(graph, position)
+        graph._search(position)
     assert (graph.vertices, graph.arcs, graph.to_json()) == expected
+
+
+def assert_search_matches_list_search(coords, positions=None):
+    """The net's search from each of ``positions`` (all, by default) gives
+    what the list search gives on the lists the net builds for a generic
+    reader, and it builds none itself."""
+    graph, _ = build_net(coords)
+    reference, _ = build_net(coords)
+    for s in range(graph._size) if positions is None else positions:
+        assert graph._search(s) == _thirds_from(reference, s), (coords, s)
+    assert "_fwd" not in vars(graph) and "_back" not in vars(graph)
+
+
+def _small_nets():
+    rng = random.Random(33)
+    drawn = [(x, *(rng.randint(0, 4) for _ in range(6))) for x in range(-12, 13)]
+    # x = 0: all three strings hang off the mesh's one vertex
+    return drawn + [(0, 1, 2, 3, 4, 1, 2), (0, 4, 4, 4, 4, 4, 4)]
+
+
+@pytest.mark.parametrize("coords", _small_nets(), ids=lambda c: ",".join(map(str, c)))
+def test_net_search_matches_list_search_from_every_position(coords):
+    assert_search_matches_list_search(coords)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_net_search_matches_list_search_on_large_nets(data):
+    n = data.draw(st.integers(13, 45), label="n")
+    x = data.draw(st.sampled_from((-n, n)), label="x")
+    coords = (x, *(data.draw(st.integers(0, 6), label="corner") for _ in range(6)))
+    size = len(build_net(coords).graph.vertices)
+    positions = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4),
+                          label="positions")
+    assert_search_matches_list_search(coords, positions)
+
+
+def test_the_oracle_builds_no_lists(monkeypatch):
+    nets = []
+
+    def kept(c):
+        nets.append(build_net(c))
+        return nets[-1]
+
+    monkeypatch.setattr(surfacoid, "build_net", kept)
+    coords = (-7, 2, 0, 3, 1, 4, 2)
+    assert oracle_triangle_hive(coords) == web_to_hive_thirds(*coords)
+    (graph, _), = nets
+    assert "_fwd" not in vars(graph) and "_back" not in vars(graph)
+
+
+def test_oracle_command_runs_without_lattice_lists(capsys, monkeypatch):
+    def no_lists(rows):
+        raise AssertionError("the net's lists were built")
+
+    monkeypatch.setattr(metric, "_lattice_piece", no_lists)
+    monkeypatch.setattr(surfacoid, "_lattice_piece", no_lists)
+    assert run(["oracle", "--coords", "40,6,6,6,6,6,6"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["match"] is True
+    with pytest.raises(AssertionError, match="lists were built"):
+        build_net((1, 0, 0, 0, 0, 0, 0)).graph.arcs
