@@ -9,9 +9,9 @@ The cases are generated here from fixed seeds: triangulated polygons with
 3 to 40 vertices under integer, string, mixed and non-ASCII labels, the
 once-punctured torus and a cycle of three triangles, each through every
 command that reads them; complexes with structural faults and repeated ids;
-single-node mutations of one valid document of each kind; ``oracle``,
-``fermat``, ``gamma-dist`` and ``dist`` inputs; and command lines of every
-class the parser meets.
+sound complexes whose flip is refused; single-node mutations of one valid
+document of each kind; ``oracle``, ``fermat``, ``gamma-dist`` and ``dist``
+inputs; and command lines of every class the parser meets.
 
 Each case runs through ``hiveweb.cli.run`` in a new temporary working
 directory that holds its documents, named by relative paths, at width 80 and
@@ -64,12 +64,13 @@ LABELS = {
 }
 
 
-def polygon(m: int, labels: str = "int") -> dict:
+def polygon(m: int, labels: str = "int", faces=None) -> dict:
     """The document of a triangulated m-gon, vertex i labelled by ``LABELS[labels]``:
-    sides counterclockwise, boundary edges i -> i+1, diagonals lo -> hi."""
+    sides counterclockwise, boundary edges i -> i+1, diagonals lo -> hi.  The
+    faces (lo, k, hi) are drawn unless given."""
     rng = random.Random(m)
     label = LABELS[labels]
-    faces = _split_faces(m, rng)
+    faces = faces or _split_faces(m, rng)
     attach: dict[tuple[int, int], list] = {}  # by (tail, head): [first, second]
     for lo, k, hi in faces:
         tid = "-".join(str(label(v)) for v in (lo, k, hi))
@@ -227,6 +228,20 @@ FAULTS = {
         {"id": "a", "tail": "v", "head": "v", "attach": [["A", 0], ["A", 1]]},
         {"id": "b", "tail": "v", "head": "v", "attach": [["A", 2]]}]},
 }
+# an 8-gon whose marked points are relabelled after its ids are made: the
+# flip of 2-4 would make the cell 5-6-7 from the labels '7', '5' and 6, an
+# id that a cell the flip keeps already has
+OCTAGON = polygon(8, faces=[(0, 1, 7), (1, 2, 4), (1, 4, 5), (1, 5, 7), (2, 3, 4), (5, 6, 7)])
+OCTAGON_LABELS = [3, "7", "5", 6, 4, 2, "0", "1"]
+RELABELLED_OCTAGON = {**OCTAGON, "edges": [
+    {**e, "tail": OCTAGON_LABELS[e["tail"]], "head": OCTAGON_LABELS[e["head"]]}
+    for e in OCTAGON["edges"]]}
+# documents that validate and an edge whose flip each refuses
+FLIP_REFUSALS = {
+    "self-glued edge": (FAULTS["self-glued"], "a"),
+    "reused edge id": (_edited(SQUARE, ("edges", 0, "id"), "set", "0-2"), FLIP4),
+    "reused triangle id": (RELABELLED_OCTAGON, "2-4"),
+}
 
 
 def fault_cases():
@@ -242,6 +257,9 @@ def fault_cases():
                      ["validate", "--web", "w.json"],
                      ["web2hive", "--web", "w.json"]):
             yield case(f"fault {name}: {' '.join(argv[:2])}", argv, files)
+    for name, (tri, edge) in FLIP_REFUSALS.items():
+        yield case(f"flip refusal {name}: flip {edge}",
+                   ["flip", "--triangulation", "t.json", "--edge", edge], {"t.json": tri})
 
 
 # what reads each kind of document, with its name doc.json
