@@ -8,16 +8,18 @@ queue in three rotating buckets (distances d, d+1 and d+2) and marks an
 unreached vertex with the int bound ``6·V``, which no sum of three real
 distances reaches.  Each kind of graph provides its search (``_search``): a
 graph read from a document runs Dijkstra on its lists, while a lattice
-window and a dual net (:mod:`hiveweb.surfacoid`), on whose mesh every arc
-walked backwards costs what two arcs walked forwards do, run one
-breadth-first kernel (:func:`_bfs`) over the forward arcs on a padded array
-of their own and build no lists.
+graph (:class:`_LatticeGraph`: a window, or a dual net of
+:mod:`hiveweb.surfacoid`), on whose piece every arc walked backwards costs
+what two arcs walked forwards do, runs one breadth-first kernel
+(:func:`_bfs`) over the forward arcs on a padded array and builds no lists.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from collections.abc import Hashable, Iterable
+from operator import itemgetter
 
 from .errors import MalformedInput, OmegaEmpty, Unreachable
 from .thirds import _shown, read_array
@@ -30,9 +32,9 @@ class OrientedGraph:
 
     Searches run on positions 0..V-1, with V = ``_size``: ``_fwd[i]`` is a
     sequence of the heads of arcs out of ``i`` (1 third each), ``_back[j]``
-    of the tails of arcs into ``j`` (2 thirds each); an entry may also hold
-    -1, which names no vertex.  ``vertices``, the name-to-position index
-    ``_index`` and ``arcs`` are made from them the first time they are read.
+    of the tails of arcs into ``j`` (2 thirds each).  ``vertices``, the
+    name-to-position index ``_index`` and ``arcs`` are made from them the
+    first time they are read.
     """
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[tuple[Vertex, Vertex]]):
@@ -69,7 +71,7 @@ class OrientedGraph:
     def arcs(self) -> list[tuple[Vertex, Vertex]]:
         names = self.vertices
         return [(names[i], names[j])
-                for i, heads in enumerate(self._fwd) for j in heads if j >= 0]
+                for i, heads in enumerate(self._fwd) for j in heads]
 
     def _position(self, v: Vertex) -> int | None:
         """Position of ``v``, or None if it is no vertex."""
@@ -128,14 +130,12 @@ def _thirds_from(graph: OrientedGraph, s: int) -> list[int]:
     kept as three rotating lists: ``here`` holds the vertices reached at the
     current distance ``d``, ``near`` those at d+1 and ``far`` those at d+2.
     An entry whose vertex was since reached closer is skipped.  Each vertex
-    is settled once, so the search is O(V + E).  A -1 in the lists reads one
-    cell appended to ``dist`` that holds -1, below every distance, so it is
-    never entered; the cell is popped before return.  This is the search of
-    a graph read from a document; on a window or a net, whose own searches
-    need no lists, it serves the tests as the reference.
+    is settled once, so the search is O(V + E).  This is the search of a
+    graph read from a document; on a lattice graph, whose own search needs
+    no lists, it serves the tests as the reference.
     """
     fwd, back = graph._fwd, graph._back
-    dist = [_unreached(graph)] * len(fwd) + [-1]
+    dist = [_unreached(graph)] * len(fwd)
     dist[s] = 0
     here, near, far = [s], [], []
     d = 0
@@ -154,7 +154,6 @@ def _thirds_from(graph: OrientedGraph, s: int) -> list[int]:
                     far.append(v)
         here, near, far = near, far, []
         d = one
-    dist.pop()
     return dist
 
 
@@ -181,27 +180,6 @@ def _bfs(dist: list[int], start: int, d: int, up: int, right: int, down_left: in
         if d < dist[v := u + down_left]:
             dist[v] = d
             queue.append(v)
-
-
-def _window_thirds(window: _Window, s: int) -> list[int]:
-    """A window's search, without its lists.
-
-    The lattice's triangles are the oriented 3-cycles (x, y) -> (x+1, y) ->
-    (x, y-1) -> (x, y) and (x, y) -> (x, y+1) -> (x-1, y) -> (x, y), and
-    every arc of a window lies on one that the window holds, so :func:`_bfs`
-    finds its distances.  With P = side + 2, the window's point at row i,
-    column j is cell (i+1)·P + j+1 of a list of P² cells whose border cells
-    hold -1; the arcs out of a cell are the offsets +P, +1 and -P-1.  The
-    distances are then read back row by row at the window's positions."""
-    side = window._side
-    P = side + 2
-    diag = P + 1  # the offset of (x+1, y+1)
-    dist = [-1] * P + ([-1] + [_unreached(window)] * side + [-1]) * side + [-1] * P
-    _bfs(dist, s + diag + 2 * (s // side), 0, P, 1, -diag)
-    out: list[int] = []
-    for k in range(diag, diag + side * P, P):
-        out += dist[k:k + side]
-    return out
 
 
 def _tripod(da: list[int], db: list[int], dc: list[int], bound: int) -> tuple[int, list[int]]:
@@ -241,61 +219,153 @@ def gamma_distance(x: int, y: int) -> int:
     return max(x + y, y - 2 * x, x - 2 * y)
 
 
-def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list, list]:
-    """``_fwd`` and ``_back`` of the lattice graph induced on the points
-    (k, c) with ``lo <= c <= hi`` for ``rows[k] == (lo, hi)``, numbered row by
-    row: (k, c) is at position ``sum of earlier row lengths + c - lo``.  Every
-    point sends arcs to (k+1, c), (k, c+1) and (k-1, c-1).
-
-    The positions are laid out on one int list, P columns wide, whose cells
-    outside the piece hold -1.  A row's ``fwd`` entries zip the slices of
-    that list at offsets +P, +1 and -P-1 (heads up, right and down-left), its
-    ``back`` entries those at -P, -1 and +P+1 (tails down, left and
-    up-right), so every entry is a triple, with -1 for a missing
-    neighbour."""
-    first = min(lo for lo, _ in rows) - 1  # the border column each row of the list starts with
-    P = max(hi for _, hi in rows) - first + 2
-    grid = [-1] * (P * (len(rows) + 2))
-    spans = []
-    size = 0
+def _layout(rows: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int, int]]]:
+    """The padded layout of the lattice piece on the points (k, c) with
+    ``lo <= c <= hi`` for ``rows[k] == (lo, hi)``, numbered row by row: P and,
+    for each row, its cells ``a`` to ``b - 1`` and the position of its first
+    point.  A list of P·(len(rows) + 2) cells holds the piece with a border
+    of cells outside it on every side, so the arcs out of a point, to
+    (k+1, c), (k, c+1) and (k-1, c-1), are the offsets +P, +1 and -P-1."""
+    los, his = zip(*rows)
+    first = min(los) - 1  # the border column each row of the list starts with
+    P = max(his) - first + 2
+    spans, position = [], 0
     for k, (lo, hi) in enumerate(rows, 1):
         a = k * P + lo - first
-        b = a + hi - lo + 1
-        grid[a:b] = range(size, size + b - a)
-        size += b - a
-        spans.append((a, b))
-    fwd: list = []
-    back: list = []
-    for a, b in spans:
-        fwd += zip(grid[a + P:b + P], grid[a + 1:b + 1], grid[a - P - 1:b - P - 1])
-        back += zip(grid[a - P:b - P], grid[a - 1:b - 1], grid[a + P + 1:b + P + 1])
-    return fwd, back
+        spans.append((a, a + hi - lo + 1, position))
+        position += hi - lo + 1
+    return P, spans
+
+
+def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list, list]:
+    """``_fwd`` and ``_back`` of the lattice graph induced on the piece that
+    :func:`_layout` lays out for ``rows``.  Its cells hold the points'
+    positions, the other cells -1, and a point's ``fwd`` entry lists the
+    positions at the offsets +P, +1 and -P-1 (heads up, right and down-left),
+    its ``back`` entry those at -P, -1 and +P+1 (tails down, left and
+    up-right), leaving out the cells outside the piece."""
+    P, spans = _layout(rows)
+    grid = [-1] * (P * (len(rows) + 2))
+    for a, b, position in spans:
+        grid[a:b] = range(position, position + b - a)
+    cells = [c for a, b, _ in spans for c in range(a, b)]
+    return ([[j for o in (P, 1, -P - 1) if (j := grid[c + o]) >= 0] for c in cells],
+            [[i for o in (-P, -1, P + 1) if (i := grid[c + o]) >= 0] for c in cells])
+
+
+def _string(corner: int, steps: list[int], fwd: list, back: list) -> None:
+    """Append the lists of a chain of ``len(steps)`` new vertices, terminal
+    first, whose last vertex is joined to the vertex at position ``corner``;
+    arc i, from the chain's i-th vertex to the next one (or the corner),
+    points toward the piece where ``steps[i]`` is 1 and away where it is 2."""
+    start = len(fwd)
+    fwd += ([] for _ in steps)
+    back += ([] for _ in steps)
+    path = [*range(start, start + len(steps)), corner]
+    for i, step in enumerate(steps):
+        tail, head = path[i], path[i + 1]
+        if step == 2:
+            tail, head = head, tail
+        fwd[tail].append(head)
+        back[head].append(tail)
+
+
+def _along(steps: list[int], j: int, d: int) -> list[int]:
+    """Distances in thirds along a string's chain, then to its corner, from
+    the chain's ``j``-th vertex (the corner if ``j == len(steps)``) at
+    distance ``d``: toward the piece arc i costs ``steps[i]``, away from it
+    the other of 1 and 2."""
+    out = [d] * (len(steps) + 1)
+    for i in range(j, len(steps)):
+        out[i + 1] = out[i] + steps[i]
+    for i in range(j - 1, -1, -1):
+        out[i] = out[i + 1] + 3 - steps[i]
+    return out
 
 
 class _LatticeGraph(OrientedGraph):
-    """A graph whose ``_search`` never reads ``_fwd`` and ``_back``: its
-    ``_lists()`` builds them when a generic reader, such as ``arcs``, first
-    asks for one."""
+    """A piece of the lattice graph with strings hung on it: a lattice
+    window, or a dual net (:mod:`hiveweb.surfacoid`).
+
+    The piece holds the points of ``_rows``, laid out by :func:`_layout`,
+    with every arc reversed where ``_sign`` is -1.  Each of ``_strings`` is
+    a (corner, first position, steps) triple: a chain of ``len(steps)`` new
+    vertices at the positions from the first on, terminal first, whose last
+    vertex is joined to the point at position ``corner``; ``steps[i]`` is
+    the cost in thirds of chain arc i walked toward the piece, 1 where it
+    points toward it and 2 where it points away.
+
+    ``_search`` never reads ``_fwd`` and ``_back``; they are built when a
+    generic reader, such as ``arcs``, first asks for one.  The search rests
+    on two facts:
+
+    - The piece.  Every arc of a window, of a net's mesh T_n and of their
+      reverses lies on an oriented lattice 3-cycle inside the piece, whose
+      other two arcs lead from the arc's head back to its tail.  Walking an
+      arc backwards therefore never beats walking two arcs forwards, so the
+      piece's distances come from :func:`_bfs` over the three offsets of the
+      layout, negated where ``_sign`` is -1.
+    - The strings.  Each string is a path that meets the piece at its corner
+      only.  A search from any position walks its own string, runs the
+      breadth-first search from that string's corner (the source itself on
+      the piece), starting at the distance the walk reached it at, and walks
+      each other string outward from its corner.
+    """
+
+    def __init__(self, rows: list[tuple[int, int]], sign: int = 1,
+                 strings: list[tuple[int, int, list[int]]] = ()):
+        self._rows, self._sign, self._strings = rows, sign, strings
+        self._P, self._spans = _layout(rows)
+        a, b, position = self._spans[-1]
+        self._size = position + b - a + sum(len(steps) for _, _, steps in strings)
 
     def __getattr__(self, attr: str):  # called only for an attribute not yet set
-        if attr in ("_fwd", "_back"):
-            self._fwd, self._back = self._lists()
+        if attr in ("_fwd", "_back"):  # the one list builder
+            fwd, back = _lattice_piece(self._rows)
+            if self._sign < 0:
+                fwd, back = back, fwd
+            for corner, _, steps in self._strings:
+                _string(corner, steps, fwd, back)
+            self._fwd, self._back = fwd, back
         return object.__getattribute__(self, attr)
+
+    @functools.cached_property
+    def _padded(self) -> list[int]:
+        """The list a search starts from, copied for each: :func:`_unreached`
+        in the piece's cells, -1 in the others."""
+        dist, bound = [-1] * (self._P * (len(self._rows) + 2)), [_unreached(self)]
+        for a, b, _ in self._spans:
+            dist[a:b] = bound * (b - a)
+        return dist
+
+    def _search(self, s: int) -> list[int]:
+        """Distances in thirds from position ``s``, by position, found as the
+        class docstring sets out."""
+        corner, d, own = s, 0, None
+        for k, (c, first, steps) in enumerate(self._strings):
+            if first <= s < first + len(steps):
+                walk = _along(steps, s - first, 0)
+                corner, d, own = c, walk[-1], k
+        P, spans, sign = self._P, self._spans, self._sign
+        dist = self._padded.copy()
+        row = bisect_right(spans, corner, key=itemgetter(2)) - 1  # the corner's row
+        a, _, position = spans[row]
+        _bfs(dist, a + corner - position, d, sign * P, sign, -sign * (P + 1))
+        out: list[int] = []
+        for a, b, _ in spans:
+            out += dist[a:b]
+        for k, (c, _, steps) in enumerate(self._strings):
+            out += (walk if k == own else _along(steps, len(steps), out[c]))[:-1]
+        return out
 
 
 class _Window(_LatticeGraph):
-    """The graph :func:`gamma_window` returns, searched by
-    :func:`_window_thirds`; :func:`_lattice_piece` builds its lists."""
+    """The graph :func:`gamma_window` returns: the square's rows, with
+    no strings, and its points named by their ``"x,y"`` text."""
 
     def __init__(self, radius: int):
         self._radius, self._side = radius, 2 * radius + 1
-        self._size = self._side * self._side
-
-    def _search(self, s: int) -> list[int]:
-        return _window_thirds(self, s)
-
-    def _lists(self) -> tuple[list, list]:
-        return _lattice_piece([(-self._radius, self._radius)] * self._side)
+        super().__init__([(-radius, radius)] * self._side)
 
     def _name(self, i: int) -> str:
         return f"{i // self._side - self._radius},{i % self._side - self._radius}"
@@ -321,9 +391,9 @@ def gamma_window(radius: int, corners: Iterable[Vertex] = ()) -> OrientedGraph:
     string ``"x,y"`` of its point; the names are made only when a caller
     reads them, and a name is resolved by parsing it, so only the exact key
     text of a point in the window is a vertex.  The first of ``corners`` that
-    is not is refused.  A search runs on an array of the window's own
-    (:func:`_window_thirds`); the adjacency lists are built only when a
-    caller reads them.
+    is not is refused.  A search runs on a padded array
+    (:meth:`_LatticeGraph._search`); the adjacency lists are built only when
+    a caller reads them.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")

@@ -604,17 +604,17 @@ OUTSIDE_THE_WINDOW = {
 @pytest.mark.parametrize("corners,outside", OUTSIDE_THE_WINDOW.values(), ids=OUTSIDE_THE_WINDOW)
 def test_fermat_refuses_a_corner_outside_the_window_before_building_it(
         capsys, monkeypatch, corners, outside):
-    def no_array(window, s):
+    def no_array(window):
         raise AssertionError("the window's search array was built")
 
-    monkeypatch.setattr(metric, "_window_thirds", no_array)
+    monkeypatch.setattr(metric._LatticeGraph, "_padded", property(no_array))
     a, b, c, radius = corners
     assert invoke(capsys, "fermat", "--a", a, "--b", b, "--c", c, "--window", radius) == (
         1, canonical({"error": "KeyError", "detail": f'unknown vertex "{outside}"'}), "")
 
 
 def test_fermat_checks_the_region_before_the_window(capsys, monkeypatch):
-    monkeypatch.setattr(metric, "_window_thirds", None)
+    monkeypatch.setattr(metric, "_layout", None)
     code, out, err = invoke(capsys, "fermat", "--a", "0,0", "--b", "-30,0", "--c", "0,-1",
                             "--window", "2")
     assert (code, json.loads(out)["error"], err) == (1, "OmegaEmpty", "")

@@ -12,6 +12,7 @@ with the list search on the window's lattice lists.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 import re
@@ -230,15 +231,6 @@ def reference_lattice_piece(rows):
     return fwd, back
 
 
-def contents(piece):
-    """``_lattice_piece``'s entries as lists: each entry is a triple, with -1
-    for a neighbour that is not in the piece."""
-    fwd, back = piece
-    assert all(len(entry) == 3 for entry in (*fwd, *back))
-    return ([[j for j in heads if j >= 0] for heads in fwd],
-            [[i for i in tails if i >= 0] for tails in back])
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-6, 6),
        st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 18)), min_size=1, max_size=8))
@@ -250,7 +242,7 @@ def test_lattice_piece_matches_point_lookup(lo, spans):
     for shift, length in spans:
         lo += shift
         rows.append((lo, lo + length))
-    assert contents(_lattice_piece(rows)) == reference_lattice_piece(rows)
+    assert _lattice_piece(rows) == reference_lattice_piece(rows)
 
 
 @pytest.mark.parametrize("rows", [
@@ -258,7 +250,7 @@ def test_lattice_piece_matches_point_lookup(lo, spans):
     *([(0, k) for k in range(n + 1)] for n in range(46)),  # build_net mesh, |x| = n
 ], ids=[*(f"window{r}" for r in range(21)), *(f"mesh{n}" for n in range(46))])
 def test_lattice_piece_matches_point_lookup_on_cli_shapes(rows):
-    assert contents(_lattice_piece(rows)) == reference_lattice_piece(rows)
+    assert _lattice_piece(rows) == reference_lattice_piece(rows)
 
 
 @pytest.mark.parametrize("radius", range(17))
@@ -324,10 +316,9 @@ def test_window_search_matches_list_search_on_large_windows(data):
 
 
 def test_a_graph_rebuilt_from_its_arcs_gives_the_same_distances():
-    """Nets and windows hold -1 in their lists where the lattice has no
-    neighbour.  A graph compiled from their ``arcs``, where a -1 would name
-    the last vertex, is searched to the same distances from each net
-    terminal and each window source."""
+    """A graph compiled from the ``arcs`` of a net or a window is searched
+    to the same distances as the lattice graph's lists and its own search,
+    from each net terminal and each window source."""
     rng = random.Random(0)
     for x in range(-12, 13):
         graph, terminals = build_net((x, *(rng.randrange(5) for _ in range(6))))
@@ -339,6 +330,30 @@ def test_a_graph_rebuilt_from_its_arcs_gives_the_same_distances():
         rebuilt = OrientedGraph(window.vertices, window.arcs)
         for s in range(window._size):
             assert _thirds_from(rebuilt, s) == _thirds_from(window, s) == window._search(s)
+
+
+def _fresh_graphs():
+    """Builders of the window of each radius 0 to 6 and of a net for each
+    x = -6..6 with drawn corner counts."""
+    rng = random.Random(34)
+    nets = [(x, *(rng.randint(0, 4) for _ in range(6))) for x in range(-6, 7)]
+    return {**{f"window{radius}": functools.partial(gamma_window, radius) for radius in range(7)},
+            **{f"net{x}": functools.partial(lambda c: build_net(c).graph, (x, *corners))
+               for x, *corners in nets}}
+
+
+FRESH_GRAPHS = _fresh_graphs()
+
+
+@pytest.mark.parametrize("build", FRESH_GRAPHS.values(), ids=FRESH_GRAPHS)
+def test_searches_on_one_graph_match_searches_on_fresh_graphs(build):
+    """A lattice graph keeps the list each search starts from.  Searching
+    one graph from every position, then again in reversed order, gives what
+    one search on a freshly built graph gives."""
+    graph = build()
+    order = [*range(graph._size), *reversed(range(graph._size))]
+    fresh = {s: build()._search(s) for s in range(graph._size)}
+    assert [graph._search(s) for s in order] == [fresh[s] for s in order]
 
 
 def test_counting_and_searching_a_window_builds_no_lists():

@@ -236,7 +236,6 @@ def test_oracle_command_runs_without_lattice_lists(capsys, monkeypatch):
         raise AssertionError("the net's lists were built")
 
     monkeypatch.setattr(metric, "_lattice_piece", no_lists)
-    monkeypatch.setattr(surfacoid, "_lattice_piece", no_lists)
     assert run(["oracle", "--coords", "40,6,6,6,6,6,6"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["match"] is True
