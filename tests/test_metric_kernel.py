@@ -332,14 +332,19 @@ def test_a_graph_rebuilt_from_its_arcs_gives_the_same_distances():
             assert _thirds_from(rebuilt, s) == _thirds_from(window, s) == window._search(s)
 
 
+def _net_graph(coords):
+    return build_net(coords).graph
+
+
 def _fresh_graphs():
     """Builders of the window of each radius 0 to 6 and of a net for each
     x = -6..6 with drawn corner counts."""
     rng = random.Random(34)
-    nets = [(x, *(rng.randint(0, 4) for _ in range(6))) for x in range(-6, 7)]
-    return {**{f"window{radius}": functools.partial(gamma_window, radius) for radius in range(7)},
-            **{f"net{x}": functools.partial(lambda c: build_net(c).graph, (x, *corners))
-               for x, *corners in nets}}
+    graphs = {f"window{radius}": functools.partial(gamma_window, radius) for radius in range(7)}
+    for x in range(-6, 7):
+        graphs[f"net{x}"] = functools.partial(
+            _net_graph, (x, *(rng.randint(0, 4) for _ in range(6))))
+    return graphs
 
 
 FRESH_GRAPHS = _fresh_graphs()
