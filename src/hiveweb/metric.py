@@ -287,13 +287,14 @@ class _LatticeGraph(OrientedGraph):
     """A piece of the lattice graph with strings hung on it: a lattice
     window, or a dual net (:mod:`hiveweb.surfacoid`).
 
-    The piece holds the points of ``_rows``, laid out by :func:`_layout`,
-    with every arc reversed where ``_sign`` is -1.  Each of ``_strings`` is
-    a (corner, first position, steps) triple: a chain of ``len(steps)`` new
-    vertices at the positions from the first on, terminal first, whose last
-    vertex is joined to the point at position ``corner``; ``steps[i]`` is
-    the cost in thirds of chain arc i walked toward the piece, 1 where it
-    points toward it and 2 where it points away.
+    The piece holds the points of ``_rows``, which each kind gives along
+    with ``_size``, laid out by :func:`_layout` when a search first needs it
+    (``_grid``), with every arc reversed where ``_sign`` is -1.  Each of
+    ``_strings`` is a (corner, first position, steps) triple: a chain of
+    ``len(steps)`` new vertices at the positions from the first on, terminal
+    first, whose last vertex is joined to the point at position ``corner``;
+    ``steps[i]`` is the cost in thirds of chain arc i walked toward the
+    piece, 1 where it points toward it and 2 where it points away.
 
     ``_search`` never reads ``_fwd`` and ``_back``; they are built when a
     generic reader, such as ``arcs``, first asks for one.  The search rests
@@ -312,12 +313,9 @@ class _LatticeGraph(OrientedGraph):
       each other string outward from its corner.
     """
 
-    def __init__(self, rows: list[tuple[int, int]], sign: int = 1,
+    def __init__(self, size: int, sign: int = 1,
                  strings: list[tuple[int, int, list[int]]] = ()):
-        self._rows, self._sign, self._strings = rows, sign, strings
-        self._P, self._spans = _layout(rows)
-        a, b, position = self._spans[-1]
-        self._size = position + b - a + sum(len(steps) for _, _, steps in strings)
+        self._size, self._sign, self._strings = size, sign, strings
 
     def __getattr__(self, attr: str):  # called only for an attribute not yet set
         if attr in ("_fwd", "_back"):  # the one list builder
@@ -330,11 +328,16 @@ class _LatticeGraph(OrientedGraph):
         return object.__getattribute__(self, attr)
 
     @functools.cached_property
+    def _grid(self) -> tuple[int, list[tuple[int, int, int]]]:
+        return _layout(self._rows)
+
+    @functools.cached_property
     def _padded(self) -> list[int]:
         """The list a search starts from, copied for each: :func:`_unreached`
         in the piece's cells, -1 in the others."""
-        dist, bound = [-1] * (self._P * (len(self._rows) + 2)), [_unreached(self)]
-        for a, b, _ in self._spans:
+        P, spans = self._grid
+        dist, bound = [-1] * (P * (len(self._rows) + 2)), [_unreached(self)]
+        for a, b, _ in spans:
             dist[a:b] = bound * (b - a)
         return dist
 
@@ -346,8 +349,7 @@ class _LatticeGraph(OrientedGraph):
             if first <= s < first + len(steps):
                 walk = _along(steps, s - first, 0)
                 corner, d, own = c, walk[-1], k
-        P, spans, sign = self._P, self._spans, self._sign
-        dist = self._padded.copy()
+        dist, (P, spans), sign = self._padded.copy(), self._grid, self._sign
         row = bisect_right(spans, corner, key=itemgetter(2)) - 1  # the corner's row
         a, _, position = spans[row]
         _bfs(dist, a + corner - position, d, sign * P, sign, -sign * (P + 1))
@@ -365,7 +367,11 @@ class _Window(_LatticeGraph):
 
     def __init__(self, radius: int):
         self._radius, self._side = radius, 2 * radius + 1
-        super().__init__([(-radius, radius)] * self._side)
+        super().__init__(self._side * self._side)
+
+    @functools.cached_property
+    def _rows(self) -> list[tuple[int, int]]:
+        return [(-self._radius, self._radius)] * self._side
 
     def _name(self, i: int) -> str:
         return f"{i // self._side - self._radius},{i % self._side - self._radius}"

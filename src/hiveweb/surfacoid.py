@@ -58,7 +58,8 @@ class _Net(_LatticeGraph):
         for corner, i, o in zip(corners, inward, outward):
             strings.append((corner, first, [1] * i + [2] * o))
             first += i + o
-        super().__init__([(0, r) for r in range(n + 1)], -1 if x < 0 else 1, strings)
+        self._rows = [(0, r) for r in range(n + 1)]
+        super().__init__(first, -1 if x < 0 else 1, strings)
 
     def _name(self, i: int) -> tuple:
         if i < self._mesh:

@@ -598,16 +598,19 @@ OUTSIDE_THE_WINDOW = {
     "b": (("0,0", "30,0", "0,2", "24"), "30,0"),
     "c": (("0,0", "2,0", "0,30", "6"), "0,30"),
     "a and b": (("-30,0", "30,0", "0,2", "6"), "-30,0"),
+    "b, just past a huge window": (("0,0", "1000000,0", "0,2", "999999"), "1000000,0"),
 }
 
 
 @pytest.mark.parametrize("corners,outside", OUTSIDE_THE_WINDOW.values(), ids=OUTSIDE_THE_WINDOW)
 def test_fermat_refuses_a_corner_outside_the_window_before_building_it(
         capsys, monkeypatch, corners, outside):
-    def no_array(window):
-        raise AssertionError("the window's search array was built")
+    def no_array(*_):
+        raise AssertionError("the window was laid out")
 
     monkeypatch.setattr(metric._LatticeGraph, "_padded", property(no_array))
+    monkeypatch.setattr(metric._Window, "_rows", property(no_array))
+    monkeypatch.setattr(metric, "_layout", no_array)
     a, b, c, radius = corners
     assert invoke(capsys, "fermat", "--a", a, "--b", b, "--c", c, "--window", radius) == (
         1, canonical({"error": "KeyError", "detail": f'unknown vertex "{outside}"'}), "")
