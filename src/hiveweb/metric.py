@@ -328,18 +328,16 @@ class _LatticeGraph(OrientedGraph):
         return object.__getattribute__(self, attr)
 
     @functools.cached_property
-    def _grid(self) -> tuple[int, list[tuple[int, int, int]]]:
-        return _layout(self._rows)
-
-    @functools.cached_property
-    def _padded(self) -> list[int]:
-        """The list a search starts from, copied for each: :func:`_unreached`
-        in the piece's cells, -1 in the others."""
-        P, spans = self._grid
-        dist, bound = [-1] * (P * (len(self._rows) + 2)), [_unreached(self)]
+    def _grid(self) -> tuple[int, list[tuple[int, int, int]], list[int]]:
+        """P and the rows' spans from :func:`_layout`, and the list a search
+        starts from, copied for each: :func:`_unreached` in the piece's
+        cells, -1 in the others."""
+        rows = self._rows
+        P, spans = _layout(rows)
+        dist, bound = [-1] * (P * (len(rows) + 2)), [_unreached(self)]
         for a, b, _ in spans:
             dist[a:b] = bound * (b - a)
-        return dist
+        return P, spans, dist
 
     def _search(self, s: int) -> list[int]:
         """Distances in thirds from position ``s``, by position, found as the
@@ -349,7 +347,8 @@ class _LatticeGraph(OrientedGraph):
             if first <= s < first + len(steps):
                 walk = _along(steps, s - first, 0)
                 corner, d, own = c, walk[-1], k
-        dist, (P, spans), sign = self._padded.copy(), self._grid, self._sign
+        (P, spans, padded), sign = self._grid, self._sign
+        dist = padded.copy()
         row = bisect_right(spans, corner, key=itemgetter(2)) - 1  # the corner's row
         a, _, position = spans[row]
         _bfs(dist, a + corner - position, d, sign * P, sign, -sign * (P + 1))
@@ -369,7 +368,7 @@ class _Window(_LatticeGraph):
         self._radius, self._side = radius, 2 * radius + 1
         super().__init__(self._side * self._side)
 
-    @functools.cached_property
+    @property
     def _rows(self) -> list[tuple[int, int]]:
         return [(-self._radius, self._radius)] * self._side
 

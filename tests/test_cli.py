@@ -608,7 +608,7 @@ def test_fermat_refuses_a_corner_outside_the_window_before_building_it(
     def no_array(*_):
         raise AssertionError("the window was laid out")
 
-    monkeypatch.setattr(metric._LatticeGraph, "_padded", property(no_array))
+    monkeypatch.setattr(metric._LatticeGraph, "_grid", property(no_array))
     monkeypatch.setattr(metric._Window, "_rows", property(no_array))
     monkeypatch.setattr(metric, "_layout", no_array)
     a, b, c, radius = corners
