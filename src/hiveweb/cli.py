@@ -331,6 +331,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--out", action=_Value,
                        help="write the JSON document here instead of stdout")
         p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
+    parser.commands = sub.choices  # each built command's own parser, by name
     return parser
 
 
@@ -360,12 +361,16 @@ def run(argv) -> int:
     # comes back on every way out
     was = gc.isenabled()
     gc.disable()
-    thirds.max_thirds.cache_clear()  # before parse_args: the size flags read the cap
+    thirds.max_thirds.cache_clear()  # before parsing: the size flags read the cap
     try:
         try:
             argv = _absorb_negative_values(list(argv))
-            parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-            args = parser.parse_args(argv)
+            command = argv[0] if argv and argv[0] in _COMMANDS else None
+            parser = build_parser(command)
+            if command is not None:  # the command's own parser reads the rest
+                args, left = parser.commands[command].parse_known_args(argv[1:])
+            if command is None or left:  # the root reports what is left under its usage
+                args = parser.parse_args(argv)
             return args.func(args)
         except (HivewebError, KeyError) as exc:
             detail = str(exc.args[0]) if exc.args else str(exc)

@@ -11,7 +11,8 @@ graph read from a document runs Dijkstra on its lists, while a lattice
 graph (:class:`_LatticeGraph`: a window, or a dual net of
 :mod:`hiveweb.surfacoid`), on whose piece every arc walked backwards costs
 what two arcs walked forwards do, runs one breadth-first kernel
-(:func:`_bfs`) over the forward arcs on a padded array and builds no lists.
+(:func:`_bfs`) over the forward arcs on a padded array and builds no lists;
+a dual net turns one search from a mesh corner into those from the other two.
 """
 
 from __future__ import annotations
@@ -157,9 +158,9 @@ def _thirds_from(graph: OrientedGraph, s: int) -> list[int]:
     return dist
 
 
-def _bfs(dist: list[int], start: int, d: int, up: int, right: int, down_left: int) -> None:
+def _bfs(dist: list[int], start: int, up: int, right: int, down_left: int) -> None:
     """Fill ``dist``, a padded list of cells, breadth-first from cell
-    ``start`` at distance ``d`` over the arcs to the cells at offsets ``up``,
+    ``start`` at distance 0 over the arcs to the cells at offsets ``up``,
     ``right`` and ``down_left``, one third each; a cell is settled when it is
     first reached.  Cells to be reached hold a bound above every distance,
     the others -1, so that ``d < dist[v]`` never enters them and a cell's
@@ -167,7 +168,7 @@ def _bfs(dist: list[int], start: int, d: int, up: int, right: int, down_left: in
     lattice piece where every arc lies on an oriented lattice triangle inside
     the piece: the triangle's other two arcs lead from the arc's head back
     to its tail for the two thirds that walking the arc backwards costs."""
-    dist[start] = d
+    dist[start] = 0
     queue = [start]
     for u in queue:  # read while it grows
         d = dist[u] + 1
@@ -219,22 +220,27 @@ def gamma_distance(x: int, y: int) -> int:
     return max(x + y, y - 2 * x, x - 2 * y)
 
 
-def _layout(rows: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int, int]]]:
+def _layout(rows: list[tuple[int, int]],
+            fill: int) -> tuple[int, list[tuple[int, int, int]], list[int]]:
     """The padded layout of the lattice piece on the points (k, c) with
-    ``lo <= c <= hi`` for ``rows[k] == (lo, hi)``, numbered row by row: P and,
-    for each row, its cells ``a`` to ``b - 1`` and the position of its first
-    point.  A list of P·(len(rows) + 2) cells holds the piece with a border
-    of cells outside it on every side, so the arcs out of a point, to
+    ``lo <= c <= hi`` for ``rows[k] == (lo, hi)``, numbered row by row, made
+    in one pass over the rows: P; for each row, its cells ``a`` to ``b - 1``
+    and the position of its first point; and a list of P·(len(rows) + 2)
+    cells that holds ``fill`` in the piece's cells and -1 in a border of
+    cells outside it on every side, so the arcs out of a point, to
     (k+1, c), (k, c+1) and (k-1, c-1), are the offsets +P, +1 and -P-1."""
     los, his = zip(*rows)
     first = min(los) - 1  # the border column each row of the list starts with
     P = max(his) - first + 2
+    padded, cell = [-1] * (P * (len(rows) + 2)), [fill]
     spans, position = [], 0
     for k, (lo, hi) in enumerate(rows, 1):
         a = k * P + lo - first
-        spans.append((a, a + hi - lo + 1, position))
-        position += hi - lo + 1
-    return P, spans
+        b = a + hi - lo + 1
+        spans.append((a, b, position))
+        padded[a:b] = cell * (b - a)
+        position += b - a
+    return P, spans, padded
 
 
 def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list, list]:
@@ -244,8 +250,7 @@ def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list, list]:
     positions at the offsets +P, +1 and -P-1 (heads up, right and down-left),
     its ``back`` entry those at -P, -1 and +P+1 (tails down, left and
     up-right), leaving out the cells outside the piece."""
-    P, spans = _layout(rows)
-    grid = [-1] * (P * (len(rows) + 2))
+    P, spans, grid = _layout(rows, 0)
     for a, b, position in spans:
         grid[a:b] = range(position, position + b - a)
     cells = [c for a, b, _ in spans for c in range(a, b)]
@@ -294,11 +299,14 @@ class _LatticeGraph(OrientedGraph):
     ``len(steps)`` new vertices at the positions from the first on, terminal
     first, whose last vertex is joined to the point at position ``corner``;
     ``steps[i]`` is the cost in thirds of chain arc i walked toward the
-    piece, 1 where it points toward it and 2 where it points away.
+    piece, 1 where it points toward it and 2 where it points away.  A piece
+    with strings is a net's mesh T_n, the rows (0, r) for r = 0..n, and
+    ``_corners`` holds the positions of its corners (0, 0), (n, 0) and
+    (n, n), the corners every string hangs off.
 
     ``_search`` never reads ``_fwd`` and ``_back``; they are built when a
     generic reader, such as ``arcs``, first asks for one.  The search rests
-    on two facts:
+    on three facts:
 
     - The piece.  Every arc of a window, of a net's mesh T_n and of their
       reverses lies on an oriented lattice 3-cycle inside the piece, whose
@@ -306,16 +314,23 @@ class _LatticeGraph(OrientedGraph):
       arc backwards therefore never beats walking two arcs forwards, so the
       piece's distances come from :func:`_bfs` over the three offsets of the
       layout, negated where ``_sign`` is -1.
+    - The turn.  The map (r, q) -> (n - q, r - q) sends the mesh corners
+      (0, 0) -> (n, 0) -> (n, n) -> (0, 0) and each arc direction up, right,
+      down-left to the next, so it maps the mesh, and its reverse, onto
+      itself.  The distances from the k-th corner are those from the first,
+      read at the points that k turns back carry there: one search from the
+      first corner (``_base``) serves all three (:meth:`_turned`).
     - The strings.  Each string is a path that meets the piece at its corner
-      only.  A search from any position walks its own string, runs the
-      breadth-first search from that string's corner (the source itself on
-      the piece), starting at the distance the walk reached it at, and walks
-      each other string outward from its corner.
+      only.  A search from any position walks its own string, takes the
+      piece's distances from that string's corner (the source itself on the
+      piece) plus the distance the walk reached it at, and walks each other
+      string outward from its corner.
     """
 
     def __init__(self, size: int, sign: int = 1,
-                 strings: list[tuple[int, int, list[int]]] = ()):
-        self._size, self._sign, self._strings = size, sign, strings
+                 strings: list[tuple[int, int, list[int]]] = (),
+                 corners: tuple[int, ...] = ()):
+        self._size, self._sign, self._strings, self._corners = size, sign, strings, corners
 
     def __getattr__(self, attr: str):  # called only for an attribute not yet set
         if attr in ("_fwd", "_back"):  # the one list builder
@@ -329,15 +344,43 @@ class _LatticeGraph(OrientedGraph):
 
     @functools.cached_property
     def _grid(self) -> tuple[int, list[tuple[int, int, int]], list[int]]:
-        """P and the rows' spans from :func:`_layout`, and the list a search
-        starts from, copied for each: :func:`_unreached` in the piece's
-        cells, -1 in the others."""
-        rows = self._rows
-        P, spans = _layout(rows)
-        dist, bound = [-1] * (P * (len(rows) + 2)), [_unreached(self)]
-        for a, b, _ in spans:
-            dist[a:b] = bound * (b - a)
-        return P, spans, dist
+        """P, the rows' spans and the list a search starts from, copied for
+        each (:func:`_unreached` in the piece's cells, -1 in the others):
+        the layout :func:`_layout` makes."""
+        return _layout(self._rows, _unreached(self))
+
+    def _piece(self, corner: int) -> list[int]:
+        """The padded list of the piece's distances from its point at
+        position ``corner``."""
+        (P, spans, padded), sign = self._grid, self._sign
+        dist = padded.copy()
+        row = bisect_right(spans, corner, key=itemgetter(2)) - 1  # the corner's row
+        a, _, position = spans[row]
+        _bfs(dist, a + corner - position, sign * P, sign, -sign * (P + 1))
+        return dist
+
+    @functools.cached_property
+    def _base(self) -> list[int]:
+        """The padded list of the mesh's distances from its first corner."""
+        return self._piece(self._corners[0])
+
+    def _turned(self, turn: int, d: int) -> list[int]:
+        """The mesh's distances, by position, from its corner ``turn`` (0, 1
+        or 2) plus ``d``, read off ``_base``.  Turned back ``turn`` times,
+        row r's points (r, 0)..(r, r) go to the r + 1 points from (r, 0),
+        (n-r, n-r) or (n, r) on by steps right, up or down-left, whose
+        distances from corner 0 are the ones wanted: a slice of the padded
+        list."""
+        (P, spans, _), base = self._grid, self._base
+        n, origin = len(spans) - 1, spans[0][0]
+        first, down, step = ((origin, P, 1),
+                             (origin + n * (P + 1), -P - 1, P),
+                             (origin + n * P, 1, -P - 1))[turn]
+        out: list[int] = []
+        for r in range(n + 1):
+            a = first + r * down
+            out += base[a:a + (r + 1) * step:step]
+        return [x + d for x in out] if d else out
 
     def _search(self, s: int) -> list[int]:
         """Distances in thirds from position ``s``, by position, found as the
@@ -347,14 +390,12 @@ class _LatticeGraph(OrientedGraph):
             if first <= s < first + len(steps):
                 walk = _along(steps, s - first, 0)
                 corner, d, own = c, walk[-1], k
-        (P, spans, padded), sign = self._grid, self._sign
-        dist = padded.copy()
-        row = bisect_right(spans, corner, key=itemgetter(2)) - 1  # the corner's row
-        a, _, position = spans[row]
-        _bfs(dist, a + corner - position, d, sign * P, sign, -sign * (P + 1))
-        out: list[int] = []
-        for a, b, _ in spans:
-            out += dist[a:b]
+        if corner in self._corners:
+            out = self._turned(self._corners.index(corner), d)
+        else:
+            dist, out = self._piece(corner), []
+            for a, b, _ in self._grid[1]:
+                out += dist[a:b]
         for k, (c, _, steps) in enumerate(self._strings):
             out += (walk if k == own else _along(steps, len(steps), out[c]))[:-1]
         return out

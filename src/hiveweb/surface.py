@@ -194,8 +194,9 @@ class Triangulation:
         order, the sides attached twice or not at all, else the corners with
         two labels; then the signature counts that do not hold.  A puncture,
         a corner label that no boundary edge ends at, adds a triangle and an
-        edge to the counts; punctures are counted only when nothing else
-        failed, since a faulty gluing has no marked points to count."""
+        edge to the counts.  A faulty gluing may leave a corner without a
+        label or with two, so there only the corners whose two sides give
+        one label are read."""
         tris, eids = self._ids
         if len(tris) != len(self.triangles) or len(eids) != len(self.edges):
             listed, out = {}, []
@@ -210,10 +211,7 @@ class Triangulation:
             frames[t] = frame = [None] * 7
             frame[CENTER] = c
         # (edge, cell, side, the positions near its first and second corner, the labels there)
-        # rim: the tails of boundary edges.  Once the corners agree, the
-        # corners of a label that a boundary edge ends at chain through glued
-        # sides back to one that a boundary edge starts at, so rim then holds
-        # every label on the boundary
+        # rim: the labels that boundary edges end at
         sites, rim = [], set()
         for rec in self.edges:
             p = slot0[rec.id]
@@ -221,7 +219,7 @@ class Triangulation:
             if rec.attach1 is not None:
                 sites.append((rec.id, *rec.attach1, p + 1, p, rec.head, rec.tail))
             else:
-                rim.add(rec.tail)
+                rim.update((rec.tail, rec.head))
         # at 3c + k: corner k's label in the cell with center c, from side k and side k-1
         doubles, starts, ends = {}, [None] * (3 * n), [None] * (3 * n)
         for eid, t, s, first, second, start, end in sites:
@@ -254,8 +252,11 @@ class Triangulation:
                         for k in range(3) if starts[c + k] != ends[c + k]]
         if self.signature is not None:
             g, c, m = self.signature
-            # the punctures, corner labels off the boundary, once the corners agree
-            p = 0 if out else len(set(starts) - rim)
+            # the punctures: corner labels off the boundary, read where a
+            # corner's two sides give one label (at every corner, when sound)
+            labels = (set(starts) if not out else
+                      {s for s, e in zip(starts, ends) if s is not None and s == e})
+            p = len(labels - rim)
             out += [{"kind": "count-mismatch", "field": name, "have": have, "want": want}
                     for name, have, want in (
                         ("triangles", n, 2 * c + m + p + 4 * g - 4),

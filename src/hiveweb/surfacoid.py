@@ -19,7 +19,10 @@ follows the mesh in the order A, B, C, its terminal first.  The vertex names
 (p, q) and (label, i) and the adjacency lists are made only when a caller
 reads them.  The oracle only searches from the terminal positions, which
 the lattice graph's search (:meth:`~hiveweb.metric._LatticeGraph._search`)
-does on a padded array without them.
+does on a padded array without them.  Turning T_n permutes its corners
+A' -> B' -> C' -> A' and its arc directions, so one breadth-first search of
+the mesh from A' gives the mesh distances from all three corners, and each
+terminal's search adds the length of its own string's walk.
 
 Recomputing the seven hive coordinates from this graph alone, via the
 asymmetric metric, is an independent check of the closed-form conversion:
@@ -59,7 +62,7 @@ class _Net(_LatticeGraph):
             strings.append((corner, first, [1] * i + [2] * o))
             first += i + o
         self._rows = [(0, r) for r in range(n + 1)]
-        super().__init__(first, -1 if x < 0 else 1, strings)
+        super().__init__(first, -1 if x < 0 else 1, strings, corners)
 
     def _name(self, i: int) -> tuple:
         if i < self._mesh:
@@ -84,7 +87,8 @@ def build_net(c: WebTuple) -> Net:
 def oracle_triangle_hive(c: WebTuple) -> tuple[int, ...]:
     """Hive coordinates a1..a7 of ``c``, in thirds, computed purely from net
     distances: the six terminal-to-terminal distances and the tripod minimum
-    all come from the three searches out of the terminals."""
+    all come from the distances out of the three terminals, which one
+    breadth-first search of the mesh, turned onto each corner, gives."""
     graph, (pa, pb, pc) = build_net(c)
     from_a, from_b, from_c = (graph._search(p) for p in (pa, pb, pc))
     a4, _ = _tripod(from_a, from_b, from_c, _unreached(graph))

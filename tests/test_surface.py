@@ -128,6 +128,17 @@ def test_the_census_counts_each_puncture(doc, triangles, edges):
         {"kind": "count-mismatch", "field": "edges", "have": edges, "want": edges + 2}]
 
 
+def test_a_faulty_punctured_surface_still_counts_its_puncture():
+    """A structural fault leaves corners without a label, so the census
+    reads the labels from the edges' ends: the torus's puncture v still
+    counts, and its signature earns no count mismatch."""
+    doc = json.loads(json.dumps(PUNCTURED_TORUS))
+    doc["edges"][2]["attach"][1] = ["A", 5]
+    assert validate_complex(Triangulation.from_json(doc)) == [
+        {"kind": "bad-side-index", "edge": "c", "triangle": "A", "side": 5},
+        {"kind": "dangling-side", "triangle": "A", "side": 2}]
+
+
 # every kind but the corners at once: "0-1" enters side 0 of 0-1-2 by its
 # second attachment, before "y" and "x" enter it too
 MANY_FAULTS = {"triangles": ["0-2-3", "0-1-2"], "signature": {"g": 0, "c": 1, "m": 4}, "edges": [

@@ -231,6 +231,37 @@ def test_the_oracle_builds_no_lists(monkeypatch):
     assert "_fwd" not in vars(graph) and "_back" not in vars(graph)
 
 
+def test_the_oracle_searches_each_net_once(monkeypatch):
+    """The three terminal searches read one breadth-first search of the
+    mesh, from its first corner, turned onto the other two corners."""
+    calls, bfs = [], metric._bfs
+
+    def counted(*args):
+        calls.append(args[1])
+        return bfs(*args)
+
+    monkeypatch.setattr(metric, "_bfs", counted)
+    for coords in [(0, 1, 2, 3, 4, 1, 2), (-7, 2, 0, 3, 1, 4, 2), (40, 6, 6, 6, 6, 6, 6)]:
+        calls.clear()
+        assert oracle_triangle_hive(coords) == web_to_hive_thirds(*coords)
+        assert len(calls) == 1, coords
+
+
+@pytest.mark.parametrize("n", range(46))
+def test_each_corner_search_matches_the_list_search(n):
+    """The search from each mesh corner and from each terminal, read off the
+    one search from corner A' turned, equals the list search on the net's
+    own lists, for both orientations of the mesh."""
+    rng = random.Random(n)
+    for x in sorted({n, -n}):
+        coords = (x, *(rng.randint(0, 3) for _ in range(6)))
+        graph, terminals = build_net(coords)
+        reference, _ = build_net(coords)
+        mesh = (n + 1) * (n + 2) // 2
+        for s in (0, n * (n + 1) // 2, mesh - 1, *terminals):
+            assert graph._search(s) == _thirds_from(reference, s), (coords, s)
+
+
 def test_oracle_command_runs_without_lattice_lists(capsys, monkeypatch):
     def no_lists(rows):
         raise AssertionError("the net's lists were built")

@@ -10,6 +10,7 @@ reports, such as ``validate --bogus``'s unrecognized argument, whose usage
 names every command.
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -55,6 +56,29 @@ def test_run_builds_the_parser_of_the_command_it_runs(argv, built, capsys, monke
     cli.run(argv)
     capsys.readouterr()
     assert calls == [(built,)]
+
+
+@pytest.mark.parametrize("argv,parses", [
+    (["gamma-dist", "--to", "1,1"], ["hiveweb gamma-dist"]),
+    (["oracle", "--coords", "-1,0,0,0,0,0,0"], ["hiveweb oracle"]),
+    (["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "1"], ["hiveweb fermat"]),
+    # what the command leaves over, the root reports under its own usage
+    (["validate", "--bogus"], ["hiveweb validate", "hiveweb", "hiveweb validate"]),
+    (["--help"], ["hiveweb"]),
+], ids=["gamma-dist", "oracle", "fermat", "unrecognized", "root"])
+def test_a_valid_argv_is_parsed_once(argv, parses, capsys, monkeypatch):
+    """The command an argv names parses the rest of it alone; only what it
+    leaves over sends the whole argv through the root parser."""
+    progs, parse = [], argparse.ArgumentParser.parse_known_args
+
+    def recorded(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recorded)
+    cli.run(argv)
+    capsys.readouterr()
+    assert progs == parses
 
 
 def test_a_command_parser_offers_only_its_command():
