@@ -130,8 +130,8 @@ def test_the_census_counts_each_puncture(doc, triangles, edges):
 
 def test_a_faulty_punctured_surface_still_counts_its_puncture():
     """A structural fault leaves corners without a label, so the census
-    reads the labels from the edges' ends: the torus's puncture v still
-    counts, and its signature earns no count mismatch."""
+    reads the labels of the corners whose two sides agree: the torus's
+    puncture v still counts, and its signature earns no count mismatch."""
     doc = json.loads(json.dumps(PUNCTURED_TORUS))
     doc["edges"][2]["attach"][1] = ["A", 5]
     assert validate_complex(Triangulation.from_json(doc)) == [

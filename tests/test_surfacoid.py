@@ -237,7 +237,7 @@ def test_the_oracle_searches_each_net_once(monkeypatch):
     calls, bfs = [], metric._bfs
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(args)
         return bfs(*args)
 
     monkeypatch.setattr(metric, "_bfs", counted)

@@ -1,13 +1,14 @@
 """Every usage and help text, and the parser each argv is parsed by.
 
 ``run()`` builds the parser of the command its argv names: the root parser
-with that one subparser.  Any other argv (``--help``, none, an unknown
-command) gets the parser of every command.  Both must print what one parser
-of every command printed for every argv.  ``tests/golden_usage.json`` holds
-that: the exit code, stdout and stderr of each case, captured at width 80
-with every subcommand built for every argv.  It covers the root's own
-reports, such as ``validate --bogus``'s unrecognized argument, whose usage
-names every command.
+with that one subparser, which parses the argv alone unless it leaves
+arguments over for the root to report.  Any other argv (``--help``, none,
+an unknown command) gets the parser of every command.  Both must print what
+one parser of every command printed for every argv.
+``tests/golden_usage.json`` holds that: the exit code, stdout and stderr of
+each case, captured at width 80 with every subcommand built for every argv.
+It covers the root's own reports, such as ``validate --bogus``'s
+unrecognized argument, whose usage names every command.
 """
 
 import argparse
