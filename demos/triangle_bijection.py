@@ -28,7 +28,11 @@ print(f"inverse formulas give  : {back}")
 assert back == coords
 
 graph, _ = build_net(coords)
-print(f"dual net               : {len(graph.vertices)} vertices, {len(graph.arcs)} arcs")
+# each mesh arc lies on one of the mesh's n(n+1)/2 oriented 3-cycles, and
+# each string vertex sends one arc
+n = abs(coords[0])
+arcs = 3 * n * (n + 1) // 2 + sum(coords[1:])
+print(f"dual net               : {len(graph.vertices)} vertices, {arcs} arcs")
 oracle = oracle_triangle_hive(coords)
 print(f"oracle hive (distances): {oracle}")
 assert oracle == hive

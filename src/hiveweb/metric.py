@@ -33,9 +33,10 @@ class OrientedGraph:
 
     Searches run on positions 0..V-1, with V = ``_size``: ``_fwd[i]`` is a
     sequence of the heads of arcs out of ``i`` (1 third each), ``_back[j]``
-    of the tails of arcs into ``j`` (2 thirds each).  ``vertices``, the
-    name-to-position index ``_index`` and ``arcs`` are made from them the
-    first time they are read.
+    of the tails of arcs into ``j`` (2 thirds each).  A lattice graph
+    (:class:`_LatticeGraph`) has no such lists and names its vertices by
+    ``_name``: its ``vertices`` and the name-to-position index ``_index``
+    are made from the names the first time they are read.
     """
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[tuple[Vertex, Vertex]]):
@@ -68,12 +69,6 @@ class OrientedGraph:
     def _index(self) -> dict[Vertex, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @functools.cached_property
-    def arcs(self) -> list[tuple[Vertex, Vertex]]:
-        names = self.vertices
-        return [(names[i], names[j])
-                for i, heads in enumerate(self._fwd) for j in heads]
-
     def _position(self, v: Vertex) -> int | None:
         """Position of ``v``, or None if it is no vertex."""
         return self._index.get(v)
@@ -91,9 +86,6 @@ class OrientedGraph:
         """Distances in thirds from position ``s``, by vertex position
         (:func:`_unreached` where unreachable): here Dijkstra on the lists."""
         return _thirds_from(self, s)
-
-    def to_json(self) -> dict:
-        return {"vertices": list(self.vertices), "arcs": [[t, h] for t, h in self.arcs]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "OrientedGraph":
@@ -132,8 +124,7 @@ def _thirds_from(graph: OrientedGraph, s: int) -> list[int]:
     current distance ``d``, ``near`` those at d+1 and ``far`` those at d+2.
     An entry whose vertex was since reached closer is skipped.  Each vertex
     is settled once, so the search is O(V + E).  This is the search of a
-    graph read from a document; on a lattice graph, whose own search needs
-    no lists, it serves the tests as the reference.
+    graph read from a document; a lattice graph has no lists to search.
     """
     fwd, back = graph._fwd, graph._back
     dist = [_unreached(graph)] * len(fwd)
@@ -243,38 +234,6 @@ def _layout(rows: list[tuple[int, int]],
     return P, spans, padded
 
 
-def _lattice_piece(rows: list[tuple[int, int]]) -> tuple[list, list]:
-    """``_fwd`` and ``_back`` of the lattice graph induced on the piece that
-    :func:`_layout` lays out for ``rows``.  Its cells hold the points'
-    positions, the other cells -1, and a point's ``fwd`` entry lists the
-    positions at the offsets +P, +1 and -P-1 (heads up, right and down-left),
-    its ``back`` entry those at -P, -1 and +P+1 (tails down, left and
-    up-right), leaving out the cells outside the piece."""
-    P, spans, grid = _layout(rows, 0)
-    for a, b, position in spans:
-        grid[a:b] = range(position, position + b - a)
-    cells = [c for a, b, _ in spans for c in range(a, b)]
-    return ([[j for o in (P, 1, -P - 1) if (j := grid[c + o]) >= 0] for c in cells],
-            [[i for o in (-P, -1, P + 1) if (i := grid[c + o]) >= 0] for c in cells])
-
-
-def _string(corner: int, steps: list[int], fwd: list, back: list) -> None:
-    """Append the lists of a chain of ``len(steps)`` new vertices, terminal
-    first, whose last vertex is joined to the vertex at position ``corner``;
-    arc i, from the chain's i-th vertex to the next one (or the corner),
-    points toward the piece where ``steps[i]`` is 1 and away where it is 2."""
-    start = len(fwd)
-    fwd += ([] for _ in steps)
-    back += ([] for _ in steps)
-    path = [*range(start, start + len(steps)), corner]
-    for i, step in enumerate(steps):
-        tail, head = path[i], path[i + 1]
-        if step == 2:
-            tail, head = head, tail
-        fwd[tail].append(head)
-        back[head].append(tail)
-
-
 def _along(steps: list[int], j: int, d: int) -> list[int]:
     """Distances in thirds along a string's chain, then to its corner, from
     the chain's ``j``-th vertex (the corner if ``j == len(steps)``) at
@@ -304,9 +263,7 @@ class _LatticeGraph(OrientedGraph):
     ``_corners`` holds the positions of its corners (0, 0), (n, 0) and
     (n, n), the corners every string hangs off.
 
-    ``_search`` never reads ``_fwd`` and ``_back``; they are built when a
-    generic reader, such as ``arcs``, first asks for one.  The search rests
-    on three facts:
+    It has no adjacency lists.  Its search rests on three facts:
 
     - The piece.  Every arc of a window, of a net's mesh T_n and of their
       reverses lies on an oriented lattice 3-cycle inside the piece, whose
@@ -331,16 +288,6 @@ class _LatticeGraph(OrientedGraph):
                  strings: list[tuple[int, int, list[int]]] = (),
                  corners: tuple[int, ...] = ()):
         self._size, self._sign, self._strings, self._corners = size, sign, strings, corners
-
-    def __getattr__(self, attr: str):  # called only for an attribute not yet set
-        if attr in ("_fwd", "_back"):  # the one list builder
-            fwd, back = _lattice_piece(self._rows)
-            if self._sign < 0:
-                fwd, back = back, fwd
-            for corner, _, steps in self._strings:
-                _string(corner, steps, fwd, back)
-            self._fwd, self._back = fwd, back
-        return object.__getattribute__(self, attr)
 
     @functools.cached_property
     def _grid(self) -> tuple[int, list[tuple[int, int, int]], list[int]]:
@@ -438,8 +385,7 @@ def gamma_window(radius: int, corners: Iterable[Vertex] = ()) -> OrientedGraph:
     reads them, and a name is resolved by parsing it, so only the exact key
     text of a point in the window is a vertex.  The first of ``corners`` that
     is not is refused.  A search runs on a padded array
-    (:meth:`_LatticeGraph._search`); the adjacency lists are built only when
-    a caller reads them.
+    (:meth:`_LatticeGraph._search`); the window has no adjacency lists.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")

@@ -16,13 +16,14 @@ and t outward arcs; the bottom-right (C to C') has y inward and z outward.
 The graph is a :class:`~hiveweb.metric._LatticeGraph`: mesh row r = p + n
 holds (p, q) for q = 0..r at position r(r+1)/2 + q, and each string's chain
 follows the mesh in the order A, B, C, its terminal first.  The vertex names
-(p, q) and (label, i) and the adjacency lists are made only when a caller
-reads them.  The oracle only searches from the terminal positions, which
-the lattice graph's search (:meth:`~hiveweb.metric._LatticeGraph._search`)
-does on a padded array without them.  Turning T_n permutes its corners
-A' -> B' -> C' -> A' and its arc directions, so one breadth-first search of
-the mesh from A' gives the mesh distances from all three corners, and each
-terminal's search adds the length of its own string's walk.
+(p, q) and (label, i) are made only when a caller reads them, and the graph
+has no adjacency lists.  The oracle only searches from the terminal
+positions, which the lattice graph's search
+(:meth:`~hiveweb.metric._LatticeGraph._search`) does on a padded array.
+Turning T_n permutes its corners A' -> B' -> C' -> A' and its arc
+directions, so one breadth-first search of the mesh from A' gives the mesh
+distances from all three corners, and each terminal's search adds the
+length of its own string's walk.
 
 Recomputing the seven hive coordinates from this graph alone, via the
 asymmetric metric, is an independent check of the closed-form conversion:

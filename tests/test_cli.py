@@ -625,15 +625,6 @@ def test_fermat_checks_the_region_before_the_window(capsys, monkeypatch):
         run(["fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "6"])
 
 
-def test_fermat_searches_the_window_without_its_adjacency_lists(capsys, monkeypatch):
-    def no_lists(rows):
-        raise AssertionError("the window's lists were built")
-
-    monkeypatch.setattr(metric, "_lattice_piece", no_lists)
-    assert invoke(capsys, "fermat", "--a", "0,0", "--b", "2,0", "--c", "0,2", "--window", "6") == (
-        0, canonical({"thirds": 8, "brute": {"thirds": 8, "argmin_size": 9}, "match": True}), "")
-
-
 def test_each_surface_command_runs_the_exported_function(tmp_path, capsys, monkeypatch):
     """``sample``, ``hive2web``, ``flip --hive`` and ``web2hive --web`` call
     the exported functions through their modules, where a wrapper put at the

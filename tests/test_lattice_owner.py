@@ -2,10 +2,13 @@
 
 A lattice window and a dual net are both ``metric._LatticeGraph``s, so the
 padded layout of a lattice piece and the breadth-first search on it are
-written once, in ``metric.py``: it alone calls ``_bfs`` (at one site) and
-``_layout`` and makes a padded list (``[-1] * n``), and ``surfacoid.py``,
-which builds the nets, imports neither ``_bfs`` nor ``_lattice_piece``.
-These checks read the package's source with ``ast``.
+written once, in ``metric.py``: it alone calls ``_bfs`` and ``_layout``
+(each at one site) and makes a padded list (``[-1] * n``), and
+``surfacoid.py``, which builds the nets, imports neither ``_bfs`` nor
+``_layout``.  A lattice graph is searched, not listed: adjacency lists
+(``_fwd`` and ``_back``) are touched only by ``OrientedGraph``, which builds
+them for a graph read from a document, and ``_thirds_from``, which searches
+them.  These checks read the package's source with ``ast``.
 """
 
 import ast
@@ -54,9 +57,21 @@ def test_surfacoid_imports_neither_the_search_nor_the_list_builder():
     tree = _trees()["surfacoid.py"]
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    assert imported.isdisjoint({"_bfs", "_lattice_piece"})
+    assert imported.isdisjoint({"_bfs", "_layout"})
+
+
+def _list_sites():
+    """(module, top-level definition) of each ``._fwd`` or ``._back`` in
+    the package."""
+    return {(name, getattr(top, "name", None)) for name, tree in _trees().items()
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr in ("_fwd", "_back")}
+
+
+def test_only_the_document_graph_and_its_search_touch_adjacency_lists():
+    assert _list_sites() == {(OWNER, "OrientedGraph"), (OWNER, "_thirds_from")}
 
 
 def test_the_checks_see_the_owner():
     assert {name for name, _ in _sites(_pads)} == {OWNER}
-    assert [name for name, _ in _sites(_calls("_layout"))] == [OWNER, OWNER]
+    assert [name for name, _ in _sites(_calls("_layout"))] == [OWNER]

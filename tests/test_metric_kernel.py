@@ -5,9 +5,11 @@ metric used before it ran on indexed adjacency with a bucket queue.  Random
 multigraphs (self-loops, parallel and antiparallel arcs, isolated vertices,
 string, tuple and int ids) must give the same distances, the same tripod
 minimum and argmin, and the same errors.  The lattice window, built by
-position arithmetic with names made on demand, is compared with the
-string-keyed window it replaced, and its search on a padded array of its own
-with the list search on the window's lattice lists.
+position arithmetic with names made on demand and no adjacency lists, is
+compared with a string-keyed window built from the lattice's definition: its
+names, and its search on a padded array with the list search on that
+reference.  The padded layout of a lattice piece is read by its offsets and
+compared with the piece's arcs found by point lookup.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from hiveweb.errors import Unreachable
 from hiveweb.metric import (
     OrientedGraph,
-    _lattice_piece,
+    _layout,
     _shown,
     _thirds_from,
     _tripod,
@@ -208,13 +210,24 @@ def reference_gamma_window(radius: int) -> dict:
             for dx, dy in ((1, 0), (0, 1), (-1, -1)):
                 nx, ny = x + dx, y + dy
                 if -radius <= nx <= radius and -radius <= ny <= radius:
-                    arcs.append([f"{x},{y}", f"{nx},{ny}"])
+                    arcs.append((f"{x},{y}", f"{nx},{ny}"))
     return {"vertices": vertices, "arcs": arcs}
 
 
 @pytest.mark.parametrize("radius", range(17))
 def test_gamma_window_keeps_vertex_and_arc_order(radius):
-    assert gamma_window(radius).to_json() == reference_gamma_window(radius)
+    """The window names its points in the reference's order, and the pairs
+    its search puts one third apart are the reference's arcs: each arc
+    costs one third forward and two back, and there are no others."""
+    doc = reference_gamma_window(radius)
+    window = gamma_window(radius)
+    assert window.vertices == doc["vertices"]
+    searches = [window._search(s) for s in range(window._size)]
+    index = {v: i for i, v in enumerate(doc["vertices"])}
+    for tail, head in doc["arcs"]:
+        i, j = index[tail], index[head]
+        assert (searches[i][j], searches[j][i]) == (1, 2), (tail, head)
+    assert sum(dist.count(1) for dist in searches) == len(doc["arcs"])
 
 
 def reference_lattice_piece(rows):
@@ -231,6 +244,26 @@ def reference_lattice_piece(rows):
     return fwd, back
 
 
+def laid_out_piece(rows):
+    """``_fwd`` and ``_back`` read off the padded list :func:`_layout` makes
+    for ``rows``: its cells hold the fill, 0 here, in the piece and -1
+    elsewhere, each row's span gives its cells and its first position, and
+    the heads of a point's arcs sit at the offsets +P, +1 and -P-1."""
+    P, spans, padded = _layout(rows, 0)
+    cells = [c for a, b, _ in spans for c in range(a, b)]
+    assert [i for i, fill in enumerate(padded) if fill != -1] == cells
+    assert all(padded[c] == 0 for c in cells)
+    assert [position for _, _, position in spans] == [
+        sum(hi - lo + 1 for lo, hi in rows[:k]) for k in range(len(rows))]
+    position = {c: i for i, c in enumerate(cells)}
+    fwd = [[position[c + o] for o in (P, 1, -P - 1) if padded[c + o] == 0] for c in cells]
+    back = [[] for _ in cells]
+    for i, heads in enumerate(fwd):
+        for j in heads:
+            back[j].append(i)
+    return fwd, back
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-6, 6),
        st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 18)), min_size=1, max_size=8))
@@ -242,7 +275,7 @@ def test_lattice_piece_matches_point_lookup(lo, spans):
     for shift, length in spans:
         lo += shift
         rows.append((lo, lo + length))
-    assert _lattice_piece(rows) == reference_lattice_piece(rows)
+    assert laid_out_piece(rows) == reference_lattice_piece(rows)
 
 
 @pytest.mark.parametrize("rows", [
@@ -250,21 +283,19 @@ def test_lattice_piece_matches_point_lookup(lo, spans):
     *([(0, k) for k in range(n + 1)] for n in range(46)),  # build_net mesh, |x| = n
 ], ids=[*(f"window{r}" for r in range(21)), *(f"mesh{n}" for n in range(46))])
 def test_lattice_piece_matches_point_lookup_on_cli_shapes(rows):
-    assert _lattice_piece(rows) == reference_lattice_piece(rows)
+    assert laid_out_piece(rows) == reference_lattice_piece(rows)
 
 
 @pytest.mark.parametrize("radius", range(17))
 def test_gamma_window_matches_string_keyed_window(radius):
-    doc = reference_gamma_window(radius)
-    reference = OrientedGraph(doc["vertices"], [tuple(arc) for arc in doc["arcs"]])
+    reference = OrientedGraph(**reference_gamma_window(radius))
     window = gamma_window(radius)
     assert window.vertices == reference.vertices
-    assert Counter(window.arcs) == Counter(reference.arcs)
     for x in (-radius, radius):
         for y in (-radius, radius):
             corner = f"{x},{y}"
             assert (window._search(window._locate(corner))
-                    == _thirds_from(reference, reference._index[corner]))
+                    == _thirds_from(reference, reference._locate(corner)))
 
 
 @pytest.mark.parametrize("name", ["+1,0", "01,0", " 1,0", "1, 0", "1,0,0", "1_0,0",
@@ -284,52 +315,33 @@ def test_window_resolves_only_exact_point_keys(name):
 
 def test_names_read_after_a_search_match_names_read_before():
     before = gamma_window(4)
-    expected = before.vertices, before.arcs, before.to_json()
+    expected = before.vertices
     after = gamma_window(4)
     assert fermat_brute(after, "0,0", "2,0", "0,2") == fermat_brute(before, "0,0", "2,0", "0,2")
     assert shortest_distance(after, "-4,-4", "4,4") == 16
-    assert (after.vertices, after.arcs, after.to_json()) == expected
+    assert after.vertices == expected
     assert distances_from(after, "1,1") == distances_from(before, "1,1")
 
 
 @pytest.mark.parametrize("radius", range(13))
 def test_window_search_matches_list_search_from_every_source(radius):
-    """:func:`_thirds_from` runs the list search on the lists a window
-    builds for a generic reader."""
-    window, reference = gamma_window(radius), gamma_window(radius)
-    for s in range(len(reference._fwd)):
+    """:func:`_thirds_from` runs the list search on the string-keyed
+    reference window."""
+    window, reference = gamma_window(radius), OrientedGraph(**reference_gamma_window(radius))
+    for s in range(reference._size):
         assert window._search(s) == _thirds_from(reference, s)
-    assert "_fwd" not in vars(window)
-    listed = OrientedGraph(reference.vertices, reference.arcs)
-    assert _unreached(window) == _unreached(listed)
+    assert _unreached(window) == _unreached(reference)
     assert fermat_brute(window, "0,0", f"{radius},0", f"0,{radius}") == fermat_brute(
-        listed, "0,0", f"{radius},0", f"0,{radius}")
+        reference, "0,0", f"{radius},0", f"0,{radius}")
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_window_search_matches_list_search_on_large_windows(data):
     radius = data.draw(st.integers(13, 40), label="radius")
-    reference = gamma_window(radius)
-    s = data.draw(st.integers(0, len(reference._fwd) - 1), label="source")
+    reference = OrientedGraph(**reference_gamma_window(radius))
+    s = data.draw(st.integers(0, reference._size - 1), label="source")
     assert gamma_window(radius)._search(s) == _thirds_from(reference, s)
-
-
-def test_a_graph_rebuilt_from_its_arcs_gives_the_same_distances():
-    """A graph compiled from the ``arcs`` of a net or a window is searched
-    to the same distances as the lattice graph's lists and its own search,
-    from each net terminal and each window source."""
-    rng = random.Random(0)
-    for x in range(-12, 13):
-        graph, terminals = build_net((x, *(rng.randrange(5) for _ in range(6))))
-        rebuilt = OrientedGraph(graph.vertices, graph.arcs)
-        for p in terminals:
-            assert _thirds_from(rebuilt, p) == _thirds_from(graph, p) == graph._search(p)
-    for radius in range(7):
-        window = gamma_window(radius)
-        rebuilt = OrientedGraph(window.vertices, window.arcs)
-        for s in range(window._size):
-            assert _thirds_from(rebuilt, s) == _thirds_from(window, s) == window._search(s)
 
 
 def _net_graph(coords):
@@ -366,13 +378,9 @@ def test_counting_and_searching_a_window_builds_no_lists():
     assert len(window.vertices) == 121 and _unreached(window) == 6 * 121
     assert distances_from(window, "0,0")["5,5"] == 10
     assert fermat_brute(window, "0,0", "2,0", "0,2")[0] == 8
-    assert "_fwd" not in vars(window) and "_back" not in vars(window)
-    assert len(window.arcs) == 2 * 11 * 10 + 10 * 10  # a generic reader builds them
-    assert window._back == _lattice_piece([(-5, 5)] * 11)[1]
+    assert not hasattr(window, "_fwd") and not hasattr(window, "_back")
 
 
 def test_window_refuses_a_corner_outside_it():
     with pytest.raises(KeyError, match='unknown vertex "6,0"'):
         gamma_window(5, ["0,0", "6,0", "7,0"])
-    with pytest.raises(AttributeError):
-        gamma_window(1)._missing

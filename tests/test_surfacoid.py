@@ -1,21 +1,18 @@
 """The dual net and the distance oracle.
 
-The net is built by position arithmetic with names and lists made on
-demand; it is compared with the tuple-keyed builder it replaced, kept below
-as the reference, and its search on a padded array of its own with the list
-search on the lists it builds for a generic reader.
+The net is built by position arithmetic with names made on demand and no
+adjacency lists.  It is compared with a tuple-keyed net built from its
+definition, kept below as the reference: its names and terminals, and its
+search on a padded array with the list search on the reference.
 """
 
-import json
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiveweb import metric, surfacoid
-from hiveweb.cli import run
 from hiveweb.metric import (
     OrientedGraph,
     _thirds_from,
@@ -37,14 +34,14 @@ def test_zero_net_is_a_point():
     a, b, c = terminal_names(graph, terminals)
     assert a == b == c == (0, 0)
     assert len(graph.vertices) == 1
-    assert graph.arcs == []
+    assert reference_net((0, 0, 0, 0, 0, 0, 0))[0].arcs == []
     assert oracle_triangle_hive((0, 0, 0, 0, 0, 0, 0)) == (0,) * 7
 
 
 def test_unit_honeycomb_net_is_a_directed_triangle():
     graph, terminals = build_net((1, 0, 0, 0, 0, 0, 0))
     assert len(graph.vertices) == 3
-    assert len(graph.arcs) == 3
+    assert len(reference_net((1, 0, 0, 0, 0, 0, 0))[0].arcs) == 3
     value, argmin = fermat_brute(graph, *terminal_names(graph, terminals))
     assert value == 3
     assert argmin == {(-1, 0), (0, 0), (0, 1)}
@@ -137,7 +134,8 @@ def reference_string(name: str, corner, inward: int, outward: int, vertices, arc
 
 
 def reference_net(coords: WebTuple):
-    """Graph, terminals and mesh corners as the tuple-keyed builder made them."""
+    """Graph, terminals and mesh corners of the net of ``coords``, built from
+    the net's definition with tuple names."""
     x, y, z, t, u, v, w = coords
     n = abs(x)
     vertices, arcs = reference_mesh(n, reverse=x < 0)
@@ -161,13 +159,12 @@ def test_net_matches_tuple_keyed_builder(coords):
     reference, terminals, corners = reference_net(coords)
     graph, positions = build_net(coords)
     assert graph.vertices == reference.vertices
-    assert Counter(graph.arcs) == Counter(reference.arcs)
     assert terminal_names(graph, positions) == terminals
     n = abs(coords[0])
     mesh = (n + 1) * (n + 2) // 2
     # the mesh corners A', B', C' at their documented positions
     assert tuple(graph.vertices[p] for p in (0, n * (n + 1) // 2, mesh - 1)) == corners
-    assert positions == tuple(reference._index[v] for v in terminals)
+    assert positions == tuple(reference._locate(v) for v in terminals)
     for position in positions:
         assert graph._search(position) == _thirds_from(reference, position)
 
@@ -175,22 +172,20 @@ def test_net_matches_tuple_keyed_builder(coords):
 def test_net_names_read_after_a_search_match_names_read_before():
     coords = (-5, 2, 0, 1, 3, 0, 2)
     before, _ = build_net(coords)
-    expected = before.vertices, before.arcs, before.to_json()
+    expected = before.vertices
     graph, terminals = build_net(coords)
     for position in terminals:  # searches by position, as the oracle does
         graph._search(position)
-    assert (graph.vertices, graph.arcs, graph.to_json()) == expected
+    assert graph.vertices == expected
 
 
 def assert_search_matches_list_search(coords, positions=None):
     """The net's search from each of ``positions`` (all, by default) gives
-    what the list search gives on the lists the net builds for a generic
-    reader, and it builds none itself."""
+    what the list search gives on the reference net."""
     graph, _ = build_net(coords)
-    reference, _ = build_net(coords)
+    reference, _, _ = reference_net(coords)
     for s in range(graph._size) if positions is None else positions:
         assert graph._search(s) == _thirds_from(reference, s), (coords, s)
-    assert "_fwd" not in vars(graph) and "_back" not in vars(graph)
 
 
 def _small_nets():
@@ -211,7 +206,7 @@ def test_net_search_matches_list_search_on_large_nets(data):
     n = data.draw(st.integers(13, 45), label="n")
     x = data.draw(st.sampled_from((-n, n)), label="x")
     coords = (x, *(data.draw(st.integers(0, 6), label="corner") for _ in range(6)))
-    size = len(build_net(coords).graph.vertices)
+    size = build_net(coords).graph._size
     positions = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4),
                           label="positions")
     assert_search_matches_list_search(coords, positions)
@@ -228,7 +223,7 @@ def test_the_oracle_builds_no_lists(monkeypatch):
     coords = (-7, 2, 0, 3, 1, 4, 2)
     assert oracle_triangle_hive(coords) == web_to_hive_thirds(*coords)
     (graph, _), = nets
-    assert "_fwd" not in vars(graph) and "_back" not in vars(graph)
+    assert not hasattr(graph, "_fwd") and not hasattr(graph, "_back")
 
 
 def test_the_oracle_searches_each_net_once(monkeypatch):
@@ -250,25 +245,13 @@ def test_the_oracle_searches_each_net_once(monkeypatch):
 @pytest.mark.parametrize("n", range(46))
 def test_each_corner_search_matches_the_list_search(n):
     """The search from each mesh corner and from each terminal, read off the
-    one search from corner A' turned, equals the list search on the net's
-    own lists, for both orientations of the mesh."""
+    one search from corner A' turned, equals the list search on the
+    reference net, for both orientations of the mesh."""
     rng = random.Random(n)
     for x in sorted({n, -n}):
         coords = (x, *(rng.randint(0, 3) for _ in range(6)))
         graph, terminals = build_net(coords)
-        reference, _ = build_net(coords)
+        reference, _, _ = reference_net(coords)
         mesh = (n + 1) * (n + 2) // 2
         for s in (0, n * (n + 1) // 2, mesh - 1, *terminals):
             assert graph._search(s) == _thirds_from(reference, s), (coords, s)
-
-
-def test_oracle_command_runs_without_lattice_lists(capsys, monkeypatch):
-    def no_lists(rows):
-        raise AssertionError("the net's lists were built")
-
-    monkeypatch.setattr(metric, "_lattice_piece", no_lists)
-    assert run(["oracle", "--coords", "40,6,6,6,6,6,6"]) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out)["match"] is True
-    with pytest.raises(AssertionError, match="lists were built"):
-        build_net((1, 0, 0, 0, 0, 0, 0)).graph.arcs
