@@ -210,8 +210,7 @@ def cmd_fermat(args) -> int:
     out = {"thirds": value}
     if args.window is not None:
         corners = [f"{x},{y}" for x, y in points]
-        graph = metric_mod.gamma_window(args.window, corners)
-        brute, argmin = metric_mod.fermat_brute(graph, *corners)
+        brute, argmin = metric_mod.fermat_brute(metric_mod.gamma_window(args.window), *corners)
         out.update(brute={"thirds": brute, "argmin_size": len(argmin)}, match=brute == value)
     _emit(json_text(out), args.out)
     return 0

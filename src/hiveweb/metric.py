@@ -375,7 +375,7 @@ class _Window(_LatticeGraph):
         return i if 0 <= i < self._size and self._name(i) == v else None
 
 
-def gamma_window(radius: int, corners: Iterable[Vertex] = ()) -> OrientedGraph:
+def gamma_window(radius: int) -> OrientedGraph:
     """Induced subgraph of the lattice graph on the square [-radius, radius]^2.
 
     Every point sends arcs to (x+1,y), (x,y+1) and (x-1,y-1) when those stay
@@ -383,16 +383,13 @@ def gamma_window(radius: int, corners: Iterable[Vertex] = ()) -> OrientedGraph:
     position ``(x+radius)*side + (y+radius)``.  A vertex is named by the
     string ``"x,y"`` of its point; the names are made only when a caller
     reads them, and a name is resolved by parsing it, so only the exact key
-    text of a point in the window is a vertex.  The first of ``corners`` that
-    is not is refused.  A search runs on a padded array
-    (:meth:`_LatticeGraph._search`); the window has no adjacency lists.
+    text of a point in the window is a vertex.  Nothing is laid out until a
+    search runs on a padded array (:meth:`_LatticeGraph._search`); the
+    window has no adjacency lists.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    graph = _Window(radius)
-    for v in corners:
-        graph._locate(v)
-    return graph
+    return _Window(radius)
 
 
 Point = tuple[int, int]  # (x, y) of the Z^2 vertex lattice
@@ -443,9 +440,10 @@ def fermat_brute(
     graph: OrientedGraph, a: Vertex, b: Vertex, c: Vertex
 ) -> tuple[int, set[Vertex]]:
     """Exact minimum in thirds of the three-distance sum over all vertices,
-    with the full argmin set."""
-    best, argmin = _tripod(*(graph._search(graph._locate(v)) for v in (a, b, c)),
-                           _unreached(graph))
+    with the full argmin set; a corner that is no vertex is refused
+    (KeyError) before the first search lays anything out."""
+    sources = [graph._locate(v) for v in (a, b, c)]
+    best, argmin = _tripod(*map(graph._search, sources), _unreached(graph))
     if not argmin:
         raise Unreachable(f"no vertex reachable from all of {_shown(a)}, {_shown(b)}, {_shown(c)}")
     return best, set(map(graph._name, argmin))

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
 from .hive import HiveThirds, failed_rhombi, hive_thirds, rhombi, rhombus_scan, validate_hive
-from .surface import CENTER, SIDE_LABELS, ThetaVertex, Triangulation
+from .surface import SIDE_LABELS, ThetaVertex, Triangulation
 from .thirds import (Third, _shown, checked_int, int_cap, json_text, quoted, read_object,
                      shown_violations)
 
@@ -95,36 +95,37 @@ def side_arc_counts(a_near: int, a_far: int) -> tuple[int, int]:
 
 
 def _near_far(h: tuple[int, ...], s: int) -> tuple[int, int]:
-    """Hive values a1..a7 on side ``s``, ordered (near corner s, near corner s+1)."""
+    """Side ``s``'s two of a1..a7 (values or frame positions), near corner s first."""
     near, far = SIDE_LABELS[s % 3]
     return h[near], h[far]
 
 
 def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) -> HiveThirds:
     """The surface hive of the web with ``coords[t] = (x, y, z, t, u, v, w)``
-    per triangle, as complete :data:`HiveThirds`, glued edge by edge in
-    ``tri.edges`` order once every triangle has coordinates and the gate
-    passes; it raises what :func:`surface_web_to_hive` raises."""
+    per triangle, as complete :data:`HiveThirds`: once every triangle has
+    coordinates and the gate passes, each cell's a1..a7 go to its frame's
+    positions, and if two writes of a position differ, the first edge in
+    ``tri.edges`` order whose first attachment holds such a position is
+    named; it raises what :func:`surface_web_to_hive` raises."""
     for t in tri.triangles:
         if t not in coords:
             raise InvalidWebCoords(f"no coordinates for triangle {_shown(t)}")
     frames = tri.check()
     thirds: HiveThirds = [None] * len(tri.keys)
-    hives = {t: web_to_hive_thirds(*coords[t]) for t in tri.triangles}
-    for rec in tri.edges:
-        t0, s0 = rec.attach0
-        v0 = _near_far(hives[t0], s0)
-        if rec.attach1 is not None:
-            t1, s1 = rec.attach1
-            v1 = _near_far(hives[t1], s1)
-            if v0 != v1[::-1]:  # the second attachment walks the edge head -> tail
-                raise GluingMismatch(f"edge {_shown(rec.id)}: side counts "
-                                     f"{_shown([*side_arc_counts(*v0)])} and "
-                                     f"{_shown([*side_arc_counts(*v1)])} do not glue")
-        p = tri.slot0[rec.id]
-        thirds[p], thirds[p + 1] = v0
+    marked = set()
     for t in tri.triangles:
-        thirds[frames[t][CENTER]] = hives[t][CENTER]
+        for p, value in zip(frames[t], web_to_hive_thirds(*coords[t])):
+            if thirds[p] is not None and thirds[p] != value:
+                marked.add(p)
+            thirds[p] = value
+    for rec in tri.edges if marked else ():
+        t0, s0 = rec.attach0
+        if marked.intersection(_near_far(frames[t0], s0)):
+            v0, v1 = (_near_far(web_to_hive_thirds(*coords[t]), s)
+                      for t, s in (rec.attach0, rec.attach1))
+            raise GluingMismatch(f"edge {_shown(rec.id)}: side counts "
+                                 f"{_shown([*side_arc_counts(*v0)])} and "
+                                 f"{_shown([*side_arc_counts(*v1)])} do not glue")
     return thirds
 
 

@@ -3,12 +3,16 @@
 Where each hive label a1..a7 sits in a triangle (``LAYOUT``, ``CENTER``,
 ``SIDE_LABELS``) and how a quiver vertex key is spelled (``c:<triangle>``,
 ``e:<edge>:<slot>``) are decided in ``surface.py`` alone; the other modules
-work on the positions a ``Triangulation`` gives them (``keys``, ``slot0``,
-``frame``).  Only ``surface.py`` reads the triangulation's private tables and
-words the refusal of an unsound triangulation, in the walk that decides and
-reports the structure (an edge attached to an unknown triangle) and in the
-gate ``Triangulation.check`` (its structural violations); the other modules
-ask the gate.  These checks read the package's source with ``ast``.
+work on the positions a ``Triangulation`` gives them (``keys`` and each
+cell's ``frame``).  Which positions two cells share is decided there too:
+the other modules glue cells by writing each cell's values at its frame's
+positions, and none of them looks up an edge's slots in ``slot0`` or a
+center by ``CENTER``.  Only ``surface.py`` reads the triangulation's
+private tables and words the refusal of an unsound triangulation, in the
+walk that decides and reports the structure (an edge attached to an
+unknown triangle) and in the gate ``Triangulation.check`` (its structural
+violations); the other modules ask the gate.  These checks read the
+package's source with ``ast``.
 """
 
 import ast
@@ -86,6 +90,24 @@ def test_only_surface_reads_the_private_tables():
     assert [site for site in _sites(_reads_private_table) if site[0] != OWNER] == []
 
 
+def _named(node, name):
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _places_by_hand(node):
+    """An edge's slots looked up in ``slot0``, or ``CENTER`` read or imported."""
+    if isinstance(node, ast.Subscript):
+        return _named(node.value, "slot0")
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "CENTER" for alias in node.names)
+    return _named(node, "CENTER") and isinstance(node.ctx, ast.Load)
+
+
+def test_only_surface_places_slots_and_centers():
+    assert [site for site in _sites(_places_by_hand) if site[0] != OWNER] == []
+
+
 def test_the_checks_see_the_owner():
     tree = _trees()[OWNER]
     assert LAYOUT_NAMES <= {node.id for node in ast.walk(tree)
@@ -94,3 +116,5 @@ def test_the_checks_see_the_owner():
                and node.values[0].value.startswith("e:") for node in ast.walk(tree))
     assert [name for name, _ in _sites(_words_unknown_cell)] == [OWNER] * len(UNSOUND)
     assert PRIVATE_TABLES == {node.attr for node in ast.walk(tree) if _reads_private_table(node)}
+    placed = {type(node) for node in ast.walk(tree) if _places_by_hand(node)}
+    assert placed == {ast.Subscript, ast.Name}  # slot0[...] and CENTER

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hiveweb import metric
 from hiveweb.errors import Unreachable
 from hiveweb.metric import (
     OrientedGraph,
@@ -374,7 +375,8 @@ def test_searches_on_one_graph_match_searches_on_fresh_graphs(build):
 
 
 def test_counting_and_searching_a_window_builds_no_lists():
-    window = gamma_window(5, ["-5,-5", "5,5"])
+    window = gamma_window(5)
+    assert fermat_brute(window, "-5,-5", "5,5", "0,0")[0] == 15  # its corners are vertices
     assert len(window.vertices) == 121 and _unreached(window) == 6 * 121
     assert distances_from(window, "0,0")["5,5"] == 10
     assert fermat_brute(window, "0,0", "2,0", "0,2")[0] == 8
@@ -383,4 +385,17 @@ def test_counting_and_searching_a_window_builds_no_lists():
 
 def test_window_refuses_a_corner_outside_it():
     with pytest.raises(KeyError, match='unknown vertex "6,0"'):
-        gamma_window(5, ["0,0", "6,0", "7,0"])
+        fermat_brute(gamma_window(5), "0,0", "6,0", "7,0")
+
+
+def test_fermat_brute_locates_every_corner_before_laying_out(monkeypatch):
+    """A bad last corner is refused before the first search, so a window too
+    large to lay out is never laid out; here laying it out would raise."""
+    def no_array(*_):
+        raise AssertionError("the window was laid out")
+
+    monkeypatch.setattr(metric._Window, "_rows", property(no_array))
+    monkeypatch.setattr(metric, "_layout", no_array)
+    with pytest.raises(KeyError) as err:
+        fermat_brute(gamma_window(10**12), "0,0", "2,0", "x")
+    assert err.value.args == ('unknown vertex "x"',)

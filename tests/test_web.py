@@ -7,14 +7,18 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_flip_errors import SELF_GLUED, TORUS
+from test_sampling import dual_cycle_complex
 
 from hiveweb.errors import (
     GluingMismatch,
+    HivewebError,
     InconsistentSide,
     InvalidHive,
     InvalidWebCoords,
+    SamplingFailed,
 )
 from hiveweb.cli import run
 from hiveweb.hive import (
@@ -23,9 +27,9 @@ from hiveweb.hive import (
     validate_hive,
 )
 from hiveweb.sampling import sample_hive
-from hiveweb.surface import CENTER, ThetaVertex, Triangulation, build_polygon
+from hiveweb.surface import CENTER, SIDE_LABELS, ThetaVertex, Triangulation, build_polygon
 from hiveweb.surfacoid import build_net
-from hiveweb.thirds import Third
+from hiveweb.thirds import Third, _shown
 from hiveweb.web import (
     hive_to_surface_web,
     hive_to_web_triangle,
@@ -202,6 +206,89 @@ def test_int_cores_match_the_public_functions(tri, bound, seed):
         code, back, _ = _cli(["web2hive", "--web", str(w)])
         glued = surface_web_thirds(tri, surface_web_from_json(json.loads(webbed)))
         assert (code, back) == (0, _canonical(hive_to_json(tri, glued)))
+
+
+def reference_surface_web_thirds(tri, coords):
+    """The gluing written edge by edge: each interior edge's two sides are
+    compared in ``tri.edges`` order, the first attachment's pair is written
+    at the edge's slots, then every center; the reference for
+    :func:`surface_web_thirds`, which writes whole cells through their
+    frames."""
+    for t in tri.triangles:
+        if t not in coords:
+            raise InvalidWebCoords(f"no coordinates for triangle {_shown(t)}")
+    frames = tri.check()
+    thirds = [None] * len(tri.keys)
+    hives = {t: web_to_hive_thirds(*coords[t]) for t in tri.triangles}
+
+    def near_far(t, s):
+        near, far = SIDE_LABELS[s]
+        return hives[t][near], hives[t][far]
+
+    for rec in tri.edges:
+        v0 = near_far(*rec.attach0)
+        if rec.attach1 is not None:
+            v1 = near_far(*rec.attach1)
+            if v0 != v1[::-1]:  # the second attachment walks the edge head -> tail
+                raise GluingMismatch(f"edge {_shown(rec.id)}: side counts "
+                                     f"{_shown([*side_arc_counts(*v0)])} and "
+                                     f"{_shown([*side_arc_counts(*v1)])} do not glue")
+        p = tri.slot0[rec.id]
+        thirds[p], thirds[p + 1] = v0
+    for t in tri.triangles:
+        thirds[frames[t][CENTER]] = hives[t][CENTER]
+    return thirds
+
+
+# the self-glued cell's sides 0 and 1 are one edge, so its a2 = a6 and a5 = a7:
+# its webs that glue are those with v = t - x and w = u + x
+SELF_GLUED_CELL = Triangulation.from_json(SELF_GLUED)
+CLOSED_UP = [Triangulation.from_json(TORUS), dual_cycle_complex(), SELF_GLUED_CELL]
+corner_counts = st.integers(0, 3)
+
+
+@st.composite
+def glued_webs(draw):
+    """A complex with its triangle and edge lists shuffled, and a web that
+    glues on it: sampled with box bound K <= 3, or on the self-glued cell,
+    where the sampler refuses, drawn from the webs that glue there."""
+    tri = draw(st.one_of(polygons(), st.sampled_from(CLOSED_UP)))
+    if tri is SELF_GLUED_CELL:
+        x = draw(st.integers(-3, 3))
+        t, u = draw(corner_counts) + max(x, 0), draw(corner_counts) + max(-x, 0)
+        web = {"A": (x, draw(corner_counts), draw(corner_counts), t, u, t - x, u + x)}
+    else:
+        try:
+            web = hive_to_surface_web(tri, sample_hive(tri, draw(st.integers(0, 3)),
+                                                       draw(st.integers(0, 2**32))))
+        except SamplingFailed:  # the dual cycle's last cell may have no fit
+            assume(False)
+    tri = Triangulation(draw(st.permutations(tri.triangles)), draw(st.permutations(tri.edges)),
+                        tri.signature)
+    return tri, web
+
+
+def _outcome(glue, tri, coords):
+    """What ``glue`` returns, or the type and text of the error it raises."""
+    try:
+        return glue(tri, coords)
+    except HivewebError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(glued_webs(), st.data())
+def test_gluing_through_the_frames_matches_the_edge_by_edge_reference(case, data):
+    """Sampled webs glue to the same thirds; with one to three cells'
+    coordinates redrawn, both return the same thirds or raise the same
+    error with the same text."""
+    tri, web = case
+    assert surface_web_thirds(tri, web) == reference_surface_web_thirds(tri, web)
+    redrawn = data.draw(st.permutations(tri.triangles))[:data.draw(st.integers(1, 3))]
+    cell = st.tuples(st.integers(-3, 3), *[corner_counts] * 6)
+    web = {**web, **{t: data.draw(cell) for t in redrawn}}
+    assert (_outcome(surface_web_thirds, tri, web)
+            == _outcome(reference_surface_web_thirds, tri, web))
 
 
 HEXAGON = build_polygon(6, [(0, 2), (2, 4), (0, 4)])
