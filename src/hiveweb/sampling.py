@@ -27,18 +27,18 @@ from operator import itemgetter, mul
 
 from .errors import InvalidTriangulation, SamplingFailed
 from .hive import HiveThirds
-from .surface import SIDE_LABELS, Triangulation
+from .surface import Triangulation, _near_far
 from .thirds import _shown
 from .web import side_arc_counts, web_to_hive_thirds
 
 # the corner counts y, z, t, u, v, w are 0..5; side s pins the sums
 # c[i] + c[j] = A - x- and c[k] + c[l] = B - x+ for _STRANDS[s] = ((i, j), (k, l)),
-# the counts whose unit web adds one to the side's A, and to its B
+# the counts whose unit web adds one to the side's A, and to its B (at _near_far)
 _UNIT_WEBS = [web_to_hive_thirds(0, *(int(i == j) for i in range(6))) for j in range(6)]
 _STRANDS = tuple(tuple(tuple(j for j, h in enumerate(_UNIT_WEBS)
-                             if side_arc_counts(h[near], h[far])[kind])
+                             if side_arc_counts(*_near_far(h, s))[kind])
                        for kind in (0, 1))
-                 for near, far in SIDE_LABELS)
+                 for s in range(3))
 
 
 def _no_sums(strands) -> tuple:
@@ -85,8 +85,8 @@ def _components(fixed: tuple[int, ...]) -> tuple:
 
 # by the set of fixed sides as a bit mask, leads in decreasing order
 _PLANS = [_components(tuple(s for s in range(3) if mask >> s & 1))[::-1] for mask in range(8)]
-# a frame's (near, far) positions of sides 0, 1 and 2
-_PINS = itemgetter(*(p for pair in SIDE_LABELS for p in pair))
+# a frame's (near, far) positions of sides 0, 1 and 2, as _near_far reads them
+_PINS = itemgetter(*(p for s in range(3) for p in _near_far(range(7), s)))
 
 
 def _part(component, strands, bound):

@@ -40,6 +40,13 @@ SIDE_LABELS = tuple((LAYOUT.index((s, True)), LAYOUT.index((s, False))) for s in
 _SIDES = {s: (near, far, s, (s + 1) % 3) for s, (near, far) in enumerate(SIDE_LABELS)}
 
 
+def _near_far(h, s: int) -> tuple:
+    """Side ``s``'s two of a1..a7 (values or frame positions), near corner s
+    first: outside the walk, the one reading of which side carries which pair."""
+    near, far = SIDE_LABELS[s % 3]
+    return h[near], h[far]
+
+
 class ThetaVertex(namedtuple("ThetaVertex", "kind ref slot", defaults=(-1,))):
     """A quiver vertex: kind "c" (triangle center) or "e" (edge vertex).  The
     library names vertices by their keys, each read as written; this class
@@ -141,19 +148,6 @@ class Triangulation:
         except KeyError:
             raise KeyError(f"unknown edge {_shown(edge_id)}") from None
 
-    def side(self, tri: str, s: int) -> tuple[str, bool]:
-        """Edge at side ``s`` of ``tri`` and whether the side walks tail->head,
-        once :meth:`check` passes: the position near the side's first corner
-        is slot 0 of an edge that walks it tail->head, else slot 1."""
-        at = self.frame(tri)[SIDE_LABELS[s % 3][0]] - len(self._ids[0])
-        return self._ids[1][at // 2], at % 2 == 0
-
-    def ends(self, side: tuple[str, bool]) -> tuple[Label, Label]:
-        """Labels at the first and second corner of a side (edge id, walks tail->head)."""
-        edge_id, fwd = side
-        rec = self._edge_by_id[edge_id]
-        return (rec.tail, rec.head) if fwd else (rec.head, rec.tail)
-
     # -- derived sets, each built on first read ----------------------------
     # Hive values travel as a list of ints indexed by quiver-vertex positions:
     # centers by triangle id, then slots 0 and 1 of every edge by edge id.
@@ -176,6 +170,12 @@ class Triangulation:
         for e in self.slot0:
             keys += (f"e:{e}:0", f"e:{e}:1")
         return tuple(keys)
+
+    def _key(self, p: int) -> str:
+        """The key of the vertex at position ``p``, without building :attr:`keys`."""
+        tris, eids = self._ids
+        at = p - len(tris)
+        return f"c:{tris[p]}" if at < 0 else f"e:{eids[at // 2]}:{at % 2}"
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -444,46 +444,37 @@ def build_polygon(m: int, diagonals) -> Triangulation:
 # -- the quadrilateral frame and the flip ------------------------------------
 
 
-# positions of the quadrilateral's outer sides P->R, S->P, R->Q, Q->S in what
-# _quad returns, each side walked counterclockwise by its old cell
-PR, SP, RQ, QS = range(4)
-
-
-def _quad(tri: Triangulation,
-          rec: EdgeRec) -> tuple[tuple[str, ...], tuple[tuple[str, bool], ...]]:
-    """The frame around the diagonal ``rec``, the keys of its twelve quiver
-    vertices a1..a12, and the (edge id, walks tail->head) of its outer sides,
-    once :meth:`Triangulation.check` passes.
+def _quad(tri: Triangulation, rec: EdgeRec) -> tuple[int, ...]:
+    """The positions of the twelve quiver vertices a1..a12 around the diagonal
+    ``rec``, read off its cells' frames once :meth:`Triangulation.check` passes.
 
     The diagonal runs Q -> P by its stored orientation; a6/a2 sit on it near
     Q/P, and a5/a7 are the centers of the triangles to the left/right of
     Q -> P.  With R and S the far corners of the left and right triangle,
     a1/a4 lie on the side P-R near P/R, a9/a10 on R-Q near R/Q, a3/a8 on S-P
-    near P/S and a11/a12 on Q-S near Q/S.  A side (edge, fwd) has the vertex
-    ``e:edge:(1-fwd)`` near its first corner and ``e:edge:fwd`` near its
-    second."""
-    tri.check()
+    near P/S and a11/a12 on Q-S near Q/S: the (near, far) pairs of the left
+    cell's sides Q->P, P->R, R->Q and the right cell's Q->S, S->P."""
+    frames = tri.check()
     if rec.attach1 is None:
         raise NotFlippable(f"edge {_shown(rec.id)} is on the boundary")
     (t_left, s_left), (t_right, s_right) = rec.attach0, rec.attach1
     if t_left == t_right:
         raise SelfFoldedUnsupported(
             f"edge {_shown(rec.id)} glues triangle {_shown(t_left)} to itself")
-    sides = (tri.side(t_left, s_left + 1), tri.side(t_right, s_right + 2),
-             tri.side(t_left, s_left + 2), tri.side(t_right, s_right + 1))
-    (a1, a4), (a8, a3), (a9, a10), (a11, a12) = (
-        (f"e:{eid}:{1 - fwd}", f"e:{eid}:{int(fwd)}") for eid, fwd in sides)
-    frame = (a1, f"e:{rec.id}:1", a3, a4, f"c:{t_left}", f"e:{rec.id}:0", f"c:{t_right}",
-             a8, a9, a10, a11, a12)
+    left, right = frames[t_left], frames[t_right]
+    (a6, a2), (a1, a4), (a9, a10) = (_near_far(left, s_left + k) for k in range(3))
+    (a11, a12), (a8, a3) = (_near_far(right, s_right + k) for k in (1, 2))
+    quad = (a1, a2, a3, a4, left[CENTER], a6, right[CENTER], a8, a9, a10, a11, a12)
     # also catches two outer sides on one edge, or one on the diagonal
-    if len(set(frame)) != 12:
+    if len(set(quad)) != 12:
         raise SelfFoldedUnsupported(f"quadrilateral around {_shown(rec.id)} wraps onto itself")
-    return frame, sides
+    return quad
 
 
 def quad_frame(tri: Triangulation, edge_id: str) -> tuple[str, ...]:
-    """The keys a1..a12 of the quadrilateral around interior edge ``edge_id``."""
-    return _quad(tri, tri.edge(edge_id))[0]
+    """The keys a1..a12 of the quadrilateral around interior edge ``edge_id``:
+    the positions :func:`_quad` reads, each spelled as its key."""
+    return tuple(map(tri._key, _quad(tri, tri.edge(edge_id))))
 
 
 def _rotate_to_min(cycle: tuple) -> tuple[tuple, int]:
@@ -506,14 +497,21 @@ def flip_triangulation(tri: Triangulation, edge_id: str
     :func:`quad_frame` gives it, the post-flip frame and the new diagonal's
     id.  The post-flip frame is positional: its slot k holds the key of the
     vertex that now occupies the pre-flip position of slot k, so a2/a6 are the
-    new centers and a5/a7 the new diagonal's vertices near R and S.  Ids of
+    new centers and a5/a7 the new diagonal's vertices near R and S.  Each
+    outer side's edge, and whether it walks that edge tail -> head, is read
+    off the position near its first corner in :func:`_quad`'s frame.  Ids of
     the two rebuilt cells and of the new diagonal are derived from corner
     labels, so any flip path between the same two triangulations of a polygon
     yields identical data.
     """
     rec = tri.edge(edge_id)
-    frame_old, sides = _quad(tri, rec)
-    q, p, r, s = rec.tail, rec.head, tri.ends(sides[RQ])[0], tri.ends(sides[SP])[0]
+    quad = _quad(tri, rec)
+    n, eids = len(tri._ids[0]), tri._ids[1]
+    # the outer sides P->R, S->P, R->Q, Q->S as (edge, slot at a1, a8, a9, a11):
+    # slot 0 exactly when the side walks the edge tail -> head from that corner
+    pr, sp, rq, qs = ((tri._edge_by_id[eids[(at - n) // 2]], (at - n) % 2)
+                      for at in (quad[0], quad[7], quad[8], quad[10]))
+    q, p, r, s = rec.tail, rec.head, *((e.tail, e.head)[slot] for e, slot in (rq, sp))
     (tail, head), _ = _rotate_to_min((r, s))
     new_eid = f"{tail}-{head}"
     if new_eid in tri._edge_by_id and new_eid != edge_id:
@@ -523,8 +521,8 @@ def flip_triangulation(tri: Triangulation, edge_id: str
 
     # each new cell as a counterclockwise cycle of (corner, the outer side
     # leaving it), None for the new diagonal; cell P covers the old a2 side
-    cells = (((r, None), (s, SP), (p, PR)), ((r, RQ), (q, QS), (s, None)))
-    new_slot: dict[int, Attach] = {}  # outer side -> its (cell, side) after the flip
+    cells = (((r, None), (s, sp), (p, pr)), ((r, rq), (q, qs), (s, None)))
+    new_slot = []  # (outer side, its (cell, side) after the flip)
     diag: list[Attach] = []  # the new diagonal's (cell, side) in cell P, then Q
     for cell in cells:
         rot, shift = _rotate_to_min(tuple(label for label, _ in cell))
@@ -534,7 +532,7 @@ def flip_triangulation(tri: Triangulation, edge_id: str
             if outer is None:
                 diag.append((tid, k))
             else:
-                new_slot[outer] = (tid, k)
+                new_slot.append((outer, (tid, k)))
     (pid, _), (qid, _) = diag
     if pid == qid:
         raise SelfFoldedUnsupported(
@@ -548,12 +546,12 @@ def flip_triangulation(tri: Triangulation, edge_id: str
 
     from_r = tail == r  # the new diagonal runs R -> S, so cell P walks it first
     moved = {edge_id: EdgeRec(new_eid, tail, head, *(diag if from_r else diag[::-1]))}
-    for outer, (eid, fwd) in enumerate(sides):
-        old, at = tri.edge(eid), new_slot[outer]
-        moved[eid] = old._replace(attach0=at) if fwd else old._replace(attach1=at)
+    for (old, slot), at in new_slot:
+        moved[old.id] = old._replace(attach1=at) if slot else old._replace(attach0=at)
     new_tris = [pid if t == t_left else qid if t == t_right else t for t in tri.triangles]
     flipped = Triangulation(new_tris, [moved.get(e.id, e) for e in tri.edges], tri.signature)
 
+    frame_old = tuple(map(tri._key, quad))
     a1, _, a3, a4, _, _, _, *outer = frame_old
     frame_new = (a1, f"c:{pid}", a3, a4, f"e:{new_eid}:{1 - from_r}", f"c:{qid}",
                  f"e:{new_eid}:{int(from_r)}", *outer)

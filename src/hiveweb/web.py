@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
 from .hive import HiveThirds, failed_rhombi, hive_thirds, rhombi, rhombus_scan, validate_hive
-from .surface import SIDE_LABELS, ThetaVertex, Triangulation
+from .surface import ThetaVertex, Triangulation, _near_far
 from .thirds import (Third, _shown, checked_int, int_cap, json_text, quoted, read_object,
                      shown_violations)
 
@@ -92,12 +92,6 @@ def side_arc_counts(a_near: int, a_far: int) -> tuple[int, int]:
     if first < 0 or second < 0:
         raise InconsistentSide(f"thirds {a_near}, {a_far} give negative strand counts")
     return first, second
-
-
-def _near_far(h: tuple[int, ...], s: int) -> tuple[int, int]:
-    """Side ``s``'s two of a1..a7 (values or frame positions), near corner s first."""
-    near, far = SIDE_LABELS[s % 3]
-    return h[near], h[far]
 
 
 def surface_web_thirds(tri: Triangulation, coords: Mapping[str, Sequence[int]]) -> HiveThirds:

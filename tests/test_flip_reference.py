@@ -9,8 +9,12 @@ Every input must give the same flipped ``edges`` and ``triangles`` in order,
 the same frames, the same transported hive, or the same exception with the
 same text.  The library gives a frame as the keys of its twelve vertices and
 the new diagonal's id beside the flip, and it transports thirds by key, so the
-reference's frames and hives are compared by their keys.  The reference orders the new diagonal's two labels by ``repr``
-when they do not compare, as the cells' corners are ordered.  Two
+reference's frames and hives are compared by their keys.  The reference finds
+the edge at a side by scanning the edge records for its attachment
+(``_side``), not through the library's frames, so a fault in how the library
+reads a side off a frame is not shared by the reference.  The reference orders
+the new diagonal's two labels by ``repr`` when they do not compare, as the
+cells' corners are ordered.  Two
 differences are meant: once the edge is found, the flip and ``quad_frame``
 refuse every complex that ``validate_complex`` rejects with the structural
 gate's error, where the reference flipped it or failed on its own checks; and
@@ -79,14 +83,26 @@ class RefFrame:
                 self.a7, self.a8, self.a9, self.a10, self.a11, self.a12)
 
 
+def _side(tri, t, s):
+    """The edge at side ``s`` of cell ``t`` and whether the side walks it
+    tail -> head: the edge attached there first (fwd) or second (backward)."""
+    at = (t, s % 3)
+    for rec in tri.edges:
+        if tuple(rec.attach0) == at:
+            return rec.id, True
+        if rec.attach1 is not None and tuple(rec.attach1) == at:
+            return rec.id, False
+    raise KeyError(f"no edge at side {s % 3} of {json.dumps(t)}")
+
+
 def _corner_label(tri, t, k):
-    edge_id, fwd = tri.side(t, k)
+    edge_id, fwd = _side(tri, t, k)
     rec = tri.edge(edge_id)
     return rec.tail if fwd else rec.head
 
 
 def _corner_vertex(tri, t, s, at_start):
-    edge_id, fwd = tri.side(t, s)
+    edge_id, fwd = _side(tri, t, s)
     slot = (0 if fwd else 1) if at_start else (1 if fwd else 0)
     return ThetaVertex.edge(edge_id, slot)
 
@@ -155,10 +171,10 @@ def reference_flip(tri, edge_id):
     q, p, r, s = lbl["Q"], lbl["P"], lbl["R"], lbl["S"]
 
     outer = {
-        "PL": tri.side(t_left, s_left + 1),
-        "RQ": tri.side(t_left, s_left + 2),
-        "QS": tri.side(t_right, s_right + 1),
-        "SP": tri.side(t_right, s_right + 2),
+        "PL": _side(tri, t_left, s_left + 1),
+        "RQ": _side(tri, t_left, s_left + 2),
+        "QS": _side(tri, t_right, s_right + 1),
+        "SP": _side(tri, t_right, s_right + 2),
     }
     ids = [edge_id] + [eid for eid, _ in outer.values()]
     if len(set(ids)) != 5:

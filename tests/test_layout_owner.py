@@ -4,7 +4,9 @@ Where each hive label a1..a7 sits in a triangle (``LAYOUT``, ``CENTER``,
 ``SIDE_LABELS``) and how a quiver vertex key is spelled (``c:<triangle>``,
 ``e:<edge>:<slot>``) are decided in ``surface.py`` alone; the other modules
 work on the positions a ``Triangulation`` gives them (``keys`` and each
-cell's ``frame``).  Which positions two cells share is decided there too:
+cell's ``frame``).  Which side carries which (near, far) pair is read by one
+function outside the walk, ``surface._near_far``: no other module reads or
+imports ``SIDE_LABELS``.  Which positions two cells share is decided there too:
 the other modules glue cells by writing each cell's values at its frame's
 positions, and none of them looks up an edge's slots in ``slot0`` or a
 center by ``CENTER``.  Only ``surface.py`` reads the triangulation's
@@ -108,6 +110,17 @@ def test_only_surface_places_slots_and_centers():
     assert [site for site in _sites(_places_by_hand) if site[0] != OWNER] == []
 
 
+def _reads_a_side(node):
+    """``SIDE_LABELS`` read or imported."""
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "SIDE_LABELS" for alias in node.names)
+    return _named(node, "SIDE_LABELS") and isinstance(node.ctx, ast.Load)
+
+
+def test_only_surface_reads_a_side():
+    assert [site for site in _sites(_reads_a_side) if site[0] != OWNER] == []
+
+
 def test_the_checks_see_the_owner():
     tree = _trees()[OWNER]
     assert LAYOUT_NAMES <= {node.id for node in ast.walk(tree)
@@ -118,3 +131,6 @@ def test_the_checks_see_the_owner():
     assert PRIVATE_TABLES == {node.attr for node in ast.walk(tree) if _reads_private_table(node)}
     placed = {type(node) for node in ast.walk(tree) if _places_by_hand(node)}
     assert placed == {ast.Subscript, ast.Name}  # slot0[...] and CENTER
+    readers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and any(_reads_a_side(inner) for inner in ast.walk(node))}
+    assert readers == {"_walk", "_near_far"}  # the walk, and the one reader outside it
