@@ -13,6 +13,10 @@ frame, the table ``surface.LAYOUT``: a4 at the center, a2/a5 on side 0 near corn
 The three-term quantities then pair the two edge vertices flanking each
 corner ((a1,a2) at corner 0, (a5,a7) at corner 1, (a3,a6) at corner 2), and
 the whole list is invariant under rotating which corner is called 0.
+A surface hive is tested whole: :func:`rhombus_quantities` maps
+:func:`rhombi` over the columns a1..a7 of the triangles' frames, and
+:func:`sound` asks that every minimum be >= 0 and no quantity leave a
+residue mod 3; violations are worded triangle by triangle only when it fails.
 
 Across a diagonal flip, hives are transported by the max-plus octahedron
 relations, by key: the quadrilateral frame is the tuple of its twelve vertex
@@ -22,7 +26,8 @@ keys a1..a12, and the four new values land on its four inner slots.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from itertools import chain, repeat
+from operator import itemgetter, mod
 
 from .errors import IncompleteHive, InvalidHive, MalformedInput
 from .surface import ThetaVertex, Triangulation
@@ -41,7 +46,8 @@ def rhombi(a1: int, a2: int, a3: int, a4: int, a5: int, a6: int, a7: int) -> tup
 
 def failed_rhombi(quantities) -> list[tuple[int, int]]:
     """(rhombus index from 1, thirds) of each quantity that is not a
-    non-negative integer: the one predicate behind every hive test."""
+    non-negative integer: the predicate that words violations, which
+    :func:`sound` tests on a whole hive at once."""
     return [(i, d) for i, d in enumerate(quantities, start=1) if d < 0 or d % 3]
 
 
@@ -57,34 +63,44 @@ def hive_thirds(tri: Triangulation, values: dict[str, int] | HiveThirds) -> list
     return values
 
 
-def rhombus_scan(tri: Triangulation, thirds: list[int]) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """(triangle, its nine rhombus quantities) for each triangle in order, on
-    complete ``thirds``, once :meth:`~hiveweb.surface.Triangulation.check`
-    passes; it runs before the first triangle is yielded."""
-    frames = tri.check()
-    for t in tri.triangles:
-        yield t, rhombi(*[thirds[p] for p in frames[t]])
+def rhombus_quantities(tri: Triangulation, values: dict[str, int] | HiveThirds) -> list:
+    """Each triangle's nine rhombus quantities, in triangle order, once the
+    hive is complete and :meth:`~hiveweb.surface.Triangulation.check`
+    passes: the one rhombus kernel, which maps :func:`rhombi` over the
+    columns a1..a7 of the triangles' frames."""
+    thirds, frames = hive_thirds(tri, values), tri.check()
+    columns = zip(*map(frames.__getitem__, tri.triangles))  # none without a triangle
+    return list(map(rhombi, *(map(thirds.__getitem__, col) for col in columns))) if frames else []
+
+
+def sound(quantities: list[tuple[int, ...]]) -> bool:
+    """Whether every one of ``quantities`` is a non-negative integer, tested
+    on the whole hive at once: every minimum >= 0 and no residue mod 3."""
+    flat = [*chain.from_iterable(quantities)]
+    return min(flat, default=0) >= 0 and not any(map(mod, flat, repeat(3)))
 
 
 def validate_hive(tri: Triangulation, values: dict[str, int] | HiveThirds) -> list[dict]:
-    """All rhombus violations, each naming (triangle, rhombus index, value)."""
-    return [{"triangle": t, "rhombus": index, "thirds": value}
-            for t, quantities in rhombus_scan(tri, hive_thirds(tri, values))
-            for index, value in failed_rhombi(quantities)]
+    """All rhombus violations, each naming (triangle, rhombus index, value),
+    in (triangle, rhombus) order: worded only when the hive is not sound."""
+    quantities = rhombus_quantities(tri, values)
+    return [] if sound(quantities) else [
+        {"triangle": t, "rhombus": index, "thirds": value}
+        for t, q in zip(tri.triangles, quantities) for index, value in failed_rhombi(q)]
 
 
 def tropical_potential(tri: Triangulation, values: HiveThirds) -> int:
     """Max over all triangles and rhombi of minus the rhombus quantity, in thirds."""
-    best = max((-min(q) for _, q in rhombus_scan(tri, hive_thirds(tri, values))), default=None)
-    if best is None:
+    quantities = rhombus_quantities(tri, values)
+    if not quantities:
         raise InvalidHive("triangulation has no triangles")
-    return best
+    return -min(chain.from_iterable(quantities))
 
 
 def is_in_positive_cone(tri: Triangulation, values: HiveThirds) -> bool:
     """True iff every rhombus quantity is a non-negative integer; agrees with
     validate_hive returning no violations."""
-    return all(not failed_rhombi(q) for _, q in rhombus_scan(tri, hive_thirds(tri, values)))
+    return sound(rhombus_quantities(tri, values))
 
 
 def octahedron_thirds(a1: int, a2: int, a3: int, a4: int, a5: int, a6: int, a7: int, a8: int,
@@ -152,11 +168,23 @@ def hive_thirds_from_json(doc: dict, tri: Triangulation) -> tuple[HiveThirds, di
     """The one reader of hive documents: the values, in thirds, at the
     positions of ``tri.keys``, and by key those of the other keys.  The
     document and its ``values`` are objects and each key is a vertex key as
-    written (``"e:0-1:0"``, not ``"e:0-1:00"``); each value is read by
-    :func:`~hiveweb.thirds.read_thirds` under its checked key, unless it
-    passes the inline test at a key of ``tri.keys``."""
-    index, cap = tri.index, int_cap()
+    written (``"e:0-1:0"``, not ``"e:0-1:00"``).  Values at exactly the keys
+    of ``tri.keys``, each ``{"thirds": n}`` with n a capped int, are read in
+    key order in one pass, without :attr:`~hiveweb.surface.Triangulation.index`;
+    any other document goes key by key, reading each value by
+    :func:`~hiveweb.thirds.read_thirds` under its checked key, so its first
+    fault in document order is worded."""
+    keys, cap = tri.keys, int_cap()
     raw = read_object(read_object(doc, "hive document", "values")["values"], "values")
+    try:  # the inline test: the values at tri.keys and no others, each {"thirds": a capped int}
+        objs = [*map(raw.__getitem__, keys)] if len(raw) == len(keys) else []
+        xs = [*map(itemgetter("thirds"), objs)]
+        if (set(map(type, objs)) == {dict} and set(map(len, objs)) == {1}
+                and set(map(type, xs)) == {int} and -cap <= min(xs) and max(xs) <= cap):
+            return xs, {}
+    except (KeyError, TypeError):
+        pass
+    index = tri.index
     values: HiveThirds = [None] * len(index)
     others: dict[str, int] = {}
     for key, obj in raw.items():
@@ -168,8 +196,7 @@ def hive_thirds_from_json(doc: dict, tri: Triangulation) -> tuple[HiveThirds, di
                 raise MalformedInput(f"values: {_shown(key)} is not a vertex key") from None
             others[key] = read_thirds(obj, key)
         else:
-            x = obj.get("thirds") if type(obj) is dict and len(obj) == 1 else None
-            values[i] = x if type(x) is int and -cap <= x <= cap else read_thirds(obj, key)
+            values[i] = read_thirds(obj, key)
     return values, others
 
 

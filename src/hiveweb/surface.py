@@ -188,13 +188,14 @@ class Triangulation:
         faults in list order: the one walk over the edges that decides and
         reports the structure.  A repeated id makes positions ambiguous, so
         then it reports only each repeat, at its second listing, triangles
-        first.  Else it fills each side's two positions and corner labels and
-        names an attachment to an unlisted triangle or to a side outside 0..2
-        as it meets it; only when something failed does it word, in triangle
-        order, the sides attached twice or not at all, else the corners with
-        two labels; then the signature counts that do not hold.  A puncture,
-        a corner label that no boundary edge ends at, adds a triangle and an
-        edge to the counts.  A faulty gluing may leave a corner without a
+        first.  Else it fills each side's two positions and corner labels,
+        edge by edge, and sets aside each attachment to an unlisted triangle,
+        to a side outside 0..2 or to a side held already; only when something
+        failed does it word, in list order, the first two kinds, then in
+        triangle order the sides attached twice or not at all, else the
+        corners with two labels; then the signature counts that do not
+        hold.  A puncture, a corner label that no boundary edge ends at, adds
+        a triangle and an edge to the counts.  A faulty gluing may leave a corner without a
         label or with two, so there only the corners whose two sides give
         one label are read."""
         tris, eids = self._ids
@@ -210,32 +211,43 @@ class Triangulation:
         for c, t in enumerate(tris):
             frames[t] = frame = [None] * 7
             frame[CENTER] = c
-        # (edge, cell, side, the positions near its first and second corner, the labels there)
-        # rim: the labels that boundary edges end at
-        sites, rim = [], set()
+        # at 3c + k: corner k's label in the cell with center c, from side k and
+        # side k-1; rim: the two labels of each boundary edge; met: each
+        # attachment to an unlisted triangle, a side outside 0..2 or a side held
+        starts, ends, rim, met = [None] * (3 * n), [None] * (3 * n), [], []
         for rec in self.edges:
-            p = slot0[rec.id]
-            sites.append((rec.id, *rec.attach0, p, p + 1, rec.tail, rec.head))
-            if rec.attach1 is not None:
-                sites.append((rec.id, *rec.attach1, p + 1, p, rec.head, rec.tail))
-            else:
-                rim.update((rec.tail, rec.head))
-        # at 3c + k: corner k's label in the cell with center c, from side k and side k-1
-        doubles, starts, ends = {}, [None] * (3 * n), [None] * (3 * n)
-        for eid, t, s, first, second, start, end in sites:
-            frame, at = frames.get(t), _SIDES.get(s)
-            if frame is None:
-                out.append({"kind": "unknown-triangle", "edge": eid, "triangle": t})
-            elif at is None:
-                out.append({"kind": "bad-side-index", "edge": eid, "triangle": t, "side": s})
-            elif frame[at[0]] is not None:  # held already: the position names its first edge
-                doubles.setdefault((t, s), [frame[at[0]]]).append(eid)
-            else:
-                near, far, k, k_next = at
-                frame[near], frame[far] = first, second
+            p, (t, s) = slot0[rec.id], rec.attach0
+            try:
+                frame, (near, far, k, k_next) = frames[t], _SIDES[s]
+                if frame[near] is not None:  # held already
+                    raise KeyError
+                frame[near], frame[far] = p, p + 1
                 c = 3 * frame[CENTER]
-                starts[c + k], ends[c + k_next] = start, end
-        if out or doubles or len(sites) != 3 * n:
+                starts[c + k], ends[c + k_next] = rec.tail, rec.head
+            except KeyError:
+                met.append((rec.id, t, s))
+            if rec.attach1 is None:
+                rim += rec.tail, rec.head
+                continue
+            t, s = rec.attach1
+            try:
+                frame, (near, far, k, k_next) = frames[t], _SIDES[s]
+                if frame[near] is not None:  # held already
+                    raise KeyError
+                frame[near], frame[far] = p + 1, p
+                c = 3 * frame[CENTER]
+                starts[c + k], ends[c + k_next] = rec.head, rec.tail
+            except KeyError:
+                met.append((rec.id, t, s))
+        if met or 2 * len(self.edges) - len(rim) // 2 != 3 * n:
+            doubles = {}
+            for eid, t, s in met:
+                if t not in frames:
+                    out.append({"kind": "unknown-triangle", "edge": eid, "triangle": t})
+                elif s not in _SIDES:
+                    out.append({"kind": "bad-side-index", "edge": eid, "triangle": t, "side": s})
+                else:  # the held position names its first edge
+                    doubles.setdefault((t, s), [frames[t][_SIDES[s][0]]]).append(eid)
             for t in self.triangles:
                 for s, (near, _) in enumerate(SIDE_LABELS):
                     if (t, s) in doubles:
@@ -256,7 +268,7 @@ class Triangulation:
             # corner's two sides give one label (at every corner, when sound)
             labels = (set(starts) if not out else
                       {s for s, e in zip(starts, ends) if s is not None and s == e})
-            p = len(labels - rim)
+            p = len(labels.difference(rim))
             out += [{"kind": "count-mismatch", "field": name, "have": have, "want": want}
                     for name, have, want in (
                         ("triangles", n, 2 * c + m + p + 4 * g - 4),

@@ -20,7 +20,8 @@ from collections.abc import Mapping, Sequence
 from operator import itemgetter
 
 from .errors import GluingMismatch, InconsistentSide, InvalidHive, InvalidWebCoords
-from .hive import HiveThirds, failed_rhombi, hive_thirds, rhombi, rhombus_scan, validate_hive
+from .hive import (HiveThirds, failed_rhombi, rhombi, rhombus_quantities, sound,
+                   validate_hive)
 from .surface import ThetaVertex, Triangulation, _near_far
 from .thirds import (Third, _shown, checked_int, int_cap, json_text, quoted, read_object,
                      shown_violations)
@@ -130,15 +131,13 @@ def surface_web_to_hive(tri: Triangulation, web: SurfaceWeb) -> HiveValues:
 
 
 def hive_to_surface_web(tri: Triangulation, values: HiveThirds) -> SurfaceWeb:
-    """Per-triangle web coordinates of a valid surface hive, read in the same
-    pass that checks the rhombi."""
-    out = {}
-    for t, quantities in rhombus_scan(tri, hive_thirds(tri, values)):
-        if failed_rhombi(quantities):
-            bad = validate_hive(tri, values)
-            raise InvalidHive(f"hive has {len(bad)} rhombus violations: {shown_violations(bad)}")
-        out[t] = web_from_rhombi(quantities)
-    return out
+    """Per-triangle web coordinates of a valid surface hive, read off the
+    rhombus quantities that the soundness test checks."""
+    quantities = rhombus_quantities(tri, values)
+    if not sound(quantities):
+        bad = validate_hive(tri, values)
+        raise InvalidHive(f"hive has {len(bad)} rhombus violations: {shown_violations(bad)}")
+    return dict(zip(tri.triangles, map(web_from_rhombi, quantities)))
 
 
 def web_doc(pairs, tri: Triangulation | None = None) -> str:

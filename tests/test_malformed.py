@@ -568,7 +568,8 @@ def test_ints_at_the_cap_pass_the_inline_tests(capped, monkeypatch):
     tri_doc = copy.deepcopy(DOCS["triangulation"])
     tri_doc["edges"][0].update(tail=CAP, head=-CAP, attach=[["0-1-2", CAP], "boundary"])
     tri_doc["edges"][1]["attach"][1][1] = -CAP
-    values = {FIRST_VALUE: {"thirds": CAP}, FIRST_EDGE_KEY: {"thirds": -CAP}}
+    values = {**DOCS["hive"]["values"], FIRST_VALUE: {"thirds": CAP},
+              FIRST_EDGE_KEY: {"thirds": -CAP}}  # the inline test reads complete hives
     coords = dict(DOCS["web"]["coords"][FIRST_TRIANGLE], x=-CAP, y=CAP)
     for module, name in ((surface, "_read_edge"), (hive, "read_thirds"), (web, "checked_int")):
         monkeypatch.setattr(module, name, general)

@@ -17,6 +17,15 @@ through the reference frame and the nine rhombus quantities on int values in
 thirds.  They must agree on sampled hives, on single-vertex perturbations of
 them and on the same hives after random flips.
 
+The hive reader must give what a key-by-key reference reader gives, values,
+other keys or the exception and its text, on documents with shuffled,
+missing, extra and non-vertex keys, values of the wrong type or at the edge
+of the cap, and an unparsable cap; a valid document is read without the
+index.  The rhombus kernel behind ``validate_hive``, ``tropical_potential``,
+``is_in_positive_cone`` and ``hive_to_surface_web`` must answer as a
+per-triangle reference through ``Triangulation.frame`` does, on hives a third
+off, on broken complexes, on one triangle and on the empty complex.
+
 The walk that builds the frames is the one structural decision: it finds
 nothing exactly when the reference report is empty, and every other frame
 read raises the gate's error, whose text is the reference report of the lists
@@ -32,32 +41,44 @@ exits 1.
 import contextlib
 import io
 import json
+import os
 import random
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiveweb.cli import run
-from hiveweb.errors import HivewebError, InvalidTriangulation
+from hiveweb.errors import HivewebError, InvalidHive, InvalidTriangulation, MalformedInput
 from hiveweb.hive import (
+    failed_rhombi,
     hive_thirds,
+    hive_thirds_from_json,
     is_in_positive_cone,
     octahedron_transport,
+    rhombi,
     tropical_potential,
     validate_hive,
 )
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import (
+    ThetaVertex,
     Triangulation,
     build_polygon,
     flip_triangulation,
     validate_complex,
 )
-from hiveweb.web import hive_to_surface_web, surface_web_thirds
+from hiveweb.thirds import _shown as _shown_key
+from hiveweb.thirds import int_cap, max_thirds, read_object, read_thirds, shown_violations
+from hiveweb.web import (
+    hive_to_surface_web,
+    surface_web_thirds,
+    web_from_rhombi,
+)
 
 # -- the reference ------------------------------------------------------------
 
@@ -419,6 +440,9 @@ def test_positions_are_built_only_when_read():
     assert built_by(sample_hive, 1, 0) == {"slot0", "keys", "_walk"}
     assert built_by(surface_web_thirds, coords) == {"slot0", "keys", "_walk"}
     assert built_by(validate_hive, hive_thirds(tri, values)) == {"slot0", "_walk"}
+    # a valid hive document is read in key order, without the index
+    doc = {"values": {key: {"thirds": x} for key, x in zip(tri.keys, values)}}
+    assert built_by(lambda t: hive_thirds_from_json(doc, t)) == {"slot0", "keys"}
 
 
 # -- one order of checks for every hive command ---------------------------------
@@ -504,3 +528,165 @@ def test_hive_commands_refuse_a_corner_with_two_labels(tmp_path):
                          sort_keys=True, separators=(",", ":")) + "\n"
     for cmd in HIVE_COMMANDS:
         assert _cli([cmd, "--hive", str(path)]) == (1, refused, ""), cmd
+
+
+# -- the hive reader against its per-key reference -------------------------------
+
+
+def reference_reader(doc, tri):
+    """The hive reader key by key, in document order: a value at a key of
+    ``tri.keys`` passes the inline test or is read by ``read_thirds``, and any
+    other key must be a vertex key, whose value is read the same way."""
+    index, cap = tri.index, int_cap()
+    raw = read_object(read_object(doc, "hive document", "values")["values"], "values")
+    values = [None] * len(index)
+    others = {}
+    for key, obj in raw.items():
+        i = index.get(key)
+        if i is None:
+            try:
+                ThetaVertex.parse(key)
+            except ValueError:
+                raise MalformedInput(f"values: {_shown_key(key)} is not a vertex key") from None
+            others[key] = read_thirds(obj, key)
+        else:
+            x = obj.get("thirds") if type(obj) is dict and len(obj) == 1 else None
+            values[i] = x if type(x) is int and -cap <= x <= cap else read_thirds(obj, key)
+    return values, others
+
+
+@contextlib.contextmanager
+def cap_set(text):
+    """``HIVEWEB_MAX_THIRDS`` set to ``text`` (unset for None), read afresh."""
+    try:
+        with mock.patch.dict(os.environ):
+            os.environ.pop("HIVEWEB_MAX_THIRDS", None)
+            if text is not None:
+                os.environ["HIVEWEB_MAX_THIRDS"] = text
+            max_thirds.cache_clear()
+            yield
+    finally:
+        max_thirds.cache_clear()
+
+
+def _any_outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except Exception as exc:  # noqa: BLE001 - the two readers must fail alike
+        return "raised", type(exc).__name__, str(exc)
+
+
+def _bad_value(cap):
+    """The values that a reader must refuse or take at the edge of the cap."""
+    return [{"thirds": True}, {"thirds": 1.0}, {"thirds": "3"}, {"thirds": cap + 1},
+            {"thirds": cap}, {"thirds": -cap}, {"thirds": -cap - 1}, {"thirds": 3, "x": 0},
+            {}, 3, None, [3], "3"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_reader_agrees_with_its_per_key_reference(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    m = data.draw(st.sampled_from([0, 3, 4, 5, 7]))
+    built = build_polygon(m, random_diagonals(m, rng)) if m else Triangulation([], [])
+    keys = built.keys
+    with cap_set(data.draw(st.sampled_from([None, "50", "0", "x5", "-1", ""]))):
+        cap = int_cap()
+        values = {key: {"thirds": rng.randint(-max(cap, 0), max(cap, 0))} for key in keys}
+        for _ in range(data.draw(st.integers(0, 3))):
+            fault = data.draw(st.sampled_from(
+                ["drop", "extra vertex", "not a vertex", "value", "value", "empty"]))
+            if fault == "drop" and values:
+                del values[rng.choice(sorted(values))]
+            elif fault == "extra vertex":
+                values[rng.choice(["c:9-9-9", "e:9-9:1", "e:0-1:1"])] = {"thirds": 0}
+            elif fault == "not a vertex":
+                values[rng.choice(["x", "e:0-1:2", "e:0-1:00", "c"])] = {"thirds": 0}
+            elif fault == "value" and values:
+                values[rng.choice(sorted(values))] = rng.choice(_bad_value(cap))
+            elif fault == "empty":
+                values = {}
+        items = list(values.items())
+        if data.draw(st.booleans()):
+            rng.shuffle(items)
+        doc = {"values": dict(items)}
+        tri, fresh = (Triangulation(built.triangles, built.edges) for _ in range(2))
+        got = _any_outcome(hive_thirds_from_json, doc, tri)
+        assert got == _any_outcome(reference_reader, doc, fresh)
+        if got[0] == "ok" and keys and None not in got[1][0] and not got[1][1]:
+            assert "index" not in vars(tri)  # a valid document is read in key order
+
+
+# -- the rhombus kernel against a per-triangle reference ----------------------------
+
+
+def per_triangle(what, tri, values):
+    """What each hive function returns or raises, read triangle by triangle:
+    ``rhombi`` and ``failed_rhombi`` on the values at ``tri.frame(t)``, once
+    the hive is complete and the gate passes."""
+    thirds = hive_thirds(tri, values)
+    tri.check()
+    quantities = {t: rhombi(*[thirds[p] for p in tri.frame(t)]) for t in tri.triangles}
+    bad = [{"triangle": t, "rhombus": i, "thirds": d}
+           for t, q in quantities.items() for i, d in failed_rhombi(q)]
+    if what == "potential":
+        if not quantities:
+            raise InvalidHive("triangulation has no triangles")
+        return max(-min(q) for q in quantities.values())
+    if what == "hive2web" and bad:
+        raise InvalidHive(f"hive has {len(bad)} rhombus violations: {shown_violations(bad)}")
+    return {"validate": bad, "cone": not bad,
+            "hive2web": {t: web_from_rhombi(q) for t, q in quantities.items()}}[what]
+
+
+KERNEL = {"validate": validate_hive, "potential": tropical_potential,
+          "cone": is_in_positive_cone, "hive2web": hive_to_surface_web}
+
+
+def assert_kernel_agrees(tri, values):
+    for form in (values, dict(zip(tri.keys, values))):
+        for what, call in KERNEL.items():
+            assert _any_outcome(call, tri, form) == _any_outcome(per_triangle, what, tri, form), what
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.data())
+def test_kernel_agrees_with_a_per_triangle_reference(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    m = data.draw(st.sampled_from([0, 3, 3, 4, 5, 6, 9]))
+    doc = (build_polygon(m, random_diagonals(m, rng)).to_json() if m
+           else {"triangles": [], "edges": []})
+    if not m and data.draw(st.booleans()):
+        doc["signature"] = {"g": 0, "c": 1, "m": 3}  # counts that the empty complex fails
+    if m and data.draw(st.booleans()):
+        _break(doc, rng)
+    if data.draw(st.booleans()):
+        rng.shuffle(doc["triangles"])
+    tri = Triangulation.from_json(doc)
+    if tri._walk[0] is None:  # the gate refuses: any complete values
+        values = [rng.randint(-9, 9) for _ in tri.keys]
+    else:
+        values = sample_hive(tri, data.draw(st.integers(0, 3)), data.draw(st.integers(0, 99)))
+        for _ in range(data.draw(st.integers(0, 2)) if values else 0):
+            p = rng.randrange(len(values))  # a third off, two thirds off or a whole off
+            values[p] += rng.choice([-3, -2, -1, 1, 2, 3])
+    if values and data.draw(st.integers(0, 9)) == 0:
+        values[rng.randrange(len(values))] = None
+    assert_kernel_agrees(tri, values)
+
+
+def test_kernel_on_one_triangle_and_on_none():
+    """A single triangle gives one row of quantities, the empty complex none,
+    and a hive a third off with no negative rhombus is refused."""
+    one = build_polygon(3, [])
+    hive = surface_web_thirds(one, {"0-1-2": (0, 1, 1, 1, 1, 1, 1)})  # every rhombus >= 3
+    assert_kernel_agrees(one, hive)
+    assert validate_hive(one, hive) == [] and hive_to_surface_web(one, hive) == {
+        "0-1-2": (0, 1, 1, 1, 1, 1, 1)}
+    hive[one.frame("0-1-2")[3]] += 1  # a4 a third off
+    assert_kernel_agrees(one, hive)
+    assert not is_in_positive_cone(one, hive)
+    assert {v["thirds"] % 3 for v in validate_hive(one, hive)} == {1, 2}
+    assert min(v["thirds"] for v in validate_hive(one, hive)) > 0
+    for empty in (Triangulation([], []), Triangulation([], [], (0, 1, 3))):
+        assert_kernel_agrees(empty, [])
