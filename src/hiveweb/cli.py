@@ -6,10 +6,17 @@ usage errors (usage text goes to stderr).  Output JSON is canonical: sorted
 keys, no insignificant whitespace, integers only.  ``run()`` holds the
 cyclic collector off for one command and restores the caller's setting.
 
-A command is one short process, so start-up is much of its time: ``run()``
-builds the parser of the command it runs, and the modules only some commands
-use (``metric``, ``surfacoid``, ``sampling``, ``random``) are imported by
-those commands.
+A command is one short process, so start-up is much of its time: the modules
+only some commands use (``metric``, ``surfacoid``, ``sampling``, ``random``)
+are imported by those commands.  ``run()`` reads a plain argv straight off
+the command table, ``_COMMANDS``, and builds no parser: a command, then
+``--flag value`` pairs of its flags, each written out in full and given
+once, every required one present, each value free of a leading dash or a
+dash and a digit (``-1,0``, ``-5~2``), each size flag's value an integer.
+Any other argv (help, abbreviations, ``--flag=value``, a repeated flag,
+``--``, a missing flag, a size that is no integer) goes to argparse, with
+the parser of the command it names, so every usage and help text and every
+usage error still comes from argparse.
 """
 
 from __future__ import annotations
@@ -255,21 +262,31 @@ class _Value(argparse.Action):
         return text
 
 
+def _integer(text: str, flag: str):
+    """The integer of size flag ``flag``'s ``text``: non-negative and under the
+    rule, or a seed's of any magnitude; None when ``text`` writes no such
+    integer.  Over the cap it raises the cap's ``MalformedInput``."""
+    seed = flag == "--seed"
+    if not thirds.is_decimal(text, signed=seed):
+        return None
+    return thirds.parse_int(text, flag, not seed)
+
+
 class _Integer(_Value):
-    """A size flag's non-negative integer under the rule, or a seed's integer
-    of any magnitude, read as it is parsed: unlike a ``type``, an action lets
-    the cap's ``MalformedInput`` reach :func:`run`."""
+    """A size flag's :func:`_integer`, read as it is parsed: unlike a ``type``,
+    an action lets the cap's ``MalformedInput`` reach :func:`run`."""
 
     def read(self, text):
-        seed = self.dest == "seed"
-        if not thirds.is_decimal(text, signed=seed):
+        value = _integer(text, self.option_strings[0])
+        if value is None:
             raise argparse.ArgumentError(self, "expected %s integer, got %r" % (
-                "an" if seed else "a non-negative", text))
-        return thirds.parse_int(text, self.option_strings[0], not seed)
+                "an" if self.dest == "seed" else "a non-negative", text))
+        return value
 
 
 # each subcommand in the order --help lists them: its help and its flags with
-# their add_argument keywords; every one also takes --out and runs cmd_<name>
+# their add_argument keywords; every one also takes --out and runs cmd_<name>.
+# The one flag table: build_parser and _plain_args both read it.
 _COMMANDS = {
     "validate": ("check a triangulation, hive or web",
                  {"--triangulation": {}, "--hive": {}, "--web": {}}),
@@ -310,6 +327,16 @@ _COMMANDS = {
 }
 
 
+def _function(command: str):
+    """The function that runs ``command``."""
+    return globals()["cmd_" + command.replace("-", "_")]
+
+
+def _dest(flag: str, keywords: dict) -> str:
+    """The attribute that argparse stores ``flag``'s value under."""
+    return keywords.get("dest") or flag[2:].replace("-", "_")
+
+
 @functools.cache  # built once per process and command; parse_args leaves it unchanged
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The parser of an argv that starts with ``command``: the root parser
@@ -329,7 +356,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
             p.add_argument(flag, **{"action": _Value, **keywords})
         p.add_argument("--out", action=_Value,
                        help="write the JSON document here instead of stdout")
-        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
+        p.set_defaults(func=_function(name))
     parser.commands = sub.choices  # each built command's own parser, by name
     return parser
 
@@ -354,6 +381,39 @@ def _absorb_negative_values(argv):
     return out
 
 
+def _plain_args(argv):
+    """The namespace that the parser of ``argv[0]`` builds from a plain argv:
+    a command, then ``--flag value`` pairs of its flags, each written out in
+    full and given once, every required one present, each value free of a
+    leading dash or a dash and a digit (``-1,0``, ``-5~2``).  Size flags are
+    read by :func:`_integer` in argv order.  None for any other argv, and for
+    a size flag that is no integer: argparse reads those and words their help
+    and errors."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = _COMMANDS[argv[0]][1]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) < len(argv) // 2:  # a flag given twice
+        return None
+    for flag, text in given.items():
+        if flag not in flags and flag != "--out" or (
+                text[:1] == "-" and not "0" <= text[1:2] <= "9"):
+            return None
+    args = argparse.Namespace(out=None, func=_function(argv[0]))
+    for flag, keywords in flags.items():
+        if keywords.get("required") and flag not in given:
+            return None
+        setattr(args, _dest(flag, keywords), keywords.get("default"))
+    for flag, text in given.items():  # in argv order: the first flag over the cap is reported
+        keywords = flags.get(flag, {})
+        if keywords.get("action") is _Integer:
+            text = _integer(text, flag)
+            if text is None:
+                return None
+        setattr(args, _dest(flag, keywords), text)
+    return args
+
+
 def run(argv) -> int:
     # a command's objects are acyclic trees that refcounting frees, so the
     # cyclic collector is held off while it runs and the caller's setting
@@ -363,13 +423,16 @@ def run(argv) -> int:
     thirds.max_thirds.cache_clear()  # before parsing: the size flags read the cap
     try:
         try:
-            argv = _absorb_negative_values(list(argv))
-            command = argv[0] if argv and argv[0] in _COMMANDS else None
-            parser = build_parser(command)
-            if command is not None:  # the command's own parser reads the rest
-                args, left = parser.commands[command].parse_known_args(argv[1:])
-            if command is None or left:  # the root reports what is left under its usage
-                args = parser.parse_args(argv)
+            argv = list(argv)
+            args = _plain_args(argv)
+            if args is None:  # argparse reads it, and words its help and errors
+                argv = _absorb_negative_values(argv)
+                command = argv[0] if argv and argv[0] in _COMMANDS else None
+                parser = build_parser(command)
+                if command is not None:  # the command's own parser reads the rest
+                    args, left = parser.commands[command].parse_known_args(argv[1:])
+                if command is None or left:  # the root reports what is left under its usage
+                    args = parser.parse_args(argv)
             return args.func(args)
         except (HivewebError, KeyError) as exc:
             detail = str(exc.args[0]) if exc.args else str(exc)

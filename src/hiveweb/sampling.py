@@ -150,7 +150,7 @@ def _tree_order(tri: Triangulation) -> list[str]:
     if not tri.triangles:
         return []
     neighbors: dict[str, list[str]] = {t: [] for t in tri.triangles}
-    for rec in map(tri.edge, tri.slot0):
+    for rec in tri.edges_by_id():
         if rec.attach1 is not None:
             t0, t1 = rec.attach0[0], rec.attach1[0]
             if t0 == t1:

@@ -148,6 +148,10 @@ class Triangulation:
         except KeyError:
             raise KeyError(f"unknown edge {_shown(edge_id)}") from None
 
+    def edges_by_id(self):
+        """The edge records, each id once, in edge-id order (``slot0``'s)."""
+        return map(self._edge_by_id.__getitem__, self._ids[1])
+
     # -- derived sets, each built on first read ----------------------------
     # Hive values travel as a list of ints indexed by quiver-vertex positions:
     # centers by triangle id, then slots 0 and 1 of every edge by edge id.

@@ -14,7 +14,9 @@ default ``site``) and each SRC (their order reversed every other round):
 
     pass           python -c pass: the interpreter alone
     import         python -c "import hiveweb.cli"
-    gamma-dist     python -m hiveweb gamma-dist --to 1,1
+    gamma-dist     python -m hiveweb gamma-dist --to 1,1, read off the command table
+    gamma-dist=    python -m hiveweb gamma-dist --to=1,1: not plain, so argparse
+                   reads it with the parser of that command
     validate-hive  python -m hiveweb validate --hive H, on a hive of a fan
                    triangulation T of the 200-gon that the first SRC samples
     sample         python -m hiveweb sample --triangulation T --bound 3 --seed 0
@@ -56,6 +58,7 @@ def commands(tri: Path, hive: Path) -> dict[str, list[str]]:
         "pass": ["-c", "pass"],
         "import": ["-c", "import hiveweb.cli"],
         "gamma-dist": ["-m", "hiveweb", "gamma-dist", "--to", "1,1"],
+        "gamma-dist=": ["-m", "hiveweb", "gamma-dist", "--to=1,1"],
         "validate-hive": ["-m", "hiveweb", "validate", "--hive", str(hive)],
         "sample": ["-m", "hiveweb", "sample", "--triangulation", str(tri), "--bound", "3",
                    "--seed", "0"],
