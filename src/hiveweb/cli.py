@@ -11,12 +11,11 @@ only some commands use (``metric``, ``surfacoid``, ``sampling``, ``random``)
 are imported by those commands.  ``run()`` reads a plain argv straight off
 the command table, ``_COMMANDS``, and builds no parser: a command, then
 ``--flag value`` pairs of its flags, each written out in full and given
-once, every required one present, each value free of a leading dash or a
-dash and a digit (``-1,0``, ``-5~2``), each size flag's value an integer.
-Any other argv (help, abbreviations, ``--flag=value``, a repeated flag,
-``--``, a missing flag, a size that is no integer) goes to argparse, with
-the parser of the command it names, so every usage and help text and every
-usage error still comes from argparse.
+once, every required one present, any value but ``--``, each size flag's
+value an integer.  Any other argv (help, abbreviations, ``--flag=value``, a
+repeated flag, ``--``, a missing flag, a size that is no integer) goes to
+argparse: the one parser of every command parses it once, so every usage
+and help text and every usage error comes from argparse.
 """
 
 from __future__ import annotations
@@ -337,27 +336,21 @@ def _dest(flag: str, keywords: dict) -> str:
     return keywords.get("dest") or flag[2:].replace("-", "_")
 
 
-@functools.cache  # built once per process and command; parse_args leaves it unchanged
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of an argv that starts with ``command``: the root parser
-    and that command's subparser, or every subcommand's when None."""
+@functools.cache  # built once per process; parse_args leaves it unchanged
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command."""
     parser = argparse.ArgumentParser(
         prog="hiveweb",
         description="Exact web/hive calculus on triangulated surfaces",
     )
-    # the root reports unrecognized arguments under its usage, which names
-    # every command even where only one is built
-    sub = parser.add_subparsers(dest="command", required=True, metavar=(
-        None if command is None else "{%s}" % ",".join(_COMMANDS)))
-    for name in _COMMANDS if command is None else [command]:
-        summary, flags = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         for flag, keywords in flags.items():
             p.add_argument(flag, **{"action": _Value, **keywords})
         p.add_argument("--out", action=_Value,
                        help="write the JSON document here instead of stdout")
         p.set_defaults(func=_function(name))
-    parser.commands = sub.choices  # each built command's own parser, by name
     return parser
 
 
@@ -382,10 +375,10 @@ def _absorb_negative_values(argv):
 
 
 def _plain_args(argv):
-    """The namespace that the parser of ``argv[0]`` builds from a plain argv:
-    a command, then ``--flag value`` pairs of its flags, each written out in
-    full and given once, every required one present, each value free of a
-    leading dash or a dash and a digit (``-1,0``, ``-5~2``).  Size flags are
+    """The namespace that argparse builds from a plain argv: a command, then
+    ``--flag value`` pairs of its flags, each written out in full and given
+    once, every required one present, any value but ``--`` (argparse takes a
+    dash-led one too, see :func:`_absorb_negative_values`).  Size flags are
     read by :func:`_integer` in argv order.  None for any other argv, and for
     a size flag that is no integer: argparse reads those and words their help
     and errors."""
@@ -396,8 +389,7 @@ def _plain_args(argv):
     if len(given) < len(argv) // 2:  # a flag given twice
         return None
     for flag, text in given.items():
-        if flag not in flags and flag != "--out" or (
-                text[:1] == "-" and not "0" <= text[1:2] <= "9"):
+        if flag not in flags and flag != "--out" or text == "--":
             return None
     args = argparse.Namespace(out=None, func=_function(argv[0]))
     for flag, keywords in flags.items():
@@ -426,13 +418,7 @@ def run(argv) -> int:
             argv = list(argv)
             args = _plain_args(argv)
             if args is None:  # argparse reads it, and words its help and errors
-                argv = _absorb_negative_values(argv)
-                command = argv[0] if argv and argv[0] in _COMMANDS else None
-                parser = build_parser(command)
-                if command is not None:  # the command's own parser reads the rest
-                    args, left = parser.commands[command].parse_known_args(argv[1:])
-                if command is None or left:  # the root reports what is left under its usage
-                    args = parser.parse_args(argv)
+                args = build_parser().parse_args(_absorb_negative_values(argv))
             return args.func(args)
         except (HivewebError, KeyError) as exc:
             detail = str(exc.args[0]) if exc.args else str(exc)

@@ -200,8 +200,8 @@ class Triangulation:
         corners with two labels; then the signature counts that do not
         hold.  A puncture, a corner label that no boundary edge ends at, adds
         a triangle and an edge to the counts.  A faulty gluing may leave a corner without a
-        label or with two, so there only the corners whose two sides give
-        one label are read."""
+        label or with two, so there only the corners whose two sides are each
+        attached once and give one label are read, whatever the edge order."""
         tris, eids = self._ids
         if len(tris) != len(self.triangles) or len(eids) != len(self.edges):
             listed, out = {}, []
@@ -256,6 +256,8 @@ class Triangulation:
                 for s, (near, _) in enumerate(SIDE_LABELS):
                     if (t, s) in doubles:
                         first, *more = doubles[t, s]
+                        c = 3 * frames[t][CENTER]  # its labels came from the first-listed edge
+                        starts[c + s] = ends[c + (s + 1) % 3] = None
                         out.append({"kind": "double-attached-side", "triangle": t, "side": s,
                                     "edges": [eids[(first - n) // 2], *more]})
                     elif frames[t][near] is None:

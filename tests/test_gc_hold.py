@@ -118,13 +118,10 @@ USAGE_ERRORS = {
 
 
 @pytest.fixture
-def held(request):
+def held():
     """The collector off and nothing left for it, as a census needs.  The
-    parser of the censused argv is built first, as ``run()`` chooses it: a
-    process builds it once, not once per run."""
-    name = request.node.callspec.params["name"]
-    first = (CENSUS[name][0] if name in CENSUS else USAGE_ERRORS[name])[0]
-    cli.build_parser(first if first in cli._COMMANDS else None)
+    parser is built first: a process builds it once, not once per run."""
+    cli.build_parser()
     was = gc.isenabled()
     gc.disable()
     gc.collect()
@@ -213,7 +210,7 @@ def test_the_callers_setting_comes_back_when_a_command_raises(caller, monkeypatc
         raise RuntimeError("a bug")
 
     monkeypatch.setattr(cli, "cmd_gamma_dist", broken)
-    cli.build_parser.cache_clear()  # the parser holds the subcommand it was built with
+    cli.build_parser.cache_clear()  # the parser holds the functions it was built with
     try:
         with pytest.raises(RuntimeError, match="a bug"):
             run(["gamma-dist", "--to", "2,1"])

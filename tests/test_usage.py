@@ -1,17 +1,13 @@
 """Every usage and help text, and the parser each argv is parsed by.
 
 ``run()`` reads a plain argv (a command, then ``--flag value`` pairs of its
-flags written out in full, each once, every required one present) off the
-command table and builds no parser.  Any other argv that names a command
-gets the parser of that command: the root parser with that one subparser,
-which parses the argv alone unless it leaves arguments over for the root to
-report.  Any other argv (``--help``, none, an unknown command) gets the
-parser of every command.  Each must print what one parser of every command
-printed for every argv.
-``tests/golden_usage.json`` holds that: the exit code, stdout and stderr of
-each case, captured at width 80 with every subcommand built for every argv.
-It covers the root's own reports, such as ``validate --bogus``'s
-unrecognized argument, whose usage names every command.
+flags written out in full, each once, every required one present, any value
+but ``--``) off the command table and builds no parser.  Any other argv gets
+the one parser of every command, which parses it once.
+``tests/golden_usage.json`` holds what that parser prints: the exit code,
+stdout and stderr of each case, captured at width 80.  It covers the root's
+own reports, such as ``validate --bogus``'s unrecognized argument, whose
+usage names every command.
 """
 
 import argparse
@@ -45,8 +41,11 @@ PLAIN = {
     "fermat": (["fermat", "--c", "0,2", "--window", "2", "--a", "0,0", "--b", "2,0"], 0),
     # read, then refused by the command: the file cannot be read
     "sample": (["sample", "--seed", "-5", "--triangulation", "missing.json", "--bound", "1"], 2),
+    # a dash-led value is a value, read plain: the files cannot be read
+    "validate": (["validate", "--hive", "-h"], 2),
+    "flip": (["flip", "--triangulation", "missing.json", "--edge", "-x"], 2),
 }
-# argvs that name a command, yet only its parser reads: a flag and its value
+# argvs that name a command, yet only argparse reads: a flag and its value
 # in one argument, an abbreviation, a flag given twice
 FOR_ARGPARSE = [
     ["gamma-dist", "--to=1,1"],
@@ -75,7 +74,7 @@ def test_a_plain_argv_builds_and_parses_nothing(argv, code, capsys, monkeypatch)
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv,built", [
+@pytest.mark.parametrize("argv,named", [
     (FOR_ARGPARSE[0], "gamma-dist"),
     (FOR_ARGPARSE[1], "oracle"),
     (FOR_ARGPARSE[2], "fermat"),
@@ -86,33 +85,28 @@ def test_a_plain_argv_builds_and_parses_nothing(argv, code, capsys, monkeypatch)
     (["-h", "sample"], None),
     (["gamma"], None),  # a prefix names no command
 ])
-def test_run_builds_the_parser_of_the_command_it_runs(argv, built, capsys, monkeypatch):
+def test_run_builds_the_parser_of_the_command_it_runs(argv, named, capsys, monkeypatch):
+    """Whichever command the argv names, if any: the one parser of every command."""
+    (sub,) = (action for action in cli.build_parser()._actions if action.dest == "command")
     calls = recorded(monkeypatch, cli, "build_parser")
     cli.run(argv)
     capsys.readouterr()
-    assert calls == [(built,)]
+    assert (calls, list(sub.choices)) == ([()], list(cli._COMMANDS))
+    assert named is None or named in sub.choices
 
 
 @pytest.mark.parametrize("argv,parses", [
-    (FOR_ARGPARSE[0], ["hiveweb gamma-dist"]),
-    (FOR_ARGPARSE[1], ["hiveweb oracle"]),
-    (FOR_ARGPARSE[2], ["hiveweb fermat"]),
-    # what the command leaves over, the root reports under its own usage
-    (["validate", "--bogus"], ["hiveweb validate", "hiveweb", "hiveweb validate"]),
+    (FOR_ARGPARSE[0], ["hiveweb", "hiveweb gamma-dist"]),
+    (FOR_ARGPARSE[1], ["hiveweb", "hiveweb oracle"]),
+    (FOR_ARGPARSE[2], ["hiveweb", "hiveweb fermat"]),
+    # the root reports what the command leaves over under its own usage
+    (["validate", "--bogus"], ["hiveweb", "hiveweb validate"]),
     (["--help"], ["hiveweb"]),
 ], ids=["gamma-dist", "oracle", "fermat", "unrecognized", "root"])
 def test_a_valid_argv_is_parsed_once(argv, parses, capsys, monkeypatch):
-    """The command a non-plain argv names parses the rest of it alone; only
-    what it leaves over sends the whole argv through the root parser."""
+    """The root parser parses a non-plain argv once, handing the rest of it
+    to the parser of the command it names."""
     calls = recorded(monkeypatch, argparse.ArgumentParser, "parse_known_args")
     cli.run(argv)
     capsys.readouterr()
     assert [parser.prog for parser, *_ in calls] == parses
-
-
-def test_a_command_parser_offers_only_its_command():
-    parser = cli.build_parser("gamma-dist")
-    (sub,) = (action for action in parser._actions if action.dest == "command")
-    assert list(sub.choices) == ["gamma-dist"]
-    (full,) = (action for action in cli.build_parser(None)._actions if action.dest == "command")
-    assert list(full.choices) == list(cli._COMMANDS)

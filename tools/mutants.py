@@ -23,6 +23,11 @@ the copy and prints one canonical JSON line, in catalogue order:
               "baseline"), or pytest could not run them on the mutant (exit
               code in "pytest")
 
+Every pytest run of one catalogue run, baselines and mutants alike, gets the
+same ``--hypothesis-seed``, drawn once per run and printed first as
+``{"hypothesis_seed":N}``: a mutant's tests draw what its baseline drew, and
+a failed baseline can be rerun as ``pytest --hypothesis-seed=N TESTS``.
+
 The exit code is 0 when every entry is killed, or survived and is marked
 equivalent.  The source tree is never written to.  Baselines and mutants
 each run one pytest process per CPU the runner may use, at the same time.
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -58,13 +64,14 @@ def copy_src(tmp: str) -> Path:
     return src
 
 
-def pytest(src: Path, tests: list[str], timeout: float | None = None) -> int | None:
-    """pytest's exit code, or None if it ran longer than ``timeout`` seconds."""
+def pytest(src: Path, tests: list[str], seed: int, timeout: float | None = None) -> int | None:
+    """pytest's exit code at Hypothesis seed ``seed``, or None if it ran
+    longer than ``timeout`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     try:
         return subprocess.run(
             [sys.executable, "-c", PYTEST, str(src), "-x", "-q", "-p", "no:cacheprovider",
-             *(str(ROOT / test) for test in tests)],
+             f"--hypothesis-seed={seed}", *(str(ROOT / test) for test in tests)],
             cwd=src.parent, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=timeout,
         ).returncode
@@ -72,15 +79,15 @@ def pytest(src: Path, tests: list[str], timeout: float | None = None) -> int | N
         return None
 
 
-def baseline(tests: tuple[str, ...]) -> tuple[int | None, float]:
+def baseline(tests: tuple[str, ...], seed: int) -> tuple[int | None, float]:
     """Exit code and run time of ``tests`` on an unmutated copy of ``src/``."""
     with tempfile.TemporaryDirectory(prefix="baseline-") as tmp:
         src = copy_src(tmp)
         start = time.monotonic()
-        return pytest(src, list(tests)), time.monotonic() - start
+        return pytest(src, list(tests), seed), time.monotonic() - start
 
 
-def run_one(entry: dict, baselines: dict) -> dict:
+def run_one(entry: dict, baselines: dict, seed: int) -> dict:
     result = {"id": entry["id"]}
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         src = copy_src(tmp)
@@ -92,7 +99,7 @@ def run_one(entry: dict, baselines: dict) -> dict:
         if code != 0:
             return {**result, "status": "error", "baseline": code}
         target.write_text(text.replace(entry["snippet"], entry["replacement"]))
-        code = pytest(src, entry["tests"], timeout=10 * seconds + 60)
+        code = pytest(src, entry["tests"], seed, timeout=10 * seconds + 60)
     if code is None:
         return {**result, "status": "killed", "timed_out": True}
     if code in (1, 2):  # 2: a test module failed to import the mutant
@@ -108,12 +115,15 @@ def run_one(entry: dict, baselines: dict) -> dict:
 def main() -> int:
     entries = json.loads(CATALOGUE.read_text())
     test_sets = list(dict.fromkeys(tuple(entry["tests"]) for entry in entries))
+    seed = random.randrange(2**32)
+    print(json.dumps({"hypothesis_seed": seed}, separators=(",", ":")), flush=True)
     ok = True
     # each job waits on its own pytest process, so one thread per CPU keeps
     # every CPU busy
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        baselines = dict(zip(test_sets, pool.map(baseline, test_sets)))
-        for entry, result in zip(entries, pool.map(lambda e: run_one(e, baselines), entries)):
+        baselines = dict(zip(test_sets, pool.map(lambda t: baseline(t, seed), test_sets)))
+        for entry, result in zip(entries, pool.map(lambda e: run_one(e, baselines, seed),
+                                                   entries)):
             print(json.dumps(result, sort_keys=True, separators=(",", ":")), flush=True)
             ok &= result["status"] == "killed" or (
                 result["status"] == "survived" and "equivalent" in entry)

@@ -15,8 +15,8 @@ default ``site``) and each SRC (their order reversed every other round):
     pass           python -c pass: the interpreter alone
     import         python -c "import hiveweb.cli"
     gamma-dist     python -m hiveweb gamma-dist --to 1,1, read off the command table
-    gamma-dist=    python -m hiveweb gamma-dist --to=1,1: not plain, so argparse
-                   reads it with the parser of that command
+    gamma-dist=    python -m hiveweb gamma-dist --to=1,1: not plain, so the one
+                   parser of every command reads it, in one parse
     validate-hive  python -m hiveweb validate --hive H, on a hive of a fan
                    triangulation T of the 200-gon that the first SRC samples
     sample         python -m hiveweb sample --triangulation T --bound 3 --seed 0
