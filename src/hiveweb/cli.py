@@ -1,10 +1,13 @@
 """Batch command line over the library: one JSON document per invocation.
 
-Exit codes: 0 success / valid, 1 semantically invalid input (a hive that
-fails validation, an empty minimizer region, ...), 2 malformed input or
-usage errors (usage text goes to stderr).  Output JSON is canonical: sorted
-keys, no insignificant whitespace, integers only.  ``run()`` holds the
-cyclic collector off for one command and restores the caller's setting.
+Each ``cmd_<name>`` returns its document's canonical JSON text (sorted keys,
+no insignificant whitespace, integers only) and its exit code: 0 success /
+valid, 1 an invalid result (a hive that fails validation, an oracle
+mismatch).  ``run()`` calls it by name and is the one writer: it writes that
+text, or the ``{"error", "detail"}`` document of a domain error or an unknown
+name (exit 1), once, to ``--out`` or stdout.  Malformed input and usage errors
+exit 2 (usage text goes to stderr).  ``run()`` holds the cyclic collector off
+for one command and restores the caller's setting.
 
 A command is one short process, so start-up is much of its time: the modules
 only some commands use (``metric``, ``surfacoid``, ``sampling``, ``random``)
@@ -88,7 +91,7 @@ def _coords(text: str) -> web.WebTuple:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[str, int]:
     if args.hive is not None:
         tri, (values, _) = _load(args.hive, args, "hive")
         violations = hive_mod.validate_hive(tri, values)
@@ -100,35 +103,28 @@ def cmd_validate(args) -> int:
         violations = surface.validate_complex(_load_triangulation(args.triangulation))
     else:
         raise MalformedInput("validate needs --triangulation, --hive or --web")
-    _emit(json_text({"valid": not violations, "violations": violations}), args.out)
-    return 1 if violations else 0
+    return json_text({"valid": not violations, "violations": violations}), 1 if violations else 0
 
 
-def cmd_web2hive(args) -> int:
+def cmd_web2hive(args) -> tuple[str, int]:
     if args.coords is not None:
-        _emit(json_text(hive_mod.triangle_doc(web.web_to_hive_thirds(*_coords(args.coords)))),
-              args.out)
-        return 0
+        return json_text(hive_mod.triangle_doc(web.web_to_hive_thirds(*_coords(args.coords)))), 0
     if args.web is None:
         raise MalformedInput("web2hive needs --coords or --web")
     tri, coords = _load(args.web, args, "web")
-    _emit(hive_mod.hive_doc(zip(tri.keys, web.surface_web_thirds(tri, coords)), tri),
-          args.out)
-    return 0
+    return hive_mod.hive_doc(zip(tri.keys, web.surface_web_thirds(tri, coords)), tri), 0
 
 
-def cmd_hive2web(args) -> int:
+def cmd_hive2web(args) -> tuple[str, int]:
     doc = _load_doc(args.hive)
     if isinstance(doc, dict) and "values" not in doc:
         coords = web.hive_to_web_triangle(hive_mod.triangle_thirds_from_json(doc))
-        _emit(json_text(dict(zip("xyztuvw", coords))), args.out)
-        return 0
+        return json_text(dict(zip("xyztuvw", coords))), 0
     tri, (values, _) = _load(args.hive, args, "hive", doc)
-    _emit(web.web_doc(web.hive_to_surface_web(tri, values).items(), tri), args.out)
-    return 0
+    return web.web_doc(web.hive_to_surface_web(tri, values).items(), tri), 0
 
 
-def cmd_flip(args) -> int:
+def cmd_flip(args) -> tuple[str, int]:
     if args.hive is not None:
         tri, (values, others) = _load(args.hive, args, "hive")
     else:
@@ -144,21 +140,18 @@ def cmd_flip(args) -> int:
         moved = hive_mod.octahedron_transport({**others, **dict(zip(tri.keys, values))},
                                               frame_old, frame_new)
         hive = '"hive":%s,' % hive_mod.hive_doc(moved.items())
-    _emit('{%s"new_edge":%s,"old_edge":%s,"triangulation":%s}' % (
-        hive, json_text(new_edge), json_text(args.edge), flipped.to_text()), args.out)
-    return 0
+    return '{%s"new_edge":%s,"old_edge":%s,"triangulation":%s}' % (
+        hive, json_text(new_edge), json_text(args.edge), flipped.to_text()), 0
 
 
-def cmd_potential(args) -> int:
+def cmd_potential(args) -> tuple[str, int]:
     tri, (values, _) = _load(args.hive, args, "hive")
-    _emit(json_text({"thirds": hive_mod.tropical_potential(tri, values)}), args.out)
-    return 0
+    return json_text({"thirds": hive_mod.tropical_potential(tri, values)}), 0
 
 
-def cmd_cone(args) -> int:
+def cmd_cone(args) -> tuple[str, int]:
     tri, (values, _) = _load(args.hive, args, "hive")
-    _emit(json_text({"in_positive_cone": hive_mod.is_in_positive_cone(tri, values)}), args.out)
-    return 0
+    return json_text({"in_positive_cone": hive_mod.is_in_positive_cone(tri, values)}), 0
 
 
 def _oracle_once(coords: web.WebTuple) -> dict:
@@ -174,7 +167,7 @@ def _oracle_once(coords: web.WebTuple) -> dict:
     }
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[str, int]:
     if args.sweep is not None:
         import random
 
@@ -185,29 +178,23 @@ def cmd_oracle(args) -> int:
             result = _oracle_once(coords)
             if not result["match"]:
                 mismatches.append(result)
-        _emit(
-            json_text({"instances": args.sweep, "all_match": not mismatches,
-                       "mismatches": mismatches}),
-            args.out,
-        )
-        return 0 if not mismatches else 1
+        return json_text({"instances": args.sweep, "all_match": not mismatches,
+                          "mismatches": mismatches}), 1 if mismatches else 0
     if args.coords is None:
         raise MalformedInput("oracle needs --coords or --sweep")
     result = _oracle_once(_coords(args.coords))
-    _emit(json_text(result), args.out)
-    return 0 if result["match"] else 1
+    return json_text(result), 0 if result["match"] else 1
 
 
-def cmd_gamma_dist(args) -> int:
+def cmd_gamma_dist(args) -> tuple[str, int]:
     from . import metric as metric_mod
 
     x, y = parse_ints(args.to, 2, "--to")
     x0, y0 = parse_ints(args.src, 2, "--from") if args.src is not None else (0, 0)
-    _emit(json_text({"thirds": metric_mod.gamma_distance(x - x0, y - y0)}), args.out)
-    return 0
+    return json_text({"thirds": metric_mod.gamma_distance(x - x0, y - y0)}), 0
 
 
-def cmd_fermat(args) -> int:
+def cmd_fermat(args) -> tuple[str, int]:
     from . import metric as metric_mod
 
     points = [parse_ints(text, 2, flag) for text, flag in
@@ -218,17 +205,15 @@ def cmd_fermat(args) -> int:
         corners = [f"{x},{y}" for x, y in points]
         brute, argmin = metric_mod.fermat_brute(metric_mod.gamma_window(args.window), *corners)
         out.update(brute={"thirds": brute, "argmin_size": len(argmin)}, match=brute == value)
-    _emit(json_text(out), args.out)
-    return 0
+    return json_text(out), 0
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[str, int]:
     from . import sampling
 
     tri = _load_triangulation(args.triangulation)
     hive = sampling.sample_hive(tri, args.bound, args.seed)
-    _emit(hive_mod.hive_doc(zip(tri.keys, hive), tri), args.out)
-    return 0
+    return hive_mod.hive_doc(zip(tri.keys, hive), tri), 0
 
 
 def _vertex(graph, name: str):
@@ -239,13 +224,12 @@ def _vertex(graph, name: str):
     return next((v for v in graph.vertices if type(v) is int and str(v) == name), name)
 
 
-def cmd_dist(args) -> int:
+def cmd_dist(args) -> tuple[str, int]:
     from . import metric as metric_mod
 
     graph = metric_mod.OrientedGraph.from_json(_load_doc(args.graph))
     src, to = _vertex(graph, args.src), _vertex(graph, args.to)
-    _emit(json_text({"thirds": metric_mod.shortest_distance(graph, src, to)}), args.out)
-    return 0
+    return json_text({"thirds": metric_mod.shortest_distance(graph, src, to)}), 0
 
 
 class _Value(argparse.Action):
@@ -284,7 +268,7 @@ class _Integer(_Value):
 
 
 # each subcommand in the order --help lists them: its help and its flags with
-# their add_argument keywords; every one also takes --out and runs cmd_<name>.
+# their add_argument keywords; every one also takes --out, and run() calls cmd_<name>.
 # The one flag table: build_parser and _plain_args both read it.
 _COMMANDS = {
     "validate": ("check a triangulation, hive or web",
@@ -350,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **{"action": _Value, **keywords})
         p.add_argument("--out", action=_Value,
                        help="write the JSON document here instead of stdout")
-        p.set_defaults(func=_function(name))
     return parser
 
 
@@ -391,7 +374,7 @@ def _plain_args(argv):
     for flag, text in given.items():
         if flag not in flags and flag != "--out" or text == "--":
             return None
-    args = argparse.Namespace(out=None, func=_function(argv[0]))
+    args = argparse.Namespace(command=argv[0], out=None)
     for flag, keywords in flags.items():
         if keywords.get("required") and flag not in given:
             return None
@@ -419,11 +402,12 @@ def run(argv) -> int:
             args = _plain_args(argv)
             if args is None:  # argparse reads it, and words its help and errors
                 args = build_parser().parse_args(_absorb_negative_values(argv))
-            return args.func(args)
+            text, code = _function(args.command)(args)
         except (HivewebError, KeyError) as exc:
             detail = str(exc.args[0]) if exc.args else str(exc)
-            _emit(json_text({"error": type(exc).__name__, "detail": detail}), args.out)
-            return 1
+            text, code = json_text({"error": type(exc).__name__, "detail": detail}), 1
+        _emit(text, args.out)
+        return code
     except SystemExit as exc:  # argparse's exit, on --help or a usage error
         return exc.code if isinstance(exc.code, int) else 2
     except MalformedInput as exc:  # also when the error report cannot be written

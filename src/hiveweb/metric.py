@@ -23,7 +23,7 @@ from collections.abc import Hashable, Iterable
 from operator import itemgetter
 
 from .errors import MalformedInput, OmegaEmpty, Unreachable
-from .thirds import _shown, read_array
+from .thirds import _shown, checked_int, read_array
 
 Vertex = Hashable
 
@@ -90,11 +90,13 @@ class OrientedGraph:
     @classmethod
     def from_json(cls, obj: dict) -> "OrientedGraph":
         """Graph of a document whose ``vertices`` is an array of string or
-        integer ids and whose ``arcs`` is an array of [tail, head] pairs of
-        them."""
+        integer ids, each integer under :func:`checked_int`, and whose
+        ``arcs`` is an array of [tail, head] pairs of them."""
         vertices, arcs = (read_array(obj, "graph document", key) for key in ("vertices", "arcs"))
         for v in vertices:
-            if type(v) is not str and type(v) is not int:
+            if type(v) is int:
+                checked_int(v, "vertices")
+            elif type(v) is not str:
                 raise MalformedInput(f"vertices: {_shown(v)} is neither a string nor an integer")
         for arc in arcs:
             if type(arc) is not list or len(arc) != 2:

@@ -511,6 +511,37 @@ def test_branch_exit_code_and_output(tmp_path, capsys, monkeypatch, argv, docs, 
     assert invoke(capsys, *(arg.format(**paths) for arg in argv)) == (code, out, err)
 
 
+WRITER_DOCS = {"t": SQUARE.to_json(), "h": hive_to_json(SQUARE, sample_hive(SQUARE, 2, seed=1)),
+               "bad_h": hive_to_json(SQUARE, OFF_CENTER), "g": NUMBERED}
+# one exit-0 argv of each command, then an invalid result and an error document
+ONE_WRITER = {
+    "validate": (["validate", "--triangulation", "{t}"], 0),
+    "web2hive": (["web2hive", "--coords", "3,2,1,1,1,1,1"], 0),
+    "hive2web": (["hive2web", "--hive", "{h}"], 0),
+    "flip": (["flip", "--triangulation", "{t}", "--edge", "0-2", "--hive", "{h}"], 0),
+    "potential": (["potential", "--hive", "{h}"], 0),
+    "cone": (["cone", "--hive", "{h}"], 0),
+    "oracle": (["oracle", "--sweep", "3", "--bound", "2", "--seed", "1"], 0),
+    "gamma-dist": (["gamma-dist", "--to", "-7,4", "--from", "5,-6"], 0),
+    "fermat": (["fermat", "--a", "-3,-1", "--b", "4,-1", "--c", "-3,5", "--window", "6"], 0),
+    "sample": (["sample", "--triangulation", "{t}", "--bound", "2", "--seed", "1"], 0),
+    "dist": (["dist", "--graph", "{g}", "--from", "1", "--to", "a"], 0),
+    "validate --hive invalid": (["validate", "--hive", "{bad_h}"], 1),
+    "fermat empty region": (["fermat", "--a", "0,0", "--b", "-1,0", "--c", "0,-1"], 1),
+}
+
+
+@pytest.mark.parametrize("argv,code", ONE_WRITER.values(), ids=ONE_WRITER)
+def test_out_holds_exactly_what_stdout_would(tmp_path, capsys, argv, code):
+    paths = {name: write(tmp_path / f"{name}.json", doc) for name, doc in WRITER_DOCS.items()}
+    argv = [arg.format(**paths) for arg in argv]
+    printed_code, printed, err = invoke(capsys, *argv)
+    assert (printed_code, printed.endswith("}\n"), err) == (code, True, "")
+    out_path = tmp_path / "o.json"
+    assert invoke(capsys, *argv, "--out", str(out_path)) == (code, "", "")
+    assert out_path.read_bytes() == printed.encode()
+
+
 EVERY_FLAG = [(command, flag) for command, (_, flags) in cli._COMMANDS.items()
               for flag in [*flags, "--out"]]
 

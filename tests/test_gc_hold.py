@@ -205,15 +205,16 @@ def test_the_callers_setting_comes_back(caller, argv, code, capsys):
 
 
 def test_the_callers_setting_comes_back_when_a_command_raises(caller, monkeypatch):
+    """``run()`` looks a command's function up by name as it runs it, so a
+    function patched after the parser was built runs, for a plain argv and
+    for one that argparse reads."""
     def broken(args):
         assert not gc.isenabled()
         raise RuntimeError("a bug")
 
+    cli.build_parser()
     monkeypatch.setattr(cli, "cmd_gamma_dist", broken)
-    cli.build_parser.cache_clear()  # the parser holds the functions it was built with
-    try:
+    for argv in (["gamma-dist", "--to", "2,1"], ["gamma-dist", "--to=2,1"]):
         with pytest.raises(RuntimeError, match="a bug"):
-            run(["gamma-dist", "--to", "2,1"])
-    finally:
-        cli.build_parser.cache_clear()
-    assert gc.isenabled() is caller
+            run(argv)
+        assert gc.isenabled() is caller

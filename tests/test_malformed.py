@@ -32,7 +32,7 @@ from hiveweb.hive import (hive_thirds_from_json, hive_to_json, hive_values_from_
 from hiveweb.metric import OrientedGraph
 from hiveweb.sampling import sample_hive
 from hiveweb.surface import Triangulation, build_polygon
-from hiveweb.thirds import max_thirds, read_array, read_object
+from hiveweb.thirds import DEFAULT_MAX_THIRDS, max_thirds, read_array, read_object
 from hiveweb.web import hive_to_surface_web, surface_web_to_json, surface_web_from_json
 
 TRI = build_polygon(5, [(0, 2), (0, 3)])
@@ -602,6 +602,11 @@ UNPARSABLE = {
     "the first web coordinate": (
         {"triangulation": {"triangles": [], "edges": []}, "coords": {"t": {"x": 0}}},
         ["validate", "--web"], 2, "{cap}"),
+    "no int among the graph vertices": (
+        {"vertices": ["u"], "arcs": []}, ["dist", "--from", "u", "--to", "u", "--graph"], 0, ""),
+    "an integer graph vertex": (
+        {"vertices": ["u", 1], "arcs": []}, ["dist", "--from", "u", "--to", "u", "--graph"], 2,
+        "{cap}"),
     "a size flag, as the arguments are parsed": (
         {"triangles": [], "edges": []}, ["sample", "--bound", "0", "--seed", "0", "--triangulation"],
         2, "{cap}"),
@@ -656,6 +661,24 @@ def test_the_size_flags_read_the_cap_of_their_own_run(tmp_path, monkeypatch):
     monkeypatch.setenv("HIVEWEB_MAX_THIRDS", "5")
     assert invoke(fermat, {}, tmp_path) == (
         2, "", "hiveweb: --window: |6| exceeds HIVEWEB_MAX_THIRDS=5\n")
+
+
+# (HIVEWEB_MAX_THIRDS, the cap it sets): the default, and a small one
+GRAPH_CAPS = {"default cap": (None, DEFAULT_MAX_THIRDS), "HIVEWEB_MAX_THIRDS=5": ("5", 5)}
+
+
+@pytest.mark.parametrize("raw,cap", GRAPH_CAPS.values(), ids=GRAPH_CAPS)
+def test_an_integer_graph_vertex_is_capped(raw, cap, tmp_path, monkeypatch):
+    if raw is None:
+        monkeypatch.delenv("HIVEWEB_MAX_THIRDS", raising=False)
+    else:
+        monkeypatch.setenv("HIVEWEB_MAX_THIRDS", raw)
+    for n in (cap, -cap, cap + 1, -cap - 1, 10**20):
+        graph = {"vertices": ["u", n], "arcs": [[n, "u"]]}
+        expected = ((0, '{"thirds":1}\n', "") if abs(n) <= cap else
+                    (2, "", f"hiveweb: vertices: |{n}| exceeds HIVEWEB_MAX_THIRDS={cap}\n"))
+        argv = ["dist", "--graph", "{doc}", "--from", str(n), "--to", "u"]
+        assert invoke(argv, graph, tmp_path) == expected, n
 
 
 def test_aliases_of_a_key_outside_the_triangulation_exit_two(tmp_path):
