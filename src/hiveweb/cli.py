@@ -18,16 +18,17 @@ once, every required one present, any value but ``--``, each size flag's
 value an integer.  Any other argv (help, abbreviations, ``--flag=value``, a
 repeated flag, ``--``, a missing flag, a size that is no integer) goes to
 argparse: the one parser of every command parses it once, so every usage
-and help text and every usage error comes from argparse.
+and help text and every usage error comes from argparse.  ``build_parser``
+alone imports argparse, so a plain argv never loads it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import json
 import sys
+from types import SimpleNamespace
 
 from . import hive as hive_mod
 from . import surface, thirds, web
@@ -232,19 +233,6 @@ def cmd_dist(args) -> tuple[str, int]:
     return json_text({"thirds": metric_mod.shortest_distance(graph, src, to)}), 0
 
 
-class _Value(argparse.Action):
-    """A flag's one value, as written.  argparse hands the value of
-    ``--flag=--`` over as an empty list; it is refused as ``--flag --`` is."""
-
-    def __call__(self, parser, namespace, text, option_string=None):
-        if text == []:
-            raise argparse.ArgumentError(self, "expected one argument")
-        setattr(namespace, self.dest, self.read(text))
-
-    def read(self, text):
-        return text
-
-
 def _integer(text: str, flag: str):
     """The integer of size flag ``flag``'s ``text``: non-negative and under the
     rule, or a seed's of any magnitude; None when ``text`` writes no such
@@ -255,58 +243,51 @@ def _integer(text: str, flag: str):
     return thirds.parse_int(text, flag, not seed)
 
 
-class _Integer(_Value):
-    """A size flag's :func:`_integer`, read as it is parsed: unlike a ``type``,
-    an action lets the cap's ``MalformedInput`` reach :func:`run`."""
-
-    def read(self, text):
-        value = _integer(text, self.option_strings[0])
-        if value is None:
-            raise argparse.ArgumentError(self, "expected %s integer, got %r" % (
-                "an" if self.dest == "seed" else "a non-negative", text))
-        return value
-
+# the flags whose value is a size, read by _integer; every other flag's value is
+# a coordinate list, an edge or vertex id or a path, kept as written
+_SIZES = ("--sweep", "--seed", "--bound", "--window")
 
 # each subcommand in the order --help lists them: its help and its flags with
-# their add_argument keywords; every one also takes --out, and run() calls cmd_<name>.
+# their add_argument keywords, --out last; run() calls cmd_<name>.
 # The one flag table: build_parser and _plain_args both read it.
+_OUT = {"--out": {"help": "write the JSON document here instead of stdout"}}
 _COMMANDS = {
     "validate": ("check a triangulation, hive or web",
-                 {"--triangulation": {}, "--hive": {}, "--web": {}}),
+                 {"--triangulation": {}, "--hive": {}, "--web": {}, **_OUT}),
     "web2hive": ("web coordinates to hive values", {
         "--coords": {"help": "x,y,z,t,u,v,w for a single triangle"},
         "--web": {"help": "surface web JSON file"},
-        "--triangulation": {}}),
+        "--triangulation": {}, **_OUT}),
     "hive2web": ("hive values to web coordinates",
-                 {"--hive": {"required": True}, "--triangulation": {}}),
+                 {"--hive": {"required": True}, "--triangulation": {}, **_OUT}),
     "flip": ("flip a diagonal, optionally transporting a hive",
              {"--triangulation": {"required": True}, "--edge": {"required": True},
-              "--hive": {}}),
+              "--hive": {}, **_OUT}),
     "potential": ("tropical potential of an assignment",
-                  {"--hive": {"required": True}, "--triangulation": {}}),
+                  {"--hive": {"required": True}, "--triangulation": {}, **_OUT}),
     "cone": ("positive-cone membership",
-             {"--hive": {"required": True}, "--triangulation": {}}),
+             {"--hive": {"required": True}, "--triangulation": {}, **_OUT}),
     "oracle": ("compare formula hive against the net oracle", {
         "--coords": {},
-        "--sweep": {"action": _Integer, "help": "number of seeded random instances"},
-        "--seed": {"action": _Integer, "default": 0},
-        "--bound": {"action": _Integer, "default": 2}}),
+        "--sweep": {"help": "number of seeded random instances"},
+        "--seed": {"default": 0},
+        "--bound": {"default": 2}, **_OUT}),
     "gamma-dist": ("closed-form lattice distance", {
         "--to": {"required": True, "help": "x,y"},
-        "--from": {"dest": "src", "help": "x,y (default origin)"}}),
+        "--from": {"dest": "src", "help": "x,y (default origin)"}, **_OUT}),
     "fermat": ("closed-form tripod minimum", {
         "--a": {"required": True, "help": "x,y of the lower-left point"},
         "--b": {"required": True, "help": "x,y of the lower-right point"},
         "--c": {"required": True, "help": "x,y of the upper point"},
-        "--window": {"action": _Integer, "help": "also brute-force on this window radius"}}),
+        "--window": {"help": "also brute-force on this window radius"}, **_OUT}),
     "sample": ("deterministic valid hive", {
         "--triangulation": {"required": True},
-        "--bound": {"action": _Integer, "required": True},
-        "--seed": {"action": _Integer, "required": True}}),
+        "--bound": {"required": True},
+        "--seed": {"required": True}, **_OUT}),
     "dist": ("shortest distance in an oriented graph", {
         "--graph": {"required": True},
         "--from": {"dest": "src", "required": True},
-        "--to": {"required": True}}),
+        "--to": {"required": True}, **_OUT}),
 }
 
 
@@ -321,8 +302,29 @@ def _dest(flag: str, keywords: dict) -> str:
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command."""
+def build_parser():
+    """The parser of every command: the one importer of argparse."""
+    import argparse
+
+    class Value(argparse.Action):
+        """A flag's one value: a size flag's :func:`_integer`, read as it is
+        parsed (unlike a ``type``, an action lets the cap's ``MalformedInput``
+        reach :func:`run`), any other flag's text as written.  argparse hands
+        the value of ``--flag=--`` over as an empty list; it is refused as
+        ``--flag --`` is."""
+
+        def __call__(self, parser, namespace, text, option_string=None):
+            flag = self.option_strings[0]
+            if text == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            if flag in _SIZES:
+                value = _integer(text, flag)
+                if value is None:
+                    raise argparse.ArgumentError(self, "expected %s integer, got %r" % (
+                        "an" if flag == "--seed" else "a non-negative", text))
+                text = value
+            setattr(namespace, self.dest, text)
+
     parser = argparse.ArgumentParser(
         prog="hiveweb",
         description="Exact web/hive calculus on triangulated surfaces",
@@ -331,15 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (summary, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         for flag, keywords in flags.items():
-            p.add_argument(flag, **{"action": _Value, **keywords})
-        p.add_argument("--out", action=_Value,
-                       help="write the JSON document here instead of stdout")
+            p.add_argument(flag, action=Value, **keywords)
     return parser
 
 
-# flags whose value is a coordinate list, an edge or vertex id or a path
-_VALUE_FLAGS = {flag for _, flags in _COMMANDS.values() for flag, keywords in flags.items()
-                if "action" not in keywords} | {"--out"}
+_VALUE_FLAGS = {flag for _, flags in _COMMANDS.values() for flag in flags if flag not in _SIZES}
 
 
 def _absorb_negative_values(argv):
@@ -358,7 +356,7 @@ def _absorb_negative_values(argv):
 
 
 def _plain_args(argv):
-    """The namespace that argparse builds from a plain argv: a command, then
+    """What argparse sets from a plain argv, as a namespace: a command, then
     ``--flag value`` pairs of its flags, each written out in full and given
     once, every required one present, any value but ``--`` (argparse takes a
     dash-led one too, see :func:`_absorb_negative_values`).  Size flags are
@@ -372,20 +370,19 @@ def _plain_args(argv):
     if len(given) < len(argv) // 2:  # a flag given twice
         return None
     for flag, text in given.items():
-        if flag not in flags and flag != "--out" or text == "--":
+        if flag not in flags or text == "--":
             return None
-    args = argparse.Namespace(command=argv[0], out=None)
+    args = SimpleNamespace(command=argv[0])
     for flag, keywords in flags.items():
         if keywords.get("required") and flag not in given:
             return None
         setattr(args, _dest(flag, keywords), keywords.get("default"))
     for flag, text in given.items():  # in argv order: the first flag over the cap is reported
-        keywords = flags.get(flag, {})
-        if keywords.get("action") is _Integer:
+        if flag in _SIZES:
             text = _integer(text, flag)
             if text is None:
                 return None
-        setattr(args, _dest(flag, keywords), text)
+        setattr(args, _dest(flag, flags[flag]), text)
     return args
 
 

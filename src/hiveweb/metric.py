@@ -45,11 +45,10 @@ class OrientedGraph:
         if len(self._index) != len(self.vertices):
             twice = next(v for i, v in enumerate(self.vertices) if self._index[v] != i)
             raise MalformedInput(f"vertices: {_shown(twice)} is listed twice")
-        self.arcs = list(arcs)
         index = self._index
         fwd: list[list[int]] = [[] for _ in self.vertices]
         back: list[list[int]] = [[] for _ in self.vertices]
-        for tail, head in self.arcs:
+        for tail, head in arcs:
             try:
                 i, j = index[tail], index[head]
             except (KeyError, TypeError):  # TypeError: an unhashable endpoint

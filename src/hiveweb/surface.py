@@ -304,9 +304,6 @@ class Triangulation:
             raise KeyError(f"unknown triangle {_shown(t)}")
         return frames[t]
 
-    def interior_edges(self) -> list[str]:
-        return [e.id for e in self.edges if e.attach1 is not None]
-
     # -- value semantics --------------------------------------------------
 
     def __eq__(self, other):

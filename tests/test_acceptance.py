@@ -197,7 +197,7 @@ def test_criterion_8_surface_round_trip():
                 assert surface_web_thirds(tri, web) == values
             # corrupting one triangle's strand counts must fail to glue
             web = hive_to_surface_web(tri, sample_hive(tri, bound, 0))
-            interior = tri.interior_edges()[0]
+            interior = next(e.id for e in tri.edges if e.attach1 is not None)
             victim = tri.edge(interior).attach0[0]
             x, *corners = web[victim]
             web[victim] = (x + 1, *corners)

@@ -40,7 +40,7 @@ DOCS = {
     "g.json": {"vertices": ["u", "v"], "arcs": [["u", "v"]]},
     "bad.json": [1, 2],
 }
-FLAGS = sorted({flag for _, flags in _COMMANDS.values() for flag in flags} | {"--out"})
+FLAGS = sorted({flag for _, flags in _COMMANDS.values() for flag in flags})
 COMMANDS = [*_COMMANDS, "frobnicate", "val", "gamma", "", "-h", "--help"]
 VALUES = ["--", "-", "", "-1,0", "1,1", "0,0", "2,0", "0,2", "0,0,0,0,0,0,0", "2,1,0,1,0,1,0",
           "0", "1", "2", "-3", "51", "0-2", "-5~2", "u", "v", "\uff11", "\u0663", "9" * 5000,
@@ -101,7 +101,7 @@ def plain_argvs(draw):
     """A command, then each of its required flags and some of the others, in
     random order, each with a value it can run with or one from the pool."""
     command = draw(st.sampled_from(list(_COMMANDS)))
-    flags = {**_COMMANDS[command][1], "--out": {}}
+    flags = _COMMANDS[command][1]
     chosen = [flag for flag, keywords in flags.items()
               if keywords.get("required") or draw(st.booleans())]
     argv = [command]

@@ -542,8 +542,7 @@ def test_out_holds_exactly_what_stdout_would(tmp_path, capsys, argv, code):
     assert out_path.read_bytes() == printed.encode()
 
 
-EVERY_FLAG = [(command, flag) for command, (_, flags) in cli._COMMANDS.items()
-              for flag in [*flags, "--out"]]
+EVERY_FLAG = [(command, flag) for command, (_, flags) in cli._COMMANDS.items() for flag in flags]
 
 
 @pytest.mark.parametrize("command,flag", EVERY_FLAG, ids=[" ".join(c) for c in EVERY_FLAG])

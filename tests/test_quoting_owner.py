@@ -20,7 +20,7 @@ PACKAGE = Path(hiveweb.__file__).parent
 EXEMPT = {
     ("thirds.py", "max_thirds"),  # HIVEWEB_MAX_THIRDS='ten' is not an integer
     ("thirds.py", "parse_ints"),  # --to needs 2 comma-separated integers, got 'a,b'
-    ("cli.py", "_Integer.read"),  # argument --seed: expected an integer, got '1_0'
+    ("cli.py", "build_parser.Value.__call__"),  # argument --seed: expected an integer, got '1_0'
     ("__init__.py", "__getattr__"),
 }
 

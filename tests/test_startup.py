@@ -1,9 +1,10 @@
 """A one-shot CLI process pays for every module it imports, so the package's
 import path leaves out the modules that only record classes, annotations or
 a rarely taken branch would need, and a command imports only the modules it
-runs.  The package reads each export from its submodule on first use, with
-the names and objects it exported when it imported them all.
-``tools/startup.py`` measures the cost."""
+runs.  argparse (and the ``gettext`` it loads) is imported only to parse an
+argv that is not plain, or to word help or a usage error.  The package reads
+each export from its submodule on first use, with the names and objects it
+exported when it imported them all.  ``tools/startup.py`` measures the cost."""
 
 import importlib
 import json
@@ -16,11 +17,12 @@ import hiveweb
 from hiveweb.cli import run
 from hiveweb.surface import build_polygon
 
-UNWANTED = ("dataclasses", "inspect", "typing", "pathlib")
+UNWANTED = ("dataclasses", "inspect", "typing", "pathlib", "argparse", "gettext")
 LOADED = f"sorted(m for m in {UNWANTED!r} if m in sys.modules)"
 PROBE = f"import sys, hiveweb.cli; cli = {LOADED}; import hiveweb; print(cli, {LOADED})"
-# what surface commands never run
-LAZY = ("random", "hiveweb.metric", "hiveweb.surfacoid", "hiveweb.sampling")
+# what surface commands never run; a plain argv needs no argparse
+LAZY = ("random", "hiveweb.metric", "hiveweb.surfacoid", "hiveweb.sampling", "argparse",
+        "gettext")
 # python -m hiveweb ARGV, then the exit code and which of LAZY it loaded
 RUN_MODULE = ("import runpy, sys\n"
               "sys.argv[1:] = {argv!r}\n"
@@ -28,6 +30,9 @@ RUN_MODULE = ("import runpy, sys\n"
               "    runpy.run_module('hiveweb', run_name='__main__', alter_sys=True)\n"
               "except SystemExit as exc:\n"
               f"    print(exc.code, sorted(m for m in {LAZY!r} if m in sys.modules))\n")
+# what --help prints at width 80
+HELP = json.loads(Path(__file__).with_name("golden_usage.json").read_text(
+    encoding="utf-8"))["--help"]["stdout"]
 # each submodule and the names the package exported from it when it imported them all
 EXPORTS = {
     "errors": ("GluingMismatch", "HivewebError", "IncompleteHive", "InconsistentSide",
@@ -70,6 +75,14 @@ def test_a_surface_command_imports_only_what_it_runs(tmp_path, capsys):
     capsys.readouterr()
     assert _python("-c", RUN_MODULE.format(argv=["validate", "--hive", h])) == (
         0, '{"valid":true,"violations":[]}\n0 []\n', "")
+
+
+def test_an_argv_that_is_not_plain_and_help_import_argparse(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the width HELP was recorded at
+    assert _python("-c", RUN_MODULE.format(argv=["gamma-dist", "--to=1,1"])) == (
+        0, '{"thirds":2}\n' "0 ['argparse', 'gettext', 'hiveweb.metric']\n", "")
+    assert _python("-c", RUN_MODULE.format(argv=["--help"])) == (
+        0, HELP + "0 ['argparse', 'gettext']\n", "")
 
 
 def test_the_package_imports_no_submodule_until_an_export_is_read():
